@@ -16,179 +16,29 @@ import csv
 import json
 import sys
 import zlib
-from dataclasses import dataclass, field, replace
+from dataclasses import fields
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from . import cleaning, clustering, encoding, evaluate, models, stats, synthgen, textnorm
+from . import cleaning, clustering, evaluate, features, models, stats, synthgen, textnorm
+from .config import MODEL_CHOICES, FIELD_TYPES, PipelineConfig, UsageError, build_config
 from .eventlog import (
+    PHASE_FIELDS,
+    PHASES,
     Case,
     CaseAttributes,
     PhaseDurations,
-    PHASES,
     assemble_cases,
     parse_case_attributes,
     parse_events,
 )
 
-PHASE_TEXT_FIELD = {
-    "procedure": "procedure_text",
-    "induction": "anesthesia_text",
-    "preparation": "positioning_text",
-}
-
-MODEL_CHOICES = ("mean", "group-mean", "mta", "ridge", "tree", "forest", "gbm")
-
 
 def derive_seed(root: int, label: str) -> int:
     """Stage-specific seed: root seed combined with a hash of the label."""
     return (root * 2654435761 + zlib.crc32(label.encode("utf-8"))) % 2**32
-
-
-class UsageError(ValueError):
-    pass
-
-
-@dataclass(frozen=True)
-class PipelineConfig:
-    out: str = "out"
-    events: str = ""  # defaults to <out>/events.csv
-    cases: str = ""  # defaults to <out>/cases.csv
-    phases: tuple[str, ...] = ("procedure", "induction")
-    seed: int = 0
-    test_fraction: float = 0.2
-    tolerance: float = 0.20
-    iqr_multiplier: float = 1.5
-    iqr_per_department: bool = False
-    max_duration_min: float = 2880.0
-    synonyms: str = "default"  # "default", "none" or a synonyms.csv path
-    synonyms_phases: tuple[str, ...] = ("induction",)
-    min_token_len: int = 1
-    literal_strip: bool = False
-    stemming: bool = True
-    max_terms: int = 200
-    cluster_algo: Mapping[str, str] = field(
-        default_factory=lambda: {"procedure": "kmeans", "induction": "gmm", "preparation": "kmeans"}
-    )
-    cluster_k: Mapping[str, tuple[int, ...]] = field(
-        default_factory=lambda: {"procedure": (25,), "induction": (5,), "preparation": (4,)}
-    )
-    silhouette_sample: int = 2000
-    target_smoothing: float = 40.0
-    models: tuple[str, ...] = ("mean", "group-mean", "gbm")
-    group_by: str = "cluster"  # or "exact-name"
-    grid_search: bool = False
-    cv_folds: int = 5
-    gbm_n_trees: int = 150
-    gbm_learning_rate: float = 0.1
-    gbm_max_depth: int = 3
-    gbm_min_leaf: int = 5
-    tree_max_depth: int = 8
-    tree_min_leaf: int = 5
-    forest_n_trees: int = 100
-    forest_max_depth: int = 8
-    forest_min_leaf: int = 5
-    forest_feature_fraction: float = 1.0
-    ridge_lambda: float = 1.0
-    planning_floor_induction: float = 20.0
-    synth_n_cases: int = 20000
-    synth_procedure_families: int = 25
-    synth_anesthesia_families: int = 5
-    synth_synonyms_per_family: int = 4
-
-    def __post_init__(self) -> None:
-        for phase in self.phases:
-            if phase not in PHASES:
-                raise UsageError(f"unknown phase: {phase!r}")
-        if not 0 < self.test_fraction < 1:
-            raise UsageError("test_fraction must be in (0, 1)")
-        if not 0 < self.tolerance:
-            raise UsageError("tolerance must be > 0")
-        if self.group_by not in ("cluster", "exact-name"):
-            raise UsageError(f"unknown group_by: {self.group_by!r}")
-        for name in self.models:
-            if name not in MODEL_CHOICES:
-                raise UsageError(f"unknown model: {name!r}")
-
-    def events_path(self) -> Path:
-        return Path(self.events) if self.events else Path(self.out) / "events.csv"
-
-    def cases_path(self) -> Path:
-        return Path(self.cases) if self.cases else Path(self.out) / "cases.csv"
-
-
-def _parse_scalar(raw: str):
-    text = raw.strip()
-    low = text.lower()
-    if low in ("true", "false"):
-        return low == "true"
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        pass
-    return text
-
-
-def _parse_k_range(raw: str) -> tuple[int, ...]:
-    text = str(raw).strip()
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return tuple(range(int(lo), int(hi) + 1))
-    return tuple(int(p) for p in text.split(",") if p.strip())
-
-
-def parse_config_text(text: str) -> dict:
-    """Flat ``key = value`` config; '#' starts a comment, lists use commas."""
-    values: dict = {}
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        body = line.split("#", 1)[0].strip()
-        if not body:
-            continue
-        if "=" not in body:
-            raise UsageError(f"config line {line_no}: expected 'key = value'")
-        key, raw = body.split("=", 1)
-        values[key.strip()] = raw.strip()
-    return values
-
-
-def build_config(config_path: str | None, overrides: Mapping[str, object]) -> PipelineConfig:
-    raw: dict = {}
-    if config_path:
-        path = Path(config_path)
-        if not path.exists():
-            raise UsageError(f"config file not found: {config_path}")
-        raw.update(parse_config_text(path.read_text(encoding="utf-8")))
-    raw.update({k: v for k, v in overrides.items() if v is not None})
-
-    kwargs: dict = {}
-    cluster_algo = dict(PipelineConfig().cluster_algo)
-    cluster_k = {p: tuple(k) for p, k in PipelineConfig().cluster_k.items()}
-    for key, value in raw.items():
-        if key.startswith("cluster_algo."):
-            phase = key.split(".", 1)[1]
-            cluster_algo[phase] = str(value).strip()
-        elif key.startswith("cluster_k."):
-            phase = key.split(".", 1)[1]
-            cluster_k[phase] = _parse_k_range(str(value))
-        elif key in ("phases", "models", "synonyms_phases"):
-            if isinstance(value, str):
-                kwargs[key] = tuple(p.strip() for p in value.split(",") if p.strip())
-            else:
-                kwargs[key] = tuple(value)
-        elif key in PipelineConfig.__dataclass_fields__:
-            current = value if not isinstance(value, str) else _parse_scalar(value)
-            kwargs[key] = current
-        else:
-            raise UsageError(f"unknown config key: {key!r}")
-    kwargs["cluster_algo"] = cluster_algo
-    kwargs["cluster_k"] = cluster_k
-    return PipelineConfig(**kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -207,50 +57,35 @@ def _read_json(path: Path):
     return json.loads(path.read_text(encoding="utf-8"))
 
 
+# cases.jsonl rows hold every field by name (asdict's deep copy is ~25x slower)
+_ATTRIBUTE_FIELDS = tuple(f.name for f in fields(CaseAttributes))
+_DURATION_FIELDS = tuple(f.name for f in fields(PhaseDurations))
+
+
 def _case_to_row(case: Case) -> dict:
-    a = case.attributes
-    d = case.durations
     return {
-        "case_id": a.case_id,
-        "department": a.department,
-        "age": a.age,
-        "sex": a.sex,
-        "procedure_text": a.procedure_text,
-        "anesthesia_text": a.anesthesia_text,
-        "positioning_text": a.positioning_text,
-        "planned_induction_min": a.planned_induction_min,
-        "planned_procedure_min": a.planned_procedure_min,
-        "induction_min": d.induction_min,
-        "preparation_min": d.preparation_min,
-        "procedure_min": d.procedure_min,
+        **{k: getattr(case.attributes, k) for k in _ATTRIBUTE_FIELDS},
+        **{k: getattr(case.durations, k) for k in _DURATION_FIELDS},
         "duplicate_anchors": list(case.duplicate_anchors),
         "n_events": len(case.events),
     }
 
 
 def _case_from_row(row: dict) -> Case:
-    attrs = CaseAttributes(
-        case_id=row["case_id"],
-        department=row["department"],
-        age=row["age"],
-        sex=row["sex"],
-        procedure_text=row["procedure_text"],
-        anesthesia_text=row["anesthesia_text"],
-        positioning_text=row["positioning_text"],
-        planned_induction_min=row["planned_induction_min"],
-        planned_procedure_min=row["planned_procedure_min"],
-    )
-    durations = PhaseDurations(
-        induction_min=row["induction_min"],
-        preparation_min=row["preparation_min"],
-        procedure_min=row["procedure_min"],
-    )
     return Case(
-        attributes=attrs,
+        attributes=CaseAttributes(*[row[k] for k in _ATTRIBUTE_FIELDS]),
         events=(),
-        durations=durations,
+        durations=PhaseDurations(*[row[k] for k in _DURATION_FIELDS]),
         duplicate_anchors=tuple(row.get("duplicate_anchors", ())),
     )
+
+
+def _parse_input(path: Path, parse):
+    """Leniently parse an events or cases input; ``.jsonl`` files are JSON lines."""
+    if not path.exists():
+        raise UsageError(f"input not found: {path}")
+    with path.open("rb") as fh:
+        return parse(fh, fmt="jsonl" if path.suffix == ".jsonl" else "csv", strict=False)
 
 
 def _load_cases(cfg: PipelineConfig) -> list[Case]:
@@ -263,10 +98,6 @@ def _load_cases(cfg: PipelineConfig) -> list[Case]:
             if line.strip():
                 cases.append(_case_from_row(json.loads(line)))
     return cases
-
-
-def _load_clean_ids(cfg: PipelineConfig, phase: str) -> list[str]:
-    return list(_read_json(Path(cfg.out) / f"clean_{phase}.json")["retained_ids"])
 
 
 def _rules_for_phase(cfg: PipelineConfig, phase: str) -> textnorm.NormalizationRules:
@@ -287,12 +118,35 @@ def _rules_for_phase(cfg: PipelineConfig, phase: str) -> textnorm.NormalizationR
     )
 
 
-def _split_ids(cfg: PipelineConfig, phase: str, retained_ids: Sequence[str]) -> tuple[list[str], list[str]]:
-    ordered = sorted(retained_ids)
+def _split_ids(cfg: PipelineConfig, phase: str) -> tuple[list[str], list[str]]:
+    """Train and test ids among the cases that cleaning retained."""
+    ordered = sorted(_read_json(Path(cfg.out) / f"clean_{phase}.json")["retained_ids"])
     train_idx, test_idx = models.split_indices(
         len(ordered), cfg.test_fraction, derive_seed(cfg.seed, f"split:{phase}")
     )
     return [ordered[i] for i in train_idx], [ordered[i] for i in test_idx]
+
+
+def _normalized_docs(cfg: PipelineConfig, phase: str, attrs: Sequence[CaseAttributes]) -> list[list[str]]:
+    rules = _rules_for_phase(cfg, phase)
+    return [textnorm.normalize_text(a.text(phase), rules) for a in attrs]
+
+
+def _tfidf_matrix(docs: Sequence[Sequence[str]], tfidf: textnorm.TfidfModel) -> np.ndarray:
+    return textnorm.stack_dense([textnorm.vectorize(d, tfidf) for d in docs])
+
+
+def _load_assignments(cfg: PipelineConfig, phase: str) -> dict[str, int]:
+    path = Path(cfg.out) / f"assignments_{phase}.csv"
+    if not path.exists():
+        raise UsageError(f"missing artifact: {path} (run 'cluster' first)")
+    out: dict[str, int] = {}
+    with path.open(encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        for row in reader:
+            out[row[0]] = int(row[1])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -313,22 +167,16 @@ def stage_synth(cfg: PipelineConfig) -> None:
     out.mkdir(parents=True, exist_ok=True)
     (out / "events.csv").write_text(events_csv, encoding="utf-8")
     (out / "cases.csv").write_text(cases_csv, encoding="utf-8")
-    _write_json(out / "ground_truth.json", truth.to_dict())
+    # compact: indent=2 forces json's pure-Python encoder, slow on the largest artifact
+    (out / "ground_truth.json").write_text(
+        json.dumps(truth.to_dict(), sort_keys=True, separators=(",", ":")) + "\n", encoding="utf-8"
+    )
     print(f"synth: wrote {truth.n_cases} cases to {out}")
 
 
 def stage_ingest(cfg: PipelineConfig) -> None:
-    events_path = cfg.events_path()
-    cases_path = cfg.cases_path()
-    for path in (events_path, cases_path):
-        if not path.exists():
-            raise UsageError(f"input not found: {path}")
-    fmt = "jsonl" if events_path.suffix == ".jsonl" else "csv"
-    with events_path.open("rb") as fh:
-        events, event_errors = parse_events(fh, fmt=fmt, strict=False)
-    fmt = "jsonl" if cases_path.suffix == ".jsonl" else "csv"
-    with cases_path.open("rb") as fh:
-        attrs, attr_errors = parse_case_attributes(fh, fmt=fmt, strict=False)
+    events, event_errors = _parse_input(cfg.events_path(), parse_events)
+    attrs, attr_errors = _parse_input(cfg.cases_path(), parse_case_attributes)
     cases = assemble_cases(events, attrs)
 
     out = Path(cfg.out)
@@ -379,22 +227,11 @@ def stage_cluster(cfg: PipelineConfig) -> None:
     cases = {c.case_id: c for c in _load_cases(cfg)}
     out = Path(cfg.out)
     for phase in cfg.phases:
-        retained_ids = _load_clean_ids(cfg, phase)
-        train_ids, test_ids = _split_ids(cfg, phase, retained_ids)
-        rules = _rules_for_phase(cfg, phase)
-        text_field = PHASE_TEXT_FIELD[phase]
-
-        train_docs = [
-            textnorm.normalize_text(getattr(cases[i].attributes, text_field), rules)
-            for i in train_ids
-        ]
-        model_tfidf = textnorm.fit_tfidf(train_docs, max_terms=cfg.max_terms)
+        train_ids, test_ids = _split_ids(cfg, phase)
         all_ids = train_ids + test_ids
-        all_docs = train_docs + [
-            textnorm.normalize_text(getattr(cases[i].attributes, text_field), rules)
-            for i in test_ids
-        ]
-        X_all = textnorm.stack_dense([textnorm.vectorize(d, model_tfidf) for d in all_docs])
+        all_docs = _normalized_docs(cfg, phase, [cases[i].attributes for i in all_ids])
+        model_tfidf = textnorm.fit_tfidf(all_docs[: len(train_ids)], max_terms=cfg.max_terms)
+        X_all = _tfidf_matrix(all_docs, model_tfidf)
         X_train = X_all[: len(train_ids)]
 
         algo = cfg.cluster_algo.get(phase, "kmeans")
@@ -444,181 +281,52 @@ def stage_cluster(cfg: PipelineConfig) -> None:
         print(f"cluster[{phase}]: {algo} k={best_k} over {len(train_ids)} train docs")
 
 
-def _load_assignments(cfg: PipelineConfig, phase: str) -> dict[str, int]:
-    path = Path(cfg.out) / f"assignments_{phase}.csv"
-    if not path.exists():
-        raise UsageError(f"missing artifact: {path} (run 'cluster' first)")
-    out: dict[str, int] = {}
-    with path.open(encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for row in reader:
-            out[row[0]] = int(row[1])
-    return out
-
-
-@dataclass
-class FeatureContext:
-    """Everything needed to turn cases into design matrices for one phase."""
-
-    phase: str
-    group_by: str
-    target_smoothing: float
-    assignments: Mapping[str, int]
-    name_codes: dict[str, int]
-    target_encoder: encoding.TargetEncoder | None
-    age_fill: float
-    sex_schema: encoding.OneHotSchema
-    department_schema: encoding.OneHotSchema
-
-    def group_code(self, case: Case) -> float:
-        if self.group_by == "cluster":
-            return float(self.assignments.get(case.case_id, -1))
-        return float(self.name_codes.get(self._exact_name(case), -1))
-
-    def _exact_name(self, case: Case) -> str:
-        return getattr(case.attributes, PHASE_TEXT_FIELD[self.phase]).strip()
-
-    def regression_matrix(self, cases: Sequence[Case], encoded: bool = True) -> np.ndarray:
-        clusters = [str(self.assignments.get(c.case_id, -1)) for c in cases]
-        if encoded:
-            assert self.target_encoder is not None
-            col0 = encoding.target_encode_apply(self.target_encoder, clusters)
-        else:
-            col0 = np.array([float(self.assignments.get(c.case_id, -1)) for c in cases])
-        ages = np.array([c.attributes.age if c.attributes.age is not None else self.age_fill for c in cases], dtype=float)
-        sex = encoding.one_hot_many(self.sex_schema, [c.attributes.sex for c in cases])
-        dept = encoding.one_hot_many(self.department_schema, [c.attributes.department for c in cases])
-        return np.column_stack([col0, ages, sex, dept])
-
-    def feature_names(self) -> list[str]:
-        return (
-            ["cluster_te", "age"]
-            + [f"sex={c}" for c in self.sex_schema.categories]
-            + [f"department={c}" for c in self.department_schema.categories]
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "phase": self.phase,
-            "group_by": self.group_by,
-            "target_smoothing": self.target_smoothing,
-            "name_codes": sorted([k, v] for k, v in self.name_codes.items()),
-            "target_encoder": self.target_encoder.to_dict() if self.target_encoder else None,
-            "age_fill": self.age_fill,
-            "sex_schema": self.sex_schema.to_dict(),
-            "department_schema": self.department_schema.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, obj: dict, assignments: Mapping[str, int]) -> "FeatureContext":
-        return cls(
-            phase=obj["phase"],
-            group_by=obj["group_by"],
-            target_smoothing=obj["target_smoothing"],
-            assignments=assignments,
-            name_codes={k: int(v) for k, v in obj["name_codes"]},
-            target_encoder=(
-                encoding.TargetEncoder.from_dict(obj["target_encoder"])
-                if obj["target_encoder"]
-                else None
-            ),
-            age_fill=float(obj["age_fill"]),
-            sex_schema=encoding.OneHotSchema.from_dict(obj["sex_schema"]),
-            department_schema=encoding.OneHotSchema.from_dict(obj["department_schema"]),
-        )
-
-
-def _fit_feature_context(
-    cfg: PipelineConfig, phase: str, train_cases: Sequence[Case], group_by: str
-) -> FeatureContext:
-    assignments = _load_assignments(cfg, phase)
-    targets = [c.durations.get(phase) for c in train_cases]
-    clusters = [str(assignments.get(c.case_id, -1)) for c in train_cases]
-    encoder = encoding.target_encode_fit(clusters, targets, m=cfg.target_smoothing)
-    name_codes: dict[str, int] = {}
-    if group_by == "exact-name":
-        names = sorted(
-            {getattr(c.attributes, PHASE_TEXT_FIELD[phase]).strip() for c in train_cases}
-        )
-        name_codes = {name: i for i, name in enumerate(names)}
-    ages = [c.attributes.age for c in train_cases if c.attributes.age is not None]
-    return FeatureContext(
-        phase=phase,
-        group_by=group_by,
-        target_smoothing=cfg.target_smoothing,
-        assignments=assignments,
-        name_codes=name_codes,
-        target_encoder=encoder,
-        age_fill=float(np.median(ages)) if ages else 50.0,
-        sex_schema=encoding.OneHotSchema.fit([c.attributes.sex for c in train_cases]),
-        department_schema=encoding.OneHotSchema.fit([c.attributes.department for c in train_cases]),
-    )
-
-
 def _model_plan(name: str, cfg: PipelineConfig) -> tuple[str, str, dict]:
     """Roster name -> (family, group_by, fixed params)."""
-    if name == "mean":
-        return "mean", cfg.group_by, {}
-    if name == "group-mean":
-        return "group-mean", cfg.group_by, {"group_col": 0}
-    if name == "mta":
+    if name == "mta":  # the traditional per-name average
         return "group-mean", "exact-name", {"group_col": 0}
-    if name == "ridge":
-        return "ridge", cfg.group_by, {"lam": cfg.ridge_lambda}
-    if name == "tree":
-        return "tree", cfg.group_by, {"max_depth": cfg.tree_max_depth, "min_leaf": cfg.tree_min_leaf}
-    if name == "forest":
-        return "forest", cfg.group_by, {
+    params = {
+        "mean": {},
+        "group-mean": {"group_col": 0},
+        "ridge": {"lam": cfg.ridge_lambda},
+        "tree": {"max_depth": cfg.tree_max_depth, "min_leaf": cfg.tree_min_leaf},
+        "forest": {
             "n_trees": cfg.forest_n_trees,
             "max_depth": cfg.forest_max_depth,
             "min_leaf": cfg.forest_min_leaf,
             "feature_fraction": cfg.forest_feature_fraction,
-        }
-    if name == "gbm":
-        return "gbm", cfg.group_by, {
+        },
+        "gbm": {
             "n_trees": cfg.gbm_n_trees,
             "learning_rate": cfg.gbm_learning_rate,
             "max_depth": cfg.gbm_max_depth,
             "min_leaf": cfg.gbm_min_leaf,
-        }
-    raise UsageError(f"unknown model: {name!r}")
-
-
-def _design_for(
-    ctx: FeatureContext, family: str, cases_list: Sequence[Case], phase: str
-) -> models.Dataset:
-    y = np.array([c.durations.get(phase) for c in cases_list], dtype=float)
-    ids = tuple(c.case_id for c in cases_list)
-    if family == "mean":
-        X = np.zeros((len(cases_list), 0))
-        return models.Dataset(X=X, y=y, row_ids=ids)
-    if family == "group-mean":
-        X = np.array([[ctx.group_code(c)] for c in cases_list])
-        return models.Dataset(X=X, y=y, feature_names=("group_code",), row_ids=ids)
-    X = ctx.regression_matrix(cases_list)
-    return models.Dataset(X=X, y=y, feature_names=tuple(ctx.feature_names()), row_ids=ids)
+        },
+    }
+    return name, cfg.group_by, params[name]
 
 
 def stage_train(cfg: PipelineConfig) -> None:
     cases = {c.case_id: c for c in _load_cases(cfg)}
     out = Path(cfg.out)
     for phase in cfg.phases:
-        retained_ids = _load_clean_ids(cfg, phase)
-        train_ids, _ = _split_ids(cfg, phase, retained_ids)
+        train_ids, _ = _split_ids(cfg, phase)
         train_cases = [cases[i] for i in train_ids]
+        y = [c.durations.get(phase) for c in train_cases]
+        assignments = _load_assignments(cfg, phase)
+        contexts: dict[str, features.FeatureContext] = {}  # one per group_by
         for name in cfg.models:
             family, group_by, params = _model_plan(name, cfg)
-            ctx = _fit_feature_context(cfg, phase, train_cases, group_by)
-            dataset = _design_for(ctx, family, train_cases, phase)
+            if group_by not in contexts:
+                contexts[group_by] = features.fit_context(
+                    phase, train_cases, assignments, group_by, cfg.target_smoothing
+                )
+            ctx = contexts[group_by]
+            dataset = models.Dataset(X=features.design_matrix(ctx, family, train_cases), y=y)
             grid_info = None
             if cfg.grid_search and models.DEFAULT_GRIDS.get(family):
                 # CV on the raw-cluster-code design so fold encoders refit
-                raw = models.Dataset(
-                    X=ctx.regression_matrix(train_cases, encoded=False),
-                    y=dataset.y,
-                    row_ids=dataset.row_ids,
-                )
+                raw = models.Dataset(X=ctx.regression_matrix(train_cases, encoded=False), y=dataset.y)
                 spec = models.GridSpec(
                     family=family,
                     grid=models.DEFAULT_GRIDS[family],
@@ -659,23 +367,11 @@ def stage_train(cfg: PipelineConfig) -> None:
             print(f"train[{phase}]: fitted {name} on {len(train_ids)} cases")
 
 
-def _load_bundle(cfg: PipelineConfig, phase: str, name: str) -> tuple[models.Model, FeatureContext, dict]:
-    bundle = _read_json(Path(cfg.out) / f"model_{phase}_{name}.json")
-    assignments = _load_assignments(cfg, phase)
-    ctx = FeatureContext.from_dict(bundle["features"], assignments)
-    return models.model_from_dict(bundle["model"]), ctx, bundle
-
-
-def _predict_cases(
-    model: models.Model, ctx: FeatureContext, family: str, cases_list: Sequence[Case], phase: str
-) -> np.ndarray:
-    if family == "mean":
-        X = np.zeros((len(cases_list), 0))
-    elif family == "group-mean":
-        X = np.array([[ctx.group_code(c)] for c in cases_list])
-    else:
-        X = ctx.regression_matrix(cases_list)
-    return model.predict(X)
+def _bundle_predict(bundle: dict, assignments: dict[str, int], cases: Sequence[Case]) -> np.ndarray:
+    """Predict ``cases`` with a trained model bundle and its feature context."""
+    ctx = features.FeatureContext.from_dict(bundle["features"], assignments)
+    model = models.model_from_dict(bundle["model"])
+    return model.predict(features.design_matrix(ctx, bundle["family"], cases))
 
 
 def stage_evaluate(cfg: PipelineConfig) -> None:
@@ -683,40 +379,33 @@ def stage_evaluate(cfg: PipelineConfig) -> None:
     out = Path(cfg.out)
     metrics_obj: dict = {}
     for phase in cfg.phases:
-        retained_ids = _load_clean_ids(cfg, phase)
-        _, test_ids = _split_ids(cfg, phase, retained_ids)
+        _, test_ids = _split_ids(cfg, phase)
         test_cases = [cases[i] for i in test_ids]
         actual = [c.durations.get(phase) for c in test_cases]
-        plan_attr = "planned_induction_min" if phase == "induction" else (
-            "planned_procedure_min" if phase == "procedure" else None
-        )
+        planned = [c.attributes.planned(phase) for c in test_cases]
+        assignments = _load_assignments(cfg, phase)
         predictions: dict[str, np.ndarray] = {}
         metrics_obj[phase] = {}
         for name in cfg.models:
-            family, _, _ = _model_plan(name, cfg)
-            model, ctx, _ = _load_bundle(cfg, phase, name)
-            preds = _predict_cases(model, ctx, family, test_cases, phase)
-            predictions[name] = preds
+            bundle = _read_json(out / f"model_{phase}_{name}.json")
+            predictions[name] = _bundle_predict(bundle, assignments, test_cases)
             metrics_obj[phase][name] = evaluate.compute_metrics(
-                actual, preds, tolerance=cfg.tolerance
+                actual, predictions[name], tolerance=cfg.tolerance
             ).to_dict()
-        if plan_attr is not None:
-            planned = [getattr(c.attributes, plan_attr) for c in test_cases]
-            keep = [i for i, p in enumerate(planned) if p is not None]
-            if keep:
-                metrics_obj[phase]["manual"] = evaluate.compute_metrics(
-                    [actual[i] for i in keep],
-                    [planned[i] for i in keep],
-                    tolerance=cfg.tolerance,
-                ).to_dict()
+        keep = [i for i, p in enumerate(planned) if p is not None]
+        if keep:
+            metrics_obj[phase]["manual"] = evaluate.compute_metrics(
+                [actual[i] for i in keep],
+                [planned[i] for i in keep],
+                tolerance=cfg.tolerance,
+            ).to_dict()
         with (out / f"predictions_{phase}.csv").open("w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             names = sorted(predictions)
             writer.writerow(["case_id", "actual_min", "planned_min"] + names)
             for i, case in enumerate(test_cases):
-                plan = getattr(case.attributes, plan_attr) if plan_attr else None
                 writer.writerow(
-                    [case.case_id, repr(float(actual[i])), "" if plan is None else repr(float(plan))]
+                    [case.case_id, repr(float(actual[i])), "" if planned[i] is None else repr(float(planned[i]))]
                     + [repr(float(predictions[n][i])) for n in names]
                 )
         print(f"evaluate[{phase}]: scored {len(test_ids)} test cases")
@@ -729,9 +418,9 @@ def stage_report(cfg: PipelineConfig) -> None:
     deviation_obj: dict = {}
     factors_obj: dict = {}
     for phase in cfg.phases:
-        retained_ids = _load_clean_ids(cfg, phase)
-        _, test_ids = _split_ids(cfg, phase, retained_ids)
+        _, test_ids = _split_ids(cfg, phase)
         test_cases = [cases[i] for i in test_ids]
+        has_plan = PHASE_FIELDS[phase].plan is not None
         predictions: dict[str, list[float]] = {}
         pred_path = out / f"predictions_{phase}.csv"
         if not pred_path.exists():
@@ -745,7 +434,7 @@ def stage_report(cfg: PipelineConfig) -> None:
             col = header.index(name)
             predictions[name] = [float(rows[c.case_id][col]) for c in test_cases]
 
-        if phase in ("procedure", "induction"):
+        if has_plan:
             try:
                 report = evaluate.compare_to_plan(
                     test_cases, phase, predictions, tolerance=cfg.tolerance
@@ -757,9 +446,8 @@ def stage_report(cfg: PipelineConfig) -> None:
         # histograms of actual durations and of the manual plan (3-min bins)
         actual_bins = evaluate.histogram([c.durations.get(phase) for c in test_cases], 3.0)
         _write_histogram(out / f"histogram_{phase}_actual", actual_bins, f"{phase}: actual duration")
-        plan_attr = {"induction": "planned_induction_min", "procedure": "planned_procedure_min"}.get(phase)
-        if plan_attr:
-            plans = [getattr(c.attributes, plan_attr) for c in test_cases]
+        if has_plan:
+            plans = [c.attributes.planned(phase) for c in test_cases]
             plan_bins = evaluate.histogram([p for p in plans if p is not None], 3.0)
             _write_histogram(out / f"histogram_{phase}_plan", plan_bins, f"{phase}: manual plan")
 
@@ -793,46 +481,31 @@ def _write_histogram(base: Path, bins: list[tuple[float, int]], title: str) -> N
     )
 
 
-def stage_predict(cfg: PipelineConfig, args: argparse.Namespace) -> None:
-    phase = args.phase or cfg.phases[0]
-    name = args.model or cfg.models[0]
-    model, ctx, bundle = _load_bundle(cfg, phase, name)
-    family = bundle["family"]
+def stage_predict(cfg: PipelineConfig, dest: str | None, apply_floors: bool) -> None:
+    phase, name = cfg.phases[0], cfg.models[0]
+    out = Path(cfg.out)
+    bundle = _read_json(out / f"model_{phase}_{name}.json")
 
-    cases_path = Path(args.cases) if args.cases else cfg.cases_path()
-    if not cases_path.exists():
-        raise UsageError(f"input not found: {cases_path}")
-    fmt = "jsonl" if cases_path.suffix == ".jsonl" else "csv"
-    with cases_path.open("rb") as fh:
-        attrs, _ = parse_case_attributes(fh, fmt=fmt, strict=False)
-    new_cases = [Case(attributes=a, events=()) for a in attrs]
+    attrs, _ = _parse_input(cfg.cases_path(), parse_case_attributes)
 
     # new free text is clustered with the persisted TF-IDF + cluster model
-    tfidf = textnorm.TfidfModel.from_dict(_read_json(Path(cfg.out) / f"tfidf_{phase}.json"))
-    cluster_obj = _read_json(Path(cfg.out) / f"cluster_model_{phase}.json")["model"]
-    if cluster_obj["algo"] == "kmeans":
-        cluster_model = clustering.KMeansModel.from_dict(cluster_obj)
-    else:
-        cluster_model = clustering.GmmModel.from_dict(cluster_obj)
-    rules = _rules_for_phase(cfg, phase)
-    docs = [
-        textnorm.normalize_text(getattr(a, PHASE_TEXT_FIELD[phase]), rules) for a in attrs
-    ]
-    X_text = textnorm.stack_dense([textnorm.vectorize(d, tfidf) for d in docs])
+    tfidf = textnorm.TfidfModel.from_dict(_read_json(out / f"tfidf_{phase}.json"))
+    cluster_model = clustering.model_from_dict(_read_json(out / f"cluster_model_{phase}.json")["model"])
+    X_text = _tfidf_matrix(_normalized_docs(cfg, phase, attrs), tfidf)
     labels = clustering.cluster_assign(cluster_model, X_text).labels
-    ctx = replace(ctx, assignments={a.case_id: int(l) for a, l in zip(attrs, labels)})
+    assignments = {a.case_id: int(l) for a, l in zip(attrs, labels)}
 
-    preds = _predict_cases(model, ctx, family, new_cases, phase)
-    if args.apply_floors:
+    preds = _bundle_predict(bundle, assignments, [Case(attributes=a, events=()) for a in attrs])
+    if apply_floors:
         floors = {"induction": cfg.planning_floor_induction}
         preds = np.array([evaluate.apply_planning_floor(p, phase, floors) for p in preds])
-    dest = Path(args.dest) if args.dest else Path(cfg.out) / "predictions.csv"
-    with dest.open("w", encoding="utf-8", newline="") as fh:
+    dest_path = Path(dest) if dest else out / "predictions.csv"
+    with dest_path.open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["case_id", "phase", "model", "prediction_min"])
         for a, p in zip(attrs, preds):
             writer.writerow([a.case_id, phase, name, repr(float(p))])
-    print(f"predict: wrote {len(attrs)} predictions to {dest}")
+    print(f"predict: wrote {len(attrs)} predictions to {dest_path}")
 
 
 # ---------------------------------------------------------------------------
@@ -876,18 +549,10 @@ def _build_parser() -> _Parser:
 
 
 def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
-    overrides: dict = {}
-    for key in (
-        "out", "seed", "tolerance", "events", "cases", "synonyms",
-        "literal_strip", "iqr_per_department", "grid_search", "synth_n_cases",
-        "group_by",
-    ):
-        value = getattr(args, key, None)
-        if value is not None:
-            overrides[key] = value
-    if getattr(args, "phase", None):
+    overrides = {k: v for k, v in vars(args).items() if k in FIELD_TYPES}
+    if args.phase:
         overrides["phases"] = (args.phase,)
-    if getattr(args, "model", None) and args.command not in ("predict",):
+    if args.model:
         overrides["models"] = (args.model,)
     return build_config(args.config, overrides)
 
@@ -909,7 +574,7 @@ def run(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
         cfg = _config_from_args(args)
         if args.command == "predict":
-            stage_predict(cfg, args)
+            stage_predict(cfg, args.dest, args.apply_floors)
         else:
             STAGES[args.command](cfg)
         return 0

@@ -86,6 +86,15 @@ class GmmModel:
         )
 
 
+def model_from_dict(obj: dict) -> Union[KMeansModel, GmmModel]:
+    """Rebuild a fitted K-Means or GMM model from its ``to_dict`` form."""
+    if obj["algo"] == "kmeans":
+        return KMeansModel.from_dict(obj)
+    if obj["algo"] == "gmm":
+        return GmmModel.from_dict(obj)
+    raise ValueError(f"unknown clustering algorithm: {obj['algo']!r}")
+
+
 @dataclass(frozen=True)
 class ClusterAssignment:
     labels: np.ndarray

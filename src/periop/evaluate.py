@@ -14,7 +14,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .eventlog import Case
+from .eventlog import PHASE_FIELDS, Case
 
 DEFAULT_TOLERANCE = 0.20
 
@@ -168,8 +168,7 @@ def compare_to_plan(
     with ``cases``. Only cases with a positive actual duration and a planned
     duration for the phase enter the comparison; there must be at least one.
     """
-    plan_attr = {"induction": "planned_induction_min", "procedure": "planned_procedure_min"}.get(phase)
-    if plan_attr is None:
+    if phase not in PHASE_FIELDS or PHASE_FIELDS[phase].plan is None:
         raise ValueError(f"no planned durations exist for phase {phase!r}")
     for name, preds in model_predictions.items():
         if len(preds) != len(cases):
@@ -180,7 +179,7 @@ def compare_to_plan(
     planned: list[float] = []
     for i, case in enumerate(cases):
         value = case.durations.get(phase)
-        plan = getattr(case.attributes, plan_attr)
+        plan = case.attributes.planned(phase)
         if value is not None and value > 0 and plan is not None:
             keep.append(i)
             actual.append(value)

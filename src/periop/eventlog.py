@@ -19,7 +19,7 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
-from typing import IO, Iterable, Union
+from typing import IO, Iterable, NamedTuple, Union
 
 ANCHOR_EVENTS = ("anesthesia_start", "anesthesia_complete", "incision", "suture")
 
@@ -30,6 +30,20 @@ PHASE_ANCHORS = {
     "induction": ("anesthesia_start", "anesthesia_complete"),
     "preparation": ("anesthesia_complete", "incision"),
     "procedure": ("incision", "suture"),
+}
+
+
+class PhaseFields(NamedTuple):
+    """The CaseAttributes fields that belong to one phase."""
+
+    text: str  # free-text description that gets clustered
+    plan: str | None  # manually scheduled duration, if the log carries one
+
+
+PHASE_FIELDS = {
+    "induction": PhaseFields("anesthesia_text", "planned_induction_min"),
+    "preparation": PhaseFields("positioning_text", None),
+    "procedure": PhaseFields("procedure_text", "planned_procedure_min"),
 }
 
 EVENTS_HEADER = ["case_id", "event_type", "timestamp"]
@@ -87,6 +101,14 @@ class CaseAttributes:
     positioning_text: str = ""
     planned_induction_min: float | None = None
     planned_procedure_min: float | None = None
+
+    def text(self, phase: str) -> str:
+        return getattr(self, PHASE_FIELDS[phase].text)
+
+    def planned(self, phase: str) -> float | None:
+        """The manual plan for ``phase``; None when missing or never planned."""
+        plan = PHASE_FIELDS[phase].plan
+        return None if plan is None else getattr(self, plan)
 
 
 @dataclass(frozen=True)

@@ -28,8 +28,6 @@ class Dataset:
 
     X: np.ndarray
     y: np.ndarray
-    feature_names: tuple[str, ...] = ()
-    row_ids: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         X = np.asarray(self.X, dtype=float)
@@ -42,10 +40,6 @@ class Dataset:
             raise ValueError("dataset needs at least one row")
         if not np.all(np.isfinite(X)) or not np.all(np.isfinite(y)):
             raise ValueError("X and y must be finite")
-        if self.feature_names and len(self.feature_names) != X.shape[1]:
-            raise ValueError("feature_names must match X columns")
-        if self.row_ids and len(self.row_ids) != X.shape[0]:
-            raise ValueError("row_ids must match X rows")
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "y", y)
 
@@ -57,14 +51,6 @@ class Dataset:
     def d(self) -> int:
         return self.X.shape[1]
 
-    def subset(self, idx: np.ndarray) -> "Dataset":
-        return Dataset(
-            X=self.X[idx],
-            y=self.y[idx],
-            feature_names=self.feature_names,
-            row_ids=tuple(self.row_ids[i] for i in idx) if self.row_ids else (),
-        )
-
 
 def split_indices(n: int, test_fraction: float = 0.2, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Seeded uniform shuffle; floor(n * test_fraction) rows go to the test side."""
@@ -73,13 +59,6 @@ def split_indices(n: int, test_fraction: float = 0.2, seed: int = 0) -> tuple[np
     perm = np.random.default_rng(seed).permutation(n)
     n_test = int(math.floor(n * test_fraction))
     return np.sort(perm[n_test:]), np.sort(perm[:n_test])
-
-
-def train_test_split(dataset: Dataset, test_fraction: float = 0.2, seed: int = 0) -> tuple[Dataset, Dataset]:
-    if dataset.n < 5:
-        raise ValueError("need at least 5 rows to split")
-    train_idx, test_idx = split_indices(dataset.n, test_fraction, seed)
-    return dataset.subset(train_idx), dataset.subset(test_idx)
 
 
 def mae(actual: np.ndarray, predicted: np.ndarray) -> float:
@@ -462,58 +441,6 @@ class GbmModel(Model):
             "base": self.base_,
             "trees": self.trees_,
         }
-
-
-def fit_mean(dataset: Dataset) -> MeanModel:
-    return MeanModel().fit(dataset)
-
-
-def fit_group_mean(dataset: Dataset, group_col: int = 0) -> GroupMeanModel:
-    return GroupMeanModel(group_col=group_col).fit(dataset)
-
-
-def fit_ridge(dataset: Dataset, lam: float = 0.0) -> RidgeModel:
-    return RidgeModel(lam=lam).fit(dataset)
-
-
-def fit_tree(dataset: Dataset, max_depth: int = 8, min_leaf: int = 5) -> TreeModel:
-    return TreeModel(max_depth=max_depth, min_leaf=min_leaf).fit(dataset)
-
-
-def fit_forest(
-    dataset: Dataset,
-    n_trees: int = 100,
-    max_depth: int = 8,
-    min_leaf: int = 5,
-    feature_fraction: float = 1.0,
-    bootstrap: bool = True,
-    seed: int = 0,
-) -> ForestModel:
-    return ForestModel(
-        n_trees=n_trees,
-        max_depth=max_depth,
-        min_leaf=min_leaf,
-        feature_fraction=feature_fraction,
-        bootstrap=bootstrap,
-        seed=seed,
-    ).fit(dataset)
-
-
-def fit_gbm(
-    dataset: Dataset,
-    n_trees: int = 200,
-    learning_rate: float = 0.1,
-    max_depth: int = 3,
-    min_leaf: int = 5,
-    seed: int = 0,
-) -> GbmModel:
-    return GbmModel(
-        n_trees=n_trees,
-        learning_rate=learning_rate,
-        max_depth=max_depth,
-        min_leaf=min_leaf,
-        seed=seed,
-    ).fit(dataset)
 
 
 _CONSTRUCTORS: dict[str, Callable[..., Model]] = {

@@ -20,14 +20,7 @@ from periop.cleaning import iqr_filter, plausibility_filter, quantile
 from periop.clustering import gmm_fit, kmeans_fit, select_k
 from periop.encoding import target_encode_fit
 from periop.eventlog import Case, CaseAttributes, PhaseDurations, parse_case_attributes
-from periop.models import (
-    Dataset,
-    fit_forest,
-    fit_gbm,
-    fit_mean,
-    fit_ridge,
-    fit_tree,
-)
+from periop.models import Dataset, make_model
 from periop.stats import anova_f_test, kruskal_wallis, reg_inc_beta, reg_inc_gamma_P, welch_t_test
 from periop.synthgen import SynthConfig, generate_log
 from periop.textnorm import (
@@ -130,7 +123,9 @@ def test_criterion_2_monotonicity():
 
         ds = Dataset(X=rng.normal(size=(70, 3)), y=rng.uniform(5, 150, size=70))
         lr = float(rng.uniform(0.05, 1.0))
-        gbm = fit_gbm(ds, n_trees=20, learning_rate=lr, max_depth=3, min_leaf=2, seed=seed)
+        gbm = make_model(
+            "gbm", {"n_trees": 20, "learning_rate": lr, "max_depth": 3, "min_leaf": 2, "seed": seed}
+        ).fit(ds)
         gbm_ok &= all(b <= a + 1e-9 for a, b in zip(gbm.stage_mse_, gbm.stage_mse_[1:]))
     report(
         "2 (numerical monotonicity)",
@@ -346,15 +341,19 @@ def test_criterion_8_model_contracts():
     y = 4.0 * X[:, 0] + rng.normal(0, 2, size=50) + 30
     ds = Dataset(X=X, y=y)
 
-    tree = fit_tree(ds, max_depth=5, min_leaf=2)
-    forest = fit_forest(ds, n_trees=1, max_depth=5, min_leaf=2, feature_fraction=1.0, bootstrap=False, seed=0)
+    tree = make_model("tree", {"max_depth": 5, "min_leaf": 2}).fit(ds)
+    forest = make_model(
+        "forest", {"n_trees": 1, "max_depth": 5, "min_leaf": 2, "feature_fraction": 1.0, "bootstrap": False, "seed": 0}
+    ).fit(ds)
     forest_ok = np.array_equal(tree.predict(X), forest.predict(X))
 
-    gbm = fit_gbm(ds, n_trees=0)
-    mean = fit_mean(ds)
+    gbm = make_model("gbm", {"n_trees": 0}).fit(ds)
+    mean = make_model("mean").fit(ds)
     gbm_ok = np.array_equal(gbm.predict(X), mean.predict(X))
 
-    ridge = fit_ridge(Dataset(X=np.array([[0.0], [1.0], [2.0]]), y=np.array([1.0, 3.0, 5.0])), lam=0.0)
+    ridge = make_model("ridge", {"lam": 0.0}).fit(
+        Dataset(X=np.array([[0.0], [1.0], [2.0]]), y=np.array([1.0, 3.0, 5.0]))
+    )
     ridge_ok = math.isclose(ridge.coef_[0], 2.0, abs_tol=1e-9) and math.isclose(
         ridge.intercept_, 1.0, abs_tol=1e-9
     )

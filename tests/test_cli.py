@@ -1,15 +1,10 @@
+import csv
 import json
 
 import pytest
 
-from periop.cli import (
-    PipelineConfig,
-    UsageError,
-    build_config,
-    derive_seed,
-    parse_config_text,
-    run,
-)
+from periop.cli import derive_seed, run
+from periop.config import PipelineConfig, UsageError, build_config, parse_config_text
 
 SMALL = [
     "--seed", "13",
@@ -66,6 +61,38 @@ def test_build_config_overrides_and_types(tmp_path):
     assert cfg.tolerance == 0.3
     assert cfg.cluster_k["procedure"] == (2, 3, 4)
     assert cfg.models == ("mean",)
+
+
+@pytest.mark.parametrize(
+    "line, key, expected",
+    [
+        ("stemming = false", "stemming", False),
+        ("stemming = TRUE", "stemming", True),
+        ("out = 2024", "out", "2024"),
+        ("seed = 7", "seed", 7),
+        ("tolerance = 1", "tolerance", 1.0),
+        ("phases = induction", "phases", ("induction",)),
+    ],
+)
+def test_build_config_coerces_by_field_type(tmp_path, line, key, expected):
+    cfg_file = tmp_path / "c.cfg"
+    cfg_file.write_text(line + "\n")
+    value = getattr(build_config(str(cfg_file), {}), key)
+    assert value == expected and type(value) is type(expected)
+
+
+@pytest.mark.parametrize(
+    "line",
+    ["stemming = no", "stemming = 1", "tolerance = abc", "seed = 7.5", "cluster_k.procedure = 2..x"],
+)
+def test_build_config_rejects_values_that_do_not_fit_the_field(tmp_path, capsys, line):
+    cfg_file = tmp_path / "c.cfg"
+    cfg_file.write_text(line + "\n")
+    key = line.split("=")[0].strip()
+    with pytest.raises(UsageError, match=key):
+        build_config(str(cfg_file), {})
+    assert run(["synth", "--out", str(tmp_path), "--config", str(cfg_file)]) == 1
+    assert f"config key {key!r}" in capsys.readouterr().err
 
 
 def test_build_config_rejects_unknown_key(tmp_path):
@@ -199,3 +226,30 @@ def test_predict_subcommand_with_floors(pipeline_dir, tmp_path):
     assert len(rows) == 4
     for row in rows[1:]:
         assert float(row.split(",")[-1]) >= 20.0  # induction floor applied
+
+
+def test_predict_reproduces_evaluate_predictions(pipeline_dir, tmp_path):
+    """Train/evaluate and predict build features on one path: predicting the
+    full cases.csv gives every test case the value evaluate wrote. (The
+    generator also plants cases with events but no cases.csv row; predict
+    cannot see those.)"""
+    pipeline_dir, config = pipeline_dir
+    with (pipeline_dir / "cases.csv").open(newline="") as fh:
+        listed = {row["case_id"] for row in csv.DictReader(fh)}
+    for phase in ("procedure", "induction"):
+        with (pipeline_dir / f"predictions_{phase}.csv").open(newline="") as fh:
+            evaluated = [row for row in csv.DictReader(fh) if row["case_id"] in listed]
+        assert evaluated
+        for name in ("mean", "group-mean", "mta", "gbm"):
+            dest = tmp_path / f"{phase}_{name}.csv"
+            code = run(
+                [
+                    "predict", "--out", str(pipeline_dir), *SMALL, "--config", str(config),
+                    "--phase", phase, "--model", name, "--dest", str(dest),
+                ]
+            )
+            assert code == 0
+            with dest.open(newline="") as fh:
+                predicted = {row["case_id"]: row["prediction_min"] for row in csv.DictReader(fh)}
+            mismatched = [r["case_id"] for r in evaluated if predicted[r["case_id"]] != r[name]]
+            assert mismatched == [], (phase, name, mismatched[:5])

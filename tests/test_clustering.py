@@ -9,6 +9,7 @@ from periop.clustering import (
     gmm_fit,
     gmm_responsibilities,
     kmeans_fit,
+    model_from_dict,
     select_k,
     silhouette,
 )
@@ -88,6 +89,18 @@ def test_assign_reproduces_training_labels():
     assert model.inertia == pytest.approx(
         sum(np.sum((X[i] - model.centroids[first[i]]) ** 2) for i in range(len(X)))
     )
+
+
+@pytest.mark.parametrize("fit", [kmeans_fit, gmm_fit])
+def test_model_from_dict_round_trip_assigns_alike(fit):
+    rng = np.random.default_rng(8)
+    X = blobs(rng, [(0, 0), (5, 5), (0, 5)], 20)
+    model = fit(X, 3, seed=2)
+    clone = model_from_dict(model.to_dict())
+    assert type(clone) is type(model)
+    assert np.array_equal(cluster_assign(clone, X).labels, cluster_assign(model, X).labels)
+    with pytest.raises(ValueError):
+        model_from_dict({**model.to_dict(), "algo": "dbscan"})
 
 
 def test_assign_dimension_mismatch():
