@@ -25,10 +25,12 @@ import numpy as np
 from . import cleaning, clustering, evaluate, features, models, stats, synthgen, textnorm
 from .config import MODEL_CHOICES, FIELD_TYPES, PipelineConfig, UsageError, build_config
 from .eventlog import (
+    CASES_HEADER,
     PHASE_FIELDS,
     PHASES,
     Case,
     CaseAttributes,
+    ParseError,
     PhaseDurations,
     assemble_cases,
     parse_case_attributes,
@@ -58,13 +60,12 @@ def _read_json(path: Path):
 
 
 # cases.jsonl rows hold every field by name (asdict's deep copy is ~25x slower)
-_ATTRIBUTE_FIELDS = tuple(f.name for f in fields(CaseAttributes))
 _DURATION_FIELDS = tuple(f.name for f in fields(PhaseDurations))
 
 
 def _case_to_row(case: Case) -> dict:
     return {
-        **{k: getattr(case.attributes, k) for k in _ATTRIBUTE_FIELDS},
+        **{k: getattr(case.attributes, k) for k in CASES_HEADER},
         **{k: getattr(case.durations, k) for k in _DURATION_FIELDS},
         "duplicate_anchors": list(case.duplicate_anchors),
         "n_events": len(case.events),
@@ -73,7 +74,7 @@ def _case_to_row(case: Case) -> dict:
 
 def _case_from_row(row: dict) -> Case:
     return Case(
-        attributes=CaseAttributes(*[row[k] for k in _ATTRIBUTE_FIELDS]),
+        attributes=CaseAttributes(*[row[k] for k in CASES_HEADER]),
         events=(),
         durations=PhaseDurations(*[row[k] for k in _DURATION_FIELDS]),
         duplicate_anchors=tuple(row.get("duplicate_anchors", ())),
@@ -84,8 +85,11 @@ def _parse_input(path: Path, parse):
     """Leniently parse an events or cases input; ``.jsonl`` files are JSON lines."""
     if not path.exists():
         raise UsageError(f"input not found: {path}")
-    with path.open("rb") as fh:
-        return parse(fh, fmt="jsonl" if path.suffix == ".jsonl" else "csv", strict=False)
+    try:
+        with path.open("rb") as fh:
+            return parse(fh, fmt="jsonl" if path.suffix == ".jsonl" else "csv", strict=False)
+    except ParseError as exc:  # lenient parsing raises only for a bad CSV header
+        raise UsageError(f"{path}: {exc}") from None
 
 
 def _load_cases(cfg: PipelineConfig) -> list[Case]:
@@ -184,6 +188,7 @@ def stage_ingest(cfg: PipelineConfig) -> None:
     with (out / "cases.jsonl").open("w", encoding="utf-8") as fh:
         for case in cases:
             fh.write(json.dumps(_case_to_row(case), sort_keys=True) + "\n")
+    labelled = [("events", e) for e in event_errors] + [("cases", e) for e in attr_errors]
     report = {
         "n_events": len(events),
         "n_cases": len(cases),
@@ -191,7 +196,7 @@ def stage_ingest(cfg: PipelineConfig) -> None:
         "event_parse_errors": len(event_errors),
         "attr_parse_errors": len(attr_errors),
         "first_errors": [
-            {"line": e.line, "message": e.message} for e in (event_errors + attr_errors)[:20]
+            {"source": source, "line": e.line, "message": e.message} for source, e in labelled[:20]
         ],
     }
     _write_json(out / "ingest_report.json", report)

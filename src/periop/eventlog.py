@@ -17,9 +17,10 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field, replace
+import re
+from dataclasses import dataclass, field, fields, replace
 from datetime import datetime, timezone
-from typing import IO, Iterable, NamedTuple, Union
+from typing import IO, Callable, Iterable, Iterator, NamedTuple, TypeVar, Union
 
 ANCHOR_EVENTS = ("anesthesia_start", "anesthesia_complete", "incision", "suture")
 
@@ -46,18 +47,7 @@ PHASE_FIELDS = {
     "procedure": PhaseFields("procedure_text", "planned_procedure_min"),
 }
 
-EVENTS_HEADER = ["case_id", "event_type", "timestamp"]
-CASES_HEADER = [
-    "case_id",
-    "department",
-    "age",
-    "sex",
-    "procedure_text",
-    "anesthesia_text",
-    "positioning_text",
-    "planned_induction_min",
-    "planned_procedure_min",
-]
+EVENTS_HEADER = ("case_id", "event_type", "timestamp")
 
 
 class ParseError(ValueError):
@@ -111,6 +101,9 @@ class CaseAttributes:
         return None if plan is None else getattr(self, plan)
 
 
+CASES_HEADER = tuple(f.name for f in fields(CaseAttributes))
+
+
 @dataclass(frozen=True)
 class PhaseDurations:
     """Fractional minutes per phase; None when a defining timestamp is absent."""
@@ -157,33 +150,116 @@ def parse_timestamp(raw: str) -> datetime:
     return ts.astimezone(timezone.utc)
 
 
-def _decode_lines(source: Union[bytes, IO[bytes], IO[str], str]) -> Iterable[str]:
-    if isinstance(source, bytes):
-        text = source.decode("utf-8")
-    elif isinstance(source, str):
-        text = source
-    else:
-        data = source.read()
-        text = data.decode("utf-8") if isinstance(data, bytes) else data
-    return io.StringIO(text)
+Source = Union[bytes, IO[bytes], IO[str], str]
+
+# bytes that are not UTF-8 decode to lone surrogates under "surrogateescape"
+_UNDECODABLE = re.compile("[\udc80-\udcff]")
 
 
-def _event_from_fields(case_id: str, event_type: str, timestamp: str, line: int) -> Event:
-    case_id = case_id.strip()
+def _records(
+    source: Source, fmt: str, header: tuple[str, ...]
+) -> Iterator[tuple[int, dict[str, str] | str]]:
+    """Decode ``source`` into ``(line, fields)``, one per non-blank record.
+
+    ``fields`` maps every ``header`` name to its text ("" = missing), or is
+    the error message of a record that cannot be read. A CSV file whose first
+    row is not ``header`` raises :class:`ParseError`.
+    """
+    if fmt not in ("csv", "jsonl"):
+        raise ValueError(f"unsupported format: {fmt!r}")
+    data = source if isinstance(source, (bytes, str)) else source.read()
+    undecodable = False
+    if isinstance(data, bytes):
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError:
+            data, undecodable = data.decode("utf-8", "surrogateescape"), True
+    lines = io.StringIO(data)
+    del data  # the StringIO holds its own copy for the whole parse
+    if fmt == "jsonl":
+        for line_no, line in enumerate(lines, start=1):
+            if not line.strip():
+                continue
+            if undecodable and _UNDECODABLE.search(line):
+                yield line_no, "invalid UTF-8"
+                continue
+            try:
+                obj = json.loads(line)
+            except (ValueError, RecursionError):
+                yield line_no, "invalid JSON"
+                continue
+            if not isinstance(obj, dict):
+                yield line_no, "expected a JSON object"
+                continue
+            yield line_no, {k: "" if obj.get(k) is None else str(obj[k]) for k in header}
+        return
+    reader = csv.reader(lines)
+    try:
+        first = next(reader, None)
+    except csv.Error:
+        first = None
+    if first is None or tuple(h.strip() for h in first) != header:
+        raise ParseError(1, f"expected header {','.join(header)!r}")
+    while True:
+        try:
+            for row in reader:
+                if not row:
+                    continue
+                if undecodable and any(_UNDECODABLE.search(value) for value in row):
+                    yield reader.line_num, "invalid UTF-8"
+                elif len(row) != len(header):
+                    yield reader.line_num, f"expected {len(header)} columns, got {len(row)}"
+                else:
+                    yield reader.line_num, dict(zip(header, row))
+            return
+        except csv.Error as exc:  # the reader resumes at the next line
+            yield reader.line_num, f"malformed CSV: {exc}"
+
+
+T = TypeVar("T")
+
+
+def _parse(
+    source: Source,
+    fmt: str,
+    strict: bool,
+    header: tuple[str, ...],
+    build: Callable[[dict[str, str], int], T],
+) -> tuple[list[T], list[RecordError]]:
+    """Build one item per record: strict mode raises the first bad record, lenient mode collects them."""
+    items: list[T] = []
+    errors: list[RecordError] = []
+    for line, record in _records(source, fmt, header):
+        try:
+            if isinstance(record, str):
+                raise ParseError(line, record)
+            items.append(build(record, line))
+        except ParseError as exc:
+            if strict:
+                raise
+            errors.append(RecordError(exc.line, exc.message))
+    return items, errors
+
+
+def _event_from_fields(row: dict[str, str], line: int) -> Event:
+    case_id = row["case_id"].strip()
     if not case_id:
         raise ParseError(line, "missing case_id")
-    event_type = event_type.strip().lower()
+    event_type = row["event_type"].strip().lower()
     if not event_type:
         raise ParseError(line, "missing event_type")
+    timestamp = row["timestamp"]
     try:
         ts = parse_timestamp(timestamp)
     except ValueError:
         raise ParseError(line, f"malformed timestamp {timestamp!r}") from None
+    except OverflowError:
+        raise ParseError(line, f"timestamp out of range in UTC {timestamp!r}") from None
     return Event(case_id=case_id, event_type=event_type, timestamp=ts)
 
 
 def parse_events(
-    source: Union[bytes, IO[bytes], IO[str], str],
+    source: Source,
     fmt: str = "csv",
     strict: bool = True,
 ) -> tuple[list[Event], list[RecordError]]:
@@ -194,57 +270,7 @@ def parse_events(
     mode the first bad record raises :class:`ParseError`; in lenient mode
     bad records are skipped and returned as :class:`RecordError` entries.
     """
-    if fmt not in ("csv", "jsonl"):
-        raise ValueError(f"unsupported format: {fmt!r}")
-    events: list[Event] = []
-    errors: list[RecordError] = []
-
-    def fail(line: int, message: str) -> None:
-        if strict:
-            raise ParseError(line, message)
-        errors.append(RecordError(line, message))
-
-    lines = _decode_lines(source)
-    if fmt == "csv":
-        reader = csv.reader(lines)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != EVENTS_HEADER:
-            raise ParseError(1, f"expected header {','.join(EVENTS_HEADER)!r}")
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                fail(line_no, f"expected 3 columns, got {len(row)}")
-                continue
-            try:
-                events.append(_event_from_fields(row[0], row[1], row[2], line_no))
-            except ParseError as exc:
-                if strict:
-                    raise
-                errors.append(RecordError(exc.line, exc.message))
-    else:
-        for line_no, line in enumerate(lines, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError:
-                fail(line_no, "invalid JSON")
-                continue
-            try:
-                events.append(
-                    _event_from_fields(
-                        str(obj.get("case_id", "")),
-                        str(obj.get("event_type", "")),
-                        str(obj.get("timestamp", "")),
-                        line_no,
-                    )
-                )
-            except ParseError as exc:
-                if strict:
-                    raise
-                errors.append(RecordError(exc.line, exc.message))
-    return events, errors
+    return _parse(source, fmt, strict, EVENTS_HEADER, _event_from_fields)
 
 
 def _parse_optional_float(raw: str, line: int, name: str) -> float | None:
@@ -260,11 +286,11 @@ def _parse_optional_float(raw: str, line: int, name: str) -> float | None:
     return value
 
 
-def _attrs_from_mapping(obj: dict, line: int) -> CaseAttributes:
-    case_id = str(obj.get("case_id", "")).strip()
+def _attrs_from_mapping(row: dict[str, str], line: int) -> CaseAttributes:
+    case_id = row["case_id"].strip()
     if not case_id:
         raise ParseError(line, "missing case_id")
-    age_raw = str(obj.get("age", "") or "").strip()
+    age_raw = row["age"].strip()
     age: int | None = None
     if age_raw:
         try:
@@ -273,74 +299,33 @@ def _attrs_from_mapping(obj: dict, line: int) -> CaseAttributes:
             raise ParseError(line, f"age is not an integer: {age_raw!r}") from None
         if age < 0 or age > 130:
             raise ParseError(line, f"age out of range [0, 130]: {age}")
-    sex = str(obj.get("sex", "") or "").strip().lower()
+    sex = row["sex"].strip().lower()
     if sex not in ("f", "m"):
         sex = "other"
     return CaseAttributes(
         case_id=case_id,
-        department=str(obj.get("department", "") or "").strip() or "unknown",
+        department=row["department"].strip() or "unknown",
         age=age,
         sex=sex,
-        procedure_text=str(obj.get("procedure_text", "") or ""),
-        anesthesia_text=str(obj.get("anesthesia_text", "") or ""),
-        positioning_text=str(obj.get("positioning_text", "") or ""),
+        procedure_text=row["procedure_text"],
+        anesthesia_text=row["anesthesia_text"],
+        positioning_text=row["positioning_text"],
         planned_induction_min=_parse_optional_float(
-            str(obj.get("planned_induction_min", "") or ""), line, "planned_induction_min"
+            row["planned_induction_min"], line, "planned_induction_min"
         ),
         planned_procedure_min=_parse_optional_float(
-            str(obj.get("planned_procedure_min", "") or ""), line, "planned_procedure_min"
+            row["planned_procedure_min"], line, "planned_procedure_min"
         ),
     )
 
 
 def parse_case_attributes(
-    source: Union[bytes, IO[bytes], IO[str], str],
+    source: Source,
     fmt: str = "csv",
     strict: bool = True,
 ) -> tuple[list[CaseAttributes], list[RecordError]]:
     """Parse the case attribute table (cases.csv / JSONL); empty string = missing."""
-    if fmt not in ("csv", "jsonl"):
-        raise ValueError(f"unsupported format: {fmt!r}")
-    attrs: list[CaseAttributes] = []
-    errors: list[RecordError] = []
-    lines = _decode_lines(source)
-    if fmt == "csv":
-        reader = csv.reader(lines)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != CASES_HEADER:
-            raise ParseError(1, f"expected header {','.join(CASES_HEADER)!r}")
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(CASES_HEADER):
-                if strict:
-                    raise ParseError(line_no, f"expected {len(CASES_HEADER)} columns, got {len(row)}")
-                errors.append(RecordError(line_no, f"expected {len(CASES_HEADER)} columns, got {len(row)}"))
-                continue
-            try:
-                attrs.append(_attrs_from_mapping(dict(zip(CASES_HEADER, row)), line_no))
-            except ParseError as exc:
-                if strict:
-                    raise
-                errors.append(RecordError(exc.line, exc.message))
-    else:
-        for line_no, line in enumerate(lines, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError:
-                if strict:
-                    raise ParseError(line_no, "invalid JSON") from None
-                errors.append(RecordError(line_no, "invalid JSON"))
-                continue
-            try:
-                attrs.append(_attrs_from_mapping(obj, line_no))
-            except ParseError as exc:
-                if strict:
-                    raise
-                errors.append(RecordError(exc.line, exc.message))
-    return attrs, errors
+    return _parse(source, fmt, strict, CASES_HEADER, _attrs_from_mapping)
 
 
 def extract_phase_durations(case: Case) -> PhaseDurations:

@@ -20,6 +20,7 @@ from datetime import datetime, timedelta, timezone
 
 import numpy as np
 
+from .eventlog import CASES_HEADER, EVENTS_HEADER
 from .textnorm import DEFAULT_SYNONYMS
 
 DEPARTMENTS = (
@@ -359,7 +360,7 @@ def generate_log(cfg: SynthConfig) -> tuple[str, str, GroundTruth]:
     events.sort(key=lambda e: (e[0], e[1], e[2]))
     events_buf = io.StringIO()
     writer = csv.writer(events_buf, lineterminator="\n")
-    writer.writerow(["case_id", "event_type", "timestamp"])
+    writer.writerow(EVENTS_HEADER)
     for ts, case_id, event_type in events:
         offset_hours = 2 if 4 <= ts.month <= 10 else 1
         local = ts.astimezone(timezone(timedelta(hours=offset_hours)))
@@ -367,25 +368,9 @@ def generate_log(cfg: SynthConfig) -> tuple[str, str, GroundTruth]:
 
     cases_buf = io.StringIO()
     writer = csv.writer(cases_buf, lineterminator="\n")
-    writer.writerow(
-        [
-            "case_id",
-            "department",
-            "age",
-            "sex",
-            "procedure_text",
-            "anesthesia_text",
-            "positioning_text",
-            "planned_induction_min",
-            "planned_procedure_min",
-        ]
-    )
+    writer.writerow(CASES_HEADER)
     for row in sorted(case_rows, key=lambda r: r["case_id"]):
-        writer.writerow([row[k] for k in (
-            "case_id", "department", "age", "sex", "procedure_text",
-            "anesthesia_text", "positioning_text",
-            "planned_induction_min", "planned_procedure_min",
-        )])
+        writer.writerow([row[k] for k in CASES_HEADER])
 
     truth = GroundTruth(
         cases=tuple(truth_cases),

@@ -5,6 +5,7 @@ import pytest
 
 from periop.cli import derive_seed, run
 from periop.config import PipelineConfig, UsageError, build_config, parse_config_text
+from periop.eventlog import CASES_HEADER
 
 SMALL = [
     "--seed", "13",
@@ -119,6 +120,32 @@ def test_unknown_subcommand_exits_one():
 def test_missing_artifacts_exit_one(tmp_path):
     assert run(["clean", "--out", str(tmp_path / "empty")]) == 1
     assert run(["ingest", "--out", str(tmp_path / "empty")]) == 1
+
+
+@pytest.mark.parametrize(
+    "events",
+    ["case,event_type,timestamp\nW1,incision,2024-03-01T08:40:00Z\n", ""],
+    ids=["wrong-header", "empty"],
+)
+def test_bad_input_header_exits_one(tmp_path, capsys, events):
+    (tmp_path / "events.csv").write_text(events)
+    (tmp_path / "cases.csv").write_text(",".join(CASES_HEADER) + "\nW1,urology,63,f,,,,,\n")
+    assert run(["ingest", "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {tmp_path / 'events.csv'}: line 1: expected header")
+
+
+def test_ingest_report_names_the_source_of_each_error(tmp_path):
+    (tmp_path / "events.csv").write_text(
+        "case_id,event_type,timestamp\nW1,incision,yesterday\nW1,suture,2024-03-01T10:10:00Z\n"
+    )
+    (tmp_path / "cases.csv").write_text(",".join(CASES_HEADER) + "\nW1,urology,270,f,,,,,\n")
+    assert run(["ingest", "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "ingest_report.json").read_text())
+    assert report["first_errors"] == [
+        {"source": "events", "line": 2, "message": "malformed timestamp 'yesterday'"},
+        {"source": "cases", "line": 2, "message": "age out of range [0, 130]: 270"},
+    ]
 
 
 def test_pipeline_artifacts_exist(pipeline_dir):

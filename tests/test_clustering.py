@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -215,6 +217,8 @@ def test_select_k_validation():
         select_k(X, "kmeans", [5], seed=0)
     with pytest.raises(ValueError):
         select_k(X, "dbscan", [2], seed=0)
+    with pytest.raises(ValueError, match="1 distinct rows"):
+        select_k(X, "kmeans", [2, 3], seed=0)
 
 
 def test_select_k_gmm_path():
@@ -222,6 +226,17 @@ def test_select_k_gmm_path():
     X = blobs(rng, [(0,), (10,)], 25, spread=0.4)
     best_k, _ = select_k(X, "gmm", range(2, 5), seed=1)
     assert best_k == 2
+
+
+def test_select_k_skips_k_above_distinct_rows():
+    # a GMM with more components than distinct rows has an empty component
+    rng = np.random.default_rng(5)
+    centers = rng.normal(0, 3, size=(6, 4))
+    X = centers[np.repeat(np.arange(6), [30, 25, 20, 15, 10, 8])]
+    best_k, scores = select_k(X, "gmm", range(2, 11), seed=3)
+    assert best_k <= 6
+    assert all(math.isfinite(scores[k]) for k in range(2, 7))
+    assert all(scores[k] == -math.inf for k in range(7, 11))
 
 
 def test_cluster_catalog():

@@ -1,9 +1,16 @@
+import csv
+import io
+import json
 import random
 from datetime import datetime, timedelta, timezone
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from periop.eventlog import (
+    CASES_HEADER,
+    EVENTS_HEADER,
     CaseAttributes,
     Event,
     ParseError,
@@ -216,3 +223,182 @@ def test_case_attribute_missing_fields_default():
 def test_case_attribute_validation(bad):
     with pytest.raises(ParseError):
         parse_case_attributes((CASES_CSV_HEADER + bad + "\n").encode())
+
+
+# ---------------------------------------------------------------------------
+# One bad record costs one RecordError, never the file
+# ---------------------------------------------------------------------------
+
+PARSERS = (parse_events, parse_case_attributes)
+FORMATS = ("csv", "jsonl")
+GOOD = {
+    parse_events: {"case_id": "W1", "event_type": "incision", "timestamp": "2024-03-01T08:40:00Z"},
+    parse_case_attributes: {
+        "case_id": "W1",
+        "department": "urology",
+        "age": "63",
+        "sex": "f",
+        "procedure_text": "bypass",
+        "anesthesia_text": "ITN",
+        "positioning_text": "rueckenlage",
+        "planned_induction_min": "30",
+        "planned_procedure_min": "120",
+    },
+}
+
+
+def with_field(parse, fmt, name, value: bytes) -> bytes:
+    """A good record of ``parse`` rendered in ``fmt`` with field ``name`` set to raw ``value``."""
+    record = dict(GOOD[parse], **{name: "@@"})
+    text = ",".join(record.values()) if fmt == "csv" else json.dumps(record)
+    return text.encode().replace(b"@@", value)
+
+
+def around(parse, fmt, bad: bytes) -> tuple[bytes, int]:
+    """Two good records with ``bad`` between them, and the line ``bad`` is on."""
+    good = with_field(parse, fmt, "case_id", b"W1")
+    if fmt == "csv":
+        return b"\n".join([",".join(GOOD[parse]).encode(), good, bad, good]) + b"\n", 3
+    return b"\n".join([good, bad, good]) + b"\n", 2
+
+
+BAD_RECORDS = [
+    *[
+        pytest.param(parse, "jsonl", bad, id=f"{parse.__name__}-jsonl-{name}")
+        for parse in PARSERS
+        for name, bad in (("list", b"[1,2]"), ("number", b"5"), ("string", b'"x"'), ("deep", b"[" * 100_000))
+    ],
+    *[
+        pytest.param(parse, fmt, with_field(parse, fmt, "case_id", b"W" + byte), id=f"{parse.__name__}-{fmt}-{byte!r}")
+        for parse in PARSERS
+        for fmt in FORMATS
+        for byte in (b"\xff", b"\xe4")
+    ],
+    *[
+        pytest.param(parse, "csv", with_field(parse, "csv", "case_id", b"W\rX"), id=f"{parse.__name__}-csv-bare-cr")
+        for parse in PARSERS
+    ],
+    *[
+        pytest.param(parse_events, fmt, with_field(parse_events, fmt, "timestamp", stamp), id=f"{fmt}-{stamp.decode()}")
+        for fmt in FORMATS
+        for stamp in (b"9999-12-31T23:59:59-01:00", b"0001-01-01T00:00:00+01:00")
+    ],
+]
+
+
+@pytest.mark.parametrize("parse, fmt, bad", BAD_RECORDS)
+def test_bad_record_is_one_record_error(parse, fmt, bad):
+    data, line = around(parse, fmt, bad)
+    items, errors = parse(data, fmt=fmt, strict=False)
+    assert len(items) == 2
+    assert [e.line for e in errors] == [line]
+    with pytest.raises(ParseError) as excinfo:
+        parse(data, fmt=fmt)
+    assert excinfo.value.line == line
+
+
+def test_jsonl_values_are_read_as_their_text():
+    record = dict(GOOD[parse_case_attributes], age=0, planned_induction_min=0, planned_procedure_min=None)
+    (attrs,), _ = parse_case_attributes(json.dumps(record).encode(), fmt="jsonl")
+    assert attrs.age == 0
+    assert attrs.planned_induction_min == 0.0
+    assert attrs.planned_procedure_min is None
+
+
+@pytest.mark.parametrize("parse", PARSERS, ids=lambda f: f.__name__)
+def test_jsonl_null_case_id_is_missing(parse):
+    record = dict(GOOD[parse], case_id=None)
+    items, errors = parse(json.dumps(record).encode(), fmt="jsonl", strict=False)
+    assert items == []
+    assert [(e.line, e.message) for e in errors] == [(1, "missing case_id")]
+
+
+# ---------------------------------------------------------------------------
+# Properties over arbitrary input
+# ---------------------------------------------------------------------------
+
+FIELD_TEXT = st.one_of(
+    st.text(max_size=12),
+    st.sampled_from(
+        ["", "0", "63", "-3", "nan", "1e400", "2024-03-01T08:40:00Z", "9999-12-31T23:59:59-01:00"]
+    ),
+)
+JSON_VALUE = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | FIELD_TEXT,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+LINE = st.one_of(
+    st.binary(max_size=40),
+    JSON_VALUE.map(json.dumps).map(str.encode),
+    st.dictionaries(st.sampled_from(CASES_HEADER + EVENTS_HEADER), JSON_VALUE)
+    .map(json.dumps)
+    .map(str.encode),
+    st.lists(FIELD_TEXT, max_size=10).map(",".join).map(lambda s: s.encode("utf-8", "surrogatepass")),
+)
+BODY = st.lists(LINE, max_size=8).map(b"\n".join)
+
+
+def header_line(parse) -> bytes:
+    return (",".join(EVENTS_HEADER if parse is parse_events else CASES_HEADER) + "\n").encode()
+
+
+@settings(max_examples=200, deadline=None)
+@given(parse=st.sampled_from(PARSERS), fmt=st.sampled_from(FORMATS), with_header=st.booleans(), body=BODY)
+def test_lenient_parsing_raises_only_for_a_csv_header(parse, fmt, with_header, body):
+    data = header_line(parse) + body if with_header else body
+    try:
+        parse(data, fmt=fmt, strict=False)
+    except ParseError as exc:
+        assert fmt == "csv" and not with_header
+        assert exc.line == 1 and exc.message.startswith("expected header")
+
+
+@settings(max_examples=200, deadline=None)
+@given(parse=st.sampled_from(PARSERS), fmt=st.sampled_from(FORMATS), with_header=st.booleans(), body=BODY)
+def test_strict_parsing_raises_only_parse_error(parse, fmt, with_header, body):
+    data = header_line(parse) + body if with_header else body
+    try:
+        parse(data, fmt=fmt, strict=True)
+    except ParseError:
+        pass
+
+
+@settings(max_examples=200, deadline=None)
+@given(parse=st.sampled_from(PARSERS), body=BODY)
+def test_jsonl_every_nonblank_line_is_a_record_or_an_error(parse, body):
+    items, errors = parse(body, fmt="jsonl", strict=False)
+    lines = body.decode("utf-8", "surrogateescape").split("\n")
+    assert len(items) + len(errors) == sum(1 for line in lines if line.strip())
+
+
+NUMBER = st.none() | st.integers(-5, 600) | st.floats()
+ATTRIBUTE_ROW = st.fixed_dictionaries(
+    {
+        "case_id": st.text(max_size=6),
+        "department": st.text(max_size=6),
+        "age": st.none() | st.integers(-5, 140),
+        "sex": st.sampled_from(["f", "m", " M ", ""]) | st.text(max_size=2),
+        "procedure_text": st.text(max_size=12),
+        "anesthesia_text": st.text(max_size=12),
+        "positioning_text": st.text(max_size=12),
+        "planned_induction_min": NUMBER,
+        "planned_procedure_min": NUMBER,
+    }
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(ATTRIBUTE_ROW, max_size=6))
+def test_csv_and_jsonl_renderings_parse_equal(rows):
+    buf = io.StringIO()
+    # quote every field: with a "\n" line terminator csv leaves a bare "\r" unquoted
+    writer = csv.writer(buf, lineterminator="\n", quoting=csv.QUOTE_ALL)
+    writer.writerow(CASES_HEADER)
+    for row in rows:
+        writer.writerow(["" if row[k] is None else row[k] for k in CASES_HEADER])
+    jsonl = "".join(json.dumps(row) + "\n" for row in rows)
+    from_csv, csv_errors = parse_case_attributes(buf.getvalue().encode(), strict=False)
+    from_jsonl, jsonl_errors = parse_case_attributes(jsonl.encode(), fmt="jsonl", strict=False)
+    assert from_csv == from_jsonl
+    assert [e.message for e in csv_errors] == [e.message for e in jsonl_errors]
