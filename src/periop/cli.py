@@ -14,11 +14,12 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import zlib
 from dataclasses import fields
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -50,7 +51,26 @@ def derive_seed(root: int, label: str) -> int:
 
 def _write_json(path: Path, obj) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    # allow_nan=False: NaN and Infinity are not JSON; producers write null instead
+    path.write_text(json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n", encoding="utf-8")
+
+
+def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write a CSV artifact with "\n" line ends.
+
+    csv quotes only the line terminator's characters, so a field holding a
+    bare "\r" (a case id such as ``'W1\rX'``) would be written unquoted and
+    split on reading; a row holding one is written with every field quoted.
+    """
+    with path.open("w", encoding="utf-8", newline="") as fh:
+        minimal = csv.writer(fh, lineterminator="\n")
+        quoted = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL)
+        minimal.writerow(header)
+        for row in rows:
+            if any(isinstance(v, str) and "\r" in v for v in row):
+                quoted.writerow(row)
+            else:
+                minimal.writerow(row)
 
 
 def _read_json(path: Path):
@@ -132,12 +152,19 @@ def _split_ids(cfg: PipelineConfig, phase: str) -> tuple[list[str], list[str]]:
 
 
 def _normalized_docs(cfg: PipelineConfig, phase: str, attrs: Sequence[CaseAttributes]) -> list[list[str]]:
+    """Token lists of the phase's text; each distinct text is normalized once
+    and its cases share the one list."""
     rules = _rules_for_phase(cfg, phase)
-    return [textnorm.normalize_text(a.text(phase), rules) for a in attrs]
+    texts = [a.text(phase) for a in attrs]
+    docs = {text: textnorm.normalize_text(text, rules) for text in dict.fromkeys(texts)}
+    return [docs[text] for text in texts]
 
 
 def _tfidf_matrix(docs: Sequence[Sequence[str]], tfidf: textnorm.TfidfModel) -> np.ndarray:
-    return textnorm.stack_dense([textnorm.vectorize(d, tfidf) for d in docs])
+    """Dense TF-IDF rows of ``docs``; each distinct document is vectorized once."""
+    index: dict[tuple[str, ...], int] = {}
+    inverse = [index.setdefault(tuple(d), len(index)) for d in docs]
+    return textnorm.stack_dense([textnorm.vectorize(d, tfidf) for d in index])[inverse]
 
 
 def _load_assignments(cfg: PipelineConfig, phase: str) -> dict[str, int]:
@@ -145,7 +172,7 @@ def _load_assignments(cfg: PipelineConfig, phase: str) -> dict[str, int]:
     if not path.exists():
         raise UsageError(f"missing artifact: {path} (run 'cluster' first)")
     out: dict[str, int] = {}
-    with path.open(encoding="utf-8") as fh:
+    with path.open(encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         next(reader)
         for row in reader:
@@ -263,26 +290,31 @@ def stage_cluster(cfg: PipelineConfig) -> None:
             {
                 "model": model.to_dict(),
                 "selected_k": best_k,
-                "silhouette_scores": {str(k): scores[k] for k in sorted(scores)},
+                # ascending k; a k that could not be scored (-inf) is null
+                "silhouette_scores": [
+                    {"k": k, "score": scores[k] if math.isfinite(scores[k]) else None}
+                    for k in sorted(scores)
+                ],
             },
         )
-        with (out / f"assignments_{phase}.csv").open("w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["case_id", "cluster"])
-            for case_id, label in zip(all_ids, labels):
-                writer.writerow([case_id, int(label)])
+        _write_csv(
+            out / f"assignments_{phase}.csv",
+            ["case_id", "cluster"],
+            ([case_id, int(label)] for case_id, label in zip(all_ids, labels)),
+        )
 
         train_durations = [cases[i].durations.get(phase) for i in train_ids]
         catalog = clustering.cluster_catalog(
             labels[: len(train_ids)], X_train, model_tfidf.terms(), train_durations
         )
-        with (out / f"clusters_{phase}.csv").open("w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["cluster_id", "size", "top_terms", "mean_duration_min"])
-            for row in catalog:
-                writer.writerow(
-                    [row["cluster_id"], row["size"], row["top_terms"], repr(row["mean_duration_min"])]
-                )
+        _write_csv(
+            out / f"clusters_{phase}.csv",
+            ["cluster_id", "size", "top_terms", "mean_duration_min"],
+            (
+                [row["cluster_id"], row["size"], row["top_terms"], repr(row["mean_duration_min"])]
+                for row in catalog
+            ),
+        )
         print(f"cluster[{phase}]: {algo} k={best_k} over {len(train_ids)} train docs")
 
 
@@ -404,15 +436,16 @@ def stage_evaluate(cfg: PipelineConfig) -> None:
                 [planned[i] for i in keep],
                 tolerance=cfg.tolerance,
             ).to_dict()
-        with (out / f"predictions_{phase}.csv").open("w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            names = sorted(predictions)
-            writer.writerow(["case_id", "actual_min", "planned_min"] + names)
-            for i, case in enumerate(test_cases):
-                writer.writerow(
-                    [case.case_id, repr(float(actual[i])), "" if planned[i] is None else repr(float(planned[i]))]
-                    + [repr(float(predictions[n][i])) for n in names]
-                )
+        names = sorted(predictions)
+        _write_csv(
+            out / f"predictions_{phase}.csv",
+            ["case_id", "actual_min", "planned_min"] + names,
+            (
+                [case.case_id, repr(float(actual[i])), "" if planned[i] is None else repr(float(planned[i]))]
+                + [repr(float(predictions[n][i])) for n in names]
+                for i, case in enumerate(test_cases)
+            ),
+        )
         print(f"evaluate[{phase}]: scored {len(test_ids)} test cases")
     _write_json(out / "metrics.json", metrics_obj)
 
@@ -430,7 +463,7 @@ def stage_report(cfg: PipelineConfig) -> None:
         pred_path = out / f"predictions_{phase}.csv"
         if not pred_path.exists():
             raise UsageError(f"missing artifact: {pred_path} (run 'evaluate' first)")
-        with pred_path.open(encoding="utf-8") as fh:
+        with pred_path.open(encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader)
             model_names = header[3:]
@@ -476,11 +509,11 @@ def stage_report(cfg: PipelineConfig) -> None:
 
 
 def _write_histogram(base: Path, bins: list[tuple[float, int]], title: str) -> None:
-    with base.with_suffix(".csv").open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["bin_start_min", "count"])
-        for start, count in bins:
-            writer.writerow([repr(float(start)), count])
+    _write_csv(
+        base.with_suffix(".csv"),
+        ["bin_start_min", "count"],
+        ([repr(float(start)), count] for start, count in bins),
+    )
     base.with_suffix(".svg").write_text(
         evaluate.histogram_svg(bins, 3.0, title=title) + "\n", encoding="utf-8"
     )
@@ -505,11 +538,11 @@ def stage_predict(cfg: PipelineConfig, dest: str | None, apply_floors: bool) -> 
         floors = {"induction": cfg.planning_floor_induction}
         preds = np.array([evaluate.apply_planning_floor(p, phase, floors) for p in preds])
     dest_path = Path(dest) if dest else out / "predictions.csv"
-    with dest_path.open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["case_id", "phase", "model", "prediction_min"])
-        for a, p in zip(attrs, preds):
-            writer.writerow([a.case_id, phase, name, repr(float(p))])
+    _write_csv(
+        dest_path,
+        ["case_id", "phase", "model", "prediction_min"],
+        ([a.case_id, phase, name, repr(float(p))] for a, p in zip(attrs, preds)),
+    )
     print(f"predict: wrote {len(attrs)} predictions to {dest_path}")
 
 

@@ -37,6 +37,7 @@ class KMeansModel:
             "inertia": float(self.inertia),
             "iterations_run": self.iterations_run,
             "seed": self.seed,
+            "inertia_trace": [float(v) for v in self.inertia_trace],
         }
 
     @classmethod
@@ -46,7 +47,7 @@ class KMeansModel:
             inertia=float(obj["inertia"]),
             iterations_run=int(obj["iterations_run"]),
             seed=int(obj["seed"]),
-            inertia_trace=(),
+            inertia_trace=tuple(float(v) for v in obj.get("inertia_trace", ())),
         )
 
 
@@ -72,6 +73,8 @@ class GmmModel:
             "variances": [[float(v) for v in row] for row in self.variances],
             "iterations_run": self.iterations_run,
             "seed": self.seed,
+            "log_likelihood": [float(v) for v in self.log_likelihood],
+            "reinitialized": self.reinitialized,
         }
 
     @classmethod
@@ -80,9 +83,10 @@ class GmmModel:
             weights=np.asarray(obj["weights"], dtype=float),
             means=np.asarray(obj["means"], dtype=float),
             variances=np.asarray(obj["variances"], dtype=float),
-            log_likelihood=(),
+            log_likelihood=tuple(float(v) for v in obj.get("log_likelihood", ())),
             iterations_run=int(obj["iterations_run"]),
             seed=int(obj["seed"]),
+            reinitialized=bool(obj.get("reinitialized", False)),
         )
 
 
@@ -225,8 +229,10 @@ def gmm_fit(
     Initialized from a k-means++ pass (seed means, hard-assign, component
     stats). Stops once the log-likelihood gain falls below ``tol``; the
     trace is non-decreasing up to 1e-8 slack. A component that loses all
-    responsibility mass is re-initialized once, then a second collapse is
-    an error. Callers should cap dimensionality (e.g. TF-IDF max_terms).
+    responsibility mass is re-initialized once (``reinitialized``), which
+    starts a new EM run, so the trace may drop at that one step; a second
+    collapse is an error. Callers should cap dimensionality (e.g. TF-IDF
+    max_terms).
     """
     X = _as_matrix(X)
     n, d = X.shape
@@ -318,37 +324,67 @@ def cluster_assign(model: Union[KMeansModel, GmmModel], X: Union[np.ndarray, Seq
     raise TypeError(f"unsupported model type: {type(model).__name__}")
 
 
+def _distinct_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows of X in first-seen order, and each row's index into them."""
+    index: dict[bytes, int] = {}  # ~20x faster than np.unique(axis=0)
+    inverse = np.fromiter(
+        (index.setdefault(row.tobytes(), len(index)) for row in X), dtype=np.intp, count=X.shape[0]
+    )
+    distinct = np.empty((len(index), X.shape[1]))
+    distinct[inverse] = X
+    return distinct, inverse
+
+
+def _label_counts(rows: np.ndarray, labels: np.ndarray, n_rows: int, k: int) -> np.ndarray:
+    # (n_rows, k) number of points at each distinct row with each label
+    return np.bincount(rows * k + labels, minlength=n_rows * k).reshape(n_rows, k).astype(float)
+
+
+def _silhouette_of_counts(dist: np.ndarray, counts: np.ndarray) -> float:
+    """Mean silhouette of points that share positions.
+
+    ``counts[u, c]`` points sit at distinct point u with label c, and
+    ``dist`` holds the distances between the distinct points. Each (u, c)
+    group is scored once and weighted by its size; labels no point carries
+    are ignored.
+    """
+    sizes = counts.sum(axis=0)
+    present = sizes > 0
+    if np.count_nonzero(present) < 2:
+        raise ValueError("silhouette requires at least 2 clusters")
+    counts, sizes = counts[:, present], sizes[present]
+    sums = dist @ counts  # (u, c): distance sum from point u to cluster c
+    rows, own = np.nonzero(counts)
+    weights = counts[rows, own]
+    own_size = sizes[own]
+    a = sums[rows, own] / np.maximum(own_size - 1, 1)
+    means = sums[rows] / sizes
+    means[np.arange(rows.size), own] = math.inf
+    b = means.min(axis=1)
+    denom = np.maximum(a, b)
+    scored = (own_size > 1) & (denom > 0)  # singletons and a = b = 0 score 0
+    s = np.zeros(rows.size)
+    s[scored] = (b[scored] - a[scored]) / denom[scored]
+    return float(weights @ s / weights.sum())
+
+
 def silhouette(X: Union[np.ndarray, Sequence], labels: Sequence[int]) -> float:
     """Mean silhouette coefficient with Euclidean distances.
 
     s(i) = (b - a) / max(a, b); points in singleton clusters score 0, as do
-    points with a = b = 0.
+    points with a = b = 0. Identical rows with the same label are scored
+    once and weighted by their number.
     """
     X = _as_matrix(X)
     labels = np.asarray(labels, dtype=np.intp)
     if labels.shape[0] != X.shape[0]:
         raise ValueError("labels must match X rows")
-    uniq = np.unique(labels)
+    uniq, codes = np.unique(labels, return_inverse=True)
     if uniq.size < 2:
         raise ValueError("silhouette requires at least 2 clusters")
-    dist = np.sqrt(_sq_dist_to(X, X))
-    n = X.shape[0]
-    masks = {int(c): labels == c for c in uniq}
-    sizes = {c: int(m.sum()) for c, m in masks.items()}
-    scores = np.zeros(n)
-    for i in range(n):
-        own = int(labels[i])
-        if sizes[own] == 1:
-            continue
-        a = float(dist[i, masks[own]].sum()) / (sizes[own] - 1)
-        b = math.inf
-        for c, mask in masks.items():
-            if c == own:
-                continue
-            b = min(b, float(dist[i, mask].mean()))
-        denom = max(a, b)
-        scores[i] = 0.0 if denom == 0.0 else (b - a) / denom
-    return float(scores.mean())
+    distinct, inverse = _distinct_rows(X)
+    counts = _label_counts(inverse, codes, distinct.shape[0], uniq.size)
+    return _silhouette_of_counts(np.sqrt(_sq_dist_to(distinct, distinct)), counts)
 
 
 def select_k(
@@ -363,10 +399,12 @@ def select_k(
 
     Per-k fits use the derived seed ``seed + k`` so candidates are
     independent. ``sample_limit`` scores the silhouette on one shared seeded
-    subsample, for corpora where the O(n^2) computation is impractical. A k
-    whose fit collapses to a single effective cluster scores -inf, and so,
-    without a fit, does a k above the number of distinct rows. Raises
-    ValueError when no k scores above -inf.
+    subsample, for corpora where the O(n^2) computation is impractical. The
+    silhouette's cost follows the distinct scored rows: their distances are
+    computed once per call, and each k scores groups of identical rows
+    weighted by their number. A k whose fit collapses to a single effective
+    cluster scores -inf, and so, without a fit, does a k above the number of
+    distinct rows. Raises ValueError when no k scores above -inf.
     """
     X = _as_matrix(X)
     n = X.shape[0]
@@ -383,7 +421,10 @@ def select_k(
     else:
         idx = np.arange(n)
 
-    n_distinct = len({row.tobytes() for row in X})  # ~20x faster than np.unique(axis=0)
+    distinct, inverse = _distinct_rows(X)
+    n_distinct = distinct.shape[0]
+    scored, rows = np.unique(inverse[idx], return_inverse=True)  # distinct rows of the sample
+    dist = np.sqrt(_sq_dist_to(distinct[scored], distinct[scored]))
     scores: dict[int, float] = {}
     best_k, best_score = None, -math.inf
     for k in ks:
@@ -395,9 +436,8 @@ def select_k(
         else:
             model = gmm_fit(X, k, seed=seed + k, **fit_kwargs)
         labels = cluster_assign(model, X).labels
-        sub_labels = labels[idx]
         try:
-            score = silhouette(X[idx], sub_labels)
+            score = _silhouette_of_counts(dist, _label_counts(rows, labels[idx], scored.size, k))
         except ValueError:
             score = -math.inf
         scores[k] = score

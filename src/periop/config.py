@@ -4,8 +4,9 @@ that does not fit is a usage error instead of a silently different setting."""
 
 from __future__ import annotations
 
+import math
 import typing
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Mapping
 
@@ -66,6 +67,10 @@ class PipelineConfig:
     synth_synonyms_per_family: int = 4
 
     def __post_init__(self) -> None:
+        for f in fields(self):  # artifacts are JSON, which has no NaN or Infinity
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise UsageError(f"config key {f.name!r} must be a finite number, got {value!r}")
         for phase in self.phases:
             if phase not in PHASES:
                 raise UsageError(f"unknown phase: {phase!r}")

@@ -15,6 +15,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .eventlog import PHASE_FIELDS, Case
+from .stats import finite_or_none
 
 DEFAULT_TOLERANCE = 0.20
 
@@ -37,12 +38,12 @@ class MetricsReport:
 
     def to_dict(self) -> dict:
         return {
-            "mae": self.mae,
-            "rmse": self.rmse,
-            "mape_pct": self.mape_pct,
-            "r2": self.r2,
-            "median_abs_dev": self.median_abs_dev,
-            "mean_pct_dev": self.mean_pct_dev,
+            "mae": finite_or_none(self.mae),
+            "rmse": finite_or_none(self.rmse),
+            "mape_pct": finite_or_none(self.mape_pct),
+            "r2": finite_or_none(self.r2),
+            "median_abs_dev": finite_or_none(self.median_abs_dev),
+            "mean_pct_dev": finite_or_none(self.mean_pct_dev),
             "within_tol_rate": self.within_tol_rate,
             "tolerance": self.tolerance,
             "n": self.n,
@@ -114,10 +115,10 @@ class PlanRow:
     def to_dict(self) -> dict:
         return {
             "source": self.source,
-            "mean_abs_pct_dev": self.mean_abs_pct_dev,
-            "median_abs_pct_dev": self.median_abs_pct_dev,
+            "mean_abs_pct_dev": finite_or_none(self.mean_abs_pct_dev),
+            "median_abs_pct_dev": finite_or_none(self.median_abs_pct_dev),
             "share_beyond_tol": self.share_beyond_tol,
-            "mae": self.mae,
+            "mae": finite_or_none(self.mae),
             "n": self.n,
         }
 
@@ -140,7 +141,7 @@ class DeviationReport:
             "phase": self.phase,
             "tolerance": self.tolerance,
             "rows": [r.to_dict() for r in self.rows],
-            "improvement_pp": dict(sorted(self.improvement_pp.items())),
+            "improvement_pp": {k: finite_or_none(v) for k, v in sorted(self.improvement_pp.items())},
         }
 
 

@@ -14,6 +14,11 @@ _EPS = 1e-15
 _FPMIN = 1e-300
 
 
+def finite_or_none(value: float) -> float | None:
+    """``value``, or None when it is NaN or infinite: JSON has no such numbers."""
+    return value if math.isfinite(value) else None
+
+
 @dataclass(frozen=True)
 class TestResult:
     statistic: float
@@ -24,9 +29,9 @@ class TestResult:
     def to_dict(self) -> dict:
         return {
             "test": self.test_name,
-            "statistic": self.statistic,
-            "df": list(self.df),
-            "p_value": self.p_value,
+            "statistic": finite_or_none(self.statistic),
+            "df": [finite_or_none(v) for v in self.df],
+            "p_value": finite_or_none(self.p_value),
         }
 
 
@@ -198,9 +203,10 @@ def welch_t_test(sample_a: Sequence[float], sample_b: Sequence[float]) -> TestRe
     se_a = var_a / len(a)
     se_b = var_b / len(b)
     t = (mean_a - mean_b) / math.sqrt(se_a + se_b)
-    df = (se_a + se_b) ** 2 / (
-        se_a**2 / (len(a) - 1) + se_b**2 / (len(b) - 1)
-    )
+    df_denom = se_a**2 / (len(a) - 1) + se_b**2 / (len(b) - 1)
+    if df_denom == 0.0:  # both squared standard errors underflow
+        raise ValueError("variances too small for the Welch degrees of freedom")
+    df = (se_a + se_b) ** 2 / df_denom
     return TestResult(statistic=t, df=(df,), p_value=_t_sf_two_sided(t, df), test_name="welch_t")
 
 
@@ -300,7 +306,7 @@ def factor_report(
                 {
                     "factor": factor,
                     "groups": len(samples),
-                    "effect_minutes": effect,
+                    "effect_minutes": finite_or_none(effect),
                     **result.to_dict(),
                 }
             )

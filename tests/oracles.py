@@ -61,6 +61,32 @@ def silhouette_slow(X, labels):
     return total / n
 
 
+def select_k_rows(X, fit_labels, k_range, seed, sample_limit=None):
+    """k selection scored row by row: every k in k_range is fitted through
+    ``fit_labels(X, k, seed + k)`` (labels of all rows) and its mean
+    silhouette taken with ``silhouette_slow`` over the rows of one seeded
+    subsample. A k above the number of distinct rows, or whose subsample
+    holds a single cluster, scores -inf. Returns (best k or None, scores);
+    ties go to the smallest k.
+    """
+    X = np.asarray(X, dtype=float)
+    n = X.shape[0]
+    if sample_limit is not None and n > sample_limit:
+        idx = np.sort(np.random.default_rng(seed).choice(n, size=sample_limit, replace=False))
+    else:
+        idx = np.arange(n)
+    n_distinct = len({tuple(row) for row in X.tolist()})
+    scores = {}
+    for k in sorted(set(k_range)):
+        if k > n_distinct:
+            scores[k] = -math.inf
+            continue
+        labels = [int(v) for v in np.asarray(fit_labels(X, k, seed + k))[idx]]
+        scores[k] = silhouette_slow(X[idx], labels) if len(set(labels)) > 1 else -math.inf
+    best = max(scores, key=lambda k: (scores[k], -k))
+    return (best if scores[best] > -math.inf else None), scores
+
+
 def quantile_slow(samples, q):
     """Linear interpolation between order statistics at rank (n-1)*q."""
     values = sorted(float(v) for v in samples)

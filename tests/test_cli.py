@@ -84,7 +84,16 @@ def test_build_config_coerces_by_field_type(tmp_path, line, key, expected):
 
 @pytest.mark.parametrize(
     "line",
-    ["stemming = no", "stemming = 1", "tolerance = abc", "seed = 7.5", "cluster_k.procedure = 2..x"],
+    [
+        "stemming = no",
+        "stemming = 1",
+        "tolerance = abc",
+        "seed = 7.5",
+        "cluster_k.procedure = 2..x",
+        "tolerance = inf",
+        "iqr_multiplier = nan",
+        "max_duration_min = -inf",
+    ],
 )
 def test_build_config_rejects_values_that_do_not_fit_the_field(tmp_path, capsys, line):
     cfg_file = tmp_path / "c.cfg"
@@ -280,3 +289,54 @@ def test_predict_reproduces_evaluate_predictions(pipeline_dir, tmp_path):
                 predicted = {row["case_id"]: row["prediction_min"] for row in csv.DictReader(fh)}
             mismatched = [r["case_id"] for r in evaluated if predicted[r["case_id"]] != r[name]]
             assert mismatched == [], (phase, name, mismatched[:5])
+
+
+def test_cluster_model_is_strict_json(tmp_path):
+    """k above the distinct texts is written null, k ascending, no NaN/Infinity."""
+    config = tmp_path / "k.cfg"
+    config.write_text("cluster_k.induction = 2..10\n")
+    for stage in ("synth", "ingest", "clean", "cluster"):
+        argv = [stage, "--out", str(tmp_path), "--seed", "7", "--n-cases", "10000", "--config", str(config)]
+        assert run(argv) == 0, stage
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    obj = json.loads((tmp_path / "cluster_model_induction.json").read_text(), parse_constant=reject)
+    scores = obj["silhouette_scores"]
+    assert [s["k"] for s in scores] == list(range(2, 11))
+    assert [s["k"] for s in scores if s["score"] is None] == [7, 8, 9, 10]  # 6 distinct texts
+    best = max((s for s in scores if s["score"] is not None), key=lambda s: s["score"])
+    assert obj["selected_k"] == best["k"]
+    assert obj["model"]["log_likelihood"]
+
+
+def test_case_id_with_carriage_return_round_trips_through_csv_artifacts(tmp_path):
+    """csv leaves a bare "\r" unquoted with "\n" line ends; the artifacts quote it."""
+    config = tmp_path / "run.cfg"
+    config.write_text("models = mean,group-mean\n")
+    extra = ("--config", str(config))
+    for stage in ("synth", "ingest", "clean"):
+        run_stage(stage, tmp_path, extra)
+    renamed_from = json.loads((tmp_path / "clean_procedure.json").read_text())["retained_ids"][0]
+    inputs = tmp_path / "inputs"
+    inputs.mkdir()
+    for name in ("events", "cases"):
+        with (tmp_path / f"{name}.csv").open(newline="") as fh:
+            rows = [
+                {**row, "case_id": "W1\rX" if row["case_id"] == renamed_from else row["case_id"]}
+                for row in csv.DictReader(fh)
+            ]
+        (inputs / f"{name}.jsonl").write_text("".join(json.dumps(row) + "\n" for row in rows))
+    extra += ("--events", str(inputs / "events.jsonl"), "--cases", str(inputs / "cases.jsonl"))
+    for stage in ("ingest", "clean", "cluster", "train", "evaluate", "report"):
+        run_stage(stage, tmp_path, extra)
+    assert b'\n"W1\rX","' in (tmp_path / "assignments_procedure.csv").read_bytes()
+    with (tmp_path / "assignments_procedure.csv").open(newline="") as fh:
+        assignments = {row["case_id"]: int(row["cluster"]) for row in csv.DictReader(fh)}
+    assert "W1\rX" in assignments and renamed_from not in assignments
+    dest = tmp_path / "predict.csv"
+    argv = ["predict", "--out", str(tmp_path), *SMALL, *extra, "--phase", "procedure", "--model", "group-mean"]
+    assert run([*argv, "--dest", str(dest)]) == 0
+    with dest.open(newline="") as fh:
+        assert "W1\rX" in {row["case_id"] for row in csv.DictReader(fh)}

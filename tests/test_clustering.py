@@ -1,9 +1,12 @@
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from oracles import kmeans_best_two_partition, silhouette_slow
+from oracles import kmeans_best_two_partition, select_k_rows, silhouette_slow
 from periop.clustering import (
     KMeansModel,
     cluster_assign,
@@ -103,6 +106,29 @@ def test_model_from_dict_round_trip_assigns_alike(fit):
     assert np.array_equal(cluster_assign(clone, X).labels, cluster_assign(model, X).labels)
     with pytest.raises(ValueError):
         model_from_dict({**model.to_dict(), "algo": "dbscan"})
+
+
+@pytest.mark.parametrize("fit", [kmeans_fit, gmm_fit])
+def test_to_dict_round_trip_keeps_fit_diagnostics(fit):
+    rng = np.random.default_rng(9)
+    X = blobs(rng, [(0, 0), (5, 5), (0, 5)], 20)
+    model = fit(X, 3, seed=4)
+    clone = model_from_dict(json.loads(json.dumps(model.to_dict())))
+    if fit is kmeans_fit:
+        assert len(model.inertia_trace) > 1
+        assert clone.inertia_trace == model.inertia_trace
+    else:
+        assert len(model.log_likelihood) > 1
+        assert clone.log_likelihood == model.log_likelihood
+        assert clone.reinitialized is model.reinitialized
+
+
+def test_gmm_round_trip_keeps_reinitialized_flag():
+    # 4 components on 3 distinct positions: one loses all mass and restarts
+    X = np.array([[1.0], [1.0], [0.0], [0.0], [0.0], [-2.0]])
+    model = gmm_fit(X, 4, seed=881)
+    assert model.reinitialized
+    assert model_from_dict(model.to_dict()).reinitialized
 
 
 def test_assign_dimension_mismatch():
@@ -237,6 +263,99 @@ def test_select_k_skips_k_above_distinct_rows():
     assert best_k <= 6
     assert all(math.isfinite(scores[k]) for k in range(2, 7))
     assert all(scores[k] == -math.inf for k in range(7, 11))
+
+
+# Small matrices whose rows repeat a few positions on an integer grid, so
+# squared distances are exact and both silhouettes see the same distances.
+@st.composite
+def repeated_rows(draw, min_rows=2, max_rows=24):
+    d = draw(st.integers(1, 3))
+    positions = draw(st.lists(st.lists(st.integers(-3, 3), min_size=d, max_size=d), min_size=1, max_size=6))
+    picks = draw(st.lists(st.integers(0, len(positions) - 1), min_size=min_rows, max_size=max_rows))
+    return np.array([positions[i] for i in picks], dtype=float)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_silhouette_matches_slow_oracle_on_repeated_rows(data):
+    X = data.draw(repeated_rows())
+    labels = data.draw(st.lists(st.integers(0, 4), min_size=len(X), max_size=len(X)))
+    assume(len(set(labels)) > 1)  # identical rows may carry different labels; singletons occur
+    assert silhouette(X, labels) == pytest.approx(silhouette_slow(X, labels), rel=0, abs=1e-9)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    data=st.data(),
+    algo=st.sampled_from(["kmeans", "gmm"]),
+    seed=st.integers(0, 2**16),
+)
+def test_select_k_matches_row_level_reference(data, algo, seed):
+    X = data.draw(repeated_rows(min_rows=3))
+    n = len(X)
+    ks = data.draw(st.lists(st.integers(2, n - 1), min_size=1, max_size=4))
+    sample_limit = data.draw(st.none() | st.integers(2, n))
+    fit = kmeans_fit if algo == "kmeans" else gmm_fit
+
+    def fit_labels(X, k, seed):
+        return cluster_assign(fit(X, k, seed=seed), X).labels
+
+    try:
+        ref_k, ref_scores = select_k_rows(X, fit_labels, ks, seed, sample_limit)
+    except ValueError:  # a GMM component collapsed twice: select_k raises too
+        with pytest.raises(ValueError):
+            select_k(X, algo, ks, seed=seed, sample_limit=sample_limit)
+        return
+    if ref_k is None:
+        with pytest.raises(ValueError, match="distinct rows"):
+            select_k(X, algo, ks, seed=seed, sample_limit=sample_limit)
+        return
+    best_k, scores = select_k(X, algo, ks, seed=seed, sample_limit=sample_limit)
+    assert set(scores) == set(ref_scores)
+    for k, ref in ref_scores.items():
+        if ref == -math.inf:
+            assert scores[k] == -math.inf
+        else:
+            assert scores[k] == pytest.approx(ref, rel=0, abs=1e-12)
+    # the same k, unless two candidates tie to within the scores' rounding
+    assert best_k == ref_k or abs(scores[best_k] - ref_scores[ref_k]) <= 1e-12
+
+
+# Arbitrary finite inputs, bounded so that squared norms stay far from overflow.
+finite_matrices = st.integers(2, 24).flatmap(
+    lambda n: st.integers(1, 3).flatmap(
+        lambda d: st.lists(
+            st.lists(st.floats(-100, 100, allow_nan=False), min_size=d, max_size=d),
+            min_size=n,
+            max_size=n,
+        )
+    )
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=finite_matrices, k=st.integers(1, 5), seed=st.integers(0, 2**16))
+def test_kmeans_inertia_never_increases(rows, k, seed):
+    X = np.array(rows)
+    assume(k <= len(X))
+    trace = kmeans_fit(X, k, seed=seed).inertia_trace
+    slack = 1e-9 * (1.0 + float(np.sum(X * X)))  # rounding of the ||x||^2 - 2x.c + ||c||^2 form
+    assert all(b <= a + slack for a, b in zip(trace, trace[1:]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=finite_matrices, k=st.integers(1, 4), seed=st.integers(0, 2**16))
+def test_gmm_log_likelihood_never_decreases(rows, k, seed):
+    X = np.array(rows)
+    assume(k <= len(X))
+    try:
+        model = gmm_fit(X, k, seed=seed)
+    except ValueError:  # a component collapsed twice
+        return
+    trace = model.log_likelihood
+    drops = sum(1 for a, b in zip(trace, trace[1:]) if b < a - 1e-8 * (1.0 + abs(a)))
+    # EM never lowers it; a re-initialized component starts a new EM run once
+    assert drops <= int(model.reinitialized)
 
 
 def test_cluster_catalog():

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -177,3 +179,16 @@ def test_planning_floor():
     assert apply_planning_floor(5.0, "procedure", {"procedure": 30.0}) == 30.0
     with pytest.raises(ValueError):
         apply_planning_floor(5.0, "induction", {"induction": -1.0})
+
+
+def test_non_finite_metrics_are_written_as_null():
+    # an actual duration of 1e-320 min makes the relative errors overflow
+    cases = [make_case("a", 1e-320, 5.0), make_case("b", 10.0, 10.0)]
+    with np.errstate(over="ignore"):
+        metrics = compute_metrics([1e-320, 10.0], [5.0, 10.0]).to_dict()
+        report = compare_to_plan(cases, "procedure", {"m": [5.0, 10.0]}).to_dict()
+    assert metrics["mape_pct"] is None and metrics["mean_pct_dev"] is None
+    assert metrics["mae"] == 2.5
+    assert report["rows"][0]["mean_abs_pct_dev"] is None
+    assert report["improvement_pp"] == {"m": None}
+    json.dumps([metrics, report], allow_nan=False)

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -271,3 +272,16 @@ def test_factor_report_shape():
     assert "degenerate" not in by_factor
     sex_effect = next(r for r in rows if r["factor"] == "sex")["effect_minutes"]
     assert sex_effect == pytest.approx(10.0, abs=4.0)
+
+
+def test_non_finite_results_are_written_as_null():
+    # within-group spread of 1e-160 squares to a denormal: F overflows
+    groups = [[0.0, 1e-160], [1.0, 1.0]]
+    assert anova_f_test(groups).statistic == math.inf
+    rows = factor_report({"f": {"a": groups[0], "b": groups[1]}})
+    # Welch's degrees of freedom underflow to 0/0, so that test is skipped
+    assert [r["test"] for r in rows] == ["anova_f", "kruskal_wallis"]
+    assert rows[0]["statistic"] is None
+    json.dumps(rows, allow_nan=False)
+    with pytest.raises(ValueError):
+        welch_t_test(*groups)

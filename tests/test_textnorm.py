@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import tfidf_dense
 from periop.textnorm import (
+    DEFAULT_SYNONYMS,
     DEFAULT_STEM_SUFFIXES,
     NormalizationRules,
     TfidfModel,
@@ -67,6 +70,21 @@ def test_normalize_idempotent_without_stemming():
         once = normalize_text(raw, PLAIN)
         again = normalize_text(" ".join(once), PLAIN)
         assert once == again
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    raw=st.text(),
+    synonyms=st.sampled_from([{}, DEFAULT_SYNONYMS]),
+    min_token_len=st.integers(1, 6),
+    literal_strip=st.booleans(),
+)
+def test_normalize_idempotent_without_stemming_on_any_text(raw, synonyms, min_token_len, literal_strip):
+    rules = NormalizationRules(
+        synonym_map=dict(synonyms), min_token_len=min_token_len, literal_strip=literal_strip
+    )
+    once = normalize_text(raw, rules)
+    assert normalize_text(" ".join(once), rules) == once
 
 
 def test_synonym_keys_must_be_lowercase():
