@@ -404,10 +404,13 @@ def stage_train(cfg: PipelineConfig) -> None:
             print(f"train[{phase}]: fitted {name} on {len(train_ids)} cases")
 
 
-def _bundle_predict(bundle: dict, assignments: dict[str, int], cases: Sequence[Case]) -> np.ndarray:
-    """Predict ``cases`` with a trained model bundle and its feature context."""
+def _bundle_predict(path: Path, bundle: dict, assignments: dict[str, int], cases: Sequence[Case]) -> np.ndarray:
+    """Predict ``cases`` with a trained model bundle (read from ``path``) and its feature context."""
     ctx = features.FeatureContext.from_dict(bundle["features"], assignments)
-    model = models.model_from_dict(bundle["model"])
+    try:
+        model = models.model_from_dict(bundle["model"])
+    except ValueError as exc:  # e.g. trees in the nested layout of older versions
+        raise UsageError(f"{path}: {exc}; re-run 'train' to rebuild it") from None
     return model.predict(features.design_matrix(ctx, bundle["family"], cases))
 
 
@@ -424,8 +427,8 @@ def stage_evaluate(cfg: PipelineConfig) -> None:
         predictions: dict[str, np.ndarray] = {}
         metrics_obj[phase] = {}
         for name in cfg.models:
-            bundle = _read_json(out / f"model_{phase}_{name}.json")
-            predictions[name] = _bundle_predict(bundle, assignments, test_cases)
+            path = out / f"model_{phase}_{name}.json"
+            predictions[name] = _bundle_predict(path, _read_json(path), assignments, test_cases)
             metrics_obj[phase][name] = evaluate.compute_metrics(
                 actual, predictions[name], tolerance=cfg.tolerance
             ).to_dict()
@@ -522,7 +525,8 @@ def _write_histogram(base: Path, bins: list[tuple[float, int]], title: str) -> N
 def stage_predict(cfg: PipelineConfig, dest: str | None, apply_floors: bool) -> None:
     phase, name = cfg.phases[0], cfg.models[0]
     out = Path(cfg.out)
-    bundle = _read_json(out / f"model_{phase}_{name}.json")
+    bundle_path = out / f"model_{phase}_{name}.json"
+    bundle = _read_json(bundle_path)
 
     attrs, _ = _parse_input(cfg.cases_path(), parse_case_attributes)
 
@@ -533,7 +537,7 @@ def stage_predict(cfg: PipelineConfig, dest: str | None, apply_floors: bool) -> 
     labels = clustering.cluster_assign(cluster_model, X_text).labels
     assignments = {a.case_id: int(l) for a, l in zip(attrs, labels)}
 
-    preds = _bundle_predict(bundle, assignments, [Case(attributes=a, events=()) for a in attrs])
+    preds = _bundle_predict(bundle_path, bundle, assignments, [Case(attributes=a, events=()) for a in attrs])
     if apply_floors:
         floors = {"induction": cfg.planning_floor_induction}
         preds = np.array([evaluate.apply_planning_floor(p, phase, floors) for p in preds])

@@ -200,88 +200,223 @@ class RidgeModel(Model):
 
 
 # ---------------------------------------------------------------------------
-# CART regression trees (squared-error criterion)
+# CART regression trees (squared-error criterion) as flat node arrays
 # ---------------------------------------------------------------------------
+
+_TREE_FIELDS = ("feature", "threshold", "left", "right", "value")
+
+
+class Tree:
+    """Binary regression tree stored as parallel node arrays; node 0 is the root.
+
+    An internal node sends rows with ``x[feature] < threshold`` to node
+    ``left`` and the rest to node ``right``. A leaf has ``feature == -1``
+    (and ``left == right == -1``) and predicts its ``value``, the mean
+    target of its training rows. Children always follow their parent.
+    """
+
+    def __init__(
+        self,
+        feature: np.ndarray,
+        threshold: np.ndarray,
+        left: np.ndarray,
+        right: np.ndarray,
+        value: np.ndarray,
+    ) -> None:
+        self.feature = feature
+        self.threshold = threshold
+        self.left = left
+        self.right = right
+        self.value = value
+        # Walk tables: a leaf tests column 0 against +inf and both of its
+        # branches lead back to itself, so every row can take `_depth` steps.
+        # _child[2 * node + 1] is the branch for x < threshold.
+        inner = feature >= 0
+        node = np.arange(feature.shape[0])
+        self._feature = np.where(inner, feature, 0)
+        self._threshold = np.where(inner, threshold, np.inf)
+        self._child = np.empty(2 * node.shape[0], dtype=np.intp)
+        self._child[0::2] = np.where(inner, right, node)
+        self._child[1::2] = np.where(inner, left, node)
+        self._columns = int(feature.max(initial=-1)) + 1
+        self._depth = 0
+        level = node[:1]
+        while (level := level[inner[level]]).size:
+            level = np.concatenate([left[level], right[level]])
+            self._depth += 1
+
+    def apply(self, X: np.ndarray) -> np.ndarray:
+        """Index of the leaf that each row of ``X`` reaches."""
+        n, d = X.shape
+        if d < self._columns:  # a flat index past the row would read the next row
+            raise ValueError(f"tree reads column {self._columns - 1} but X has {d} columns")
+        flat = X.ravel()
+        row_start = np.arange(n) * d
+        node = np.zeros(n, dtype=np.intp)
+        for _ in range(self._depth):
+            goes_left = flat[row_start + self._feature[node]] < self._threshold[node]
+            node = self._child[2 * node + goes_left]
+        return node
+
+    def to_dict(self) -> dict:
+        return {name: getattr(self, name).tolist() for name in _TREE_FIELDS}
+
+    @classmethod
+    def from_dict(cls, obj) -> "Tree":
+        """Rebuild a tree from ``to_dict`` output; raises ValueError for any
+        other layout, such as the nested-dict trees of older model files."""
+        if not isinstance(obj, dict) or set(obj) != set(_TREE_FIELDS):
+            raise ValueError("tree is not in the flat-array layout (feature, threshold, left, right, value)")
+        try:
+            feature, left, right = (np.asarray(obj[k], dtype=np.intp) for k in ("feature", "left", "right"))
+            threshold, value = (np.asarray(obj[k], dtype=float) for k in ("threshold", "value"))
+        except (TypeError, ValueError):
+            raise ValueError("tree arrays must hold numbers") from None
+        n = feature.shape
+        if len(n) != 1 or n[0] < 1 or any(a.shape != n for a in (threshold, left, right, value)):
+            raise ValueError("tree arrays must be non-empty lists of one length")
+        inner = feature >= 0
+        index = np.arange(n[0])
+        for child in (left, right):  # children after their parent: every walk ends
+            if np.any(inner & ((child <= index) | (child >= n[0]))):
+                raise ValueError("tree child index out of range")
+        return cls(feature, threshold, left, right, value)
+
+
+def _bin_columns(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bin every column of ``X`` at its sorted distinct values.
+
+    Returns ``(values, codes)``. ``values`` is (d, width), row f holding
+    column f's distinct values padded with inf, width the largest distinct
+    count. ``codes[i, f] = f * width + position of X[i, f]``: all columns
+    share one bin space, so a single bincount histograms every column.
+    Binning at distinct values is exact: every split the sorted scan can
+    make falls between two bins.
+    """
+    n, d = X.shape
+    columns = [np.unique(X[:, f], return_inverse=True) for f in range(d)]
+    width = max((len(distinct) for distinct, _ in columns), default=1)
+    values = np.full((d, width), np.inf)
+    codes = np.empty((n, d), dtype=np.intp)
+    for f, (distinct, inverse) in enumerate(columns):
+        values[f, : len(distinct)] = distinct
+        codes[:, f] = f * width + inverse.ravel()
+    return values, codes
+
+
+def _best_split(
+    codes: np.ndarray,
+    y: np.ndarray,
+    values: np.ndarray,
+    total1: float,
+    total2: float,
+    min_leaf: int,
+) -> tuple[int, float, int] | None:
+    """Lowest-SSE split of one node's rows: ``(feature, threshold, code)``.
+
+    ``codes`` holds the node's bin codes of the candidate features. A
+    candidate threshold lies midway between two consecutive non-empty bins
+    of a feature; ``code`` is the lower bin, so rows with a code at most
+    ``code`` go left. Returns None when no candidate leaves ``min_leaf``
+    rows on each side.
+    """
+    d, width = values.shape
+    n_node = y.shape[0]
+    flat = codes.ravel()
+    weights = np.repeat(y, codes.shape[1])
+    size = d * width
+    hist = [np.bincount(flat, minlength=size), np.bincount(flat, weights=weights, minlength=size)]
+    weights *= weights  # in place: one (rows x features) array less at a time
+    hist.append(np.bincount(flat, weights=weights, minlength=size))
+    occupied = np.flatnonzero(hist[0])
+    lo, hi = occupied[:-1], occupied[1:]
+    same_feature = lo // width == hi // width
+    lo, hi = lo[same_feature], hi[same_feature]
+    if lo.size == 0:
+        return None
+    # cumulative sums run within each feature's own bins, so no other
+    # feature's sums enter the rounding
+    nl, c1, c2 = (np.cumsum(h.reshape(d, width), axis=1).ravel()[lo] for h in hist)
+    nr = n_node - nl
+    flat_values = values.ravel()
+    thr = (flat_values[lo] + flat_values[hi]) / 2.0
+    valid = (flat_values[lo] < thr) & (nl >= min_leaf) & (nr >= min_leaf)
+    if not valid.any():
+        return None
+    sse = (c2 - c1 * c1 / nl) + ((total2 - c2) - (total1 - c1) ** 2 / nr)
+    sse[~valid] = np.inf
+    pos = int(np.argmin(sse))
+    return int(lo[pos] // width), float(thr[pos]), int(lo[pos])
 
 
 def _build_tree(
-    X: np.ndarray,
+    values: np.ndarray,
+    codes: np.ndarray,
     y: np.ndarray,
     max_depth: int,
     min_leaf: int,
     rng: np.random.Generator | None = None,
     feature_fraction: float = 1.0,
-) -> dict:
-    """Greedy variance-minimizing binary tree as nested dicts.
+) -> tuple[Tree, np.ndarray]:
+    """Greedy variance-minimizing tree on binned rows (see ``_bin_columns``).
 
-    Split ties resolve to the lowest feature index, then the lowest
-    threshold. Rows with x < threshold go left.
+    Returns the tree and the leaf of every training row. Nodes are split
+    depth first, left child first; with ``feature_fraction < 1`` each split
+    draws its candidate features from ``rng``. The split with the lowest
+    computed SSE wins; ties go to the lowest feature, then the lowest
+    threshold. On data whose sums are exact (such as small integers) that
+    is the lowest true SSE; otherwise two splits that make the same
+    partition may differ in the last bits and the lower rounding wins.
     """
-    n, d = X.shape
-    orders = [np.argsort(X[:, f], kind="stable") for f in range(d)]
+    n, d = codes.shape
     n_sub = d
     if feature_fraction < 1.0:
         n_sub = max(1, int(math.ceil(feature_fraction * d)))
-    root: dict = {}
-    stack: list[tuple[np.ndarray, int, dict]] = [(np.ones(n, dtype=bool), 0, root)]
+    nodes: dict[str, list] = {name: [] for name in _TREE_FIELDS}
+
+    def new_node() -> int:
+        for name, blank in zip(_TREE_FIELDS, (-1, 0.0, -1, -1, 0.0)):
+            nodes[name].append(blank)
+        return len(nodes["value"]) - 1
+
+    leaf_of = np.empty(n, dtype=np.intp)
+    stack = [(np.arange(n), 0, new_node())]
     while stack:
-        mask, depth, node = stack.pop()
-        n_node = int(mask.sum())
-        ys_node = y[mask]
+        rows, depth, node = stack.pop()
+        n_node = rows.shape[0]
+        ys_node = y[rows]
         total1 = float(ys_node.sum())
         total2 = float((ys_node * ys_node).sum())
-        node_mean = total1 / n_node
+        nodes["value"][node] = total1 / n_node
         node_sse = max(total2 - total1 * total1 / n_node, 0.0)
-        if depth >= max_depth or n_node < 2 * min_leaf or node_sse <= 1e-12:
-            node["value"] = node_mean
+        split = None
+        if depth < max_depth and n_node >= 2 * min_leaf and node_sse > 1e-12:
+            node_codes = codes[rows]
+            candidates = node_codes
+            if n_sub < d:
+                assert rng is not None
+                candidates = node_codes[:, np.sort(rng.choice(d, size=n_sub, replace=False))]
+            split = _best_split(candidates, ys_node, values, total1, total2, min_leaf)
+        if split is None:
+            leaf_of[rows] = node
             continue
-        if n_sub < d:
-            assert rng is not None
-            features = np.sort(rng.choice(d, size=n_sub, replace=False))
-        else:
-            features = range(d)
-        best: tuple[float, int, float] | None = None  # (sse, feature, threshold)
-        for f in features:
-            idx = orders[f][mask[orders[f]]]
-            xs = X[idx, f]
-            ys = y[idx]
-            c1 = np.cumsum(ys)[:-1]
-            c2 = np.cumsum(ys * ys)[:-1]
-            nl = np.arange(1, n_node)
-            nr = n_node - nl
-            thr = (xs[:-1] + xs[1:]) / 2.0
-            valid = (xs[:-1] < thr) & (nl >= min_leaf) & (nr >= min_leaf)
-            if not valid.any():
-                continue
-            sse = (c2 - c1 * c1 / nl) + ((total2 - c2) - (total1 - c1) ** 2 / nr)
-            sse[~valid] = np.inf
-            pos = int(np.argmin(sse))
-            if best is None or sse[pos] < best[0]:
-                best = (float(sse[pos]), int(f), float(thr[pos]))
-        if best is None:
-            node["value"] = node_mean
-            continue
-        _, feature, threshold = best
-        node["feature"] = feature
-        node["threshold"] = threshold
-        node["left"] = {}
-        node["right"] = {}
-        left_mask = mask & (X[:, feature] < threshold)
-        right_mask = mask & ~(X[:, feature] < threshold)
-        stack.append((right_mask, depth + 1, node["right"]))
-        stack.append((left_mask, depth + 1, node["left"]))
-    return root
-
-
-def _tree_predict(node: dict, X: np.ndarray, out: np.ndarray, idx: np.ndarray) -> None:
-    if idx.size == 0:
-        return
-    if "value" in node:
-        out[idx] = node["value"]
-        return
-    goes_left = X[idx, node["feature"]] < node["threshold"]
-    _tree_predict(node["left"], X, out, idx[goes_left])
-    _tree_predict(node["right"], X, out, idx[~goes_left])
+        feature, threshold, code = split
+        goes_left = node_codes[:, feature] <= code
+        left, right = new_node(), new_node()
+        nodes["feature"][node] = feature
+        nodes["threshold"][node] = threshold
+        nodes["left"][node] = left
+        nodes["right"][node] = right
+        stack.append((rows[~goes_left], depth + 1, right))
+        stack.append((rows[goes_left], depth + 1, left))
+    tree = Tree(
+        feature=np.asarray(nodes["feature"], dtype=np.intp),
+        threshold=np.asarray(nodes["threshold"], dtype=float),
+        left=np.asarray(nodes["left"], dtype=np.intp),
+        right=np.asarray(nodes["right"], dtype=np.intp),
+        value=np.asarray(nodes["value"], dtype=float),
+    )
+    return tree, leaf_of
 
 
 class TreeModel(Model):
@@ -297,20 +432,19 @@ class TreeModel(Model):
             raise ValueError("min_leaf must be >= 1")
         self.max_depth = int(max_depth)
         self.min_leaf = int(min_leaf)
-        self.root_: dict = {}
+        self.tree_: Tree | None = None
 
     def fit(self, dataset: Dataset) -> "TreeModel":
-        self.root_ = _build_tree(dataset.X, dataset.y, self.max_depth, self.min_leaf)
+        values, codes = _bin_columns(dataset.X)
+        self.tree_, _ = _build_tree(values, codes, dataset.y, self.max_depth, self.min_leaf)
         self._fitted = True
         return self
 
     def _predict(self, X: np.ndarray) -> np.ndarray:
-        out = np.empty(X.shape[0])
-        _tree_predict(self.root_, X, out, np.arange(X.shape[0]))
-        return out
+        return self.tree_.value[self.tree_.apply(X)]
 
     def state_dict(self) -> dict:
-        return {"max_depth": self.max_depth, "min_leaf": self.min_leaf, "tree": self.root_}
+        return {"max_depth": self.max_depth, "min_leaf": self.min_leaf, "tree": self.tree_.to_dict()}
 
 
 class ForestModel(Model):
@@ -338,30 +472,30 @@ class ForestModel(Model):
         self.feature_fraction = float(feature_fraction)
         self.bootstrap = bool(bootstrap)
         self.seed = int(seed)
-        self.trees_: list[dict] = []
+        self.trees_: list[Tree] = []
 
     def fit(self, dataset: Dataset) -> "ForestModel":
+        values, codes = _bin_columns(dataset.X)
         self.trees_ = []
         seeds = np.random.SeedSequence(self.seed).spawn(self.n_trees)
         for tree_seed in seeds:
             rng = np.random.default_rng(tree_seed)
             if self.bootstrap:
                 rows = rng.integers(0, dataset.n, size=dataset.n)
-                Xb, yb = dataset.X[rows], dataset.y[rows]
+                codes_b, yb = codes[rows], dataset.y[rows]
             else:
-                Xb, yb = dataset.X, dataset.y
-            self.trees_.append(
-                _build_tree(Xb, yb, self.max_depth, self.min_leaf, rng, self.feature_fraction)
+                codes_b, yb = codes, dataset.y
+            tree, _ = _build_tree(
+                values, codes_b, yb, self.max_depth, self.min_leaf, rng, self.feature_fraction
             )
+            self.trees_.append(tree)
         self._fitted = True
         return self
 
     def _predict(self, X: np.ndarray) -> np.ndarray:
         out = np.zeros(X.shape[0])
-        buf = np.empty(X.shape[0])
         for tree in self.trees_:  # fixed reduction order keeps results exact
-            _tree_predict(tree, X, buf, np.arange(X.shape[0]))
-            out += buf
+            out += tree.value[tree.apply(X)]
         return out / self.n_trees
 
     def state_dict(self) -> dict:
@@ -372,12 +506,15 @@ class ForestModel(Model):
             "feature_fraction": self.feature_fraction,
             "bootstrap": self.bootstrap,
             "seed": self.seed,
-            "trees": self.trees_,
+            "trees": [tree.to_dict() for tree in self.trees_],
         }
 
 
 class GbmModel(Model):
-    """Squared-error gradient boosting: residual trees added at learning_rate."""
+    """Squared-error gradient boosting: residual trees added at learning_rate.
+
+    ``stage_mse_[k]`` is the training MSE after k trees (entry 0: the mean).
+    """
 
     family = "gbm"
 
@@ -400,22 +537,21 @@ class GbmModel(Model):
         self.min_leaf = int(min_leaf)
         self.seed = int(seed)
         self.base_ = 0.0
-        self.trees_: list[dict] = []
+        self.trees_: list[Tree] = []
         self.stage_mse_: tuple[float, ...] = ()
 
     def fit(self, dataset: Dataset) -> "GbmModel":
+        values, codes = _bin_columns(dataset.X)
         self.base_ = float(dataset.y.mean())
         self.trees_ = []
         current = np.full(dataset.n, self.base_)
         residual = dataset.y - current
         stage_mse = [float(np.mean(residual**2))]
-        buf = np.empty(dataset.n)
-        all_rows = np.arange(dataset.n)
         for _ in range(self.n_trees):
-            tree = _build_tree(dataset.X, residual, self.max_depth, self.min_leaf)
+            tree, leaf_of = _build_tree(values, codes, residual, self.max_depth, self.min_leaf)
             self.trees_.append(tree)
-            _tree_predict(tree, dataset.X, buf, all_rows)
-            current = current + self.learning_rate * buf
+            # each training row's leaf is known from the build: no re-walk
+            current = current + self.learning_rate * tree.value[leaf_of]
             residual = dataset.y - current
             stage_mse.append(float(np.mean(residual**2)))
         self.stage_mse_ = tuple(stage_mse)
@@ -424,11 +560,8 @@ class GbmModel(Model):
 
     def _predict(self, X: np.ndarray) -> np.ndarray:
         out = np.full(X.shape[0], self.base_)
-        buf = np.empty(X.shape[0])
-        rows = np.arange(X.shape[0])
         for tree in self.trees_:
-            _tree_predict(tree, X, buf, rows)
-            out += self.learning_rate * buf
+            out += self.learning_rate * tree.value[tree.apply(X)]
         return out
 
     def state_dict(self) -> dict:
@@ -439,7 +572,8 @@ class GbmModel(Model):
             "min_leaf": self.min_leaf,
             "seed": self.seed,
             "base": self.base_,
-            "trees": self.trees_,
+            "stage_mse": list(self.stage_mse_),
+            "trees": [tree.to_dict() for tree in self.trees_],
         }
 
 
@@ -485,7 +619,7 @@ def model_from_dict(obj: dict) -> Model:
         model.intercept_ = float(obj["intercept"])
     elif family == "tree":
         model = TreeModel(max_depth=int(obj["max_depth"]), min_leaf=int(obj["min_leaf"]))
-        model.root_ = obj["tree"]
+        model.tree_ = Tree.from_dict(obj["tree"])
     elif family == "forest":
         model = ForestModel(
             n_trees=int(obj["n_trees"]),
@@ -495,7 +629,7 @@ def model_from_dict(obj: dict) -> Model:
             bootstrap=bool(obj["bootstrap"]),
             seed=int(obj["seed"]),
         )
-        model.trees_ = obj["trees"]
+        model.trees_ = [Tree.from_dict(tree) for tree in obj["trees"]]
     elif family == "gbm":
         model = GbmModel(
             n_trees=int(obj["n_trees"]),
@@ -505,7 +639,8 @@ def model_from_dict(obj: dict) -> Model:
             seed=int(obj["seed"]),
         )
         model.base_ = float(obj["base"])
-        model.trees_ = obj["trees"]
+        model.stage_mse_ = tuple(float(v) for v in obj.get("stage_mse", ()))
+        model.trees_ = [Tree.from_dict(tree) for tree in obj["trees"]]
     else:
         raise ValueError(f"unknown model family: {family!r}")
     model._fitted = True

@@ -119,3 +119,88 @@ def kmeans_best_two_partition(points):
         if best is None or sse < best[0]:
             best = (sse, sorted((ma, mb)))
     return best
+
+
+def build_tree_slow(X, y, max_depth, min_leaf, rng=None, feature_fraction=1.0):
+    """Greedy variance-minimizing tree as nested dicts, by a sorted scan of
+    every candidate feature at every node.
+
+    Leaves are ``{"value": mean}``, internal nodes ``{"feature",
+    "threshold", "left", "right"}``; rows with x < threshold go left. Nodes
+    are split depth first, left child first; with ``feature_fraction < 1``
+    each split draws ``ceil(feature_fraction * d)`` sorted features from
+    ``rng``. The first lowest SSE in (feature, threshold) order wins.
+    """
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    n, d = X.shape
+    orders = [np.argsort(X[:, f], kind="stable") for f in range(d)]
+    n_sub = d
+    if feature_fraction < 1.0:
+        n_sub = max(1, int(math.ceil(feature_fraction * d)))
+    root = {}
+    stack = [(np.ones(n, dtype=bool), 0, root)]
+    while stack:
+        mask, depth, node = stack.pop()
+        n_node = int(mask.sum())
+        ys_node = y[mask]
+        total1 = float(ys_node.sum())
+        total2 = float((ys_node * ys_node).sum())
+        node_mean = total1 / n_node
+        node_sse = max(total2 - total1 * total1 / n_node, 0.0)
+        if depth >= max_depth or n_node < 2 * min_leaf or node_sse <= 1e-12:
+            node["value"] = node_mean
+            continue
+        if n_sub < d:
+            features = np.sort(rng.choice(d, size=n_sub, replace=False))
+        else:
+            features = range(d)
+        best = None  # (sse, feature, threshold)
+        for f in features:
+            idx = orders[f][mask[orders[f]]]
+            xs = X[idx, f]
+            ys = y[idx]
+            c1 = np.cumsum(ys)[:-1]
+            c2 = np.cumsum(ys * ys)[:-1]
+            nl = np.arange(1, n_node)
+            nr = n_node - nl
+            thr = (xs[:-1] + xs[1:]) / 2.0
+            valid = (xs[:-1] < thr) & (nl >= min_leaf) & (nr >= min_leaf)
+            if not valid.any():
+                continue
+            sse = (c2 - c1 * c1 / nl) + ((total2 - c2) - (total1 - c1) ** 2 / nr)
+            sse[~valid] = np.inf
+            pos = int(np.argmin(sse))
+            if best is None or sse[pos] < best[0]:
+                best = (float(sse[pos]), int(f), float(thr[pos]))
+        if best is None:
+            node["value"] = node_mean
+            continue
+        _, feature, threshold = best
+        node["feature"] = feature
+        node["threshold"] = threshold
+        node["left"] = {}
+        node["right"] = {}
+        goes_left = X[:, feature] < threshold
+        stack.append((mask & ~goes_left, depth + 1, node["right"]))
+        stack.append((mask & goes_left, depth + 1, node["left"]))
+    return root
+
+
+def tree_predict_slow(node, X):
+    """Walk a ``build_tree_slow`` tree recursively for every row of X."""
+    X = np.asarray(X, dtype=float)
+    out = np.empty(X.shape[0])
+
+    def walk(node, idx):
+        if idx.size == 0:
+            return
+        if "value" in node:
+            out[idx] = node["value"]
+            return
+        goes_left = X[idx, node["feature"]] < node["threshold"]
+        walk(node["left"], idx[goes_left])
+        walk(node["right"], idx[~goes_left])
+
+    walk(node, np.arange(X.shape[0]))
+    return out

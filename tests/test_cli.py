@@ -1,5 +1,6 @@
 import csv
 import json
+import shutil
 
 import pytest
 
@@ -289,6 +290,39 @@ def test_predict_reproduces_evaluate_predictions(pipeline_dir, tmp_path):
                 predicted = {row["case_id"]: row["prediction_min"] for row in csv.DictReader(fh)}
             mismatched = [r["case_id"] for r in evaluated if predicted[r["case_id"]] != r[name]]
             assert mismatched == [], (phase, name, mismatched[:5])
+
+
+NESTED_TREE = {"feature": 0, "threshold": 0.5, "left": {"value": 30.0}, "right": {"value": 40.0}}
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        {"family": "tree", "max_depth": 1, "min_leaf": 5, "tree": NESTED_TREE},
+        {"family": "forest", "n_trees": 1, "max_depth": 1, "min_leaf": 5, "feature_fraction": 1.0,
+         "bootstrap": True, "seed": 0, "trees": [NESTED_TREE]},
+        {"family": "gbm", "n_trees": 1, "learning_rate": 0.1, "max_depth": 1, "min_leaf": 5, "seed": 0,
+         "base": 35.0, "trees": [NESTED_TREE]},
+    ],
+)
+def test_model_file_with_nested_trees_exits_one(pipeline_dir, tmp_path, capsys, model):
+    """Model files of older versions stored trees as nested dicts; evaluate
+    and predict name the file and ask for a new train run."""
+    source, config = pipeline_dir
+    out = tmp_path / "out"
+    shutil.copytree(source, out)
+    family = model["family"]
+    bundle = json.loads((out / "model_procedure_gbm.json").read_text())
+    bundle.update(name=family, family=family, model=model)
+    path = out / f"model_procedure_{family}.json"
+    path.write_text(json.dumps(bundle))
+    common = ["--out", str(out), *SMALL, "--config", str(config), "--phase", "procedure", "--model", family]
+    capsys.readouterr()
+    for argv in (["evaluate", *common], ["predict", *common, "--dest", str(tmp_path / "p.csv")]):
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: tree is not in the flat-array layout"), err
+        assert "re-run 'train'" in err
 
 
 def test_cluster_model_is_strict_json(tmp_path):

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import build_tree_slow, tree_predict_slow
 from periop.models import (
     Dataset,
     EncodeColumn,
     GridSpec,
     NotFittedError,
+    Tree,
     TreeModel,
     grid_search,
     mae,
@@ -108,20 +112,26 @@ def test_ridge_singular_at_zero_lambda():
         make_model("ridge", {"lam": 0.0}).fit(dataset(X, np.arange(5)))
 
 
+def single_leaf(value):
+    return {"feature": [-1], "threshold": [0.0], "left": [-1], "right": [-1], "value": [value]}
+
+
 def test_tree_depth_zero_is_mean_leaf():
     ds = dataset([[0.0], [1.0]], [4.0, 8.0])
     model = make_model("tree", {"max_depth": 0, "min_leaf": 1}).fit(ds)
-    assert model.root_ == {"value": 6.0}
+    assert model.tree_.to_dict() == single_leaf(6.0)
 
 
 def test_tree_best_split_matches_enumeration():
     X = np.array([[0.0], [0.0], [1.0], [1.0]])
     y = np.array([0.0, 0.0, 10.0, 10.0])
     model = make_model("tree", {"max_depth": 1, "min_leaf": 1}).fit(dataset(X, y))
-    assert model.root_["feature"] == 0
-    assert model.root_["threshold"] == pytest.approx(0.5)
-    assert model.root_["left"]["value"] == 0.0
-    assert model.root_["right"]["value"] == 10.0
+    tree = model.tree_
+    assert tree.feature[0] == 0
+    assert tree.threshold[0] == pytest.approx(0.5)
+    left, right = tree.left[0], tree.right[0]
+    assert tree.feature[left] == -1 and tree.value[left] == 0.0
+    assert tree.feature[right] == -1 and tree.value[right] == 10.0
     # exhaustive check: weighted SSE of the chosen split is minimal
     def split_sse(col, thr):
         left = y[X[:, col] < thr]
@@ -137,23 +147,110 @@ def test_tree_best_split_matches_enumeration():
 def test_tree_constant_target_single_leaf():
     ds = dataset(np.random.default_rng(0).normal(size=(15, 2)), np.full(15, 7.0))
     model = make_model("tree", {"max_depth": 6, "min_leaf": 1}).fit(ds)
-    assert model.root_ == {"value": 7.0}
+    assert model.tree_.to_dict() == single_leaf(7.0)
 
 
 def test_tree_min_leaf_respected():
     rng = np.random.default_rng(3)
     ds = dataset(rng.normal(size=(30, 2)), rng.normal(size=30))
     model = make_model("tree", {"max_depth": 6, "min_leaf": 5}).fit(ds)
+    tree = model.tree_
 
     def check(node, rows):
-        if "value" in node:
+        if tree.feature[node] < 0:
             assert len(rows) >= 5
             return
-        mask = ds.X[rows, node["feature"]] < node["threshold"]
-        check(node["left"], rows[mask])
-        check(node["right"], rows[~mask])
+        mask = ds.X[rows, tree.feature[node]] < tree.threshold[node]
+        check(tree.left[node], rows[mask])
+        check(tree.right[node], rows[~mask])
 
-    check(model.root_, np.arange(30))
+    check(0, np.arange(30))
+
+
+def nested(tree, node=0):
+    """A flat tree in the nested-dict form of ``build_tree_slow``."""
+    if tree.feature[node] < 0:
+        return {"value": float(tree.value[node])}
+    return {
+        "feature": int(tree.feature[node]),
+        "threshold": float(tree.threshold[node]),
+        "left": nested(tree, tree.left[node]),
+        "right": nested(tree, tree.right[node]),
+    }
+
+
+@st.composite
+def integer_data(draw):
+    """Small-integer X and y, so every sum the split search forms is exact.
+    Columns repeat values; some are constant, some are the 0/1 complement of
+    another column (equal partitions, so exact SSE ties)."""
+    n = draw(st.integers(2, 40))
+    d = draw(st.integers(1, 4))
+    columns = []
+    for _ in range(d):
+        kind = draw(st.sampled_from(["values", "constant", "complement"]))
+        if kind == "constant":
+            columns.append([draw(st.integers(-3, 3))] * n)
+        elif kind == "complement" and columns:
+            source = draw(st.integers(0, len(columns) - 1))
+            columns.append([1 - min(max(v, 0), 1) for v in columns[source]])
+        else:
+            columns.append(draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)))
+    y = draw(st.lists(st.integers(0, 20), min_size=n, max_size=n))
+    return np.array(columns, dtype=float).T, np.array(y, dtype=float)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=integer_data(), max_depth=st.integers(0, 5), min_leaf=st.integers(1, 3))
+def test_tree_matches_sorted_scan_oracle(data, max_depth, min_leaf):
+    X, y = data
+    model = make_model("tree", {"max_depth": max_depth, "min_leaf": min_leaf}).fit(Dataset(X=X, y=y))
+    oracle = build_tree_slow(X, y, max_depth, min_leaf)
+    assert nested(model.tree_) == oracle
+    X_new = np.vstack([X, X + 0.5, -X])
+    assert np.array_equal(model._predict(X_new), tree_predict_slow(oracle, X_new))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    data=integer_data(),
+    bootstrap=st.booleans(),
+    feature_fraction=st.sampled_from([0.5, 1.0]),
+    seed=st.integers(0, 2**16),
+)
+def test_forest_matches_sorted_scan_oracle(data, bootstrap, feature_fraction, seed):
+    X, y = data
+    params = {"n_trees": 3, "max_depth": 3, "min_leaf": 1, "feature_fraction": feature_fraction,
+              "bootstrap": bootstrap, "seed": seed}
+    model = make_model("forest", params).fit(Dataset(X=X, y=y))
+    expected = np.zeros(X.shape[0])
+    for tree, tree_seed in zip(model.trees_, np.random.SeedSequence(seed).spawn(3)):
+        rng = np.random.default_rng(tree_seed)
+        rows = rng.integers(0, len(y), size=len(y)) if bootstrap else np.arange(len(y))
+        oracle = build_tree_slow(X[rows], y[rows], 3, 1, rng, feature_fraction)
+        assert nested(tree) == oracle
+        expected += tree_predict_slow(oracle, X)
+    assert np.array_equal(model._predict(X), expected / 3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    X=st.lists(st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=2), min_size=2, max_size=30),
+    y_seed=st.integers(0, 2**16),
+    learning_rate=st.sampled_from([0.1, 0.5, 1.0]),
+)
+def test_gbm_training_update_equals_predict(X, y_seed, learning_rate):
+    """The fit updates its training predictions from each row's leaf; at
+    every stage that must equal predicting the training rows with the trees
+    so far."""
+    X = np.asarray(X)
+    y = np.random.default_rng(y_seed).uniform(0, 100, size=X.shape[0])
+    params = {"n_trees": 6, "learning_rate": learning_rate, "max_depth": 2, "min_leaf": 1}
+    model = make_model("gbm", params).fit(Dataset(X=X, y=y))
+    trees = model.trees_
+    for k in range(len(trees) + 1):
+        model.trees_ = trees[:k]
+        assert model.stage_mse_[k] == float(np.mean((y - model._predict(X)) ** 2))
 
 
 def test_forest_degenerate_equals_tree():
@@ -256,6 +353,41 @@ def test_model_json_roundtrip(factory):
     preds = model.predict(X)
     assert np.allclose(preds, clone.predict(X))
     assert np.all(np.isfinite(preds)) and np.all(preds >= 0)
+
+
+def test_gbm_stage_mse_round_trips():
+    ds = linear_dataset(n=40, seed=7, noise=3.0)
+    model = make_model("gbm", {"n_trees": 5, "learning_rate": 0.3, "max_depth": 2, "min_leaf": 2}).fit(ds)
+    assert len(model.stage_mse_) == 6
+    obj = model.to_dict()
+    assert model_from_dict(obj).stage_mse_ == model.stage_mse_
+    del obj["stage_mse"]  # model files without the trace read as empty
+    assert model_from_dict(obj).stage_mse_ == ()
+
+
+@pytest.mark.parametrize(
+    "tree",
+    [
+        {"value": 5.0},  # the nested-dict layout of older model files
+        {"feature": 0, "threshold": 1.5, "left": {"value": 1.0}, "right": {"value": 2.0}},
+        {**single_leaf(1.0), "value": [1.0, 2.0]},
+        {"feature": [0, -1, -1], "threshold": [0.5, 0, 0], "left": [1, -1, -1], "right": [0, -1, -1],
+         "value": [0.0, 1.0, 2.0]},  # a child before its parent would loop
+        {**single_leaf(1.0), "threshold": ["a"]},
+    ],
+)
+def test_tree_from_dict_rejects_other_layouts(tree):
+    with pytest.raises(ValueError):
+        Tree.from_dict(tree)
+    with pytest.raises(ValueError):
+        model_from_dict({"family": "tree", "max_depth": 2, "min_leaf": 1, "tree": tree})
+
+
+def test_tree_predict_rejects_too_few_columns():
+    ds = dataset([[0.0, 1.0], [1.0, 0.0], [2.0, 5.0]], [1.0, 2.0, 9.0])
+    model = make_model("tree", {"max_depth": 2, "min_leaf": 1}).fit(ds)
+    with pytest.raises(ValueError, match="column"):
+        model.predict(np.zeros((2, 0)))
 
 
 def test_grid_search_single_candidate():
