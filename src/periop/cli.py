@@ -49,10 +49,12 @@ def derive_seed(root: int, label: str) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _write_json(path: Path, obj) -> None:
+def _write_json(path: Path, obj, compact: bool = False) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
+    # compact goes through json's C encoder; indent=2 is for the reports people read
+    layout = {"separators": (",", ":")} if compact else {"indent": 2}
     # allow_nan=False: NaN and Infinity are not JSON; producers write null instead
-    path.write_text(json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n", encoding="utf-8")
+    path.write_text(json.dumps(obj, sort_keys=True, allow_nan=False, **layout) + "\n", encoding="utf-8")
 
 
 def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
@@ -193,16 +195,10 @@ def stage_synth(cfg: PipelineConfig) -> None:
         n_anesthesia_families=cfg.synth_anesthesia_families,
         synonyms_per_family=cfg.synth_synonyms_per_family,
     )
-    events_csv, cases_csv, truth = synthgen.generate_log(synth_cfg)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "events.csv").write_text(events_csv, encoding="utf-8")
-    (out / "cases.csv").write_text(cases_csv, encoding="utf-8")
-    # compact: indent=2 forces json's pure-Python encoder, slow on the largest artifact
-    (out / "ground_truth.json").write_text(
-        json.dumps(truth.to_dict(), sort_keys=True, separators=(",", ":")) + "\n", encoding="utf-8"
-    )
-    print(f"synth: wrote {truth.n_cases} cases to {out}")
+    synthgen.generate_log(synth_cfg, out)
+    print(f"synth: wrote {synth_cfg.n_cases} cases to {out}")
 
 
 def stage_ingest(cfg: PipelineConfig) -> None:
@@ -388,7 +384,7 @@ def stage_train(cfg: PipelineConfig) -> None:
                         for row in result.cv_table
                     ],
                 }
-            if family in ("forest", "gbm"):
+            if family == "forest":
                 params = {**params, "seed": derive_seed(cfg.seed, f"model:{phase}:{name}")}
             model = models.make_model(family, params).fit(dataset)
             bundle = {
@@ -400,7 +396,7 @@ def stage_train(cfg: PipelineConfig) -> None:
                 "features": ctx.to_dict(),
                 "grid": grid_info,
             }
-            _write_json(out / f"model_{phase}_{name}.json", bundle)
+            _write_json(out / f"model_{phase}_{name}.json", bundle, compact=True)
             print(f"train[{phase}]: fitted {name} on {len(train_ids)} cases")
 
 

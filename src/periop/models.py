@@ -524,7 +524,6 @@ class GbmModel(Model):
         learning_rate: float = 0.1,
         max_depth: int = 3,
         min_leaf: int = 5,
-        seed: int = 0,
     ) -> None:
         super().__init__()
         if n_trees < 0:
@@ -535,7 +534,6 @@ class GbmModel(Model):
         self.learning_rate = float(learning_rate)
         self.max_depth = int(max_depth)
         self.min_leaf = int(min_leaf)
-        self.seed = int(seed)
         self.base_ = 0.0
         self.trees_: list[Tree] = []
         self.stage_mse_: tuple[float, ...] = ()
@@ -570,7 +568,6 @@ class GbmModel(Model):
             "learning_rate": self.learning_rate,
             "max_depth": self.max_depth,
             "min_leaf": self.min_leaf,
-            "seed": self.seed,
             "base": self.base_,
             "stage_mse": list(self.stage_mse_),
             "trees": [tree.to_dict() for tree in self.trees_],
@@ -636,7 +633,6 @@ def model_from_dict(obj: dict) -> Model:
             learning_rate=float(obj["learning_rate"]),
             max_depth=int(obj["max_depth"]),
             min_leaf=int(obj["min_leaf"]),
-            seed=int(obj["seed"]),
         )
         model.base_ = float(obj["base"])
         model.stage_mse_ = tuple(float(v) for v in obj.get("stage_mse", ()))
@@ -743,7 +739,7 @@ def grid_search(
                 fit_idx = np.sort(np.concatenate([folds[j] for j in range(spec.cv_folds) if j != i]))
                 fit_ds, X_val = _apply_fold_encoding(train, fit_idx, val_idx, encode_cols)
                 model_params = dict(params)
-                if spec.family in ("forest", "gbm"):
+                if spec.family == "forest":
                     model_params.setdefault("seed", spec.seed)
                 model = make_model(spec.family, model_params).fit(fit_ds)
                 fold_maes.append(mae(train.y[val_idx], model.predict(X_val)))

@@ -9,6 +9,8 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
+import numpy as np
+
 _MAX_ITER = 500
 _EPS = 1e-15
 _FPMIN = 1e-300
@@ -220,8 +222,9 @@ def anova_f_test(groups: Sequence[Sequence[float]]) -> TestResult:
     if n_total <= k:
         raise ValueError("total sample size must exceed the number of groups")
     grand = sum(sum(g) for g in data) / n_total
-    ssb = sum(len(g) * (sum(g) / len(g) - grand) ** 2 for g in data)
-    ssw = sum(sum((v - sum(g) / len(g)) ** 2 for v in g) for g in data)
+    means = [sum(g) / len(g) for g in data]
+    ssb = sum(len(g) * (m - grand) ** 2 for g, m in zip(data, means))
+    ssw = sum(sum((v - m) ** 2 for v in g) for g, m in zip(data, means))
     if ssw == 0.0:
         raise ValueError("zero within-group variance")
     df_b = float(k - 1)
@@ -232,21 +235,18 @@ def anova_f_test(groups: Sequence[Sequence[float]]) -> TestResult:
 
 def _midranks(values: Sequence[float]) -> tuple[list[float], float]:
     # average ranks for ties plus the tie-correction sum of (t^3 - t)
-    order = sorted(range(len(values)), key=lambda i: values[i])
-    ranks = [0.0] * len(values)
+    x = np.asarray(values, dtype=np.float64)
+    order = np.argsort(x, kind="stable")
+    ordered = x[order]
+    # tie runs: [start, end] positions in sorted order holding equal values
+    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+    ends = np.append(starts[1:], len(x)) - 1
+    ranks = np.empty(len(x))
+    ranks[order] = np.repeat((starts + ends) / 2.0 + 1.0, ends - starts + 1)
     tie_sum = 0.0
-    i = 0
-    while i < len(order):
-        j = i
-        while j + 1 < len(order) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        avg_rank = (i + j) / 2.0 + 1.0
-        for pos in range(i, j + 1):
-            ranks[order[pos]] = avg_rank
-        t = j - i + 1
+    for t in (ends - starts + 1)[ends > starts].tolist():
         tie_sum += t**3 - t
-        i = j + 1
-    return ranks, tie_sum
+    return ranks.tolist(), tie_sum
 
 
 def kruskal_wallis(groups: Sequence[Sequence[float]]) -> TestResult:

@@ -1,6 +1,6 @@
 """Synthetic perioperative event-log generator with planted ground truth.
 
-Emits events.csv / cases.csv in the ingestion schema plus a ground-truth
+Writes events.csv / cases.csv in the ingestion schema plus a ground-truth
 record, so the whole pipeline can be verified end to end without real
 hospital data. The generator plants the documented artifacts: per-phase
 anchor missingness, manual plans quantized to 15-minute multiples with a
@@ -13,10 +13,12 @@ deterministic for a given seed; all draws come from one sequential stream.
 from __future__ import annotations
 
 import csv
-import io
+import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
-from datetime import datetime, timedelta, timezone
+from datetime import datetime, timedelta
+from pathlib import Path
 
 import numpy as np
 
@@ -93,6 +95,10 @@ POSITIONINGS = (
 
 OTHER_EVENT_LABELS = ("pat_einschleusung", "op_freigabe", "naht_dokumentiert")
 
+# local time is UTC+2 from April to October, else UTC+1: (shift from UTC, suffix)
+_SUMMER = (timedelta(hours=2), "+02:00")
+_WINTER = (timedelta(hours=1), "+01:00")
+
 
 def anesthesia_variants(canonical: str) -> list[str]:
     """Canonical term plus every shipped abbreviation that maps to it."""
@@ -150,26 +156,6 @@ class SynthConfig:
             raise ValueError("plan_quantum_min and preparation_sigma must be > 0")
 
 
-@dataclass(frozen=True)
-class GroundTruth:
-    """Per-case planted values plus per-family analytic means."""
-
-    cases: tuple[dict, ...]
-    procedure_family_means: dict[str, float]
-    induction_family_means: dict[str, float]
-    n_cases: int
-    seed: int
-
-    def to_dict(self) -> dict:
-        return {
-            "n_cases": self.n_cases,
-            "seed": self.seed,
-            "procedure_family_means": dict(sorted(self.procedure_family_means.items())),
-            "induction_family_means": dict(sorted(self.induction_family_means.items())),
-            "cases": list(self.cases),
-        }
-
-
 def _pair_presence(rng: np.random.Generator, coverage: float) -> tuple[bool, bool]:
     """Presence of (first, second) anchor of a pair.
 
@@ -199,6 +185,16 @@ def _fmt_minutes(value: float) -> str:
     return str(int(value)) if float(value).is_integer() else repr(float(value))
 
 
+def _local_time(month: int) -> tuple[timedelta, str]:
+    return _SUMMER if 4 <= month <= 10 else _WINTER
+
+
+def _local_isoformat(utc: datetime) -> str:
+    # the offset follows the UTC timestamp's month, not the local one
+    shift, suffix = _local_time(utc.month)
+    return (utc + shift).isoformat() + suffix
+
+
 def _noisy_text(rng: np.random.Generator, text: str) -> str:
     u = rng.random()
     if u < 0.25:
@@ -213,8 +209,28 @@ def _noisy_text(rng: np.random.Generator, text: str) -> str:
     return text
 
 
-def generate_log(cfg: SynthConfig) -> tuple[str, str, GroundTruth]:
-    """Generate (events.csv, cases.csv, ground truth) for the configuration."""
+def _write_csv(path: Path, header: tuple[str, ...], rows) -> None:
+    with path.open("w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _cdf(p) -> list[float]:
+    # numpy's Generator.choice builds this CDF; bisect_right on it is its
+    # searchsorted(side="right"), so one rng.random() draw picks the same index
+    cdf = np.asarray(p, dtype=np.float64).cumsum()
+    cdf /= cdf[-1]
+    return cdf.tolist()
+
+
+def generate_log(cfg: SynthConfig, out: Path) -> None:
+    """Write events.csv, cases.csv and ground_truth.json into the directory ``out``.
+
+    Each case's ground-truth record is written as soon as it is drawn. Events
+    (by UTC timestamp, case id, event type) and case rows (by case id) are
+    sorted, then written.
+    """
     rng = np.random.default_rng(cfg.seed)
     n_fam = cfg.n_procedure_families
     fam_terms = [
@@ -229,7 +245,7 @@ def generate_log(cfg: SynthConfig) -> tuple[str, str, GroundTruth]:
         )
     )
     fam_sigmas = rng.uniform(*cfg.procedure_sigma_range, size=n_fam)
-    fam_weights = rng.dirichlet(np.full(n_fam, 2.0))
+    fam_cdf = _cdf(rng.dirichlet(np.full(n_fam, 2.0)))
     fam_dept = [DEPARTMENTS[i % len(DEPARTMENTS)] for i in range(n_fam)]
     fam_positioning = [POSITIONINGS[i % len(POSITIONINGS)] for i in range(n_fam)]
     variant_templates = PROCEDURE_VARIANT_TEMPLATES[: cfg.synonyms_per_family]
@@ -245,142 +261,146 @@ def generate_log(cfg: SynthConfig) -> tuple[str, str, GroundTruth]:
         )
     )
     anes_sigmas = rng.uniform(*cfg.induction_sigma_range, size=n_anes)
-    anes_weights = rng.dirichlet(np.full(n_anes, 2.0))
+    anes_cdf = _cdf(rng.dirichlet(np.full(n_anes, 2.0)))
+    sex_cdf = _cdf([0.48, 0.48, 0.04])
+    sexes = ("f", "m", "other")
+
+    # python floats: the same doubles as the arrays, without numpy scalar overhead
+    fam_median_list = fam_medians.tolist()
+    fam_log_medians = [math.log(m) for m in fam_median_list]
+    fam_sigma_list = fam_sigmas.tolist()
+    anes_median_list = anes_medians.tolist()
+    anes_log_medians = [math.log(m) for m in anes_median_list]
+    anes_sigma_list = anes_sigmas.tolist()
+    prep_log_medians = [math.log(median) for _, median in fam_positioning]
 
     # positioning info is only usable when both surrounding timestamps exist
     p_complete = _single_presence_rate(cfg.coverage_induction)
     p_incision = _single_presence_rate(cfg.coverage_procedure)
     q_positioning = min(1.0, cfg.coverage_preparation / (p_complete * p_incision))
 
+    # a case's local offset follows the month of its day
     base_day = datetime.fromisoformat(cfg.start_date)
-    events: list[tuple[datetime, str, str]] = []  # (utc timestamp, case_id, type)
-    case_rows: list[dict] = []
-    truth_cases: list[dict] = []
+    day_start = [base_day + timedelta(days=day) for day in range(cfg.horizon_days)]
+    utc_shift = [_local_time(d.month)[0] for d in day_start]
+    # (naive UTC timestamp, case_id, type); tuple order is the file's order
+    events: list[tuple[datetime, str, str]] = []
+    case_rows: list[tuple[str, ...]] = []
+    encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
-    for i in range(cfg.n_cases):
-        case_id = f"W{i + 1:06d}"
-        fam = int(rng.choice(n_fam, p=fam_weights))
-        anes = int(rng.choice(n_anes, p=anes_weights))
-        positioning, prep_median = fam_positioning[fam]
-        department = fam_dept[fam]
-        age = int(np.clip(round(rng.normal(55.0, 18.0)), 18, 95))
-        sex = str(rng.choice(["f", "m", "other"], p=[0.48, 0.48, 0.04]))
+    with (out / "ground_truth.json").open("w", encoding="utf-8") as truth_fh:
+        # sort_keys puts "cases" first, so the per-case records stream out
+        truth_fh.write('{"cases":[')
+        for i in range(cfg.n_cases):
+            case_id = f"W{i + 1:06d}"
+            fam = bisect_right(fam_cdf, rng.random())
+            anes = bisect_right(anes_cdf, rng.random())
+            positioning, _ = fam_positioning[fam]
+            age = min(95, max(18, round(rng.normal(55.0, 18.0))))
+            sex = sexes[bisect_right(sex_cdf, rng.random())]
 
-        ind_sec = max(60, round(60.0 * float(np.exp(rng.normal(math.log(anes_medians[anes]), anes_sigmas[anes])))))
-        prep_sec = max(60, round(60.0 * float(np.exp(rng.normal(math.log(prep_median), cfg.preparation_sigma)))))
-        proc_sec = max(60, round(60.0 * float(np.exp(rng.normal(math.log(fam_medians[fam]), fam_sigmas[fam])))))
+            ind_sec = max(60, round(60.0 * float(np.exp(rng.normal(anes_log_medians[anes], anes_sigma_list[anes])))))
+            prep_sec = max(60, round(60.0 * float(np.exp(rng.normal(prep_log_medians[fam], cfg.preparation_sigma)))))
+            proc_sec = max(60, round(60.0 * float(np.exp(rng.normal(fam_log_medians[fam], fam_sigma_list[fam])))))
 
-        proc_bias = float(np.exp(rng.normal(cfg.proc_plan_bias_mu, cfg.proc_plan_bias_sigma)))
-        if fam_medians[fam] < 30.0:
-            proc_bias *= cfg.short_family_bias
-        proc_plan = _quantize_plan(fam_medians[fam] * proc_bias, cfg.plan_quantum_min)
-        ind_bias = float(np.exp(rng.normal(cfg.ind_plan_bias_mu, cfg.ind_plan_bias_sigma)))
-        ind_plan = _quantize_plan(anes_medians[anes] * ind_bias, cfg.plan_quantum_min)
+            proc_bias = float(np.exp(rng.normal(cfg.proc_plan_bias_mu, cfg.proc_plan_bias_sigma)))
+            if fam_median_list[fam] < 30.0:
+                proc_bias *= cfg.short_family_bias
+            proc_plan = _quantize_plan(fam_median_list[fam] * proc_bias, cfg.plan_quantum_min)
+            ind_bias = float(np.exp(rng.normal(cfg.ind_plan_bias_mu, cfg.ind_plan_bias_sigma)))
+            ind_plan = _quantize_plan(anes_median_list[anes] * ind_bias, cfg.plan_quantum_min)
 
-        has_start, has_complete = _pair_presence(rng, cfg.coverage_induction)
-        has_incision, has_suture = _pair_presence(rng, cfg.coverage_procedure)
-        has_positioning = rng.random() < q_positioning
+            has_start, has_complete = _pair_presence(rng, cfg.coverage_induction)
+            has_incision, has_suture = _pair_presence(rng, cfg.coverage_procedure)
+            has_positioning = rng.random() < q_positioning
 
-        implausible = None
-        emitted_proc_sec = proc_sec
-        draw = rng.random()
-        if has_incision and has_suture and draw < cfg.implausible_rate:
-            if rng.random() < 0.5:
-                emitted_proc_sec = -int(rng.integers(300, 3600))
-                implausible = "negative"
-            else:
-                emitted_proc_sec = proc_sec + int(round(rng.uniform(2.5, 5.0) * 86400))
-                implausible = "multiday"
+            implausible = None
+            emitted_proc_sec = proc_sec
+            draw = rng.random()
+            if has_incision and has_suture and draw < cfg.implausible_rate:
+                if rng.random() < 0.5:
+                    emitted_proc_sec = -int(rng.integers(300, 3600))
+                    implausible = "negative"
+                else:
+                    emitted_proc_sec = proc_sec + int(round(rng.uniform(2.5, 5.0) * 86400))
+                    implausible = "multiday"
 
-        day = int(rng.integers(cfg.horizon_days))
-        minute_of_day = float(rng.uniform(6 * 60, 16 * 60))
-        offset_hours = 2 if 4 <= ((base_day + timedelta(days=day)).month) <= 10 else 1
-        tz = timezone(timedelta(hours=offset_hours))
-        t0 = (base_day + timedelta(days=day, minutes=minute_of_day)).replace(second=0, microsecond=0, tzinfo=tz)
-        t_complete = t0 + timedelta(seconds=ind_sec)
-        t_incision = t_complete + timedelta(seconds=prep_sec)
-        t_suture = t_incision + timedelta(seconds=emitted_proc_sec)
+            day = int(rng.integers(cfg.horizon_days))
+            minute_of_day = rng.uniform(6 * 60, 16 * 60)
+            t0_local = (day_start[day] + timedelta(minutes=minute_of_day)).replace(second=0, microsecond=0)
+            t0 = t0_local - utc_shift[day]
+            t_complete = t0 + timedelta(seconds=ind_sec)
+            t_incision = t_complete + timedelta(seconds=prep_sec)
+            if has_start:
+                events.append((t0, case_id, "anesthesia_start"))
+            if has_complete:
+                events.append((t_complete, case_id, "anesthesia_complete"))
+            if has_incision:
+                events.append((t_incision, case_id, "incision"))
+            if has_suture:
+                events.append((t_incision + timedelta(seconds=emitted_proc_sec), case_id, "suture"))
+            if rng.random() < cfg.other_event_rate:
+                label = OTHER_EVENT_LABELS[rng.integers(len(OTHER_EVENT_LABELS))]
+                events.append((t0 - timedelta(minutes=rng.uniform(5.0, 25.0)), case_id, label))
 
-        if has_start:
-            events.append((t0.astimezone(timezone.utc), case_id, "anesthesia_start"))
-        if has_complete:
-            events.append((t_complete.astimezone(timezone.utc), case_id, "anesthesia_complete"))
-        if has_incision:
-            events.append((t_incision.astimezone(timezone.utc), case_id, "incision"))
-        if has_suture:
-            events.append((t_suture.astimezone(timezone.utc), case_id, "suture"))
-        if rng.random() < cfg.other_event_rate:
-            label = str(rng.choice(OTHER_EVENT_LABELS))
-            t_other = t0 - timedelta(minutes=float(rng.uniform(5.0, 25.0)))
-            events.append((t_other.astimezone(timezone.utc), case_id, label))
+            attrs_present = rng.random() >= cfg.attrs_missing_rate
+            template = variant_templates[int(rng.integers(len(variant_templates)))]
+            procedure_text = _noisy_text(rng, template.format(t=fam_terms[fam]))
+            surfaces = anes_surfaces[anes]
+            anesthesia_text = _noisy_text(rng, surfaces[int(rng.integers(len(surfaces)))])
+            if attrs_present:
+                case_rows.append(
+                    (
+                        case_id,
+                        fam_dept[fam],
+                        str(age),
+                        sex,
+                        procedure_text,
+                        anesthesia_text,
+                        positioning if has_positioning else "",
+                        _fmt_minutes(ind_plan),
+                        _fmt_minutes(proc_plan),
+                    )
+                )
 
-        attrs_present = rng.random() >= cfg.attrs_missing_rate
-        template = variant_templates[int(rng.integers(len(variant_templates)))]
-        procedure_text = _noisy_text(rng, template.format(t=fam_terms[fam]))
-        surfaces = anes_surfaces[anes]
-        anesthesia_text = _noisy_text(rng, surfaces[int(rng.integers(len(surfaces)))])
-        if attrs_present:
-            case_rows.append(
-                {
-                    "case_id": case_id,
-                    "department": department,
-                    "age": str(age),
-                    "sex": sex,
-                    "procedure_text": procedure_text,
-                    "anesthesia_text": anesthesia_text,
-                    "positioning_text": positioning if has_positioning else "",
-                    "planned_induction_min": _fmt_minutes(ind_plan),
-                    "planned_procedure_min": _fmt_minutes(proc_plan),
-                }
+            if i:
+                truth_fh.write(",")
+            truth_fh.write(
+                encode(
+                    {
+                        "case_id": case_id,
+                        "procedure_family": fam,
+                        "anesthesia_family": anes,
+                        "positioning": positioning,
+                        "induction_min": ind_sec / 60.0,
+                        "preparation_min": prep_sec / 60.0,
+                        "procedure_min": emitted_proc_sec / 60.0,
+                        "planned_induction_min": ind_plan,
+                        "planned_procedure_min": proc_plan,
+                        "has_anchors": {
+                            "anesthesia_start": has_start,
+                            "anesthesia_complete": has_complete,
+                            "incision": has_incision,
+                            "suture": has_suture,
+                        },
+                        "has_positioning_info": has_positioning,
+                        "attrs_present": attrs_present,
+                        "implausible": implausible,
+                    }
+                )
             )
-
-        truth_cases.append(
-            {
-                "case_id": case_id,
-                "procedure_family": fam,
-                "anesthesia_family": anes,
-                "positioning": positioning,
-                "induction_min": ind_sec / 60.0,
-                "preparation_min": prep_sec / 60.0,
-                "procedure_min": emitted_proc_sec / 60.0,
-                "planned_induction_min": ind_plan,
-                "planned_procedure_min": proc_plan,
-                "has_anchors": {
-                    "anesthesia_start": has_start,
-                    "anesthesia_complete": has_complete,
-                    "incision": has_incision,
-                    "suture": has_suture,
-                },
-                "has_positioning_info": has_positioning,
-                "attrs_present": attrs_present,
-                "implausible": implausible,
-            }
+        procedure_means = {
+            str(f): float(fam_medians[f] * math.exp(fam_sigmas[f] ** 2 / 2.0)) for f in range(n_fam)
+        }
+        induction_means = {
+            str(a): float(anes_medians[a] * math.exp(anes_sigmas[a] ** 2 / 2.0)) for a in range(n_anes)
+        }
+        truth_fh.write(
+            f'],"induction_family_means":{encode(induction_means)},"n_cases":{cfg.n_cases},'
+            f'"procedure_family_means":{encode(procedure_means)},"seed":{cfg.seed}}}\n'
         )
 
-    events.sort(key=lambda e: (e[0], e[1], e[2]))
-    events_buf = io.StringIO()
-    writer = csv.writer(events_buf, lineterminator="\n")
-    writer.writerow(EVENTS_HEADER)
-    for ts, case_id, event_type in events:
-        offset_hours = 2 if 4 <= ts.month <= 10 else 1
-        local = ts.astimezone(timezone(timedelta(hours=offset_hours)))
-        writer.writerow([case_id, event_type, local.isoformat()])
-
-    cases_buf = io.StringIO()
-    writer = csv.writer(cases_buf, lineterminator="\n")
-    writer.writerow(CASES_HEADER)
-    for row in sorted(case_rows, key=lambda r: r["case_id"]):
-        writer.writerow([row[k] for k in CASES_HEADER])
-
-    truth = GroundTruth(
-        cases=tuple(truth_cases),
-        procedure_family_means={
-            str(f): float(fam_medians[f] * math.exp(fam_sigmas[f] ** 2 / 2.0)) for f in range(n_fam)
-        },
-        induction_family_means={
-            str(a): float(anes_medians[a] * math.exp(anes_sigmas[a] ** 2 / 2.0)) for a in range(n_anes)
-        },
-        n_cases=cfg.n_cases,
-        seed=cfg.seed,
-    )
-    return events_buf.getvalue(), cases_buf.getvalue(), truth
+    events.sort()
+    _write_csv(out / "events.csv", EVENTS_HEADER, ((c, e, _local_isoformat(ts)) for ts, c, e in events))
+    case_rows.sort()
+    _write_csv(out / "cases.csv", CASES_HEADER, case_rows)

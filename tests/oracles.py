@@ -3,9 +3,29 @@ internals: they evaluate the documented formulas directly and exist only to
 cross-check the real implementations.
 """
 
+import csv
+import io
+import json
 import math
+from datetime import datetime, timedelta, timezone
 
 import numpy as np
+
+from periop.eventlog import CASES_HEADER, EVENTS_HEADER
+from periop.synthgen import (
+    ANESTHESIA_CANONICALS,
+    DEPARTMENTS,
+    OTHER_EVENT_LABELS,
+    POSITIONINGS,
+    PROCEDURE_TERMS,
+    PROCEDURE_VARIANT_TEMPLATES,
+    _fmt_minutes,
+    _noisy_text,
+    _pair_presence,
+    _quantize_plan,
+    _single_presence_rate,
+    anesthesia_variants,
+)
 
 
 def tfidf_dense(corpus, max_terms=None):
@@ -204,3 +224,213 @@ def tree_predict_slow(node, X):
 
     walk(node, np.arange(X.shape[0]))
     return out
+
+
+def anova_f_slow(groups):
+    """One-way ANOVA F statistic, recomputing each group mean per value."""
+    data = [[float(v) for v in g] for g in groups]
+    n_total = sum(len(g) for g in data)
+    k = len(data)
+    grand = sum(sum(g) for g in data) / n_total
+    ssb = sum(len(g) * (sum(g) / len(g) - grand) ** 2 for g in data)
+    ssw = sum(sum((v - sum(g) / len(g)) ** 2 for v in g) for g in data)
+    return (ssb / float(k - 1)) / (ssw / float(n_total - k))
+
+
+def midranks_slow(values):
+    """Average ranks for ties plus the tie-correction sum of (t^3 - t)."""
+    order = sorted(range(len(values)), key=lambda i: values[i])
+    ranks = [0.0] * len(values)
+    tie_sum = 0.0
+    i = 0
+    while i < len(order):
+        j = i
+        while j + 1 < len(order) and values[order[j + 1]] == values[order[i]]:
+            j += 1
+        avg_rank = (i + j) / 2.0 + 1.0
+        for pos in range(i, j + 1):
+            ranks[order[pos]] = avg_rank
+        t = j - i + 1
+        tie_sum += t**3 - t
+        i = j + 1
+    return ranks, tie_sum
+
+
+# The per-case helpers and vocabularies come from periop.synthgen; only the
+# draw loop and the in-memory output assembly are the reference here.
+def generate_log_slow(cfg):
+    """The generator's first version, which built each output in memory.
+
+    Returns the bytes of (events.csv, cases.csv, ground_truth.json) as text,
+    as the command line wrote them.
+    """
+    rng = np.random.default_rng(cfg.seed)
+    n_fam = cfg.n_procedure_families
+    fam_terms = [
+        PROCEDURE_TERMS[i] if i < len(PROCEDURE_TERMS) else f"eingriff{i:02d}"
+        for i in range(n_fam)
+    ]
+    fam_medians = np.exp(
+        rng.uniform(
+            math.log(cfg.procedure_median_range[0]),
+            math.log(cfg.procedure_median_range[1]),
+            size=n_fam,
+        )
+    )
+    fam_sigmas = rng.uniform(*cfg.procedure_sigma_range, size=n_fam)
+    fam_weights = rng.dirichlet(np.full(n_fam, 2.0))
+    fam_dept = [DEPARTMENTS[i % len(DEPARTMENTS)] for i in range(n_fam)]
+    fam_positioning = [POSITIONINGS[i % len(POSITIONINGS)] for i in range(n_fam)]
+    variant_templates = PROCEDURE_VARIANT_TEMPLATES[: cfg.synonyms_per_family]
+
+    n_anes = cfg.n_anesthesia_families
+    anes_canon = ANESTHESIA_CANONICALS[:n_anes]
+    anes_surfaces = [anesthesia_variants(c) for c in anes_canon]
+    anes_medians = np.exp(
+        rng.uniform(
+            math.log(cfg.induction_median_range[0]),
+            math.log(cfg.induction_median_range[1]),
+            size=n_anes,
+        )
+    )
+    anes_sigmas = rng.uniform(*cfg.induction_sigma_range, size=n_anes)
+    anes_weights = rng.dirichlet(np.full(n_anes, 2.0))
+
+    # positioning info is only usable when both surrounding timestamps exist
+    p_complete = _single_presence_rate(cfg.coverage_induction)
+    p_incision = _single_presence_rate(cfg.coverage_procedure)
+    q_positioning = min(1.0, cfg.coverage_preparation / (p_complete * p_incision))
+
+    base_day = datetime.fromisoformat(cfg.start_date)
+    events: list[tuple[datetime, str, str]] = []  # (utc timestamp, case_id, type)
+    case_rows: list[dict] = []
+    truth_cases: list[dict] = []
+
+    for i in range(cfg.n_cases):
+        case_id = f"W{i + 1:06d}"
+        fam = int(rng.choice(n_fam, p=fam_weights))
+        anes = int(rng.choice(n_anes, p=anes_weights))
+        positioning, prep_median = fam_positioning[fam]
+        department = fam_dept[fam]
+        age = int(np.clip(round(rng.normal(55.0, 18.0)), 18, 95))
+        sex = str(rng.choice(["f", "m", "other"], p=[0.48, 0.48, 0.04]))
+
+        ind_sec = max(60, round(60.0 * float(np.exp(rng.normal(math.log(anes_medians[anes]), anes_sigmas[anes])))))
+        prep_sec = max(60, round(60.0 * float(np.exp(rng.normal(math.log(prep_median), cfg.preparation_sigma)))))
+        proc_sec = max(60, round(60.0 * float(np.exp(rng.normal(math.log(fam_medians[fam]), fam_sigmas[fam])))))
+
+        proc_bias = float(np.exp(rng.normal(cfg.proc_plan_bias_mu, cfg.proc_plan_bias_sigma)))
+        if fam_medians[fam] < 30.0:
+            proc_bias *= cfg.short_family_bias
+        proc_plan = _quantize_plan(fam_medians[fam] * proc_bias, cfg.plan_quantum_min)
+        ind_bias = float(np.exp(rng.normal(cfg.ind_plan_bias_mu, cfg.ind_plan_bias_sigma)))
+        ind_plan = _quantize_plan(anes_medians[anes] * ind_bias, cfg.plan_quantum_min)
+
+        has_start, has_complete = _pair_presence(rng, cfg.coverage_induction)
+        has_incision, has_suture = _pair_presence(rng, cfg.coverage_procedure)
+        has_positioning = rng.random() < q_positioning
+
+        implausible = None
+        emitted_proc_sec = proc_sec
+        draw = rng.random()
+        if has_incision and has_suture and draw < cfg.implausible_rate:
+            if rng.random() < 0.5:
+                emitted_proc_sec = -int(rng.integers(300, 3600))
+                implausible = "negative"
+            else:
+                emitted_proc_sec = proc_sec + int(round(rng.uniform(2.5, 5.0) * 86400))
+                implausible = "multiday"
+
+        day = int(rng.integers(cfg.horizon_days))
+        minute_of_day = float(rng.uniform(6 * 60, 16 * 60))
+        offset_hours = 2 if 4 <= ((base_day + timedelta(days=day)).month) <= 10 else 1
+        tz = timezone(timedelta(hours=offset_hours))
+        t0 = (base_day + timedelta(days=day, minutes=minute_of_day)).replace(second=0, microsecond=0, tzinfo=tz)
+        t_complete = t0 + timedelta(seconds=ind_sec)
+        t_incision = t_complete + timedelta(seconds=prep_sec)
+        t_suture = t_incision + timedelta(seconds=emitted_proc_sec)
+
+        if has_start:
+            events.append((t0.astimezone(timezone.utc), case_id, "anesthesia_start"))
+        if has_complete:
+            events.append((t_complete.astimezone(timezone.utc), case_id, "anesthesia_complete"))
+        if has_incision:
+            events.append((t_incision.astimezone(timezone.utc), case_id, "incision"))
+        if has_suture:
+            events.append((t_suture.astimezone(timezone.utc), case_id, "suture"))
+        if rng.random() < cfg.other_event_rate:
+            label = str(rng.choice(OTHER_EVENT_LABELS))
+            t_other = t0 - timedelta(minutes=float(rng.uniform(5.0, 25.0)))
+            events.append((t_other.astimezone(timezone.utc), case_id, label))
+
+        attrs_present = rng.random() >= cfg.attrs_missing_rate
+        template = variant_templates[int(rng.integers(len(variant_templates)))]
+        procedure_text = _noisy_text(rng, template.format(t=fam_terms[fam]))
+        surfaces = anes_surfaces[anes]
+        anesthesia_text = _noisy_text(rng, surfaces[int(rng.integers(len(surfaces)))])
+        if attrs_present:
+            case_rows.append(
+                {
+                    "case_id": case_id,
+                    "department": department,
+                    "age": str(age),
+                    "sex": sex,
+                    "procedure_text": procedure_text,
+                    "anesthesia_text": anesthesia_text,
+                    "positioning_text": positioning if has_positioning else "",
+                    "planned_induction_min": _fmt_minutes(ind_plan),
+                    "planned_procedure_min": _fmt_minutes(proc_plan),
+                }
+            )
+
+        truth_cases.append(
+            {
+                "case_id": case_id,
+                "procedure_family": fam,
+                "anesthesia_family": anes,
+                "positioning": positioning,
+                "induction_min": ind_sec / 60.0,
+                "preparation_min": prep_sec / 60.0,
+                "procedure_min": emitted_proc_sec / 60.0,
+                "planned_induction_min": ind_plan,
+                "planned_procedure_min": proc_plan,
+                "has_anchors": {
+                    "anesthesia_start": has_start,
+                    "anesthesia_complete": has_complete,
+                    "incision": has_incision,
+                    "suture": has_suture,
+                },
+                "has_positioning_info": has_positioning,
+                "attrs_present": attrs_present,
+                "implausible": implausible,
+            }
+        )
+
+    events.sort(key=lambda e: (e[0], e[1], e[2]))
+    events_buf = io.StringIO()
+    writer = csv.writer(events_buf, lineterminator="\n")
+    writer.writerow(EVENTS_HEADER)
+    for ts, case_id, event_type in events:
+        offset_hours = 2 if 4 <= ts.month <= 10 else 1
+        local = ts.astimezone(timezone(timedelta(hours=offset_hours)))
+        writer.writerow([case_id, event_type, local.isoformat()])
+
+    cases_buf = io.StringIO()
+    writer = csv.writer(cases_buf, lineterminator="\n")
+    writer.writerow(CASES_HEADER)
+    for row in sorted(case_rows, key=lambda r: r["case_id"]):
+        writer.writerow([row[k] for k in CASES_HEADER])
+
+    truth = {
+        "cases": list(truth_cases),
+        "procedure_family_means": {
+            str(f): float(fam_medians[f] * math.exp(fam_sigmas[f] ** 2 / 2.0)) for f in range(n_fam)
+        },
+        "induction_family_means": {
+            str(a): float(anes_medians[a] * math.exp(anes_sigmas[a] ** 2 / 2.0)) for a in range(n_anes)
+        },
+        "n_cases": cfg.n_cases,
+        "seed": cfg.seed,
+    }
+    truth_json = json.dumps(truth, sort_keys=True, separators=(",", ":")) + "\n"
+    return events_buf.getvalue(), cases_buf.getvalue(), truth_json

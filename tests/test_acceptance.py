@@ -22,7 +22,7 @@ from periop.encoding import target_encode_fit
 from periop.eventlog import Case, CaseAttributes, PhaseDurations, parse_case_attributes
 from periop.models import Dataset, make_model
 from periop.stats import anova_f_test, kruskal_wallis, reg_inc_beta, reg_inc_gamma_P, welch_t_test
-from periop.synthgen import SynthConfig, generate_log
+from periop.synthgen import SynthConfig
 from periop.textnorm import (
     DEFAULT_STEM_SUFFIXES,
     NormalizationRules,
@@ -32,6 +32,7 @@ from periop.textnorm import (
     stack_dense,
     vectorize,
 )
+from synth_files import synth_texts
 
 SEED = 7
 E2E_RUNTIME_BUDGET_S = 120.0
@@ -124,7 +125,7 @@ def test_criterion_2_monotonicity():
         ds = Dataset(X=rng.normal(size=(70, 3)), y=rng.uniform(5, 150, size=70))
         lr = float(rng.uniform(0.05, 1.0))
         gbm = make_model(
-            "gbm", {"n_trees": 20, "learning_rate": lr, "max_depth": 3, "min_leaf": 2, "seed": seed}
+            "gbm", {"n_trees": 20, "learning_rate": lr, "max_depth": 3, "min_leaf": 2}
         ).fit(ds)
         gbm_ok &= all(b <= a + 1e-9 for a, b in zip(gbm.stage_mse_, gbm.stage_mse_[1:]))
     report(
@@ -308,7 +309,7 @@ def test_criterion_7_determinism(e2e, tmp_path_factory):
 
 def test_criterion_6_normalization_effect():
     cfg = SynthConfig(n_cases=400, seed=5, n_anesthesia_families=4)
-    _, cases_csv, _ = generate_log(cfg)
+    _, cases_csv, _ = synth_texts(cfg)
     attrs, _ = parse_case_attributes(cases_csv.encode(), strict=False)
     texts = [a.anesthesia_text for a in attrs]
 

@@ -314,7 +314,7 @@ def test_gbm_stagewise_loss_non_increasing():
         rng = np.random.default_rng(200 + seed)
         ds = dataset(rng.normal(size=(60, 3)), rng.uniform(0, 100, size=60))
         model = make_model(
-            "gbm", {"n_trees": 25, "learning_rate": 0.3, "max_depth": 3, "min_leaf": 2, "seed": seed}
+            "gbm", {"n_trees": 25, "learning_rate": 0.3, "max_depth": 3, "min_leaf": 2}
         ).fit(ds)
         trace = model.stage_mse_
         assert all(b <= a + 1e-9 for a, b in zip(trace, trace[1:]))
@@ -337,7 +337,7 @@ def test_gbm_learning_rate_validation():
         lambda ds: make_model("tree", {"max_depth": 4, "min_leaf": 2}).fit(ds),
         lambda ds: make_model("forest", {"n_trees": 5, "max_depth": 3, "min_leaf": 2, "seed": 1}).fit(ds),
         lambda ds: make_model(
-            "gbm", {"n_trees": 8, "learning_rate": 0.2, "max_depth": 2, "min_leaf": 2, "seed": 1}
+            "gbm", {"n_trees": 8, "learning_rate": 0.2, "max_depth": 2, "min_leaf": 2}
         ).fit(ds),
     ],
 )
@@ -363,6 +363,17 @@ def test_gbm_stage_mse_round_trips():
     assert model_from_dict(obj).stage_mse_ == model.stage_mse_
     del obj["stage_mse"]  # model files without the trace read as empty
     assert model_from_dict(obj).stage_mse_ == ()
+
+
+def test_gbm_file_with_seed_key_loads_and_predicts_the_same():
+    # older versions stored an unused "seed" in every GBM model
+    ds = linear_dataset(n=40, seed=7, noise=3.0)
+    model = make_model("gbm", {"n_trees": 8, "learning_rate": 0.2, "max_depth": 2, "min_leaf": 2}).fit(ds)
+    obj = model.to_dict()
+    assert "seed" not in obj
+    clone = model_from_dict({**obj, "seed": 11})
+    assert "seed" not in clone.to_dict()
+    assert np.array_equal(clone.predict(ds.X), model.predict(ds.X))
 
 
 @pytest.mark.parametrize(

@@ -6,8 +6,12 @@ import pytest
 import scipy.integrate
 import scipy.special
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import anova_f_slow, midranks_slow
 from periop.stats import (
+    _midranks,
     anova_f_test,
     factor_report,
     kruskal_wallis,
@@ -187,6 +191,28 @@ def test_anova_errors():
         anova_f_test([[1.0, 1.0], [1.0, 1.0]])  # zero within-group variance
     with pytest.raises(ValueError):
         anova_f_test([[1.0], [2.0]])  # n == number of groups
+
+
+# small integers force ties; -0.0 and 0.0 tie as well
+TIED_VALUES = st.one_of(
+    st.integers(-3, 3).map(float),
+    st.sampled_from([-0.0, 0.0, 0.1]),
+    st.floats(-1e6, 1e6, allow_nan=False),
+)
+GROUPS = st.lists(st.lists(TIED_VALUES, min_size=1, max_size=30), min_size=2, max_size=5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(groups=GROUPS)
+def test_anova_and_midranks_equal_the_per_value_loops(groups):
+    pooled = [v for g in groups for v in g]
+    assert _midranks(pooled) == midranks_slow(pooled)
+    if len(pooled) > len(groups):
+        try:
+            result = anova_f_test(groups)
+        except ValueError:  # zero within-group variance
+            return
+        assert result.statistic == anova_f_slow(groups)
 
 
 # --- Kruskal-Wallis ---------------------------------------------------------

@@ -1,17 +1,24 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from periop.cleaning import plausibility_filter
 from periop.eventlog import assemble_cases, parse_case_attributes, parse_events
-from periop.synthgen import SynthConfig, anesthesia_variants, generate_log
+from oracles import generate_log_slow
+from periop.synthgen import SynthConfig, anesthesia_variants
 from periop.textnorm import DEFAULT_SYNONYMS
+from synth_files import synth_texts
 
 CFG = SynthConfig(n_cases=3000, seed=21)
 
 
 @pytest.fixture(scope="module")
 def generated():
-    events_csv, cases_csv, truth = generate_log(CFG)
+    events_csv, cases_csv, truth_json = synth_texts(CFG)
+    truth = json.loads(truth_json)
     events, event_errors = parse_events(events_csv.encode(), strict=False)
     attrs, attr_errors = parse_case_attributes(cases_csv.encode(), strict=False)
     assert event_errors == [] and attr_errors == []
@@ -21,29 +28,29 @@ def generated():
 
 def test_same_seed_byte_identical():
     cfg = SynthConfig(n_cases=300, seed=4)
-    first = generate_log(cfg)
-    second = generate_log(cfg)
+    first = synth_texts(cfg)
+    second = synth_texts(cfg)
     assert first[0] == second[0]
     assert first[1] == second[1]
-    assert first[2].to_dict() == second[2].to_dict()
+    assert json.loads(first[2]) == json.loads(second[2])
 
 
 def test_different_seed_differs():
-    a = generate_log(SynthConfig(n_cases=300, seed=1))[0]
-    b = generate_log(SynthConfig(n_cases=300, seed=2))[0]
+    a = synth_texts(SynthConfig(n_cases=300, seed=1))[0]
+    b = synth_texts(SynthConfig(n_cases=300, seed=2))[0]
     assert a != b
 
 
 def test_anchor_coverage_rates(generated):
     _, _, truth, _, _ = generated
-    anchors = [t["has_anchors"] for t in truth.cases]
+    anchors = [t["has_anchors"] for t in truth["cases"]]
     n = len(anchors)
     proc = sum(1 for a in anchors if a["incision"] and a["suture"]) / n
     ind = sum(1 for a in anchors if a["anesthesia_start"] and a["anesthesia_complete"]) / n
     prep = (
         sum(
             1
-            for t in truth.cases
+            for t in truth["cases"]
             if t["has_anchors"]["anesthesia_complete"]
             and t["has_anchors"]["incision"]
             and t["has_positioning_info"]
@@ -80,7 +87,7 @@ def test_phase_sum_identity_on_full_cases(generated):
 
 def test_emitted_durations_match_ground_truth(generated):
     _, _, truth, _, cases = generated
-    truth_by_id = {t["case_id"]: t for t in truth.cases}
+    truth_by_id = {t["case_id"]: t for t in truth["cases"]}
     compared = 0
     for case in cases:
         t = truth_by_id[case.case_id]
@@ -95,10 +102,10 @@ def test_emitted_durations_match_ground_truth(generated):
 def test_implausible_records_are_planted_and_filtered(generated):
     _, _, truth, _, cases = generated
     flagged = {
-        t["case_id"]: t["implausible"] for t in truth.cases if t["implausible"] is not None
+        t["case_id"]: t["implausible"] for t in truth["cases"] if t["implausible"] is not None
     }
     assert flagged, "expected some implausible records at the default rate"
-    truth_by_id = {t["case_id"]: t for t in truth.cases}
+    truth_by_id = {t["case_id"]: t for t in truth["cases"]}
     for case_id, kind in flagged.items():
         value = truth_by_id[case_id]["procedure_min"]
         assert value < 0 if kind == "negative" else value > 48 * 60
@@ -112,7 +119,7 @@ def test_implausible_records_are_planted_and_filtered(generated):
 def test_family_means_converge(generated):
     _, _, truth, _, _ = generated
     samples: dict[str, list[float]] = {}
-    for t in truth.cases:
+    for t in truth["cases"]:
         if t["implausible"] is None:
             samples.setdefault(str(t["procedure_family"]), []).append(t["procedure_min"])
     for family, values in samples.items():
@@ -120,7 +127,7 @@ def test_family_means_converge(generated):
             continue
         arr = np.asarray(values)
         se = arr.std(ddof=1) / np.sqrt(len(arr))
-        assert abs(arr.mean() - truth.procedure_family_means[family]) < 5 * se + 0.5
+        assert abs(arr.mean() - truth["procedure_family_means"][family]) < 5 * se + 0.5
 
 
 def test_texts_carry_family_variants(generated):
@@ -155,3 +162,22 @@ def test_config_validation():
         SynthConfig(n_anesthesia_families=99)
     with pytest.raises(ValueError):
         SynthConfig(synonyms_per_family=0)
+
+
+RATES = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0))
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    n_cases=st.integers(100, 3000),
+    seed=st.integers(0, 2**32 - 1),
+    n_procedure_families=st.integers(1, 40),
+    n_anesthesia_families=st.integers(1, 5),
+    synonyms_per_family=st.integers(1, 6),
+    implausible_rate=RATES,
+    attrs_missing_rate=RATES,
+    other_event_rate=RATES,
+)
+def test_files_equal_the_in_memory_generator(**params):
+    cfg = SynthConfig(**params)
+    assert synth_texts(cfg) == generate_log_slow(cfg)
