@@ -21,15 +21,6 @@ REMOVAL_REASONS = ("missing", "negative_or_zero", "excessive", "iqr_low", "iqr_h
 T = TypeVar("T")
 
 
-@dataclass(frozen=True)
-class IqrConfig:
-    multiplier: float = 1.5
-
-    def __post_init__(self) -> None:
-        if not self.multiplier > 0:
-            raise ValueError("multiplier must be > 0")
-
-
 @dataclass
 class CleaningReport:
     """Removal counts by reason plus the retained count; sums to the input size."""
@@ -80,16 +71,18 @@ class IqrResult:
         return self.removed_low + self.removed_high
 
 
-def iqr_filter(samples: Sequence[tuple[T, float]], cfg: IqrConfig = IqrConfig()) -> IqrResult:
+def iqr_filter(samples: Sequence[tuple[T, float]], multiplier: float = 1.5) -> IqrResult:
     """Keep (id, value) pairs with Q1 - m*IQR <= value <= Q3 + m*IQR."""
+    if not multiplier > 0:
+        raise ValueError("multiplier must be > 0")
     if len(samples) < 4:
         raise ValueError(f"IQR filter needs at least 4 samples, got {len(samples)}")
     values = [v for _, v in samples]
     q1 = quantile(values, 0.25)
     q3 = quantile(values, 0.75)
     iqr = q3 - q1
-    lo = q1 - cfg.multiplier * iqr
-    hi = q3 + cfg.multiplier * iqr
+    lo = q1 - multiplier * iqr
+    hi = q3 + multiplier * iqr
     retained, removed_low, removed_high = [], [], []
     for item in samples:
         v = item[1]
@@ -128,7 +121,7 @@ def plausibility_filter(
 def clean_phase(
     cases: Iterable[Case],
     phase: str,
-    cfg: IqrConfig = IqrConfig(),
+    multiplier: float = 1.5,
     max_minutes: float = MAX_PLAUSIBLE_MINUTES,
     by_department: bool = False,
 ) -> tuple[list[Case], CleaningReport]:
@@ -142,12 +135,11 @@ def clean_phase(
     if not plausible:
         return plausible, report
 
-    def run_iqr(group: list[Case]) -> list[Case]:
-        samples = [(c, c.durations.get(phase)) for c in group]
-        result = iqr_filter(samples, cfg)
+    def run_iqr(group: list[Case]) -> IqrResult:
+        result = iqr_filter([(c, c.durations.get(phase)) for c in group], multiplier)
         report.counts["iqr_low"] += len(result.removed_low)
         report.counts["iqr_high"] += len(result.removed_high)
-        return [c for c, _ in result.retained]
+        return result
 
     if by_department:
         groups: dict[str, list[Case]] = {}
@@ -156,16 +148,11 @@ def clean_phase(
         kept_ids = set()
         for dept in sorted(groups):
             group = groups[dept]
-            kept = group if len(group) < 4 else run_iqr(group)
+            kept = group if len(group) < 4 else [c for c, _ in run_iqr(group).retained]
             kept_ids.update(id(c) for c in kept)
         retained = [c for c in plausible if id(c) in kept_ids]
     else:
-        if len(plausible) < 4:
-            raise ValueError("IQR filter needs at least 4 plausible cases")
-        samples = [(c, c.durations.get(phase)) for c in plausible]
-        result = iqr_filter(samples, cfg)
-        report.counts["iqr_low"] += len(result.removed_low)
-        report.counts["iqr_high"] += len(result.removed_high)
+        result = run_iqr(plausible)
         report.bounds = result.bounds
         retained = [c for c, _ in result.retained]
 

@@ -90,14 +90,14 @@ def _case_to_row(case: Case) -> dict:
         **{k: getattr(case.attributes, k) for k in CASES_HEADER},
         **{k: getattr(case.durations, k) for k in _DURATION_FIELDS},
         "duplicate_anchors": list(case.duplicate_anchors),
-        "n_events": len(case.events),
+        "n_events": case.n_events,
     }
 
 
 def _case_from_row(row: dict) -> Case:
     return Case(
         attributes=CaseAttributes(*[row[k] for k in CASES_HEADER]),
-        events=(),
+        n_events=row["n_events"],
         durations=PhaseDurations(*[row[k] for k in _DURATION_FIELDS]),
         duplicate_anchors=tuple(row.get("duplicate_anchors", ())),
     )
@@ -234,7 +234,7 @@ def stage_clean(cfg: PipelineConfig) -> None:
         retained, report = cleaning.clean_phase(
             cases,
             phase,
-            cfg=cleaning.IqrConfig(multiplier=cfg.iqr_multiplier),
+            multiplier=cfg.iqr_multiplier,
             max_minutes=cfg.max_duration_min,
             by_department=cfg.iqr_per_department,
         )
@@ -272,12 +272,8 @@ def stage_cluster(cfg: PipelineConfig) -> None:
             )
         else:
             best_k = ks[0]
-        if algo == "kmeans":
-            model = clustering.kmeans_fit(X_train, best_k, seed=seed + best_k)
-        elif algo == "gmm":
-            model = clustering.gmm_fit(X_train, best_k, seed=seed + best_k)
-        else:
-            raise UsageError(f"unknown clustering algorithm: {algo!r}")
+        fit = clustering.kmeans_fit if algo == "kmeans" else clustering.gmm_fit  # config checked algo
+        model = fit(X_train, best_k, seed=seed + best_k)
         labels = clustering.cluster_assign(model, X_all).labels
 
         _write_json(out / f"tfidf_{phase}.json", model_tfidf.to_dict())
@@ -533,7 +529,7 @@ def stage_predict(cfg: PipelineConfig, dest: str | None, apply_floors: bool) -> 
     labels = clustering.cluster_assign(cluster_model, X_text).labels
     assignments = {a.case_id: int(l) for a, l in zip(attrs, labels)}
 
-    preds = _bundle_predict(bundle_path, bundle, assignments, [Case(attributes=a, events=()) for a in attrs])
+    preds = _bundle_predict(bundle_path, bundle, assignments, [Case(attributes=a) for a in attrs])
     if apply_floors:
         floors = {"induction": cfg.planning_floor_induction}
         preds = np.array([evaluate.apply_planning_floor(p, phase, floors) for p in preds])

@@ -126,6 +126,14 @@ def _sq_dist_to(X: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return np.maximum(d2, 0.0)
 
 
+def _distinct_distances(rows: np.ndarray) -> np.ndarray:
+    # (m, m) Euclidean distances between distinct rows; each row is exactly 0
+    # from itself, where the Gram form leaves a rounding residue
+    dist = np.sqrt(_sq_dist_to(rows, rows))
+    np.fill_diagonal(dist, 0.0)
+    return dist
+
+
 def _kmeanspp_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     n = X.shape[0]
     centers = np.empty((k, X.shape[1]))
@@ -384,7 +392,7 @@ def silhouette(X: Union[np.ndarray, Sequence], labels: Sequence[int]) -> float:
         raise ValueError("silhouette requires at least 2 clusters")
     distinct, inverse = _distinct_rows(X)
     counts = _label_counts(inverse, codes, distinct.shape[0], uniq.size)
-    return _silhouette_of_counts(np.sqrt(_sq_dist_to(distinct, distinct)), counts)
+    return _silhouette_of_counts(_distinct_distances(distinct), counts)
 
 
 def select_k(
@@ -424,7 +432,7 @@ def select_k(
     distinct, inverse = _distinct_rows(X)
     n_distinct = distinct.shape[0]
     scored, rows = np.unique(inverse[idx], return_inverse=True)  # distinct rows of the sample
-    dist = np.sqrt(_sq_dist_to(distinct[scored], distinct[scored]))
+    dist = _distinct_distances(distinct[scored])
     scores: dict[int, float] = {}
     best_k, best_score = None, -math.inf
     for k in ks:

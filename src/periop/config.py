@@ -78,6 +78,15 @@ class PipelineConfig:
             raise UsageError("test_fraction must be in (0, 1)")
         if not 0 < self.tolerance:
             raise UsageError("tolerance must be > 0")
+        if not 0 < self.iqr_multiplier:
+            raise UsageError("iqr_multiplier must be > 0")
+        for key in ("cluster_algo", "cluster_k"):
+            for phase in getattr(self, key):
+                if phase not in PHASES:
+                    raise UsageError(f"config key '{key}.{phase}': unknown phase")
+        for phase, algo in self.cluster_algo.items():
+            if algo not in ("kmeans", "gmm"):
+                raise UsageError(f"config key 'cluster_algo.{phase}': unknown algorithm {algo!r}")
         if self.group_by not in ("cluster", "exact-name"):
             raise UsageError(f"unknown group_by: {self.group_by!r}")
         for name in self.models:

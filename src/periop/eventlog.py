@@ -18,7 +18,7 @@ import io
 import json
 import math
 import re
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from typing import IO, Callable, Iterable, Iterator, NamedTuple, TypeVar, Union
 
@@ -67,8 +67,7 @@ class RecordError:
     message: str
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
     """One timestamped log record. Unknown event types pass through as-is."""
 
     case_id: str
@@ -120,10 +119,10 @@ class PhaseDurations:
 
 @dataclass(frozen=True)
 class Case:
-    """An assembled workflow: attributes, time-sorted events and durations."""
+    """An assembled workflow: attributes, event count and phase durations."""
 
     attributes: CaseAttributes
-    events: tuple[Event, ...]
+    n_events: int = 0
     durations: PhaseDurations = field(default_factory=PhaseDurations)
     duplicate_anchors: tuple[str, ...] = ()
 
@@ -328,59 +327,43 @@ def parse_case_attributes(
     return _parse(source, fmt, strict, CASES_HEADER, _attrs_from_mapping)
 
 
-def extract_phase_durations(case: Case) -> PhaseDurations:
-    """Compute phase durations from the case's anchor events.
+# assembly state of one case: its event count, then one slot per anchor
+_ANCHOR_SLOTS = {anchor: i for i, anchor in enumerate(ANCHOR_EVENTS, start=1)}
+_REPEATED = object()  # slot marker: the anchor occurs more than once
 
-    A duration is present only when both defining timestamps are present
-    and unique. Negative values pass through; the cleaning stage rejects
-    them. Cases with duplicated anchors yield no durations at all.
-    """
-    if case.duplicate_anchors:
-        return PhaseDurations()
-    stamps: dict[str, datetime] = {}
-    for ev in case.events:
-        if ev.event_type in ANCHOR_EVENTS and ev.event_type not in stamps:
-            stamps[ev.event_type] = ev.timestamp
 
-    def diff(start: str, end: str) -> float | None:
-        if start in stamps and end in stamps:
-            return (stamps[end] - stamps[start]).total_seconds() / 60.0
-        return None
-
-    return PhaseDurations(
-        induction_min=diff(*PHASE_ANCHORS["induction"]),
-        preparation_min=diff(*PHASE_ANCHORS["preparation"]),
-        procedure_min=diff(*PHASE_ANCHORS["procedure"]),
-    )
+def _minutes(start: datetime | None, end: datetime | None) -> float | None:
+    return None if start is None or end is None else (end - start).total_seconds() / 60.0
 
 
 def assemble_cases(events: Iterable[Event], attrs: Iterable[CaseAttributes]) -> list[Case]:
     """Group events by case_id into Cases, sorted by case_id.
 
-    Events within a case are sorted by timestamp. A case with a duplicated
-    anchor event is flagged invalid (``duplicate_anchors``) and gets no
-    durations. Cases without an attribute row get default attributes.
+    One pass keeps each case's event count and anchor timestamps. A case with
+    a repeated anchor is flagged invalid (``duplicate_anchors``) and gets no
+    durations; otherwise each anchor occurs at most once, so event order does
+    not matter. A duration needs both of its anchors; negative values pass
+    through for the cleaning stage to reject. Cases without an attribute row
+    get default attributes.
     """
-    attr_by_id: dict[str, CaseAttributes] = {}
-    for a in attrs:
-        attr_by_id[a.case_id] = a
-
-    grouped: dict[str, list[Event]] = {}
-    for ev in events:
-        grouped.setdefault(ev.case_id, []).append(ev)
+    attr_by_id = {a.case_id: a for a in attrs}
+    state: dict[str, list] = {}
+    for case_id, event_type, timestamp in events:
+        slots = state.get(case_id)
+        if slots is None:
+            slots = state[case_id] = [0, None, None, None, None]
+        slots[0] += 1
+        i = _ANCHOR_SLOTS.get(event_type)
+        if i is not None:
+            slots[i] = timestamp if slots[i] is None else _REPEATED
 
     cases: list[Case] = []
-    for case_id in sorted(grouped):
-        evs = sorted(grouped[case_id], key=lambda e: (e.timestamp, e.event_type))
-        counts: dict[str, int] = {}
-        for ev in evs:
-            if ev.event_type in ANCHOR_EVENTS:
-                counts[ev.event_type] = counts.get(ev.event_type, 0) + 1
-        duplicates = tuple(a for a in ANCHOR_EVENTS if counts.get(a, 0) > 1)
-        case = Case(
-            attributes=attr_by_id.get(case_id, CaseAttributes(case_id=case_id)),
-            events=tuple(evs),
-            duplicate_anchors=duplicates,
-        )
-        cases.append(replace(case, durations=extract_phase_durations(case)))
+    for case_id in sorted(state):
+        n_events, *slots = state[case_id]
+        duplicates = tuple(a for a, t in zip(ANCHOR_EVENTS, slots) if t is _REPEATED)
+        stamps = dict(zip(ANCHOR_EVENTS, [None] * len(slots) if duplicates else slots))
+        # PhaseDurations' fields follow PHASES
+        durations = PhaseDurations(*(_minutes(stamps[s], stamps[e]) for s, e in map(PHASE_ANCHORS.get, PHASES)))
+        attributes = attr_by_id.get(case_id) or CaseAttributes(case_id=case_id)
+        cases.append(Case(attributes, n_events, durations, duplicates))
     return cases

@@ -198,17 +198,21 @@ def welch_t_test(sample_a: Sequence[float], sample_b: Sequence[float]) -> TestRe
     """Welch's unequal-variance t-test, two-sided."""
     a = _check_sample(sample_a, "sample_a", 2)
     b = _check_sample(sample_b, "sample_b", 2)
-    mean_a, var_a = _mean_var(a)
-    mean_b, var_b = _mean_var(b)
+    try:
+        mean_a, var_a = _mean_var(a)
+        mean_b, var_b = _mean_var(b)
+        se_a = var_a / len(a)
+        se_b = var_b / len(b)
+        df_num = (se_a + se_b) ** 2
+        df_denom = se_a**2 / (len(a) - 1) + se_b**2 / (len(b) - 1)
+    except OverflowError:  # a float ** 2 raises where it would exceed the float range
+        raise ValueError("sums of squares overflow") from None
     if var_a == 0.0 and var_b == 0.0:
         raise ValueError("both samples have zero variance")
-    se_a = var_a / len(a)
-    se_b = var_b / len(b)
     t = (mean_a - mean_b) / math.sqrt(se_a + se_b)
-    df_denom = se_a**2 / (len(a) - 1) + se_b**2 / (len(b) - 1)
     if df_denom == 0.0:  # both squared standard errors underflow
         raise ValueError("variances too small for the Welch degrees of freedom")
-    df = (se_a + se_b) ** 2 / df_denom
+    df = df_num / df_denom
     return TestResult(statistic=t, df=(df,), p_value=_t_sf_two_sided(t, df), test_name="welch_t")
 
 
@@ -223,8 +227,11 @@ def anova_f_test(groups: Sequence[Sequence[float]]) -> TestResult:
         raise ValueError("total sample size must exceed the number of groups")
     grand = sum(sum(g) for g in data) / n_total
     means = [sum(g) / len(g) for g in data]
-    ssb = sum(len(g) * (m - grand) ** 2 for g, m in zip(data, means))
-    ssw = sum(sum((v - m) ** 2 for v in g) for g, m in zip(data, means))
+    try:
+        ssb = sum(len(g) * (m - grand) ** 2 for g, m in zip(data, means))
+        ssw = sum(sum((v - m) ** 2 for v in g) for g, m in zip(data, means))
+    except OverflowError:  # a float ** 2 raises where it would exceed the float range
+        raise ValueError("sums of squares overflow") from None
     if ssw == 0.0:
         raise ValueError("zero within-group variance")
     df_b = float(k - 1)

@@ -11,7 +11,7 @@ from datetime import datetime, timedelta, timezone
 
 import numpy as np
 
-from periop.eventlog import CASES_HEADER, EVENTS_HEADER
+from periop.eventlog import ANCHOR_EVENTS, CASES_HEADER, EVENTS_HEADER, PHASE_ANCHORS, PHASES, CaseAttributes
 from periop.synthgen import (
     ANESTHESIA_CANONICALS,
     DEPARTMENTS,
@@ -26,6 +26,47 @@ from periop.synthgen import (
     _single_presence_rate,
     anesthesia_variants,
 )
+
+
+def assemble_cases_slow(events, attrs):
+    """Cases the way they were assembled from time-sorted event lists.
+
+    Groups the events by case id, sorts each case's events by timestamp and
+    type, flags every anchor that occurs more than once, and takes each phase
+    duration from the first stamps of its two anchors unless an anchor
+    repeats. Returns one plain tuple per case, sorted by case id:
+    ``(case_id, attributes, n_events, (induction, preparation, procedure),
+    duplicate_anchors)``.
+    """
+    attr_by_id = {}
+    for a in attrs:
+        attr_by_id[a.case_id] = a
+    grouped = {}
+    for ev in events:
+        grouped.setdefault(ev.case_id, []).append(ev)
+    out = []
+    for case_id in sorted(grouped):
+        evs = sorted(grouped[case_id], key=lambda e: (e.timestamp, e.event_type))
+        counts = {}
+        for ev in evs:
+            if ev.event_type in ANCHOR_EVENTS:
+                counts[ev.event_type] = counts.get(ev.event_type, 0) + 1
+        duplicates = tuple(a for a in ANCHOR_EVENTS if counts.get(a, 0) > 1)
+        durations = (None, None, None)
+        if not duplicates:
+            stamps = {}
+            for ev in evs:
+                if ev.event_type in ANCHOR_EVENTS and ev.event_type not in stamps:
+                    stamps[ev.event_type] = ev.timestamp
+            durations = tuple(
+                (stamps[end] - stamps[start]).total_seconds() / 60.0
+                if start in stamps and end in stamps
+                else None
+                for start, end in (PHASE_ANCHORS[phase] for phase in PHASES)
+            )
+        attributes = attr_by_id.get(case_id, CaseAttributes(case_id=case_id))
+        out.append((case_id, attributes, len(evs), durations, duplicates))
+    return out
 
 
 def tfidf_dense(corpus, max_terms=None):

@@ -185,7 +185,6 @@ def test_criterion_3_statistics():
 def _case(case_id: str, minutes: float) -> Case:
     return Case(
         attributes=CaseAttributes(case_id=case_id),
-        events=(),
         durations=PhaseDurations(procedure_min=minutes),
     )
 
@@ -208,7 +207,7 @@ def test_criterion_4_cleaning():
     cases = [_case(f"ok{i}", float(v)) for i, v in enumerate(rng.uniform(30, 200, size=40))]
     planted_bad = {"neg1": -12.0, "neg2": -0.5, "zero": 0.0, "multi1": 3.2 * 1440, "multi2": 5.0 * 1440}
     cases += [_case(cid, v) for cid, v in planted_bad.items()]
-    cases.append(Case(attributes=CaseAttributes(case_id="missing"), events=()))
+    cases.append(Case(attributes=CaseAttributes(case_id="missing")))
     retained, rep = plausibility_filter(cases, "procedure")
     removed_ids = {c.case_id for c in cases} - {c.case_id for c in retained}
     plaus_ok = removed_ids == set(planted_bad) | {"missing"}

@@ -4,7 +4,6 @@ import pytest
 from oracles import quantile_slow
 from periop.cleaning import (
     CleaningReport,
-    IqrConfig,
     clean_phase,
     iqr_filter,
     plausibility_filter,
@@ -16,7 +15,6 @@ from periop.eventlog import Case, CaseAttributes, PhaseDurations
 def make_case(case_id, procedure=None, induction=None, department="surgery"):
     return Case(
         attributes=CaseAttributes(case_id=case_id, department=department),
-        events=(),
         durations=PhaseDurations(procedure_min=procedure, induction_min=induction),
     )
 
@@ -80,15 +78,15 @@ def test_iqr_idempotent():
     rng = np.random.default_rng(11)
     samples = [(i, float(v)) for i, v in enumerate(rng.lognormal(3.5, 0.8, size=200))]
     first = iqr_filter(samples)
-    second = iqr_filter(first.retained, IqrConfig())
+    second = iqr_filter(first.retained, 1.5)
     assert second.removed == ()
 
 
 def test_iqr_multiplier_monotonicity():
     rng = np.random.default_rng(5)
     samples = [(i, float(v)) for i, v in enumerate(rng.lognormal(3.0, 1.0, size=150))]
-    kept_small = {i for i, _ in iqr_filter(samples, IqrConfig(multiplier=1.0)).retained}
-    kept_large = {i for i, _ in iqr_filter(samples, IqrConfig(multiplier=2.5)).retained}
+    kept_small = {i for i, _ in iqr_filter(samples, multiplier=1.0).retained}
+    kept_large = {i for i, _ in iqr_filter(samples, multiplier=2.5).retained}
     assert kept_small <= kept_large
 
 
@@ -117,7 +115,7 @@ def test_plausibility_reasons():
 
 def test_invalid_multiplier():
     with pytest.raises(ValueError):
-        IqrConfig(multiplier=0.0)
+        iqr_filter([(i, float(i)) for i in range(10)], multiplier=0.0)
 
 
 def test_clean_phase_combined_report():

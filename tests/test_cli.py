@@ -122,6 +122,27 @@ def test_config_validation():
         PipelineConfig(models=("bogus",))
 
 
+@pytest.mark.parametrize(
+    "lines, key",
+    [
+        (["cluster_algo.procedure = dbscan", "cluster_k.procedure = 2..5"], "cluster_algo.procedure"),
+        (["cluster_algo.surgery = gmm", "cluster_k.surgery = 3"], "cluster_algo.surgery"),
+        (["cluster_k.surgery = 3"], "cluster_k.surgery"),
+        (["iqr_multiplier = 0"], "iqr_multiplier"),
+    ],
+    ids=["unknown-algorithm", "unknown-phase-algo", "unknown-phase-k", "zero-iqr-multiplier"],
+)
+def test_config_mistakes_exit_one_at_load(tmp_path, capsys, lines, key):
+    config = tmp_path / "bad.cfg"
+    config.write_text("\n".join(lines) + "\n")
+    with pytest.raises(UsageError, match=key):
+        build_config(str(config), {})
+    for stage in ("clean", "cluster"):  # rejected before any artifact is read
+        assert run([stage, "--out", str(tmp_path), "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert key in err and "missing artifact" not in err
+
+
 def test_unknown_subcommand_exits_one():
     assert run(["definitely-not-a-command"]) == 1
     assert run(["clean", "--no-such-flag"]) == 1

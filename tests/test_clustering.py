@@ -213,6 +213,17 @@ def test_silhouette_matches_slow_oracle():
     assert silhouette(X, labels) == pytest.approx(silhouette_slow(X, labels), rel=1e-9, abs=1e-12)
 
 
+def test_silhouette_identical_rows_are_zero_apart():
+    # unit rows like TF-IDF vectors: the Gram form leaves identical rows ~1e-8 apart
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        positions = rng.random((4, 5))
+        positions /= np.linalg.norm(positions, axis=1, keepdims=True)
+        X = positions[np.repeat(np.arange(4), [6, 5, 4, 3])]
+        labels = np.repeat([0, 0, 1, 1], [6, 5, 4, 3])
+        assert silhouette(X, labels) == pytest.approx(silhouette_slow(X, labels), rel=0, abs=1e-12)
+
+
 def test_select_k_recovers_planted_blobs():
     rng = np.random.default_rng(23)
     X = blobs(rng, [(0, 0), (8, 0), (4, 7)], 30, spread=0.5)

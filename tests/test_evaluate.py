@@ -22,7 +22,6 @@ def make_case(case_id, actual, plan, phase="procedure"):
     )
     return Case(
         attributes=CaseAttributes(case_id=case_id, **kwargs),
-        events=(),
         durations=durations,
     )
 

@@ -8,14 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import assemble_cases_slow
+from periop.cli import _case_from_row, _case_to_row
 from periop.eventlog import (
+    ANCHOR_EVENTS,
     CASES_HEADER,
     EVENTS_HEADER,
     CaseAttributes,
     Event,
     ParseError,
     assemble_cases,
-    extract_phase_durations,
     parse_case_attributes,
     parse_events,
     parse_timestamp,
@@ -97,12 +99,7 @@ def test_assemble_groups_and_sorts():
     cases = assemble_cases(events, [CaseAttributes(case_id="W1", department="urology")])
     assert [c.case_id for c in cases] == ["W1", "W2"]
     w1 = cases[0]
-    assert [e.event_type for e in w1.events] == [
-        "anesthesia_start",
-        "anesthesia_complete",
-        "incision",
-        "suture",
-    ]
+    assert [c.n_events for c in cases] == [4, 1]
     assert w1.attributes.department == "urology"
     # attributes missing for W2 -> defaults
     assert cases[1].attributes.department == "unknown"
@@ -178,17 +175,64 @@ def test_phase_sum_identity_and_permutation_invariance():
 def test_assembly_preserves_event_multiset():
     events, _ = parse_events(EVENTS_CSV.encode())
     cases = assemble_cases(events, [])
-    flattened = sorted(
-        (e.case_id, e.event_type, e.timestamp) for c in cases for e in c.events
-    )
-    assert flattened == sorted((e.case_id, e.event_type, e.timestamp) for e in events)
+    assert {c.case_id: c.n_events for c in cases} == {
+        case_id: sum(1 for e in events if e.case_id == case_id) for case_id in {e.case_id for e in events}
+    }
+    assert sum(c.n_events for c in cases) == len(events)
 
 
-def test_extract_ignores_stale_durations():
-    events, _ = parse_events(EVENTS_CSV.encode())
-    case = assemble_cases(events, [])[0]
-    recomputed = extract_phase_durations(case)
-    assert recomputed == case.durations
+BASE_TIME = datetime(2024, 3, 1, 7, 0, tzinfo=timezone.utc)
+STAMP = st.builds(
+    # whole and fractional seconds on either side of BASE_TIME, so intervals can be negative
+    lambda seconds, offset: (BASE_TIME + timedelta(seconds=seconds)).astimezone(
+        timezone(timedelta(minutes=offset))
+    ),
+    st.integers(-7200, 7200) | st.floats(-7200, 7200),
+    st.sampled_from([0, 60, -300, 330]),  # the UTC offset the stamp is written in
+)
+
+
+@st.composite
+def event_logs(draw):
+    """Shuffled events of a few cases; each anchor or other event type is missing, once or repeated."""
+    events = []
+    for case_id in draw(st.lists(st.sampled_from(["W1", "W2", "W3", "W10", "X"]), unique=True, max_size=5)):
+        for event_type in [*ANCHOR_EVENTS, "other", "induction_bolus"]:
+            copies = draw(st.sampled_from([0, 1, 1, 1, 1, 2]))
+            events += [Event(case_id, event_type, draw(STAMP)) for _ in range(copies)]
+    return draw(st.permutations(events))
+
+
+ATTRIBUTES = st.lists(
+    st.builds(
+        CaseAttributes,
+        case_id=st.sampled_from(["W1", "W2", "W10", "unused"]),
+        department=st.sampled_from(["urology", "surgery"]),
+        age=st.none() | st.integers(0, 130),
+        procedure_text=st.text(max_size=6),
+        planned_procedure_min=st.none() | st.floats(0, 600),
+    ),
+    max_size=5,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(events=event_logs(), attrs=ATTRIBUTES)
+def test_assemble_cases_equals_the_sorted_event_oracle(events, attrs):
+    """One pass over the events gives the cases that sorting each case's events gave."""
+    got = [
+        (c.case_id, c.attributes, c.n_events, (c.durations.induction_min, c.durations.preparation_min,
+         c.durations.procedure_min), c.duplicate_anchors)
+        for c in assemble_cases(events, attrs)
+    ]
+    assert got == assemble_cases_slow(events, attrs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(events=event_logs(), attrs=ATTRIBUTES)
+def test_assembled_cases_round_trip_through_cases_jsonl_rows(events, attrs):
+    for case in assemble_cases(events, attrs):
+        assert _case_from_row(json.loads(json.dumps(_case_to_row(case), sort_keys=True))) == case
 
 
 CASES_CSV_HEADER = (

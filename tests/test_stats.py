@@ -300,6 +300,15 @@ def test_factor_report_shape():
     assert sex_effect == pytest.approx(10.0, abs=4.0)
 
 
+def test_factor_report_skips_tests_whose_sums_of_squares_overflow():
+    rows = factor_report({"f": {"a": [1e300, 2e300], "b": [0.0, 1.0]}})
+    assert [r["test"] for r in rows] == ["kruskal_wallis"]
+    with pytest.raises(ValueError, match="overflow"):
+        welch_t_test([1e300, 2e300], [0.0, 1.0])
+    with pytest.raises(ValueError, match="overflow"):
+        anova_f_test([[1e300, 2e300], [0.0, 1.0]])
+
+
 def test_non_finite_results_are_written_as_null():
     # within-group spread of 1e-160 squares to a denormal: F overflows
     groups = [[0.0, 1e-160], [1.0, 1.0]]

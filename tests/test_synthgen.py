@@ -72,13 +72,17 @@ def test_all_plans_are_15_minute_multiples(generated):
 
 
 def test_phase_sum_identity_on_full_cases(generated):
-    _, _, _, _, cases = generated
+    _, _, _, events, cases = generated
+    anchor_stamps: dict = {}
+    for e in events:
+        if e.is_anchor:
+            anchor_stamps.setdefault(e.case_id, {})[e.event_type] = e.timestamp
     checked = 0
     for case in cases:
         d = case.durations
         if None in (d.induction_min, d.preparation_min, d.procedure_min):
             continue
-        stamps = {e.event_type: e.timestamp for e in case.events if e.is_anchor}
+        stamps = anchor_stamps[case.case_id]
         total = (stamps["suture"] - stamps["anesthesia_start"]).total_seconds() / 60.0
         assert d.induction_min + d.preparation_min + d.procedure_min == pytest.approx(total, abs=1e-9)
         checked += 1
