@@ -314,25 +314,8 @@ def _model_plan(name: str, cfg: PipelineConfig) -> tuple[str, str, dict]:
     """Roster name -> (family, group_by, fixed params)."""
     if name == "mta":  # the traditional per-name average
         return "group-mean", "exact-name", {"group_col": 0}
-    params = {
-        "mean": {},
-        "group-mean": {"group_col": 0},
-        "ridge": {"lam": cfg.ridge_lambda},
-        "tree": {"max_depth": cfg.tree_max_depth, "min_leaf": cfg.tree_min_leaf},
-        "forest": {
-            "n_trees": cfg.forest_n_trees,
-            "max_depth": cfg.forest_max_depth,
-            "min_leaf": cfg.forest_min_leaf,
-            "feature_fraction": cfg.forest_feature_fraction,
-        },
-        "gbm": {
-            "n_trees": cfg.gbm_n_trees,
-            "learning_rate": cfg.gbm_learning_rate,
-            "max_depth": cfg.gbm_max_depth,
-            "min_leaf": cfg.gbm_min_leaf,
-        },
-    }
-    return name, cfg.group_by, params[name]
+    params = {"group_col": 0} if name == "group-mean" else cfg.model_params(name)
+    return name, cfg.group_by, params
 
 
 def stage_train(cfg: PipelineConfig) -> None:

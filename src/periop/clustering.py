@@ -13,6 +13,8 @@ from typing import Sequence, Union
 
 import numpy as np
 
+from .encoding import _distinct_rows
+
 VARIANCE_FLOOR = 1e-6
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -330,17 +332,6 @@ def cluster_assign(model: Union[KMeansModel, GmmModel], X: Union[np.ndarray, Seq
         labels = np.argmax(gmm_responsibilities(model, X), axis=1)
         return ClusterAssignment(labels=labels, k=model.k)
     raise TypeError(f"unsupported model type: {type(model).__name__}")
-
-
-def _distinct_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct rows of X in first-seen order, and each row's index into them."""
-    index: dict[bytes, int] = {}  # ~20x faster than np.unique(axis=0)
-    inverse = np.fromiter(
-        (index.setdefault(row.tobytes(), len(index)) for row in X), dtype=np.intp, count=X.shape[0]
-    )
-    distinct = np.empty((len(index), X.shape[1]))
-    distinct[inverse] = X
-    return distinct, inverse
 
 
 def _label_counts(rows: np.ndarray, labels: np.ndarray, n_rows: int, k: int) -> np.ndarray:

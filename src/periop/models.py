@@ -15,7 +15,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .encoding import target_encode_apply, target_encode_fit
+from .encoding import _distinct_rows, target_encode_apply, target_encode_fit
 
 
 class NotFittedError(RuntimeError):
@@ -283,60 +283,84 @@ class Tree:
         return cls(feature, threshold, left, right, value)
 
 
-def _bin_columns(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Bin every column of ``X`` at its sorted distinct values.
+def _check_tree_shape(max_depth: int, min_leaf: int) -> None:
+    """The hyperparameter rules that every tree family shares."""
+    if max_depth < 0:
+        raise ValueError("max_depth must be >= 0")
+    if min_leaf < 1:
+        raise ValueError("min_leaf must be >= 1")
 
-    Returns ``(values, codes)``. ``values`` is (d, width), row f holding
-    column f's distinct values padded with inf, width the largest distinct
-    count. ``codes[i, f] = f * width + position of X[i, f]``: all columns
-    share one bin space, so a single bincount histograms every column.
-    Binning at distinct values is exact: every split the sorted scan can
-    make falls between two bins.
+
+def _bin_columns(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Bin every column of the distinct rows of ``X`` at its sorted distinct values.
+
+    Returns ``(values, codes, inverse)``; row i of ``X`` is distinct row
+    ``inverse[i]``. ``values`` is (d, width), row f holding column f's
+    distinct values padded with inf, width the largest distinct count.
+    ``codes[u, f] = f * width + position of distinct row u's value in
+    column f``: all columns share one bin space, so a single bincount
+    histograms every column. Binning at distinct values is exact: every
+    split the sorted scan can make falls between two bins.
     """
-    n, d = X.shape
-    columns = [np.unique(X[:, f], return_inverse=True) for f in range(d)]
-    width = max((len(distinct) for distinct, _ in columns), default=1)
+    distinct, inverse = _distinct_rows(X)
+    m, d = distinct.shape
+    columns = [np.unique(distinct[:, f], return_inverse=True) for f in range(d)]
+    width = max((len(column_values) for column_values, _ in columns), default=1)
     values = np.full((d, width), np.inf)
-    codes = np.empty((n, d), dtype=np.intp)
-    for f, (distinct, inverse) in enumerate(columns):
-        values[f, : len(distinct)] = distinct
-        codes[:, f] = f * width + inverse.ravel()
-    return values, codes
+    codes = np.empty((m, d), dtype=np.intp)
+    for f, (column_values, position) in enumerate(columns):
+        values[f, : len(column_values)] = column_values
+        codes[:, f] = f * width + position.ravel()
+    return values, codes, inverse
+
+
+def _row_sums(inverse: np.ndarray, y: np.ndarray, m: int) -> np.ndarray:
+    """(3, m): the number of rows, Σy and Σy² of each of ``m`` distinct rows."""
+    return np.stack(
+        [
+            np.bincount(inverse, minlength=m),
+            np.bincount(inverse, weights=y, minlength=m),
+            np.bincount(inverse, weights=y * y, minlength=m),
+        ]
+    )
+
+
+def _histograms(codes: np.ndarray, sums: np.ndarray, rows: np.ndarray, size: int) -> np.ndarray:
+    """(3, size): the row count, Σy and Σy² of the distinct ``rows`` per bin."""
+    flat = np.take(codes, rows, axis=0).ravel()
+    weights = np.repeat(np.take(sums, rows, axis=1), codes.shape[1], axis=1)
+    return np.stack([np.bincount(flat, weights=w, minlength=size) for w in weights])
 
 
 def _best_split(
-    codes: np.ndarray,
-    y: np.ndarray,
+    hist: np.ndarray,
     values: np.ndarray,
-    total1: float,
-    total2: float,
+    totals: np.ndarray,
     min_leaf: int,
+    candidate: np.ndarray | None = None,
 ) -> tuple[int, float, int] | None:
-    """Lowest-SSE split of one node's rows: ``(feature, threshold, code)``.
+    """Lowest-SSE split of one node: ``(feature, threshold, code)``.
 
-    ``codes`` holds the node's bin codes of the candidate features. A
+    ``hist`` holds the node's row count, Σy and Σy² per bin (see
+    ``_histograms``) and ``totals`` the same three over the node. A
     candidate threshold lies midway between two consecutive non-empty bins
-    of a feature; ``code`` is the lower bin, so rows with a code at most
-    ``code`` go left. Returns None when no candidate leaves ``min_leaf``
-    rows on each side.
+    of a feature, of a ``candidate`` feature if that mask is given; ``code``
+    is the lower bin, so rows with a code at most ``code`` go left. Returns
+    None when no candidate leaves ``min_leaf`` rows on each side.
     """
     d, width = values.shape
-    n_node = y.shape[0]
-    flat = codes.ravel()
-    weights = np.repeat(y, codes.shape[1])
-    size = d * width
-    hist = [np.bincount(flat, minlength=size), np.bincount(flat, weights=weights, minlength=size)]
-    weights *= weights  # in place: one (rows x features) array less at a time
-    hist.append(np.bincount(flat, weights=weights, minlength=size))
+    n_node, total1, total2 = totals
     occupied = np.flatnonzero(hist[0])
     lo, hi = occupied[:-1], occupied[1:]
-    same_feature = lo // width == hi // width
-    lo, hi = lo[same_feature], hi[same_feature]
+    usable = lo // width == hi // width
+    if candidate is not None:
+        usable &= candidate[lo // width]
+    lo, hi = lo[usable], hi[usable]
     if lo.size == 0:
         return None
     # cumulative sums run within each feature's own bins, so no other
     # feature's sums enter the rounding
-    nl, c1, c2 = (np.cumsum(h.reshape(d, width), axis=1).ravel()[lo] for h in hist)
+    nl, c1, c2 = np.cumsum(hist.reshape(3, d, width), axis=2).reshape(3, -1)[:, lo]
     nr = n_node - nl
     flat_values = values.ravel()
     thr = (flat_values[lo] + flat_values[hi]) / 2.0
@@ -352,23 +376,29 @@ def _best_split(
 def _build_tree(
     values: np.ndarray,
     codes: np.ndarray,
-    y: np.ndarray,
+    sums: np.ndarray,
     max_depth: int,
     min_leaf: int,
     rng: np.random.Generator | None = None,
     feature_fraction: float = 1.0,
 ) -> tuple[Tree, np.ndarray]:
-    """Greedy variance-minimizing tree on binned rows (see ``_bin_columns``).
+    """Greedy variance-minimizing tree on weighted distinct rows.
 
-    Returns the tree and the leaf of every training row. Nodes are split
-    depth first, left child first; with ``feature_fraction < 1`` each split
-    draws its candidate features from ``rng``. The split with the lowest
-    computed SSE wins; ties go to the lowest feature, then the lowest
-    threshold. On data whose sums are exact (such as small integers) that
-    is the lowest true SSE; otherwise two splits that make the same
-    partition may differ in the last bits and the lower rounding wins.
+    ``codes`` are the binned distinct rows (see ``_bin_columns``) and
+    ``sums`` their row counts, Σy and Σy² (see ``_row_sums``); ``min_leaf``
+    counts rows. Returns the tree and the leaf of every distinct row. Nodes
+    are split depth first, left child first; with ``feature_fraction < 1``
+    each split draws its candidate features from ``rng``. The split with the
+    lowest computed SSE wins; ties go to the lowest feature, then the lowest
+    threshold. On data whose sums are exact (such as small integers) that is
+    the lowest true SSE; otherwise two splits that make the same partition
+    may differ in the last bits and the lower rounding wins.
+
+    Histograms cover all features. Of two children that may still split,
+    only the one with fewer distinct rows is histogrammed; the other's
+    histogram is the parent's minus that one (Ke et al., LightGBM, 2017).
     """
-    n, d = codes.shape
+    m, d = codes.shape
     n_sub = d
     if feature_fraction < 1.0:
         n_sub = max(1, int(math.ceil(feature_fraction * d)))
@@ -379,36 +409,47 @@ def _build_tree(
             nodes[name].append(blank)
         return len(nodes["value"]) - 1
 
-    leaf_of = np.empty(n, dtype=np.intp)
-    stack = [(np.arange(n), 0, new_node())]
-    while stack:
-        rows, depth, node = stack.pop()
-        n_node = rows.shape[0]
-        ys_node = y[rows]
-        total1 = float(ys_node.sum())
-        total2 = float((ys_node * ys_node).sum())
-        nodes["value"][node] = total1 / n_node
+    def may_split(depth: int, totals: np.ndarray) -> bool:
+        n_node, total1, total2 = totals
         node_sse = max(total2 - total1 * total1 / n_node, 0.0)
+        return depth < max_depth and n_node >= 2 * min_leaf and node_sse > 1e-12
+
+    leaf_of = np.empty(m, dtype=np.intp)
+    stack = [(np.arange(m), 0, new_node(), sums.sum(axis=1), None)]
+    while stack:
+        rows, depth, node, totals, hist = stack.pop()
+        nodes["value"][node] = totals[1] / totals[0]
         split = None
-        if depth < max_depth and n_node >= 2 * min_leaf and node_sse > 1e-12:
-            node_codes = codes[rows]
-            candidates = node_codes
+        if may_split(depth, totals):
+            candidate = None
             if n_sub < d:
                 assert rng is not None
-                candidates = node_codes[:, np.sort(rng.choice(d, size=n_sub, replace=False))]
-            split = _best_split(candidates, ys_node, values, total1, total2, min_leaf)
+                candidate = np.zeros(d, dtype=bool)
+                candidate[rng.choice(d, size=n_sub, replace=False)] = True
+            if hist is None:
+                hist = _histograms(codes, sums, rows, values.size)
+            split = _best_split(hist, values, totals, min_leaf, candidate)
         if split is None:
             leaf_of[rows] = node
             continue
         feature, threshold, code = split
-        goes_left = node_codes[:, feature] <= code
+        goes_left = codes[rows, feature] <= code
+        children = [rows[goes_left], rows[~goes_left]]
+        child_totals = [np.take(sums, part, axis=1).sum(axis=1) for part in children]
+        child_hists = [None, None]
+        needed = [may_split(depth + 1, t) for t in child_totals]
+        if any(needed):
+            small = int(children[1].size < children[0].size)
+            child_hists[small] = _histograms(codes, sums, children[small], values.size)
+            if needed[1 - small]:
+                child_hists[1 - small] = hist - child_hists[small]
         left, right = new_node(), new_node()
         nodes["feature"][node] = feature
         nodes["threshold"][node] = threshold
         nodes["left"][node] = left
         nodes["right"][node] = right
-        stack.append((rows[~goes_left], depth + 1, right))
-        stack.append((rows[goes_left], depth + 1, left))
+        stack.append((children[1], depth + 1, right, child_totals[1], child_hists[1]))
+        stack.append((children[0], depth + 1, left, child_totals[0], child_hists[0]))
     tree = Tree(
         feature=np.asarray(nodes["feature"], dtype=np.intp),
         threshold=np.asarray(nodes["threshold"], dtype=float),
@@ -426,17 +467,15 @@ class TreeModel(Model):
 
     def __init__(self, max_depth: int = 8, min_leaf: int = 5) -> None:
         super().__init__()
-        if max_depth < 0:
-            raise ValueError("max_depth must be >= 0")
-        if min_leaf < 1:
-            raise ValueError("min_leaf must be >= 1")
+        _check_tree_shape(max_depth, min_leaf)
         self.max_depth = int(max_depth)
         self.min_leaf = int(min_leaf)
         self.tree_: Tree | None = None
 
     def fit(self, dataset: Dataset) -> "TreeModel":
-        values, codes = _bin_columns(dataset.X)
-        self.tree_, _ = _build_tree(values, codes, dataset.y, self.max_depth, self.min_leaf)
+        values, codes, inverse = _bin_columns(dataset.X)
+        sums = _row_sums(inverse, dataset.y, codes.shape[0])
+        self.tree_, _ = _build_tree(values, codes, sums, self.max_depth, self.min_leaf)
         self._fitted = True
         return self
 
@@ -464,6 +503,7 @@ class ForestModel(Model):
         super().__init__()
         if n_trees < 1:
             raise ValueError("n_trees must be >= 1")
+        _check_tree_shape(max_depth, min_leaf)
         if not 0.0 < feature_fraction <= 1.0:
             raise ValueError("feature_fraction must be in (0, 1]")
         self.n_trees = int(n_trees)
@@ -475,18 +515,21 @@ class ForestModel(Model):
         self.trees_: list[Tree] = []
 
     def fit(self, dataset: Dataset) -> "ForestModel":
-        values, codes = _bin_columns(dataset.X)
+        values, codes, inverse = _bin_columns(dataset.X)
+        m = codes.shape[0]
+        sums = _row_sums(inverse, dataset.y, m)
         self.trees_ = []
         seeds = np.random.SeedSequence(self.seed).spawn(self.n_trees)
         for tree_seed in seeds:
             rng = np.random.default_rng(tree_seed)
-            if self.bootstrap:
+            codes_b, sums_b = codes, sums
+            if self.bootstrap:  # weighted by draws; distinct rows never drawn are dropped
                 rows = rng.integers(0, dataset.n, size=dataset.n)
-                codes_b, yb = codes[rows], dataset.y[rows]
-            else:
-                codes_b, yb = codes, dataset.y
+                sums_b = _row_sums(inverse[rows], dataset.y[rows], m)
+                drawn = np.flatnonzero(sums_b[0])
+                codes_b, sums_b = codes[drawn], sums_b[:, drawn]
             tree, _ = _build_tree(
-                values, codes_b, yb, self.max_depth, self.min_leaf, rng, self.feature_fraction
+                values, codes_b, sums_b, self.max_depth, self.min_leaf, rng, self.feature_fraction
             )
             self.trees_.append(tree)
         self._fitted = True
@@ -530,6 +573,7 @@ class GbmModel(Model):
             raise ValueError("n_trees must be >= 0")
         if not 0.0 < learning_rate <= 1.0:
             raise ValueError("learning_rate must be in (0, 1]")
+        _check_tree_shape(max_depth, min_leaf)
         self.n_trees = int(n_trees)
         self.learning_rate = float(learning_rate)
         self.max_depth = int(max_depth)
@@ -539,17 +583,19 @@ class GbmModel(Model):
         self.stage_mse_: tuple[float, ...] = ()
 
     def fit(self, dataset: Dataset) -> "GbmModel":
-        values, codes = _bin_columns(dataset.X)
+        values, codes, inverse = _bin_columns(dataset.X)
         self.base_ = float(dataset.y.mean())
         self.trees_ = []
         current = np.full(dataset.n, self.base_)
         residual = dataset.y - current
         stage_mse = [float(np.mean(residual**2))]
         for _ in range(self.n_trees):
-            tree, leaf_of = _build_tree(values, codes, residual, self.max_depth, self.min_leaf)
+            # the residual's sums come from its rows: a closed form would cancel
+            sums = _row_sums(inverse, residual, codes.shape[0])
+            tree, leaf_of = _build_tree(values, codes, sums, self.max_depth, self.min_leaf)
             self.trees_.append(tree)
             # each training row's leaf is known from the build: no re-walk
-            current = current + self.learning_rate * tree.value[leaf_of]
+            current = current + self.learning_rate * tree.value[leaf_of[inverse]]
             residual = dataset.y - current
             stage_mse.append(float(np.mean(residual**2)))
         self.stage_mse_ = tuple(stage_mse)

@@ -12,6 +12,7 @@ from datetime import datetime, timedelta, timezone
 import numpy as np
 
 from periop.eventlog import ANCHOR_EVENTS, CASES_HEADER, EVENTS_HEADER, PHASE_ANCHORS, PHASES, CaseAttributes
+from periop.models import Tree
 from periop.synthgen import (
     ANESTHESIA_CANONICALS,
     DEPARTMENTS,
@@ -246,6 +247,117 @@ def build_tree_slow(X, y, max_depth, min_leaf, rng=None, feature_fraction=1.0):
         stack.append((mask & ~goes_left, depth + 1, node["right"]))
         stack.append((mask & goes_left, depth + 1, node["left"]))
     return root
+
+
+def build_tree_rows(X, y, max_depth, min_leaf, rng=None, feature_fraction=1.0):
+    """The histogram tree engine row by row, as it was before it worked on
+    weighted distinct rows: every node histograms each of its rows.
+
+    Returns ``(Tree, leaf of every row)``. Columns are binned at their
+    sorted distinct values; a node's row count, Σy and Σy² per bin are three
+    bincounts over its rows' codes of the candidate features. The split
+    rules, the SSE formula, the tie order, the depth-first left-first node
+    order and the per-split feature draws are those of ``periop.models``.
+    """
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    n, d = X.shape
+    columns = [np.unique(X[:, f], return_inverse=True) for f in range(d)]
+    width = max((len(distinct) for distinct, _ in columns), default=1)
+    values = np.full((d, width), np.inf)
+    codes = np.empty((n, d), dtype=np.intp)
+    for f, (distinct, inverse) in enumerate(columns):
+        values[f, : len(distinct)] = distinct
+        codes[:, f] = f * width + inverse.ravel()
+    flat_values = values.ravel()
+    n_sub = d
+    if feature_fraction < 1.0:
+        n_sub = max(1, int(math.ceil(feature_fraction * d)))
+    feature, threshold, left, right, value = [], [], [], [], []
+
+    def new_node():
+        for column, blank in zip((feature, threshold, left, right, value), (-1, 0.0, -1, -1, 0.0)):
+            column.append(blank)
+        return len(value) - 1
+
+    def best_split(node_codes, ys, total1, total2):
+        n_node = ys.shape[0]
+        flat = node_codes.ravel()
+        weights = np.repeat(ys, node_codes.shape[1])
+        size = d * width
+        hist = [
+            np.bincount(flat, minlength=size),
+            np.bincount(flat, weights=weights, minlength=size),
+            np.bincount(flat, weights=weights * weights, minlength=size),
+        ]
+        occupied = np.flatnonzero(hist[0])
+        lo, hi = occupied[:-1], occupied[1:]
+        same_feature = lo // width == hi // width
+        lo, hi = lo[same_feature], hi[same_feature]
+        if lo.size == 0:
+            return None
+        nl, c1, c2 = (np.cumsum(h.reshape(d, width), axis=1).ravel()[lo] for h in hist)
+        nr = n_node - nl
+        thr = (flat_values[lo] + flat_values[hi]) / 2.0
+        valid = (flat_values[lo] < thr) & (nl >= min_leaf) & (nr >= min_leaf)
+        if not valid.any():
+            return None
+        sse = (c2 - c1 * c1 / nl) + ((total2 - c2) - (total1 - c1) ** 2 / nr)
+        sse[~valid] = np.inf
+        pos = int(np.argmin(sse))
+        return int(lo[pos] // width), float(thr[pos]), int(lo[pos])
+
+    leaf_of = np.empty(n, dtype=np.intp)
+    stack = [(np.arange(n), 0, new_node())]
+    while stack:
+        rows, depth, node = stack.pop()
+        n_node = rows.shape[0]
+        ys = y[rows]
+        total1 = float(ys.sum())
+        total2 = float((ys * ys).sum())
+        value[node] = total1 / n_node
+        node_sse = max(total2 - total1 * total1 / n_node, 0.0)
+        split = None
+        if depth < max_depth and n_node >= 2 * min_leaf and node_sse > 1e-12:
+            node_codes = codes[rows]
+            candidates = node_codes
+            if n_sub < d:
+                candidates = node_codes[:, np.sort(rng.choice(d, size=n_sub, replace=False))]
+            split = best_split(candidates, ys, total1, total2)
+        if split is None:
+            leaf_of[rows] = node
+            continue
+        feature[node], threshold[node], code = split
+        goes_left = node_codes[:, feature[node]] <= code
+        left[node], right[node] = new_node(), new_node()
+        stack.append((rows[~goes_left], depth + 1, right[node]))
+        stack.append((rows[goes_left], depth + 1, left[node]))
+    tree = Tree(
+        feature=np.asarray(feature, dtype=np.intp),
+        threshold=np.asarray(threshold, dtype=float),
+        left=np.asarray(left, dtype=np.intp),
+        right=np.asarray(right, dtype=np.intp),
+        value=np.asarray(value, dtype=float),
+    )
+    return tree, leaf_of
+
+
+def gbm_fit_rows(X, y, n_trees, learning_rate, max_depth, min_leaf):
+    """Squared-error boosting on ``build_tree_rows``: each stage fits the
+    residual of every row and updates each row from its leaf. Returns
+    ``(base, trees, stage_mse)``."""
+    y = np.asarray(y, dtype=float)
+    base = float(y.mean())
+    current = np.full(y.shape[0], base)
+    residual = y - current
+    trees, stage_mse = [], [float(np.mean(residual**2))]
+    for _ in range(n_trees):
+        tree, leaf_of = build_tree_rows(X, residual, max_depth, min_leaf)
+        trees.append(tree)
+        current = current + learning_rate * tree.value[leaf_of]
+        residual = y - current
+        stage_mse.append(float(np.mean(residual**2)))
+    return base, trees, stage_mse
 
 
 def tree_predict_slow(node, X):

@@ -129,8 +129,25 @@ def test_config_validation():
         (["cluster_algo.surgery = gmm", "cluster_k.surgery = 3"], "cluster_algo.surgery"),
         (["cluster_k.surgery = 3"], "cluster_k.surgery"),
         (["iqr_multiplier = 0"], "iqr_multiplier"),
+        (["gbm_learning_rate = 0"], "gbm_learning_rate"),
+        (["gbm_max_depth = -1"], "gbm_max_depth"),
+        (["forest_min_leaf = 0"], "forest_min_leaf"),
+        (["tree_max_depth = -1"], "tree_max_depth"),
+        (["ridge_lambda = -1"], "ridge_lambda"),
+        (["cv_folds = 1"], "cv_folds"),
     ],
-    ids=["unknown-algorithm", "unknown-phase-algo", "unknown-phase-k", "zero-iqr-multiplier"],
+    ids=[
+        "unknown-algorithm",
+        "unknown-phase-algo",
+        "unknown-phase-k",
+        "zero-iqr-multiplier",
+        "zero-gbm-learning-rate",
+        "negative-gbm-depth",
+        "zero-forest-min-leaf",
+        "negative-tree-depth",
+        "negative-ridge-lambda",
+        "one-cv-fold",
+    ],
 )
 def test_config_mistakes_exit_one_at_load(tmp_path, capsys, lines, key):
     config = tmp_path / "bad.cfg"

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import build_tree_slow, tree_predict_slow
+from oracles import build_tree_rows, build_tree_slow, gbm_fit_rows, tree_predict_slow
 from periop.models import (
     Dataset,
     EncodeColumn,
@@ -11,6 +11,9 @@ from periop.models import (
     NotFittedError,
     Tree,
     TreeModel,
+    _bin_columns,
+    _build_tree,
+    _row_sums,
     grid_search,
     mae,
     make_model,
@@ -180,11 +183,11 @@ def nested(tree, node=0):
 
 
 @st.composite
-def integer_data(draw):
+def integer_data(draw, max_rows=40, max_target=20):
     """Small-integer X and y, so every sum the split search forms is exact.
     Columns repeat values; some are constant, some are the 0/1 complement of
     another column (equal partitions, so exact SSE ties)."""
-    n = draw(st.integers(2, 40))
+    n = draw(st.integers(2, max_rows))
     d = draw(st.integers(1, 4))
     columns = []
     for _ in range(d):
@@ -196,7 +199,7 @@ def integer_data(draw):
             columns.append([1 - min(max(v, 0), 1) for v in columns[source]])
         else:
             columns.append(draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)))
-    y = draw(st.lists(st.integers(0, 20), min_size=n, max_size=n))
+    y = draw(st.lists(st.integers(0, max_target), min_size=n, max_size=n))
     return np.array(columns, dtype=float).T, np.array(y, dtype=float)
 
 
@@ -231,6 +234,76 @@ def test_forest_matches_sorted_scan_oracle(data, bootstrap, feature_fraction, se
         assert nested(tree) == oracle
         expected += tree_predict_slow(oracle, X)
     assert np.array_equal(model._predict(X), expected / 3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=integer_data(), max_depth=st.integers(0, 5), min_leaf=st.integers(1, 3))
+def test_weighted_tree_equals_per_row_engine(data, max_depth, min_leaf):
+    """Distinct rows weighted by count, with subtracted sibling histograms,
+    build the per-row engine's tree; each row's leaf is its distinct row's."""
+    X, y = data
+    values, codes, inverse = _bin_columns(X)
+    tree, leaf_of = _build_tree(values, codes, _row_sums(inverse, y, codes.shape[0]), max_depth, min_leaf)
+    oracle, oracle_leaf_of = build_tree_rows(X, y, max_depth, min_leaf)
+    assert tree.to_dict() == oracle.to_dict()
+    assert np.array_equal(leaf_of[inverse], oracle_leaf_of)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    data=integer_data(),
+    bootstrap=st.booleans(),
+    feature_fraction=st.sampled_from([0.5, 1.0]),
+    seed=st.integers(0, 2**16),
+)
+def test_weighted_forest_equals_per_row_engine(data, bootstrap, feature_fraction, seed):
+    X, y = data
+    params = {"n_trees": 3, "max_depth": 3, "min_leaf": 2, "feature_fraction": feature_fraction,
+              "bootstrap": bootstrap, "seed": seed}
+    model = make_model("forest", params).fit(Dataset(X=X, y=y))
+    for tree, tree_seed in zip(model.trees_, np.random.SeedSequence(seed).spawn(3)):
+        rng = np.random.default_rng(tree_seed)
+        rows = rng.integers(0, len(y), size=len(y)) if bootstrap else np.arange(len(y))
+        oracle, _ = build_tree_rows(X[rows], y[rows], 3, 2, rng, feature_fraction)
+        assert tree.to_dict() == oracle.to_dict()
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=integer_data(max_rows=6, max_target=3), learning_rate=st.sampled_from([0.5, 1.0]))
+def test_weighted_gbm_equals_per_row_engine(data, learning_rate):
+    """Two boosting stages on at most 6 rows. The targets are multiples of
+    60 * 120**2, so the mean, both stages' leaf means (divisions by at most
+    6) and the residuals both trees fit (after updates times 0.5 or 1) are
+    integers below 2**53: every sum is exact, and the weighted fit must
+    match the per-row one bit for bit."""
+    X, y = data
+    y = y * (60 * 120**2)
+    params = {"n_trees": 2, "learning_rate": learning_rate, "max_depth": 2, "min_leaf": 1}
+    model = make_model("gbm", params).fit(Dataset(X=X, y=y))
+    base, trees, stage_mse = gbm_fit_rows(X, y, 2, learning_rate, 2, 1)
+    assert model.base_ == base
+    assert [tree.to_dict() for tree in model.trees_] == [tree.to_dict() for tree in trees]
+    assert list(model.stage_mse_) == stage_mse
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    data=integer_data(),
+    k=st.sampled_from([2, 4, 8]),
+    max_depth=st.integers(0, 5),
+    min_leaf=st.integers(1, 3),
+)
+def test_tree_of_repeated_rows_scales_min_leaf(data, k, max_depth, min_leaf):
+    """Every row repeated k times is the same distinct rows at k times the
+    weight: with min_leaf times k the tree is the same. k is a power of two,
+    so every sum and SSE scales exactly and no rounding can move a tie."""
+    X, y = data
+
+    def fit(X, y, min_leaf):
+        return make_model("tree", {"max_depth": max_depth, "min_leaf": min_leaf}).fit(Dataset(X=X, y=y))
+
+    repeated = fit(np.repeat(X, k, axis=0), np.repeat(y, k), min_leaf * k)
+    assert repeated.tree_.to_dict() == fit(X, y, min_leaf).tree_.to_dict()
 
 
 @settings(max_examples=100, deadline=None)
@@ -318,6 +391,13 @@ def test_gbm_stagewise_loss_non_increasing():
         ).fit(ds)
         trace = model.stage_mse_
         assert all(b <= a + 1e-9 for a, b in zip(trace, trace[1:]))
+
+
+@pytest.mark.parametrize("family", ["tree", "forest", "gbm"])
+@pytest.mark.parametrize("params", [{"max_depth": -1}, {"min_leaf": 0}])
+def test_tree_families_reject_the_same_shapes(family, params):
+    with pytest.raises(ValueError, match=next(iter(params))):
+        make_model(family, params)
 
 
 def test_gbm_learning_rate_validation():
