@@ -17,7 +17,7 @@ import json
 import math
 import sys
 import zlib
-from dataclasses import fields
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -81,26 +81,34 @@ def _read_json(path: Path):
     return json.loads(path.read_text(encoding="utf-8"))
 
 
-# cases.jsonl rows hold every field by name (asdict's deep copy is ~25x slower)
-_DURATION_FIELDS = tuple(f.name for f in fields(PhaseDurations))
+# A cases.jsonl row holds every field of a Case by name, keys in sorted order
+# (json.dumps then needs no sort_keys); reading takes each record's fields
+# straight from the row.
+_DURATION_FIELDS = PhaseDurations._fields
+_ROW_FIELDS = (*CASES_HEADER, *_DURATION_FIELDS, "duplicate_anchors", "n_events")
+_ROW_KEYS = tuple(sorted(_ROW_FIELDS))
+_sorted_row_values = itemgetter(*map(_ROW_FIELDS.index, _ROW_KEYS))
+_attribute_values = itemgetter(*CASES_HEADER)
+_duration_values = itemgetter(*_DURATION_FIELDS)
 
 
 def _case_to_row(case: Case) -> dict:
-    return {
-        **{k: getattr(case.attributes, k) for k in CASES_HEADER},
-        **{k: getattr(case.durations, k) for k in _DURATION_FIELDS},
-        "duplicate_anchors": list(case.duplicate_anchors),
-        "n_events": case.n_events,
-    }
+    values = (*case.attributes, *case.durations, case.duplicate_anchors, case.n_events)
+    return dict(zip(_ROW_KEYS, _sorted_row_values(values)))
 
 
 def _case_from_row(row: dict) -> Case:
     return Case(
-        attributes=CaseAttributes(*[row[k] for k in CASES_HEADER]),
-        n_events=row["n_events"],
-        durations=PhaseDurations(*[row[k] for k in _DURATION_FIELDS]),
-        duplicate_anchors=tuple(row.get("duplicate_anchors", ())),
+        CaseAttributes(*_attribute_values(row)),
+        row["n_events"],
+        PhaseDurations(*_duration_values(row)),
+        tuple(row["duplicate_anchors"]),
     )
+
+
+def _write_cases(path: Path, cases: Iterable[Case]) -> None:
+    with path.open("w", encoding="utf-8") as fh:
+        fh.writelines(json.dumps(_case_to_row(case)) + "\n" for case in cases)
 
 
 def _parse_input(path: Path, parse):
@@ -119,11 +127,31 @@ def _load_cases(cfg: PipelineConfig) -> list[Case]:
     if not path.exists():
         raise UsageError(f"missing artifact: {path} (run 'ingest' first)")
     cases = []
-    with path.open(encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                cases.append(_case_from_row(json.loads(line)))
+    line_no, line = 0, ""
+    try:
+        with path.open(encoding="utf-8") as fh:
+            for line_no, line in enumerate(fh, start=1):
+                if line.strip():
+                    cases.append(_case_from_row(json.loads(line)))
+    except UnicodeDecodeError:
+        raise UsageError(f"{path}: invalid UTF-8; re-run 'ingest'") from None
+    except (ValueError, KeyError, TypeError, RecursionError) as exc:
+        raise UsageError(f"{path}:{line_no}: {_bad_case_row(line, exc)}; re-run 'ingest'") from None
     return cases
+
+
+def _bad_case_row(line: str, exc: Exception) -> str:
+    """What is wrong with a cases.jsonl line that ``_case_from_row`` could not read."""
+    try:
+        row = json.loads(line)
+    except (ValueError, RecursionError):
+        return "invalid JSON"
+    if not isinstance(row, dict):
+        return "expected a JSON object"
+    missing = [k for k in _ROW_FIELDS if k not in row]
+    if missing:
+        return f"missing field {missing[0]!r}"
+    return f"bad value ({type(exc).__name__}: {exc})"
 
 
 def _rules_for_phase(cfg: PipelineConfig, phase: str) -> textnorm.NormalizationRules:
@@ -208,9 +236,7 @@ def stage_ingest(cfg: PipelineConfig) -> None:
 
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
-    with (out / "cases.jsonl").open("w", encoding="utf-8") as fh:
-        for case in cases:
-            fh.write(json.dumps(_case_to_row(case), sort_keys=True) + "\n")
+    _write_cases(out / "cases.jsonl", cases)
     labelled = [("events", e) for e in event_errors] + [("cases", e) for e in attr_errors]
     report = {
         "n_events": len(events),
@@ -497,13 +523,21 @@ def _write_histogram(base: Path, bins: list[tuple[float, int]], title: str) -> N
     )
 
 
+_SKIPPED_SHOWN = 5  # predict lists this many of the --cases rows it skipped
+
+
 def stage_predict(cfg: PipelineConfig, dest: str | None, apply_floors: bool) -> None:
     phase, name = cfg.phases[0], cfg.models[0]
     out = Path(cfg.out)
     bundle_path = out / f"model_{phase}_{name}.json"
     bundle = _read_json(bundle_path)
 
-    attrs, _ = _parse_input(cfg.cases_path(), parse_case_attributes)
+    cases_path = cfg.cases_path()
+    attrs, errors = _parse_input(cases_path, parse_case_attributes)
+    if errors:
+        print(f"predict: skipped {len(errors)} of {len(attrs) + len(errors)} rows of {cases_path}", file=sys.stderr)
+        for e in errors[:_SKIPPED_SHOWN]:
+            print(f"  line {e.line}: {e.message}", file=sys.stderr)
 
     # new free text is clustered with the persisted TF-IDF + cluster model
     tfidf = textnorm.TfidfModel.from_dict(_read_json(out / f"tfidf_{phase}.json"))

@@ -18,7 +18,7 @@ import io
 import json
 import math
 import re
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import IO, Callable, Iterable, Iterator, NamedTuple, TypeVar, Union
 
@@ -79,8 +79,7 @@ class Event(NamedTuple):
         return self.event_type in ANCHOR_EVENTS
 
 
-@dataclass(frozen=True)
-class CaseAttributes:
+class CaseAttributes(NamedTuple):
     case_id: str
     department: str = "unknown"
     age: int | None = None
@@ -100,11 +99,10 @@ class CaseAttributes:
         return None if plan is None else getattr(self, plan)
 
 
-CASES_HEADER = tuple(f.name for f in fields(CaseAttributes))
+CASES_HEADER = CaseAttributes._fields
 
 
-@dataclass(frozen=True)
-class PhaseDurations:
+class PhaseDurations(NamedTuple):
     """Fractional minutes per phase; None when a defining timestamp is absent."""
 
     induction_min: float | None = None
@@ -117,13 +115,12 @@ class PhaseDurations:
         return getattr(self, f"{phase}_min")
 
 
-@dataclass(frozen=True)
-class Case:
+class Case(NamedTuple):
     """An assembled workflow: attributes, event count and phase durations."""
 
     attributes: CaseAttributes
     n_events: int = 0
-    durations: PhaseDurations = field(default_factory=PhaseDurations)
+    durations: PhaseDurations = PhaseDurations()
     duplicate_anchors: tuple[str, ...] = ()
 
     @property

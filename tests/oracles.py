@@ -70,6 +70,30 @@ def assemble_cases_slow(events, attrs):
     return out
 
 
+ATTRIBUTE_NAMES = (
+    "case_id", "department", "age", "sex", "procedure_text", "anesthesia_text",
+    "positioning_text", "planned_induction_min", "planned_procedure_min",
+)
+DURATION_NAMES = ("induction_min", "preparation_min", "procedure_min")
+
+
+def cases_jsonl_slow(cases):
+    """The text of ``cases.jsonl`` as it was written from per-field rows.
+
+    One JSON object per case with every attribute and duration by name plus
+    ``duplicate_anchors`` (a list) and ``n_events``, keys sorted by
+    ``json.dumps``.
+    """
+    lines = []
+    for case in cases:
+        row = {k: getattr(case.attributes, k) for k in ATTRIBUTE_NAMES}
+        row.update({k: getattr(case.durations, k) for k in DURATION_NAMES})
+        row["duplicate_anchors"] = list(case.duplicate_anchors)
+        row["n_events"] = case.n_events
+        lines.append(json.dumps(row, sort_keys=True) + "\n")
+    return "".join(lines)
+
+
 def tfidf_dense(corpus, max_terms=None):
     """Dense TF-IDF matrix computed straight from the formula.
 

@@ -196,6 +196,33 @@ def test_ingest_report_names_the_source_of_each_error(tmp_path):
     ]
 
 
+GOOD_CASE_ROW = {
+    "age": 50, "anesthesia_text": "ITN", "case_id": "W1", "department": "urology",
+    "duplicate_anchors": [], "induction_min": 20.5, "n_events": 4,
+    "planned_induction_min": 15.0, "planned_procedure_min": 30.0, "positioning_text": "",
+    "preparation_min": 10.0, "procedure_min": 76.4, "procedure_text": "TURP", "sex": "m",
+}
+# a cases.jsonl of the versions before n_events listed each case's events
+STALE_CASE_ROW = {k: v for k, v in GOOD_CASE_ROW.items() if k != "n_events"} | {"events": []}
+
+
+@pytest.mark.parametrize(
+    "line, problem",
+    [
+        (json.dumps(GOOD_CASE_ROW, sort_keys=True)[:40], "invalid JSON"),
+        (json.dumps(STALE_CASE_ROW, sort_keys=True), "missing field 'n_events'"),
+        ("[1,2]", "expected a JSON object"),
+    ],
+    ids=["truncated", "stale", "not-an-object"],
+)
+def test_bad_cases_jsonl_exits_one_naming_the_line(tmp_path, capsys, line, problem):
+    path = tmp_path / "cases.jsonl"
+    path.write_text(json.dumps(GOOD_CASE_ROW, sort_keys=True) + "\n" + line + "\n")
+    for stage in ("clean", "cluster", "train", "evaluate", "report"):
+        assert run([stage, "--out", str(tmp_path)]) == 1, stage
+        assert capsys.readouterr().err == f"error: {path}:2: {problem}; re-run 'ingest'\n"
+
+
 def test_pipeline_artifacts_exist(pipeline_dir):
     pipeline_dir, _ = pipeline_dir
     expected = [
@@ -301,6 +328,34 @@ def test_predict_subcommand_with_floors(pipeline_dir, tmp_path):
     assert len(rows) == 4
     for row in rows[1:]:
         assert float(row.split(",")[-1]) >= 20.0  # induction floor applied
+
+
+def test_predict_reports_the_cases_rows_it_skipped(pipeline_dir, tmp_path, capsys):
+    pipeline_dir, config = pipeline_dir
+    header, *rows = (pipeline_dir / "cases.csv").read_text().splitlines()[:5]
+    argv = ["predict", "--out", str(pipeline_dir), *SMALL, "--config", str(config),
+            "--phase", "procedure", "--model", "group-mean"]
+    clean_cases, clean_dest = tmp_path / "clean.csv", tmp_path / "clean_preds.csv"
+    clean_cases.write_text("\n".join([header, *rows]) + "\n")
+    assert run([*argv, "--cases", str(clean_cases), "--dest", str(clean_dest)]) == 0
+    assert capsys.readouterr().err == ""
+
+    # a bad age on line 3; the other four rows are predicted as without it
+    cases, dest = tmp_path / "new.csv", tmp_path / "preds.csv"
+    cases.write_text("\n".join([header, *rows[:1], "W9999999,urology,abc,f,,,,,", *rows[1:]]) + "\n")
+    assert run([*argv, "--cases", str(cases), "--dest", str(dest)]) == 0
+    assert capsys.readouterr().err == (
+        f"predict: skipped 1 of 5 rows of {cases}\n  line 3: age is not an integer: 'abc'\n"
+    )
+    assert dest.read_bytes() == clean_dest.read_bytes()
+
+    # only the first few skipped rows are listed
+    cases.write_text("\n".join([header, *rows, *[f"W999999{i},urology,{200 + i},f,,,,," for i in range(7)]]) + "\n")
+    assert run([*argv, "--cases", str(cases), "--dest", str(dest)]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == f"predict: skipped 7 of 11 rows of {cases}"
+    assert err[1:] == [f"  line {6 + i}: age out of range [0, 130]: {200 + i}" for i in range(5)]
+    assert dest.read_bytes() == clean_dest.read_bytes()
 
 
 def test_predict_reproduces_evaluate_predictions(pipeline_dir, tmp_path):

@@ -2,26 +2,33 @@ import csv
 import io
 import json
 import random
+import tempfile
 from datetime import datetime, timedelta, timezone
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import assemble_cases_slow
-from periop.cli import _case_from_row, _case_to_row
+from oracles import assemble_cases_slow, cases_jsonl_slow
+from periop.cli import _case_from_row, _case_to_row, _load_cases, _write_cases
+from periop.config import PipelineConfig
 from periop.eventlog import (
     ANCHOR_EVENTS,
     CASES_HEADER,
     EVENTS_HEADER,
+    Case,
     CaseAttributes,
     Event,
     ParseError,
+    PhaseDurations,
     assemble_cases,
     parse_case_attributes,
     parse_events,
     parse_timestamp,
 )
+from periop.synthgen import SynthConfig
+from synth_files import synth_texts
 
 EVENTS_CSV = (
     "case_id,event_type,timestamp\n"
@@ -235,10 +242,58 @@ def test_assembled_cases_round_trip_through_cases_jsonl_rows(events, attrs):
         assert _case_from_row(json.loads(json.dumps(_case_to_row(case), sort_keys=True))) == case
 
 
+# any text, with the characters JSON escapes and a line reader could split on
+TEXT = st.text(st.characters() | st.sampled_from('\r\n"\\\x00\u2028\u00e9\u6f22'), max_size=8)
+MINUTES = st.none() | st.floats(-1e4, 1e4)  # negative and fractional durations pass through
+CASE_RECORDS = st.lists(
+    st.builds(
+        Case,
+        attributes=st.builds(
+            CaseAttributes,
+            case_id=TEXT,
+            department=TEXT,
+            age=st.none() | st.integers(0, 130),
+            sex=st.sampled_from(["f", "m", "other"]),
+            procedure_text=TEXT,
+            anesthesia_text=TEXT,
+            positioning_text=TEXT,
+            planned_induction_min=st.none() | st.floats(0, 1e4),
+            planned_procedure_min=st.none() | st.floats(0, 1e4),
+        ),
+        n_events=st.integers(0, 50),
+        durations=st.builds(PhaseDurations, MINUTES, MINUTES, MINUTES),
+        duplicate_anchors=st.lists(st.sampled_from(ANCHOR_EVENTS), unique=True).map(tuple),
+    ),
+    max_size=6,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cases=CASE_RECORDS)
+def test_cases_jsonl_bytes_equal_the_per_field_writer_and_read_back(cases):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cases.jsonl"
+        _write_cases(path, cases)
+        assert path.read_bytes() == cases_jsonl_slow(cases).encode("utf-8")
+        loaded = _load_cases(PipelineConfig(out=tmp))
+    assert loaded == cases
+    for case in loaded:  # == alone would accept plain tuples and lists
+        assert type(case) is Case
+        assert type(case.attributes) is CaseAttributes
+        assert type(case.durations) is PhaseDurations
+        assert type(case.duplicate_anchors) is tuple
+
+
 CASES_CSV_HEADER = (
     "case_id,department,age,sex,procedure_text,anesthesia_text,positioning_text,"
     "planned_induction_min,planned_procedure_min\n"
 )
+
+
+def test_cases_header_is_the_cases_csv_header_synth_writes():
+    _, cases_csv, _ = synth_texts(SynthConfig(n_cases=100, seed=3))
+    assert cases_csv.startswith(CASES_CSV_HEADER)
+    assert ",".join(CASES_HEADER) + "\n" == CASES_CSV_HEADER
 
 
 def test_parse_case_attributes_roundtrip():
