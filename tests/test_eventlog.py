@@ -210,13 +210,19 @@ def event_logs(draw):
     return draw(st.permutations(events))
 
 
+# Every field is given: builds() infers the ones left out of a NamedTuple, NaN
+# plans included, which parse_case_attributes never yields (NaN != NaN).
 ATTRIBUTES = st.lists(
     st.builds(
         CaseAttributes,
         case_id=st.sampled_from(["W1", "W2", "W10", "unused"]),
         department=st.sampled_from(["urology", "surgery"]),
         age=st.none() | st.integers(0, 130),
+        sex=st.sampled_from(["f", "m", "other"]),
         procedure_text=st.text(max_size=6),
+        anesthesia_text=st.text(max_size=6),
+        positioning_text=st.text(max_size=6),
+        planned_induction_min=st.none() | st.floats(0, 600),
         planned_procedure_min=st.none() | st.floats(0, 600),
     ),
     max_size=5,
