@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import sys
@@ -82,14 +83,27 @@ def _read_json(path: Path):
 
 
 # A cases.jsonl row holds every field of a Case by name, keys in sorted order
-# (json.dumps then needs no sort_keys); reading takes each record's fields
-# straight from the row.
+# (json.dumps then needs no sort_keys); reading checks each field's JSON type
+# and takes each record's fields straight from the row.
 _DURATION_FIELDS = PhaseDurations._fields
 _ROW_FIELDS = (*CASES_HEADER, *_DURATION_FIELDS, "duplicate_anchors", "n_events")
 _ROW_KEYS = tuple(sorted(_ROW_FIELDS))
 _sorted_row_values = itemgetter(*map(_ROW_FIELDS.index, _ROW_KEYS))
-_attribute_values = itemgetter(*CASES_HEADER)
-_duration_values = itemgetter(*_DURATION_FIELDS)
+_NUMBER_FIELDS = ("age", "planned_induction_min", "planned_procedure_min", *_DURATION_FIELDS)
+_ROW_TYPES = {  # field -> the Python types json.loads gives for its JSON type, and that type's name
+    **dict.fromkeys(_ROW_FIELDS, ({str}, "a string")),
+    **dict.fromkeys(_NUMBER_FIELDS, ({int, float, type(None)}, "a number or null")),
+    "duplicate_anchors": ({list}, "an array"),
+    "n_events": ({int}, "an integer"),
+}
+_row_values = itemgetter(*_ROW_FIELDS)
+# every accepted sequence of value types, in _ROW_FIELDS order
+_ROW_SIGNATURES = frozenset(itertools.product(*(_ROW_TYPES[k][0] for k in _ROW_FIELDS)))
+# Every stage reads every row, so the row path keeps the cost of the type
+# check down: json.loads without its per-call argument checks, and records
+# built without their Python-level __new__.
+_decode_row = json.JSONDecoder().decode
+_new_record = tuple.__new__
 
 
 def _case_to_row(case: Case) -> dict:
@@ -98,11 +112,18 @@ def _case_to_row(case: Case) -> dict:
 
 
 def _case_from_row(row: dict) -> Case:
-    return Case(
-        CaseAttributes(*_attribute_values(row)),
-        row["n_events"],
-        PhaseDurations(*_duration_values(row)),
-        tuple(row["duplicate_anchors"]),
+    values = _row_values(row)
+    if tuple(map(type, values)) not in _ROW_SIGNATURES:
+        raise TypeError("a field has the wrong JSON type")
+    n_attributes = len(CASES_HEADER)  # the slices hold exactly each record's fields
+    return _new_record(
+        Case,
+        (
+            _new_record(CaseAttributes, values[:n_attributes]),
+            values[-1],
+            _new_record(PhaseDurations, values[n_attributes:-2]),
+            tuple(values[-2]),
+        ),
     )
 
 
@@ -132,7 +153,7 @@ def _load_cases(cfg: PipelineConfig) -> list[Case]:
         with path.open(encoding="utf-8") as fh:
             for line_no, line in enumerate(fh, start=1):
                 if line.strip():
-                    cases.append(_case_from_row(json.loads(line)))
+                    cases.append(_case_from_row(_decode_row(line)))
     except UnicodeDecodeError:
         raise UsageError(f"{path}: invalid UTF-8; re-run 'ingest'") from None
     except (ValueError, KeyError, TypeError, RecursionError) as exc:
@@ -151,6 +172,9 @@ def _bad_case_row(line: str, exc: Exception) -> str:
     missing = [k for k in _ROW_FIELDS if k not in row]
     if missing:
         return f"missing field {missing[0]!r}"
+    for key, (types, name) in _ROW_TYPES.items():
+        if type(row[key]) not in types:
+            return f"bad value for {key!r}: expected {name}, got {json.dumps(row[key])}"
     return f"bad value ({type(exc).__name__}: {exc})"
 
 
@@ -293,9 +317,7 @@ def stage_cluster(cfg: PipelineConfig) -> None:
         seed = derive_seed(cfg.seed, f"cluster:{phase}")
         scores: dict[int, float] = {}
         if len(ks) > 1:
-            best_k, scores = clustering.select_k(
-                X_train, algo, ks, seed=seed, sample_limit=cfg.silhouette_sample
-            )
+            best_k, scores = clustering.select_k(X_train, algo, ks, seed=seed)
         else:
             best_k = ks[0]
         fit = clustering.kmeans_fit if algo == "kmeans" else clustering.gmm_fit  # config checked algo

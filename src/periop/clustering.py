@@ -1,8 +1,10 @@
 """Clustering of description vectors: K-Means (Lloyd) and diagonal GMM (EM).
 
-The number of clusters is selected by the mean silhouette coefficient. All
-fits are deterministic given a seed; ties break toward the lowest index or
-the smallest k so repeated runs agree bit for bit.
+Both fits, and the mean silhouette that selects the number of clusters, run
+on the distinct rows of X weighted by their number of copies; inertia and
+log-likelihood stay sums over all rows. All fits are deterministic given a
+seed; ties break toward the lowest index or the smallest k so repeated runs
+agree bit for bit.
 """
 
 from __future__ import annotations
@@ -136,21 +138,32 @@ def _distinct_distances(rows: np.ndarray) -> np.ndarray:
     return dist
 
 
-def _kmeanspp_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    n = X.shape[0]
-    centers = np.empty((k, X.shape[1]))
-    first = int(rng.integers(n))
-    centers[0] = X[first]
-    closest = _sq_dist_to(X, centers[:1]).ravel()
+def _kmeanspp_init(rows: np.ndarray, inverse: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    # k-means++ over the points that ``inverse`` maps onto the distinct ``rows``:
+    # a point is drawn with probability proportional to its squared distance
+    n = inverse.shape[0]
+    centers = np.empty((k, rows.shape[1]))
+    centers[0] = rows[inverse[int(rng.integers(n))]]
+    closest = _sq_dist_to(rows, centers[:1]).ravel()
     for j in range(1, k):
-        total = float(closest.sum())
+        total = float(closest[inverse].sum())
         if total <= 0.0:
             idx = int(rng.integers(n))
         else:
-            idx = int(rng.choice(n, p=closest / total))
-        centers[j] = X[idx]
-        closest = np.minimum(closest, _sq_dist_to(X, centers[j : j + 1]).ravel())
+            idx = int(rng.choice(n, p=closest[inverse] / total))
+        centers[j] = rows[inverse[idx]]
+        closest = np.minimum(closest, _sq_dist_to(rows, centers[j : j + 1]).ravel())
     return centers
+
+
+def _label_means(rows: np.ndarray, counts: np.ndarray, labels: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    # (k,) number of points with each label and (k, d) their mean, where
+    # ``counts[u]`` points sit at ``rows[u]``; a label no point carries has mean 0
+    d = rows.shape[1]
+    sizes = np.bincount(labels, weights=counts, minlength=k)
+    cells = (labels[:, None] * d + np.arange(d)).ravel()
+    sums = np.bincount(cells, weights=(rows * counts[:, None]).ravel(), minlength=k * d).reshape(k, d)
+    return sizes, sums / np.maximum(sizes, 1.0)[:, None]
 
 
 def kmeans_fit(
@@ -172,31 +185,27 @@ def kmeans_fit(
         raise ValueError("k must be >= 1")
     if k > n:
         raise ValueError(f"k={k} exceeds number of points n={n}")
+    rows, inverse = _distinct_rows(X)
+    counts = np.bincount(inverse).astype(float)
     rng = np.random.default_rng(seed)
-    centers = _kmeanspp_init(X, k, rng)
+    centers = _kmeanspp_init(rows, inverse, k, rng)
     trace: list[float] = []
-    labels = np.zeros(n, dtype=np.intp)
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        d2 = _sq_dist_to(X, centers)
+        d2 = _sq_dist_to(rows, centers)
         labels = np.argmin(d2, axis=1)
-        trace.append(float(d2[np.arange(n), labels].sum()))
-        new_centers = centers.copy()
-        counts = np.bincount(labels, minlength=k)
-        for j in range(k):
-            if counts[j] > 0:
-                new_centers[j] = X[labels == j].mean(axis=0)
-        for j in np.flatnonzero(counts == 0):
+        trace.append(float(counts @ d2.min(axis=1)))
+        sizes, means = _label_means(rows, counts, labels, k)
+        new_centers = np.where(sizes[:, None] > 0, means, centers)
+        for j in np.flatnonzero(sizes == 0):
             # re-seed an empty cluster to the worst-served point
-            nearest = np.min(_sq_dist_to(X, new_centers), axis=1)
-            new_centers[j] = X[int(np.argmax(nearest))]
+            nearest = np.min(_sq_dist_to(rows, new_centers), axis=1)
+            new_centers[j] = rows[int(np.argmax(nearest))]
         shift = float(np.sqrt(np.sum((new_centers - centers) ** 2, axis=1)).max())
         centers = new_centers
         if shift < tol:
             break
-    d2 = _sq_dist_to(X, centers)
-    labels = np.argmin(d2, axis=1)
-    inertia = float(d2[np.arange(n), labels].sum())
+    inertia = float(counts @ _sq_dist_to(rows, centers).min(axis=1))
     trace.append(inertia)
     return KMeansModel(
         centroids=centers,
@@ -238,32 +247,32 @@ def gmm_fit(
 
     Initialized from a k-means++ pass (seed means, hard-assign, component
     stats). Stops once the log-likelihood gain falls below ``tol``; the
-    trace is non-decreasing up to 1e-8 slack. A component that loses all
-    responsibility mass is re-initialized once (``reinitialized``), which
-    starts a new EM run, so the trace may drop at that one step; a second
-    collapse is an error. Callers should cap dimensionality (e.g. TF-IDF
+    trace is non-decreasing up to 1e-8 slack. Components that lose all
+    responsibility mass are re-initialized once (``reinitialized``) at the
+    worst-explained distinct rows, which starts a new EM run, so the trace
+    may drop at that one step; a second collapse is an error. Callers should cap dimensionality (e.g. TF-IDF
     max_terms).
     """
     X = _as_matrix(X)
-    n, d = X.shape
+    n = X.shape[0]
     if k < 1:
         raise ValueError("k must be >= 1")
     if k > n:
         raise ValueError(f"k={k} exceeds number of points n={n}")
+    rows, inverse = _distinct_rows(X)
+    counts = np.bincount(inverse).astype(float)
     rng = np.random.default_rng(seed)
 
-    global_var = np.maximum(X.var(axis=0), var_floor)
-    means = _kmeanspp_init(X, k, rng)
-    labels = np.argmin(_sq_dist_to(X, means), axis=1)
-    weights = np.full(k, 1.0 / k)
-    variances = np.tile(global_var, (k, 1))
-    for j in range(k):
-        mask = labels == j
-        cnt = int(mask.sum())
-        if cnt > 0:
-            weights[j] = cnt / n
-            means[j] = X[mask].mean(axis=0)
-            variances[j] = np.maximum(X[mask].var(axis=0), var_floor)
+    mean = counts @ rows / n
+    global_var = np.maximum(counts @ (rows - mean) ** 2 / n, var_floor)
+    means = _kmeanspp_init(rows, inverse, k, rng)
+    labels = np.argmin(_sq_dist_to(rows, means), axis=1)
+    sizes, label_means = _label_means(rows, counts, labels, k)
+    filled = sizes > 0
+    means[filled] = label_means[filled]
+    _, label_vars = _label_means((rows - means[labels]) ** 2, counts, labels, k)
+    variances = np.where(filled[:, None], np.maximum(label_vars, var_floor), global_var)
+    weights = np.where(filled, sizes / n, 1.0 / k)
     weights = weights / weights.sum()
 
     trace: list[float] = []
@@ -271,15 +280,15 @@ def gmm_fit(
     fresh_restart = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        logp = _gmm_log_prob(X, weights, means, variances)
+        logp = _gmm_log_prob(rows, weights, means, variances)
         lse = _logsumexp_rows(logp)
-        ll = float(lse.sum())
+        ll = float(counts @ lse)
         converged = bool(trace) and not fresh_restart and ll - trace[-1] < tol
         trace.append(ll)
         fresh_restart = False
         if converged:
             break
-        resp = np.exp(logp - lse[:, None])
+        resp = np.exp(logp - lse[:, None]) * counts[:, None]  # responsibility mass of each row's copies
         nk = resp.sum(axis=0)
         dead = np.flatnonzero(nk < 1e-10)
         if dead.size:
@@ -287,16 +296,16 @@ def gmm_fit(
                 raise ValueError("degenerate GMM component after re-initialization")
             reinitialized = True
             fresh_restart = True
-            worst = np.argsort(lse)  # poorly explained points host new components
+            worst = np.argsort(lse, kind="stable")  # poorly explained rows host new components
             for pos, j in enumerate(dead):
-                means[j] = X[int(worst[pos % n])]
-                variances[j] = global_var.copy()
+                means[j] = rows[int(worst[pos % worst.size])]
+                variances[j] = global_var
                 weights[j] = 1.0 / n
             weights = weights / weights.sum()
             continue
         weights = nk / n
-        means = (resp.T @ X) / nk[:, None]
-        sq = (resp.T @ (X * X)) / nk[:, None]
+        means = (resp.T @ rows) / nk[:, None]
+        sq = (resp.T @ (rows * rows)) / nk[:, None]
         variances = np.maximum(sq - means * means, var_floor)
     return GmmModel(
         weights=weights,
@@ -391,19 +400,17 @@ def select_k(
     algo: str,
     k_range: Sequence[int],
     seed: int = 0,
-    sample_limit: int | None = None,
     **fit_kwargs,
 ) -> tuple[int, dict[int, float]]:
     """Fit each k in k_range and pick the best mean silhouette (ties: smallest k).
 
     Per-k fits use the derived seed ``seed + k`` so candidates are
-    independent. ``sample_limit`` scores the silhouette on one shared seeded
-    subsample, for corpora where the O(n^2) computation is impractical. The
-    silhouette's cost follows the distinct scored rows: their distances are
-    computed once per call, and each k scores groups of identical rows
-    weighted by their number. A k whose fit collapses to a single effective
-    cluster scores -inf, and so, without a fit, does a k above the number of
-    distinct rows. Raises ValueError when no k scores above -inf.
+    independent. The silhouette is exact over all rows, and its cost follows
+    the distinct rows: their distances are computed once per call, and each k
+    scores groups of identical rows weighted by their number. A k whose fit
+    collapses to a single effective cluster scores -inf, and so, without a
+    fit, does a k above the number of distinct rows. Raises ValueError when no
+    k scores above -inf.
     """
     X = _as_matrix(X)
     n = X.shape[0]
@@ -415,15 +422,9 @@ def select_k(
     if algo not in ("kmeans", "gmm"):
         raise ValueError(f"unknown algorithm: {algo!r}")
 
-    if sample_limit is not None and n > sample_limit:
-        idx = np.sort(np.random.default_rng(seed).choice(n, size=sample_limit, replace=False))
-    else:
-        idx = np.arange(n)
-
     distinct, inverse = _distinct_rows(X)
     n_distinct = distinct.shape[0]
-    scored, rows = np.unique(inverse[idx], return_inverse=True)  # distinct rows of the sample
-    dist = _distinct_distances(distinct[scored])
+    dist = _distinct_distances(distinct)
     scores: dict[int, float] = {}
     best_k, best_score = None, -math.inf
     for k in ks:
@@ -434,9 +435,9 @@ def select_k(
             model: Union[KMeansModel, GmmModel] = kmeans_fit(X, k, seed=seed + k, **fit_kwargs)
         else:
             model = gmm_fit(X, k, seed=seed + k, **fit_kwargs)
-        labels = cluster_assign(model, X).labels
+        labels = cluster_assign(model, distinct).labels[inverse]
         try:
-            score = _silhouette_of_counts(dist, _label_counts(rows, labels[idx], scored.size, k))
+            score = _silhouette_of_counts(dist, _label_counts(inverse, labels, n_distinct, k))
         except ValueError:
             score = -math.inf
         scores[k] = score

@@ -62,7 +62,6 @@ class PipelineConfig:
     cluster_k: Mapping[str, tuple[int, ...]] = field(
         default_factory=lambda: {"procedure": (25,), "induction": (5,), "preparation": (4,)}
     )
-    silhouette_sample: int = 2000
     target_smoothing: float = 40.0
     models: tuple[str, ...] = ("mean", "group-mean", "gbm")
     group_by: str = "cluster"  # or "exact-name"

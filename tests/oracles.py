@@ -11,6 +11,7 @@ from datetime import datetime, timedelta, timezone
 
 import numpy as np
 
+from periop.clustering import GmmModel, KMeansModel
 from periop.eventlog import ANCHOR_EVENTS, CASES_HEADER, EVENTS_HEADER, PHASE_ANCHORS, PHASES, CaseAttributes
 from periop.models import Tree
 from periop.synthgen import (
@@ -147,30 +148,141 @@ def silhouette_slow(X, labels):
     return total / n
 
 
-def select_k_rows(X, fit_labels, k_range, seed, sample_limit=None):
+def select_k_rows(X, fit_labels, k_range, seed):
     """k selection scored row by row: every k in k_range is fitted through
     ``fit_labels(X, k, seed + k)`` (labels of all rows) and its mean
-    silhouette taken with ``silhouette_slow`` over the rows of one seeded
-    subsample. A k above the number of distinct rows, or whose subsample
-    holds a single cluster, scores -inf. Returns (best k or None, scores);
-    ties go to the smallest k.
+    silhouette taken with ``silhouette_slow`` over all rows. A k above the
+    number of distinct rows, or whose labels form a single cluster, scores
+    -inf. Returns (best k or None, scores); ties go to the smallest k.
     """
     X = np.asarray(X, dtype=float)
-    n = X.shape[0]
-    if sample_limit is not None and n > sample_limit:
-        idx = np.sort(np.random.default_rng(seed).choice(n, size=sample_limit, replace=False))
-    else:
-        idx = np.arange(n)
     n_distinct = len({tuple(row) for row in X.tolist()})
     scores = {}
     for k in sorted(set(k_range)):
         if k > n_distinct:
             scores[k] = -math.inf
             continue
-        labels = [int(v) for v in np.asarray(fit_labels(X, k, seed + k))[idx]]
-        scores[k] = silhouette_slow(X[idx], labels) if len(set(labels)) > 1 else -math.inf
+        labels = [int(v) for v in fit_labels(X, k, seed + k)]
+        scores[k] = silhouette_slow(X, labels) if len(set(labels)) > 1 else -math.inf
     best = max(scores, key=lambda k: (scores[k], -k))
     return (best if scores[best] > -math.inf else None), scores
+
+
+def _sq_dist_rows(X, centers):
+    # (n, k) squared distances in the Gram form ||x||^2 - 2x.c + ||c||^2, clamped at 0
+    d2 = np.sum(X * X, axis=1)[:, None] - 2.0 * (X @ centers.T) + np.sum(centers * centers, axis=1)[None, :]
+    return np.maximum(d2, 0.0)
+
+
+def kmeanspp_init_rows(X, k, rng):
+    """k-means++ seeding over every row: the first centre is a uniform row,
+    each later one a row drawn with probability proportional to its squared
+    distance from the nearest centre (a uniform row when all are 0)."""
+    n = X.shape[0]
+    centers = np.empty((k, X.shape[1]))
+    centers[0] = X[int(rng.integers(n))]
+    closest = _sq_dist_rows(X, centers[:1]).ravel()
+    for j in range(1, k):
+        total = float(closest.sum())
+        idx = int(rng.integers(n)) if total <= 0.0 else int(rng.choice(n, p=closest / total))
+        centers[j] = X[idx]
+        closest = np.minimum(closest, _sq_dist_rows(X, centers[j : j + 1]).ravel())
+    return centers
+
+
+def kmeans_fit_rows(X, k, seed, max_iter=300, tol=1e-6):
+    """Lloyd's algorithm on every row, one mean per cluster. An empty cluster
+    is re-seeded to the row farthest from its nearest centroid."""
+    X = np.asarray(X, dtype=float)
+    n = X.shape[0]
+    centers = kmeanspp_init_rows(X, k, np.random.default_rng(seed))
+    trace = []
+    iterations = 0
+    for iterations in range(1, max_iter + 1):
+        d2 = _sq_dist_rows(X, centers)
+        labels = np.argmin(d2, axis=1)
+        trace.append(float(d2[np.arange(n), labels].sum()))
+        new_centers = centers.copy()
+        for j in range(k):
+            if np.any(labels == j):
+                new_centers[j] = X[labels == j].mean(axis=0)
+        for j in range(k):
+            if not np.any(labels == j):
+                new_centers[j] = X[int(np.argmax(np.min(_sq_dist_rows(X, new_centers), axis=1)))]
+        shift = float(np.sqrt(np.sum((new_centers - centers) ** 2, axis=1)).max())
+        centers = new_centers
+        if shift < tol:
+            break
+    inertia = float(np.min(_sq_dist_rows(X, centers), axis=1).sum())
+    trace.append(inertia)
+    return KMeansModel(centers, inertia, iterations, seed, tuple(trace))
+
+
+def _gmm_log_prob_rows(X, weights, means, variances):
+    d = X.shape[1]
+    out = np.empty((X.shape[0], weights.shape[0]))
+    for j in range(weights.shape[0]):
+        diff = X - means[j]
+        out[:, j] = (
+            math.log(max(weights[j], 1e-300))
+            - 0.5 * (d * math.log(2.0 * math.pi) + float(np.log(variances[j]).sum()))
+            - 0.5 * np.sum(diff * diff / variances[j], axis=1)
+        )
+    return out
+
+
+def gmm_fit_rows(X, k, seed, max_iter=200, tol=1e-7, var_floor=1e-6):
+    """EM for a diagonal Gaussian mixture on every row, started from
+    ``kmeanspp_init_rows`` and one hard assignment. Components that lose all
+    mass are re-seeded once, one per distinct position, at the worst-explained
+    rows; a second collapse raises ValueError."""
+    X = np.asarray(X, dtype=float)
+    n = X.shape[0]
+    global_var = np.maximum(X.var(axis=0), var_floor)
+    means = kmeanspp_init_rows(X, k, np.random.default_rng(seed))
+    labels = np.argmin(_sq_dist_rows(X, means), axis=1)
+    weights = np.full(k, 1.0 / k)
+    variances = np.tile(global_var, (k, 1))
+    for j in range(k):
+        mask = labels == j
+        if mask.any():
+            weights[j] = mask.sum() / n
+            means[j] = X[mask].mean(axis=0)
+            variances[j] = np.maximum(X[mask].var(axis=0), var_floor)
+    weights = weights / weights.sum()
+    trace = []
+    reinitialized = fresh_restart = False
+    iterations = 0
+    for iterations in range(1, max_iter + 1):
+        logp = _gmm_log_prob_rows(X, weights, means, variances)
+        mx = logp.max(axis=1, keepdims=True)
+        lse = (mx + np.log(np.exp(logp - mx).sum(axis=1, keepdims=True))).ravel()
+        ll = float(lse.sum())
+        converged = bool(trace) and not fresh_restart and ll - trace[-1] < tol
+        trace.append(ll)
+        fresh_restart = False
+        if converged:
+            break
+        resp = np.exp(logp - lse[:, None])
+        nk = resp.sum(axis=0)
+        dead = np.flatnonzero(nk < 1e-10)
+        if dead.size:
+            if reinitialized:
+                raise ValueError("degenerate GMM component after re-initialization")
+            reinitialized = fresh_restart = True
+            order = np.argsort(lse, kind="stable")
+            _, first = np.unique(X[order], axis=0, return_index=True)
+            worst = order[np.sort(first)]  # the worst-explained row of each distinct position
+            for pos, j in enumerate(dead):
+                means[j] = X[worst[pos % worst.size]]
+                variances[j] = global_var
+                weights[j] = 1.0 / n
+            weights = weights / weights.sum()
+            continue
+        weights = nk / n
+        means = (resp.T @ X) / nk[:, None]
+        variances = np.maximum((resp.T @ (X * X)) / nk[:, None] - means * means, var_floor)
+    return GmmModel(weights, means, variances, tuple(trace), iterations, seed, reinitialized)
 
 
 def quantile_slow(samples, q):

@@ -212,8 +212,15 @@ STALE_CASE_ROW = {k: v for k, v in GOOD_CASE_ROW.items() if k != "n_events"} | {
         (json.dumps(GOOD_CASE_ROW, sort_keys=True)[:40], "invalid JSON"),
         (json.dumps(STALE_CASE_ROW, sort_keys=True), "missing field 'n_events'"),
         ("[1,2]", "expected a JSON object"),
+        (json.dumps(GOOD_CASE_ROW | {"age": "x"}), "bad value for 'age': expected a number or null, got \"x\""),
+        (
+            json.dumps(GOOD_CASE_ROW | {"procedure_min": "12"}),
+            "bad value for 'procedure_min': expected a number or null, got \"12\"",
+        ),
+        (json.dumps(GOOD_CASE_ROW | {"n_events": True}), "bad value for 'n_events': expected an integer, got true"),
+        (json.dumps(GOOD_CASE_ROW | {"department": None}), "bad value for 'department': expected a string, got null"),
     ],
-    ids=["truncated", "stale", "not-an-object"],
+    ids=["truncated", "stale", "not-an-object", "age-text", "duration-text", "count-bool", "department-null"],
 )
 def test_bad_cases_jsonl_exits_one_naming_the_line(tmp_path, capsys, line, problem):
     path = tmp_path / "cases.jsonl"

@@ -6,9 +6,17 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import kmeans_best_two_partition, select_k_rows, silhouette_slow
+from oracles import (
+    gmm_fit_rows,
+    kmeans_best_two_partition,
+    kmeans_fit_rows,
+    kmeanspp_init_rows,
+    select_k_rows,
+    silhouette_slow,
+)
 from periop.clustering import (
     KMeansModel,
+    _kmeanspp_init,
     cluster_assign,
     cluster_catalog,
     gmm_fit,
@@ -18,6 +26,7 @@ from periop.clustering import (
     select_k,
     silhouette,
 )
+from periop.encoding import _distinct_rows
 
 
 def blobs(rng, centers, n_per, spread=0.3):
@@ -305,23 +314,22 @@ def test_select_k_matches_row_level_reference(data, algo, seed):
     X = data.draw(repeated_rows(min_rows=3))
     n = len(X)
     ks = data.draw(st.lists(st.integers(2, n - 1), min_size=1, max_size=4))
-    sample_limit = data.draw(st.none() | st.integers(2, n))
     fit = kmeans_fit if algo == "kmeans" else gmm_fit
 
     def fit_labels(X, k, seed):
         return cluster_assign(fit(X, k, seed=seed), X).labels
 
     try:
-        ref_k, ref_scores = select_k_rows(X, fit_labels, ks, seed, sample_limit)
+        ref_k, ref_scores = select_k_rows(X, fit_labels, ks, seed)
     except ValueError:  # a GMM component collapsed twice: select_k raises too
         with pytest.raises(ValueError):
-            select_k(X, algo, ks, seed=seed, sample_limit=sample_limit)
+            select_k(X, algo, ks, seed=seed)
         return
     if ref_k is None:
         with pytest.raises(ValueError, match="distinct rows"):
-            select_k(X, algo, ks, seed=seed, sample_limit=sample_limit)
+            select_k(X, algo, ks, seed=seed)
         return
-    best_k, scores = select_k(X, algo, ks, seed=seed, sample_limit=sample_limit)
+    best_k, scores = select_k(X, algo, ks, seed=seed)
     assert set(scores) == set(ref_scores)
     for k, ref in ref_scores.items():
         if ref == -math.inf:
@@ -330,6 +338,51 @@ def test_select_k_matches_row_level_reference(data, algo, seed):
             assert scores[k] == pytest.approx(ref, rel=0, abs=1e-12)
     # the same k, unless two candidates tie to within the scores' rounding
     assert best_k == ref_k or abs(scores[best_k] - ref_scores[ref_k]) <= 1e-12
+
+
+def _close(a, b):
+    return np.allclose(a, b, rtol=1e-9, atol=1e-9)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2**16))
+def test_fits_on_distinct_rows_match_row_level_fits(data, seed):
+    # every position repeats many times; the package fits the distinct rows
+    # weighted by count, the oracles fit every row
+    X = data.draw(repeated_rows(min_rows=8, max_rows=60))
+    k = data.draw(st.integers(1, min(6, len(X))))
+    distinct, inverse = _distinct_rows(X)
+    centres = _kmeanspp_init(distinct, inverse, k, np.random.default_rng(seed))
+    assert np.array_equal(centres, kmeanspp_init_rows(X, k, np.random.default_rng(seed)))
+
+    model, ref = kmeans_fit(X, k, seed=seed), kmeans_fit_rows(X, k, seed=seed)
+    assert model.iterations_run == ref.iterations_run
+    assert _close(model.centroids, ref.centroids)
+    assert _close(model.inertia_trace, ref.inertia_trace) and _close(model.inertia, ref.inertia)
+    assert np.array_equal(cluster_assign(model, X).labels, cluster_assign(ref, X).labels)
+
+    try:
+        ref = gmm_fit_rows(X, k, seed=seed)
+    except ValueError:  # a component collapsed twice
+        with pytest.raises(ValueError):
+            gmm_fit(X, k, seed=seed)
+        return
+    model = gmm_fit(X, k, seed=seed)
+    assert (model.iterations_run, model.reinitialized) == (ref.iterations_run, ref.reinitialized)
+    for field in ("weights", "means", "variances", "log_likelihood"):
+        assert _close(getattr(model, field), getattr(ref, field)), field
+    assert np.array_equal(cluster_assign(model, X).labels, cluster_assign(ref, X).labels)
+
+
+def test_gmm_reseed_matches_row_level_fit():
+    # 4 components on 3 distinct positions: the dead ones restart at the
+    # worst-explained distinct rows, which the random matrices above rarely reach
+    X = np.array([[1.0], [1.0], [0.0], [0.0], [0.0], [-2.0]])
+    model, ref = gmm_fit(X, 4, seed=881), gmm_fit_rows(X, 4, seed=881)
+    assert model.reinitialized and ref.reinitialized
+    assert model.iterations_run == ref.iterations_run
+    for field in ("weights", "means", "variances", "log_likelihood"):
+        assert _close(getattr(model, field), getattr(ref, field)), field
 
 
 # Arbitrary finite inputs, bounded so that squared norms stay far from overflow.
