@@ -314,22 +314,24 @@ def stage_cluster(cfg: PipelineConfig) -> None:
 
         algo = cfg.cluster_algo.get(phase, "kmeans")
         ks = cfg.cluster_k.get(phase, (2,))
+        n_texts = len({row.tobytes() for row in X_train})  # distinct training texts
+        if min(ks) > n_texts:
+            problem = f"phase {phase!r} has {n_texts} distinct training texts, fewer than k = {min(ks)}"
+            raise UsageError(f"config key 'cluster_k.{phase}': {problem}")
         seed = derive_seed(cfg.seed, f"cluster:{phase}")
         scores: dict[int, float] = {}
         if len(ks) > 1:
-            best_k, scores = clustering.select_k(X_train, algo, ks, seed=seed)
+            model, scores = clustering.select_k(X_train, algo, ks, seed=seed)
         else:
-            best_k = ks[0]
-        fit = clustering.kmeans_fit if algo == "kmeans" else clustering.gmm_fit  # config checked algo
-        model = fit(X_train, best_k, seed=seed + best_k)
-        labels = clustering.cluster_assign(model, X_all).labels
+            model = getattr(clustering, f"{algo}_fit")(X_train, ks[0], seed=seed + ks[0])  # kmeans_fit, gmm_fit
+        labels = clustering.cluster_assign(model, X_all)
 
         _write_json(out / f"tfidf_{phase}.json", model_tfidf.to_dict())
         _write_json(
             out / f"cluster_model_{phase}.json",
             {
                 "model": model.to_dict(),
-                "selected_k": best_k,
+                "selected_k": model.k,
                 # ascending k; a k that could not be scored (-inf) is null
                 "silhouette_scores": [
                     {"k": k, "score": scores[k] if math.isfinite(scores[k]) else None}
@@ -355,7 +357,7 @@ def stage_cluster(cfg: PipelineConfig) -> None:
                 for row in catalog
             ),
         )
-        print(f"cluster[{phase}]: {algo} k={best_k} over {len(train_ids)} train docs")
+        print(f"cluster[{phase}]: {algo} k={model.k} over {len(train_ids)} train docs")
 
 
 def _model_plan(name: str, cfg: PipelineConfig) -> tuple[str, str, dict]:
@@ -429,12 +431,15 @@ def stage_train(cfg: PipelineConfig) -> None:
 
 def _bundle_predict(path: Path, bundle: dict, assignments: dict[str, int], cases: Sequence[Case]) -> np.ndarray:
     """Predict ``cases`` with a trained model bundle (read from ``path``) and its feature context."""
-    ctx = features.FeatureContext.from_dict(bundle["features"], assignments)
     try:
+        ctx = features.FeatureContext.from_dict(bundle["features"], assignments)
         model = models.model_from_dict(bundle["model"])
+        family = bundle["family"]
+    except KeyError as exc:
+        raise UsageError(f"{path}: missing field {exc}; re-run 'train' to rebuild it") from None
     except ValueError as exc:  # e.g. trees in the nested layout of older versions
         raise UsageError(f"{path}: {exc}; re-run 'train' to rebuild it") from None
-    return model.predict(features.design_matrix(ctx, bundle["family"], cases))
+    return model.predict(features.design_matrix(ctx, family, cases))
 
 
 def stage_evaluate(cfg: PipelineConfig) -> None:
@@ -563,9 +568,13 @@ def stage_predict(cfg: PipelineConfig, dest: str | None, apply_floors: bool) -> 
 
     # new free text is clustered with the persisted TF-IDF + cluster model
     tfidf = textnorm.TfidfModel.from_dict(_read_json(out / f"tfidf_{phase}.json"))
-    cluster_model = clustering.model_from_dict(_read_json(out / f"cluster_model_{phase}.json")["model"])
+    cluster_path = out / f"cluster_model_{phase}.json"
+    try:
+        cluster_model = clustering.model_from_dict(_read_json(cluster_path)["model"])
+    except KeyError as exc:
+        raise UsageError(f"{cluster_path}: missing field {exc}; re-run 'cluster' to rebuild it") from None
     X_text = _tfidf_matrix(_normalized_docs(cfg, phase, attrs), tfidf)
-    labels = clustering.cluster_assign(cluster_model, X_text).labels
+    labels = clustering.cluster_assign(cluster_model, X_text)
     assignments = {a.case_id: int(l) for a, l in zip(attrs, labels)}
 
     preds = _bundle_predict(bundle_path, bundle, assignments, [Case(attributes=a) for a in attrs])

@@ -2,9 +2,9 @@
 
 Both fits, and the mean silhouette that selects the number of clusters, run
 on the distinct rows of X weighted by their number of copies; inertia and
-log-likelihood stay sums over all rows. All fits are deterministic given a
-seed; ties break toward the lowest index or the smallest k so repeated runs
-agree bit for bit.
+log-likelihood stay sums over all rows; ``select_k`` deduplicates X once for
+all its candidate fits. All fits are deterministic given a seed; ties break
+toward the lowest index or the smallest k so repeated runs agree bit for bit.
 """
 
 from __future__ import annotations
@@ -18,6 +18,8 @@ import numpy as np
 from .encoding import _distinct_rows
 
 VARIANCE_FLOOR = 1e-6
+_KMEANS_MAX_ITER, _KMEANS_TOL = 300, 1e-6
+_GMM_MAX_ITER, _GMM_TOL = 200, 1e-7
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -103,16 +105,8 @@ def model_from_dict(obj: dict) -> Union[KMeansModel, GmmModel]:
     raise ValueError(f"unknown clustering algorithm: {obj['algo']!r}")
 
 
-@dataclass(frozen=True)
-class ClusterAssignment:
-    labels: np.ndarray
-    k: int
-
-
 def _as_matrix(X: Union[np.ndarray, Sequence[Sequence[float]]]) -> np.ndarray:
     X = np.asarray(X, dtype=float)
-    if X.ndim == 1:
-        X = X.reshape(-1, 1)
     if X.ndim != 2 or X.shape[0] == 0:
         raise ValueError("X must be a non-empty (n, d) matrix")
     if not np.all(np.isfinite(X)):
@@ -166,32 +160,36 @@ def _label_means(rows: np.ndarray, counts: np.ndarray, labels: np.ndarray, k: in
     return sizes, sums / np.maximum(sizes, 1.0)[:, None]
 
 
-def kmeans_fit(
-    X: Union[np.ndarray, Sequence[Sequence[float]]],
-    k: int,
-    seed: int = 0,
-    max_iter: int = 300,
-    tol: float = 1e-6,
-) -> KMeansModel:
-    """Lloyd's algorithm with k-means++ initialization.
-
-    Empty clusters are re-seeded to the point farthest from its centroid.
-    Stops when the largest centroid shift drops below ``tol``. The inertia
-    trace (one entry per assignment step) is non-increasing.
-    """
+def _fit_input(X: Union[np.ndarray, Sequence[Sequence[float]]], k: int) -> tuple[np.ndarray, np.ndarray]:
+    # the public fits' checks; the distinct rows of X and each row's index into them
     X = _as_matrix(X)
     n = X.shape[0]
     if k < 1:
         raise ValueError("k must be >= 1")
     if k > n:
         raise ValueError(f"k={k} exceeds number of points n={n}")
-    rows, inverse = _distinct_rows(X)
+    return _distinct_rows(X)
+
+
+def kmeans_fit(X: Union[np.ndarray, Sequence[Sequence[float]]], k: int, seed: int = 0) -> KMeansModel:
+    """Lloyd's algorithm with k-means++ initialization.
+
+    Empty clusters are re-seeded to the point farthest from its centroid.
+    Stops when the largest centroid shift drops below 1e-6, after at most 300
+    iterations. The inertia trace (one entry per assignment step) is
+    non-increasing.
+    """
+    return _kmeans(*_fit_input(X, k), k, seed)
+
+
+def _kmeans(rows: np.ndarray, inverse: np.ndarray, k: int, seed: int) -> KMeansModel:
+    # kmeans_fit on the points that ``inverse`` maps onto the distinct ``rows``
     counts = np.bincount(inverse).astype(float)
     rng = np.random.default_rng(seed)
     centers = _kmeanspp_init(rows, inverse, k, rng)
     trace: list[float] = []
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, _KMEANS_MAX_ITER + 1):
         d2 = _sq_dist_to(rows, centers)
         labels = np.argmin(d2, axis=1)
         trace.append(float(counts @ d2.min(axis=1)))
@@ -203,7 +201,7 @@ def kmeans_fit(
             new_centers[j] = rows[int(np.argmax(nearest))]
         shift = float(np.sqrt(np.sum((new_centers - centers) ** 2, axis=1)).max())
         centers = new_centers
-        if shift < tol:
+        if shift < _KMEANS_TOL:
             break
     inertia = float(counts @ _sq_dist_to(rows, centers).min(axis=1))
     trace.append(inertia)
@@ -235,43 +233,36 @@ def _logsumexp_rows(logp: np.ndarray) -> np.ndarray:
     return (mx + np.log(np.exp(logp - mx).sum(axis=1, keepdims=True))).ravel()
 
 
-def gmm_fit(
-    X: Union[np.ndarray, Sequence[Sequence[float]]],
-    k: int,
-    seed: int = 0,
-    max_iter: int = 200,
-    tol: float = 1e-7,
-    var_floor: float = VARIANCE_FLOOR,
-) -> GmmModel:
+def gmm_fit(X: Union[np.ndarray, Sequence[Sequence[float]]], k: int, seed: int = 0) -> GmmModel:
     """EM for a Gaussian mixture with diagonal covariances.
 
     Initialized from a k-means++ pass (seed means, hard-assign, component
-    stats). Stops once the log-likelihood gain falls below ``tol``; the
+    stats); variances are floored at ``VARIANCE_FLOOR``. Stops once the
+    log-likelihood gain falls below 1e-7, after at most 200 iterations; the
     trace is non-decreasing up to 1e-8 slack. Components that lose all
     responsibility mass are re-initialized once (``reinitialized``) at the
     worst-explained distinct rows, which starts a new EM run, so the trace
-    may drop at that one step; a second collapse is an error. Callers should cap dimensionality (e.g. TF-IDF
-    max_terms).
+    may drop at that one step; a second collapse is an error. Callers should
+    cap dimensionality (e.g. TF-IDF max_terms).
     """
-    X = _as_matrix(X)
-    n = X.shape[0]
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if k > n:
-        raise ValueError(f"k={k} exceeds number of points n={n}")
-    rows, inverse = _distinct_rows(X)
+    return _gmm(*_fit_input(X, k), k, seed)
+
+
+def _gmm(rows: np.ndarray, inverse: np.ndarray, k: int, seed: int) -> GmmModel:
+    # gmm_fit on the points that ``inverse`` maps onto the distinct ``rows``
+    n = inverse.shape[0]
     counts = np.bincount(inverse).astype(float)
     rng = np.random.default_rng(seed)
 
     mean = counts @ rows / n
-    global_var = np.maximum(counts @ (rows - mean) ** 2 / n, var_floor)
+    global_var = np.maximum(counts @ (rows - mean) ** 2 / n, VARIANCE_FLOOR)
     means = _kmeanspp_init(rows, inverse, k, rng)
     labels = np.argmin(_sq_dist_to(rows, means), axis=1)
     sizes, label_means = _label_means(rows, counts, labels, k)
     filled = sizes > 0
     means[filled] = label_means[filled]
     _, label_vars = _label_means((rows - means[labels]) ** 2, counts, labels, k)
-    variances = np.where(filled[:, None], np.maximum(label_vars, var_floor), global_var)
+    variances = np.where(filled[:, None], np.maximum(label_vars, VARIANCE_FLOOR), global_var)
     weights = np.where(filled, sizes / n, 1.0 / k)
     weights = weights / weights.sum()
 
@@ -279,11 +270,11 @@ def gmm_fit(
     reinitialized = False
     fresh_restart = False
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, _GMM_MAX_ITER + 1):
         logp = _gmm_log_prob(rows, weights, means, variances)
         lse = _logsumexp_rows(logp)
         ll = float(counts @ lse)
-        converged = bool(trace) and not fresh_restart and ll - trace[-1] < tol
+        converged = bool(trace) and not fresh_restart and ll - trace[-1] < _GMM_TOL
         trace.append(ll)
         fresh_restart = False
         if converged:
@@ -306,7 +297,7 @@ def gmm_fit(
         weights = nk / n
         means = (resp.T @ rows) / nk[:, None]
         sq = (resp.T @ (rows * rows)) / nk[:, None]
-        variances = np.maximum(sq - means * means, var_floor)
+        variances = np.maximum(sq - means * means, VARIANCE_FLOOR)
     return GmmModel(
         weights=weights,
         means=means,
@@ -324,8 +315,12 @@ def gmm_responsibilities(model: GmmModel, X: np.ndarray) -> np.ndarray:
     return np.exp(logp - _logsumexp_rows(logp)[:, None])
 
 
-def cluster_assign(model: Union[KMeansModel, GmmModel], X: Union[np.ndarray, Sequence]) -> ClusterAssignment:
-    """Assign points: nearest centroid (K-Means) or argmax posterior (GMM).
+# each algorithm's kernel: the fit of k clusters to the points an inverse maps onto distinct rows
+ALGORITHMS = {"kmeans": _kmeans, "gmm": _gmm}
+
+
+def cluster_assign(model: Union[KMeansModel, GmmModel], X: Union[np.ndarray, Sequence]) -> np.ndarray:
+    """Label each point: nearest centroid (K-Means) or argmax posterior (GMM).
 
     Ties resolve to the lowest cluster index.
     """
@@ -333,13 +328,11 @@ def cluster_assign(model: Union[KMeansModel, GmmModel], X: Union[np.ndarray, Seq
     if isinstance(model, KMeansModel):
         if X.shape[1] != model.centroids.shape[1]:
             raise ValueError("dimension mismatch between model and X")
-        labels = np.argmin(_sq_dist_to(X, model.centroids), axis=1)
-        return ClusterAssignment(labels=labels, k=model.k)
+        return np.argmin(_sq_dist_to(X, model.centroids), axis=1)
     if isinstance(model, GmmModel):
         if X.shape[1] != model.means.shape[1]:
             raise ValueError("dimension mismatch between model and X")
-        labels = np.argmax(gmm_responsibilities(model, X), axis=1)
-        return ClusterAssignment(labels=labels, k=model.k)
+        return np.argmax(gmm_responsibilities(model, X), axis=1)
     raise TypeError(f"unsupported model type: {type(model).__name__}")
 
 
@@ -396,56 +389,49 @@ def silhouette(X: Union[np.ndarray, Sequence], labels: Sequence[int]) -> float:
 
 
 def select_k(
-    X: Union[np.ndarray, Sequence],
-    algo: str,
-    k_range: Sequence[int],
-    seed: int = 0,
-    **fit_kwargs,
-) -> tuple[int, dict[int, float]]:
-    """Fit each k in k_range and pick the best mean silhouette (ties: smallest k).
+    X: Union[np.ndarray, Sequence], algo: str, k_range: Sequence[int], seed: int = 0
+) -> tuple[Union[KMeansModel, GmmModel], dict[int, float]]:
+    """Fit each k in k_range and keep the best mean silhouette (ties: smallest k).
 
-    Per-k fits use the derived seed ``seed + k`` so candidates are
-    independent. The silhouette is exact over all rows, and its cost follows
-    the distinct rows: their distances are computed once per call, and each k
-    scores groups of identical rows weighted by their number. A k whose fit
-    collapses to a single effective cluster scores -inf, and so, without a
-    fit, does a k above the number of distinct rows. Raises ValueError when no
-    k scores above -inf.
+    Returns the winning fit and the score of every k. Per-k fits use the
+    derived seed ``seed + k`` so candidates are independent, and each equals
+    the public fit of X with that k and seed. X is deduplicated once per
+    call: every fit runs on its distinct rows, and the silhouette, exact over
+    all rows, computes their distances once and scores groups of identical
+    rows weighted by their number. A k whose fit collapses to one effective
+    cluster scores -inf, and so, unfitted, does a k above n - 1 or above the
+    number of distinct rows. Raises ValueError when no k scores above -inf.
     """
     X = _as_matrix(X)
     n = X.shape[0]
     ks = sorted(set(int(k) for k in k_range))
-    if not ks:
-        raise ValueError("k_range must be non-empty")
-    if ks[0] < 2 or ks[-1] > n - 1:
-        raise ValueError(f"k_range must lie within [2, {n - 1}]")
-    if algo not in ("kmeans", "gmm"):
+    if not ks or ks[0] < 2:
+        raise ValueError("k_range must be non-empty, every k at least 2")
+    if algo not in ALGORITHMS:
         raise ValueError(f"unknown algorithm: {algo!r}")
 
+    fit = ALGORITHMS[algo]
     distinct, inverse = _distinct_rows(X)
     n_distinct = distinct.shape[0]
     dist = _distinct_distances(distinct)
     scores: dict[int, float] = {}
-    best_k, best_score = None, -math.inf
+    best, best_score = None, -math.inf
     for k in ks:
-        if k > n_distinct:  # some cluster would be empty or a duplicate
+        if k > min(n_distinct, n - 1):  # some cluster would be empty or a duplicate, or all singletons
             scores[k] = -math.inf
             continue
-        if algo == "kmeans":
-            model: Union[KMeansModel, GmmModel] = kmeans_fit(X, k, seed=seed + k, **fit_kwargs)
-        else:
-            model = gmm_fit(X, k, seed=seed + k, **fit_kwargs)
-        labels = cluster_assign(model, distinct).labels[inverse]
+        model = fit(distinct, inverse, k, seed + k)
+        labels = cluster_assign(model, distinct)[inverse]
         try:
             score = _silhouette_of_counts(dist, _label_counts(inverse, labels, n_distinct, k))
         except ValueError:
             score = -math.inf
         scores[k] = score
         if score > best_score:
-            best_k, best_score = k, score
-    if best_k is None:
+            best, best_score = model, score
+    if best is None:
         raise ValueError(f"no k in k_range clusters the {n_distinct} distinct rows of X")
-    return best_k, scores
+    return best, scores
 
 
 def cluster_catalog(

@@ -10,6 +10,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Mapping
 
+from .clustering import ALGORITHMS
 from .eventlog import PHASES
 from .models import GridSpec, make_model
 
@@ -103,8 +104,11 @@ class PipelineConfig:
                 if phase not in PHASES:
                     raise UsageError(f"config key '{key}.{phase}': unknown phase")
         for phase, algo in self.cluster_algo.items():
-            if algo not in ("kmeans", "gmm"):
+            if algo not in ALGORITHMS:
                 raise UsageError(f"config key 'cluster_algo.{phase}': unknown algorithm {algo!r}")
+        for phase, ks in self.cluster_k.items():  # one k, or several to choose from by silhouette
+            if not ks or min(ks) < (2 if len(ks) > 1 else 1):
+                raise UsageError(f"config key 'cluster_k.{phase}': expected a k >= 1 or several k >= 2, got {list(ks)}")
         if self.group_by not in ("cluster", "exact-name"):
             raise UsageError(f"unknown group_by: {self.group_by!r}")
         for name in self.models:

@@ -320,8 +320,8 @@ def test_criterion_6_normalization_effect():
         docs = [normalize_text(t, rules) for t in texts]
         model = fit_tfidf(docs)
         X = stack_dense([vectorize(d, model) for d in docs])
-        best_k, _ = select_k(X, "kmeans", range(2, 13), seed=3)
-        selected[name] = best_k
+        model, _ = select_k(X, "kmeans", range(2, 13), seed=3)
+        selected[name] = model.k
     ok = selected["unified"] < selected["raw"]
     report(
         "6 (normalization effect)",

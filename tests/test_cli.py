@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 import shutil
 
 import pytest
@@ -128,6 +129,10 @@ def test_config_validation():
         (["cluster_algo.procedure = dbscan", "cluster_k.procedure = 2..5"], "cluster_algo.procedure"),
         (["cluster_algo.surgery = gmm", "cluster_k.surgery = 3"], "cluster_algo.surgery"),
         (["cluster_k.surgery = 3"], "cluster_k.surgery"),
+        (["cluster_k.procedure ="], "cluster_k.procedure"),
+        (["cluster_k.procedure = 1..0"], "cluster_k.procedure"),
+        (["cluster_k.procedure = 0"], "cluster_k.procedure"),
+        (["cluster_k.induction = 1..5"], "cluster_k.induction"),
         (["iqr_multiplier = 0"], "iqr_multiplier"),
         (["gbm_learning_rate = 0"], "gbm_learning_rate"),
         (["gbm_max_depth = -1"], "gbm_max_depth"),
@@ -140,6 +145,10 @@ def test_config_validation():
         "unknown-algorithm",
         "unknown-phase-algo",
         "unknown-phase-k",
+        "empty-k",
+        "empty-k-range",
+        "zero-k",
+        "k-range-from-one",
         "zero-iqr-multiplier",
         "zero-gbm-learning-rate",
         "negative-gbm-depth",
@@ -423,6 +432,73 @@ def test_model_file_with_nested_trees_exits_one(pipeline_dir, tmp_path, capsys, 
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: tree is not in the flat-array layout"), err
         assert "re-run 'train'" in err
+
+
+@pytest.mark.parametrize(
+    "artifact, section, field, stages, rerun",
+    [
+        ("model_procedure_gbm.json", "model", "base", ("evaluate", "predict"), "train"),
+        ("model_procedure_gbm.json", "features", "age_fill", ("evaluate", "predict"), "train"),
+        ("model_procedure_gbm.json", None, "family", ("evaluate", "predict"), "train"),
+        ("cluster_model_procedure.json", "model", "centroids", ("predict",), "cluster"),
+    ],
+    ids=["gbm-base", "features-age-fill", "bundle-family", "kmeans-centroids"],
+)
+def test_artifact_missing_a_field_exits_one(pipeline_dir, tmp_path, capsys, artifact, section, field, stages, rerun):
+    source, config = pipeline_dir
+    out = tmp_path / "out"
+    shutil.copytree(source, out)
+    path = out / artifact
+    obj = json.loads(path.read_text())
+    del (obj[section] if section else obj)[field]
+    path.write_text(json.dumps(obj))
+    common = ["--out", str(out), *SMALL, "--config", str(config), "--phase", "procedure", "--model", "gbm"]
+    argvs = {"evaluate": ["evaluate", *common], "predict": ["predict", *common, "--dest", str(tmp_path / "p.csv")]}
+    capsys.readouterr()
+    for stage in stages:
+        assert run(argvs[stage]) == 1, stage
+        err = capsys.readouterr().err
+        assert err == f"error: {path}: missing field {field!r}; re-run {rerun!r} to rebuild it\n", err
+
+
+def test_cluster_k_above_the_distinct_training_texts_exits_one(pipeline_dir, tmp_path, capsys):
+    """A k that the training texts cannot support is a usage error, for
+    K-Means and the GMM alike; the message names the phase and the count."""
+    source, _ = pipeline_dir
+    out = tmp_path / "out"
+    shutil.copytree(source, out)
+    config = tmp_path / "k.cfg"
+
+    def cluster(*lines):
+        config.write_text("\n".join(["cluster_k.induction = 2", *lines]) + "\n")
+        code = run(["cluster", "--out", str(out), *SMALL, "--config", str(config)])
+        return code, capsys.readouterr().err
+
+    capsys.readouterr()
+    code, err = cluster("cluster_k.procedure = 500")
+    assert code == 1
+    match = re.fullmatch(
+        r"error: config key 'cluster_k.procedure': phase 'procedure' has (\d+) distinct "
+        r"training texts, fewer than k = 500\n",
+        err,
+    )
+    assert match, err
+    n_texts = int(match.group(1))
+    for lines in (
+        [f"cluster_k.procedure = {n_texts + 1}"],
+        [f"cluster_k.procedure = {n_texts + 1}", "cluster_algo.procedure = gmm"],
+        [f"cluster_k.procedure = {n_texts + 1}..{n_texts + 3}"],
+    ):
+        code, err = cluster(*lines)
+        assert code == 1 and f"has {n_texts} distinct training texts, fewer than k = {n_texts + 1}" in err, err
+    assert cluster(f"cluster_k.procedure = {n_texts}") == (0, "")
+    obj = json.loads((out / "cluster_model_procedure.json").read_text())
+    assert obj["selected_k"] == n_texts
+    # a range that reaches past the training rows scores only the k that fit
+    assert cluster(f"cluster_k.procedure = {n_texts - 1}..3000") == (0, "")
+    scores = json.loads((out / "cluster_model_procedure.json").read_text())["silhouette_scores"]
+    assert [s["k"] for s in scores] == list(range(n_texts - 1, 3001))
+    assert all(s["score"] is None for s in scores[2:]) and None not in (scores[0]["score"], scores[1]["score"])
 
 
 def test_cluster_model_is_strict_json(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -26,6 +27,7 @@ from periop.clustering import (
     select_k,
     silhouette,
 )
+from periop import clustering
 from periop.encoding import _distinct_rows
 
 
@@ -89,7 +91,7 @@ def test_assign_nearest_and_tie_rule():
         seed=0,
         inertia_trace=(),
     )
-    labels = cluster_assign(model, np.array([[0.4], [5.5], [10.4]])).labels
+    labels = cluster_assign(model, np.array([[0.4], [5.5], [10.4]]))
     assert labels.tolist() == [0, 0, 1]  # 5.5 is equidistant -> lowest index
 
 
@@ -97,8 +99,8 @@ def test_assign_reproduces_training_labels():
     rng = np.random.default_rng(6)
     X = blobs(rng, [(0, 0), (6, 6)], 40)
     model = kmeans_fit(X, 2, seed=4)
-    first = cluster_assign(model, X).labels
-    second = cluster_assign(model, X).labels
+    first = cluster_assign(model, X)
+    second = cluster_assign(model, X)
     assert np.array_equal(first, second)
     assert model.inertia == pytest.approx(
         sum(np.sum((X[i] - model.centroids[first[i]]) ** 2) for i in range(len(X)))
@@ -112,7 +114,7 @@ def test_model_from_dict_round_trip_assigns_alike(fit):
     model = fit(X, 3, seed=2)
     clone = model_from_dict(model.to_dict())
     assert type(clone) is type(model)
-    assert np.array_equal(cluster_assign(clone, X).labels, cluster_assign(model, X).labels)
+    assert np.array_equal(cluster_assign(clone, X), cluster_assign(model, X))
     with pytest.raises(ValueError):
         model_from_dict({**model.to_dict(), "algo": "dbscan"})
 
@@ -151,7 +153,7 @@ def test_gmm_separated_blobs_hard_responsibilities():
     model = gmm_fit(X, 2, seed=1)
     resp = gmm_responsibilities(model, X)
     assert np.all(resp.max(axis=1) > 0.999)
-    labels = cluster_assign(model, X).labels
+    labels = cluster_assign(model, X)
     assert labels[0] == labels[1] and labels[2] == labels[3] and labels[0] != labels[2]
 
 
@@ -236,23 +238,23 @@ def test_silhouette_identical_rows_are_zero_apart():
 def test_select_k_recovers_planted_blobs():
     rng = np.random.default_rng(23)
     X = blobs(rng, [(0, 0), (8, 0), (4, 7)], 30, spread=0.5)
-    best_k, scores = select_k(X, "kmeans", range(2, 7), seed=2)
-    assert best_k == 3
+    model, scores = select_k(X, "kmeans", range(2, 7), seed=2)
+    assert model.k == 3
     assert max(scores, key=lambda k: (scores[k], -k)) == 3
 
 
 def test_select_k_single_candidate():
     rng = np.random.default_rng(2)
     X = rng.normal(size=(30, 2))
-    best_k, scores = select_k(X, "kmeans", [2], seed=0)
-    assert best_k == 2 and set(scores) == {2}
+    model, scores = select_k(X, "kmeans", [2], seed=0)
+    assert model.k == 2 and set(scores) == {2}
 
 
 def test_select_k_tie_prefers_smallest():
     # identical duplicated points: every k >= 2 scores 1.0, ties -> smallest
     X = np.array([[0.0], [0.0], [5.0], [5.0], [9.0], [9.0]])
-    best_k, scores = select_k(X, "kmeans", range(2, 5), seed=0)
-    assert best_k == min(k for k, v in scores.items() if v == max(scores.values()))
+    model, scores = select_k(X, "kmeans", range(2, 5), seed=0)
+    assert model.k == min(k for k, v in scores.items() if v == max(scores.values()))
 
 
 def test_select_k_validation():
@@ -267,11 +269,20 @@ def test_select_k_validation():
         select_k(X, "kmeans", [2, 3], seed=0)
 
 
+@pytest.mark.parametrize("algo", ["kmeans", "gmm"])
+def test_select_k_deduplicates_once(monkeypatch, algo):
+    calls = []
+    monkeypatch.setattr(clustering, "_distinct_rows", lambda X: calls.append(X) or _distinct_rows(X))
+    rng = np.random.default_rng(4)
+    select_k(blobs(rng, [(0, 0), (8, 0), (4, 7)], 10), algo, range(2, 6), seed=1)
+    assert len(calls) == 1
+
+
 def test_select_k_gmm_path():
     rng = np.random.default_rng(31)
     X = blobs(rng, [(0,), (10,)], 25, spread=0.4)
-    best_k, _ = select_k(X, "gmm", range(2, 5), seed=1)
-    assert best_k == 2
+    model, _ = select_k(X, "gmm", range(2, 5), seed=1)
+    assert model.k == 2
 
 
 def test_select_k_skips_k_above_distinct_rows():
@@ -279,10 +290,13 @@ def test_select_k_skips_k_above_distinct_rows():
     rng = np.random.default_rng(5)
     centers = rng.normal(0, 3, size=(6, 4))
     X = centers[np.repeat(np.arange(6), [30, 25, 20, 15, 10, 8])]
-    best_k, scores = select_k(X, "gmm", range(2, 11), seed=3)
-    assert best_k <= 6
+    model, scores = select_k(X, "gmm", range(2, 11), seed=3)
+    assert model.k <= 6
     assert all(math.isfinite(scores[k]) for k in range(2, 7))
     assert all(scores[k] == -math.inf for k in range(7, 11))
+    _, wide = select_k(X, "gmm", range(2, len(X) + 3), seed=3)  # k up to n + 2
+    assert all(wide[k] == scores[k] for k in range(2, 7))
+    assert all(wide[k] == -math.inf for k in range(7, len(X) + 3))
 
 
 # Small matrices whose rows repeat a few positions on an integer grid, so
@@ -317,7 +331,7 @@ def test_select_k_matches_row_level_reference(data, algo, seed):
     fit = kmeans_fit if algo == "kmeans" else gmm_fit
 
     def fit_labels(X, k, seed):
-        return cluster_assign(fit(X, k, seed=seed), X).labels
+        return cluster_assign(fit(X, k, seed=seed), X)
 
     try:
         ref_k, ref_scores = select_k_rows(X, fit_labels, ks, seed)
@@ -329,7 +343,7 @@ def test_select_k_matches_row_level_reference(data, algo, seed):
         with pytest.raises(ValueError, match="distinct rows"):
             select_k(X, algo, ks, seed=seed)
         return
-    best_k, scores = select_k(X, algo, ks, seed=seed)
+    model, scores = select_k(X, algo, ks, seed=seed)
     assert set(scores) == set(ref_scores)
     for k, ref in ref_scores.items():
         if ref == -math.inf:
@@ -337,7 +351,13 @@ def test_select_k_matches_row_level_reference(data, algo, seed):
         else:
             assert scores[k] == pytest.approx(ref, rel=0, abs=1e-12)
     # the same k, unless two candidates tie to within the scores' rounding
-    assert best_k == ref_k or abs(scores[best_k] - ref_scores[ref_k]) <= 1e-12
+    assert model.k == ref_k or abs(scores[model.k] - ref_scores[ref_k]) <= 1e-12
+    # the winning fit is the public fit of X with its k and seed, bit for bit
+    fresh = fit(X, model.k, seed=seed + model.k)
+    assert type(model) is type(fresh)
+    for field in dataclasses.fields(model):
+        got, want = getattr(model, field.name), getattr(fresh, field.name)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), field.name
 
 
 def _close(a, b):
@@ -359,7 +379,7 @@ def test_fits_on_distinct_rows_match_row_level_fits(data, seed):
     assert model.iterations_run == ref.iterations_run
     assert _close(model.centroids, ref.centroids)
     assert _close(model.inertia_trace, ref.inertia_trace) and _close(model.inertia, ref.inertia)
-    assert np.array_equal(cluster_assign(model, X).labels, cluster_assign(ref, X).labels)
+    assert np.array_equal(cluster_assign(model, X), cluster_assign(ref, X))
 
     try:
         ref = gmm_fit_rows(X, k, seed=seed)
@@ -371,7 +391,7 @@ def test_fits_on_distinct_rows_match_row_level_fits(data, seed):
     assert (model.iterations_run, model.reinitialized) == (ref.iterations_run, ref.reinitialized)
     for field in ("weights", "means", "variances", "log_likelihood"):
         assert _close(getattr(model, field), getattr(ref, field)), field
-    assert np.array_equal(cluster_assign(model, X).labels, cluster_assign(ref, X).labels)
+    assert np.array_equal(cluster_assign(model, X), cluster_assign(ref, X))
 
 
 def test_gmm_reseed_matches_row_level_fit():
