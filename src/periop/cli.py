@@ -82,6 +82,18 @@ def _read_json(path: Path):
     return json.loads(path.read_text(encoding="utf-8"))
 
 
+def _read_artifact(path: Path, decode, stage: str):
+    """``decode`` the JSON artifact at ``path``; a missing field or a bad value
+    exits 1, naming the file and the stage that rebuilds it."""
+    obj = _read_json(path)
+    try:
+        return decode(obj)
+    except KeyError as exc:
+        raise UsageError(f"{path}: missing field {exc}; re-run {stage!r} to rebuild it") from None
+    except ValueError as exc:  # e.g. trees in an older nested layout, an idf that does not fit the vocabulary
+        raise UsageError(f"{path}: {exc}; re-run {stage!r} to rebuild it") from None
+
+
 # A cases.jsonl row holds every field of a Case by name, keys in sorted order
 # (json.dumps then needs no sort_keys); reading checks each field's JSON type
 # and takes each record's fields straight from the row.
@@ -205,33 +217,36 @@ def _split_ids(cfg: PipelineConfig, phase: str) -> tuple[list[str], list[str]]:
     return [ordered[i] for i in train_idx], [ordered[i] for i in test_idx]
 
 
-def _normalized_docs(cfg: PipelineConfig, phase: str, attrs: Sequence[CaseAttributes]) -> list[list[str]]:
-    """Token lists of the phase's text; each distinct text is normalized once
-    and its cases share the one list."""
+def _normalized_docs(
+    cfg: PipelineConfig, phase: str, attrs: Sequence[CaseAttributes]
+) -> tuple[list[list[str]], np.ndarray]:
+    """Token lists of the phase's distinct texts, in first-seen order, and
+    each case's index into them."""
     rules = _rules_for_phase(cfg, phase)
-    texts = [a.text(phase) for a in attrs]
-    docs = {text: textnorm.normalize_text(text, rules) for text in dict.fromkeys(texts)}
-    return [docs[text] for text in texts]
+    index: dict[str, int] = {}
+    inverse = np.fromiter((index.setdefault(a.text(phase), len(index)) for a in attrs), dtype=np.intp, count=len(attrs))
+    return [textnorm.normalize_text(text, rules) for text in index], inverse
 
 
-def _tfidf_matrix(docs: Sequence[Sequence[str]], tfidf: textnorm.TfidfModel) -> np.ndarray:
-    """Dense TF-IDF rows of ``docs``; each distinct document is vectorized once."""
+def _tfidf_matrix(docs: Sequence[Sequence[str]], tfidf: textnorm.TfidfModel) -> tuple[np.ndarray, np.ndarray]:
+    """Dense TF-IDF rows of the distinct documents of ``docs``, in first-seen
+    order, and each document's index into them; two texts can normalize to
+    one document."""
     index: dict[tuple[str, ...], int] = {}
-    inverse = [index.setdefault(tuple(d), len(index)) for d in docs]
-    return textnorm.stack_dense([textnorm.vectorize(d, tfidf) for d in index])[inverse]
+    inverse = np.fromiter((index.setdefault(tuple(d), len(index)) for d in docs), dtype=np.intp, count=len(docs))
+    return textnorm.stack_dense([textnorm.vectorize(d, tfidf) for d in index]), inverse
 
 
-def _load_assignments(cfg: PipelineConfig, phase: str) -> dict[str, int]:
+def _load_clusters(cfg: PipelineConfig, phase: str, ids: Sequence[str]) -> list[int]:
+    """Each id's cluster in ``assignments_<phase>.csv``; -1 for an id it lacks."""
     path = Path(cfg.out) / f"assignments_{phase}.csv"
     if not path.exists():
         raise UsageError(f"missing artifact: {path} (run 'cluster' first)")
-    out: dict[str, int] = {}
     with path.open(encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         next(reader)
-        for row in reader:
-            out[row[0]] = int(row[1])
-    return out
+        assignments = {row[0]: int(row[1]) for row in reader}
+    return [assignments.get(i, -1) for i in ids]
 
 
 # ---------------------------------------------------------------------------
@@ -307,14 +322,19 @@ def stage_cluster(cfg: PipelineConfig) -> None:
     for phase in cfg.phases:
         train_ids, test_ids = _split_ids(cfg, phase)
         all_ids = train_ids + test_ids
-        all_docs = _normalized_docs(cfg, phase, [cases[i].attributes for i in all_ids])
-        model_tfidf = textnorm.fit_tfidf(all_docs[: len(train_ids)], max_terms=cfg.max_terms)
-        X_all = _tfidf_matrix(all_docs, model_tfidf)
-        X_train = X_all[: len(train_ids)]
+        docs, text_of = _normalized_docs(cfg, phase, [cases[i].attributes for i in all_ids])
+        model_tfidf = textnorm.fit_tfidf([docs[i] for i in text_of[: len(train_ids)]], max_terms=cfg.max_terms)
+        X_docs, doc_of = _tfidf_matrix(docs, model_tfidf)
+        doc_of = doc_of[text_of]  # each case's row of X_docs
+        train_doc_of = doc_of[: len(train_ids)]
+        X_train = X_docs[train_doc_of]
 
         algo = cfg.cluster_algo.get(phase, "kmeans")
         ks = cfg.cluster_k.get(phase, (2,))
-        n_texts = len({row.tobytes() for row in X_train})  # distinct training texts
+        # distinct training texts: the training cases come first, so their
+        # documents are a prefix of X_docs; two documents can share a vector
+        # (both all out-of-vocabulary, say), so rows are counted, not documents
+        n_texts = len({row.tobytes() for row in X_docs[: train_doc_of.max() + 1]})
         if min(ks) > n_texts:
             problem = f"phase {phase!r} has {n_texts} distinct training texts, fewer than k = {min(ks)}"
             raise UsageError(f"config key 'cluster_k.{phase}': {problem}")
@@ -324,7 +344,7 @@ def stage_cluster(cfg: PipelineConfig) -> None:
             model, scores = clustering.select_k(X_train, algo, ks, seed=seed)
         else:
             model = getattr(clustering, f"{algo}_fit")(X_train, ks[0], seed=seed + ks[0])  # kmeans_fit, gmm_fit
-        labels = clustering.cluster_assign(model, X_all)
+        labels = clustering.cluster_assign(model, X_docs)[doc_of]
 
         _write_json(out / f"tfidf_{phase}.json", model_tfidf.to_dict())
         _write_json(
@@ -374,21 +394,24 @@ def stage_train(cfg: PipelineConfig) -> None:
     for phase in cfg.phases:
         train_ids, _ = _split_ids(cfg, phase)
         train_cases = [cases[i] for i in train_ids]
+        attrs = [c.attributes for c in train_cases]
         y = [c.durations.get(phase) for c in train_cases]
-        assignments = _load_assignments(cfg, phase)
+        clusters = _load_clusters(cfg, phase, train_ids)
         contexts: dict[str, features.FeatureContext] = {}  # one per group_by
         for name in cfg.models:
             family, group_by, params = _model_plan(name, cfg)
             if group_by not in contexts:
                 contexts[group_by] = features.fit_context(
-                    phase, train_cases, assignments, group_by, cfg.target_smoothing
+                    phase, train_cases, clusters, group_by, cfg.target_smoothing
                 )
             ctx = contexts[group_by]
-            dataset = models.Dataset(X=features.design_matrix(ctx, family, train_cases), y=y)
+            rows, inverse = features.design_rows(ctx, family, attrs, clusters)
+            dataset = models.Dataset(X=rows[inverse], y=y)
             grid_info = None
             if cfg.grid_search and models.DEFAULT_GRIDS.get(family):
                 # CV on the raw-cluster-code design so fold encoders refit
-                raw = models.Dataset(X=ctx.regression_matrix(train_cases, encoded=False), y=dataset.y)
+                rows, inverse = features.design_rows(ctx, family, attrs, clusters, encoded=False)
+                raw = models.Dataset(X=rows[inverse], y=dataset.y)
                 spec = models.GridSpec(
                     family=family,
                     grid=models.DEFAULT_GRIDS[family],
@@ -429,17 +452,25 @@ def stage_train(cfg: PipelineConfig) -> None:
             print(f"train[{phase}]: fitted {name} on {len(train_ids)} cases")
 
 
-def _bundle_predict(path: Path, bundle: dict, assignments: dict[str, int], cases: Sequence[Case]) -> np.ndarray:
-    """Predict ``cases`` with a trained model bundle (read from ``path``) and its feature context."""
-    try:
-        ctx = features.FeatureContext.from_dict(bundle["features"], assignments)
-        model = models.model_from_dict(bundle["model"])
-        family = bundle["family"]
-    except KeyError as exc:
-        raise UsageError(f"{path}: missing field {exc}; re-run 'train' to rebuild it") from None
-    except ValueError as exc:  # e.g. trees in the nested layout of older versions
-        raise UsageError(f"{path}: {exc}; re-run 'train' to rebuild it") from None
-    return model.predict(features.design_matrix(ctx, family, cases))
+def _read_bundle(path: Path) -> tuple[features.FeatureContext, models.Model, str]:
+    """A trained model bundle: its feature context, model and family."""
+    return _read_artifact(
+        path,
+        lambda b: (features.FeatureContext.from_dict(b["features"]), models.model_from_dict(b["model"]), b["family"]),
+        "train",
+    )
+
+
+def _bundle_predict(
+    bundle: tuple[features.FeatureContext, models.Model, str],
+    attrs: Sequence[CaseAttributes],
+    clusters: Sequence[int],
+) -> np.ndarray:
+    """Predict the cases ``attrs``, in ``clusters``, with a read model bundle;
+    each distinct design row is built and predicted once."""
+    ctx, model, family = bundle
+    rows, inverse = features.design_rows(ctx, family, attrs, clusters)
+    return model.predict_distinct(rows, inverse)
 
 
 def stage_evaluate(cfg: PipelineConfig) -> None:
@@ -449,14 +480,15 @@ def stage_evaluate(cfg: PipelineConfig) -> None:
     for phase in cfg.phases:
         _, test_ids = _split_ids(cfg, phase)
         test_cases = [cases[i] for i in test_ids]
+        attrs = [c.attributes for c in test_cases]
         actual = [c.durations.get(phase) for c in test_cases]
-        planned = [c.attributes.planned(phase) for c in test_cases]
-        assignments = _load_assignments(cfg, phase)
+        planned = [a.planned(phase) for a in attrs]
+        clusters = _load_clusters(cfg, phase, test_ids)
         predictions: dict[str, np.ndarray] = {}
         metrics_obj[phase] = {}
         for name in cfg.models:
-            path = out / f"model_{phase}_{name}.json"
-            predictions[name] = _bundle_predict(path, _read_json(path), assignments, test_cases)
+            bundle = _read_bundle(out / f"model_{phase}_{name}.json")
+            predictions[name] = _bundle_predict(bundle, attrs, clusters)
             metrics_obj[phase][name] = evaluate.compute_metrics(
                 actual, predictions[name], tolerance=cfg.tolerance
             ).to_dict()
@@ -520,18 +552,18 @@ def stage_report(cfg: PipelineConfig) -> None:
             plan_bins = evaluate.histogram([p for p in plans if p is not None], 3.0)
             _write_histogram(out / f"histogram_{phase}_plan", plan_bins, f"{phase}: manual plan")
 
-        assignments = _load_assignments(cfg, phase)
+        clusters = _load_clusters(cfg, phase, test_ids)
         factors: dict[str, dict[str, list[float]]] = {
             "age_band": {}, "sex": {}, "department": {}, "cluster": {},
         }
-        for case in test_cases:
+        for case, cluster in zip(test_cases, clusters):
             value = case.durations.get(phase)
             age = case.attributes.age
             band = "unknown" if age is None else ("<40" if age < 40 else "40-64" if age < 65 else "65+")
             factors["age_band"].setdefault(band, []).append(value)
             factors["sex"].setdefault(case.attributes.sex, []).append(value)
             factors["department"].setdefault(case.attributes.department, []).append(value)
-            factors["cluster"].setdefault(str(assignments.get(case.case_id, -1)), []).append(value)
+            factors["cluster"].setdefault(str(cluster), []).append(value)
         factors_obj[phase] = stats.factor_report(factors)
         print(f"report[{phase}]: wrote deviation/histogram/factor artifacts")
 
@@ -556,8 +588,7 @@ _SKIPPED_SHOWN = 5  # predict lists this many of the --cases rows it skipped
 def stage_predict(cfg: PipelineConfig, dest: str | None, apply_floors: bool) -> None:
     phase, name = cfg.phases[0], cfg.models[0]
     out = Path(cfg.out)
-    bundle_path = out / f"model_{phase}_{name}.json"
-    bundle = _read_json(bundle_path)
+    bundle = _read_bundle(out / f"model_{phase}_{name}.json")
 
     cases_path = cfg.cases_path()
     attrs, errors = _parse_input(cases_path, parse_case_attributes)
@@ -566,18 +597,17 @@ def stage_predict(cfg: PipelineConfig, dest: str | None, apply_floors: bool) -> 
         for e in errors[:_SKIPPED_SHOWN]:
             print(f"  line {e.line}: {e.message}", file=sys.stderr)
 
-    # new free text is clustered with the persisted TF-IDF + cluster model
-    tfidf = textnorm.TfidfModel.from_dict(_read_json(out / f"tfidf_{phase}.json"))
-    cluster_path = out / f"cluster_model_{phase}.json"
-    try:
-        cluster_model = clustering.model_from_dict(_read_json(cluster_path)["model"])
-    except KeyError as exc:
-        raise UsageError(f"{cluster_path}: missing field {exc}; re-run 'cluster' to rebuild it") from None
-    X_text = _tfidf_matrix(_normalized_docs(cfg, phase, attrs), tfidf)
-    labels = clustering.cluster_assign(cluster_model, X_text)
-    assignments = {a.case_id: int(l) for a, l in zip(attrs, labels)}
+    # new free text is clustered with the persisted TF-IDF + cluster model;
+    # each row keeps its own cluster, also where rows share a case_id
+    tfidf = _read_artifact(out / f"tfidf_{phase}.json", textnorm.TfidfModel.from_dict, "cluster")
+    cluster_model = _read_artifact(
+        out / f"cluster_model_{phase}.json", lambda obj: clustering.model_from_dict(obj["model"]), "cluster"
+    )
+    docs, text_of = _normalized_docs(cfg, phase, attrs)
+    X_docs, doc_of = _tfidf_matrix(docs, tfidf)
+    clusters = clustering.cluster_assign(cluster_model, X_docs)[doc_of[text_of]].tolist()
 
-    preds = _bundle_predict(bundle_path, bundle, assignments, [Case(attributes=a) for a in attrs])
+    preds = _bundle_predict(bundle, attrs, clusters)
     if apply_floors:
         floors = {"induction": cfg.planning_floor_induction}
         preds = np.array([evaluate.apply_planning_floor(p, phase, floors) for p in preds])

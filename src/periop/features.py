@@ -1,16 +1,21 @@
 """Design matrices for the duration models. One builder serves train, evaluate
 and predict, so the three cannot drift apart; the :class:`FeatureContext` it
-reads is fitted on one phase's training cases and persisted with every model."""
+reads is fitted on one phase's training cases and persisted with every model.
+
+The builder keys each case by the fields its model family reads and encodes
+each distinct key once: it returns the distinct design rows and each case's
+index into them, so ``rows[inverse]`` is the design matrix of the cases.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Hashable, Sequence
 
 import numpy as np
 
 from . import encoding
-from .eventlog import Case
+from .eventlog import Case, CaseAttributes
 
 
 @dataclass
@@ -20,29 +25,11 @@ class FeatureContext:
     phase: str
     group_by: str
     target_smoothing: float
-    assignments: Mapping[str, int]
     name_codes: dict[str, int]
     target_encoder: encoding.TargetEncoder
     age_fill: float
     sex_schema: encoding.OneHotSchema
     department_schema: encoding.OneHotSchema
-
-    def group_code(self, case: Case) -> float:
-        if self.group_by == "cluster":
-            return float(self.assignments.get(case.case_id, -1))
-        return float(self.name_codes.get(case.attributes.text(self.phase).strip(), -1))
-
-    def regression_matrix(self, cases: Sequence[Case], encoded: bool = True) -> np.ndarray:
-        """Columns: cluster (target encoded, or the raw code), age, sex, department."""
-        if encoded:
-            clusters = [str(self.assignments.get(c.case_id, -1)) for c in cases]
-            col0 = encoding.target_encode_apply(self.target_encoder, clusters)
-        else:
-            col0 = np.array([float(self.assignments.get(c.case_id, -1)) for c in cases])
-        ages = np.array([c.attributes.age if c.attributes.age is not None else self.age_fill for c in cases], dtype=float)
-        sex = encoding.one_hot_many(self.sex_schema, [c.attributes.sex for c in cases])
-        dept = encoding.one_hot_many(self.department_schema, [c.attributes.department for c in cases])
-        return np.column_stack([col0, ages, sex, dept])
 
     def to_dict(self) -> dict:
         return {
@@ -57,12 +44,11 @@ class FeatureContext:
         }
 
     @classmethod
-    def from_dict(cls, obj: dict, assignments: Mapping[str, int]) -> "FeatureContext":
+    def from_dict(cls, obj: dict) -> "FeatureContext":
         return cls(
             phase=obj["phase"],
             group_by=obj["group_by"],
             target_smoothing=obj["target_smoothing"],
-            assignments=assignments,
             name_codes={k: int(v) for k, v in obj["name_codes"]},
             target_encoder=encoding.TargetEncoder.from_dict(obj["target_encoder"]),
             age_fill=float(obj["age_fill"]),
@@ -74,14 +60,14 @@ class FeatureContext:
 def fit_context(
     phase: str,
     train_cases: Sequence[Case],
-    assignments: Mapping[str, int],
+    clusters: Sequence[int],
     group_by: str,
     target_smoothing: float,
 ) -> FeatureContext:
-    """Fit encoders, schemas and the age fill on the training cases only."""
+    """Fit encoders, schemas and the age fill on the training cases only;
+    ``clusters[i]`` is the cluster of ``train_cases[i]`` (-1 for none)."""
     targets = [c.durations.get(phase) for c in train_cases]
-    clusters = [str(assignments.get(c.case_id, -1)) for c in train_cases]
-    encoder = encoding.target_encode_fit(clusters, targets, m=target_smoothing)
+    encoder = encoding.target_encode_fit([str(c) for c in clusters], targets, m=target_smoothing)
     name_codes: dict[str, int] = {}
     if group_by == "exact-name":
         names = sorted({c.attributes.text(phase).strip() for c in train_cases})
@@ -91,7 +77,6 @@ def fit_context(
         phase=phase,
         group_by=group_by,
         target_smoothing=target_smoothing,
-        assignments=assignments,
         name_codes=name_codes,
         target_encoder=encoder,
         age_fill=float(np.median(ages)) if ages else 50.0,
@@ -100,11 +85,51 @@ def fit_context(
     )
 
 
-def design_matrix(ctx: FeatureContext, family: str, cases: Sequence[Case]) -> np.ndarray:
-    """The design matrix a model family reads: no columns for the global mean,
-    the group code for group means, the regression matrix for everything else."""
+def design_rows(
+    ctx: FeatureContext,
+    family: str,
+    attrs: Sequence[CaseAttributes],
+    clusters: Sequence[int],
+    encoded: bool = True,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of the design matrix a model family reads, and each
+    case's index into them.
+
+    ``clusters[i]`` is the cluster of ``attrs[i]`` (-1 for none). The global
+    mean reads no columns, group means read the group code (the cluster, or
+    the exact-name code), and every other family reads the regression row:
+    the cluster (target encoded, or the raw code unless ``encoded``), age,
+    sex and department. Each case is keyed by the fields its row reads, and
+    each distinct key is encoded once.
+    """
+    keys: Sequence[Hashable]
     if family == "mean":
-        return np.zeros((len(cases), 0))
+        keys = [()] * len(attrs)
+    elif family == "group-mean" and ctx.group_by == "exact-name":
+        keys = [a.text(ctx.phase) for a in attrs]
+    elif family == "group-mean":
+        keys = clusters
+    else:
+        keys = [(c, a.age, a.sex, a.department) for c, a in zip(clusters, attrs)]
+    index: dict[Hashable, int] = {}
+    inverse = np.fromiter((index.setdefault(k, len(index)) for k in keys), dtype=np.intp, count=len(keys))
+    return _encode(ctx, family, list(index), encoded), inverse
+
+
+def _encode(ctx: FeatureContext, family: str, keys: list, encoded: bool) -> np.ndarray:
+    # the design rows of the distinct keys that design_rows made for the family
+    if family == "mean":
+        return np.zeros((len(keys), 0))
     if family == "group-mean":
-        return np.array([[ctx.group_code(c)] for c in cases])
-    return ctx.regression_matrix(cases)
+        if ctx.group_by == "exact-name":
+            keys = [ctx.name_codes.get(text.strip(), -1) for text in keys]
+        return np.array(keys, dtype=float).reshape(-1, 1)
+    clusters, ages, sexes, departments = zip(*keys) if keys else ((), (), (), ())
+    if encoded:
+        col0 = encoding.target_encode_apply(ctx.target_encoder, [str(c) for c in clusters])
+    else:
+        col0 = np.array(clusters, dtype=float)
+    age = np.array([ctx.age_fill if a is None else a for a in ages], dtype=float)
+    sex = encoding.one_hot_many(ctx.sex_schema, sexes)
+    dept = encoding.one_hot_many(ctx.department_schema, departments)
+    return np.column_stack([col0, age, sex, dept])

@@ -87,6 +87,11 @@ class Model:
             raise ValueError("X must be 2-dimensional")
         return np.maximum(self._predict(X), 0.0)
 
+    def predict_distinct(self, rows: np.ndarray, inverse: np.ndarray) -> np.ndarray:
+        """``predict(rows[inverse])``, predicting each distinct row once: a
+        row's prediction depends on that row alone, bit for bit."""
+        return self.predict(rows)[inverse]
+
     def state_dict(self) -> dict:
         raise NotImplementedError
 
@@ -190,6 +195,11 @@ class RidgeModel(Model):
 
     def _predict(self, X: np.ndarray) -> np.ndarray:
         return X @ self.coef_ + self.intercept_
+
+    def predict_distinct(self, rows: np.ndarray, inverse: np.ndarray) -> np.ndarray:
+        # BLAS's matrix-vector product rounds a row's dot product by where the
+        # row sits in the matrix, so the ridge predicts every case's row
+        return self.predict(rows[inverse])
 
     def state_dict(self) -> dict:
         return {

@@ -150,9 +150,18 @@ class TfidfModel:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "TfidfModel":
+        """Rebuild a model from ``to_dict`` output; raises KeyError for a
+        missing field and ValueError when the vocabulary's indices are not
+        0..V-1 or the idf does not hold one weight per term."""
+        vocabulary = {str(k): int(v) for k, v in obj["vocabulary"].items()}
+        idf = np.asarray(obj["idf"], dtype=float)
+        if sorted(vocabulary.values()) != list(range(len(vocabulary))):
+            raise ValueError("vocabulary indices are not 0..V-1")
+        if idf.shape != (len(vocabulary),):
+            raise ValueError(f"idf holds {idf.size} weights for {len(vocabulary)} vocabulary terms")
         return cls(
-            vocabulary={str(k): int(v) for k, v in obj["vocabulary"].items()},
-            idf=np.asarray(obj["idf"], dtype=float),
+            vocabulary=vocabulary,
+            idf=idf,
             n_docs=int(obj["n_docs"]),
             max_terms=obj.get("max_terms"),
         )

@@ -304,6 +304,31 @@ def target_encode_slow(categories, targets, m):
     return table, prior
 
 
+def design_matrix_slow(ctx, family, attrs, clusters, encoded=True):
+    """The design matrix of the cases ``attrs`` (in ``clusters``), one case at
+    a time: no columns for the global mean; for group means the group code,
+    the cluster or the exact-name code of the stripped text (-1 for a name
+    not seen in training); otherwise the cluster (target encoded, or the raw
+    code), the age (the fill when missing), then sex and department one-hot
+    (all zeros for a value not seen in training)."""
+    out = []
+    for a, cluster in zip(attrs, clusters):
+        if family == "mean":
+            row = []
+        elif family == "group-mean":
+            code = cluster if ctx.group_by == "cluster" else ctx.name_codes.get(a.text(ctx.phase).strip(), -1)
+            row = [float(code)]
+        else:
+            row = [
+                ctx.target_encoder.encode(str(cluster)) if encoded else float(cluster),
+                ctx.age_fill if a.age is None else float(a.age),
+                *(1.0 if a.sex == s else 0.0 for s in ctx.sex_schema.categories),
+                *(1.0 if a.department == d else 0.0 for d in ctx.department_schema.categories),
+            ]
+        out.append(row)
+    return np.array(out, dtype=float)
+
+
 def kmeans_best_two_partition(points):
     """Exhaustive best 2-partition of 1-D points by total squared error."""
     pts = [float(p) for p in points]

@@ -401,6 +401,29 @@ def test_predict_reproduces_evaluate_predictions(pipeline_dir, tmp_path):
             assert mismatched == [], (phase, name, mismatched[:5])
 
 
+def test_rows_sharing_a_case_id_keep_their_own_cluster(pipeline_dir, tmp_path):
+    """Each row of --cases is clustered by its own text: a row whose id
+    another row repeats predicts what it predicts alone."""
+    pipeline_dir, config = pipeline_dir
+    with (pipeline_dir / "cases.csv").open(encoding="utf-8", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    cases, dest = tmp_path / "new.csv", tmp_path / "preds.csv"
+
+    def predict(rows):
+        with cases.open("w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows([header, *rows])
+        argv = ["predict", "--out", str(pipeline_dir), *SMALL, "--config", str(config),
+                "--phase", "procedure", "--model", "group-mean", "--cases", str(cases), "--dest", str(dest)]
+        assert run(argv) == 0
+        with dest.open(encoding="utf-8", newline="") as fh:
+            return [row["prediction_min"] for row in csv.DictReader(fh)]
+
+    alone = predict(rows)
+    other = next(i for i, p in enumerate(alone) if p != alone[0])
+    twin = [rows[0][0], *rows[other][1:]]  # the first row's id, another row's text
+    assert predict([rows[0], twin]) == [alone[0], alone[other]]
+
+
 NESTED_TREE = {"feature": 0, "threshold": 0.5, "left": {"value": 30.0}, "right": {"value": 40.0}}
 
 
@@ -441,8 +464,9 @@ def test_model_file_with_nested_trees_exits_one(pipeline_dir, tmp_path, capsys, 
         ("model_procedure_gbm.json", "features", "age_fill", ("evaluate", "predict"), "train"),
         ("model_procedure_gbm.json", None, "family", ("evaluate", "predict"), "train"),
         ("cluster_model_procedure.json", "model", "centroids", ("predict",), "cluster"),
+        ("tfidf_procedure.json", None, "idf", ("predict",), "cluster"),
     ],
-    ids=["gbm-base", "features-age-fill", "bundle-family", "kmeans-centroids"],
+    ids=["gbm-base", "features-age-fill", "bundle-family", "kmeans-centroids", "tfidf-idf"],
 )
 def test_artifact_missing_a_field_exits_one(pipeline_dir, tmp_path, capsys, artifact, section, field, stages, rerun):
     source, config = pipeline_dir
@@ -459,6 +483,25 @@ def test_artifact_missing_a_field_exits_one(pipeline_dir, tmp_path, capsys, arti
         assert run(argvs[stage]) == 1, stage
         err = capsys.readouterr().err
         assert err == f"error: {path}: missing field {field!r}; re-run {rerun!r} to rebuild it\n", err
+
+
+def test_tfidf_idf_not_matching_the_vocabulary_exits_one(pipeline_dir, tmp_path, capsys):
+    source, config = pipeline_dir
+    out = tmp_path / "out"
+    shutil.copytree(source, out)
+    path = out / "tfidf_procedure.json"
+    obj = json.loads(path.read_text())
+    n_terms = len(obj["vocabulary"])
+    obj["idf"] = obj["idf"][:-3]
+    path.write_text(json.dumps(obj))
+    argv = ["predict", "--out", str(out), *SMALL, "--config", str(config), "--phase", "procedure",
+            "--model", "gbm", "--dest", str(tmp_path / "p.csv")]
+    capsys.readouterr()
+    assert run(argv) == 1
+    assert capsys.readouterr().err == (
+        f"error: {path}: idf holds {n_terms - 3} weights for {n_terms} vocabulary terms; "
+        "re-run 'cluster' to rebuild it\n"
+    )
 
 
 def test_cluster_k_above_the_distinct_training_texts_exits_one(pipeline_dir, tmp_path, capsys):

@@ -442,6 +442,37 @@ def test_gmm_log_likelihood_never_decreases(rows, k, seed):
     assert drops <= int(model.reinitialized)
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    algo=st.sampled_from(["kmeans", "gmm"]),
+    seed=st.integers(0, 2**16),
+    n_distinct=st.integers(2, 60),
+    d=st.integers(1, 40),
+    n=st.integers(1, 400),
+)
+def test_cluster_assign_on_distinct_rows_equals_every_row(algo, seed, n_distinct, d, n):
+    """cluster and predict label the distinct TF-IDF rows and scatter the
+    labels back to the cases; that must give every case the label of
+    assigning the full matrix. The GMM's log-densities are row-local; the
+    K-Means Gram-form distances may round differently in the last bit between
+    the two matrices, which can move a label only where a row is equidistant
+    from two centroids to within that rounding."""
+    rng = np.random.default_rng(seed)
+    # sparse, L2-normalized non-negative rows, as TF-IDF vectors are
+    rows = rng.random((n_distinct, d)) * (rng.random((n_distinct, d)) < 0.3)
+    norms = np.linalg.norm(rows, axis=1, keepdims=True)
+    rows = rows / np.where(norms > 0, norms, 1.0)
+    inverse = rng.integers(0, n_distinct, size=n)
+    fit = kmeans_fit if algo == "kmeans" else gmm_fit
+    k = int(rng.integers(1, min(n_distinct, 8) + 1))
+    try:
+        model = fit(rows[rng.integers(0, n_distinct, size=3 * n_distinct)], k, seed=seed)
+    except ValueError:  # a GMM component collapsed twice
+        return
+    labels = cluster_assign(model, rows)[inverse]
+    assert labels.tobytes() == cluster_assign(model, rows[inverse]).tobytes()
+
+
 def test_cluster_catalog():
     X = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     rows = cluster_catalog([0, 0, 1], X, ["alpha", "beta"], [10.0, 20.0, 99.0], top_n=1)

@@ -326,6 +326,44 @@ def test_gbm_training_update_equals_predict(X, y_seed, learning_rate):
         assert model.stage_mse_[k] == float(np.mean((y - model._predict(X)) ** 2))
 
 
+ROW_LOCAL_FAMILIES = {
+    "mean": {},
+    "group-mean": {"group_col": 0},
+    "tree": {"max_depth": 3, "min_leaf": 2},
+    "forest": {"n_trees": 4, "max_depth": 3, "min_leaf": 2, "feature_fraction": 0.7, "seed": 3},
+    "gbm": {"n_trees": 8, "learning_rate": 0.3, "max_depth": 2, "min_leaf": 2},
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    family=st.sampled_from([*ROW_LOCAL_FAMILIES, "ridge"]),
+    seed=st.integers(0, 2**16),
+    n_distinct=st.integers(1, 40),
+    d=st.integers(1, 16),
+    n=st.integers(1, 300),
+)
+def test_predict_distinct_equals_predicting_every_row(family, seed, n_distinct, d, n):
+    """The CLI predicts each distinct design row once and scatters the
+    result; that must equal predicting the full matrix bit for bit. Every
+    family but the ridge reads a row alone, so predict(rows)[inverse] is that
+    prediction; the ridge's BLAS product rounds a row by where it sits in the
+    matrix, so it predicts rows[inverse]."""
+    rng = np.random.default_rng(seed)
+    # a few values per column, so trees split and rows repeat
+    X = rng.choice([-2.5, 0.0, 0.1, 1.0, 3.7], size=(60, d))
+    y = rng.uniform(0, 100, size=60)
+    params = ROW_LOCAL_FAMILIES.get(family, {"lam": 0.1})
+    model = make_model(family, params).fit(Dataset(X=X, y=y))
+    rows = rng.normal(size=(n_distinct, d)) * rng.choice([1e-3, 1.0, 1e3])
+    rows[: n_distinct // 2] = X[: n_distinct // 2]
+    inverse = rng.integers(0, n_distinct, size=n)
+    expected = model.predict(rows[inverse])
+    assert model.predict_distinct(rows, inverse).tobytes() == expected.tobytes()
+    if family in ROW_LOCAL_FAMILIES:
+        assert model.predict(rows)[inverse].tobytes() == expected.tobytes()
+
+
 def test_forest_degenerate_equals_tree():
     ds = linear_dataset(n=60, seed=2, noise=1.0)
     tree = make_model("tree", {"max_depth": 5, "min_leaf": 2}).fit(ds)
