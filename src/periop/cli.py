@@ -6,6 +6,12 @@ isolation. All randomness flows from one root seed; stages derive their own
 streams by hashing a stage label into the seed, which keeps any two runs
 with the same config byte-identical.
 
+Each command imports only the modules it runs: ``ingest`` and ``clean`` load
+no numpy, and the numpy-based stages import theirs when they start. A command
+is one batch pass over a case table that it holds until it exits, and
+reference counting frees its garbage, so ``run`` pauses the cyclic garbage
+collector for the length of the command; it would only re-scan that table.
+
 Exit codes: 0 success, 1 validation/usage error, 2 runtime error.
 """
 
@@ -13,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import itertools
 import json
 import math
@@ -20,11 +27,9 @@ import sys
 import zlib
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
-import numpy as np
-
-from . import cleaning, clustering, evaluate, features, models, stats, synthgen, textnorm
+from . import cleaning, rules
 from .config import MODEL_CHOICES, FIELD_TYPES, PipelineConfig, UsageError, build_config
 from .eventlog import (
     CASES_HEADER,
@@ -38,6 +43,11 @@ from .eventlog import (
     parse_case_attributes,
     parse_events,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from . import features, models, textnorm
 
 
 def derive_seed(root: int, label: str) -> int:
@@ -90,7 +100,9 @@ def _read_artifact(path: Path, decode, stage: str):
         return decode(obj)
     except KeyError as exc:
         raise UsageError(f"{path}: missing field {exc}; re-run {stage!r} to rebuild it") from None
-    except ValueError as exc:  # e.g. trees in an older nested layout, an idf that does not fit the vocabulary
+    # e.g. trees in an older nested layout, an idf that does not fit the
+    # vocabulary, a field of the wrong JSON type or an array of wrong entries
+    except (ValueError, TypeError) as exc:
         raise UsageError(f"{path}: {exc}; re-run {stage!r} to rebuild it") from None
 
 
@@ -191,6 +203,8 @@ def _bad_case_row(line: str, exc: Exception) -> str:
 
 
 def _rules_for_phase(cfg: PipelineConfig, phase: str) -> textnorm.NormalizationRules:
+    from . import textnorm
+
     if cfg.synonyms == "none" or phase not in cfg.synonyms_phases:
         synonym_map: dict[str, str] = {}
     elif cfg.synonyms == "default":
@@ -210,6 +224,8 @@ def _rules_for_phase(cfg: PipelineConfig, phase: str) -> textnorm.NormalizationR
 
 def _split_ids(cfg: PipelineConfig, phase: str) -> tuple[list[str], list[str]]:
     """Train and test ids among the cases that cleaning retained."""
+    from . import models
+
     ordered = sorted(_read_json(Path(cfg.out) / f"clean_{phase}.json")["retained_ids"])
     train_idx, test_idx = models.split_indices(
         len(ordered), cfg.test_fraction, derive_seed(cfg.seed, f"split:{phase}")
@@ -222,19 +238,21 @@ def _normalized_docs(
 ) -> tuple[list[list[str]], np.ndarray]:
     """Token lists of the phase's distinct texts, in first-seen order, and
     each case's index into them."""
-    rules = _rules_for_phase(cfg, phase)
-    index: dict[str, int] = {}
-    inverse = np.fromiter((index.setdefault(a.text(phase), len(index)) for a in attrs), dtype=np.intp, count=len(attrs))
-    return [textnorm.normalize_text(text, rules) for text in index], inverse
+    from . import encoding, textnorm
+
+    text_rules = _rules_for_phase(cfg, phase)
+    texts, inverse = encoding._distinct_keys([a.text(phase) for a in attrs])
+    return [textnorm.normalize_text(text, text_rules) for text in texts], inverse
 
 
 def _tfidf_matrix(docs: Sequence[Sequence[str]], tfidf: textnorm.TfidfModel) -> tuple[np.ndarray, np.ndarray]:
     """Dense TF-IDF rows of the distinct documents of ``docs``, in first-seen
     order, and each document's index into them; two texts can normalize to
     one document."""
-    index: dict[tuple[str, ...], int] = {}
-    inverse = np.fromiter((index.setdefault(tuple(d), len(index)) for d in docs), dtype=np.intp, count=len(docs))
-    return textnorm.stack_dense([textnorm.vectorize(d, tfidf) for d in index]), inverse
+    from . import encoding, textnorm
+
+    distinct, inverse = encoding._distinct_keys([tuple(d) for d in docs])
+    return textnorm.stack_dense([textnorm.vectorize(d, tfidf) for d in distinct]), inverse
 
 
 def _load_clusters(cfg: PipelineConfig, phase: str, ids: Sequence[str]) -> list[int]:
@@ -255,6 +273,8 @@ def _load_clusters(cfg: PipelineConfig, phase: str, ids: Sequence[str]) -> list[
 
 
 def stage_synth(cfg: PipelineConfig) -> None:
+    from . import synthgen
+
     synth_cfg = synthgen.SynthConfig(
         n_cases=cfg.synth_n_cases,
         seed=derive_seed(cfg.seed, "synth"),
@@ -317,6 +337,8 @@ def stage_clean(cfg: PipelineConfig) -> None:
 
 
 def stage_cluster(cfg: PipelineConfig) -> None:
+    from . import clustering, textnorm
+
     cases = {c.case_id: c for c in _load_cases(cfg)}
     out = Path(cfg.out)
     for phase in cfg.phases:
@@ -389,6 +411,8 @@ def _model_plan(name: str, cfg: PipelineConfig) -> tuple[str, str, dict]:
 
 
 def stage_train(cfg: PipelineConfig) -> None:
+    from . import features, models
+
     cases = {c.case_id: c for c in _load_cases(cfg)}
     out = Path(cfg.out)
     for phase in cfg.phases:
@@ -454,9 +478,15 @@ def stage_train(cfg: PipelineConfig) -> None:
 
 def _read_bundle(path: Path) -> tuple[features.FeatureContext, models.Model, str]:
     """A trained model bundle: its feature context, model and family."""
+    from . import features, models
+
     return _read_artifact(
         path,
-        lambda b: (features.FeatureContext.from_dict(b["features"]), models.model_from_dict(b["model"]), b["family"]),
+        lambda b: (
+            features.FeatureContext.from_dict(rules.field(b, "features", dict)),
+            models.model_from_dict(rules.field(b, "model", dict)),
+            rules.field(b, "family", str),
+        ),
         "train",
     )
 
@@ -468,12 +498,16 @@ def _bundle_predict(
 ) -> np.ndarray:
     """Predict the cases ``attrs``, in ``clusters``, with a read model bundle;
     each distinct design row is built and predicted once."""
+    from . import features
+
     ctx, model, family = bundle
     rows, inverse = features.design_rows(ctx, family, attrs, clusters)
     return model.predict_distinct(rows, inverse)
 
 
 def stage_evaluate(cfg: PipelineConfig) -> None:
+    from . import evaluate
+
     cases = {c.case_id: c for c in _load_cases(cfg)}
     out = Path(cfg.out)
     metrics_obj: dict = {}
@@ -514,6 +548,8 @@ def stage_evaluate(cfg: PipelineConfig) -> None:
 
 
 def stage_report(cfg: PipelineConfig) -> None:
+    from . import evaluate, stats
+
     cases = {c.case_id: c for c in _load_cases(cfg)}
     out = Path(cfg.out)
     deviation_obj: dict = {}
@@ -572,6 +608,8 @@ def stage_report(cfg: PipelineConfig) -> None:
 
 
 def _write_histogram(base: Path, bins: list[tuple[float, int]], title: str) -> None:
+    from . import evaluate
+
     _write_csv(
         base.with_suffix(".csv"),
         ["bin_start_min", "count"],
@@ -586,6 +624,8 @@ _SKIPPED_SHOWN = 5  # predict lists this many of the --cases rows it skipped
 
 
 def stage_predict(cfg: PipelineConfig, dest: str | None, apply_floors: bool) -> None:
+    from . import clustering, evaluate, textnorm
+
     phase, name = cfg.phases[0], cfg.models[0]
     out = Path(cfg.out)
     bundle = _read_bundle(out / f"model_{phase}_{name}.json")
@@ -601,16 +641,19 @@ def stage_predict(cfg: PipelineConfig, dest: str | None, apply_floors: bool) -> 
     # each row keeps its own cluster, also where rows share a case_id
     tfidf = _read_artifact(out / f"tfidf_{phase}.json", textnorm.TfidfModel.from_dict, "cluster")
     cluster_model = _read_artifact(
-        out / f"cluster_model_{phase}.json", lambda obj: clustering.model_from_dict(obj["model"]), "cluster"
+        out / f"cluster_model_{phase}.json",
+        lambda obj: clustering.model_from_dict(rules.field(obj, "model", dict)),
+        "cluster",
     )
-    docs, text_of = _normalized_docs(cfg, phase, attrs)
-    X_docs, doc_of = _tfidf_matrix(docs, tfidf)
-    clusters = clustering.cluster_assign(cluster_model, X_docs)[doc_of[text_of]].tolist()
-
-    preds = _bundle_predict(bundle, attrs, clusters)
+    preds: Sequence[float] = []  # a --cases without a row read gets a header-only file
+    if attrs:
+        docs, text_of = _normalized_docs(cfg, phase, attrs)
+        X_docs, doc_of = _tfidf_matrix(docs, tfidf)
+        clusters = clustering.cluster_assign(cluster_model, X_docs)[doc_of[text_of]].tolist()
+        preds = _bundle_predict(bundle, attrs, clusters)
     if apply_floors:
         floors = {"induction": cfg.planning_floor_induction}
-        preds = np.array([evaluate.apply_planning_floor(p, phase, floors) for p in preds])
+        preds = [evaluate.apply_planning_floor(p, phase, floors) for p in preds]
     dest_path = Path(dest) if dest else out / "predictions.csv"
     _write_csv(
         dest_path,
@@ -682,6 +725,8 @@ STAGES = {
 
 def run(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
+    gc_enabled = gc.isenabled()
+    gc.disable()  # for the length of the command; see the module docstring
     try:
         args = parser.parse_args(argv)
         cfg = _config_from_args(args)
@@ -696,6 +741,9 @@ def run(argv: Sequence[str] | None = None) -> int:
     except Exception as exc:  # runtime failure
         print(f"runtime error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if gc_enabled:
+            gc.enable()
 
 
 def main() -> None:

@@ -9,12 +9,14 @@ toward the lowest index or the smallest k so repeated runs agree bit for bit.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
 
+from . import rules
 from .encoding import _distinct_rows
 
 VARIANCE_FLOOR = 1e-6
@@ -48,12 +50,13 @@ class KMeansModel:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "KMeansModel":
+        get = functools.partial(rules.field, obj)
         return cls(
-            centroids=np.asarray(obj["centroids"], dtype=float),
-            inertia=float(obj["inertia"]),
-            iterations_run=int(obj["iterations_run"]),
-            seed=int(obj["seed"]),
-            inertia_trace=tuple(float(v) for v in obj.get("inertia_trace", ())),
+            centroids=np.asarray(get("centroids", list), dtype=float),
+            inertia=get("inertia", float),
+            iterations_run=get("iterations_run", int),
+            seed=get("seed", int),
+            inertia_trace=tuple(float(v) for v in get("inertia_trace", list, ())),
         )
 
 
@@ -85,24 +88,27 @@ class GmmModel:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "GmmModel":
+        get = functools.partial(rules.field, obj)
         return cls(
-            weights=np.asarray(obj["weights"], dtype=float),
-            means=np.asarray(obj["means"], dtype=float),
-            variances=np.asarray(obj["variances"], dtype=float),
-            log_likelihood=tuple(float(v) for v in obj.get("log_likelihood", ())),
-            iterations_run=int(obj["iterations_run"]),
-            seed=int(obj["seed"]),
-            reinitialized=bool(obj.get("reinitialized", False)),
+            weights=np.asarray(get("weights", list), dtype=float),
+            means=np.asarray(get("means", list), dtype=float),
+            variances=np.asarray(get("variances", list), dtype=float),
+            log_likelihood=tuple(float(v) for v in get("log_likelihood", list, ())),
+            iterations_run=get("iterations_run", int),
+            seed=get("seed", int),
+            reinitialized=get("reinitialized", bool, False),
         )
 
 
 def model_from_dict(obj: dict) -> Union[KMeansModel, GmmModel]:
-    """Rebuild a fitted K-Means or GMM model from its ``to_dict`` form."""
-    if obj["algo"] == "kmeans":
+    """Rebuild a fitted K-Means or GMM model from its ``to_dict`` form;
+    raises KeyError for a missing field and ValueError for a bad value."""
+    algo = rules.field(obj, "algo", str)
+    if algo == "kmeans":
         return KMeansModel.from_dict(obj)
-    if obj["algo"] == "gmm":
+    if algo == "gmm":
         return GmmModel.from_dict(obj)
-    raise ValueError(f"unknown clustering algorithm: {obj['algo']!r}")
+    raise ValueError(f"unknown clustering algorithm: {algo!r}")
 
 
 def _as_matrix(X: Union[np.ndarray, Sequence[Sequence[float]]]) -> np.ndarray:
@@ -315,7 +321,8 @@ def gmm_responsibilities(model: GmmModel, X: np.ndarray) -> np.ndarray:
     return np.exp(logp - _logsumexp_rows(logp)[:, None])
 
 
-# each algorithm's kernel: the fit of k clusters to the points an inverse maps onto distinct rows
+# each algorithm's kernel: the fit of k clusters to the points an inverse maps
+# onto distinct rows; rules.CLUSTER_ALGORITHMS holds the same names for the config
 ALGORITHMS = {"kmeans": _kmeans, "gmm": _gmm}
 
 
@@ -407,8 +414,7 @@ def select_k(
     ks = sorted(set(int(k) for k in k_range))
     if not ks or ks[0] < 2:
         raise ValueError("k_range must be non-empty, every k at least 2")
-    if algo not in ALGORITHMS:
-        raise ValueError(f"unknown algorithm: {algo!r}")
+    rules.check_cluster_algorithm(algo)
 
     fit = ALGORITHMS[algo]
     distinct, inverse = _distinct_rows(X)

@@ -10,9 +10,8 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Mapping
 
-from .clustering import ALGORITHMS
+from . import rules
 from .eventlog import PHASES
-from .models import GridSpec, make_model
 
 MODEL_CHOICES = ("mean", "group-mean", "mta", "ridge", "tree", "forest", "gbm")
 
@@ -104,8 +103,10 @@ class PipelineConfig:
                 if phase not in PHASES:
                     raise UsageError(f"config key '{key}.{phase}': unknown phase")
         for phase, algo in self.cluster_algo.items():
-            if algo not in ALGORITHMS:
-                raise UsageError(f"config key 'cluster_algo.{phase}': unknown algorithm {algo!r}")
+            try:
+                rules.check_cluster_algorithm(algo)
+            except ValueError as exc:
+                raise UsageError(f"config key 'cluster_algo.{phase}': {exc}") from None
         for phase, ks in self.cluster_k.items():  # one k, or several to choose from by silhouette
             if not ks or min(ks) < (2 if len(ks) > 1 else 1):
                 raise UsageError(f"config key 'cluster_k.{phase}': expected a k >= 1 or several k >= 2, got {list(ks)}")
@@ -117,11 +118,11 @@ class PipelineConfig:
         for family, keys in MODEL_KEYS.items():  # the model's own rules, one key at a time
             for param, key in keys.items():
                 try:
-                    make_model(family, {param: getattr(self, key)})
+                    rules.check_model_params(family, {param: getattr(self, key)})
                 except ValueError as exc:
                     raise UsageError(f"config key {key!r}: {exc}") from None
         try:
-            GridSpec(family="mean", cv_folds=self.cv_folds)
+            rules.check_cv_folds(self.cv_folds)
         except ValueError as exc:
             raise UsageError(f"config key 'cv_folds': {exc}") from None
 

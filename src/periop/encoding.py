@@ -7,15 +7,20 @@ encoding), so nothing from the test set leaks into the encodings.
 
 ``_distinct_rows`` codes each row of a matrix by its distinct row; clustering
 and the tree engine both work on those distinct rows, weighted by count.
+``_distinct_keys`` does the same for a sequence of hashable keys, in
+first-seen order; the design-row builder and the CLI's text vectorizing use it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Hashable, Sequence
 
 import numpy as np
+
+from . import rules
 
 DEFAULT_SMOOTHING = 40.0
 
@@ -43,7 +48,7 @@ class OneHotSchema:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "OneHotSchema":
-        return cls(categories=tuple(obj["categories"]))
+        return cls(categories=tuple(rules.field(obj, "categories", list)))
 
 
 def one_hot(schema: OneHotSchema, value: str) -> np.ndarray:
@@ -91,11 +96,12 @@ class TargetEncoder:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "TargetEncoder":
-        return cls(
-            stats={str(k): (int(n), float(mean)) for k, (n, mean) in obj["stats"].items()},
-            prior=float(obj["prior"]),
-            m=float(obj["m"]),
-        )
+        get = functools.partial(rules.field, obj)
+        entries, stats = get("stats", dict), {}
+        for category in entries:
+            n, mean = rules.field(entries, category, list)  # [count, mean]
+            stats[category] = (int(n), float(mean))
+        return cls(stats=stats, prior=get("prior", float), m=get("m", float))
 
 
 def target_encode_fit(
@@ -139,3 +145,10 @@ def _distinct_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     distinct = np.empty((len(index), X.shape[1]))
     distinct[inverse] = X
     return distinct, inverse
+
+
+def _distinct_keys(keys: Sequence[Hashable]) -> tuple[list, np.ndarray]:
+    """Distinct values of ``keys`` in first-seen order, and each key's index into them."""
+    index: dict[Hashable, int] = {}
+    inverse = np.fromiter((index.setdefault(k, len(index)) for k in keys), dtype=np.intp, count=len(keys))
+    return list(index), inverse

@@ -9,12 +9,13 @@ index into them, so ``rows[inverse]`` is the design matrix of the cases.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Hashable, Sequence
 
 import numpy as np
 
-from . import encoding
+from . import encoding, rules
 from .eventlog import Case, CaseAttributes
 
 
@@ -45,15 +46,18 @@ class FeatureContext:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "FeatureContext":
+        """Rebuild a context from ``to_dict`` output; raises KeyError for a
+        missing field and ValueError for a field of the wrong JSON type."""
+        get = functools.partial(rules.field, obj)
         return cls(
-            phase=obj["phase"],
-            group_by=obj["group_by"],
-            target_smoothing=obj["target_smoothing"],
-            name_codes={k: int(v) for k, v in obj["name_codes"]},
-            target_encoder=encoding.TargetEncoder.from_dict(obj["target_encoder"]),
-            age_fill=float(obj["age_fill"]),
-            sex_schema=encoding.OneHotSchema.from_dict(obj["sex_schema"]),
-            department_schema=encoding.OneHotSchema.from_dict(obj["department_schema"]),
+            phase=get("phase", str),
+            group_by=get("group_by", str),
+            target_smoothing=get("target_smoothing", float),
+            name_codes={k: int(v) for k, v in get("name_codes", list)},
+            target_encoder=encoding.TargetEncoder.from_dict(get("target_encoder", dict)),
+            age_fill=get("age_fill", float),
+            sex_schema=encoding.OneHotSchema.from_dict(get("sex_schema", dict)),
+            department_schema=encoding.OneHotSchema.from_dict(get("department_schema", dict)),
         )
 
 
@@ -111,9 +115,8 @@ def design_rows(
         keys = clusters
     else:
         keys = [(c, a.age, a.sex, a.department) for c, a in zip(clusters, attrs)]
-    index: dict[Hashable, int] = {}
-    inverse = np.fromiter((index.setdefault(k, len(index)) for k in keys), dtype=np.intp, count=len(keys))
-    return _encode(ctx, family, list(index), encoded), inverse
+    distinct, inverse = encoding._distinct_keys(keys)
+    return _encode(ctx, family, distinct, encoded), inverse
 
 
 def _encode(ctx: FeatureContext, family: str, keys: list, encoded: bool) -> np.ndarray:

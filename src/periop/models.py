@@ -8,6 +8,7 @@ deterministic given its seed.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -15,6 +16,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
+from . import rules
 from .encoding import _distinct_rows, target_encode_apply, target_encode_fit
 
 
@@ -167,8 +169,7 @@ class RidgeModel(Model):
 
     def __init__(self, lam: float = 0.0) -> None:
         super().__init__()
-        if lam < 0:
-            raise ValueError("lambda must be >= 0")
+        rules.check_model_params("ridge", {"lam": lam})
         self.lam = float(lam)
         self.coef_ = np.empty(0)
         self.intercept_ = 0.0
@@ -291,14 +292,6 @@ class Tree:
             if np.any(inner & ((child <= index) | (child >= n[0]))):
                 raise ValueError("tree child index out of range")
         return cls(feature, threshold, left, right, value)
-
-
-def _check_tree_shape(max_depth: int, min_leaf: int) -> None:
-    """The hyperparameter rules that every tree family shares."""
-    if max_depth < 0:
-        raise ValueError("max_depth must be >= 0")
-    if min_leaf < 1:
-        raise ValueError("min_leaf must be >= 1")
 
 
 def _bin_columns(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -477,7 +470,7 @@ class TreeModel(Model):
 
     def __init__(self, max_depth: int = 8, min_leaf: int = 5) -> None:
         super().__init__()
-        _check_tree_shape(max_depth, min_leaf)
+        rules.check_model_params("tree", {"max_depth": max_depth, "min_leaf": min_leaf})
         self.max_depth = int(max_depth)
         self.min_leaf = int(min_leaf)
         self.tree_: Tree | None = None
@@ -511,11 +504,10 @@ class ForestModel(Model):
         seed: int = 0,
     ) -> None:
         super().__init__()
-        if n_trees < 1:
-            raise ValueError("n_trees must be >= 1")
-        _check_tree_shape(max_depth, min_leaf)
-        if not 0.0 < feature_fraction <= 1.0:
-            raise ValueError("feature_fraction must be in (0, 1]")
+        rules.check_model_params(
+            "forest",
+            {"n_trees": n_trees, "max_depth": max_depth, "min_leaf": min_leaf, "feature_fraction": feature_fraction},
+        )
         self.n_trees = int(n_trees)
         self.max_depth = int(max_depth)
         self.min_leaf = int(min_leaf)
@@ -579,11 +571,10 @@ class GbmModel(Model):
         min_leaf: int = 5,
     ) -> None:
         super().__init__()
-        if n_trees < 0:
-            raise ValueError("n_trees must be >= 0")
-        if not 0.0 < learning_rate <= 1.0:
-            raise ValueError("learning_rate must be in (0, 1]")
-        _check_tree_shape(max_depth, min_leaf)
+        rules.check_model_params(
+            "gbm",
+            {"n_trees": n_trees, "learning_rate": learning_rate, "max_depth": max_depth, "min_leaf": min_leaf},
+        )
         self.n_trees = int(n_trees)
         self.learning_rate = float(learning_rate)
         self.max_depth = int(max_depth)
@@ -657,42 +648,44 @@ def make_model(family: str, params: Mapping | None = None) -> Model:
 
 
 def model_from_dict(obj: dict) -> Model:
-    """Rebuild a fitted model from its JSON dict."""
-    family = obj.get("family")
+    """Rebuild a fitted model from its JSON dict; raises KeyError for a
+    missing field and ValueError for a field of the wrong JSON type."""
+    get = functools.partial(rules.field, obj)
+    family = get("family", str)
     if family == "mean":
         model = MeanModel()
-        model.mean_ = float(obj["mean"])
+        model.mean_ = get("mean", float)
     elif family == "group-mean":
-        model = GroupMeanModel(group_col=int(obj["group_col"]))
-        model.means_ = {float(k): float(v) for k, v in obj["means"]}
-        model.global_mean_ = float(obj["global_mean"])
+        model = GroupMeanModel(group_col=get("group_col", int))
+        model.means_ = {float(k): float(v) for k, v in get("means", list)}
+        model.global_mean_ = get("global_mean", float)
     elif family == "ridge":
-        model = RidgeModel(lam=float(obj["lambda"]))
-        model.coef_ = np.asarray(obj["coef"], dtype=float)
-        model.intercept_ = float(obj["intercept"])
+        model = RidgeModel(lam=get("lambda", float))
+        model.coef_ = np.asarray(get("coef", list), dtype=float)
+        model.intercept_ = get("intercept", float)
     elif family == "tree":
-        model = TreeModel(max_depth=int(obj["max_depth"]), min_leaf=int(obj["min_leaf"]))
-        model.tree_ = Tree.from_dict(obj["tree"])
+        model = TreeModel(max_depth=get("max_depth", int), min_leaf=get("min_leaf", int))
+        model.tree_ = Tree.from_dict(get("tree", dict))
     elif family == "forest":
         model = ForestModel(
-            n_trees=int(obj["n_trees"]),
-            max_depth=int(obj["max_depth"]),
-            min_leaf=int(obj["min_leaf"]),
-            feature_fraction=float(obj["feature_fraction"]),
-            bootstrap=bool(obj["bootstrap"]),
-            seed=int(obj["seed"]),
+            n_trees=get("n_trees", int),
+            max_depth=get("max_depth", int),
+            min_leaf=get("min_leaf", int),
+            feature_fraction=get("feature_fraction", float),
+            bootstrap=get("bootstrap", bool),
+            seed=get("seed", int),
         )
-        model.trees_ = [Tree.from_dict(tree) for tree in obj["trees"]]
+        model.trees_ = [Tree.from_dict(tree) for tree in get("trees", list)]
     elif family == "gbm":
         model = GbmModel(
-            n_trees=int(obj["n_trees"]),
-            learning_rate=float(obj["learning_rate"]),
-            max_depth=int(obj["max_depth"]),
-            min_leaf=int(obj["min_leaf"]),
+            n_trees=get("n_trees", int),
+            learning_rate=get("learning_rate", float),
+            max_depth=get("max_depth", int),
+            min_leaf=get("min_leaf", int),
         )
-        model.base_ = float(obj["base"])
-        model.stage_mse_ = tuple(float(v) for v in obj.get("stage_mse", ()))
-        model.trees_ = [Tree.from_dict(tree) for tree in obj["trees"]]
+        model.base_ = get("base", float)
+        model.stage_mse_ = tuple(float(v) for v in get("stage_mse", list, ()))
+        model.trees_ = [Tree.from_dict(tree) for tree in get("trees", list)]
     else:
         raise ValueError(f"unknown model family: {family!r}")
     model._fitted = True
@@ -723,8 +716,7 @@ class GridSpec:
     def __post_init__(self) -> None:
         if self.family not in _CONSTRUCTORS:
             raise ValueError(f"unknown model family: {self.family!r}")
-        if self.cv_folds < 2:
-            raise ValueError("cv_folds must be >= 2")
+        rules.check_cv_folds(self.cv_folds)
         for name, values in self.grid.items():
             if len(values) == 0:
                 raise ValueError(f"empty candidate list for parameter {name!r}")

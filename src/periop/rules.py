@@ -1,0 +1,83 @@
+"""Checks on values that come from outside: the settings that the config
+checks at load and the model and clustering code checks again, and the JSON
+types of artifact fields. Each rule is written once, here, and this module
+imports no numpy, so loading a config costs no numpy import.
+"""
+
+from __future__ import annotations
+
+import json
+from typing import Mapping
+
+CLUSTER_ALGORITHMS = ("kmeans", "gmm")
+
+_TREE_FAMILIES = ("tree", "forest", "gbm")
+
+# (model family, constructor parameter) -> (rejects the value, what the value must be)
+_PARAM_RULES = {
+    ("ridge", "lam"): (lambda v: v < 0, "lambda must be >= 0"),
+    ("forest", "n_trees"): (lambda v: v < 1, "n_trees must be >= 1"),
+    ("forest", "feature_fraction"): (lambda v: not 0.0 < v <= 1.0, "feature_fraction must be in (0, 1]"),
+    ("gbm", "n_trees"): (lambda v: v < 0, "n_trees must be >= 0"),
+    ("gbm", "learning_rate"): (lambda v: not 0.0 < v <= 1.0, "learning_rate must be in (0, 1]"),
+    **{(family, "max_depth"): (lambda v: v < 0, "max_depth must be >= 0") for family in _TREE_FAMILIES},
+    **{(family, "min_leaf"): (lambda v: v < 1, "min_leaf must be >= 1") for family in _TREE_FAMILIES},
+}
+
+
+def check_cluster_algorithm(algo: str) -> None:
+    if algo not in CLUSTER_ALGORITHMS:
+        raise ValueError(f"unknown algorithm {algo!r}")
+
+
+def check_model_params(family: str, params: Mapping[str, object]) -> None:
+    """Raise ValueError for the first of ``params`` that model family
+    ``family`` rejects; a parameter without a rule is accepted."""
+    for name, value in params.items():
+        rule = _PARAM_RULES.get((family, name))
+        if rule is not None and rule[0](value):
+            raise ValueError(rule[1])
+
+
+def check_cv_folds(cv_folds: int) -> None:
+    if cv_folds < 2:
+        raise ValueError("cv_folds must be >= 2")
+
+
+# JSON type -> (the Python types json.loads gives for it, its name); a
+# number is an int or a float, and neither admits a boolean
+_JSON_TYPES = {
+    float: ((int, float), "a number"),
+    int: ((int,), "an integer"),
+    str: ((str,), "a string"),
+    bool: ((bool,), "a boolean"),
+    list: ((list,), "an array"),
+    dict: ((dict,), "an object"),
+}
+_REQUIRED = object()
+
+
+def field(obj: Mapping, key: str, kind: type, default=_REQUIRED):
+    """``obj[key]`` of an artifact read with ``json.loads``, checked to be of
+    the JSON type ``kind``; ``float`` stands for a number, which is returned
+    as a float. ``default`` is returned for an absent optional field, and
+    also for ``null`` if it is ``None``. Raises KeyError for a missing
+    required field and ValueError for any other value."""
+    if type(obj) is not dict:
+        raise ValueError(f"expected a JSON object holding {key!r}, got {_shown(obj)}")
+    if key not in obj:
+        if default is _REQUIRED:
+            raise KeyError(key)
+        return default
+    value = obj[key]
+    types, name = _JSON_TYPES[kind]
+    if type(value) in types:
+        return float(value) if kind is float else value
+    if value is None and default is None:
+        return None
+    raise ValueError(f"bad value for {key!r}: expected {name}, got {_shown(value)}")
+
+
+def _shown(value, width: int = 40) -> str:
+    text = json.dumps(value)
+    return text if len(text) <= width else text[: width - 3] + "..."

@@ -10,6 +10,7 @@ document vectors.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import math
 import re
@@ -19,6 +20,8 @@ from dataclasses import dataclass, field
 from typing import IO, Iterable, Sequence, Union
 
 import numpy as np
+
+from . import rules
 
 _UMLAUTS = {"ä": "ae", "ö": "oe", "ü": "ue", "ß": "ss"}
 _NON_ALNUM = re.compile(r"[^a-z0-9]+")
@@ -151,10 +154,13 @@ class TfidfModel:
     @classmethod
     def from_dict(cls, obj: dict) -> "TfidfModel":
         """Rebuild a model from ``to_dict`` output; raises KeyError for a
-        missing field and ValueError when the vocabulary's indices are not
-        0..V-1 or the idf does not hold one weight per term."""
-        vocabulary = {str(k): int(v) for k, v in obj["vocabulary"].items()}
-        idf = np.asarray(obj["idf"], dtype=float)
+        missing field and ValueError for a field of the wrong JSON type, when
+        the vocabulary's indices are not 0..V-1 or the idf does not hold one
+        weight per term."""
+        get = functools.partial(rules.field, obj)
+        terms = get("vocabulary", dict)
+        vocabulary = {term: rules.field(terms, term, int) for term in terms}
+        idf = np.asarray(get("idf", list), dtype=float)
         if sorted(vocabulary.values()) != list(range(len(vocabulary))):
             raise ValueError("vocabulary indices are not 0..V-1")
         if idf.shape != (len(vocabulary),):
@@ -162,8 +168,8 @@ class TfidfModel:
         return cls(
             vocabulary=vocabulary,
             idf=idf,
-            n_docs=int(obj["n_docs"]),
-            max_terms=obj.get("max_terms"),
+            n_docs=get("n_docs", int),
+            max_terms=get("max_terms", int, None),
         )
 
 

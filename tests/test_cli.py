@@ -1,13 +1,23 @@
 import csv
+import gc
 import json
+import os
 import re
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import periop
+from periop import cli, clustering, rules
 from periop.cli import derive_seed, run
-from periop.config import PipelineConfig, UsageError, build_config, parse_config_text
+from periop.config import MODEL_KEYS, PipelineConfig, UsageError, build_config, parse_config_text
 from periop.eventlog import CASES_HEADER
+from periop.models import make_model
 
 SMALL = [
     "--seed", "13",
@@ -167,6 +177,72 @@ def test_config_mistakes_exit_one_at_load(tmp_path, capsys, lines, key):
         assert run([stage, "--out", str(tmp_path), "--config", str(config)]) == 1
         err = capsys.readouterr().err
         assert key in err and "missing artifact" not in err
+
+
+# a value that each model parameter with a rule rejects
+BAD_PARAMS = {"lam": -1.0, "n_trees": -1, "max_depth": -1, "min_leaf": 0, "learning_rate": 0.0, "feature_fraction": 0.0}
+
+
+@pytest.mark.parametrize(
+    "family, param, key", [(family, param, key) for family, keys in MODEL_KEYS.items() for param, key in keys.items()]
+)
+def test_config_rejects_a_model_parameter_with_the_constructors_message(tmp_path, family, param, key):
+    """The config and the model constructor check one rule: the config's
+    message is the constructor's, prefixed with the key."""
+    with pytest.raises(ValueError) as constructor:
+        make_model(family, {param: BAD_PARAMS[param]})
+    config = tmp_path / "bad.cfg"
+    config.write_text(f"{key} = {BAD_PARAMS[param]}\n")
+    with pytest.raises(UsageError) as loaded:
+        build_config(str(config), {})
+    assert str(loaded.value) == f"config key {key!r}: {constructor.value}"
+
+
+def test_config_and_clustering_know_the_same_algorithms():
+    assert set(clustering.ALGORITHMS) == set(rules.CLUSTER_ALGORITHMS)
+    with pytest.raises(ValueError, match="unknown algorithm 'dbscan'"):
+        clustering.select_k([[0.0], [1.0], [2.0]], "dbscan", [2])
+
+
+def test_ingest_and_clean_import_no_numpy(pipeline_dir, tmp_path):
+    """Only the stages that compute with numpy import it."""
+    source, _ = pipeline_dir
+    for name in ("events.csv", "cases.csv"):
+        shutil.copy(source / name, tmp_path / name)
+    script = (
+        "import sys\n"
+        "from periop.cli import run\n"
+        "for stage in ('ingest', 'clean'):\n"
+        "    assert run([stage, '--out', sys.argv[1], '--seed', '13']) == 0, stage\n"
+        "    assert 'numpy' not in sys.modules, f'{stage} imported numpy'\n"
+    )
+    src = str(Path(periop.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    result = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert (tmp_path / "clean_procedure.json").exists()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_run_leaves_the_cyclic_gc_as_it_found_it(tmp_path, monkeypatch, enabled):
+    """The collector is paused for the command and restored after exit 0, 1 and 2."""
+    seen = []
+
+    def stage(cfg):
+        seen.append(gc.isenabled())
+        if cfg.seed == 2:
+            raise RuntimeError("a runtime failure")
+
+    monkeypatch.setitem(cli.STAGES, "clean", stage)
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        codes = [run(["clean", "--out", str(tmp_path), "--seed", seed]) for seed in ("0", "x", "2")]
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    assert codes == [0, 1, 2]
+    assert seen == [False, False]  # the usage error exits before the stage runs
 
 
 def test_unknown_subcommand_exits_one():
@@ -502,6 +578,109 @@ def test_tfidf_idf_not_matching_the_vocabulary_exits_one(pipeline_dir, tmp_path,
         f"error: {path}: idf holds {n_terms - 3} weights for {n_terms} vocabulary terms; "
         "re-run 'cluster' to rebuild it\n"
     )
+
+
+def test_predict_without_a_row_writes_a_header_only_file(pipeline_dir, tmp_path, capsys):
+    """A --cases with no data row, or none that parses, gets a header-only
+    prediction file and exit 0; skipped rows are reported as usual."""
+    pipeline_dir, config = pipeline_dir
+    header = (pipeline_dir / "cases.csv").read_text().splitlines()[0]
+    argv = ["predict", "--out", str(pipeline_dir), *SMALL, "--config", str(config),
+            "--phase", "induction", "--model", "gbm", "--apply-floors"]
+    cases, dest = tmp_path / "new.csv", tmp_path / "preds.csv"
+    for rows, err in [
+        ([], ""),
+        (["W1,urology,abc,f,,,,,"], f"predict: skipped 1 of 1 rows of {cases}\n  line 2: age is not an integer: 'abc'\n"),
+    ]:
+        cases.write_text("\n".join([header, *rows]) + "\n")
+        capsys.readouterr()
+        assert run([*argv, "--cases", str(cases), "--dest", str(dest)]) == 0
+        assert capsys.readouterr().err == err
+        assert dest.read_text() == "case_id,phase,model,prediction_min\n"
+
+
+@pytest.fixture(scope="module")
+def artifact_dir(pipeline_dir, tmp_path_factory):
+    """A copy of the pipeline's artifacts, with ridge, tree and forest bundles
+    trained next to the roster's."""
+    source, config = pipeline_dir
+    out = tmp_path_factory.mktemp("artifacts")
+    shutil.copytree(source, out, dirs_exist_ok=True)
+    extra = out / "extra.cfg"
+    extra.write_text(config.read_text() + "models = ridge,tree,forest\nforest_n_trees = 3\n")
+    run_stage("train", out, ("--config", str(extra), "--phase", "procedure"))
+    return out, config
+
+
+def _json_fields(obj, path=()):
+    """The path of every object member in ``obj``, through objects, not arrays."""
+    for key, value in obj.items():
+        yield (*path, key)
+        if isinstance(value, dict):
+            yield from _json_fields(value, (*path, key))
+
+
+# fields that no command reads, so no value there changes what it does
+_UNREAD = {"name", "phase", "params", "grid", "selected_k", "silhouette_scores"}
+_NULLABLE = {("max_terms",)}  # the TF-IDF term cap; null is no cap
+_JSON_VALUES = {  # a strategy for the values of each JSON type
+    type(None): st.none(),
+    bool: st.booleans(),
+    float: st.floats(allow_nan=False, allow_infinity=False) | st.integers(),
+    str: st.text(max_size=5),
+    list: st.lists(st.integers(), max_size=3),
+    dict: st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+}
+_ARTIFACTS = [
+    *(f"model_procedure_{name}.json" for name in ("mean", "group-mean", "mta", "gbm", "ridge", "tree", "forest")),
+    "tfidf_procedure.json",
+    "cluster_model_procedure.json",
+    "cluster_model_induction.json",
+    "tfidf_induction.json",
+    "model_induction_gbm.json",
+]
+
+
+def _json_type(value):
+    return float if type(value) is int else type(value)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_artifact_field_of_another_json_type_exits_one(artifact_dir, capsys, data):
+    """Any field that evaluate or predict reads, given a value of another JSON
+    type, exits 1 and names the file; it never ends in a runtime error."""
+    out, config = artifact_dir
+    artifact = data.draw(st.sampled_from(_ARTIFACTS))
+    path = out / artifact
+    original = path.read_text()
+    obj = json.loads(original)
+    fields = sorted(f for f in _json_fields(obj) if f[0] not in _UNREAD)
+    field = data.draw(st.sampled_from(fields))
+    *parents, key = field
+    parent = obj
+    for name in parents:
+        parent = parent[name]
+    kinds = [k for k in _JSON_VALUES if k is not _json_type(parent[key])]
+    if field in _NULLABLE:
+        kinds.remove(type(None))
+    parent[key] = data.draw(st.sampled_from(kinds).flatmap(_JSON_VALUES.get))
+
+    if artifact.startswith("model_"):  # a bundle: both commands read it
+        _, phase, name = path.stem.split("_", 2)
+        stages = ("predict", "evaluate")
+    else:  # predict reads the cluster artifacts, with any bundle
+        phase, name, stages = path.stem.rsplit("_", 1)[1], "mean", ("predict",)
+    common = ["--out", str(out), *SMALL, "--config", str(config), "--phase", phase, "--model", name]
+    argvs = {"predict": ["predict", *common, "--dest", str(out / "p.csv")], "evaluate": ["evaluate", *common]}
+    path.write_text(json.dumps(obj))
+    try:
+        for stage in stages:
+            capsys.readouterr()
+            assert run(argvs[stage]) == 1, (stage, field, parent[key])
+            assert capsys.readouterr().err.startswith(f"error: {path}: "), field
+    finally:
+        path.write_text(original)
 
 
 def test_cluster_k_above_the_distinct_training_texts_exits_one(pipeline_dir, tmp_path, capsys):
