@@ -25,7 +25,6 @@ import json
 import math
 import sys
 import zlib
-from operator import itemgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence
 
@@ -106,13 +105,20 @@ def _read_artifact(path: Path, decode, stage: str):
         raise UsageError(f"{path}: {exc}; re-run {stage!r} to rebuild it") from None
 
 
-# A cases.jsonl row holds every field of a Case by name, keys in sorted order
-# (json.dumps then needs no sort_keys); reading checks each field's JSON type
-# and takes each record's fields straight from the row.
+# cases.jsonl: line 1 is a JSON array of the field names in _ROW_FIELDS, each
+# later line one case's values in that order. That is the order the records
+# hold them in (the CaseAttributes fields, the PhaseDurations fields, then
+# duplicate_anchors and n_events), so neither the writer nor the reader
+# reorders a value, and no row repeats the names. The header marks the layout:
+# a file whose line 1 is anything else (an empty file, another header, or the
+# one-object-per-case rows of older builds) is rejected at line 1. Reading
+# checks each value's JSON type and takes each record's fields straight from
+# the row; a row that is not an array of len(_ROW_FIELDS) values, or holds a
+# value of another JSON type, is rejected at its line, naming the field by
+# its header position.
 _DURATION_FIELDS = PhaseDurations._fields
 _ROW_FIELDS = (*CASES_HEADER, *_DURATION_FIELDS, "duplicate_anchors", "n_events")
-_ROW_KEYS = tuple(sorted(_ROW_FIELDS))
-_sorted_row_values = itemgetter(*map(_ROW_FIELDS.index, _ROW_KEYS))
+_HEADER = list(_ROW_FIELDS)  # line 1 as json decodes it
 _NUMBER_FIELDS = ("age", "planned_induction_min", "planned_procedure_min", *_DURATION_FIELDS)
 _ROW_TYPES = {  # field -> the Python types json.loads gives for its JSON type, and that type's name
     **dict.fromkeys(_ROW_FIELDS, ({str}, "a string")),
@@ -120,8 +126,8 @@ _ROW_TYPES = {  # field -> the Python types json.loads gives for its JSON type, 
     "duplicate_anchors": ({list}, "an array"),
     "n_events": ({int}, "an integer"),
 }
-_row_values = itemgetter(*_ROW_FIELDS)
-# every accepted sequence of value types, in _ROW_FIELDS order
+# every accepted sequence of value types, in _ROW_FIELDS order; a row of
+# another length, or an object (whose keys map gives), matches none
 _ROW_SIGNATURES = frozenset(itertools.product(*(_ROW_TYPES[k][0] for k in _ROW_FIELDS)))
 # Every stage reads every row, so the row path keeps the cost of the type
 # check down: json.loads without its per-call argument checks, and records
@@ -130,29 +136,28 @@ _decode_row = json.JSONDecoder().decode
 _new_record = tuple.__new__
 
 
-def _case_to_row(case: Case) -> dict:
-    values = (*case.attributes, *case.durations, case.duplicate_anchors, case.n_events)
-    return dict(zip(_ROW_KEYS, _sorted_row_values(values)))
+def _case_to_row(case: Case) -> tuple:
+    return (*case.attributes, *case.durations, case.duplicate_anchors, case.n_events)
 
 
-def _case_from_row(row: dict) -> Case:
-    values = _row_values(row)
-    if tuple(map(type, values)) not in _ROW_SIGNATURES:
+def _case_from_row(row: list) -> Case:
+    if tuple(map(type, row)) not in _ROW_SIGNATURES:
         raise TypeError("a field has the wrong JSON type")
     n_attributes = len(CASES_HEADER)  # the slices hold exactly each record's fields
     return _new_record(
         Case,
         (
-            _new_record(CaseAttributes, values[:n_attributes]),
-            values[-1],
-            _new_record(PhaseDurations, values[n_attributes:-2]),
-            tuple(values[-2]),
+            _new_record(CaseAttributes, row[:n_attributes]),
+            row[-1],
+            _new_record(PhaseDurations, row[n_attributes:-2]),
+            tuple(row[-2]),
         ),
     )
 
 
 def _write_cases(path: Path, cases: Iterable[Case]) -> None:
     with path.open("w", encoding="utf-8") as fh:
+        fh.write(json.dumps(_HEADER) + "\n")
         fh.writelines(json.dumps(_case_to_row(case)) + "\n" for case in cases)
 
 
@@ -172,17 +177,32 @@ def _load_cases(cfg: PipelineConfig) -> list[Case]:
     if not path.exists():
         raise UsageError(f"missing artifact: {path} (run 'ingest' first)")
     cases = []
-    line_no, line = 0, ""
+    line_no, line = 1, ""
     try:
         with path.open(encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
+            line = fh.readline()
+            if _decode_row(line) != _HEADER:  # an empty file fails to decode
+                raise ValueError("not the header")
+            for line_no, line in enumerate(fh, start=2):
                 if line.strip():
                     cases.append(_case_from_row(_decode_row(line)))
     except UnicodeDecodeError:
         raise UsageError(f"{path}: invalid UTF-8; re-run 'ingest'") from None
-    except (ValueError, KeyError, TypeError, RecursionError) as exc:
-        raise UsageError(f"{path}:{line_no}: {_bad_case_row(line, exc)}; re-run 'ingest'") from None
+    except (ValueError, TypeError, RecursionError) as exc:
+        reason = _bad_header(line) if line_no == 1 else _bad_case_row(line, exc)
+        raise UsageError(f"{path}:{line_no}: {reason}; re-run 'ingest'") from None
     return cases
+
+
+def _bad_header(line: str) -> str:
+    """Why line 1 of a cases.jsonl is not its header line."""
+    expected = f"expected a header line of the {len(_ROW_FIELDS)} field names"
+    if not line:
+        return f"{expected}, got an empty file"
+    try:
+        return f"{expected}, got {rules.shown(json.loads(line))}"
+    except (ValueError, RecursionError):
+        return f"{expected}, got invalid JSON"
 
 
 def _bad_case_row(line: str, exc: Exception) -> str:
@@ -191,14 +211,15 @@ def _bad_case_row(line: str, exc: Exception) -> str:
         row = json.loads(line)
     except (ValueError, RecursionError):
         return "invalid JSON"
-    if not isinstance(row, dict):
-        return "expected a JSON object"
-    missing = [k for k in _ROW_FIELDS if k not in row]
-    if missing:
-        return f"missing field {missing[0]!r}"
-    for key, (types, name) in _ROW_TYPES.items():
-        if type(row[key]) not in types:
-            return f"bad value for {key!r}: expected {name}, got {json.dumps(row[key])}"
+    expected = f"expected a JSON array of {len(_ROW_FIELDS)} fields"
+    if type(row) is not list:
+        return f"{expected}, got {rules.shown(row)}"
+    if len(row) != len(_ROW_FIELDS):
+        return f"{expected}, got {len(row)}"
+    for key, value in zip(_ROW_FIELDS, row):
+        types, name = _ROW_TYPES[key]
+        if type(value) not in types:
+            return f"bad value for {key!r}: expected {name}, got {json.dumps(value)}"
     return f"bad value ({type(exc).__name__}: {exc})"
 
 
@@ -223,13 +244,21 @@ def _rules_for_phase(cfg: PipelineConfig, phase: str) -> textnorm.NormalizationR
 
 
 def _split_ids(cfg: PipelineConfig, phase: str) -> tuple[list[str], list[str]]:
-    """Train and test ids among the cases that cleaning retained."""
+    """Train and test ids among the cases that cleaning retained; an empty
+    side exits 1, so no stage fits or scores on zero rows."""
     from . import models
 
     ordered = sorted(_read_json(Path(cfg.out) / f"clean_{phase}.json")["retained_ids"])
+    if not ordered:
+        raise UsageError(f"phase {phase!r}: cleaning retained no cases; see cleaning_report.json")
     train_idx, test_idx = models.split_indices(
         len(ordered), cfg.test_fraction, derive_seed(cfg.seed, f"split:{phase}")
     )
+    if not test_idx.size:  # floor(n * test_fraction) = 0; the training side keeps n >= 1
+        raise UsageError(
+            f"config key 'test_fraction': {cfg.test_fraction} leaves phase {phase!r} "
+            f"an empty test split of its {len(ordered)} retained cases"
+        )
     return [ordered[i] for i in train_idx], [ordered[i] for i in test_idx]
 
 

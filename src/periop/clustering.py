@@ -52,11 +52,11 @@ class KMeansModel:
     def from_dict(cls, obj: dict) -> "KMeansModel":
         get = functools.partial(rules.field, obj)
         return cls(
-            centroids=np.asarray(get("centroids", list), dtype=float),
+            centroids=np.asarray(rules.number_array(obj, "centroids"), dtype=float),
             inertia=get("inertia", float),
             iterations_run=get("iterations_run", int),
             seed=get("seed", int),
-            inertia_trace=tuple(float(v) for v in get("inertia_trace", list, ())),
+            inertia_trace=tuple(map(float, rules.number_array(obj, "inertia_trace", ()))),
         )
 
 
@@ -90,10 +90,10 @@ class GmmModel:
     def from_dict(cls, obj: dict) -> "GmmModel":
         get = functools.partial(rules.field, obj)
         return cls(
-            weights=np.asarray(get("weights", list), dtype=float),
-            means=np.asarray(get("means", list), dtype=float),
-            variances=np.asarray(get("variances", list), dtype=float),
-            log_likelihood=tuple(float(v) for v in get("log_likelihood", list, ())),
+            weights=np.asarray(rules.number_array(obj, "weights"), dtype=float),
+            means=np.asarray(rules.number_array(obj, "means"), dtype=float),
+            variances=np.asarray(rules.number_array(obj, "variances"), dtype=float),
+            log_likelihood=tuple(map(float, rules.number_array(obj, "log_likelihood", ()))),
             iterations_run=get("iterations_run", int),
             seed=get("seed", int),
             reinitialized=get("reinitialized", bool, False),

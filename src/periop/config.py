@@ -121,10 +121,11 @@ class PipelineConfig:
                     rules.check_model_params(family, {param: getattr(self, key)})
                 except ValueError as exc:
                     raise UsageError(f"config key {key!r}: {exc}") from None
-        try:
-            rules.check_cv_folds(self.cv_folds)
-        except ValueError as exc:
-            raise UsageError(f"config key 'cv_folds': {exc}") from None
+        for key, check in (("cv_folds", rules.check_cv_folds), ("synth_n_cases", rules.check_synth_n_cases)):
+            try:
+                check(getattr(self, key))
+            except ValueError as exc:
+                raise UsageError(f"config key {key!r}: {exc}") from None
 
     def model_params(self, family: str) -> dict:
         """The constructor parameters of ``family`` that this config sets."""

@@ -99,7 +99,7 @@ class TargetEncoder:
         get = functools.partial(rules.field, obj)
         entries, stats = get("stats", dict), {}
         for category in entries:
-            n, mean = rules.field(entries, category, list)  # [count, mean]
+            n, mean = rules.number_array(entries, category)  # [count, mean]
             stats[category] = (int(n), float(mean))
         return cls(stats=stats, prior=get("prior", float), m=get("m", float))
 

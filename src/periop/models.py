@@ -278,9 +278,10 @@ class Tree:
         other layout, such as the nested-dict trees of older model files."""
         if not isinstance(obj, dict) or set(obj) != set(_TREE_FIELDS):
             raise ValueError("tree is not in the flat-array layout (feature, threshold, left, right, value)")
+        arrays = {k: rules.number_array(obj, k) for k in _TREE_FIELDS}
         try:
-            feature, left, right = (np.asarray(obj[k], dtype=np.intp) for k in ("feature", "left", "right"))
-            threshold, value = (np.asarray(obj[k], dtype=float) for k in ("threshold", "value"))
+            feature, left, right = (np.asarray(arrays[k], dtype=np.intp) for k in ("feature", "left", "right"))
+            threshold, value = (np.asarray(arrays[k], dtype=float) for k in ("threshold", "value"))
         except (TypeError, ValueError):
             raise ValueError("tree arrays must hold numbers") from None
         n = feature.shape
@@ -657,11 +658,11 @@ def model_from_dict(obj: dict) -> Model:
         model.mean_ = get("mean", float)
     elif family == "group-mean":
         model = GroupMeanModel(group_col=get("group_col", int))
-        model.means_ = {float(k): float(v) for k, v in get("means", list)}
+        model.means_ = {float(k): float(v) for k, v in rules.number_array(obj, "means")}
         model.global_mean_ = get("global_mean", float)
     elif family == "ridge":
         model = RidgeModel(lam=get("lambda", float))
-        model.coef_ = np.asarray(get("coef", list), dtype=float)
+        model.coef_ = np.asarray(rules.number_array(obj, "coef"), dtype=float)
         model.intercept_ = get("intercept", float)
     elif family == "tree":
         model = TreeModel(max_depth=get("max_depth", int), min_leaf=get("min_leaf", int))
@@ -684,7 +685,7 @@ def model_from_dict(obj: dict) -> Model:
             min_leaf=get("min_leaf", int),
         )
         model.base_ = get("base", float)
-        model.stage_mse_ = tuple(float(v) for v in get("stage_mse", list, ()))
+        model.stage_mse_ = tuple(map(float, rules.number_array(obj, "stage_mse", ())))
         model.trees_ = [Tree.from_dict(tree) for tree in get("trees", list)]
     else:
         raise ValueError(f"unknown model family: {family!r}")

@@ -1,6 +1,6 @@
 """Checks on values that come from outside: the settings that the config
-checks at load and the model and clustering code checks again, and the JSON
-types of artifact fields. Each rule is written once, here, and this module
+checks at load and the model, clustering and synth code checks again, and the
+JSON types of artifact fields. Each rule is written once, here, and this module
 imports no numpy, so loading a config costs no numpy import.
 """
 
@@ -44,6 +44,11 @@ def check_cv_folds(cv_folds: int) -> None:
         raise ValueError("cv_folds must be >= 2")
 
 
+def check_synth_n_cases(n_cases: int) -> None:
+    if n_cases < 100:
+        raise ValueError("n_cases must be >= 100")
+
+
 # JSON type -> (the Python types json.loads gives for it, its name); a
 # number is an int or a float, and neither admits a boolean
 _JSON_TYPES = {
@@ -64,7 +69,7 @@ def field(obj: Mapping, key: str, kind: type, default=_REQUIRED):
     also for ``null`` if it is ``None``. Raises KeyError for a missing
     required field and ValueError for any other value."""
     if type(obj) is not dict:
-        raise ValueError(f"expected a JSON object holding {key!r}, got {_shown(obj)}")
+        raise ValueError(f"expected a JSON object holding {key!r}, got {shown(obj)}")
     if key not in obj:
         if default is _REQUIRED:
             raise KeyError(key)
@@ -75,9 +80,25 @@ def field(obj: Mapping, key: str, kind: type, default=_REQUIRED):
         return float(value) if kind is float else value
     if value is None and default is None:
         return None
-    raise ValueError(f"bad value for {key!r}: expected {name}, got {_shown(value)}")
+    raise ValueError(f"bad value for {key!r}: expected {name}, got {shown(value)}")
 
 
-def _shown(value, width: int = 40) -> str:
+def number_array(obj: Mapping, key: str, default=_REQUIRED) -> list:
+    """``field(obj, key, list, default)`` checked to hold only numbers, or only
+    arrays of numbers (the rows of a matrix), ready for ``np.asarray``.
+    Raises ValueError naming ``key`` for any other entry: a boolean, which
+    numpy would read as 0 or 1, a string or null."""
+    values = field(obj, key, list, default)
+    entries = values
+    if values and all(type(v) is list for v in values):
+        entries = [v for row in values for v in row]
+    if not {*map(type, entries)} <= {int, float}:
+        bad = next(v for v in entries if type(v) not in (int, float))
+        raise ValueError(f"bad entry in {key!r}: expected a number, got {shown(bad)}")
+    return values
+
+
+def shown(value, width: int = 40) -> str:
+    """``value`` as JSON, cut to ``width`` characters for an error message."""
     text = json.dumps(value)
     return text if len(text) <= width else text[: width - 3] + "..."

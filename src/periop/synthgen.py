@@ -22,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import rules
 from .eventlog import CASES_HEADER, EVENTS_HEADER
 from .textnorm import DEFAULT_SYNONYMS
 
@@ -139,8 +140,7 @@ class SynthConfig:
     horizon_days: int = 370
 
     def __post_init__(self) -> None:
-        if self.n_cases < 100:
-            raise ValueError("n_cases must be >= 100")
+        rules.check_synth_n_cases(self.n_cases)
         for name in ("coverage_procedure", "coverage_induction", "coverage_preparation",
                      "implausible_rate", "attrs_missing_rate"):
             value = getattr(self, name)

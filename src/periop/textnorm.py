@@ -160,7 +160,7 @@ class TfidfModel:
         get = functools.partial(rules.field, obj)
         terms = get("vocabulary", dict)
         vocabulary = {term: rules.field(terms, term, int) for term in terms}
-        idf = np.asarray(get("idf", list), dtype=float)
+        idf = np.asarray(rules.number_array(obj, "idf"), dtype=float)
         if sorted(vocabulary.values()) != list(range(len(vocabulary))):
             raise ValueError("vocabulary indices are not 0..V-1")
         if idf.shape != (len(vocabulary),):

@@ -79,19 +79,19 @@ DURATION_NAMES = ("induction_min", "preparation_min", "procedure_min")
 
 
 def cases_jsonl_slow(cases):
-    """The text of ``cases.jsonl`` as it was written from per-field rows.
+    """The text of ``cases.jsonl`` built field by field.
 
-    One JSON object per case with every attribute and duration by name plus
-    ``duplicate_anchors`` (a list) and ``n_events``, keys sorted by
-    ``json.dumps``.
+    Line 1 is the JSON array of the field names: the attributes, the
+    durations, ``duplicate_anchors`` and ``n_events``. Each later line is one
+    case's values in that order, each read by name.
     """
-    lines = []
+    names = (*ATTRIBUTE_NAMES, *DURATION_NAMES, "duplicate_anchors", "n_events")
+    lines = [json.dumps(list(names)) + "\n"]
     for case in cases:
-        row = {k: getattr(case.attributes, k) for k in ATTRIBUTE_NAMES}
-        row.update({k: getattr(case.durations, k) for k in DURATION_NAMES})
-        row["duplicate_anchors"] = list(case.duplicate_anchors)
-        row["n_events"] = case.n_events
-        lines.append(json.dumps(row, sort_keys=True) + "\n")
+        row = [getattr(case.attributes, k) for k in ATTRIBUTE_NAMES]
+        row += [getattr(case.durations, k) for k in DURATION_NAMES]
+        row += [list(case.duplicate_anchors), case.n_events]
+        lines.append(json.dumps(row) + "\n")
     return "".join(lines)
 
 

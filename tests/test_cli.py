@@ -150,6 +150,7 @@ def test_config_validation():
         (["tree_max_depth = -1"], "tree_max_depth"),
         (["ridge_lambda = -1"], "ridge_lambda"),
         (["cv_folds = 1"], "cv_folds"),
+        (["synth_n_cases = 99"], "synth_n_cases"),
     ],
     ids=[
         "unknown-algorithm",
@@ -166,6 +167,7 @@ def test_config_validation():
         "negative-tree-depth",
         "negative-ridge-lambda",
         "one-cv-fold",
+        "too-few-synth-cases",
     ],
 )
 def test_config_mistakes_exit_one_at_load(tmp_path, capsys, lines, key):
@@ -281,38 +283,64 @@ def test_ingest_report_names_the_source_of_each_error(tmp_path):
     ]
 
 
-GOOD_CASE_ROW = {
-    "age": 50, "anesthesia_text": "ITN", "case_id": "W1", "department": "urology",
-    "duplicate_anchors": [], "induction_min": 20.5, "n_events": 4,
-    "planned_induction_min": 15.0, "planned_procedure_min": 30.0, "positioning_text": "",
-    "preparation_min": 10.0, "procedure_min": 76.4, "procedure_text": "TURP", "sex": "m",
+# one case's fields by name, in the order of the cases.jsonl header
+GOOD_CASE = {
+    "case_id": "W1", "department": "urology", "age": 50, "sex": "m", "procedure_text": "TURP",
+    "anesthesia_text": "ITN", "positioning_text": "", "planned_induction_min": 15.0,
+    "planned_procedure_min": 30.0, "induction_min": 20.5, "preparation_min": 10.0, "procedure_min": 76.4,
+    "duplicate_anchors": [], "n_events": 4,
 }
-# a cases.jsonl of the versions before n_events listed each case's events
-STALE_CASE_ROW = {k: v for k, v in GOOD_CASE_ROW.items() if k != "n_events"} | {"events": []}
+CASES_JSONL_HEADER = json.dumps(list(GOOD_CASE))
+
+
+def case_line(**changes):
+    return json.dumps(list((GOOD_CASE | changes).values()))
+
+
+# a cases.jsonl row of the builds before the header line: one object per case
+OBJECT_ROW = json.dumps(GOOD_CASE, sort_keys=True)
+WRONG_HEADER = CASES_JSONL_HEADER.replace("age", "years")
 
 
 @pytest.mark.parametrize(
     "line, problem",
     [
-        (json.dumps(GOOD_CASE_ROW, sort_keys=True)[:40], "invalid JSON"),
-        (json.dumps(STALE_CASE_ROW, sort_keys=True), "missing field 'n_events'"),
-        ("[1,2]", "expected a JSON object"),
-        (json.dumps(GOOD_CASE_ROW | {"age": "x"}), "bad value for 'age': expected a number or null, got \"x\""),
-        (
-            json.dumps(GOOD_CASE_ROW | {"procedure_min": "12"}),
-            "bad value for 'procedure_min': expected a number or null, got \"12\"",
-        ),
-        (json.dumps(GOOD_CASE_ROW | {"n_events": True}), "bad value for 'n_events': expected an integer, got true"),
-        (json.dumps(GOOD_CASE_ROW | {"department": None}), "bad value for 'department': expected a string, got null"),
+        (case_line()[:40], "invalid JSON"),
+        (OBJECT_ROW, f"expected a JSON array of 14 fields, got {OBJECT_ROW[:37]}..."),
+        (json.dumps(list(GOOD_CASE.values())[:-1]), "expected a JSON array of 14 fields, got 13"),
+        (case_line(age="x"), "bad value for 'age': expected a number or null, got \"x\""),
+        (case_line(procedure_min="12"), "bad value for 'procedure_min': expected a number or null, got \"12\""),
+        (case_line(n_events=True), "bad value for 'n_events': expected an integer, got true"),
+        (case_line(department=None), "bad value for 'department': expected a string, got null"),
     ],
-    ids=["truncated", "stale", "not-an-object", "age-text", "duration-text", "count-bool", "department-null"],
+    ids=["truncated", "stale", "one-field-short", "age-text", "duration-text", "count-bool", "department-null"],
 )
 def test_bad_cases_jsonl_exits_one_naming_the_line(tmp_path, capsys, line, problem):
     path = tmp_path / "cases.jsonl"
-    path.write_text(json.dumps(GOOD_CASE_ROW, sort_keys=True) + "\n" + line + "\n")
+    path.write_text(CASES_JSONL_HEADER + "\n" + case_line() + "\n" + line + "\n")
     for stage in ("clean", "cluster", "train", "evaluate", "report"):
         assert run([stage, "--out", str(tmp_path)]) == 1, stage
-        assert capsys.readouterr().err == f"error: {path}:2: {problem}; re-run 'ingest'\n"
+        assert capsys.readouterr().err == f"error: {path}:3: {problem}; re-run 'ingest'\n"
+
+
+@pytest.mark.parametrize(
+    "text, got",
+    [
+        (OBJECT_ROW + "\n", f"{OBJECT_ROW[:37]}..."),
+        (WRONG_HEADER + "\n" + case_line() + "\n", f"{WRONG_HEADER[:37]}..."),
+        ("", "an empty file"),
+        ("\n" + case_line() + "\n", "invalid JSON"),
+    ],
+    ids=["object-row-of-an-older-build", "wrong-header", "empty-file", "blank-line-1"],
+)
+def test_cases_jsonl_without_its_header_exits_one_at_line_one(tmp_path, capsys, text, got):
+    path = tmp_path / "cases.jsonl"
+    path.write_text(text)
+    for stage in ("clean", "cluster", "train", "evaluate", "report"):
+        assert run([stage, "--out", str(tmp_path)]) == 1, stage
+        assert capsys.readouterr().err == (
+            f"error: {path}:1: expected a header line of the 14 field names, got {got}; re-run 'ingest'\n"
+        )
 
 
 def test_pipeline_artifacts_exist(pipeline_dir):
@@ -681,6 +709,98 @@ def test_artifact_field_of_another_json_type_exits_one(artifact_dir, capsys, dat
             assert capsys.readouterr().err.startswith(f"error: {path}: "), field
     finally:
         path.write_text(original)
+
+
+def _set_first_number(value, new, name):
+    """Put ``new`` in place of the first number in the arrays and objects
+    ``value``, the member ``name``; returns the name of the innermost member
+    on the way, the array that holds the number."""
+    while True:
+        key = next(iter(value)) if isinstance(value, dict) else 0
+        name = key if isinstance(value, dict) else name
+        if not isinstance(value[key], (dict, list)):
+            value[key] = new
+            return name
+        value = value[key]
+
+
+@pytest.mark.parametrize(
+    "artifact, path",
+    [
+        ("tfidf_procedure.json", ("idf",)),
+        ("cluster_model_procedure.json", ("model", "centroids")),
+        ("cluster_model_procedure.json", ("model", "inertia_trace")),
+        ("cluster_model_induction.json", ("model", "weights")),
+        ("cluster_model_induction.json", ("model", "means")),
+        ("cluster_model_induction.json", ("model", "variances")),
+        ("cluster_model_induction.json", ("model", "log_likelihood")),
+        ("model_procedure_ridge.json", ("model", "coef")),
+        *(("model_procedure_tree.json", ("model", "tree", name))
+          for name in ("feature", "threshold", "left", "right", "value")),
+        ("model_procedure_gbm.json", ("model", "stage_mse")),
+        ("model_procedure_group-mean.json", ("model", "means")),
+        ("model_procedure_gbm.json", ("features", "target_encoder", "stats")),
+    ],
+    ids=lambda v: "-".join(v) if isinstance(v, tuple) else v.removesuffix(".json"),
+)
+def test_true_in_a_number_array_exits_one(artifact_dir, capsys, artifact, path):
+    """json reads true as a number that numpy and float() take for 1; every
+    number array an artifact holds rejects it and names the file."""
+    out, config = artifact_dir
+    file = out / artifact
+    original = file.read_text()
+    obj = json.loads(original)
+    array = obj
+    for name in path:
+        array = array[name]
+    key = _set_first_number(array, True, path[-1])
+    if artifact.startswith("model_"):
+        _, phase, name = file.stem.split("_", 2)
+        stages = ("predict", "evaluate")
+    else:
+        phase, name, stages = file.stem.rsplit("_", 1)[1], "mean", ("predict",)
+    common = ["--out", str(out), *SMALL, "--config", str(config), "--phase", phase, "--model", name]
+    argvs = {"predict": ["predict", *common, "--dest", str(out / "p.csv")], "evaluate": ["evaluate", *common]}
+    file.write_text(json.dumps(obj))
+    try:
+        for stage in stages:
+            capsys.readouterr()
+            assert run(argvs[stage]) == 1, stage
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {file}: bad entry in {key!r}: expected a number, got true;"), err
+    finally:
+        file.write_text(original)
+
+
+def test_synth_below_100_cases_exits_one_at_load(tmp_path, capsys):
+    assert run(["synth", "--out", str(tmp_path), "--n-cases", "8"]) == 1
+    assert capsys.readouterr().err == "error: config key 'synth_n_cases': n_cases must be >= 100\n"
+    assert not (tmp_path / "events.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "line, problem",
+    [
+        ("test_fraction = 0.001", "config key 'test_fraction': 0.001 leaves phase 'procedure' "
+                                  "an empty test split of its {retained} retained cases"),
+        ("max_duration_min = 1", "phase 'procedure': cleaning retained no cases; see cleaning_report.json"),
+    ],
+    ids=["no-test-case", "no-retained-case"],
+)
+def test_an_empty_split_exits_one_at_the_first_stage_that_splits(tmp_path, capsys, line, problem):
+    """At 300 cases, floor(n * 0.001) = 0 test cases, and a 1-minute cap
+    retains none: cluster, train and evaluate exit 1 and say which."""
+    config = tmp_path / "tiny.cfg"
+    config.write_text(f"synth_n_cases = 300\n{line}\n")
+    common = ["--out", str(tmp_path), "--seed", "1", "--config", str(config)]
+    for stage in ("synth", "ingest", "clean"):
+        assert run([stage, *common]) == 0, stage
+    retained = len(json.loads((tmp_path / "clean_procedure.json").read_text())["retained_ids"])
+    capsys.readouterr()
+    for stage in ("cluster", "train", "evaluate"):
+        assert run([stage, *common]) == 1, stage
+        assert capsys.readouterr().err == f"error: {problem.format(retained=retained)}\n"
+    assert not (tmp_path / "tfidf_procedure.json").exists()
 
 
 def test_cluster_k_above_the_distinct_training_texts_exits_one(pipeline_dir, tmp_path, capsys):
