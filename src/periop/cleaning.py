@@ -127,34 +127,26 @@ def clean_phase(
 ) -> tuple[list[Case], CleaningReport]:
     """Full cleaning pass for one phase: plausibility filter, then IQR filter.
 
-    With ``by_department`` the IQR bounds are computed per department;
-    departments with fewer than 4 retained cases are kept unfiltered. The
-    report's ``bounds`` field is only set for the global variant.
+    The IQR bounds are computed per group: one group of every plausible case,
+    or one per department with ``by_department``. A group of fewer than 4
+    cases is kept unfiltered. The report's ``bounds`` field is only set for
+    the single group, and stays None when that group was too small.
     """
     plausible, report = plausibility_filter(cases, phase, max_minutes=max_minutes)
-    if not plausible:
-        return plausible, report
-
-    def run_iqr(group: list[Case]) -> IqrResult:
+    groups: dict[str, list[Case]] = {}
+    for case in plausible:
+        groups.setdefault(case.attributes.department if by_department else "", []).append(case)
+    kept_ids = set()
+    for group in groups.values():
+        if len(group) < 4:
+            kept_ids.update(map(id, group))
+            continue
         result = iqr_filter([(c, c.durations.get(phase)) for c in group], multiplier)
         report.counts["iqr_low"] += len(result.removed_low)
         report.counts["iqr_high"] += len(result.removed_high)
-        return result
-
-    if by_department:
-        groups: dict[str, list[Case]] = {}
-        for case in plausible:
-            groups.setdefault(case.attributes.department, []).append(case)
-        kept_ids = set()
-        for dept in sorted(groups):
-            group = groups[dept]
-            kept = group if len(group) < 4 else [c for c, _ in run_iqr(group).retained]
-            kept_ids.update(id(c) for c in kept)
-        retained = [c for c in plausible if id(c) in kept_ids]
-    else:
-        result = run_iqr(plausible)
-        report.bounds = result.bounds
-        retained = [c for c, _ in result.retained]
-
+        kept_ids.update(id(c) for c, _ in result.retained)
+        if not by_department:
+            report.bounds = result.bounds
+    retained = [c for c in plausible if id(c) in kept_ids]
     report.retained = len(retained)
     return retained, report

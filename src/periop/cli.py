@@ -374,7 +374,13 @@ def stage_cluster(cfg: PipelineConfig) -> None:
         train_ids, test_ids = _split_ids(cfg, phase)
         all_ids = train_ids + test_ids
         docs, text_of = _normalized_docs(cfg, phase, [cases[i].attributes for i in all_ids])
-        model_tfidf = textnorm.fit_tfidf([docs[i] for i in text_of[: len(train_ids)]], max_terms=cfg.max_terms)
+        try:
+            model_tfidf = textnorm.fit_tfidf([docs[i] for i in text_of[: len(train_ids)]], max_terms=cfg.max_terms)
+        except ValueError:  # every training text normalized to no token
+            raise UsageError(
+                f"phase {phase!r}: the text rules (config keys 'min_token_len', 'literal_strip', "
+                "'synonyms', 'stemming') leave no token in any training text"
+            ) from None
         X_docs, doc_of = _tfidf_matrix(docs, model_tfidf)
         doc_of = doc_of[text_of]  # each case's row of X_docs
         train_doc_of = doc_of[: len(train_ids)]
@@ -531,7 +537,7 @@ def _bundle_predict(
 
     ctx, model, family = bundle
     rows, inverse = features.design_rows(ctx, family, attrs, clusters)
-    return model.predict_distinct(rows, inverse)
+    return model.predict(rows)[inverse]
 
 
 def stage_evaluate(cfg: PipelineConfig) -> None:

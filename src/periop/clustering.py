@@ -112,7 +112,8 @@ def model_from_dict(obj: dict) -> Union[KMeansModel, GmmModel]:
 
 
 def _as_matrix(X: Union[np.ndarray, Sequence[Sequence[float]]]) -> np.ndarray:
-    X = np.asarray(X, dtype=float)
+    # C order: a row-local reduction rounds a Fortran-ordered row otherwise
+    X = np.ascontiguousarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] == 0:
         raise ValueError("X must be a non-empty (n, d) matrix")
     if not np.all(np.isfinite(X)):
@@ -329,13 +330,19 @@ ALGORITHMS = {"kmeans": _kmeans, "gmm": _gmm}
 def cluster_assign(model: Union[KMeansModel, GmmModel], X: Union[np.ndarray, Sequence]) -> np.ndarray:
     """Label each point: nearest centroid (K-Means) or argmax posterior (GMM).
 
-    Ties resolve to the lowest cluster index.
+    Ties resolve to the lowest cluster index. A point's label depends on that
+    point alone, bit for bit, not on the other rows of ``X``.
     """
     X = _as_matrix(X)
     if isinstance(model, KMeansModel):
         if X.shape[1] != model.centroids.shape[1]:
             raise ValueError("dimension mismatch between model and X")
-        return np.argmin(_sq_dist_to(X, model.centroids), axis=1)
+        # row-local distances, one centroid at a time (not _sq_dist_to's BLAS
+        # Gram form, which rounds a row by the other rows of the matrix)
+        d2 = np.empty((X.shape[0], model.k))
+        for j, center in enumerate(model.centroids):
+            d2[:, j] = ((X - center) ** 2).sum(axis=1)
+        return np.argmin(d2, axis=1)
     if isinstance(model, GmmModel):
         if X.shape[1] != model.means.shape[1]:
             raise ValueError("dimension mismatch between model and X")

@@ -51,15 +51,6 @@ class OneHotSchema:
         return cls(categories=tuple(rules.field(obj, "categories", list)))
 
 
-def one_hot(schema: OneHotSchema, value: str) -> np.ndarray:
-    """Indicator vector; all zeros for a category unseen at fit time."""
-    vec = np.zeros(len(schema.categories))
-    idx = schema.index.get(value)
-    if idx is not None:
-        vec[idx] = 1.0
-    return vec
-
-
 def one_hot_many(schema: OneHotSchema, values: Sequence[str]) -> np.ndarray:
     out = np.zeros((len(values), len(schema.categories)))
     index = schema.index
@@ -100,7 +91,8 @@ class TargetEncoder:
         entries, stats = get("stats", dict), {}
         for category in entries:
             n, mean = rules.number_array(entries, category)  # [count, mean]
-            stats[category] = (int(n), float(mean))
+            rules.integers([n], category)
+            stats[category] = (n, float(mean))
         return cls(stats=stats, prior=get("prior", float), m=get("m", float))
 
 

@@ -74,10 +74,6 @@ class Event(NamedTuple):
     event_type: str
     timestamp: datetime  # timezone-aware, normalized to UTC
 
-    @property
-    def is_anchor(self) -> bool:
-        return self.event_type in ANCHOR_EVENTS
-
 
 class CaseAttributes(NamedTuple):
     case_id: str

@@ -49,11 +49,13 @@ class FeatureContext:
         """Rebuild a context from ``to_dict`` output; raises KeyError for a
         missing field and ValueError for a field of the wrong JSON type."""
         get = functools.partial(rules.field, obj)
+        name_codes = dict(get("name_codes", list))  # [name, code] pairs
+        rules.integers(list(name_codes.values()), "name_codes")
         return cls(
             phase=get("phase", str),
             group_by=get("group_by", str),
             target_smoothing=get("target_smoothing", float),
-            name_codes={k: int(v) for k, v in get("name_codes", list)},
+            name_codes=name_codes,
             target_encoder=encoding.TargetEncoder.from_dict(get("target_encoder", dict)),
             age_fill=get("age_fill", float),
             sex_schema=encoding.OneHotSchema.from_dict(get("sex_schema", dict)),

@@ -68,7 +68,11 @@ def mae(actual: np.ndarray, predicted: np.ndarray) -> float:
 
 
 class Model:
-    """fit(dataset) then predict(X) -> minutes >= 0."""
+    """fit(dataset) then predict(X) -> minutes >= 0.
+
+    A row's prediction depends on that row alone, bit for bit, so predicting
+    the distinct rows and scattering them back equals predicting every row.
+    """
 
     family = "base"
 
@@ -84,15 +88,11 @@ class Model:
     def predict(self, X: np.ndarray) -> np.ndarray:
         if not self._fitted:
             raise NotFittedError(f"{type(self).__name__} used before fit()")
-        X = np.asarray(X, dtype=float)
+        # C order: a row-local reduction rounds a Fortran-ordered row otherwise
+        X = np.ascontiguousarray(X, dtype=float)
         if X.ndim != 2:
             raise ValueError("X must be 2-dimensional")
         return np.maximum(self._predict(X), 0.0)
-
-    def predict_distinct(self, rows: np.ndarray, inverse: np.ndarray) -> np.ndarray:
-        """``predict(rows[inverse])``, predicting each distinct row once: a
-        row's prediction depends on that row alone, bit for bit."""
-        return self.predict(rows)[inverse]
 
     def state_dict(self) -> dict:
         raise NotImplementedError
@@ -195,12 +195,9 @@ class RidgeModel(Model):
         return self
 
     def _predict(self, X: np.ndarray) -> np.ndarray:
-        return X @ self.coef_ + self.intercept_
-
-    def predict_distinct(self, rows: np.ndarray, inverse: np.ndarray) -> np.ndarray:
-        # BLAS's matrix-vector product rounds a row's dot product by where the
-        # row sits in the matrix, so the ridge predicts every case's row
-        return self.predict(rows[inverse])
+        # not X @ coef: BLAS rounds a row's dot product by where the row sits
+        # in the matrix, and a row's prediction must depend on that row alone
+        return (X * self.coef_).sum(axis=1) + self.intercept_
 
     def state_dict(self) -> dict:
         return {
@@ -279,8 +276,10 @@ class Tree:
         if not isinstance(obj, dict) or set(obj) != set(_TREE_FIELDS):
             raise ValueError("tree is not in the flat-array layout (feature, threshold, left, right, value)")
         arrays = {k: rules.number_array(obj, k) for k in _TREE_FIELDS}
-        try:
-            feature, left, right = (np.asarray(arrays[k], dtype=np.intp) for k in ("feature", "left", "right"))
+        feature, left, right = (
+            np.asarray(rules.integers(arrays[k], k), dtype=np.intp) for k in ("feature", "left", "right")
+        )
+        try:  # a ragged array of rows
             threshold, value = (np.asarray(arrays[k], dtype=float) for k in ("threshold", "value"))
         except (TypeError, ValueError):
             raise ValueError("tree arrays must hold numbers") from None

@@ -98,6 +98,17 @@ def number_array(obj: Mapping, key: str, default=_REQUIRED) -> list:
     return values
 
 
+def integers(values: list, key: str) -> list:
+    """``values``, entries of the artifact field ``key``, checked to be JSON
+    integers. Raises ValueError naming ``key`` for any other entry: a
+    fraction such as 2.5, which ``int`` and numpy would truncate to 2, a
+    boolean, which they would read as 0 or 1, a string, an array or null."""
+    if not {*map(type, values)} <= {int}:
+        bad = next(v for v in values if type(v) is not int)
+        raise ValueError(f"bad entry in {key!r}: expected an integer, got {shown(bad)}")
+    return values
+
+
 def shown(value, width: int = 40) -> str:
     """``value`` as JSON, cut to ``width`` characters for an error message."""
     text = json.dumps(value)

@@ -52,20 +52,6 @@ class NormalizationRules:
                 raise ValueError(f"synonym keys must be lowercase: {key!r}")
 
 
-def default_rules(
-    synonym_map: dict[str, str] | None = None,
-    stem_suffixes: tuple[str, ...] = DEFAULT_STEM_SUFFIXES,
-    min_token_len: int = 1,
-) -> NormalizationRules:
-    """Rules with the shipped synonym table and inflection-suffix stemming."""
-    table = DEFAULT_SYNONYMS if synonym_map is None else synonym_map
-    return NormalizationRules(
-        synonym_map=dict(table),
-        stem_suffixes=tuple(stem_suffixes),
-        min_token_len=min_token_len,
-    )
-
-
 def load_synonyms(source: Union[str, bytes, IO[bytes], IO[str]]) -> dict[str, str]:
     """Read a synonyms.csv mapping (header ``from,to``, one pair per row)."""
     if isinstance(source, bytes):
@@ -180,11 +166,6 @@ class DocVector:
     indices: np.ndarray
     weights: np.ndarray
     dim: int
-
-    def to_dense(self) -> np.ndarray:
-        dense = np.zeros(self.dim)
-        dense[self.indices] = self.weights
-        return dense
 
 
 def fit_tfidf(corpus: Sequence[Sequence[str]], max_terms: int | None = None) -> TfidfModel:

@@ -25,8 +25,8 @@ from periop.stats import anova_f_test, kruskal_wallis, reg_inc_beta, reg_inc_gam
 from periop.synthgen import SynthConfig
 from periop.textnorm import (
     DEFAULT_STEM_SUFFIXES,
+    DEFAULT_SYNONYMS,
     NormalizationRules,
-    default_rules,
     fit_tfidf,
     normalize_text,
     stack_dense,
@@ -315,7 +315,7 @@ def test_criterion_6_normalization_effect():
     selected = {}
     for name, rules in (
         ("raw", NormalizationRules(stem_suffixes=DEFAULT_STEM_SUFFIXES)),
-        ("unified", default_rules()),
+        ("unified", NormalizationRules(synonym_map=dict(DEFAULT_SYNONYMS), stem_suffixes=DEFAULT_STEM_SUFFIXES)),
     ):
         docs = [normalize_text(t, rules) for t in texts]
         model = fit_tfidf(docs)

@@ -145,6 +145,16 @@ def test_clean_phase_per_department_keeps_small_groups():
     assert report.retained + report.removed == report.input
 
 
+@pytest.mark.parametrize("by_department", [False, True])
+def test_clean_phase_keeps_a_group_below_four_unfiltered(by_department):
+    cases = [make_case(f"c{i}", procedure=v) for i, v in enumerate([30.0, 31.0, 500.0])]
+    cases.append(make_case("gone", procedure=None))
+    retained, report = clean_phase(cases, "procedure", by_department=by_department)
+    assert [c.case_id for c in retained] == ["c0", "c1", "c2"]
+    assert report.retained == 3 and report.removed == 1
+    assert report.to_dict()["iqr_bounds"] is None
+
+
 def test_report_serialization():
     report = CleaningReport()
     report.input = 3

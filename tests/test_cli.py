@@ -746,15 +746,21 @@ def _set_first_number(value, new, name):
 def test_true_in_a_number_array_exits_one(artifact_dir, capsys, artifact, path):
     """json reads true as a number that numpy and float() take for 1; every
     number array an artifact holds rejects it and names the file."""
-    out, config = artifact_dir
-    file = out / artifact
-    original = file.read_text()
-    obj = json.loads(original)
+    file = artifact_dir[0] / artifact
+    obj = json.loads(file.read_text())
     array = obj
     for name in path:
         array = array[name]
     key = _set_first_number(array, True, path[-1])
-    if artifact.startswith("model_"):
+    _assert_reading_exits_one(artifact_dir, capsys, file, obj, f"bad entry in {key!r}: expected a number, got true;")
+
+
+def _assert_reading_exits_one(artifact_dir, capsys, file, obj, problem):
+    """Write ``obj`` over the artifact ``file``: every command that reads it
+    exits 1 with ``problem`` after the file name. The file is restored."""
+    out, config = artifact_dir
+    original = file.read_text()
+    if file.name.startswith("model_"):
         _, phase, name = file.stem.split("_", 2)
         stages = ("predict", "evaluate")
     else:
@@ -767,9 +773,38 @@ def test_true_in_a_number_array_exits_one(artifact_dir, capsys, artifact, path):
             capsys.readouterr()
             assert run(argvs[stage]) == 1, stage
             err = capsys.readouterr().err
-            assert err.startswith(f"error: {file}: bad entry in {key!r}: expected a number, got true;"), err
+            assert err.startswith(f"error: {file}: {problem}"), err
     finally:
         file.write_text(original)
+
+
+@pytest.mark.parametrize(
+    "artifact, path, value",
+    [
+        ("model_procedure_tree.json", ("model", "tree", "feature", 0), 0.7),
+        ("model_procedure_tree.json", ("model", "tree", "left", 0), 1.2),
+        ("model_procedure_tree.json", ("model", "tree", "right", 0), 2.9),
+        ("model_procedure_gbm.json", ("features", "target_encoder", "stats", None, 0), 2.5),
+        ("model_procedure_mta.json", ("features", "name_codes", 0, 1), 1.5),
+        ("model_procedure_mta.json", ("features", "name_codes", 0, 1), True),
+    ],
+    ids=["tree-feature", "tree-left", "tree-right", "encoder-count", "name-code", "name-code-bool"],
+)
+def test_a_fraction_or_boolean_in_an_integer_field_exits_one(artifact_dir, capsys, artifact, path, value):
+    """int() and numpy truncate 2.5 to 2 and read true as 1; every integer
+    that a model bundle holds rejects both and names its field."""
+    file = artifact_dir[0] / artifact
+    obj = json.loads(file.read_text())
+    entry, key = obj, None
+    for name in path[:-1]:  # None stands for an object's first member
+        if isinstance(entry, dict):  # the error names the innermost member
+            key = next(iter(entry)) if name is None else name
+            name = key
+        entry = entry[name]
+    entry[path[-1]] = value
+    _assert_reading_exits_one(
+        artifact_dir, capsys, file, obj, f"bad entry in {key!r}: expected an integer, got {json.dumps(value)};"
+    )
 
 
 def test_synth_below_100_cases_exits_one_at_load(tmp_path, capsys):
@@ -784,12 +819,16 @@ def test_synth_below_100_cases_exits_one_at_load(tmp_path, capsys):
         ("test_fraction = 0.001", "config key 'test_fraction': 0.001 leaves phase 'procedure' "
                                   "an empty test split of its {retained} retained cases"),
         ("max_duration_min = 1", "phase 'procedure': cleaning retained no cases; see cleaning_report.json"),
+        ("max_duration_min = 12", "config key 'test_fraction': 0.2 leaves phase 'procedure' "
+                                  "an empty test split of its {retained} retained cases"),
     ],
-    ids=["no-test-case", "no-retained-case"],
+    ids=["no-test-case", "no-retained-case", "one-retained-case"],
 )
 def test_an_empty_split_exits_one_at_the_first_stage_that_splits(tmp_path, capsys, line, problem):
-    """At 300 cases, floor(n * 0.001) = 0 test cases, and a 1-minute cap
-    retains none: cluster, train and evaluate exit 1 and say which."""
+    """At 300 cases, floor(n * 0.001) = 0 test cases, a 1-minute cap
+    retains none, and a 12-minute cap leaves one plausible procedure, too
+    few for IQR bounds, which clean keeps: cluster, train and evaluate exit
+    1 and say which."""
     config = tmp_path / "tiny.cfg"
     config.write_text(f"synth_n_cases = 300\n{line}\n")
     common = ["--out", str(tmp_path), "--seed", "1", "--config", str(config)]
@@ -801,6 +840,24 @@ def test_an_empty_split_exits_one_at_the_first_stage_that_splits(tmp_path, capsy
         assert run([stage, *common]) == 1, stage
         assert capsys.readouterr().err == f"error: {problem.format(retained=retained)}\n"
     assert not (tmp_path / "tfidf_procedure.json").exists()
+
+
+def test_text_rules_that_leave_no_token_exit_one_in_cluster(tmp_path, capsys):
+    """At 300 cases, 50-letter tokens leave every text empty: cluster exits
+    1 naming the text-rule keys, and no later stage exits 2."""
+    config = tmp_path / "tiny.cfg"
+    config.write_text("synth_n_cases = 300\nmin_token_len = 50\n")
+    common = ["--out", str(tmp_path), "--seed", "1", "--config", str(config)]
+    for stage in ("synth", "ingest", "clean"):
+        assert run([stage, *common]) == 0, stage
+    capsys.readouterr()
+    assert run(["cluster", *common]) == 1
+    assert capsys.readouterr().err == (
+        "error: phase 'procedure': the text rules (config keys 'min_token_len', 'literal_strip', "
+        "'synonyms', 'stemming') leave no token in any training text\n"
+    )
+    for stage in ("train", "evaluate", "report"):
+        assert run([stage, *common]) == 1, stage
 
 
 def test_cluster_k_above_the_distinct_training_texts_exits_one(pipeline_dir, tmp_path, capsys):

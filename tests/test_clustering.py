@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -450,13 +450,12 @@ def test_gmm_log_likelihood_never_decreases(rows, k, seed):
     d=st.integers(1, 40),
     n=st.integers(1, 400),
 )
+@example(algo="kmeans", seed=3040, n_distinct=4, d=28, n=88)  # moved a label with Gram-form distances
 def test_cluster_assign_on_distinct_rows_equals_every_row(algo, seed, n_distinct, d, n):
     """cluster and predict label the distinct TF-IDF rows and scatter the
     labels back to the cases; that must give every case the label of
-    assigning the full matrix. The GMM's log-densities are row-local; the
-    K-Means Gram-form distances may round differently in the last bit between
-    the two matrices, which can move a label only where a row is equidistant
-    from two centroids to within that rounding."""
+    assigning the full matrix. A row's label depends on that row alone: not
+    on the other rows of the matrix, their order, or its memory order."""
     rng = np.random.default_rng(seed)
     # sparse, L2-normalized non-negative rows, as TF-IDF vectors are
     rows = rng.random((n_distinct, d)) * (rng.random((n_distinct, d)) < 0.3)
@@ -469,8 +468,13 @@ def test_cluster_assign_on_distinct_rows_equals_every_row(algo, seed, n_distinct
         model = fit(rows[rng.integers(0, n_distinct, size=3 * n_distinct)], k, seed=seed)
     except ValueError:  # a GMM component collapsed twice
         return
-    labels = cluster_assign(model, rows)[inverse]
-    assert labels.tobytes() == cluster_assign(model, rows[inverse]).tobytes()
+    labels = cluster_assign(model, rows)
+    expected = labels[inverse].tobytes()
+    assert cluster_assign(model, rows[inverse]).tobytes() == expected
+    assert cluster_assign(model, np.asfortranarray(rows[inverse])).tobytes() == expected
+    order = rng.permutation(n_distinct)
+    assert cluster_assign(model, rows[order]).tobytes() == labels[order].tobytes()
+    assert cluster_assign(model, np.asfortranarray(rows))[inverse].tobytes() == expected
 
 
 def test_cluster_catalog():

@@ -5,7 +5,6 @@ from oracles import target_encode_slow
 from periop.encoding import (
     OneHotSchema,
     TargetEncoder,
-    one_hot,
     one_hot_many,
     target_encode_apply,
     target_encode_fit,
@@ -14,18 +13,18 @@ from periop.encoding import (
 
 def test_one_hot_known_category():
     schema = OneHotSchema(categories=("f", "m"))
-    assert one_hot(schema, "f").tolist() == [1.0, 0.0]
-    assert one_hot(schema, "m").tolist() == [0.0, 1.0]
+    assert one_hot_many(schema, ["f"])[0].tolist() == [1.0, 0.0]
+    assert one_hot_many(schema, ["m"])[0].tolist() == [0.0, 1.0]
 
 
 def test_one_hot_unknown_is_zero_row():
     schema = OneHotSchema(categories=("f", "m"))
-    assert one_hot(schema, "x").tolist() == [0.0, 0.0]
+    assert one_hot_many(schema, ["x"])[0].tolist() == [0.0, 0.0]
 
 
 def test_one_hot_department_basis_vector():
     schema = OneHotSchema(categories=tuple(f"d{i}" for i in range(10)))
-    vec = one_hot(schema, "d3")
+    vec = one_hot_many(schema, ["d3"])[0]
     assert vec[3] == 1.0 and vec.sum() == 1.0
 
 
@@ -37,9 +36,9 @@ def test_one_hot_unique_categories_enforced():
 def test_one_hot_many_matches_single():
     schema = OneHotSchema.fit(["a", "b", "c"])
     batch = one_hot_many(schema, ["b", "zz", "a"])
-    assert np.array_equal(batch[0], one_hot(schema, "b"))
-    assert np.array_equal(batch[1], one_hot(schema, "zz"))
-    assert np.array_equal(batch[2], one_hot(schema, "a"))
+    assert np.array_equal(batch[0], one_hot_many(schema, ["b"])[0])
+    assert np.array_equal(batch[1], one_hot_many(schema, ["zz"])[0])
+    assert np.array_equal(batch[2], one_hot_many(schema, ["a"])[0])
 
 
 def test_target_encode_hand_value():
@@ -143,3 +142,8 @@ def test_json_roundtrip():
     assert clone.m == encoder.m
     for cat in ("a", "b", "unseen"):
         assert clone.encode(cat) == pytest.approx(encoder.encode(cat))
+    for count in (2.5, True):  # int() would read 2 and 1
+        obj = encoder.to_dict()
+        obj["stats"]["a"][0] = count
+        with pytest.raises(ValueError, match="bad entry in 'a'"):
+            TargetEncoder.from_dict(obj)

@@ -53,7 +53,7 @@ def test_parse_events_csv_direct_mapping():
 def test_unknown_event_type_passes_through():
     events, _ = parse_events(b"case_id,event_type,timestamp\nW1,bad-type,2024-03-01T08:40:00Z\n")
     assert events[0].event_type == "bad-type"
-    assert not events[0].is_anchor
+    assert events[0].event_type not in ANCHOR_EVENTS
 
 
 def test_malformed_timestamp_strict_reports_line():

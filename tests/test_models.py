@@ -326,9 +326,10 @@ def test_gbm_training_update_equals_predict(X, y_seed, learning_rate):
         assert model.stage_mse_[k] == float(np.mean((y - model._predict(X)) ** 2))
 
 
-ROW_LOCAL_FAMILIES = {
+FAMILY_PARAMS = {
     "mean": {},
     "group-mean": {"group_col": 0},
+    "ridge": {"lam": 0.1},
     "tree": {"max_depth": 3, "min_leaf": 2},
     "forest": {"n_trees": 4, "max_depth": 3, "min_leaf": 2, "feature_fraction": 0.7, "seed": 3},
     "gbm": {"n_trees": 8, "learning_rate": 0.3, "max_depth": 2, "min_leaf": 2},
@@ -337,31 +338,29 @@ ROW_LOCAL_FAMILIES = {
 
 @settings(max_examples=60, deadline=None)
 @given(
-    family=st.sampled_from([*ROW_LOCAL_FAMILIES, "ridge"]),
+    family=st.sampled_from(list(FAMILY_PARAMS)),
     seed=st.integers(0, 2**16),
     n_distinct=st.integers(1, 40),
     d=st.integers(1, 16),
     n=st.integers(1, 300),
 )
-def test_predict_distinct_equals_predicting_every_row(family, seed, n_distinct, d, n):
+def test_predicting_distinct_rows_equals_predicting_every_row(family, seed, n_distinct, d, n):
     """The CLI predicts each distinct design row once and scatters the
-    result; that must equal predicting the full matrix bit for bit. Every
-    family but the ridge reads a row alone, so predict(rows)[inverse] is that
-    prediction; the ridge's BLAS product rounds a row by where it sits in the
-    matrix, so it predicts rows[inverse]."""
+    result; that must equal predicting the full matrix bit for bit, so every
+    family's prediction of a row depends on that row alone: not on the other
+    rows of the matrix, nor on its memory order."""
     rng = np.random.default_rng(seed)
     # a few values per column, so trees split and rows repeat
     X = rng.choice([-2.5, 0.0, 0.1, 1.0, 3.7], size=(60, d))
     y = rng.uniform(0, 100, size=60)
-    params = ROW_LOCAL_FAMILIES.get(family, {"lam": 0.1})
-    model = make_model(family, params).fit(Dataset(X=X, y=y))
+    model = make_model(family, FAMILY_PARAMS[family]).fit(Dataset(X=X, y=y))
     rows = rng.normal(size=(n_distinct, d)) * rng.choice([1e-3, 1.0, 1e3])
     rows[: n_distinct // 2] = X[: n_distinct // 2]
     inverse = rng.integers(0, n_distinct, size=n)
-    expected = model.predict(rows[inverse])
-    assert model.predict_distinct(rows, inverse).tobytes() == expected.tobytes()
-    if family in ROW_LOCAL_FAMILIES:
-        assert model.predict(rows)[inverse].tobytes() == expected.tobytes()
+    expected = model.predict(rows[inverse]).tobytes()
+    assert model.predict(rows)[inverse].tobytes() == expected
+    assert model.predict(np.asfortranarray(rows))[inverse].tobytes() == expected
+    assert model.predict(np.asfortranarray(rows[inverse])).tobytes() == expected
 
 
 def test_forest_degenerate_equals_tree():
@@ -503,6 +502,13 @@ def test_gbm_file_with_seed_key_loads_and_predicts_the_same():
         {"feature": [0, -1, -1], "threshold": [0.5, 0, 0], "left": [1, -1, -1], "right": [0, -1, -1],
          "value": [0.0, 1.0, 2.0]},  # a child before its parent would loop
         {**single_leaf(1.0), "threshold": ["a"]},
+        # int() and numpy would truncate these to feature 0, children 1 and 2
+        {"feature": [0.7, -1, -1], "threshold": [0.5, 0, 0], "left": [1, -1, -1], "right": [2, -1, -1],
+         "value": [0.0, 1.0, 2.0]},
+        {"feature": [0, -1, -1], "threshold": [0.5, 0, 0], "left": [1.2, -1, -1], "right": [2, -1, -1],
+         "value": [0.0, 1.0, 2.0]},
+        {"feature": [0, -1, -1], "threshold": [0.5, 0, 0], "left": [1, -1, -1], "right": [2.9, -1, -1],
+         "value": [0.0, 1.0, 2.0]},
     ],
 )
 def test_tree_from_dict_rejects_other_layouts(tree):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from periop.cleaning import plausibility_filter
-from periop.eventlog import assemble_cases, parse_case_attributes, parse_events
+from periop.eventlog import ANCHOR_EVENTS, assemble_cases, parse_case_attributes, parse_events
 from oracles import generate_log_slow
 from periop.synthgen import SynthConfig, anesthesia_variants
 from periop.textnorm import DEFAULT_SYNONYMS
@@ -75,7 +75,7 @@ def test_phase_sum_identity_on_full_cases(generated):
     _, _, _, events, cases = generated
     anchor_stamps: dict = {}
     for e in events:
-        if e.is_anchor:
+        if e.event_type in ANCHOR_EVENTS:
             anchor_stamps.setdefault(e.case_id, {})[e.event_type] = e.timestamp
     checked = 0
     for case in cases:

@@ -11,7 +11,6 @@ from periop.textnorm import (
     DEFAULT_STEM_SUFFIXES,
     NormalizationRules,
     TfidfModel,
-    default_rules,
     fit_tfidf,
     load_synonyms,
     normalize_text,
@@ -58,7 +57,7 @@ def test_stemming_strips_one_inflection_suffix():
 
 
 def test_synonyms_applied_before_stemming():
-    rules = default_rules(synonym_map={"itn": "intubationsnarkose"})
+    rules = NormalizationRules(synonym_map={"itn": "intubationsnarkose"}, stem_suffixes=DEFAULT_STEM_SUFFIXES)
     assert normalize_text("ITN", rules) == [normalize_text("Intubationsnarkose", rules)[0]]
 
 
@@ -129,7 +128,7 @@ def test_fit_tfidf_errors():
 
 def test_vectorize_hand_values():
     model = fit_tfidf([["a", "b"], ["a", "c"]])
-    dense = vectorize(["a", "b"], model).to_dense()
+    dense = stack_dense([vectorize(["a", "b"], model)])[0]
     expected = np.zeros(3)
     expected[model.vocabulary["a"]] = 0.579739
     expected[model.vocabulary["b"]] = 0.814802
@@ -140,12 +139,12 @@ def test_vectorize_out_of_vocabulary_is_zero():
     model = fit_tfidf([["a", "b"], ["a", "c"]])
     vec = vectorize(["zz", "qq"], model)
     assert vec.indices.size == 0
-    assert np.allclose(vec.to_dense(), 0.0)
+    assert np.allclose(stack_dense([vec])[0], 0.0)
 
 
 def test_vectorize_single_term_unit_vector():
     model = fit_tfidf([["a", "b"], ["a", "c"]])
-    dense = vectorize(["a"], model).to_dense()
+    dense = stack_dense([vectorize(["a"], model)])[0]
     assert dense[model.vocabulary["a"]] == pytest.approx(1.0)
     assert np.linalg.norm(dense) == pytest.approx(1.0)
 
@@ -159,7 +158,7 @@ def test_unit_norm_property():
     ]
     model = fit_tfidf(corpus)
     for doc in corpus:
-        norm = np.linalg.norm(vectorize(doc, model).to_dense())
+        norm = np.linalg.norm(stack_dense([vectorize(doc, model)])[0])
         assert norm == pytest.approx(1.0, abs=1e-12)
 
 
