@@ -92,8 +92,16 @@ class TargetEncoder:
         for category in entries:
             n, mean = rules.number_array(entries, category)  # [count, mean]
             rules.integers([n], category)
+            # encode divides by n + m: a count below 1 can make that 0
+            if not 1 <= n < 2**63:
+                raise ValueError(
+                    f"bad entry in {category!r}: a count must be from 1 to 2**63 - 1, got {rules.shown(n)}"
+                )
             stats[category] = (n, float(mean))
-        return cls(stats=stats, prior=get("prior", float), m=get("m", float))
+        m = get("m", float)
+        if not m >= 0:
+            raise ValueError(f"bad value for 'm': expected a number >= 0, got {m}")
+        return cls(stats=stats, prior=get("prior", float), m=m)
 
 
 def target_encode_fit(

@@ -276,9 +276,7 @@ class Tree:
         if not isinstance(obj, dict) or set(obj) != set(_TREE_FIELDS):
             raise ValueError("tree is not in the flat-array layout (feature, threshold, left, right, value)")
         arrays = {k: rules.number_array(obj, k) for k in _TREE_FIELDS}
-        feature, left, right = (
-            np.asarray(rules.integers(arrays[k], k), dtype=np.intp) for k in ("feature", "left", "right")
-        )
+        feature, left, right = (_node_indices(arrays[k], k) for k in ("feature", "left", "right"))
         try:  # a ragged array of rows
             threshold, value = (np.asarray(arrays[k], dtype=float) for k in ("threshold", "value"))
         except (TypeError, ValueError):
@@ -292,6 +290,15 @@ class Tree:
             if np.any(inner & ((child <= index) | (child >= n[0]))):
                 raise ValueError("tree child index out of range")
         return cls(feature, threshold, left, right, value)
+
+
+def _node_indices(values: list, key: str) -> np.ndarray:
+    """The integer tree field ``key`` as an index array; an entry that does
+    not fit one raises ValueError naming ``key``."""
+    try:
+        return np.asarray(rules.integers(values, key), dtype=np.intp)
+    except OverflowError:
+        raise ValueError(f"bad entry in {key!r}: an integer out of the index range") from None
 
 
 def _bin_columns(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

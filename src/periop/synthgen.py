@@ -8,6 +8,11 @@ calibrated multiplicative bias, systematic underestimation of short
 procedures, free-text synonym/abbreviation variation, and a small rate of
 implausible records (negative or multi-day durations). Output is fully
 deterministic for a given seed; all draws come from one sequential stream.
+
+``generate_log`` works in two passes: a loop over the cases makes the draws
+and keeps only the raw values in compact columns, then numpy derives the
+durations, plans, texts and timestamps from them, sorts the events with one
+``lexsort``, and the three files are written a chunk of rows at a time.
 """
 
 from __future__ import annotations
@@ -15,15 +20,16 @@ from __future__ import annotations
 import csv
 import json
 import math
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
-from datetime import datetime, timedelta
+from datetime import datetime
 from pathlib import Path
 
 import numpy as np
 
 from . import rules
-from .eventlog import CASES_HEADER, EVENTS_HEADER
+from .eventlog import ANCHOR_EVENTS, CASES_HEADER, EVENTS_HEADER
 from .textnorm import DEFAULT_SYNONYMS
 
 DEPARTMENTS = (
@@ -96,9 +102,18 @@ POSITIONINGS = (
 
 OTHER_EVENT_LABELS = ("pat_einschleusung", "op_freigabe", "naht_dokumentiert")
 
-# local time is UTC+2 from April to October, else UTC+1: (shift from UTC, suffix)
-_SUMMER = (timedelta(hours=2), "+02:00")
-_WINTER = (timedelta(hours=1), "+01:00")
+# every event type in string order: a type's index is its rank in events.csv
+EVENT_TYPES = tuple(sorted((*ANCHOR_EVENTS, *OTHER_EVENT_LABELS)))
+
+_MINUTE_US = 60_000_000
+_HOUR_US = 60 * _MINUTE_US
+_DAY_US = 24 * _HOUR_US
+_OFFSET_SUFFIX = ("+02:00", "+01:00")  # indexed by offset == one hour
+_SEXES = ("f", "m", "other")
+_JSON_BOOL = ("false", "true")
+# the two flag bits of a case after its four anchor bits
+_POSITIONING, _ATTRS = 1 << 4, 1 << 5
+_CHUNK = 1024  # rows formatted and written at a time
 
 
 def anesthesia_variants(canonical: str) -> list[str]:
@@ -177,43 +192,35 @@ def _single_presence_rate(coverage: float) -> float:
     return coverage + (1.0 - coverage) * 0.2
 
 
-def _quantize_plan(raw_minutes: float, quantum: float) -> float:
-    return max(quantum, round(raw_minutes / quantum) * quantum)
+def _quantize_plans(raw_minutes: np.ndarray, quantum: float) -> np.ndarray:
+    return np.maximum(quantum, np.rint(raw_minutes / quantum) * quantum)
 
 
 def _fmt_minutes(value: float) -> str:
     return str(int(value)) if float(value).is_integer() else repr(float(value))
 
 
-def _local_time(month: int) -> tuple[timedelta, str]:
-    return _SUMMER if 4 <= month <= 10 else _WINTER
-
-
-def _local_isoformat(utc: datetime) -> str:
-    # the offset follows the UTC timestamp's month, not the local one
-    shift, suffix = _local_time(utc.month)
-    return (utc + shift).isoformat() + suffix
-
-
-def _noisy_text(rng: np.random.Generator, text: str) -> str:
+def _noise_code(rng: np.random.Generator) -> int:
+    """Draw a text's noise: 3 * letter case (as is, capitalized, upper) + end mark (none, '.', '!')."""
     u = rng.random()
-    if u < 0.25:
-        text = text.capitalize()
-    elif u < 0.35:
-        text = text.upper()
     v = rng.random()
-    if v < 0.15:
-        text = text + "."
-    elif v < 0.22:
-        text = text + "!"
-    return text
+    letters = 1 if u < 0.25 else 2 if u < 0.35 else 0
+    mark = 1 if v < 0.15 else 2 if v < 0.22 else 0
+    return 3 * letters + mark
 
 
-def _write_csv(path: Path, header: tuple[str, ...], rows) -> None:
-    with path.open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+def _noisy_text(text: str, code: int) -> str:
+    return (text, text.capitalize(), text.upper())[code // 3] + ("", ".", "!")[code % 3]
+
+
+def _text_table(families: list[list[str]]) -> tuple[np.ndarray, np.ndarray]:
+    """Every noisy form of every family's surface texts, and each family's offset.
+
+    Text ``9 * surface + noise code`` of family f is at ``offset[f]`` plus that code.
+    """
+    texts = [_noisy_text(text, code) for surfaces in families for text in surfaces for code in range(9)]
+    offsets = np.cumsum([0] + [9 * len(surfaces) for surfaces in families[:-1]])
+    return np.array(texts, dtype=object), offsets
 
 
 def _cdf(p) -> list[float]:
@@ -224,12 +231,68 @@ def _cdf(p) -> list[float]:
     return cdf.tolist()
 
 
+def _minutes_to_us(minutes: np.ndarray) -> np.ndarray:
+    """``timedelta(minutes=x) // timedelta(microseconds=1)`` for each x >= 0, as int64.
+
+    timedelta keeps the whole minutes exactly and scales the fraction to
+    microseconds in float arithmetic; the part below one microsecond rounds
+    half to even on the total, whose parity is that of the scaled fraction's
+    whole part, since a minute is an even number of microseconds.
+    """
+    whole = np.floor(minutes)
+    scaled = (minutes - whole) * _MINUTE_US
+    us = np.floor(scaled)
+    rest = scaled - us
+    up = (rest > 0.5) | ((rest == 0.5) & (us % 2 == 1))
+    return whole.astype(np.int64) * _MINUTE_US + us.astype(np.int64) + up
+
+
+def _utc_offset_us(utc_us: np.ndarray) -> np.ndarray:
+    """The local offset of each timestamp: UTC+2 from April to October, else UTC+1."""
+    month = utc_us.astype("datetime64[us]").astype("datetime64[M]").astype(np.int64) % 12 + 1
+    return np.where((month >= 4) & (month <= 10), 2 * _HOUR_US, _HOUR_US)
+
+
+def _case_id_rank(numbers: np.ndarray) -> np.ndarray:
+    """Rank of each case id ``W{number:06d}`` among those of ``numbers``, in string order.
+
+    Ids grow a seventh digit above W999999, so string order is not number
+    order: "W1000000" sorts before "W100001". Two ids compare as their
+    numerals aligned on the left, the shorter numeral first on a tie.
+    """
+    width = max(6, len(str(int(numbers.max(initial=0)))))
+    digits = np.full(numbers.shape, 6, dtype=np.int64)
+    for power in range(6, width):
+        digits += numbers >= 10**power
+    rank = np.empty(numbers.shape, dtype=np.int64)
+    rank[np.lexsort((digits, numbers * 10 ** (width - digits)))] = np.arange(numbers.size)
+    return rank
+
+
+def _case_ids(index: np.ndarray) -> list[str]:
+    return [f"W{number:06d}" for number in (index + 1).tolist()]
+
+
+def _texts(values: np.ndarray, fmt) -> np.ndarray:
+    """``fmt`` of each value as an object array, formatting each distinct value once."""
+    distinct, inverse = np.unique(values, return_inverse=True)
+    return np.array([fmt(v) for v in distinct.tolist()], dtype=object)[inverse.ravel()]
+
+
+def _chunks(index: np.ndarray):
+    for start in range(0, index.size, _CHUNK):
+        yield index[start : start + _CHUNK]
+
+
 def generate_log(cfg: SynthConfig, out: Path) -> None:
     """Write events.csv, cases.csv and ground_truth.json into the directory ``out``.
 
-    Each case's ground-truth record is written as soon as it is drawn. Events
-    (by UTC timestamp, case id, event type) and case rows (by case id) are
-    sorted, then written.
+    Two passes. The first makes every draw of the one RNG stream, case by
+    case in stream order, and keeps only the raw draws in compact columns.
+    The second derives the durations, plans, texts and timestamps from those
+    columns with numpy, sorts the events (by UTC timestamp, case id, event
+    type) and the case rows (by case id), and writes the three files in
+    small chunks.
     """
     rng = np.random.default_rng(cfg.seed)
     n_fam = cfg.n_procedure_families
@@ -246,13 +309,11 @@ def generate_log(cfg: SynthConfig, out: Path) -> None:
     )
     fam_sigmas = rng.uniform(*cfg.procedure_sigma_range, size=n_fam)
     fam_cdf = _cdf(rng.dirichlet(np.full(n_fam, 2.0)))
-    fam_dept = [DEPARTMENTS[i % len(DEPARTMENTS)] for i in range(n_fam)]
     fam_positioning = [POSITIONINGS[i % len(POSITIONINGS)] for i in range(n_fam)]
     variant_templates = PROCEDURE_VARIANT_TEMPLATES[: cfg.synonyms_per_family]
 
     n_anes = cfg.n_anesthesia_families
-    anes_canon = ANESTHESIA_CANONICALS[:n_anes]
-    anes_surfaces = [anesthesia_variants(c) for c in anes_canon]
+    anes_surfaces = [anesthesia_variants(c) for c in ANESTHESIA_CANONICALS[:n_anes]]
     anes_medians = np.exp(
         rng.uniform(
             math.log(cfg.induction_median_range[0]),
@@ -263,144 +324,192 @@ def generate_log(cfg: SynthConfig, out: Path) -> None:
     anes_sigmas = rng.uniform(*cfg.induction_sigma_range, size=n_anes)
     anes_cdf = _cdf(rng.dirichlet(np.full(n_anes, 2.0)))
     sex_cdf = _cdf([0.48, 0.48, 0.04])
-    sexes = ("f", "m", "other")
 
     # python floats: the same doubles as the arrays, without numpy scalar overhead
-    fam_median_list = fam_medians.tolist()
-    fam_log_medians = [math.log(m) for m in fam_median_list]
+    fam_log_medians = [math.log(m) for m in fam_medians.tolist()]
     fam_sigma_list = fam_sigmas.tolist()
-    anes_median_list = anes_medians.tolist()
-    anes_log_medians = [math.log(m) for m in anes_median_list]
+    anes_log_medians = [math.log(m) for m in anes_medians.tolist()]
     anes_sigma_list = anes_sigmas.tolist()
     prep_log_medians = [math.log(median) for _, median in fam_positioning]
+    anes_surface_counts = [len(surfaces) for surfaces in anes_surfaces]
 
     # positioning info is only usable when both surrounding timestamps exist
     p_complete = _single_presence_rate(cfg.coverage_induction)
     p_incision = _single_presence_rate(cfg.coverage_procedure)
     q_positioning = min(1.0, cfg.coverage_preparation / (p_complete * p_incision))
 
-    # a case's local offset follows the month of its day
-    base_day = datetime.fromisoformat(cfg.start_date)
-    day_start = [base_day + timedelta(days=day) for day in range(cfg.horizon_days)]
-    utc_shift = [_local_time(d.month)[0] for d in day_start]
-    # (naive UTC timestamp, case_id, type); tuple order is the file's order
-    events: list[tuple[datetime, str, str]] = []
-    case_rows: list[tuple[str, ...]] = []
-    encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+    # Pass 1: every draw, in the stream's order; each case keeps its raw draws.
+    # One byte of flags per case: a bit per anchor in ANCHOR_EVENTS order, then
+    # _POSITIONING and _ATTRS. The implausible and other events are sparse.
+    fam_col, anes_col, sex_col, flag_col = array("i"), array("B"), array("B"), array("B")
+    age_z, ind_z, prep_z, proc_z, proc_bias_z, ind_bias_z = (array("d") for _ in range(6))
+    day_col, minute_col = array("i"), array("d")
+    proc_text_col, anes_text_col = array("H"), array("H")
+    implausible_at, implausible_sec = array("i"), array("q")  # < 0: negative, else seconds added
+    other_at, other_label, other_min = array("i"), array("B"), array("d")
+    random, normal, integers, uniform = rng.random, rng.normal, rng.integers, rng.uniform
+    for i in range(cfg.n_cases):
+        fam = bisect_right(fam_cdf, random())
+        anes = bisect_right(anes_cdf, random())
+        fam_col.append(fam)
+        anes_col.append(anes)
+        age_z.append(normal(55.0, 18.0))
+        sex_col.append(bisect_right(sex_cdf, random()))
+        ind_z.append(normal(anes_log_medians[anes], anes_sigma_list[anes]))
+        prep_z.append(normal(prep_log_medians[fam], cfg.preparation_sigma))
+        proc_z.append(normal(fam_log_medians[fam], fam_sigma_list[fam]))
+        proc_bias_z.append(normal(cfg.proc_plan_bias_mu, cfg.proc_plan_bias_sigma))
+        ind_bias_z.append(normal(cfg.ind_plan_bias_mu, cfg.ind_plan_bias_sigma))
 
-    with (out / "ground_truth.json").open("w", encoding="utf-8") as truth_fh:
-        # sort_keys puts "cases" first, so the per-case records stream out
-        truth_fh.write('{"cases":[')
-        for i in range(cfg.n_cases):
-            case_id = f"W{i + 1:06d}"
-            fam = bisect_right(fam_cdf, rng.random())
-            anes = bisect_right(anes_cdf, rng.random())
-            positioning, _ = fam_positioning[fam]
-            age = min(95, max(18, round(rng.normal(55.0, 18.0))))
-            sex = sexes[bisect_right(sex_cdf, rng.random())]
+        has_start, has_complete = _pair_presence(rng, cfg.coverage_induction)
+        has_incision, has_suture = _pair_presence(rng, cfg.coverage_procedure)
+        flags = has_start | has_complete << 1 | has_incision << 2 | has_suture << 3
+        flags |= (random() < q_positioning) << 4
 
-            ind_sec = max(60, round(60.0 * float(np.exp(rng.normal(anes_log_medians[anes], anes_sigma_list[anes])))))
-            prep_sec = max(60, round(60.0 * float(np.exp(rng.normal(prep_log_medians[fam], cfg.preparation_sigma)))))
-            proc_sec = max(60, round(60.0 * float(np.exp(rng.normal(fam_log_medians[fam], fam_sigma_list[fam])))))
+        draw = random()
+        if has_incision and has_suture and draw < cfg.implausible_rate:
+            implausible_at.append(i)
+            if random() < 0.5:
+                implausible_sec.append(-int(integers(300, 3600)))
+            else:
+                implausible_sec.append(int(round(uniform(2.5, 5.0) * 86400)))
 
-            proc_bias = float(np.exp(rng.normal(cfg.proc_plan_bias_mu, cfg.proc_plan_bias_sigma)))
-            if fam_median_list[fam] < 30.0:
-                proc_bias *= cfg.short_family_bias
-            proc_plan = _quantize_plan(fam_median_list[fam] * proc_bias, cfg.plan_quantum_min)
-            ind_bias = float(np.exp(rng.normal(cfg.ind_plan_bias_mu, cfg.ind_plan_bias_sigma)))
-            ind_plan = _quantize_plan(anes_median_list[anes] * ind_bias, cfg.plan_quantum_min)
+        day_col.append(int(integers(cfg.horizon_days)))
+        minute_col.append(uniform(6 * 60, 16 * 60))
+        if random() < cfg.other_event_rate:
+            other_at.append(i)
+            other_label.append(int(integers(len(OTHER_EVENT_LABELS))))
+            other_min.append(uniform(5.0, 25.0))
 
-            has_start, has_complete = _pair_presence(rng, cfg.coverage_induction)
-            has_incision, has_suture = _pair_presence(rng, cfg.coverage_procedure)
-            has_positioning = rng.random() < q_positioning
+        flags |= (random() >= cfg.attrs_missing_rate) << 5
+        flag_col.append(flags)
+        variant = int(integers(len(variant_templates)))
+        proc_text_col.append(9 * variant + _noise_code(rng))
+        surface = int(integers(anes_surface_counts[anes]))
+        anes_text_col.append(9 * surface + _noise_code(rng))
 
-            implausible = None
-            emitted_proc_sec = proc_sec
-            draw = rng.random()
-            if has_incision and has_suture and draw < cfg.implausible_rate:
-                if rng.random() < 0.5:
-                    emitted_proc_sec = -int(rng.integers(300, 3600))
-                    implausible = "negative"
-                else:
-                    emitted_proc_sec = proc_sec + int(round(rng.uniform(2.5, 5.0) * 86400))
-                    implausible = "multiday"
+    # Pass 2: everything derived, as numpy columns
+    fam, anes, flags = np.array(fam_col), np.array(anes_col), np.array(flag_col)
+    del fam_col, anes_col, flag_col
+    ind_sec, prep_sec, proc_sec = (
+        np.maximum(60, np.rint(60.0 * np.exp(np.array(z))).astype(np.int64)) for z in (ind_z, prep_z, proc_z)
+    )
+    at, sec = np.array(implausible_at), np.array(implausible_sec)
+    emitted_sec = proc_sec.copy()
+    emitted_sec[at] = np.where(sec < 0, sec, proc_sec[at] + sec)
+    implausible = np.full(cfg.n_cases, "null", dtype=object)
+    implausible[at] = np.where(sec < 0, '"negative"', '"multiday"')
+    del ind_z, prep_z, proc_z, proc_sec, implausible_at, implausible_sec
 
-            day = int(rng.integers(cfg.horizon_days))
-            minute_of_day = rng.uniform(6 * 60, 16 * 60)
-            t0_local = (day_start[day] + timedelta(minutes=minute_of_day)).replace(second=0, microsecond=0)
-            t0 = t0_local - utc_shift[day]
-            t_complete = t0 + timedelta(seconds=ind_sec)
-            t_incision = t_complete + timedelta(seconds=prep_sec)
-            if has_start:
-                events.append((t0, case_id, "anesthesia_start"))
-            if has_complete:
-                events.append((t_complete, case_id, "anesthesia_complete"))
-            if has_incision:
-                events.append((t_incision, case_id, "incision"))
-            if has_suture:
-                events.append((t_incision + timedelta(seconds=emitted_proc_sec), case_id, "suture"))
-            if rng.random() < cfg.other_event_rate:
-                label = OTHER_EVENT_LABELS[rng.integers(len(OTHER_EVENT_LABELS))]
-                events.append((t0 - timedelta(minutes=rng.uniform(5.0, 25.0)), case_id, label))
+    fam_median = fam_medians[fam]
+    proc_bias = np.exp(np.array(proc_bias_z))
+    proc_bias = np.where(fam_median < 30.0, proc_bias * cfg.short_family_bias, proc_bias)
+    proc_plan = _quantize_plans(fam_median * proc_bias, cfg.plan_quantum_min)
+    ind_plan = _quantize_plans(anes_medians[anes] * np.exp(np.array(ind_bias_z)), cfg.plan_quantum_min)
+    del fam_median, proc_bias, proc_bias_z, ind_bias_z
 
-            attrs_present = rng.random() >= cfg.attrs_missing_rate
-            template = variant_templates[int(rng.integers(len(variant_templates)))]
-            procedure_text = _noisy_text(rng, template.format(t=fam_terms[fam]))
-            surfaces = anes_surfaces[anes]
-            anesthesia_text = _noisy_text(rng, surfaces[int(rng.integers(len(surfaces)))])
-            if attrs_present:
-                case_rows.append(
-                    (
-                        case_id,
-                        fam_dept[fam],
-                        str(age),
-                        sex,
-                        procedure_text,
-                        anesthesia_text,
-                        positioning if has_positioning else "",
-                        _fmt_minutes(ind_plan),
-                        _fmt_minutes(proc_plan),
-                    )
+    positioning = np.array([name for name, _ in fam_positioning], dtype=object)
+    with (out / "ground_truth.json").open("w", encoding="utf-8") as fh:
+        # sort_keys order: "cases" first, then the other members
+        fh.write('{"cases":[')
+        for at in _chunks(np.arange(cfg.n_cases)):
+            bits = [((flags[at] & 1 << k) != 0).tolist() for k in range(6)]
+            fh.write(("," if at[0] else "") + ",".join(
+                f'{{"anesthesia_family":{a},"attrs_present":{_JSON_BOOL[attrs]},"case_id":"{case_id}",'
+                f'"has_anchors":{{"anesthesia_complete":{_JSON_BOOL[complete]},'
+                f'"anesthesia_start":{_JSON_BOOL[start]},"incision":{_JSON_BOOL[incision]},'
+                f'"suture":{_JSON_BOOL[suture]}}},"has_positioning_info":{_JSON_BOOL[pos]},'
+                f'"implausible":{kind},"induction_min":{ind!r},"planned_induction_min":{ind_p!r},'
+                f'"planned_procedure_min":{proc_p!r},"positioning":"{name}","preparation_min":{prep!r},'
+                f'"procedure_family":{f},"procedure_min":{proc!r}}}'
+                for case_id, f, a, start, complete, incision, suture, pos, attrs, kind, ind, prep, proc,
+                ind_p, proc_p, name in zip(
+                    _case_ids(at), fam[at].tolist(), anes[at].tolist(), *bits, implausible[at].tolist(),
+                    (ind_sec[at] / 60.0).tolist(), (prep_sec[at] / 60.0).tolist(),
+                    (emitted_sec[at] / 60.0).tolist(), ind_plan[at].tolist(), proc_plan[at].tolist(),
+                    positioning[fam[at]].tolist(),
                 )
-
-            if i:
-                truth_fh.write(",")
-            truth_fh.write(
-                encode(
-                    {
-                        "case_id": case_id,
-                        "procedure_family": fam,
-                        "anesthesia_family": anes,
-                        "positioning": positioning,
-                        "induction_min": ind_sec / 60.0,
-                        "preparation_min": prep_sec / 60.0,
-                        "procedure_min": emitted_proc_sec / 60.0,
-                        "planned_induction_min": ind_plan,
-                        "planned_procedure_min": proc_plan,
-                        "has_anchors": {
-                            "anesthesia_start": has_start,
-                            "anesthesia_complete": has_complete,
-                            "incision": has_incision,
-                            "suture": has_suture,
-                        },
-                        "has_positioning_info": has_positioning,
-                        "attrs_present": attrs_present,
-                        "implausible": implausible,
-                    }
-                )
-            )
+            ))
+        encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
         procedure_means = {
             str(f): float(fam_medians[f] * math.exp(fam_sigmas[f] ** 2 / 2.0)) for f in range(n_fam)
         }
         induction_means = {
             str(a): float(anes_medians[a] * math.exp(anes_sigmas[a] ** 2 / 2.0)) for a in range(n_anes)
         }
-        truth_fh.write(
+        fh.write(
             f'],"induction_family_means":{encode(induction_means)},"n_cases":{cfg.n_cases},'
             f'"procedure_family_means":{encode(procedure_means)},"seed":{cfg.seed}}}\n'
         )
+    del implausible
 
-    events.sort()
-    _write_csv(out / "events.csv", EVENTS_HEADER, ((c, e, _local_isoformat(ts)) for ts, c, e in events))
-    case_rows.sort()
-    _write_csv(out / "cases.csv", CASES_HEADER, case_rows)
+    rank = _case_id_rank(np.arange(1, cfg.n_cases + 1))
+    present = np.flatnonzero(flags & _ATTRS)
+    proc_texts, proc_offsets = _text_table(
+        [[template.format(t=term) for template in variant_templates] for term in fam_terms]
+    )
+    anes_texts, anes_offsets = _text_table(anes_surfaces)
+    columns = (
+        np.array([DEPARTMENTS[f % len(DEPARTMENTS)] for f in range(n_fam)], dtype=object)[fam],
+        _texts(np.clip(np.rint(np.array(age_z)), 18, 95).astype(np.int64), str),
+        np.array(_SEXES, dtype=object)[np.array(sex_col)],
+        proc_texts[proc_offsets[fam] + np.array(proc_text_col)],
+        anes_texts[anes_offsets[anes] + np.array(anes_text_col)],
+        np.where(flags & _POSITIONING, positioning[fam], ""),
+        _texts(ind_plan, _fmt_minutes),
+        _texts(proc_plan, _fmt_minutes),
+    )
+    del age_z, sex_col, proc_text_col, anes_text_col, ind_plan, proc_plan
+    with (out / "cases.csv").open("w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(CASES_HEADER)
+        for at in _chunks(present[np.argsort(rank[present])]):
+            writer.writerows(zip(_case_ids(at), *(column[at].tolist() for column in columns)))
+    del columns, present
+
+    # each event: its UTC timestamp in microseconds, case index and type's sort rank
+    base = np.datetime64(datetime.fromisoformat(cfg.start_date), "us").astype(np.int64)
+    day_start = base + _DAY_US * np.array(day_col, dtype=np.int64)
+    local = day_start + _minutes_to_us(np.array(minute_col))
+    # a case's local offset follows the month of its day
+    t0 = local - local % _MINUTE_US - _utc_offset_us(day_start)
+    del day_col, minute_col, day_start, local
+    t_complete = t0 + 1_000_000 * ind_sec
+    t_incision = t_complete + 1_000_000 * prep_sec
+    anchor_times = (t0, t_complete, t_incision, t_incision + 1_000_000 * emitted_sec)
+    del ind_sec, prep_sec, emitted_sec
+    stamps, cases, types = [], [], []
+    for k, (event_type, times) in enumerate(zip(ANCHOR_EVENTS, anchor_times)):
+        at = np.flatnonzero(flags & 1 << k)
+        stamps.append(times[at])
+        cases.append(at)
+        types.append(np.full(at.size, EVENT_TYPES.index(event_type), dtype=np.uint8))
+    at = np.array(other_at, dtype=np.intp)
+    stamps.append(t0[at] - _minutes_to_us(np.array(other_min)))
+    cases.append(at)
+    types.append(np.array([EVENT_TYPES.index(label) for label in OTHER_EVENT_LABELS], dtype=np.uint8)[
+        np.array(other_label, dtype=np.intp)
+    ])
+    del anchor_times, t0, t_complete, t_incision, other_at, other_label, other_min, flags
+    stamps, cases, types = (np.concatenate(parts) for parts in (stamps, cases, types))
+    order = np.lexsort((types, rank[cases], stamps))
+    del rank
+    with (out / "events.csv").open("w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(EVENTS_HEADER) + "\n")
+        for at in _chunks(order):
+            utc = stamps[at]
+            offset = _utc_offset_us(utc)
+            local = utc + offset
+            # isoformat drops the microseconds when they are zero
+            when = local.astype("datetime64[us]")
+            text = np.where(
+                local % 1_000_000 == 0,
+                np.datetime_as_string(when, unit="s"),
+                np.datetime_as_string(when, unit="us"),
+            )
+            fh.writelines(
+                f"{case_id},{EVENT_TYPES[t]},{stamp}{_OFFSET_SUFFIX[o == _HOUR_US]}\n"
+                for case_id, t, stamp, o in zip(
+                    _case_ids(cases[at]), types[at].tolist(), text.tolist(), offset.tolist()
+                )
+            )

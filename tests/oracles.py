@@ -22,9 +22,7 @@ from periop.synthgen import (
     PROCEDURE_TERMS,
     PROCEDURE_VARIANT_TEMPLATES,
     _fmt_minutes,
-    _noisy_text,
     _pair_presence,
-    _quantize_plan,
     _single_presence_rate,
     anesthesia_variants,
 )
@@ -570,8 +568,27 @@ def midranks_slow(values):
     return ranks, tie_sum
 
 
-# The per-case helpers and vocabularies come from periop.synthgen; only the
-# draw loop and the in-memory output assembly are the reference here.
+# The vocabularies and the presence helpers come from periop.synthgen; only
+# the draw loop, the in-memory output assembly and the two scalar helpers
+# below, which the generator no longer has, are the reference here.
+def _quantize_plan(raw_minutes, quantum):
+    return max(quantum, round(raw_minutes / quantum) * quantum)
+
+
+def _noisy_text(rng, text):
+    u = rng.random()
+    if u < 0.25:
+        text = text.capitalize()
+    elif u < 0.35:
+        text = text.upper()
+    v = rng.random()
+    if v < 0.15:
+        text = text + "."
+    elif v < 0.22:
+        text = text + "!"
+    return text
+
+
 def generate_log_slow(cfg):
     """The generator's first version, which built each output in memory.
 

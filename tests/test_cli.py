@@ -1,11 +1,14 @@
+import contextlib
 import csv
 import gc
+import io
 import json
 import os
 import re
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -778,6 +781,20 @@ def _assert_reading_exits_one(artifact_dir, capsys, file, obj, problem):
         file.write_text(original)
 
 
+def _put(obj, path, value):
+    """Set the entry at ``path`` of ``obj`` to ``value``, where None stands
+    for an object's first member; returns the innermost member's name, the
+    one an error names."""
+    entry, key = obj, None
+    for name in path[:-1]:
+        if isinstance(entry, dict):
+            key = next(iter(entry)) if name is None else name
+            name = key
+        entry = entry[name]
+    entry[path[-1]] = value
+    return key
+
+
 @pytest.mark.parametrize(
     "artifact, path, value",
     [
@@ -795,16 +812,32 @@ def test_a_fraction_or_boolean_in_an_integer_field_exits_one(artifact_dir, capsy
     that a model bundle holds rejects both and names its field."""
     file = artifact_dir[0] / artifact
     obj = json.loads(file.read_text())
-    entry, key = obj, None
-    for name in path[:-1]:  # None stands for an object's first member
-        if isinstance(entry, dict):  # the error names the innermost member
-            key = next(iter(entry)) if name is None else name
-            name = key
-        entry = entry[name]
-    entry[path[-1]] = value
+    key = _put(obj, path, value)
     _assert_reading_exits_one(
         artifact_dir, capsys, file, obj, f"bad entry in {key!r}: expected an integer, got {json.dumps(value)};"
     )
+
+
+@pytest.mark.parametrize(
+    "artifact, path, value, problem",
+    [
+        ("model_procedure_gbm.json", ("features", "target_encoder", "stats", None, 0), 0,
+         "a count must be from 1 to 2**63 - 1, got 0"),
+        ("model_procedure_gbm.json", ("features", "target_encoder", "stats", None, 0), -40,
+         "a count must be from 1 to 2**63 - 1, got -40"),
+        ("model_procedure_tree.json", ("model", "tree", "feature", 0), 10**30,
+         "an integer out of the index range"),
+    ],
+    ids=["encoder-count-zero", "encoder-count-negative", "tree-feature-overflow"],
+)
+def test_an_integer_out_of_its_range_exits_one(artifact_dir, capsys, artifact, path, value, problem):
+    """A target-encoder count below 1 would divide by zero when a category is
+    encoded, and numpy cannot hold a tree index beyond 2**63: both model
+    files are rejected at load, naming the field."""
+    file = artifact_dir[0] / artifact
+    obj = json.loads(file.read_text())
+    key = _put(obj, path, value)
+    _assert_reading_exits_one(artifact_dir, capsys, file, obj, f"bad entry in {key!r}: {problem};")
 
 
 def test_synth_below_100_cases_exits_one_at_load(tmp_path, capsys):
@@ -949,3 +982,53 @@ def test_case_id_with_carriage_return_round_trips_through_csv_artifacts(tmp_path
     assert run([*argv, "--dest", str(dest)]) == 0
     with dest.open(newline="") as fh:
         assert "W1\rX" in {row["case_id"] for row in csv.DictReader(fh)}
+
+
+_CHAIN = ("synth", "ingest", "clean", "cluster", "train", "evaluate", "report")
+
+
+def _k_choices(most):
+    """One k, or a range of them, as a config value."""
+    return st.one_of(
+        st.integers(1, most).map(str),
+        st.tuples(st.integers(2, most), st.integers(0, 6)).map(lambda kw: f"{kw[0]}..{kw[0] + kw[1]}"),
+    )
+
+
+# each edge value among the usual ones, so that most runs get past clean
+@settings(max_examples=40, deadline=None)
+@given(
+    n_cases=st.integers(100, 400),
+    seed=st.integers(0, 20),
+    max_duration_min=st.sampled_from([1.0, 12.0, 30.0, 2880.0, 2880.0, 2880.0]),
+    min_token_len=st.sampled_from([1, 1, 2, 3, 50]),
+    test_fraction=st.sampled_from([0.001, 0.2, 0.999]) | st.floats(0.05, 0.95),
+    iqr_multiplier=st.sampled_from([0.0001, 1.5, 3.0]) | st.floats(0.0001, 5.0),
+    k_procedure=_k_choices(30),
+    k_induction=_k_choices(6),
+    phases=st.lists(st.sampled_from(["procedure", "induction", "preparation"]), min_size=1, max_size=3, unique=True),
+)
+def test_small_runs_exit_zero_or_one_never_two(n_cases, seed, phases, k_procedure, k_induction, **keys):
+    """The whole chain on a small synthetic log under edge settings: each
+    stage finishes or exits 1 naming the problem; none ends in a runtime
+    error, also after an earlier stage exited 1."""
+    lines = [
+        f"synth_n_cases = {n_cases}",
+        f"phases = {','.join(phases)}",
+        f"cluster_k.procedure = {k_procedure}",
+        f"cluster_k.induction = {k_induction}",
+        "models = mean,group-mean,gbm",
+        "gbm_n_trees = 10",
+        *(f"{key} = {value}" for key, value in keys.items()),
+    ]
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "edge.cfg"
+        config.write_text("\n".join(lines) + "\n")
+        common = ["--out", tmp, "--seed", str(seed), "--config", str(config)]
+        argvs = [[stage, *common] for stage in _CHAIN]
+        argvs.append(["predict", *common, "--phase", phases[0], "--model", "mean", "--dest", f"{tmp}/p.csv"])
+        for argv in argvs:
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = run(argv)
+            assert code in (0, 1), (argv[0], lines, err.getvalue())

@@ -142,8 +142,13 @@ def test_json_roundtrip():
     assert clone.m == encoder.m
     for cat in ("a", "b", "unseen"):
         assert clone.encode(cat) == pytest.approx(encoder.encode(cat))
-    for count in (2.5, True):  # int() would read 2 and 1
+    # int() would read 2 and 1; a count below 1 can make encode divide by 0
+    for count in (2.5, True, 0, -5, 2**63):
         obj = encoder.to_dict()
         obj["stats"]["a"][0] = count
         with pytest.raises(ValueError, match="bad entry in 'a'"):
             TargetEncoder.from_dict(obj)
+    obj = encoder.to_dict()
+    obj["stats"]["a"][0], obj["m"] = 2, -2.0
+    with pytest.raises(ValueError, match="bad value for 'm'"):
+        TargetEncoder.from_dict(obj)

@@ -509,6 +509,11 @@ def test_gbm_file_with_seed_key_loads_and_predicts_the_same():
          "value": [0.0, 1.0, 2.0]},
         {"feature": [0, -1, -1], "threshold": [0.5, 0, 0], "left": [1, -1, -1], "right": [2.9, -1, -1],
          "value": [0.0, 1.0, 2.0]},
+        # numpy raises OverflowError for an integer beyond the index range
+        {"feature": [10**30, -1, -1], "threshold": [0.5, 0, 0], "left": [1, -1, -1], "right": [2, -1, -1],
+         "value": [0.0, 1.0, 2.0]},
+        {"feature": [0, -1, -1], "threshold": [0.5, 0, 0], "left": [1, -1, -1], "right": [-(2**63) - 1, -1, -1],
+         "value": [0.0, 1.0, 2.0]},
     ],
 )
 def test_tree_from_dict_rejects_other_layouts(tree):

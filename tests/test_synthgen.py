@@ -1,4 +1,5 @@
 import json
+from datetime import timedelta
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from hypothesis import strategies as st
 from periop.cleaning import plausibility_filter
 from periop.eventlog import ANCHOR_EVENTS, assemble_cases, parse_case_attributes, parse_events
 from oracles import generate_log_slow
-from periop.synthgen import SynthConfig, anesthesia_variants
+from periop.cli import derive_seed
+from periop.synthgen import SynthConfig, _case_id_rank, _minutes_to_us, anesthesia_variants
 from periop.textnorm import DEFAULT_SYNONYMS
 from synth_files import synth_texts
 
@@ -185,3 +187,55 @@ RATES = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0))
 def test_files_equal_the_in_memory_generator(**params):
     cfg = SynthConfig(**params)
     assert synth_texts(cfg) == generate_log_slow(cfg)
+
+
+def test_files_equal_the_in_memory_generator_at_20k_cases():
+    """The benchmark's size and the command line's derived seed; the sort
+    and the chunked writers see many more rows than in the property above."""
+    cfg = SynthConfig(n_cases=20000, seed=derive_seed(7, "synth"))
+    assert synth_texts(cfg) == generate_log_slow(cfg)
+
+
+def _timedelta_us(minutes):
+    return timedelta(minutes=minutes) // timedelta(microseconds=1)
+
+
+# the two ranges the generator converts, the other events' offsets and the
+# minute of the day, and values whose fraction rounds to a whole minute, or
+# scales to exactly half a microsecond (j / 512 minutes for an odd j)
+MINUTES = st.one_of(
+    st.floats(5.0, 25.0, exclude_max=True),
+    st.floats(360.0, 960.0, exclude_max=True),
+    st.integers(6, 960).map(lambda k: float(np.nextafter(k, 0.0))),
+    st.tuples(st.integers(5, 959), st.integers(0, 255)).map(lambda kj: kj[0] + (2 * kj[1] + 1) / 512),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(MINUTES, min_size=1, max_size=20))
+def test_minutes_to_us_rounds_as_timedelta(minutes):
+    expected = [_timedelta_us(m) for m in minutes]
+    assert _minutes_to_us(np.array(minutes)).tolist() == expected
+
+
+def test_minutes_to_us_edge_values():
+    """A fraction that rounds up to the next minute, and both ties of half a microsecond."""
+    edges = [float(np.nextafter(360.0, 0.0)), 5 + 1 / 512, 5 + 3 / 512, 959 + 511 / 512]
+    assert _minutes_to_us(np.array(edges)).tolist() == [_timedelta_us(m) for m in edges]
+    assert _timedelta_us(edges[0]) == 360 * 60_000_000
+
+
+@pytest.mark.parametrize(
+    "numbers",
+    [
+        list(range(1, 301)),
+        list(range(999_950, 1_000_050)),
+        [*range(99_990, 100_011), *range(999_990, 1_000_011), *range(9_999_990, 10_000_011)],
+        [1_000_000, 100_000, 100_001, 10_000_000, 1_000_001, 999_999],
+    ],
+    ids=["six-digits", "straddling-W999999", "up-to-eight-digits", "shuffled"],
+)
+def test_case_id_rank_is_string_order(numbers):
+    ids = [f"W{n:06d}" for n in numbers]
+    rank = _case_id_rank(np.array(numbers))
+    assert [ids[i] for i in np.argsort(rank)] == sorted(ids)
