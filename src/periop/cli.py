@@ -12,6 +12,12 @@ is one batch pass over a case table that it holds until it exits, and
 reference counting frees its garbage, so ``run`` pauses the cyclic garbage
 collector for the length of the command; it would only re-scan that table.
 
+``main``, the ``periop`` script and ``python -m periop.cli``, sets
+``OPENBLAS_NUM_THREADS=1`` before any stage imports numpy, unless
+``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` or ``OMP_NUM_THREADS`` is set
+(see ``_BLAS_THREAD_VARS``); the artifacts are byte-identical on any thread
+count. ``run`` sets nothing: the process that calls it owns its BLAS.
+
 Exit codes: 0 success, 1 validation/usage error, 2 runtime error.
 """
 
@@ -23,12 +29,13 @@ import gc
 import itertools
 import json
 import math
+import os
 import sys
 import zlib
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from . import cleaning, rules
+from . import rules
 from .config import MODEL_CHOICES, FIELD_TYPES, PipelineConfig, UsageError, build_config
 from .eventlog import (
     CASES_HEADER,
@@ -85,16 +92,31 @@ def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> N
                 minimal.writerow(row)
 
 
-def _read_json(path: Path):
+def _reject_constant(token: str):
+    raise ValueError(f"{token} is not a JSON number")
+
+
+# json reads NaN, Infinity and -Infinity, which JSON does not have and no
+# writer here emits; a number too large for a float (1e400) is caught by the
+# rules that read each number field
+_decode_json = json.JSONDecoder(parse_constant=_reject_constant).decode
+
+
+def _read_json(path: Path, stage: str):
+    """The JSON artifact at ``path``; a file that is not JSON exits 1, naming
+    it and ``stage``, the stage that rebuilds it."""
     if not path.exists():
         raise UsageError(f"missing artifact: {path} (run the earlier stages first)")
-    return json.loads(path.read_text(encoding="utf-8"))
+    try:
+        return _decode_json(path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # invalid UTF-8 or JSON, or a constant rejected above
+        raise UsageError(f"{path}: {exc}; re-run {stage!r} to rebuild it") from None
 
 
 def _read_artifact(path: Path, decode, stage: str):
     """``decode`` the JSON artifact at ``path``; a missing field or a bad value
     exits 1, naming the file and the stage that rebuilds it."""
-    obj = _read_json(path)
+    obj = _read_json(path, stage)
     try:
         return decode(obj)
     except KeyError as exc:
@@ -248,7 +270,7 @@ def _split_ids(cfg: PipelineConfig, phase: str) -> tuple[list[str], list[str]]:
     side exits 1, so no stage fits or scores on zero rows."""
     from . import models
 
-    ordered = sorted(_read_json(Path(cfg.out) / f"clean_{phase}.json")["retained_ids"])
+    ordered = sorted(_read_json(Path(cfg.out) / f"clean_{phase}.json", "clean")["retained_ids"])
     if not ordered:
         raise UsageError(f"phase {phase!r}: cleaning retained no cases; see cleaning_report.json")
     train_idx, test_idx = models.split_indices(
@@ -341,6 +363,8 @@ def stage_ingest(cfg: PipelineConfig) -> None:
 
 
 def stage_clean(cfg: PipelineConfig) -> None:
+    from . import cleaning
+
     cases = _load_cases(cfg)
     out = Path(cfg.out)
     full_report = {}
@@ -659,7 +683,7 @@ _SKIPPED_SHOWN = 5  # predict lists this many of the --cases rows it skipped
 
 
 def stage_predict(cfg: PipelineConfig, dest: str | None, apply_floors: bool) -> None:
-    from . import clustering, evaluate, textnorm
+    from . import clustering, textnorm
 
     phase, name = cfg.phases[0], cfg.models[0]
     out = Path(cfg.out)
@@ -687,6 +711,8 @@ def stage_predict(cfg: PipelineConfig, dest: str | None, apply_floors: bool) -> 
         clusters = clustering.cluster_assign(cluster_model, X_docs)[doc_of[text_of]].tolist()
         preds = _bundle_predict(bundle, attrs, clusters)
     if apply_floors:
+        from . import evaluate
+
         floors = {"induction": cfg.planning_floor_induction}
         preds = [evaluate.apply_planning_floor(p, phase, floors) for p in preds]
     dest_path = Path(dest) if dest else out / "predictions.csv"
@@ -781,7 +807,18 @@ def run(argv: Sequence[str] | None = None) -> int:
             gc.enable()
 
 
+# The variables OpenBLAS reads its thread count from when numpy loads it, in
+# the order it reads them. Unset, it starts one thread per core, which costs a
+# numpy process about 70 ms at start-up, while every BLAS call of the pipeline
+# (K-Means, GMM and silhouette on a few hundred distinct TF-IDF rows, the
+# ridge's lstsq) is too small to gain from them.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
 def main() -> None:
+    # before any stage imports numpy; a thread count the user set is kept
+    if not any(var in os.environ for var in _BLAS_THREAD_VARS):
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
     sys.exit(run())
 
 

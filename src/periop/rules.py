@@ -7,6 +7,7 @@ imports no numpy, so loading a config costs no numpy import.
 from __future__ import annotations
 
 import json
+import math
 from typing import Mapping
 
 CLUSTER_ALGORITHMS = ("kmeans", "gmm")
@@ -77,17 +78,22 @@ def field(obj: Mapping, key: str, kind: type, default=_REQUIRED):
     value = obj[key]
     types, name = _JSON_TYPES[kind]
     if type(value) in types:
-        return float(value) if kind is float else value
+        if kind is not float:
+            return value
+        if _finite(value):
+            return float(value)
+        raise ValueError(f"bad value for {key!r}: expected a finite number, got {shown(value)}")
     if value is None and default is None:
         return None
     raise ValueError(f"bad value for {key!r}: expected {name}, got {shown(value)}")
 
 
 def number_array(obj: Mapping, key: str, default=_REQUIRED) -> list:
-    """``field(obj, key, list, default)`` checked to hold only numbers, or only
-    arrays of numbers (the rows of a matrix), ready for ``np.asarray``.
+    """``field(obj, key, list, default)`` checked to hold only finite numbers,
+    or only arrays of them (the rows of a matrix), ready for ``np.asarray``.
     Raises ValueError naming ``key`` for any other entry: a boolean, which
-    numpy would read as 0 or 1, a string or null."""
+    numpy would read as 0 or 1, a string, null, or a number too large for a
+    float, such as 1e400, which json reads as inf."""
     values = field(obj, key, list, default)
     entries = values
     if values and all(type(v) is list for v in values):
@@ -95,7 +101,23 @@ def number_array(obj: Mapping, key: str, default=_REQUIRED) -> list:
     if not {*map(type, entries)} <= {int, float}:
         bad = next(v for v in entries if type(v) not in (int, float))
         raise ValueError(f"bad entry in {key!r}: expected a number, got {shown(bad)}")
+    try:  # predict reads every tree array: the check stays in C
+        finite = all(map(math.isfinite, entries))
+    except OverflowError:
+        finite = False
+    if not finite:
+        bad = next(v for v in entries if not _finite(v))
+        raise ValueError(f"bad entry in {key!r}: expected a finite number, got {shown(bad)}")
     return values
+
+
+def _finite(number) -> bool:
+    """Whether a JSON number is finite as a float; an integer too large for
+    a float is not."""
+    try:
+        return math.isfinite(number)
+    except OverflowError:
+        return False
 
 
 def integers(values: list, key: str) -> list:

@@ -209,23 +209,80 @@ def test_config_and_clustering_know_the_same_algorithms():
         clustering.select_k([[0.0], [1.0], [2.0]], "dbscan", [2])
 
 
+# run in a fresh interpreter: argv[1:] is one periop command; prints what
+# ``import periop.cli`` loaded, the command's exit code and what it then held
+# loaded, where "loaded" is numpy, if imported, and the periop modules
+_LOADED_BY = """
+import json, sys
+def loaded():
+    return ["numpy"] * ("numpy" in sys.modules) + sorted(m for m in sys.modules if m.startswith("periop"))
+import periop.cli
+at_import = loaded()
+print(json.dumps([at_import, periop.cli.run(sys.argv[1:]), loaded()]))
+"""
+_CLI_MODULES = ["periop", "periop.cli", "periop.config", "periop.eventlog", "periop.rules"]
+
+
 def test_ingest_and_clean_import_no_numpy(pipeline_dir, tmp_path):
-    """Only the stages that compute with numpy import it."""
-    source, _ = pipeline_dir
+    """Each command imports only the modules it runs: importing the CLI
+    loads no numpy, so ``main`` can set BLAS's thread count before OpenBLAS
+    starts; ingest and clean never load it, and predict loads the evaluate
+    and stats modules only to apply the planning floors."""
+    source, config = pipeline_dir
     for name in ("events.csv", "cases.csv"):
         shutil.copy(source / name, tmp_path / name)
-    script = (
-        "import sys\n"
-        "from periop.cli import run\n"
-        "for stage in ('ingest', 'clean'):\n"
-        "    assert run([stage, '--out', sys.argv[1], '--seed', '13']) == 0, stage\n"
-        "    assert 'numpy' not in sys.modules, f'{stage} imported numpy'\n"
-    )
     src = str(Path(periop.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    result = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env, capture_output=True, text=True)
-    assert result.returncode == 0, result.stderr
-    assert (tmp_path / "clean_procedure.json").exists()
+    own = ["--out", str(tmp_path), "--seed", "13"]
+    predict = ["predict", "--out", str(source), *SMALL, "--config", str(config),
+               "--phase", "procedure", "--model", "gbm", "--dest", str(tmp_path / "p.csv")]
+    numpy_stage = ["numpy", "periop.clustering", "periop.encoding", "periop.models", "periop.textnorm"]
+    expected = [  # (command, the modules it adds to _CLI_MODULES), in pipeline order
+        (["ingest", *own], []),
+        (["clean", *own], ["periop.cleaning"]),
+        (["cluster", *own], numpy_stage),
+        (predict, [*numpy_stage, "periop.features"]),
+        ([*predict, "--apply-floors"], [*numpy_stage, "periop.evaluate", "periop.features", "periop.stats"]),
+    ]
+    for argv, added in expected:
+        result = subprocess.run(
+            [sys.executable, "-c", _LOADED_BY, *argv], env=env, capture_output=True, text=True
+        )
+        assert result.returncode == 0, result.stderr
+        at_import, code, loaded = json.loads(result.stdout.splitlines()[-1])
+        assert (at_import, code) == (_CLI_MODULES, 0), argv
+        assert loaded == sorted(_CLI_MODULES + added, key=lambda m: (m != "numpy", m)), argv
+    assert (tmp_path / "assignments_procedure.csv").exists()
+
+
+def _blas_settings_seen_by_main(monkeypatch, **environ):
+    """The thread variables after ``main`` starts a command under ``environ``."""
+    for var in cli._BLAS_THREAD_VARS:  # set, then unset: the fixture restores either way
+        monkeypatch.setenv(var, "")
+        monkeypatch.delenv(var)
+    for var, value in environ.items():
+        monkeypatch.setenv(var, value)
+    monkeypatch.setattr(cli, "run", lambda: 0)
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main()
+    assert exit_info.value.code == 0
+    return {var: os.environ[var] for var in cli._BLAS_THREAD_VARS if var in os.environ}
+
+
+@pytest.mark.parametrize(
+    "environ",
+    [{"OPENBLAS_NUM_THREADS": "3"}, {"GOTO_NUM_THREADS": "2"}, {"OMP_NUM_THREADS": "2"},
+     {"OPENBLAS_NUM_THREADS": ""}, {"OMP_NUM_THREADS": "4", "OPENBLAS_NUM_THREADS": "2"}],
+    ids=["openblas", "goto", "omp", "openblas-empty", "omp-and-openblas"],
+)
+def test_main_keeps_a_blas_thread_count_the_user_set(monkeypatch, environ):
+    """OpenBLAS reads these variables, in this order, when numpy loads it;
+    with any of them set, the CLI leaves the thread count to OpenBLAS."""
+    assert _blas_settings_seen_by_main(monkeypatch, **environ) == environ
+
+
+def test_main_runs_numpy_on_one_blas_thread_by_default(monkeypatch):
+    assert _blas_settings_seen_by_main(monkeypatch) == {"OPENBLAS_NUM_THREADS": "1"}
 
 
 @pytest.mark.parametrize("enabled", [True, False])
@@ -759,8 +816,9 @@ def test_true_in_a_number_array_exits_one(artifact_dir, capsys, artifact, path):
 
 
 def _assert_reading_exits_one(artifact_dir, capsys, file, obj, problem):
-    """Write ``obj`` over the artifact ``file``: every command that reads it
-    exits 1 with ``problem`` after the file name. The file is restored."""
+    """Write ``obj``, or the JSON text ``obj``, over the artifact ``file``:
+    every command that reads it exits 1 with ``problem`` after the file name.
+    The file is restored."""
     out, config = artifact_dir
     original = file.read_text()
     if file.name.startswith("model_"):
@@ -770,7 +828,7 @@ def _assert_reading_exits_one(artifact_dir, capsys, file, obj, problem):
         phase, name, stages = file.stem.rsplit("_", 1)[1], "mean", ("predict",)
     common = ["--out", str(out), *SMALL, "--config", str(config), "--phase", phase, "--model", name]
     argvs = {"predict": ["predict", *common, "--dest", str(out / "p.csv")], "evaluate": ["evaluate", *common]}
-    file.write_text(json.dumps(obj))
+    file.write_text(obj if isinstance(obj, str) else json.dumps(obj))
     try:
         for stage in stages:
             capsys.readouterr()
@@ -838,6 +896,48 @@ def test_an_integer_out_of_its_range_exits_one(artifact_dir, capsys, artifact, p
     obj = json.loads(file.read_text())
     key = _put(obj, path, value)
     _assert_reading_exits_one(artifact_dir, capsys, file, obj, f"bad entry in {key!r}: {problem};")
+
+
+_TOKEN = "a number token to write raw"
+
+
+@pytest.mark.parametrize(
+    "token, problem",
+    [
+        ("1e400", "{kind} {key!r}: expected a finite number, got Infinity;"),
+        ("-1e400", "{kind} {key!r}: expected a finite number, got -Infinity;"),
+        ("1" + "0" * 400, "{kind} {key!r}: expected a finite number, got 1000"),
+        ("Infinity", "Infinity is not a JSON number;"),
+        ("-Infinity", "-Infinity is not a JSON number;"),
+        ("NaN", "NaN is not a JSON number;"),
+    ],
+    ids=["1e400", "-1e400", "10**400", "Infinity", "-Infinity", "NaN"],
+)
+@pytest.mark.parametrize(
+    "path, kind",
+    [
+        (("features", "target_encoder", "prior"), "bad value for"),
+        (("model", "trees", 0, "threshold", 0), "bad entry in"),
+    ],
+    ids=["encoder-prior", "tree-threshold"],
+)
+def test_a_non_finite_number_in_a_model_file_exits_one(artifact_dir, capsys, token, problem, path, kind):
+    """json reads 1e400 as inf and takes the NaN and Infinity tokens, which
+    JSON does not have; a model file holding any of them is rejected at load,
+    not read into finite but wrong predictions."""
+    file = artifact_dir[0] / "model_procedure_gbm.json"
+    obj = json.loads(file.read_text())
+    _put(obj, path, _TOKEN)
+    key = next(name for name in reversed(path) if isinstance(name, str))
+    text = json.dumps(obj).replace(json.dumps(_TOKEN), token)
+    _assert_reading_exits_one(artifact_dir, capsys, file, text, problem.format(kind=kind, key=key))
+
+
+def test_a_model_file_cut_short_exits_one(artifact_dir, capsys):
+    file = artifact_dir[0] / "model_procedure_gbm.json"
+    _assert_reading_exits_one(
+        artifact_dir, capsys, file, '{"', "Unterminated string starting at: line 1 column 2 (char 1); re-run 'train'"
+    )
 
 
 def test_synth_below_100_cases_exits_one_at_load(tmp_path, capsys):
