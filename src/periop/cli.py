@@ -18,33 +18,31 @@ collector for the length of the command; it would only re-scan that table.
 (see ``_BLAS_THREAD_VARS``); the artifacts are byte-identical on any thread
 count. ``run`` sets nothing: the process that calls it owns its BLAS.
 
+Artifact I/O is ``periop.artifacts``. A missing, malformed or stale artifact
+exits 1, naming the file and the stage that rebuilds it.
+
 Exit codes: 0 success, 1 validation/usage error, 2 runtime error.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import gc
-import itertools
-import json
 import math
 import os
 import sys
 import zlib
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from . import rules
+from . import artifacts, rules
 from .config import MODEL_CHOICES, FIELD_TYPES, PipelineConfig, UsageError, build_config
 from .eventlog import (
-    CASES_HEADER,
     PHASE_FIELDS,
     PHASES,
     Case,
     CaseAttributes,
     ParseError,
-    PhaseDurations,
     assemble_cases,
     parse_case_attributes,
     parse_events,
@@ -62,125 +60,8 @@ def derive_seed(root: int, label: str) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Artifact helpers
+# Inputs and artifacts
 # ---------------------------------------------------------------------------
-
-
-def _write_json(path: Path, obj, compact: bool = False) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    # compact goes through json's C encoder; indent=2 is for the reports people read
-    layout = {"separators": (",", ":")} if compact else {"indent": 2}
-    # allow_nan=False: NaN and Infinity are not JSON; producers write null instead
-    path.write_text(json.dumps(obj, sort_keys=True, allow_nan=False, **layout) + "\n", encoding="utf-8")
-
-
-def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """Write a CSV artifact with "\n" line ends.
-
-    csv quotes only the line terminator's characters, so a field holding a
-    bare "\r" (a case id such as ``'W1\rX'``) would be written unquoted and
-    split on reading; a row holding one is written with every field quoted.
-    """
-    with path.open("w", encoding="utf-8", newline="") as fh:
-        minimal = csv.writer(fh, lineterminator="\n")
-        quoted = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL)
-        minimal.writerow(header)
-        for row in rows:
-            if any(isinstance(v, str) and "\r" in v for v in row):
-                quoted.writerow(row)
-            else:
-                minimal.writerow(row)
-
-
-def _reject_constant(token: str):
-    raise ValueError(f"{token} is not a JSON number")
-
-
-# json reads NaN, Infinity and -Infinity, which JSON does not have and no
-# writer here emits; a number too large for a float (1e400) is caught by the
-# rules that read each number field
-_decode_json = json.JSONDecoder(parse_constant=_reject_constant).decode
-
-
-def _read_json(path: Path, stage: str):
-    """The JSON artifact at ``path``; a file that is not JSON exits 1, naming
-    it and ``stage``, the stage that rebuilds it."""
-    if not path.exists():
-        raise UsageError(f"missing artifact: {path} (run the earlier stages first)")
-    try:
-        return _decode_json(path.read_text(encoding="utf-8"))
-    except ValueError as exc:  # invalid UTF-8 or JSON, or a constant rejected above
-        raise UsageError(f"{path}: {exc}; re-run {stage!r} to rebuild it") from None
-
-
-def _read_artifact(path: Path, decode, stage: str):
-    """``decode`` the JSON artifact at ``path``; a missing field or a bad value
-    exits 1, naming the file and the stage that rebuilds it."""
-    obj = _read_json(path, stage)
-    try:
-        return decode(obj)
-    except KeyError as exc:
-        raise UsageError(f"{path}: missing field {exc}; re-run {stage!r} to rebuild it") from None
-    # e.g. trees in an older nested layout, an idf that does not fit the
-    # vocabulary, a field of the wrong JSON type or an array of wrong entries
-    except (ValueError, TypeError) as exc:
-        raise UsageError(f"{path}: {exc}; re-run {stage!r} to rebuild it") from None
-
-
-# cases.jsonl: line 1 is a JSON array of the field names in _ROW_FIELDS, each
-# later line one case's values in that order. That is the order the records
-# hold them in (the CaseAttributes fields, the PhaseDurations fields, then
-# duplicate_anchors and n_events), so neither the writer nor the reader
-# reorders a value, and no row repeats the names. The header marks the layout:
-# a file whose line 1 is anything else (an empty file, another header, or the
-# one-object-per-case rows of older builds) is rejected at line 1. Reading
-# checks each value's JSON type and takes each record's fields straight from
-# the row; a row that is not an array of len(_ROW_FIELDS) values, or holds a
-# value of another JSON type, is rejected at its line, naming the field by
-# its header position.
-_DURATION_FIELDS = PhaseDurations._fields
-_ROW_FIELDS = (*CASES_HEADER, *_DURATION_FIELDS, "duplicate_anchors", "n_events")
-_HEADER = list(_ROW_FIELDS)  # line 1 as json decodes it
-_NUMBER_FIELDS = ("age", "planned_induction_min", "planned_procedure_min", *_DURATION_FIELDS)
-_ROW_TYPES = {  # field -> the Python types json.loads gives for its JSON type, and that type's name
-    **dict.fromkeys(_ROW_FIELDS, ({str}, "a string")),
-    **dict.fromkeys(_NUMBER_FIELDS, ({int, float, type(None)}, "a number or null")),
-    "duplicate_anchors": ({list}, "an array"),
-    "n_events": ({int}, "an integer"),
-}
-# every accepted sequence of value types, in _ROW_FIELDS order; a row of
-# another length, or an object (whose keys map gives), matches none
-_ROW_SIGNATURES = frozenset(itertools.product(*(_ROW_TYPES[k][0] for k in _ROW_FIELDS)))
-# Every stage reads every row, so the row path keeps the cost of the type
-# check down: json.loads without its per-call argument checks, and records
-# built without their Python-level __new__.
-_decode_row = json.JSONDecoder().decode
-_new_record = tuple.__new__
-
-
-def _case_to_row(case: Case) -> tuple:
-    return (*case.attributes, *case.durations, case.duplicate_anchors, case.n_events)
-
-
-def _case_from_row(row: list) -> Case:
-    if tuple(map(type, row)) not in _ROW_SIGNATURES:
-        raise TypeError("a field has the wrong JSON type")
-    n_attributes = len(CASES_HEADER)  # the slices hold exactly each record's fields
-    return _new_record(
-        Case,
-        (
-            _new_record(CaseAttributes, row[:n_attributes]),
-            row[-1],
-            _new_record(PhaseDurations, row[n_attributes:-2]),
-            tuple(row[-2]),
-        ),
-    )
-
-
-def _write_cases(path: Path, cases: Iterable[Case]) -> None:
-    with path.open("w", encoding="utf-8") as fh:
-        fh.write(json.dumps(_HEADER) + "\n")
-        fh.writelines(json.dumps(_case_to_row(case)) + "\n" for case in cases)
 
 
 def _parse_input(path: Path, parse):
@@ -194,55 +75,8 @@ def _parse_input(path: Path, parse):
         raise UsageError(f"{path}: {exc}") from None
 
 
-def _load_cases(cfg: PipelineConfig) -> list[Case]:
-    path = Path(cfg.out) / "cases.jsonl"
-    if not path.exists():
-        raise UsageError(f"missing artifact: {path} (run 'ingest' first)")
-    cases = []
-    line_no, line = 1, ""
-    try:
-        with path.open(encoding="utf-8") as fh:
-            line = fh.readline()
-            if _decode_row(line) != _HEADER:  # an empty file fails to decode
-                raise ValueError("not the header")
-            for line_no, line in enumerate(fh, start=2):
-                if line.strip():
-                    cases.append(_case_from_row(_decode_row(line)))
-    except UnicodeDecodeError:
-        raise UsageError(f"{path}: invalid UTF-8; re-run 'ingest'") from None
-    except (ValueError, TypeError, RecursionError) as exc:
-        reason = _bad_header(line) if line_no == 1 else _bad_case_row(line, exc)
-        raise UsageError(f"{path}:{line_no}: {reason}; re-run 'ingest'") from None
-    return cases
-
-
-def _bad_header(line: str) -> str:
-    """Why line 1 of a cases.jsonl is not its header line."""
-    expected = f"expected a header line of the {len(_ROW_FIELDS)} field names"
-    if not line:
-        return f"{expected}, got an empty file"
-    try:
-        return f"{expected}, got {rules.shown(json.loads(line))}"
-    except (ValueError, RecursionError):
-        return f"{expected}, got invalid JSON"
-
-
-def _bad_case_row(line: str, exc: Exception) -> str:
-    """What is wrong with a cases.jsonl line that ``_case_from_row`` could not read."""
-    try:
-        row = json.loads(line)
-    except (ValueError, RecursionError):
-        return "invalid JSON"
-    expected = f"expected a JSON array of {len(_ROW_FIELDS)} fields"
-    if type(row) is not list:
-        return f"{expected}, got {rules.shown(row)}"
-    if len(row) != len(_ROW_FIELDS):
-        return f"{expected}, got {len(row)}"
-    for key, value in zip(_ROW_FIELDS, row):
-        types, name = _ROW_TYPES[key]
-        if type(value) not in types:
-            return f"bad value for {key!r}: expected {name}, got {json.dumps(value)}"
-    return f"bad value ({type(exc).__name__}: {exc})"
+def _cases_by_id(cfg: PipelineConfig) -> dict[str, Case]:
+    return {c.case_id: c for c in artifacts.read_cases(Path(cfg.out) / "cases.jsonl")}
 
 
 def _rules_for_phase(cfg: PipelineConfig, phase: str) -> textnorm.NormalizationRules:
@@ -265,12 +99,12 @@ def _rules_for_phase(cfg: PipelineConfig, phase: str) -> textnorm.NormalizationR
     )
 
 
-def _split_ids(cfg: PipelineConfig, phase: str) -> tuple[list[str], list[str]]:
-    """Train and test ids among the cases that cleaning retained; an empty
-    side exits 1, so no stage fits or scores on zero rows."""
+def _split_ids(cfg: PipelineConfig, phase: str, cases: dict[str, Case]) -> tuple[list[str], list[str]]:
+    """Train and test ids among the cases that cleaning retained, each one of
+    ``cases``; an empty side exits 1, so no stage fits or scores on zero rows."""
     from . import models
 
-    ordered = sorted(_read_json(Path(cfg.out) / f"clean_{phase}.json", "clean")["retained_ids"])
+    ordered = sorted(artifacts.read_retained_ids(Path(cfg.out) / f"clean_{phase}.json", cases))
     if not ordered:
         raise UsageError(f"phase {phase!r}: cleaning retained no cases; see cleaning_report.json")
     train_idx, test_idx = models.split_indices(
@@ -306,18 +140,6 @@ def _tfidf_matrix(docs: Sequence[Sequence[str]], tfidf: textnorm.TfidfModel) -> 
     return textnorm.stack_dense([textnorm.vectorize(d, tfidf) for d in distinct]), inverse
 
 
-def _load_clusters(cfg: PipelineConfig, phase: str, ids: Sequence[str]) -> list[int]:
-    """Each id's cluster in ``assignments_<phase>.csv``; -1 for an id it lacks."""
-    path = Path(cfg.out) / f"assignments_{phase}.csv"
-    if not path.exists():
-        raise UsageError(f"missing artifact: {path} (run 'cluster' first)")
-    with path.open(encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        assignments = {row[0]: int(row[1]) for row in reader}
-    return [assignments.get(i, -1) for i in ids]
-
-
 # ---------------------------------------------------------------------------
 # Stages
 # ---------------------------------------------------------------------------
@@ -345,8 +167,7 @@ def stage_ingest(cfg: PipelineConfig) -> None:
     cases = assemble_cases(events, attrs)
 
     out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_cases(out / "cases.jsonl", cases)
+    artifacts.write_cases(out / "cases.jsonl", cases)
     labelled = [("events", e) for e in event_errors] + [("cases", e) for e in attr_errors]
     report = {
         "n_events": len(events),
@@ -358,15 +179,15 @@ def stage_ingest(cfg: PipelineConfig) -> None:
             {"source": source, "line": e.line, "message": e.message} for source, e in labelled[:20]
         ],
     }
-    _write_json(out / "ingest_report.json", report)
+    artifacts.write_json(out / "ingest_report.json", report)
     print(f"ingest: {len(events)} events -> {len(cases)} cases")
 
 
 def stage_clean(cfg: PipelineConfig) -> None:
     from . import cleaning
 
-    cases = _load_cases(cfg)
     out = Path(cfg.out)
+    cases = artifacts.read_cases(out / "cases.jsonl")
     full_report = {}
     for phase in cfg.phases:
         retained, report = cleaning.clean_phase(
@@ -377,7 +198,7 @@ def stage_clean(cfg: PipelineConfig) -> None:
             by_department=cfg.iqr_per_department,
         )
         full_report[phase] = report.to_dict()
-        _write_json(
+        artifacts.write_json(
             out / f"clean_{phase}.json",
             {
                 "phase": phase,
@@ -386,16 +207,16 @@ def stage_clean(cfg: PipelineConfig) -> None:
             },
         )
         print(f"clean[{phase}]: kept {report.retained}/{report.input}")
-    _write_json(out / "cleaning_report.json", full_report)
+    artifacts.write_json(out / "cleaning_report.json", full_report)
 
 
 def stage_cluster(cfg: PipelineConfig) -> None:
     from . import clustering, textnorm
 
-    cases = {c.case_id: c for c in _load_cases(cfg)}
+    cases = _cases_by_id(cfg)
     out = Path(cfg.out)
     for phase in cfg.phases:
-        train_ids, test_ids = _split_ids(cfg, phase)
+        train_ids, test_ids = _split_ids(cfg, phase, cases)
         all_ids = train_ids + test_ids
         docs, text_of = _normalized_docs(cfg, phase, [cases[i].attributes for i in all_ids])
         try:
@@ -427,8 +248,8 @@ def stage_cluster(cfg: PipelineConfig) -> None:
             model = getattr(clustering, f"{algo}_fit")(X_train, ks[0], seed=seed + ks[0])  # kmeans_fit, gmm_fit
         labels = clustering.cluster_assign(model, X_docs)[doc_of]
 
-        _write_json(out / f"tfidf_{phase}.json", model_tfidf.to_dict())
-        _write_json(
+        artifacts.write_json(out / f"tfidf_{phase}.json", model_tfidf.to_dict())
+        artifacts.write_json(
             out / f"cluster_model_{phase}.json",
             {
                 "model": model.to_dict(),
@@ -440,17 +261,13 @@ def stage_cluster(cfg: PipelineConfig) -> None:
                 ],
             },
         )
-        _write_csv(
-            out / f"assignments_{phase}.csv",
-            ["case_id", "cluster"],
-            ([case_id, int(label)] for case_id, label in zip(all_ids, labels)),
-        )
+        artifacts.write_assignments(out / f"assignments_{phase}.csv", all_ids, labels.tolist())
 
         train_durations = [cases[i].durations.get(phase) for i in train_ids]
         catalog = clustering.cluster_catalog(
             labels[: len(train_ids)], X_train, model_tfidf.terms(), train_durations
         )
-        _write_csv(
+        artifacts.write_csv(
             out / f"clusters_{phase}.csv",
             ["cluster_id", "size", "top_terms", "mean_duration_min"],
             (
@@ -472,14 +289,14 @@ def _model_plan(name: str, cfg: PipelineConfig) -> tuple[str, str, dict]:
 def stage_train(cfg: PipelineConfig) -> None:
     from . import features, models
 
-    cases = {c.case_id: c for c in _load_cases(cfg)}
+    cases = _cases_by_id(cfg)
     out = Path(cfg.out)
     for phase in cfg.phases:
-        train_ids, _ = _split_ids(cfg, phase)
+        train_ids, _ = _split_ids(cfg, phase, cases)
         train_cases = [cases[i] for i in train_ids]
         attrs = [c.attributes for c in train_cases]
         y = [c.durations.get(phase) for c in train_cases]
-        clusters = _load_clusters(cfg, phase, train_ids)
+        clusters = artifacts.read_clusters(out / f"assignments_{phase}.csv", train_ids)
         contexts: dict[str, features.FeatureContext] = {}  # one per group_by
         for name in cfg.models:
             family, group_by, params = _model_plan(name, cfg)
@@ -531,7 +348,7 @@ def stage_train(cfg: PipelineConfig) -> None:
                 "features": ctx.to_dict(),
                 "grid": grid_info,
             }
-            _write_json(out / f"model_{phase}_{name}.json", bundle, compact=True)
+            artifacts.write_json(out / f"model_{phase}_{name}.json", bundle, compact=True)
             print(f"train[{phase}]: fitted {name} on {len(train_ids)} cases")
 
 
@@ -539,7 +356,7 @@ def _read_bundle(path: Path) -> tuple[features.FeatureContext, models.Model, str
     """A trained model bundle: its feature context, model and family."""
     from . import features, models
 
-    return _read_artifact(
+    return artifacts.read_json(
         path,
         lambda b: (
             features.FeatureContext.from_dict(rules.field(b, "features", dict)),
@@ -567,16 +384,16 @@ def _bundle_predict(
 def stage_evaluate(cfg: PipelineConfig) -> None:
     from . import evaluate
 
-    cases = {c.case_id: c for c in _load_cases(cfg)}
+    cases = _cases_by_id(cfg)
     out = Path(cfg.out)
     metrics_obj: dict = {}
     for phase in cfg.phases:
-        _, test_ids = _split_ids(cfg, phase)
+        _, test_ids = _split_ids(cfg, phase, cases)
         test_cases = [cases[i] for i in test_ids]
         attrs = [c.attributes for c in test_cases]
         actual = [c.durations.get(phase) for c in test_cases]
         planned = [a.planned(phase) for a in attrs]
-        clusters = _load_clusters(cfg, phase, test_ids)
+        clusters = artifacts.read_clusters(out / f"assignments_{phase}.csv", test_ids)
         predictions: dict[str, np.ndarray] = {}
         metrics_obj[phase] = {}
         for name in cfg.models:
@@ -592,44 +409,25 @@ def stage_evaluate(cfg: PipelineConfig) -> None:
                 [planned[i] for i in keep],
                 tolerance=cfg.tolerance,
             ).to_dict()
-        names = sorted(predictions)
-        _write_csv(
-            out / f"predictions_{phase}.csv",
-            ["case_id", "actual_min", "planned_min"] + names,
-            (
-                [case.case_id, repr(float(actual[i])), "" if planned[i] is None else repr(float(planned[i]))]
-                + [repr(float(predictions[n][i])) for n in names]
-                for i, case in enumerate(test_cases)
-            ),
-        )
+        artifacts.write_predictions(out / f"predictions_{phase}.csv", test_ids, actual, planned, predictions)
         print(f"evaluate[{phase}]: scored {len(test_ids)} test cases")
-    _write_json(out / "metrics.json", metrics_obj)
+    artifacts.write_json(out / "metrics.json", metrics_obj)
 
 
 def stage_report(cfg: PipelineConfig) -> None:
     from . import evaluate, stats
 
-    cases = {c.case_id: c for c in _load_cases(cfg)}
+    cases = _cases_by_id(cfg)
     out = Path(cfg.out)
     deviation_obj: dict = {}
     factors_obj: dict = {}
     for phase in cfg.phases:
-        _, test_ids = _split_ids(cfg, phase)
+        _, test_ids = _split_ids(cfg, phase, cases)
         test_cases = [cases[i] for i in test_ids]
         has_plan = PHASE_FIELDS[phase].plan is not None
-        predictions: dict[str, list[float]] = {}
-        pred_path = out / f"predictions_{phase}.csv"
-        if not pred_path.exists():
-            raise UsageError(f"missing artifact: {pred_path} (run 'evaluate' first)")
-        with pred_path.open(encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            model_names = header[3:]
-            rows = {row[0]: row for row in reader}
-        for name in model_names:
-            col = header.index(name)
-            predictions[name] = [float(rows[c.case_id][col]) for c in test_cases]
-
+        # upstream first: stale assignments make the predictions stale too
+        clusters = artifacts.read_clusters(out / f"assignments_{phase}.csv", test_ids)
+        predictions = artifacts.read_predictions(out / f"predictions_{phase}.csv", test_ids)
         if has_plan:
             try:
                 report = evaluate.compare_to_plan(
@@ -647,7 +445,6 @@ def stage_report(cfg: PipelineConfig) -> None:
             plan_bins = evaluate.histogram([p for p in plans if p is not None], 3.0)
             _write_histogram(out / f"histogram_{phase}_plan", plan_bins, f"{phase}: manual plan")
 
-        clusters = _load_clusters(cfg, phase, test_ids)
         factors: dict[str, dict[str, list[float]]] = {
             "age_band": {}, "sex": {}, "department": {}, "cluster": {},
         }
@@ -662,21 +459,19 @@ def stage_report(cfg: PipelineConfig) -> None:
         factors_obj[phase] = stats.factor_report(factors)
         print(f"report[{phase}]: wrote deviation/histogram/factor artifacts")
 
-    _write_json(out / "deviation_report.json", deviation_obj)
-    _write_json(out / "factor_report.json", factors_obj)
+    artifacts.write_json(out / "deviation_report.json", deviation_obj)
+    artifacts.write_json(out / "factor_report.json", factors_obj)
 
 
 def _write_histogram(base: Path, bins: list[tuple[float, int]], title: str) -> None:
     from . import evaluate
 
-    _write_csv(
+    artifacts.write_csv(
         base.with_suffix(".csv"),
         ["bin_start_min", "count"],
         ([repr(float(start)), count] for start, count in bins),
     )
-    base.with_suffix(".svg").write_text(
-        evaluate.histogram_svg(bins, 3.0, title=title) + "\n", encoding="utf-8"
-    )
+    artifacts.write_text(base.with_suffix(".svg"), evaluate.histogram_svg(bins, 3.0, title=title) + "\n")
 
 
 _SKIPPED_SHOWN = 5  # predict lists this many of the --cases rows it skipped
@@ -698,8 +493,8 @@ def stage_predict(cfg: PipelineConfig, dest: str | None, apply_floors: bool) -> 
 
     # new free text is clustered with the persisted TF-IDF + cluster model;
     # each row keeps its own cluster, also where rows share a case_id
-    tfidf = _read_artifact(out / f"tfidf_{phase}.json", textnorm.TfidfModel.from_dict, "cluster")
-    cluster_model = _read_artifact(
+    tfidf = artifacts.read_json(out / f"tfidf_{phase}.json", textnorm.TfidfModel.from_dict, "cluster")
+    cluster_model = artifacts.read_json(
         out / f"cluster_model_{phase}.json",
         lambda obj: clustering.model_from_dict(rules.field(obj, "model", dict)),
         "cluster",
@@ -716,7 +511,7 @@ def stage_predict(cfg: PipelineConfig, dest: str | None, apply_floors: bool) -> 
         floors = {"induction": cfg.planning_floor_induction}
         preds = [evaluate.apply_planning_floor(p, phase, floors) for p in preds]
     dest_path = Path(dest) if dest else out / "predictions.csv"
-    _write_csv(
+    artifacts.write_csv(
         dest_path,
         ["case_id", "phase", "model", "prediction_min"],
         ([a.case_id, phase, name, repr(float(p))] for a, p in zip(attrs, preds)),

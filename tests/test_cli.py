@@ -220,7 +220,7 @@ import periop.cli
 at_import = loaded()
 print(json.dumps([at_import, periop.cli.run(sys.argv[1:]), loaded()]))
 """
-_CLI_MODULES = ["periop", "periop.cli", "periop.config", "periop.eventlog", "periop.rules"]
+_CLI_MODULES = ["periop", "periop.artifacts", "periop.cli", "periop.config", "periop.eventlog", "periop.rules"]
 
 
 def test_ingest_and_clean_import_no_numpy(pipeline_dir, tmp_path):
@@ -709,7 +709,7 @@ def _json_fields(obj, path=()):
 
 
 # fields that no command reads, so no value there changes what it does
-_UNREAD = {"name", "phase", "params", "grid", "selected_k", "silhouette_scores"}
+_UNREAD = {"name", "phase", "params", "grid", "selected_k", "silhouette_scores", "bounds"}
 _NULLABLE = {("max_terms",)}  # the TF-IDF term cap; null is no cap
 _JSON_VALUES = {  # a strategy for the values of each JSON type
     type(None): st.none(),
@@ -726,7 +726,12 @@ _ARTIFACTS = [
     "cluster_model_induction.json",
     "tfidf_induction.json",
     "model_induction_gbm.json",
+    "clean_procedure.json",
+    "clean_induction.json",
 ]
+
+
+_LATER = ("cluster", "train", "evaluate", "report")  # the stages after clean
 
 
 def _json_type(value):
@@ -736,8 +741,8 @@ def _json_type(value):
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_artifact_field_of_another_json_type_exits_one(artifact_dir, capsys, data):
-    """Any field that evaluate or predict reads, given a value of another JSON
-    type, exits 1 and names the file; it never ends in a runtime error."""
+    """Any field that a later stage or predict reads, given a value of another
+    JSON type, exits 1 and names the file; it never ends in a runtime error."""
     out, config = artifact_dir
     artifact = data.draw(st.sampled_from(_ARTIFACTS))
     path = out / artifact
@@ -757,10 +762,12 @@ def test_artifact_field_of_another_json_type_exits_one(artifact_dir, capsys, dat
     if artifact.startswith("model_"):  # a bundle: both commands read it
         _, phase, name = path.stem.split("_", 2)
         stages = ("predict", "evaluate")
+    elif artifact.startswith("clean_"):  # every stage after clean splits the retained ids
+        phase, name, stages = path.stem.rsplit("_", 1)[1], "mean", _LATER
     else:  # predict reads the cluster artifacts, with any bundle
         phase, name, stages = path.stem.rsplit("_", 1)[1], "mean", ("predict",)
     common = ["--out", str(out), *SMALL, "--config", str(config), "--phase", phase, "--model", name]
-    argvs = {"predict": ["predict", *common, "--dest", str(out / "p.csv")], "evaluate": ["evaluate", *common]}
+    argvs = {"predict": ["predict", *common, "--dest", str(out / "p.csv")], **{s: [s, *common] for s in _LATER}}
     path.write_text(json.dumps(obj))
     try:
         for stage in stages:
@@ -938,6 +945,165 @@ def test_a_model_file_cut_short_exits_one(artifact_dir, capsys):
     _assert_reading_exits_one(
         artifact_dir, capsys, file, '{"', "Unterminated string starting at: line 1 column 2 (char 1); re-run 'train'"
     )
+
+
+def _edit_json(edit):
+    def apply(text):
+        obj = json.loads(text)
+        edit(obj)
+        return json.dumps(obj)
+    return apply
+
+
+def _edit_lines(edit):
+    """An edit of a CSV artifact's lines, each without its line end."""
+    def apply(text):
+        lines = text.splitlines()
+        edit(lines)
+        return "".join(line + "\n" for line in lines)
+    return apply
+
+
+def _set_cell(col, value):
+    def edit(lines):
+        fields = lines[1].split(",")
+        fields[col] = value
+        lines[1] = ",".join(fields)
+    return edit
+
+
+@pytest.mark.parametrize(
+    "artifact, edit, stages, rerun, problem",
+    [
+        ("clean_procedure.json", _edit_json(lambda obj: obj.pop("retained_ids")), _LATER, "clean",
+         "missing field 'retained_ids'"),
+        ("clean_procedure.json", lambda text: "[]", _LATER, "clean",
+         "expected a JSON object holding 'retained_ids', got []"),
+        ("clean_procedure.json", _edit_json(lambda obj: obj["retained_ids"].append("NOPE")), _LATER, "clean",
+         "'retained_ids' holds ids that cases.jsonl lacks, such as 'NOPE'"),
+        ("clean_procedure.json", _edit_json(lambda obj: obj["retained_ids"].append(7)), _LATER, "clean",
+         "bad entry in 'retained_ids': expected a string, got 7"),
+        ("assignments_procedure.csv", _edit_lines(_set_cell(1, "x")), _LATER[1:], "cluster",
+         "bad value in column 'cluster': expected an integer from 0 to 2**63 - 1, got \"x\""),
+        ("assignments_procedure.csv", _edit_lines(lambda lines: lines.__setitem__(1, lines[1].split(",")[0])),
+         _LATER[1:], "cluster", "expected 2 fields, got 1"),
+        ("assignments_procedure.csv", lambda text: "", _LATER[1:], "cluster",
+         'expected the header line "case_id,cluster", got an empty file'),
+        ("assignments_procedure.csv", lambda text: "\udcff" + text, _LATER[1:], "cluster", "invalid UTF-8"),
+        ("predictions_procedure.csv", _edit_lines(_set_cell(-1, "abc")), ("report",), "evaluate",
+         "bad value in column 'mta': expected a finite number, got \"abc\""),
+        ("predictions_procedure.csv", _edit_lines(lambda lines: lines.pop(1)), ("report",), "evaluate",
+         "holds no row for 1 of the"),
+        ("predictions_procedure.csv", _edit_lines(lambda lines: lines.__setitem__(1, lines[1].rsplit(",", 1)[0])),
+         ("report",), "evaluate", "expected 7 fields, got 6"),
+        ("predictions_procedure.csv", lambda text: "", ("report",), "evaluate",
+         'expected the header line "case_id,actual_min,planned_min,<model>...", got an empty file'),
+        ("assignments_procedure.csv", _edit_lines(lambda lines: lines.pop(0)), _LATER[1:], "cluster",
+         'expected the header line "case_id,cluster", got "'),
+        ("assignments_procedure.csv", _edit_lines(lambda lines: lines.pop(1)), ("train",), "cluster",
+         "holds no row for 1 of the"),
+    ],
+    ids=["clean-no-retained-ids", "clean-a-list", "clean-unknown-id", "clean-id-not-a-string",
+         "assignments-cluster-x", "assignments-one-field-row", "assignments-empty", "assignments-not-utf8",
+         "predictions-abc", "predictions-row-deleted", "predictions-short-row", "predictions-empty",
+         "assignments-no-header", "assignments-row-deleted"],
+)
+def test_an_edited_artifact_exits_one_naming_it_and_the_stage_to_rerun(
+    pipeline_dir, tmp_path, capsys, artifact, edit, stages, rerun, problem
+):
+    """An artifact that is malformed, or that no longer covers the cases it is
+    read for, stops every later stage that reads it with exit 1; the message
+    names the file and the stage that rebuilds it."""
+    source, config = pipeline_dir
+    out = tmp_path / "out"
+    shutil.copytree(source, out)
+    path = out / artifact
+    # surrogateescape: "\udcff" in the edited text writes the byte 0xff, which is not UTF-8
+    path.write_bytes(edit(path.read_text()).encode("utf-8", "surrogateescape"))
+    capsys.readouterr()
+    for stage in stages:
+        assert run([stage, "--out", str(out), *SMALL, "--config", str(config)]) == 1, stage
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}") and problem in err, (stage, err)
+        assert err.endswith(f"; re-run {rerun!r} to rebuild it\n"), (stage, err)
+
+
+def test_clean_run_again_after_cluster_exits_one_in_the_later_stages(pipeline_dir, tmp_path, capsys):
+    """Per-department IQR bounds retain other cases than the assignments were
+    written for: the stages that read them exit 1 and ask for cluster again."""
+    source, config = pipeline_dir
+    out = tmp_path / "out"
+    shutil.copytree(source, out)
+    common = ["--out", str(out), *SMALL, "--config", str(config)]
+    assert run(["clean", *common, "--iqr-per-department"]) == 0
+    capsys.readouterr()
+    for stage in ("train", "evaluate", "report"):
+        assert run([stage, *common]) == 1, stage
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {out / 'assignments_procedure.csv'}: holds no row for "), (stage, err)
+        assert err.endswith("; re-run 'cluster' to rebuild it\n"), (stage, err)
+
+
+@pytest.fixture(scope="module")
+def small_run(tmp_path_factory):
+    """A finished 300-case run, every stage through report."""
+    out = tmp_path_factory.mktemp("small_run")
+    config = out / "small.cfg"
+    config.write_text("synth_n_cases = 300\nmodels = mean,group-mean,gbm\ngbm_n_trees = 5\n")
+    for stage in _CHAIN:
+        assert run([stage, "--out", str(out), "--seed", "3", "--config", str(config)]) == 0, stage
+    return out, config
+
+
+_CSV_READERS = {  # a CSV artifact -> the stages that read it
+    "assignments": ("train", "evaluate", "report"),
+    "predictions": ("report",),
+}
+_CSV_MUTATIONS = ("text-in-number", "drop-row", "duplicate-row", "drop-field", "delete-header", "truncate")
+_CELL_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=6)
+
+
+def _mutated_csv(data, text, mutation):
+    """``text``, a CSV artifact, with one ``mutation`` drawn from ``data``."""
+    if mutation == "truncate":
+        return text[: data.draw(st.integers(0, len(text) - 1))]
+    header, *rows = text.splitlines(keepends=True)
+    if mutation == "delete-header":
+        return "".join(rows)
+    i = data.draw(st.integers(0, len(rows) - 1))
+    fields = rows[i].rstrip("\n").split(",")
+    if mutation == "drop-row":
+        del rows[i]
+    elif mutation == "duplicate-row":
+        rows.insert(i, rows[i])
+    elif mutation == "drop-field":
+        del fields[data.draw(st.integers(0, len(fields) - 1))]
+    else:  # text-in-number: every field after the case id is a number
+        fields[data.draw(st.integers(1, len(fields) - 1))] = data.draw(_CELL_TEXT)
+    if mutation in ("drop-field", "text-in-number"):
+        rows[i] = ",".join(fields) + "\n"
+    return header + "".join(rows)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_an_edited_csv_artifact_never_ends_in_a_runtime_error(small_run, data):
+    """One edit of an assignments or predictions file: every later stage that
+    reads it exits 0 or 1, never 2."""
+    source, config = small_run
+    kind = data.draw(st.sampled_from(sorted(_CSV_READERS)))
+    phase = data.draw(st.sampled_from(["procedure", "induction"]))
+    mutation = data.draw(st.sampled_from(_CSV_MUTATIONS))
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        shutil.copytree(source, out)
+        path = out / f"{kind}_{phase}.csv"
+        path.write_text(_mutated_csv(data, path.read_text(), mutation))
+        for stage in _CSV_READERS[kind]:
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = run([stage, "--out", str(out), "--seed", "3", "--config", str(config), "--phase", phase])
+            assert code in (0, 1), (stage, mutation, err.getvalue())
 
 
 def test_synth_below_100_cases_exits_one_at_load(tmp_path, capsys):

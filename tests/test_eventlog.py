@@ -11,8 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import assemble_cases_slow, cases_jsonl_slow
-from periop.cli import _case_from_row, _case_to_row, _load_cases, _write_cases
-from periop.config import PipelineConfig
+from periop.artifacts import _case_from_row, _case_to_row, read_cases, write_cases
 from periop.eventlog import (
     ANCHOR_EVENTS,
     CASES_HEADER,
@@ -280,9 +279,9 @@ CASE_RECORDS = st.lists(
 def test_cases_jsonl_bytes_equal_the_per_field_writer_and_read_back(cases):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "cases.jsonl"
-        _write_cases(path, cases)
+        write_cases(path, cases)
         assert path.read_bytes() == cases_jsonl_slow(cases).encode("utf-8")
-        loaded = _load_cases(PipelineConfig(out=tmp))
+        loaded = read_cases(path)
     assert loaded == cases
     for case in loaded:  # == alone would accept plain tuples and lists
         assert type(case) is Case
