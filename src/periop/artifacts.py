@@ -134,8 +134,9 @@ def read_json(path: Path, decode: Callable, stage: str):
     except KeyError as exc:
         raise UsageError(f"{path}: missing field {exc}; re-run {stage!r} to rebuild it") from None
     # e.g. trees in an older nested layout, an idf that does not fit the
-    # vocabulary, a field of the wrong JSON type or an array of wrong entries
-    except (ValueError, TypeError) as exc:
+    # vocabulary, a field of the wrong JSON type or an array of wrong entries;
+    # json's decoder raises RecursionError for arrays nested too deeply
+    except (ValueError, TypeError, RecursionError) as exc:
         raise UsageError(f"{path}: {exc}; re-run {stage!r} to rebuild it") from None
 
 

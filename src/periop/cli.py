@@ -240,6 +240,13 @@ def stage_cluster(cfg: PipelineConfig) -> None:
         if min(ks) > n_texts:
             problem = f"phase {phase!r} has {n_texts} distinct training texts, fewer than k = {min(ks)}"
             raise UsageError(f"config key 'cluster_k.{phase}': {problem}")
+        most = clustering.largest_scored_k(len(train_ids))
+        if len(ks) > 1 and min(ks) > most:  # select_k scores no k
+            problem = (
+                f"phase {phase!r} has {len(train_ids)} training cases: silhouette selection "
+                f"scores no k above {most}, and the smallest k is {min(ks)}"
+            )
+            raise UsageError(f"config key 'cluster_k.{phase}': {problem}")
         seed = derive_seed(cfg.seed, f"cluster:{phase}")
         scores: dict[int, float] = {}
         if len(ks) > 1:

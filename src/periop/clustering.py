@@ -402,6 +402,12 @@ def silhouette(X: Union[np.ndarray, Sequence], labels: Sequence[int]) -> float:
     return _silhouette_of_counts(_distinct_distances(distinct), counts)
 
 
+def largest_scored_k(n: int) -> int:
+    """The largest k whose clusters of ``n`` rows the silhouette can score:
+    it needs some cluster of two rows, so not all ``n`` singletons."""
+    return n - 1
+
+
 def select_k(
     X: Union[np.ndarray, Sequence], algo: str, k_range: Sequence[int], seed: int = 0
 ) -> tuple[Union[KMeansModel, GmmModel], dict[int, float]]:
@@ -413,8 +419,9 @@ def select_k(
     call: every fit runs on its distinct rows, and the silhouette, exact over
     all rows, computes their distances once and scores groups of identical
     rows weighted by their number. A k whose fit collapses to one effective
-    cluster scores -inf, and so, unfitted, does a k above n - 1 or above the
-    number of distinct rows. Raises ValueError when no k scores above -inf.
+    cluster scores -inf, and so, unfitted, does a k above
+    ``largest_scored_k(n)`` or above the number of distinct rows. Raises
+    ValueError when no k scores above -inf.
     """
     X = _as_matrix(X)
     n = X.shape[0]
@@ -426,11 +433,12 @@ def select_k(
     fit = ALGORITHMS[algo]
     distinct, inverse = _distinct_rows(X)
     n_distinct = distinct.shape[0]
+    most = min(n_distinct, largest_scored_k(n))  # above it some cluster is empty or a duplicate
     dist = _distinct_distances(distinct)
     scores: dict[int, float] = {}
     best, best_score = None, -math.inf
     for k in ks:
-        if k > min(n_distinct, n - 1):  # some cluster would be empty or a duplicate, or all singletons
+        if k > most:
             scores[k] = -math.inf
             continue
         model = fit(distinct, inverse, k, seed + k)

@@ -4,15 +4,20 @@ Families: global mean, per-group mean (cluster or exact name), ridge
 regression, CART regression tree, random forest and gradient-boosted trees.
 Predictions are durations and therefore clamped at 0 minutes. Every fit is
 deterministic given its seed.
+
+Each family declares its hyperparameters once, in its class's ``params``
+table: name -> (JSON type, default). That table drives the keyword-only
+constructor, the checks of ``rules.check_model_params`` and the model file,
+which stores each hyperparameter under its name (the ridge's ``lam`` as
+``lambda``) beside the fitted state that the family writes and reads itself.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -72,11 +77,23 @@ class Model:
 
     A row's prediction depends on that row alone, bit for bit, so predicting
     the distinct rows and scattering them back equals predicting every row.
+    The model file holds each of ``params`` under its name, or the one that
+    ``file_keys`` gives, then the fitted state: ``_state`` writes it and
+    ``_load`` reads it back.
     """
 
     family = "base"
+    params: dict[str, tuple[type, object]] = {}
+    file_keys: dict[str, str] = {}
 
-    def __init__(self) -> None:
+    def __init__(self, **params) -> None:
+        unknown = [name for name in params if name not in self.params]
+        if unknown:
+            raise TypeError(f"{type(self).__name__} has no parameter {unknown[0]!r}")
+        values = {name: params.get(name, default) for name, (_, default) in self.params.items()}
+        rules.check_model_params(self.family, values)
+        for name, (kind, _) in self.params.items():
+            setattr(self, name, kind(values[name]))
         self._fitted = False
 
     def fit(self, dataset: Dataset) -> "Model":
@@ -85,17 +102,32 @@ class Model:
     def _predict(self, X: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
+    def _state(self) -> dict:
+        raise NotImplementedError
+
+    def _load(self, obj: dict) -> None:
+        raise NotImplementedError
+
+    def _require_fitted(self) -> None:
         if not self._fitted:
             raise NotFittedError(f"{type(self).__name__} used before fit()")
+
+    def predict(self, X: np.ndarray) -> np.ndarray:
+        self._require_fitted()
         # C order: a row-local reduction rounds a Fortran-ordered row otherwise
         X = np.ascontiguousarray(X, dtype=float)
         if X.ndim != 2:
             raise ValueError("X must be 2-dimensional")
         return np.maximum(self._predict(X), 0.0)
 
+    @classmethod
+    def _param_keys(cls) -> list[tuple[str, type, str]]:
+        """(name, JSON type, file key) of each hyperparameter."""
+        return [(name, kind, cls.file_keys.get(name, name)) for name, (kind, _) in cls.params.items()]
+
     def state_dict(self) -> dict:
-        raise NotImplementedError
+        self._require_fitted()
+        return {key: getattr(self, name) for name, _, key in self._param_keys()} | self._state()
 
     def to_dict(self) -> dict:
         return {"family": self.family, **self.state_dict()}
@@ -106,10 +138,6 @@ class MeanModel(Model):
 
     family = "mean"
 
-    def __init__(self) -> None:
-        super().__init__()
-        self.mean_ = 0.0
-
     def fit(self, dataset: Dataset) -> "MeanModel":
         self.mean_ = float(dataset.y.mean())
         self._fitted = True
@@ -118,8 +146,11 @@ class MeanModel(Model):
     def _predict(self, X: np.ndarray) -> np.ndarray:
         return np.full(X.shape[0], self.mean_)
 
-    def state_dict(self) -> dict:
+    def _state(self) -> dict:
         return {"mean": self.mean_}
+
+    def _load(self, obj: dict) -> None:
+        self.mean_ = rules.field(obj, "mean", float)
 
 
 class GroupMeanModel(Model):
@@ -128,12 +159,7 @@ class GroupMeanModel(Model):
     the cluster predictor and the traditional per-name average (MTA)."""
 
     family = "group-mean"
-
-    def __init__(self, group_col: int = 0) -> None:
-        super().__init__()
-        self.group_col = int(group_col)
-        self.means_: dict[float, float] = {}
-        self.global_mean_ = 0.0
+    params = {"group_col": (int, 0)}
 
     def fit(self, dataset: Dataset) -> "GroupMeanModel":
         if not 0 <= self.group_col < dataset.d:
@@ -154,25 +180,20 @@ class GroupMeanModel(Model):
         codes = X[:, self.group_col]
         return np.array([self.means_.get(float(c), self.global_mean_) for c in codes])
 
-    def state_dict(self) -> dict:
-        return {
-            "group_col": self.group_col,
-            "global_mean": self.global_mean_,
-            "means": sorted([k, v] for k, v in self.means_.items()),
-        }
+    def _state(self) -> dict:
+        return {"global_mean": self.global_mean_, "means": sorted([k, v] for k, v in self.means_.items())}
+
+    def _load(self, obj: dict) -> None:
+        self.means_ = {float(k): float(v) for k, v in rules.number_array(obj, "means")}
+        self.global_mean_ = rules.field(obj, "global_mean", float)
 
 
 class RidgeModel(Model):
     """Linear least squares with an L2 penalty on the slopes only."""
 
     family = "ridge"
-
-    def __init__(self, lam: float = 0.0) -> None:
-        super().__init__()
-        rules.check_model_params("ridge", {"lam": lam})
-        self.lam = float(lam)
-        self.coef_ = np.empty(0)
-        self.intercept_ = 0.0
+    params = {"lam": (float, 0.0)}
+    file_keys = {"lam": "lambda"}
 
     def fit(self, dataset: Dataset) -> "RidgeModel":
         if dataset.d < 1:
@@ -199,12 +220,12 @@ class RidgeModel(Model):
         # in the matrix, and a row's prediction must depend on that row alone
         return (X * self.coef_).sum(axis=1) + self.intercept_
 
-    def state_dict(self) -> dict:
-        return {
-            "lambda": self.lam,
-            "coef": [float(v) for v in self.coef_],
-            "intercept": self.intercept_,
-        }
+    def _state(self) -> dict:
+        return {"coef": [float(v) for v in self.coef_], "intercept": self.intercept_}
+
+    def _load(self, obj: dict) -> None:
+        self.coef_ = np.asarray(rules.number_array(obj, "coef"), dtype=float)
+        self.intercept_ = rules.field(obj, "intercept", float)
 
 
 # ---------------------------------------------------------------------------
@@ -474,13 +495,7 @@ class TreeModel(Model):
     """CART regression tree; leaves predict the mean of their rows."""
 
     family = "tree"
-
-    def __init__(self, max_depth: int = 8, min_leaf: int = 5) -> None:
-        super().__init__()
-        rules.check_model_params("tree", {"max_depth": max_depth, "min_leaf": min_leaf})
-        self.max_depth = int(max_depth)
-        self.min_leaf = int(min_leaf)
-        self.tree_: Tree | None = None
+    params = {"max_depth": (int, 8), "min_leaf": (int, 5)}
 
     def fit(self, dataset: Dataset) -> "TreeModel":
         values, codes, inverse = _bin_columns(dataset.X)
@@ -492,36 +507,19 @@ class TreeModel(Model):
     def _predict(self, X: np.ndarray) -> np.ndarray:
         return self.tree_.value[self.tree_.apply(X)]
 
-    def state_dict(self) -> dict:
-        return {"max_depth": self.max_depth, "min_leaf": self.min_leaf, "tree": self.tree_.to_dict()}
+    def _state(self) -> dict:
+        return {"tree": self.tree_.to_dict()}
+
+    def _load(self, obj: dict) -> None:
+        self.tree_ = Tree.from_dict(rules.field(obj, "tree", dict))
 
 
 class ForestModel(Model):
     """Bootstrap ensemble of trees with per-split feature subsampling."""
 
     family = "forest"
-
-    def __init__(
-        self,
-        n_trees: int = 100,
-        max_depth: int = 8,
-        min_leaf: int = 5,
-        feature_fraction: float = 1.0,
-        bootstrap: bool = True,
-        seed: int = 0,
-    ) -> None:
-        super().__init__()
-        rules.check_model_params(
-            "forest",
-            {"n_trees": n_trees, "max_depth": max_depth, "min_leaf": min_leaf, "feature_fraction": feature_fraction},
-        )
-        self.n_trees = int(n_trees)
-        self.max_depth = int(max_depth)
-        self.min_leaf = int(min_leaf)
-        self.feature_fraction = float(feature_fraction)
-        self.bootstrap = bool(bootstrap)
-        self.seed = int(seed)
-        self.trees_: list[Tree] = []
+    params = {"n_trees": (int, 100), "max_depth": (int, 8), "min_leaf": (int, 5),
+              "feature_fraction": (float, 1.0), "bootstrap": (bool, True), "seed": (int, 0)}
 
     def fit(self, dataset: Dataset) -> "ForestModel":
         values, codes, inverse = _bin_columns(dataset.X)
@@ -550,16 +548,11 @@ class ForestModel(Model):
             out += tree.value[tree.apply(X)]
         return out / self.n_trees
 
-    def state_dict(self) -> dict:
-        return {
-            "n_trees": self.n_trees,
-            "max_depth": self.max_depth,
-            "min_leaf": self.min_leaf,
-            "feature_fraction": self.feature_fraction,
-            "bootstrap": self.bootstrap,
-            "seed": self.seed,
-            "trees": [tree.to_dict() for tree in self.trees_],
-        }
+    def _state(self) -> dict:
+        return {"trees": [tree.to_dict() for tree in self.trees_]}
+
+    def _load(self, obj: dict) -> None:
+        self.trees_ = [Tree.from_dict(tree) for tree in rules.field(obj, "trees", list)]
 
 
 class GbmModel(Model):
@@ -569,26 +562,7 @@ class GbmModel(Model):
     """
 
     family = "gbm"
-
-    def __init__(
-        self,
-        n_trees: int = 200,
-        learning_rate: float = 0.1,
-        max_depth: int = 3,
-        min_leaf: int = 5,
-    ) -> None:
-        super().__init__()
-        rules.check_model_params(
-            "gbm",
-            {"n_trees": n_trees, "learning_rate": learning_rate, "max_depth": max_depth, "min_leaf": min_leaf},
-        )
-        self.n_trees = int(n_trees)
-        self.learning_rate = float(learning_rate)
-        self.max_depth = int(max_depth)
-        self.min_leaf = int(min_leaf)
-        self.base_ = 0.0
-        self.trees_: list[Tree] = []
-        self.stage_mse_: tuple[float, ...] = ()
+    params = {"n_trees": (int, 200), "learning_rate": (float, 0.1), "max_depth": (int, 3), "min_leaf": (int, 5)}
 
     def fit(self, dataset: Dataset) -> "GbmModel":
         values, codes, inverse = _bin_columns(dataset.X)
@@ -616,19 +590,17 @@ class GbmModel(Model):
             out += self.learning_rate * tree.value[tree.apply(X)]
         return out
 
-    def state_dict(self) -> dict:
-        return {
-            "n_trees": self.n_trees,
-            "learning_rate": self.learning_rate,
-            "max_depth": self.max_depth,
-            "min_leaf": self.min_leaf,
-            "base": self.base_,
-            "stage_mse": list(self.stage_mse_),
-            "trees": [tree.to_dict() for tree in self.trees_],
-        }
+    def _state(self) -> dict:
+        trees = [tree.to_dict() for tree in self.trees_]
+        return {"base": self.base_, "stage_mse": list(self.stage_mse_), "trees": trees}
+
+    def _load(self, obj: dict) -> None:
+        self.base_ = rules.field(obj, "base", float)
+        self.stage_mse_ = tuple(map(float, rules.number_array(obj, "stage_mse", ())))
+        self.trees_ = [Tree.from_dict(tree) for tree in rules.field(obj, "trees", list)]
 
 
-_CONSTRUCTORS: dict[str, Callable[..., Model]] = {
+_CONSTRUCTORS: dict[str, type[Model]] = {
     "mean": MeanModel,
     "group-mean": GroupMeanModel,
     "ridge": RidgeModel,
@@ -657,44 +629,12 @@ def make_model(family: str, params: Mapping | None = None) -> Model:
 def model_from_dict(obj: dict) -> Model:
     """Rebuild a fitted model from its JSON dict; raises KeyError for a
     missing field and ValueError for a field of the wrong JSON type."""
-    get = functools.partial(rules.field, obj)
-    family = get("family", str)
-    if family == "mean":
-        model = MeanModel()
-        model.mean_ = get("mean", float)
-    elif family == "group-mean":
-        model = GroupMeanModel(group_col=get("group_col", int))
-        model.means_ = {float(k): float(v) for k, v in rules.number_array(obj, "means")}
-        model.global_mean_ = get("global_mean", float)
-    elif family == "ridge":
-        model = RidgeModel(lam=get("lambda", float))
-        model.coef_ = np.asarray(rules.number_array(obj, "coef"), dtype=float)
-        model.intercept_ = get("intercept", float)
-    elif family == "tree":
-        model = TreeModel(max_depth=get("max_depth", int), min_leaf=get("min_leaf", int))
-        model.tree_ = Tree.from_dict(get("tree", dict))
-    elif family == "forest":
-        model = ForestModel(
-            n_trees=get("n_trees", int),
-            max_depth=get("max_depth", int),
-            min_leaf=get("min_leaf", int),
-            feature_fraction=get("feature_fraction", float),
-            bootstrap=get("bootstrap", bool),
-            seed=get("seed", int),
-        )
-        model.trees_ = [Tree.from_dict(tree) for tree in get("trees", list)]
-    elif family == "gbm":
-        model = GbmModel(
-            n_trees=get("n_trees", int),
-            learning_rate=get("learning_rate", float),
-            max_depth=get("max_depth", int),
-            min_leaf=get("min_leaf", int),
-        )
-        model.base_ = get("base", float)
-        model.stage_mse_ = tuple(map(float, rules.number_array(obj, "stage_mse", ())))
-        model.trees_ = [Tree.from_dict(tree) for tree in get("trees", list)]
-    else:
+    family = rules.field(obj, "family", str)
+    if family not in _CONSTRUCTORS:
         raise ValueError(f"unknown model family: {family!r}")
+    cls = _CONSTRUCTORS[family]
+    model = cls(**{name: rules.field(obj, key, kind) for name, kind, key in cls._param_keys()})
+    model._load(obj)
     model._fitted = True
     return model
 

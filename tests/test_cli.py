@@ -12,7 +12,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import periop
@@ -1002,11 +1002,14 @@ def _set_cell(col, value):
          'expected the header line "case_id,cluster", got "'),
         ("assignments_procedure.csv", _edit_lines(lambda lines: lines.pop(1)), ("train",), "cluster",
          "holds no row for 1 of the"),
+        ("clean_procedure.json", lambda text: "[" * 100_000, _LATER, "clean", "maximum recursion depth"),
+        ("tfidf_procedure.json", lambda text: "[" * 100_000, ("predict",), "cluster", "maximum recursion depth"),
     ],
     ids=["clean-no-retained-ids", "clean-a-list", "clean-unknown-id", "clean-id-not-a-string",
          "assignments-cluster-x", "assignments-one-field-row", "assignments-empty", "assignments-not-utf8",
          "predictions-abc", "predictions-row-deleted", "predictions-short-row", "predictions-empty",
-         "assignments-no-header", "assignments-row-deleted"],
+         "assignments-no-header", "assignments-row-deleted", "clean-nested-too-deeply",
+         "tfidf-nested-too-deeply"],
 )
 def test_an_edited_artifact_exits_one_naming_it_and_the_stage_to_rerun(
     pipeline_dir, tmp_path, capsys, artifact, edit, stages, rerun, problem
@@ -1020,9 +1023,10 @@ def test_an_edited_artifact_exits_one_naming_it_and_the_stage_to_rerun(
     path = out / artifact
     # surrogateescape: "\udcff" in the edited text writes the byte 0xff, which is not UTF-8
     path.write_bytes(edit(path.read_text()).encode("utf-8", "surrogateescape"))
+    extra = {"predict": ["--phase", "procedure", "--model", "gbm", "--dest", str(tmp_path / "p.csv")]}
     capsys.readouterr()
     for stage in stages:
-        assert run([stage, "--out", str(out), *SMALL, "--config", str(config)]) == 1, stage
+        assert run([stage, "--out", str(out), *SMALL, "--config", str(config), *extra.get(stage, [])]) == 1, stage
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}") and problem in err, (stage, err)
         assert err.endswith(f"; re-run {rerun!r} to rebuild it\n"), (stage, err)
@@ -1199,6 +1203,26 @@ def test_cluster_k_above_the_distinct_training_texts_exits_one(pipeline_dir, tmp
     assert all(s["score"] is None for s in scores[2:]) and None not in (scores[0]["score"], scores[1]["score"])
 
 
+def test_cluster_k_range_above_the_training_cases_less_one_exits_one(tmp_path, capsys):
+    """Silhouette selection scores no k above the training cases less one:
+    a range of such k is a usage error naming the phase and its training
+    cases, while one k, which needs no scoring, still clusters."""
+    config = tmp_path / "k.cfg"
+    lines = ["synth_n_cases = 100", "phases = procedure", "max_duration_min = 30", "test_fraction = 0.75"]
+    common = ["--out", str(tmp_path), "--seed", "15", "--config", str(config)]
+    config.write_text("\n".join([*lines, "cluster_k.procedure = 2..3"]) + "\n")
+    for stage in ("synth", "ingest", "clean"):
+        assert run([stage, *common]) == 0, stage
+    capsys.readouterr()
+    assert run(["cluster", *common]) == 1
+    assert capsys.readouterr().err == (
+        "error: config key 'cluster_k.procedure': phase 'procedure' has 2 training cases: "
+        "silhouette selection scores no k above 1, and the smallest k is 2\n"
+    )
+    config.write_text("\n".join([*lines, "cluster_k.procedure = 2"]) + "\n")
+    assert run(["cluster", *common]) == 0
+
+
 def test_cluster_model_is_strict_json(tmp_path):
     """k above the distinct texts is written null, k ascending, no NaN/Infinity."""
     config = tmp_path / "k.cfg"
@@ -1274,6 +1298,9 @@ def _k_choices(most):
     k_induction=_k_choices(6),
     phases=st.lists(st.sampled_from(["procedure", "induction", "preparation"]), min_size=1, max_size=3, unique=True),
 )
+# clean keeps 6 cases, 2 of them for training: no k of 2..3 can be scored by silhouette
+@example(n_cases=100, seed=15, max_duration_min=30.0, min_token_len=1, test_fraction=0.75, iqr_multiplier=1.5,
+         k_procedure="2..3", k_induction="1", phases=["procedure"])
 def test_small_runs_exit_zero_or_one_never_two(n_cases, seed, phases, k_procedure, k_induction, **keys):
     """The whole chain on a small synthetic log under edge settings: each
     stage finishes or exits 1 naming the problem; none ends in a runtime

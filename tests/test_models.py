@@ -4,7 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import build_tree_rows, build_tree_slow, gbm_fit_rows, tree_predict_slow
+from periop import rules
+from periop.config import MODEL_KEYS
 from periop.models import (
+    DEFAULT_GRIDS,
     Dataset,
     EncodeColumn,
     GridSpec,
@@ -470,6 +473,36 @@ def test_model_json_roundtrip(factory):
     preds = model.predict(X)
     assert np.allclose(preds, clone.predict(X))
     assert np.all(np.isfinite(preds)) and np.all(preds >= 0)
+    assert model_from_dict(model.to_dict()).to_dict() == model.to_dict()
+
+
+def test_every_named_parameter_is_declared_by_its_family():
+    """A rule, a config key or a grid that names a parameter its family does
+    not declare would check, set or tune nothing."""
+    named = {
+        *rules._PARAM_RULES,
+        *((family, name) for family, keys in MODEL_KEYS.items() for name in keys),
+        *((family, name) for family, grid in DEFAULT_GRIDS.items() for name in grid),
+    }
+    declared = {(family, name) for family in FAMILY_PARAMS for name in make_model(family).params}
+    assert named <= declared, named - declared
+
+
+@pytest.mark.parametrize("family", list(FAMILY_PARAMS))
+def test_constructor_takes_only_declared_keywords(family):
+    cls = type(make_model(family))
+    with pytest.raises(TypeError):
+        cls(no_such_parameter=1)
+    with pytest.raises(TypeError):
+        cls(1)
+    with pytest.raises(TypeError):
+        make_model(family, {**FAMILY_PARAMS[family], "no_such_parameter": 1})
+
+
+@pytest.mark.parametrize("family", list(FAMILY_PARAMS))
+def test_unfitted_model_has_no_file(family):
+    with pytest.raises(NotFittedError):
+        make_model(family, FAMILY_PARAMS[family]).to_dict()
 
 
 def test_gbm_stage_mse_round_trips():
