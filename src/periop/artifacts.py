@@ -4,9 +4,10 @@ Each artifact has one writer and one reader here. Every file a stage writes
 goes through ``_create``. Three readers serve every artifact that a stage
 reads back: ``read_json`` for the JSON artifacts, each through its own
 decoder, ``read_csv`` for the assignments and predictions, and
-``read_cases`` for ``cases.jsonl``. A reader returns checked data or raises
-UsageError, naming the file, the line or field where there is one, and the
-stage that writes it; so a missing, malformed or stale artifact exits 1. A
+``read_cases`` for ``cases.jsonl``, which gives a CaseTable. A reader
+returns checked data or raises UsageError, naming the file, the line or
+field where there is one, and the stage that writes it; so a missing,
+malformed or stale artifact exits 1. A
 reader also checks the file against the data it is read with: a clean file's
 ids against the case table, and the assignments and predictions against the
 split ids they are read for.
@@ -18,15 +19,19 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import functools
 import itertools
 import json
 import math
 from pathlib import Path
-from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence, TextIO
+from typing import TYPE_CHECKING, Callable, Collection, Iterable, Iterator, Mapping, Sequence, TextIO
 
 from . import rules
 from .config import UsageError
-from .eventlog import CASES_HEADER, Case, CaseAttributes, PhaseDurations
+from .eventlog import CASE_FIELDS, NUMBER_FIELDS, Case
+
+if TYPE_CHECKING:
+    from .casetable import CaseTable
 
 # line 1 of the CSV artifacts that stages read back; the ``...`` of the
 # predictions stands for one column per model, one or more
@@ -265,54 +270,30 @@ def read_predictions(path: Path, ids: Sequence[str]) -> dict[str, list[float]]:
     return {name: [row[j] for row in per_case] for j, name in enumerate(names[first:])}
 
 
-# cases.jsonl: line 1 is a JSON array of the field names in _ROW_FIELDS, each
+# cases.jsonl: line 1 is a JSON array of the field names in CASE_FIELDS, each
 # later line one case's values in that order. That is the order the records
 # hold them in (the CaseAttributes fields, the PhaseDurations fields, then
-# duplicate_anchors and n_events), so neither the writer nor the reader
-# reorders a value, and no row repeats the names. The header marks the layout:
-# a file whose line 1 is anything else (an empty file, another header, or the
-# one-object-per-case rows of older builds) is rejected at line 1. Reading
-# checks each value's JSON type and takes each record's fields straight from
-# the row; a row that is not an array of len(_ROW_FIELDS) values, or holds a
-# value of another JSON type, is rejected at its line, naming the field by
-# its header position.
-_DURATION_FIELDS = PhaseDurations._fields
-_ROW_FIELDS = (*CASES_HEADER, *_DURATION_FIELDS, "duplicate_anchors", "n_events")
-_HEADER = list(_ROW_FIELDS)  # line 1 as json decodes it
-_NUMBER_FIELDS = ("age", "planned_induction_min", "planned_procedure_min", *_DURATION_FIELDS)
+# duplicate_anchors and n_events), so the writer reorders no value, and no row
+# repeats the names. The header marks the layout: a file whose line 1 is
+# anything else (an empty file, another header, or the one-object-per-case
+# rows of older builds) is rejected at line 1. Reading gives a CaseTable and
+# checks each value's JSON type; a row that is not an array of
+# len(CASE_FIELDS) values, holds a value of another JSON type or a number
+# that is not finite, or repeats a case id, is rejected at its line, naming
+# the field by its header position.
+_HEADER = list(CASE_FIELDS)  # line 1 as json decodes it
 _ROW_TYPES = {  # field -> the Python types json.loads gives for its JSON type, and that type's name
-    **dict.fromkeys(_ROW_FIELDS, ({str}, "a string")),
-    **dict.fromkeys(_NUMBER_FIELDS, ({int, float, type(None)}, "a number or null")),
+    **dict.fromkeys(CASE_FIELDS, ({str}, "a string")),
+    **dict.fromkeys(NUMBER_FIELDS, ({int, float, type(None)}, "a number or null")),
     "duplicate_anchors": ({list}, "an array"),
     "n_events": ({int}, "an integer"),
 }
-# every accepted sequence of value types, in _ROW_FIELDS order; a row of
-# another length, or an object (whose keys map gives), matches none
-_ROW_SIGNATURES = frozenset(itertools.product(*(_ROW_TYPES[k][0] for k in _ROW_FIELDS)))
-# Every stage reads every row, so the row path keeps the cost of the type
-# check down: json.loads without its per-call argument checks, and records
-# built without their Python-level __new__.
-_decode_row = json.JSONDecoder().decode
-_new_record = tuple.__new__
+_CHUNK_LINES = 1024  # the rows decoded before they are added to the table
+_decode_row = json.JSONDecoder(parse_constant=_reject_constant).raw_decode
 
 
 def _case_to_row(case: Case) -> tuple:
     return (*case.attributes, *case.durations, case.duplicate_anchors, case.n_events)
-
-
-def _case_from_row(row: list) -> Case:
-    if tuple(map(type, row)) not in _ROW_SIGNATURES:
-        raise TypeError("a field has the wrong JSON type")
-    n_attributes = len(CASES_HEADER)  # the slices hold exactly each record's fields
-    return _new_record(
-        Case,
-        (
-            _new_record(CaseAttributes, row[:n_attributes]),
-            row[-1],
-            _new_record(PhaseDurations, row[n_attributes:-2]),
-            tuple(row[-2]),
-        ),
-    )
 
 
 def write_cases(path: Path, cases: Iterable[Case]) -> None:
@@ -321,50 +302,120 @@ def write_cases(path: Path, cases: Iterable[Case]) -> None:
         fh.writelines(json.dumps(_case_to_row(case)) + "\n" for case in cases)
 
 
-def read_cases(path: Path) -> list[Case]:
+def read_cases(path: Path) -> CaseTable:
+    """The cases of the cases.jsonl at ``path``; a file that is not one
+    exits 1, naming the line at fault."""
     _require(path, "ingest")
-    cases = []
-    line_no, line = 1, ""
     try:
-        with path.open(encoding="utf-8") as fh:
-            line = fh.readline()
-            if _decode_row(line) != _HEADER:  # an empty file fails to decode
-                raise ValueError("not the header")
-            for line_no, line in enumerate(fh, start=2):
-                if line.strip():
-                    cases.append(_case_from_row(_decode_row(line)))
+        return _case_table(path, _decoded_chunks)
     except UnicodeDecodeError:
         raise UsageError(f"{path}: invalid UTF-8; re-run 'ingest'") from None
-    except (ValueError, TypeError, RecursionError) as exc:
-        reason = _bad_header(line) if line_no == 1 else _bad_case_row(line, exc)
-        raise UsageError(f"{path}:{line_no}: {reason}; re-run 'ingest'") from None
-    return cases
+    except (ValueError, TypeError, OverflowError, RecursionError):
+        pass
+    # read the file again one line at a time: that names the first line at
+    # fault, and reads a file refused only for a blank line, say, or a last
+    # line without its newline
+    return _case_table(path, functools.partial(_checked_chunks, path))
 
 
-def _bad_header(line: str) -> str:
-    """Why line 1 of a cases.jsonl is not its header line."""
-    expected = f"expected a header line of the {len(_ROW_FIELDS)} field names"
+def _case_table(path: Path, chunks: Callable[[TextIO], Iterator[dict]]) -> CaseTable:
+    from .casetable import CaseTable
+
+    table = CaseTable()
+    with path.open(encoding="utf-8") as fh:
+        for columns in chunks(fh):
+            table.extend(columns)
+    return table
+
+
+def _decoded_chunks(fh: TextIO) -> Iterator[dict[str, tuple]]:
+    """The columns of the rows after the header line, up to _CHUNK_LINES
+    rows at a time. Any line but one row of the accepted JSON types and its
+    newline raises ValueError or RecursionError, naming no line."""
+    if _decode_json(fh.readline()) != _HEADER:  # an empty file fails to decode
+        raise ValueError("not the header line")
+    while lines := list(itertools.islice(fh, _CHUNK_LINES)):
+        rows = []
+        for line in lines:
+            row, end = _decode_row(line)
+            if line[end:] != "\n":
+                raise ValueError("not one JSON value and its newline")
+            rows.append(row)
+        if {*map(type, rows)} != {list} or {*map(len, rows)} != {len(CASE_FIELDS)}:
+            raise ValueError("not an array of the fields")
+        columns = _columns(rows)
+        for field, column in columns.items():
+            if not {*map(type, column)} <= _ROW_TYPES[field][0]:
+                raise ValueError(f"bad value for {field!r}")
+        yield columns
+
+
+def _checked_chunks(path: Path, fh: TextIO) -> Iterator[dict[str, tuple]]:
+    """The columns of ``_decoded_chunks``, read one line at a time and blank
+    lines skipped; the first line at fault raises UsageError, naming it and
+    what is wrong with it."""
+    line_no, rows, seen = 1, [], set()
+    try:
+        reason = _bad_header(fh.readline())
+        if reason:
+            raise ValueError(reason)
+        for line_no, line in enumerate(fh, start=2):
+            if line.strip():
+                rows.append(_checked_row(line, seen))
+            if len(rows) == _CHUNK_LINES:
+                yield _columns(rows)
+                rows = []
+    except UnicodeDecodeError:
+        raise UsageError(f"{path}: invalid UTF-8; re-run 'ingest'") from None
+    except ValueError as exc:
+        raise UsageError(f"{path}:{line_no}: {exc}; re-run 'ingest'") from None
+    if rows:
+        yield _columns(rows)
+
+
+def _columns(rows: list[list]) -> dict[str, tuple]:
+    """Each field's column of ``rows``, arrays of len(CASE_FIELDS) values."""
+    return dict(zip(CASE_FIELDS, zip(*rows)))
+
+
+def _bad_header(line: str) -> str | None:
+    """Why line 1 of a cases.jsonl is not its header line; None if it is."""
+    expected = f"expected a header line of the {len(CASE_FIELDS)} field names"
     if not line:
         return f"{expected}, got an empty file"
     try:
-        return f"{expected}, got {rules.shown(json.loads(line))}"
+        header = json.loads(line)
     except (ValueError, RecursionError):
         return f"{expected}, got invalid JSON"
+    return None if header == _HEADER else f"{expected}, got {rules.shown(header)}"
 
 
-def _bad_case_row(line: str, exc: Exception) -> str:
-    """What is wrong with a cases.jsonl line that ``_case_from_row`` could not read."""
+def _checked_row(line: str, seen: set[str]) -> list:
+    """The row on a cases.jsonl line whose case id is not one of ``seen``,
+    which it joins; ValueError says what is wrong with the line."""
     try:
-        row = json.loads(line)
+        row = json.loads(line)  # NaN and Infinity too, which are named below
     except (ValueError, RecursionError):
-        return "invalid JSON"
-    expected = f"expected a JSON array of {len(_ROW_FIELDS)} fields"
+        raise ValueError("invalid JSON") from None
+    expected = f"expected a JSON array of {len(CASE_FIELDS)} fields"
     if type(row) is not list:
-        return f"{expected}, got {rules.shown(row)}"
-    if len(row) != len(_ROW_FIELDS):
-        return f"{expected}, got {len(row)}"
-    for key, value in zip(_ROW_FIELDS, row):
+        raise ValueError(f"{expected}, got {rules.shown(row)}")
+    if len(row) != len(CASE_FIELDS):
+        raise ValueError(f"{expected}, got {len(row)}")
+    for key, value in zip(CASE_FIELDS, row):
         types, name = _ROW_TYPES[key]
         if type(value) not in types:
-            return f"bad value for {key!r}: expected {name}, got {json.dumps(value)}"
-    return f"bad value ({type(exc).__name__}: {exc})"
+            raise ValueError(f"bad value for {key!r}: expected {name}, got {json.dumps(value)}")
+        if key in NUMBER_FIELDS and value is not None and not _finite(value):
+            raise ValueError(f"bad value for {key!r}: expected a finite number or null, got {rules.shown(value)}")
+    if row[0] in seen:
+        raise ValueError(f"case {row[0]!r} is listed a second time")
+    seen.add(row[0])
+    return row
+
+
+def _finite(number: float) -> bool:
+    try:
+        return math.isfinite(number)
+    except OverflowError:  # an integer too large for a float
+        return False

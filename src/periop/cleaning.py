@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence, TypeVar
+from typing import Mapping, Sequence, TypeVar
 
-from .eventlog import Case
+from .eventlog import PHASE_FIELDS
 
 # Anything above two days is treated as a documentation fluke.
 MAX_PLAUSIBLE_MINUTES = 48.0 * 60.0
@@ -95,17 +95,14 @@ def iqr_filter(samples: Sequence[tuple[T, float]], multiplier: float = 1.5) -> I
     return IqrResult(tuple(retained), tuple(removed_low), tuple(removed_high), (lo, hi))
 
 
-def plausibility_filter(
-    cases: Iterable[Case],
-    phase: str,
-    max_minutes: float = MAX_PLAUSIBLE_MINUTES,
-) -> tuple[list[Case], CleaningReport]:
-    """Drop cases whose phase duration is missing, <= 0 or above max_minutes."""
-    retained: list[Case] = []
-    report = CleaningReport()
-    for case in cases:
-        report.input += 1
-        value = case.durations.get(phase)
+def _plausible(
+    values: Sequence[float | None], max_minutes: float
+) -> tuple[list[int], CleaningReport]:
+    """The indices of the ``values`` that are present, > 0 and at most
+    max_minutes, and the report of the others."""
+    retained: list[int] = []
+    report = CleaningReport(input=len(values))
+    for i, value in enumerate(values):
         if value is None:
             report.counts["missing"] += 1
         elif value <= 0:
@@ -113,40 +110,57 @@ def plausibility_filter(
         elif value > max_minutes:
             report.counts["excessive"] += 1
         else:
-            retained.append(case)
+            retained.append(i)
     report.retained = len(retained)
     return retained, report
 
 
+def plausibility_filter(
+    cases: Mapping[str, Sequence],
+    phase: str,
+    max_minutes: float = MAX_PLAUSIBLE_MINUTES,
+) -> tuple[list[str], CleaningReport]:
+    """The ids of the ``cases`` (a CaseTable, say) whose phase duration is
+    present, > 0 and at most max_minutes, in row order."""
+    retained, report = _plausible(cases[PHASE_FIELDS[phase].duration], max_minutes)
+    ids = cases["case_id"]
+    return [ids[i] for i in retained], report
+
+
 def clean_phase(
-    cases: Iterable[Case],
+    cases: Mapping[str, Sequence],
     phase: str,
     multiplier: float = 1.5,
     max_minutes: float = MAX_PLAUSIBLE_MINUTES,
     by_department: bool = False,
-) -> tuple[list[Case], CleaningReport]:
+) -> tuple[list[str], CleaningReport]:
     """Full cleaning pass for one phase: plausibility filter, then IQR filter.
 
-    The IQR bounds are computed per group: one group of every plausible case,
-    or one per department with ``by_department``. A group of fewer than 4
-    cases is kept unfiltered. The report's ``bounds`` field is only set for
-    the single group, and stays None when that group was too small.
+    ``cases`` maps each case field to its column (a CaseTable, say). Returns
+    the ids of the cases retained, in row order. The IQR bounds are computed
+    per group: one group of every plausible case, or one per department with
+    ``by_department``. A group of fewer than 4 cases is kept unfiltered. The
+    report's ``bounds`` field is only set for the single group, and stays
+    None when that group was too small.
     """
-    plausible, report = plausibility_filter(cases, phase, max_minutes=max_minutes)
-    groups: dict[str, list[Case]] = {}
-    for case in plausible:
-        groups.setdefault(case.attributes.department if by_department else "", []).append(case)
-    kept_ids = set()
+    values = cases[PHASE_FIELDS[phase].duration]
+    plausible, report = _plausible(values, max_minutes)
+    departments = cases["department"] if by_department else [""] * len(values)
+    groups: dict[str, list[int]] = {}
+    for i in plausible:
+        groups.setdefault(departments[i], []).append(i)
+    kept = set()
     for group in groups.values():
         if len(group) < 4:
-            kept_ids.update(map(id, group))
+            kept.update(group)
             continue
-        result = iqr_filter([(c, c.durations.get(phase)) for c in group], multiplier)
+        result = iqr_filter([(i, values[i]) for i in group], multiplier)
         report.counts["iqr_low"] += len(result.removed_low)
         report.counts["iqr_high"] += len(result.removed_high)
-        kept_ids.update(id(c) for c, _ in result.retained)
+        kept.update(i for i, _ in result.retained)
         if not by_department:
             report.bounds = result.bounds
-    retained = [c for c in plausible if id(c) in kept_ids]
+    ids = cases["case_id"]
+    retained = [ids[i] for i in plausible if i in kept]
     report.retained = len(retained)
     return retained, report

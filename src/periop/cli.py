@@ -33,15 +33,14 @@ import os
 import sys
 import zlib
 from pathlib import Path
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from . import artifacts, rules
 from .config import MODEL_CHOICES, FIELD_TYPES, PipelineConfig, UsageError, build_config
 from .eventlog import (
+    CASES_HEADER,
     PHASE_FIELDS,
     PHASES,
-    Case,
-    CaseAttributes,
     ParseError,
     assemble_cases,
     parse_case_attributes,
@@ -52,6 +51,7 @@ if TYPE_CHECKING:
     import numpy as np
 
     from . import features, models, textnorm
+    from .casetable import CaseTable
 
 
 def derive_seed(root: int, label: str) -> int:
@@ -75,10 +75,6 @@ def _parse_input(path: Path, parse):
         raise UsageError(f"{path}: {exc}") from None
 
 
-def _cases_by_id(cfg: PipelineConfig) -> dict[str, Case]:
-    return {c.case_id: c for c in artifacts.read_cases(Path(cfg.out) / "cases.jsonl")}
-
-
 def _rules_for_phase(cfg: PipelineConfig, phase: str) -> textnorm.NormalizationRules:
     from . import textnorm
 
@@ -99,12 +95,12 @@ def _rules_for_phase(cfg: PipelineConfig, phase: str) -> textnorm.NormalizationR
     )
 
 
-def _split_ids(cfg: PipelineConfig, phase: str, cases: dict[str, Case]) -> tuple[list[str], list[str]]:
+def _split_ids(cfg: PipelineConfig, phase: str, cases: CaseTable) -> tuple[list[str], list[str]]:
     """Train and test ids among the cases that cleaning retained, each one of
     ``cases``; an empty side exits 1, so no stage fits or scores on zero rows."""
     from . import models
 
-    ordered = sorted(artifacts.read_retained_ids(Path(cfg.out) / f"clean_{phase}.json", cases))
+    ordered = sorted(artifacts.read_retained_ids(Path(cfg.out) / f"clean_{phase}.json", cases.index))
     if not ordered:
         raise UsageError(f"phase {phase!r}: cleaning retained no cases; see cleaning_report.json")
     train_idx, test_idx = models.split_indices(
@@ -119,14 +115,15 @@ def _split_ids(cfg: PipelineConfig, phase: str, cases: dict[str, Case]) -> tuple
 
 
 def _normalized_docs(
-    cfg: PipelineConfig, phase: str, attrs: Sequence[CaseAttributes]
+    cfg: PipelineConfig, phase: str, cases: Mapping[str, Sequence]
 ) -> tuple[list[list[str]], np.ndarray]:
-    """Token lists of the phase's distinct texts, in first-seen order, and
-    each case's index into them."""
+    """Token lists of the distinct phase texts of ``cases``, a mapping of
+    each case field to its column, in first-seen order, and each case's
+    index into them."""
     from . import encoding, textnorm
 
     text_rules = _rules_for_phase(cfg, phase)
-    texts, inverse = encoding._distinct_keys([a.text(phase) for a in attrs])
+    texts, inverse = encoding._distinct_keys(cases[PHASE_FIELDS[phase].text])
     return [textnorm.normalize_text(text, text_rules) for text in texts], inverse
 
 
@@ -202,7 +199,7 @@ def stage_clean(cfg: PipelineConfig) -> None:
             out / f"clean_{phase}.json",
             {
                 "phase": phase,
-                "retained_ids": [c.case_id for c in retained],
+                "retained_ids": retained,
                 "bounds": list(report.bounds) if report.bounds else None,
             },
         )
@@ -213,12 +210,13 @@ def stage_clean(cfg: PipelineConfig) -> None:
 def stage_cluster(cfg: PipelineConfig) -> None:
     from . import clustering, textnorm
 
-    cases = _cases_by_id(cfg)
     out = Path(cfg.out)
+    cases = artifacts.read_cases(out / "cases.jsonl")
     for phase in cfg.phases:
         train_ids, test_ids = _split_ids(cfg, phase, cases)
         all_ids = train_ids + test_ids
-        docs, text_of = _normalized_docs(cfg, phase, [cases[i].attributes for i in all_ids])
+        split_cases = cases.select(all_ids)
+        docs, text_of = _normalized_docs(cfg, phase, split_cases)
         try:
             model_tfidf = textnorm.fit_tfidf([docs[i] for i in text_of[: len(train_ids)]], max_terms=cfg.max_terms)
         except ValueError:  # every training text normalized to no token
@@ -270,7 +268,7 @@ def stage_cluster(cfg: PipelineConfig) -> None:
         )
         artifacts.write_assignments(out / f"assignments_{phase}.csv", all_ids, labels.tolist())
 
-        train_durations = [cases[i].durations.get(phase) for i in train_ids]
+        train_durations = split_cases[PHASE_FIELDS[phase].duration][: len(train_ids)]
         catalog = clustering.cluster_catalog(
             labels[: len(train_ids)], X_train, model_tfidf.terms(), train_durations
         )
@@ -296,13 +294,12 @@ def _model_plan(name: str, cfg: PipelineConfig) -> tuple[str, str, dict]:
 def stage_train(cfg: PipelineConfig) -> None:
     from . import features, models
 
-    cases = _cases_by_id(cfg)
     out = Path(cfg.out)
+    cases = artifacts.read_cases(out / "cases.jsonl")
     for phase in cfg.phases:
         train_ids, _ = _split_ids(cfg, phase, cases)
-        train_cases = [cases[i] for i in train_ids]
-        attrs = [c.attributes for c in train_cases]
-        y = [c.durations.get(phase) for c in train_cases]
+        train_cases = cases.select(train_ids)
+        y = train_cases[PHASE_FIELDS[phase].duration]
         clusters = artifacts.read_clusters(out / f"assignments_{phase}.csv", train_ids)
         contexts: dict[str, features.FeatureContext] = {}  # one per group_by
         for name in cfg.models:
@@ -312,12 +309,12 @@ def stage_train(cfg: PipelineConfig) -> None:
                     phase, train_cases, clusters, group_by, cfg.target_smoothing
                 )
             ctx = contexts[group_by]
-            rows, inverse = features.design_rows(ctx, family, attrs, clusters)
+            rows, inverse = features.design_rows(ctx, family, train_cases, clusters)
             dataset = models.Dataset(X=rows[inverse], y=y)
             grid_info = None
             if cfg.grid_search and models.DEFAULT_GRIDS.get(family):
                 # CV on the raw-cluster-code design so fold encoders refit
-                rows, inverse = features.design_rows(ctx, family, attrs, clusters, encoded=False)
+                rows, inverse = features.design_rows(ctx, family, train_cases, clusters, encoded=False)
                 raw = models.Dataset(X=rows[inverse], y=dataset.y)
                 spec = models.GridSpec(
                     family=family,
@@ -376,36 +373,37 @@ def _read_bundle(path: Path) -> tuple[features.FeatureContext, models.Model, str
 
 def _bundle_predict(
     bundle: tuple[features.FeatureContext, models.Model, str],
-    attrs: Sequence[CaseAttributes],
+    cases: Mapping[str, Sequence],
     clusters: Sequence[int],
 ) -> np.ndarray:
-    """Predict the cases ``attrs``, in ``clusters``, with a read model bundle;
-    each distinct design row is built and predicted once."""
+    """Predict ``cases``, a mapping of each case field to its column, in
+    ``clusters``, with a read model bundle; each distinct design row is
+    built and predicted once."""
     from . import features
 
     ctx, model, family = bundle
-    rows, inverse = features.design_rows(ctx, family, attrs, clusters)
+    rows, inverse = features.design_rows(ctx, family, cases, clusters)
     return model.predict(rows)[inverse]
 
 
 def stage_evaluate(cfg: PipelineConfig) -> None:
     from . import evaluate
 
-    cases = _cases_by_id(cfg)
     out = Path(cfg.out)
+    cases = artifacts.read_cases(out / "cases.jsonl")
     metrics_obj: dict = {}
     for phase in cfg.phases:
         _, test_ids = _split_ids(cfg, phase, cases)
-        test_cases = [cases[i] for i in test_ids]
-        attrs = [c.attributes for c in test_cases]
-        actual = [c.durations.get(phase) for c in test_cases]
-        planned = [a.planned(phase) for a in attrs]
+        test_cases = cases.select(test_ids)
+        fields = PHASE_FIELDS[phase]
+        actual = test_cases[fields.duration]
+        planned = [None] * len(test_ids) if fields.plan is None else test_cases[fields.plan]
         clusters = artifacts.read_clusters(out / f"assignments_{phase}.csv", test_ids)
         predictions: dict[str, np.ndarray] = {}
         metrics_obj[phase] = {}
         for name in cfg.models:
             bundle = _read_bundle(out / f"model_{phase}_{name}.json")
-            predictions[name] = _bundle_predict(bundle, attrs, clusters)
+            predictions[name] = _bundle_predict(bundle, test_cases, clusters)
             metrics_obj[phase][name] = evaluate.compute_metrics(
                 actual, predictions[name], tolerance=cfg.tolerance
             ).to_dict()
@@ -424,14 +422,15 @@ def stage_evaluate(cfg: PipelineConfig) -> None:
 def stage_report(cfg: PipelineConfig) -> None:
     from . import evaluate, stats
 
-    cases = _cases_by_id(cfg)
     out = Path(cfg.out)
+    cases = artifacts.read_cases(out / "cases.jsonl")
     deviation_obj: dict = {}
     factors_obj: dict = {}
     for phase in cfg.phases:
         _, test_ids = _split_ids(cfg, phase, cases)
-        test_cases = [cases[i] for i in test_ids]
-        has_plan = PHASE_FIELDS[phase].plan is not None
+        test_cases = cases.select(test_ids)
+        fields = PHASE_FIELDS[phase]
+        has_plan = fields.plan is not None
         # upstream first: stale assignments make the predictions stale too
         clusters = artifacts.read_clusters(out / f"assignments_{phase}.csv", test_ids)
         predictions = artifacts.read_predictions(out / f"predictions_{phase}.csv", test_ids)
@@ -445,29 +444,42 @@ def stage_report(cfg: PipelineConfig) -> None:
                 deviation_obj[phase] = {"error": str(exc)}
 
         # histograms of actual durations and of the manual plan (3-min bins)
-        actual_bins = evaluate.histogram([c.durations.get(phase) for c in test_cases], 3.0)
+        actual_bins = evaluate.histogram(test_cases[fields.duration], 3.0)
         _write_histogram(out / f"histogram_{phase}_actual", actual_bins, f"{phase}: actual duration")
         if has_plan:
-            plans = [c.attributes.planned(phase) for c in test_cases]
-            plan_bins = evaluate.histogram([p for p in plans if p is not None], 3.0)
+            plan_bins = evaluate.histogram([p for p in test_cases[fields.plan] if p is not None], 3.0)
             _write_histogram(out / f"histogram_{phase}_plan", plan_bins, f"{phase}: manual plan")
 
-        factors: dict[str, dict[str, list[float]]] = {
-            "age_band": {}, "sex": {}, "department": {}, "cluster": {},
-        }
-        for case, cluster in zip(test_cases, clusters):
-            value = case.durations.get(phase)
-            age = case.attributes.age
-            band = "unknown" if age is None else ("<40" if age < 40 else "40-64" if age < 65 else "65+")
-            factors["age_band"].setdefault(band, []).append(value)
-            factors["sex"].setdefault(case.attributes.sex, []).append(value)
-            factors["department"].setdefault(case.attributes.department, []).append(value)
-            factors["cluster"].setdefault(str(cluster), []).append(value)
-        factors_obj[phase] = stats.factor_report(factors)
+        factors_obj[phase] = stats.factor_report(_factor_groups(test_cases, phase, clusters))
         print(f"report[{phase}]: wrote deviation/histogram/factor artifacts")
 
     artifacts.write_json(out / "deviation_report.json", deviation_obj)
     artifacts.write_json(out / "factor_report.json", factors_obj)
+
+
+def _age_band(age: float | None) -> str:
+    return "unknown" if age is None else ("<40" if age < 40 else "40-64" if age < 65 else "65+")
+
+
+def _factor_groups(
+    cases: Mapping[str, Sequence], phase: str, clusters: Sequence[int]
+) -> dict[str, dict[str, list[float]]]:
+    """The phase durations of ``cases``, a mapping of each case field to its
+    column, grouped by each factor that the report tests: age band, sex,
+    department and cluster (``clusters[i]`` is that of case i)."""
+    durations = cases[PHASE_FIELDS[phase].duration]
+    factors = {
+        "age_band": map(_age_band, cases["age"]),
+        "sex": cases["sex"],
+        "department": cases["department"],
+        "cluster": map(str, clusters),
+    }
+    groups: dict[str, dict[str, list[float]]] = {}
+    for factor, keys in factors.items():
+        by_key = groups[factor] = {}
+        for key, value in zip(keys, durations):
+            by_key.setdefault(key, []).append(value)
+    return groups
 
 
 def _write_histogram(base: Path, bins: list[tuple[float, int]], title: str) -> None:
@@ -508,10 +520,11 @@ def stage_predict(cfg: PipelineConfig, dest: str | None, apply_floors: bool) -> 
     )
     preds: Sequence[float] = []  # a --cases without a row read gets a header-only file
     if attrs:
-        docs, text_of = _normalized_docs(cfg, phase, attrs)
+        columns = dict(zip(CASES_HEADER, zip(*attrs)))
+        docs, text_of = _normalized_docs(cfg, phase, columns)
         X_docs, doc_of = _tfidf_matrix(docs, tfidf)
         clusters = clustering.cluster_assign(cluster_model, X_docs)[doc_of[text_of]].tolist()
-        preds = _bundle_predict(bundle, attrs, clusters)
+        preds = _bundle_predict(bundle, columns, clusters)
     if apply_floors:
         from . import evaluate
 

@@ -14,7 +14,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .eventlog import PHASE_FIELDS, Case
+from .eventlog import PHASE_FIELDS
 from .stats import finite_or_none
 
 DEFAULT_TOLERANCE = 0.20
@@ -158,29 +158,29 @@ def _plan_row(source: str, actual: np.ndarray, predicted: np.ndarray, tolerance:
 
 
 def compare_to_plan(
-    cases: Sequence[Case],
+    cases: Mapping[str, Sequence],
     phase: str,
     model_predictions: Mapping[str, Sequence[float]],
     tolerance: float = DEFAULT_TOLERANCE,
 ) -> DeviationReport:
     """Manual plan vs model predictions on the same cases.
 
+    ``cases`` maps each case field to its column (a CaseTable, say), and
     ``model_predictions`` maps a model name to per-case predictions aligned
-    with ``cases``. Only cases with a positive actual duration and a planned
+    with it. Only cases with a positive actual duration and a planned
     duration for the phase enter the comparison; there must be at least one.
     """
     if phase not in PHASE_FIELDS or PHASE_FIELDS[phase].plan is None:
         raise ValueError(f"no planned durations exist for phase {phase!r}")
+    durations = cases[PHASE_FIELDS[phase].duration]
     for name, preds in model_predictions.items():
-        if len(preds) != len(cases):
+        if len(preds) != len(durations):
             raise ValueError(f"predictions for {name!r} do not align with cases")
 
     keep: list[int] = []
     actual: list[float] = []
     planned: list[float] = []
-    for i, case in enumerate(cases):
-        value = case.durations.get(phase)
-        plan = case.attributes.planned(phase)
+    for i, (value, plan) in enumerate(zip(durations, cases[PHASE_FIELDS[phase].plan])):
         if value is not None and value > 0 and plan is not None:
             keep.append(i)
             actual.append(value)

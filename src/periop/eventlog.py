@@ -35,16 +35,17 @@ PHASE_ANCHORS = {
 
 
 class PhaseFields(NamedTuple):
-    """The CaseAttributes fields that belong to one phase."""
+    """The case fields that belong to one phase."""
 
     text: str  # free-text description that gets clustered
     plan: str | None  # manually scheduled duration, if the log carries one
+    duration: str  # the PhaseDurations field of the phase
 
 
 PHASE_FIELDS = {
-    "induction": PhaseFields("anesthesia_text", "planned_induction_min"),
-    "preparation": PhaseFields("positioning_text", None),
-    "procedure": PhaseFields("procedure_text", "planned_procedure_min"),
+    "induction": PhaseFields("anesthesia_text", "planned_induction_min", "induction_min"),
+    "preparation": PhaseFields("positioning_text", None, "preparation_min"),
+    "procedure": PhaseFields("procedure_text", "planned_procedure_min", "procedure_min"),
 }
 
 EVENTS_HEADER = ("case_id", "event_type", "timestamp")
@@ -108,7 +109,7 @@ class PhaseDurations(NamedTuple):
     def get(self, phase: str) -> float | None:
         if phase not in PHASES:
             raise ValueError(f"unknown phase: {phase!r}")
-        return getattr(self, f"{phase}_min")
+        return getattr(self, PHASE_FIELDS[phase].duration)
 
 
 class Case(NamedTuple):
@@ -126,6 +127,13 @@ class Case(NamedTuple):
     @property
     def is_valid(self) -> bool:
         return not self.duplicate_anchors
+
+
+# every field of a Case, in the order its records hold them: the
+# CaseAttributes fields, the PhaseDurations fields, then the two others
+CASE_FIELDS = (*CASES_HEADER, *PhaseDurations._fields, "duplicate_anchors", "n_events")
+# the fields that hold a number or None
+NUMBER_FIELDS = ("age", "planned_induction_min", "planned_procedure_min", *PhaseDurations._fields)
 
 
 def parse_timestamp(raw: str) -> datetime:

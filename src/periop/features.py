@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Hashable, Sequence
+from typing import Hashable, Mapping, Sequence
 
 import numpy as np
 
 from . import encoding, rules
-from .eventlog import Case, CaseAttributes
+from .eventlog import PHASE_FIELDS
 
 
 @dataclass
@@ -65,20 +65,22 @@ class FeatureContext:
 
 def fit_context(
     phase: str,
-    train_cases: Sequence[Case],
+    train_cases: Mapping[str, Sequence],
     clusters: Sequence[int],
     group_by: str,
     target_smoothing: float,
 ) -> FeatureContext:
-    """Fit encoders, schemas and the age fill on the training cases only;
-    ``clusters[i]`` is the cluster of ``train_cases[i]`` (-1 for none)."""
-    targets = [c.durations.get(phase) for c in train_cases]
+    """Fit encoders, schemas and the age fill on the training cases only:
+    ``train_cases`` maps each case field to its column (a CaseTable, say),
+    and ``clusters[i]`` is the cluster of case i (-1 for none)."""
+    fields = PHASE_FIELDS[phase]
+    targets = train_cases[fields.duration]
     encoder = encoding.target_encode_fit([str(c) for c in clusters], targets, m=target_smoothing)
     name_codes: dict[str, int] = {}
     if group_by == "exact-name":
-        names = sorted({c.attributes.text(phase).strip() for c in train_cases})
+        names = sorted({text.strip() for text in train_cases[fields.text]})
         name_codes = {name: i for i, name in enumerate(names)}
-    ages = [c.attributes.age for c in train_cases if c.attributes.age is not None]
+    ages = [age for age in train_cases["age"] if age is not None]
     return FeatureContext(
         phase=phase,
         group_by=group_by,
@@ -86,37 +88,38 @@ def fit_context(
         name_codes=name_codes,
         target_encoder=encoder,
         age_fill=float(np.median(ages)) if ages else 50.0,
-        sex_schema=encoding.OneHotSchema.fit([c.attributes.sex for c in train_cases]),
-        department_schema=encoding.OneHotSchema.fit([c.attributes.department for c in train_cases]),
+        sex_schema=encoding.OneHotSchema.fit(train_cases["sex"]),
+        department_schema=encoding.OneHotSchema.fit(train_cases["department"]),
     )
 
 
 def design_rows(
     ctx: FeatureContext,
     family: str,
-    attrs: Sequence[CaseAttributes],
+    cases: Mapping[str, Sequence],
     clusters: Sequence[int],
     encoded: bool = True,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The distinct rows of the design matrix a model family reads, and each
     case's index into them.
 
-    ``clusters[i]`` is the cluster of ``attrs[i]`` (-1 for none). The global
-    mean reads no columns, group means read the group code (the cluster, or
-    the exact-name code), and every other family reads the regression row:
-    the cluster (target encoded, or the raw code unless ``encoded``), age,
-    sex and department. Each case is keyed by the fields its row reads, and
-    each distinct key is encoded once.
+    ``cases`` maps each case field to its column, one value per case (a
+    CaseTable, say), and ``clusters[i]`` is the cluster of case i (-1 for
+    none). The global mean reads no columns, group means read the group
+    code (the cluster, or the exact-name code), and every other family reads
+    the regression row: the cluster (target encoded, or the raw code unless
+    ``encoded``), age, sex and department. Each case is keyed by the fields
+    its row reads, and each distinct key is encoded once.
     """
     keys: Sequence[Hashable]
     if family == "mean":
-        keys = [()] * len(attrs)
+        keys = [()] * len(clusters)
     elif family == "group-mean" and ctx.group_by == "exact-name":
-        keys = [a.text(ctx.phase) for a in attrs]
+        keys = cases[PHASE_FIELDS[ctx.phase].text]
     elif family == "group-mean":
         keys = clusters
     else:
-        keys = [(c, a.age, a.sex, a.department) for c, a in zip(clusters, attrs)]
+        keys = list(zip(clusters, cases["age"], cases["sex"], cases["department"]))
     distinct, inverse = encoding._distinct_keys(keys)
     return _encode(ctx, family, distinct, encoded), inverse
 

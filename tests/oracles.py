@@ -1,6 +1,8 @@
 """Brute-force reference implementations, kept independent of the package
 internals: they evaluate the documented formulas directly and exist only to
-cross-check the real implementations.
+cross-check the real implementations. The ``*_cases`` functions are the
+versions of the cleaning, feature and report code that read one Case record
+per case, kept to cross-check the versions that read a case table's columns.
 """
 
 import csv
@@ -11,8 +13,20 @@ from datetime import datetime, timedelta, timezone
 
 import numpy as np
 
+from periop import encoding
+from periop.casetable import CaseTable
+from periop.cleaning import MAX_PLAUSIBLE_MINUTES, CleaningReport, iqr_filter
 from periop.clustering import GmmModel, KMeansModel
-from periop.eventlog import ANCHOR_EVENTS, CASES_HEADER, EVENTS_HEADER, PHASE_ANCHORS, PHASES, CaseAttributes
+from periop.eventlog import (
+    ANCHOR_EVENTS,
+    CASE_FIELDS,
+    CASES_HEADER,
+    EVENTS_HEADER,
+    PHASE_ANCHORS,
+    PHASES,
+    CaseAttributes,
+)
+from periop.features import FeatureContext
 from periop.models import Tree
 from periop.synthgen import (
     ANESTHESIA_CANONICALS,
@@ -91,6 +105,107 @@ def cases_jsonl_slow(cases):
         row += [list(case.duplicate_anchors), case.n_events]
         lines.append(json.dumps(row) + "\n")
     return "".join(lines)
+
+
+def case_row(case):
+    """One case's values in ``CASE_FIELDS`` order, as a cases.jsonl line holds them."""
+    return (*case.attributes, *case.durations, case.duplicate_anchors, case.n_events)
+
+
+def case_columns(cases):
+    """Each field's column of ``cases``, a list of Case records, as a plain
+    dict: the mapping that the column code reads, without a table's coding."""
+    rows = [case_row(c) for c in cases]
+    return {field: [row[j] for row in rows] for j, field in enumerate(CASE_FIELDS)}
+
+
+def case_table(cases):
+    """The CaseTable of ``cases``, a list of Case records with distinct ids."""
+    table = CaseTable()
+    table.extend(case_columns(cases))
+    return table
+
+
+# The Case-list versions of the code that reads case columns: one record per
+# case, each value read from its record.
+
+
+def plausibility_filter_cases(cases, phase, max_minutes=MAX_PLAUSIBLE_MINUTES):
+    """The Case records whose phase duration is present, > 0 and at most
+    max_minutes, and the report of the others."""
+    retained = []
+    report = CleaningReport()
+    for case in cases:
+        report.input += 1
+        value = case.durations.get(phase)
+        if value is None:
+            report.counts["missing"] += 1
+        elif value <= 0:
+            report.counts["negative_or_zero"] += 1
+        elif value > max_minutes:
+            report.counts["excessive"] += 1
+        else:
+            retained.append(case)
+    report.retained = len(retained)
+    return retained, report
+
+
+def clean_phase_cases(cases, phase, multiplier=1.5, max_minutes=MAX_PLAUSIBLE_MINUTES, by_department=False):
+    """The plausibility filter, then the IQR filter over one group of every
+    plausible case or one per department; a group below 4 cases is kept."""
+    plausible, report = plausibility_filter_cases(cases, phase, max_minutes=max_minutes)
+    groups = {}
+    for case in plausible:
+        groups.setdefault(case.attributes.department if by_department else "", []).append(case)
+    kept_ids = set()
+    for group in groups.values():
+        if len(group) < 4:
+            kept_ids.update(map(id, group))
+            continue
+        result = iqr_filter([(c, c.durations.get(phase)) for c in group], multiplier)
+        report.counts["iqr_low"] += len(result.removed_low)
+        report.counts["iqr_high"] += len(result.removed_high)
+        kept_ids.update(id(c) for c, _ in result.retained)
+        if not by_department:
+            report.bounds = result.bounds
+    retained = [c for c in plausible if id(c) in kept_ids]
+    report.retained = len(retained)
+    return retained, report
+
+
+def fit_context_cases(phase, train_cases, clusters, group_by, target_smoothing):
+    """The FeatureContext fitted on the Case records ``train_cases``."""
+    targets = [c.durations.get(phase) for c in train_cases]
+    encoder = encoding.target_encode_fit([str(c) for c in clusters], targets, m=target_smoothing)
+    name_codes = {}
+    if group_by == "exact-name":
+        names = sorted({c.attributes.text(phase).strip() for c in train_cases})
+        name_codes = {name: i for i, name in enumerate(names)}
+    ages = [c.attributes.age for c in train_cases if c.attributes.age is not None]
+    return FeatureContext(
+        phase=phase,
+        group_by=group_by,
+        target_smoothing=target_smoothing,
+        name_codes=name_codes,
+        target_encoder=encoder,
+        age_fill=float(np.median(ages)) if ages else 50.0,
+        sex_schema=encoding.OneHotSchema.fit([c.attributes.sex for c in train_cases]),
+        department_schema=encoding.OneHotSchema.fit([c.attributes.department for c in train_cases]),
+    )
+
+
+def factor_groups_cases(test_cases, phase, clusters):
+    """The report's factor groups of the Case records ``test_cases``."""
+    factors = {"age_band": {}, "sex": {}, "department": {}, "cluster": {}}
+    for case, cluster in zip(test_cases, clusters):
+        value = case.durations.get(phase)
+        age = case.attributes.age
+        band = "unknown" if age is None else ("<40" if age < 40 else "40-64" if age < 65 else "65+")
+        factors["age_band"].setdefault(band, []).append(value)
+        factors["sex"].setdefault(case.attributes.sex, []).append(value)
+        factors["department"].setdefault(case.attributes.department, []).append(value)
+        factors["cluster"].setdefault(str(cluster), []).append(value)
+    return factors
 
 
 def tfidf_dense(corpus, max_terms=None):

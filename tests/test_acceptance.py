@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 
-from oracles import quantile_slow, silhouette_slow, target_encode_slow, tfidf_dense
+from oracles import case_table, quantile_slow, silhouette_slow, target_encode_slow, tfidf_dense
 from periop import cli
 from periop.cleaning import iqr_filter, plausibility_filter, quantile
 from periop.clustering import gmm_fit, kmeans_fit, select_k
@@ -208,8 +208,8 @@ def test_criterion_4_cleaning():
     planted_bad = {"neg1": -12.0, "neg2": -0.5, "zero": 0.0, "multi1": 3.2 * 1440, "multi2": 5.0 * 1440}
     cases += [_case(cid, v) for cid, v in planted_bad.items()]
     cases.append(Case(attributes=CaseAttributes(case_id="missing")))
-    retained, rep = plausibility_filter(cases, "procedure")
-    removed_ids = {c.case_id for c in cases} - {c.case_id for c in retained}
+    retained, rep = plausibility_filter(case_table(cases), "procedure")
+    removed_ids = {c.case_id for c in cases} - set(retained)
     plaus_ok = removed_ids == set(planted_bad) | {"missing"}
     plaus_ok &= rep.counts["negative_or_zero"] == 3 and rep.counts["excessive"] == 2
 

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import quantile_slow
+from oracles import case_table, clean_phase_cases, quantile_slow
 from periop.cleaning import (
     CleaningReport,
     clean_phase,
@@ -105,8 +107,8 @@ def test_plausibility_reasons():
         make_case("ok", procedure=90.0),
         make_case("gone", procedure=None),
     ]
-    retained, report = plausibility_filter(cases, "procedure")
-    assert [c.case_id for c in retained] == ["ok"]
+    retained, report = plausibility_filter(case_table(cases), "procedure")
+    assert retained == ["ok"]
     assert report.counts["negative_or_zero"] == 2
     assert report.counts["excessive"] == 1
     assert report.counts["missing"] == 1
@@ -122,7 +124,7 @@ def test_clean_phase_combined_report():
     rng = np.random.default_rng(2)
     cases = [make_case(f"c{i}", procedure=float(v)) for i, v in enumerate(rng.lognormal(4.0, 0.5, 300))]
     cases += [make_case("neg", procedure=-1.0), make_case("huge", procedure=10_000.0)]
-    retained, report = clean_phase(cases, "procedure")
+    retained, report = clean_phase(case_table(cases), "procedure")
     assert report.input == 302
     assert report.counts["negative_or_zero"] == 1
     assert report.counts["excessive"] == 1
@@ -130,16 +132,17 @@ def test_clean_phase_combined_report():
     assert report.removed + report.retained == report.input
     assert report.bounds is not None
     lo, hi = report.bounds
-    for c in retained:
-        assert lo <= c.durations.procedure_min <= hi
+    by_id = {c.case_id: c for c in cases}
+    for case_id in retained:
+        assert lo <= by_id[case_id].durations.procedure_min <= hi
 
 
 def test_clean_phase_per_department_keeps_small_groups():
     cases = [make_case(f"a{i}", procedure=float(40 + i), department="a") for i in range(10)]
     cases.append(make_case("a-out", procedure=500.0, department="a"))
     cases += [make_case("b1", procedure=30.0, department="b"), make_case("b2", procedure=31.0, department="b")]
-    retained, report = clean_phase(cases, "procedure", by_department=True)
-    ids = {c.case_id for c in retained}
+    retained, report = clean_phase(case_table(cases), "procedure", by_department=True)
+    ids = set(retained)
     assert "a-out" not in ids  # filtered within its department
     assert {"b1", "b2"} <= ids  # too few cases for bounds: kept
     assert report.retained + report.removed == report.input
@@ -149,8 +152,8 @@ def test_clean_phase_per_department_keeps_small_groups():
 def test_clean_phase_keeps_a_group_below_four_unfiltered(by_department):
     cases = [make_case(f"c{i}", procedure=v) for i, v in enumerate([30.0, 31.0, 500.0])]
     cases.append(make_case("gone", procedure=None))
-    retained, report = clean_phase(cases, "procedure", by_department=by_department)
-    assert [c.case_id for c in retained] == ["c0", "c1", "c2"]
+    retained, report = clean_phase(case_table(cases), "procedure", by_department=by_department)
+    assert retained == ["c0", "c1", "c2"]
     assert report.retained == 3 and report.removed == 1
     assert report.to_dict()["iqr_bounds"] is None
 
@@ -163,3 +166,37 @@ def test_report_serialization():
     obj = report.to_dict()
     assert obj["removed"]["missing"] == 1
     assert obj["iqr_bounds"] is None
+
+
+MINUTES = st.none() | st.sampled_from([0.0, -0.0, -5.0, 2880.0, 2880.5]) | st.floats(-100, 4000)
+CASE_LISTS = st.lists(
+    st.builds(
+        make_case,
+        case_id=st.text(max_size=3),
+        procedure=MINUTES,
+        induction=MINUTES,
+        department=st.sampled_from(["a", "b", "c"]),
+    ),
+    unique_by=lambda c: c.case_id,
+    max_size=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    cases=CASE_LISTS,
+    phase=st.sampled_from(["procedure", "induction", "preparation"]),
+    multiplier=st.sampled_from([0.5, 1.5, 3.0]),
+    max_minutes=st.sampled_from([60.0, 2880.0]),
+    by_department=st.booleans(),
+)
+def test_clean_phase_on_the_case_table_equals_the_case_record_version(
+    cases, phase, multiplier, max_minutes, by_department
+):
+    """The same retained ids in the same order, and the same report: every
+    count and the bounds."""
+    kwargs = {"multiplier": multiplier, "max_minutes": max_minutes, "by_department": by_department}
+    retained, report = clean_phase(case_table(cases), phase, **kwargs)
+    expected, expected_report = clean_phase_cases(cases, phase, **kwargs)
+    assert retained == [c.case_id for c in expected]
+    assert report.to_dict() == expected_report.to_dict()

@@ -3,6 +3,7 @@ import csv
 import gc
 import io
 import json
+import math
 import os
 import re
 import shutil
@@ -16,10 +17,11 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import periop
-from periop import cli, clustering, rules
+from oracles import case_table, factor_groups_cases
+from periop import artifacts, cli, clustering, rules
 from periop.cli import derive_seed, run
 from periop.config import MODEL_KEYS, PipelineConfig, UsageError, build_config, parse_config_text
-from periop.eventlog import CASES_HEADER
+from periop.eventlog import CASE_FIELDS, CASES_HEADER, Case, CaseAttributes, PhaseDurations
 from periop.models import make_model
 
 SMALL = [
@@ -226,8 +228,9 @@ _CLI_MODULES = ["periop", "periop.artifacts", "periop.cli", "periop.config", "pe
 def test_ingest_and_clean_import_no_numpy(pipeline_dir, tmp_path):
     """Each command imports only the modules it runs: importing the CLI
     loads no numpy, so ``main`` can set BLAS's thread count before OpenBLAS
-    starts; ingest and clean never load it, and predict loads the evaluate
-    and stats modules only to apply the planning floors."""
+    starts; ingest and clean never load it, ingest loads no case table, and
+    predict loads the evaluate and stats modules only to apply the planning
+    floors."""
     source, config = pipeline_dir
     for name in ("events.csv", "cases.csv"):
         shutil.copy(source / name, tmp_path / name)
@@ -239,8 +242,8 @@ def test_ingest_and_clean_import_no_numpy(pipeline_dir, tmp_path):
     numpy_stage = ["numpy", "periop.clustering", "periop.encoding", "periop.models", "periop.textnorm"]
     expected = [  # (command, the modules it adds to _CLI_MODULES), in pipeline order
         (["ingest", *own], []),
-        (["clean", *own], ["periop.cleaning"]),
-        (["cluster", *own], numpy_stage),
+        (["clean", *own], ["periop.casetable", "periop.cleaning"]),
+        (["cluster", *own], [*numpy_stage, "periop.casetable"]),
         (predict, [*numpy_stage, "periop.features"]),
         ([*predict, "--apply-floors"], [*numpy_stage, "periop.evaluate", "periop.features", "periop.stats"]),
     ]
@@ -357,6 +360,7 @@ def case_line(**changes):
     return json.dumps(list((GOOD_CASE | changes).values()))
 
 
+NOT_FINITE = "bad value for {!r}: expected a finite number or null"
 # a cases.jsonl row of the builds before the header line: one object per case
 OBJECT_ROW = json.dumps(GOOD_CASE, sort_keys=True)
 WRONG_HEADER = CASES_JSONL_HEADER.replace("age", "years")
@@ -372,8 +376,17 @@ WRONG_HEADER = CASES_JSONL_HEADER.replace("age", "years")
         (case_line(procedure_min="12"), "bad value for 'procedure_min': expected a number or null, got \"12\""),
         (case_line(n_events=True), "bad value for 'n_events': expected an integer, got true"),
         (case_line(department=None), "bad value for 'department': expected a string, got null"),
+        (case_line(procedure_min=math.nan), f"{NOT_FINITE.format('procedure_min')}, got NaN"),
+        (case_line(induction_min=-math.inf), f"{NOT_FINITE.format('induction_min')}, got -Infinity"),
+        (case_line(planned_procedure_min=math.inf), f"{NOT_FINITE.format('planned_procedure_min')}, got Infinity"),
+        (case_line().replace("76.4", "1e400"), f"{NOT_FINITE.format('procedure_min')}, got Infinity"),
+        (case_line(age=10**400), f"{NOT_FINITE.format('age')}, got {str(10**400)[:37]}..."),
+        (case_line(), "case 'W1' is listed a second time"),
     ],
-    ids=["truncated", "stale", "one-field-short", "age-text", "duration-text", "count-bool", "department-null"],
+    ids=[
+        "truncated", "stale", "one-field-short", "age-text", "duration-text", "count-bool", "department-null",
+        "duration-nan", "duration-minus-infinity", "plan-infinity", "duration-1e400", "age-too-large", "repeated-id",
+    ],
 )
 def test_bad_cases_jsonl_exits_one_naming_the_line(tmp_path, capsys, line, problem):
     path = tmp_path / "cases.jsonl"
@@ -401,6 +414,45 @@ def test_cases_jsonl_without_its_header_exits_one_at_line_one(tmp_path, capsys, 
         assert capsys.readouterr().err == (
             f"error: {path}:1: expected a header line of the 14 field names, got {got}; re-run 'ingest'\n"
         )
+
+
+def test_blank_lines_and_a_last_line_without_its_newline_read_as_the_same_table(tmp_path):
+    rows = [case_line(case_id=f"W{i}", age=i) for i in range(3)]
+    path = tmp_path / "cases.jsonl"
+    path.write_text(CASES_JSONL_HEADER + "\n" + "\n".join(rows) + "\n")
+    table = artifacts.read_cases(path)
+    path.write_text(CASES_JSONL_HEADER + "\n\n" + rows[0] + "\n \n" + rows[1] + "\n" + rows[2])
+    spaced = artifacts.read_cases(path)
+    assert spaced.ids == table.ids == ["W0", "W1", "W2"]
+    assert all(spaced[field] == table[field] for field in CASE_FIELDS)
+
+
+FACTOR_CASES = st.lists(
+    st.builds(
+        Case,
+        attributes=st.builds(
+            CaseAttributes,
+            case_id=st.text(max_size=3),
+            department=st.sampled_from(["a", "b", "c"]),
+            age=st.none() | st.integers(0, 130),
+            sex=st.sampled_from(["f", "m", "other"]),
+            planned_induction_min=st.none(),
+            planned_procedure_min=st.none(),
+        ),
+        durations=st.builds(PhaseDurations, *[st.none() | st.floats(-10, 600)] * 3),
+    ),
+    unique_by=lambda c: c.case_id,
+    max_size=30,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), cases=FACTOR_CASES, phase=st.sampled_from(["procedure", "induction", "preparation"]))
+def test_report_factor_groups_on_the_case_table_equal_the_case_record_version(data, cases, phase):
+    """The same factors, keys and durations, each in the same order."""
+    clusters = data.draw(st.lists(st.integers(-1, 3), min_size=len(cases), max_size=len(cases)))
+    got = cli._factor_groups(case_table(cases), phase, clusters)
+    assert repr(got) == repr(factor_groups_cases(cases, phase, clusters))
 
 
 def test_pipeline_artifacts_exist(pipeline_dir):

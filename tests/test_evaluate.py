@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from oracles import case_table
 from periop.evaluate import (
     apply_planning_floor,
     compare_to_plan,
@@ -102,14 +103,14 @@ def test_within_rate_monotone_in_tolerance():
 def test_compare_to_plan_model_equal_to_manual():
     cases = [make_case(f"c{i}", 100.0 + i, 90.0) for i in range(5)]
     plans = [90.0] * 5
-    report = compare_to_plan(cases, "procedure", {"copycat": plans})
+    report = compare_to_plan(case_table(cases), "procedure", {"copycat": plans})
     assert report.improvement_pp["copycat"] == pytest.approx(0.0)
     assert report.row("manual").mean_abs_pct_dev == report.row("copycat").mean_abs_pct_dev
 
 
 def test_compare_to_plan_improvement():
     cases = [make_case(f"c{i}", 100.0, 150.0) for i in range(4)]
-    report = compare_to_plan(cases, "procedure", {"model": [110.0] * 4})
+    report = compare_to_plan(case_table(cases), "procedure", {"model": [110.0] * 4})
     assert report.row("manual").mean_abs_pct_dev == pytest.approx(50.0)
     assert report.row("model").mean_abs_pct_dev == pytest.approx(10.0)
     assert report.improvement_pp["model"] == pytest.approx(40.0)
@@ -124,23 +125,23 @@ def test_compare_to_plan_improvement_antisymmetric():
     p2 = actual * rng.uniform(0.7, 1.4, size=10)
     cases1 = [make_case(f"c{i}", actual[i], p1[i]) for i in range(10)]
     cases2 = [make_case(f"c{i}", actual[i], p2[i]) for i in range(10)]
-    fwd = compare_to_plan(cases1, "procedure", {"m": p2.tolist()})
-    rev = compare_to_plan(cases2, "procedure", {"m": p1.tolist()})
+    fwd = compare_to_plan(case_table(cases1), "procedure", {"m": p2.tolist()})
+    rev = compare_to_plan(case_table(cases2), "procedure", {"m": p1.tolist()})
     assert fwd.improvement_pp["m"] == pytest.approx(-rev.improvement_pp["m"])
 
 
 def test_compare_to_plan_requires_plans():
     cases = [make_case("c0", 90.0, None)]
     with pytest.raises(ValueError):
-        compare_to_plan(cases, "procedure", {"m": [80.0]})
+        compare_to_plan(case_table(cases), "procedure", {"m": [80.0]})
     with pytest.raises(ValueError):
-        compare_to_plan(cases, "preparation", {"m": [80.0]})
+        compare_to_plan(case_table(cases), "preparation", {"m": [80.0]})
 
 
 def test_compare_to_plan_alignment_checked():
     cases = [make_case("c0", 90.0, 80.0)]
     with pytest.raises(ValueError):
-        compare_to_plan(cases, "procedure", {"m": [80.0, 90.0]})
+        compare_to_plan(case_table(cases), "procedure", {"m": [80.0, 90.0]})
 
 
 def test_histogram_hand_example():
@@ -185,7 +186,7 @@ def test_non_finite_metrics_are_written_as_null():
     cases = [make_case("a", 1e-320, 5.0), make_case("b", 10.0, 10.0)]
     with np.errstate(over="ignore"):
         metrics = compute_metrics([1e-320, 10.0], [5.0, 10.0]).to_dict()
-        report = compare_to_plan(cases, "procedure", {"m": [5.0, 10.0]}).to_dict()
+        report = compare_to_plan(case_table(cases), "procedure", {"m": [5.0, 10.0]}).to_dict()
     assert metrics["mape_pct"] is None and metrics["mean_pct_dev"] is None
     assert metrics["mae"] == 2.5
     assert report["rows"][0]["mean_abs_pct_dev"] is None

@@ -1,7 +1,9 @@
 import csv
 import io
 import json
+import math
 import random
+import re
 import tempfile
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
@@ -10,12 +12,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import assemble_cases_slow, cases_jsonl_slow
-from periop.artifacts import _case_from_row, _case_to_row, read_cases, write_cases
+from oracles import assemble_cases_slow, case_columns, case_table, cases_jsonl_slow
+from periop.artifacts import _case_to_row, read_cases, write_cases
+from periop.casetable import CaseTable
 from periop.eventlog import (
     ANCHOR_EVENTS,
+    CASE_FIELDS,
     CASES_HEADER,
     EVENTS_HEADER,
+    NUMBER_FIELDS,
     Case,
     CaseAttributes,
     Event,
@@ -240,11 +245,23 @@ def test_assemble_cases_equals_the_sorted_event_oracle(events, attrs):
     assert got == assemble_cases_slow(events, attrs)
 
 
+def table_records(table):
+    """The Case records of ``table``, rebuilt from its columns."""
+    n_attributes = len(CASES_HEADER)
+    return [
+        Case(CaseAttributes(*row[:n_attributes]), row[-1], PhaseDurations(*row[n_attributes:-2]), row[-2])
+        for row in zip(*(table[field] for field in CASE_FIELDS))
+    ]
+
+
 @settings(max_examples=200, deadline=None)
 @given(events=event_logs(), attrs=ATTRIBUTES)
 def test_assembled_cases_round_trip_through_cases_jsonl_rows(events, attrs):
-    for case in assemble_cases(events, attrs):
-        assert _case_from_row(json.loads(json.dumps(_case_to_row(case)))) == case
+    cases = assemble_cases(events, attrs)
+    rows = [json.loads(json.dumps(_case_to_row(case))) for case in cases]
+    table = CaseTable()
+    table.extend({field: [row[j] for row in rows] for j, field in enumerate(CASE_FIELDS)})
+    assert table_records(table) == cases
 
 
 # any text, with the characters JSON escapes and a line reader could split on
@@ -269,6 +286,7 @@ CASE_RECORDS = st.lists(
         durations=st.builds(PhaseDurations, MINUTES, MINUTES, MINUTES),
         duplicate_anchors=st.lists(st.sampled_from(ANCHOR_EVENTS), unique=True).map(tuple),
     ),
+    unique_by=lambda c: c.case_id,  # cases.jsonl lists each case once
     max_size=6,
 )
 
@@ -276,20 +294,62 @@ CASE_RECORDS = st.lists(
 @settings(max_examples=200, deadline=None)
 @given(cases=CASE_RECORDS)
 @example(cases=[])  # a header-only file
+@example(cases=[Case(CaseAttributes("W1", age=0), durations=PhaseDurations(-0.0, 0.0, None))])
 def test_cases_jsonl_bytes_equal_the_per_field_writer_and_read_back(cases):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "cases.jsonl"
         write_cases(path, cases)
         assert path.read_bytes() == cases_jsonl_slow(cases).encode("utf-8")
         loaded = read_cases(path)
-    assert loaded == cases
-    for case in loaded:  # == alone would accept plain tuples and lists
-        assert type(case) is Case
-        assert type(case.attributes) is CaseAttributes
-        assert type(case.durations) is PhaseDurations
-        assert type(case.duplicate_anchors) is tuple
-    for case, original in zip(loaded, cases):  # 50 == 50.0, so compare each value's type too
-        assert [*map(type, case.attributes + case.durations)] == [*map(type, original.attributes + original.durations)]
+    assert type(loaded) is CaseTable
+    assert loaded.ids == [c.case_id for c in cases]
+    assert loaded.index == {c.case_id: row for row, c in enumerate(cases)}
+    assert table_records(loaded) == cases
+    # every field back, column by column: a number as the float it equals,
+    # -0.0 with its sign and null as None; == alone takes 50 for 50.0 and
+    # -0.0 for 0.0
+    for j, field in enumerate(CASE_FIELDS):
+        column, original = loaded[field], [_case_to_row(c)[j] for c in cases]
+        if field in NUMBER_FIELDS:
+            assert [None if v is None else (type(v), repr(v)) for v in column] == [
+                None if v is None else (float, repr(float(v))) for v in original
+            ]
+        else:
+            assert [(type(v), v) for v in column] == [(type(v), v) for v in original]
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), cases=CASE_RECORDS)
+def test_a_selected_table_holds_the_columns_of_its_ids(data, cases):
+    table = case_table(cases)
+    order = data.draw(st.permutations(table.ids))
+    ids = order[: data.draw(st.integers(0, len(order)))]
+    selected = table.select(ids)
+    assert selected.ids == list(ids)
+    assert selected.index == {case_id: row for row, case_id in enumerate(ids)}
+    for field in CASE_FIELDS:
+        column = table[field]
+        assert repr(selected[field]) == repr([column[table.index[i]] for i in ids])
+
+
+@pytest.mark.parametrize(
+    "changes, problem",
+    [
+        ({"case_id": "W0"}, "a case id is listed a second time"),
+        ({"procedure_min": math.nan}, "'procedure_min' holds a number that is not finite"),
+        ({"age": -math.inf}, "'age' holds a number that is not finite"),
+    ],
+    ids=["repeated-id", "nan", "minus-infinity"],
+)
+def test_a_table_refuses_a_bad_case_and_appends_nothing(changes, problem):
+    good = [Case(CaseAttributes(f"W{i}", age=40 + i), durations=PhaseDurations(1.0, 2.0, 3.0)) for i in range(3)]
+    table = case_table(good[:1])
+    columns = case_columns(good[1:])
+    for field, value in changes.items():
+        columns[field][-1] = value
+    with pytest.raises(ValueError, match=re.escape(problem)):
+        table.extend(columns)
+    assert table_records(table) == good[:1] and table.index == {"W0": 0}
 
 
 CASES_CSV_HEADER = (

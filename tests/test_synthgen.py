@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from periop.cleaning import plausibility_filter
 from periop.eventlog import ANCHOR_EVENTS, assemble_cases, parse_case_attributes, parse_events
-from oracles import generate_log_slow
+from oracles import case_table, generate_log_slow
 from periop.cli import derive_seed
 from periop.synthgen import SynthConfig, _case_id_rank, _minutes_to_us, anesthesia_variants
 from periop.textnorm import DEFAULT_SYNONYMS
@@ -116,8 +116,8 @@ def test_implausible_records_are_planted_and_filtered(generated):
         value = truth_by_id[case_id]["procedure_min"]
         assert value < 0 if kind == "negative" else value > 48 * 60
 
-    retained, report = plausibility_filter(cases, "procedure")
-    retained_ids = {c.case_id for c in retained}
+    retained, report = plausibility_filter(case_table(cases), "procedure")
+    retained_ids = set(retained)
     assert not (set(flagged) & retained_ids)
     assert report.counts["negative_or_zero"] >= sum(1 for k in flagged.values() if k == "negative")
 
