@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING, Callable, Collection, Iterable, Iterator, Mapp
 
 from . import rules
 from .config import UsageError
-from .eventlog import CASE_FIELDS, NUMBER_FIELDS, Case
+from .eventlog import ANCHOR_EVENTS, CASE_FIELDS, NUMBER_FIELDS, Case
 
 if TYPE_CHECKING:
     from .casetable import CaseTable
@@ -278,8 +278,9 @@ def read_predictions(path: Path, ids: Sequence[str]) -> dict[str, list[float]]:
 # anything else (an empty file, another header, or the one-object-per-case
 # rows of older builds) is rejected at line 1. Reading gives a CaseTable and
 # checks each value's JSON type; a row that is not an array of
-# len(CASE_FIELDS) values, holds a value of another JSON type or a number
-# that is not finite, or repeats a case id, is rejected at its line, naming
+# len(CASE_FIELDS) values, holds a value of another JSON type, a number that
+# is not finite, duplicate_anchors other than distinct anchor names or a
+# negative n_events, or repeats a case id, is rejected at its line, naming
 # the field by its header position.
 _HEADER = list(CASE_FIELDS)  # line 1 as json decodes it
 _ROW_TYPES = {  # field -> the Python types json.loads gives for its JSON type, and that type's name
@@ -287,6 +288,18 @@ _ROW_TYPES = {  # field -> the Python types json.loads gives for its JSON type, 
     **dict.fromkeys(NUMBER_FIELDS, ({int, float, type(None)}, "a number or null")),
     "duplicate_anchors": ({list}, "an array"),
     "n_events": ({int}, "an integer"),
+}
+
+
+def _anchor_names(names: list) -> bool:
+    """Whether ``names`` holds distinct names from ANCHOR_EVENTS."""
+    return all(a in ANCHOR_EVENTS for a in names) and len(set(names)) == len(names)
+
+
+_ROW_VALUES = {  # field -> a check of a value of its JSON type, and what the check expects
+    **dict.fromkeys(NUMBER_FIELDS, (lambda v: v is None or rules.finite(v), "a finite number or null")),
+    "duplicate_anchors": (_anchor_names, "an array of distinct anchor names"),
+    "n_events": ((0).__le__, "an integer >= 0"),
 }
 _CHUNK_LINES = 1024  # the rows decoded before they are added to the table
 _decode_row = json.JSONDecoder(parse_constant=_reject_constant).raw_decode
@@ -347,6 +360,10 @@ def _decoded_chunks(fh: TextIO) -> Iterator[dict[str, tuple]]:
         for field, column in columns.items():
             if not {*map(type, column)} <= _ROW_TYPES[field][0]:
                 raise ValueError(f"bad value for {field!r}")
+        # the CaseTable checks the numbers; the usual empty duplicate_anchors costs one truth test
+        anchors = columns["duplicate_anchors"]
+        if (any(anchors) and not all(map(_anchor_names, anchors))) or min(columns["n_events"]) < 0:
+            raise ValueError("bad value for 'duplicate_anchors' or 'n_events'")
         yield columns
 
 
@@ -406,16 +423,11 @@ def _checked_row(line: str, seen: set[str]) -> list:
         types, name = _ROW_TYPES[key]
         if type(value) not in types:
             raise ValueError(f"bad value for {key!r}: expected {name}, got {json.dumps(value)}")
-        if key in NUMBER_FIELDS and value is not None and not _finite(value):
-            raise ValueError(f"bad value for {key!r}: expected a finite number or null, got {rules.shown(value)}")
+        check, expected = _ROW_VALUES.get(key, (None, None))
+        if check and not check(value):
+            raise ValueError(f"bad value for {key!r}: expected {expected}, got {rules.shown(value)}")
     if row[0] in seen:
         raise ValueError(f"case {row[0]!r} is listed a second time")
     seen.add(row[0])
     return row
 
-
-def _finite(number: float) -> bool:
-    try:
-        return math.isfinite(number)
-    except OverflowError:  # an integer too large for a float
-        return False

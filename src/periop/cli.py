@@ -153,7 +153,6 @@ def stage_synth(cfg: PipelineConfig) -> None:
         synonyms_per_family=cfg.synth_synonyms_per_family,
     )
     out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
     synthgen.generate_log(synth_cfg, out)
     print(f"synth: wrote {synth_cfg.n_cases} cases to {out}")
 
@@ -313,21 +312,13 @@ def stage_train(cfg: PipelineConfig) -> None:
             dataset = models.Dataset(X=rows[inverse], y=y)
             grid_info = None
             if cfg.grid_search and models.DEFAULT_GRIDS.get(family):
-                # CV on the raw-cluster-code design so fold encoders refit
-                rows, inverse = features.design_rows(ctx, family, train_cases, clusters, encoded=False)
-                raw = models.Dataset(X=rows[inverse], y=dataset.y)
                 spec = models.GridSpec(
                     family=family,
                     grid=models.DEFAULT_GRIDS[family],
                     cv_folds=cfg.cv_folds,
                     seed=derive_seed(cfg.seed, f"grid:{phase}:{name}"),
                 )
-                encode_cols = (
-                    (models.EncodeColumn(0, cfg.target_smoothing),)
-                    if family in ("ridge", "tree", "forest", "gbm")
-                    else ()
-                )
-                result = models.grid_search(spec, raw, encode_cols=encode_cols)
+                result = models.grid_search(spec, y, features.fold_design(ctx, family, train_cases, clusters))
                 params = {**params, **result.best_params}
                 grid_info = {
                     "best_params": result.best_params,
@@ -340,8 +331,7 @@ def stage_train(cfg: PipelineConfig) -> None:
                         for row in result.cv_table
                     ],
                 }
-            if family == "forest":
-                params = {**params, "seed": derive_seed(cfg.seed, f"model:{phase}:{name}")}
+            params = models.seeded_params(family, params, derive_seed(cfg.seed, f"model:{phase}:{name}"))
             model = models.make_model(family, params).fit(dataset)
             bundle = {
                 "name": name,

@@ -90,11 +90,6 @@ class CaseAttributes(NamedTuple):
     def text(self, phase: str) -> str:
         return getattr(self, PHASE_FIELDS[phase].text)
 
-    def planned(self, phase: str) -> float | None:
-        """The manual plan for ``phase``; None when missing or never planned."""
-        plan = PHASE_FIELDS[phase].plan
-        return None if plan is None else getattr(self, plan)
-
 
 CASES_HEADER = CaseAttributes._fields
 

@@ -1,5 +1,5 @@
-"""Design matrices for the duration models. One builder serves train, evaluate
-and predict, so the three cannot drift apart; the :class:`FeatureContext` it
+"""Design matrices for the duration models. One builder serves train, evaluate,
+predict and grid search's CV folds, so they cannot drift apart; the context it
 reads is fitted on one phase's training cases and persisted with every model.
 
 The builder keys each case by the fields its model family reads and encodes
@@ -10,8 +10,8 @@ index into them, so ``rows[inverse]`` is the design matrix of the cases.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from typing import Hashable, Mapping, Sequence
+from dataclasses import dataclass, replace
+from typing import Callable, Hashable, Mapping, Sequence
 
 import numpy as np
 
@@ -98,7 +98,6 @@ def design_rows(
     family: str,
     cases: Mapping[str, Sequence],
     clusters: Sequence[int],
-    encoded: bool = True,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The distinct rows of the design matrix a model family reads, and each
     case's index into them.
@@ -107,9 +106,9 @@ def design_rows(
     CaseTable, say), and ``clusters[i]`` is the cluster of case i (-1 for
     none). The global mean reads no columns, group means read the group
     code (the cluster, or the exact-name code), and every other family reads
-    the regression row: the cluster (target encoded, or the raw code unless
-    ``encoded``), age, sex and department. Each case is keyed by the fields
-    its row reads, and each distinct key is encoded once.
+    the regression row: the target-encoded cluster, age, sex and department.
+    Each case is keyed by the fields its row reads, and each distinct key is
+    encoded once.
     """
     keys: Sequence[Hashable]
     if family == "mean":
@@ -121,10 +120,26 @@ def design_rows(
     else:
         keys = list(zip(clusters, cases["age"], cases["sex"], cases["department"]))
     distinct, inverse = encoding._distinct_keys(keys)
-    return _encode(ctx, family, distinct, encoded), inverse
+    return _encode(ctx, family, distinct), inverse
 
 
-def _encode(ctx: FeatureContext, family: str, keys: list, encoded: bool) -> np.ndarray:
+def fold_design(ctx: FeatureContext, family: str, cases: Mapping[str, Sequence], clusters: Sequence[int]) -> Callable:
+    """Grid search's folds of ``cases``, the cases ``ctx`` was fitted on:
+    ``fold_design(fit_idx, val_idx)`` gives a fold's fitting and validation
+    matrices from design_rows, with the target encoder, the one part of the
+    context fitted on the durations, refitted on the fitting rows alone."""
+    targets = cases[PHASE_FIELDS[ctx.phase].duration]
+
+    def design(fit_idx: np.ndarray, val_idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        codes, y = [str(clusters[i]) for i in fit_idx], [targets[i] for i in fit_idx]
+        encoder = encoding.target_encode_fit(codes, y, m=ctx.target_smoothing)
+        rows, inverse = design_rows(replace(ctx, target_encoder=encoder), family, cases, clusters)
+        return rows[inverse[fit_idx]], rows[inverse[val_idx]]
+
+    return design
+
+
+def _encode(ctx: FeatureContext, family: str, keys: list) -> np.ndarray:
     # the design rows of the distinct keys that design_rows made for the family
     if family == "mean":
         return np.zeros((len(keys), 0))
@@ -133,10 +148,7 @@ def _encode(ctx: FeatureContext, family: str, keys: list, encoded: bool) -> np.n
             keys = [ctx.name_codes.get(text.strip(), -1) for text in keys]
         return np.array(keys, dtype=float).reshape(-1, 1)
     clusters, ages, sexes, departments = zip(*keys) if keys else ((), (), (), ())
-    if encoded:
-        col0 = encoding.target_encode_apply(ctx.target_encoder, [str(c) for c in clusters])
-    else:
-        col0 = np.array(clusters, dtype=float)
+    col0 = encoding.target_encode_apply(ctx.target_encoder, [str(c) for c in clusters])
     age = np.array([ctx.age_fill if a is None else a for a in ages], dtype=float)
     sex = encoding.one_hot_many(ctx.sex_schema, sexes)
     dept = encoding.one_hot_many(ctx.department_schema, departments)

@@ -17,12 +17,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from . import rules
-from .encoding import _distinct_rows, target_encode_apply, target_encode_fit
+from .encoding import _distinct_rows
 
 
 class NotFittedError(RuntimeError):
@@ -626,6 +626,12 @@ def make_model(family: str, params: Mapping | None = None) -> Model:
     return _CONSTRUCTORS[family](**dict(params or {}))
 
 
+def seeded_params(family: str, params: Mapping, seed: int) -> dict:
+    """``params`` with ``seed`` added when the family's params table declares
+    a seed (the forest's); a seed that ``params`` holds is kept."""
+    return {"seed": seed, **params} if "seed" in _CONSTRUCTORS[family].params else dict(params)
+
+
 def model_from_dict(obj: dict) -> Model:
     """Rebuild a fitted model from its JSON dict; raises KeyError for a
     missing field and ValueError for a field of the wrong JSON type."""
@@ -642,15 +648,6 @@ def model_from_dict(obj: dict) -> Model:
 # ---------------------------------------------------------------------------
 # Grid search with k-fold cross-validation (MAE scoring)
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class EncodeColumn:
-    """A design-matrix column holding category codes that must be target
-    encoded per CV fold (fit on fold-train only)."""
-
-    col: int
-    m: float = 40.0
 
 
 @dataclass(frozen=True)
@@ -690,57 +687,42 @@ class GridSearchResult:
     cv_table: tuple[CvRow, ...]
 
 
-def _apply_fold_encoding(
-    train: Dataset,
-    fit_idx: np.ndarray,
-    val_idx: np.ndarray,
-    encode_cols: Sequence[EncodeColumn],
-) -> tuple[Dataset, np.ndarray]:
-    X_fit = train.X[fit_idx].copy()
-    X_val = train.X[val_idx].copy()
-    y_fit = train.y[fit_idx]
-    for spec in encode_cols:
-        enc = target_encode_fit(list(train.X[fit_idx, spec.col]), list(y_fit), m=spec.m)
-        X_fit[:, spec.col] = target_encode_apply(enc, list(train.X[fit_idx, spec.col]))
-        X_val[:, spec.col] = target_encode_apply(enc, list(train.X[val_idx, spec.col]))
-    return Dataset(X=X_fit, y=y_fit), X_val
-
-
 def grid_search(
     spec: GridSpec,
-    train: Dataset,
-    encode_cols: Sequence[EncodeColumn] = (),
+    y: Sequence[float],
+    fold_design: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]],
 ) -> GridSearchResult:
     """Exhaustive grid search scored by mean CV MAE.
 
-    Folds come from a seeded shuffle. Any target-encoded columns are refit
-    per fold on the fold-train rows only, so fold validation targets never
-    leak into the encoding. Failing candidates are excluded; ties go to the
-    first candidate in deterministic grid order.
+    Folds come from a seeded shuffle of the rows of ``y``, the targets.
+    ``fold_design(fit_idx, val_idx)`` gives a fold's fitting and validation
+    matrices, built once before any candidate is scored; a design that fits
+    its encoders on the fitting rows alone keeps validation targets out of
+    the fold. Failing candidates are excluded; ties go to the first
+    candidate in deterministic grid order.
     """
-    if train.n < spec.cv_folds:
+    y = np.asarray(y, dtype=float)
+    if y.shape[0] < spec.cv_folds:
         raise ValueError("not enough rows for the requested number of folds")
-    perm = np.random.default_rng(spec.seed).permutation(train.n)
-    folds = np.array_split(perm, spec.cv_folds)
+    perm = np.random.default_rng(spec.seed).permutation(y.shape[0])
+    folds = []
+    for val_idx in np.array_split(perm, spec.cv_folds):
+        val_idx = np.sort(val_idx)
+        fit_idx = np.setdiff1d(perm, val_idx)
+        X_fit, X_val = fold_design(fit_idx, val_idx)
+        folds.append((Dataset(X=X_fit, y=y[fit_idx]), X_val, y[val_idx]))
 
     rows: list[CvRow] = []
     best: CvRow | None = None
     for params in spec.candidates():
-        fold_maes: list[float] = []
-        error: str | None = None
         try:
-            for i in range(spec.cv_folds):
-                val_idx = np.sort(folds[i])
-                fit_idx = np.sort(np.concatenate([folds[j] for j in range(spec.cv_folds) if j != i]))
-                fit_ds, X_val = _apply_fold_encoding(train, fit_idx, val_idx, encode_cols)
-                model_params = dict(params)
-                if spec.family == "forest":
-                    model_params.setdefault("seed", spec.seed)
-                model = make_model(spec.family, model_params).fit(fit_ds)
-                fold_maes.append(mae(train.y[val_idx], model.predict(X_val)))
+            model_params = seeded_params(spec.family, params, spec.seed)
+            fold_maes = [
+                mae(y_val, make_model(spec.family, model_params).fit(fit).predict(X_val))
+                for fit, X_val, y_val in folds
+            ]
         except Exception as exc:  # candidate-level failure, not a crash
             error = f"{type(exc).__name__}: {exc}"
-        if error is not None:
             rows.append(CvRow(params=dict(params), fold_maes=(), mean_mae=math.inf, error=error))
             continue
         row = CvRow(params=dict(params), fold_maes=tuple(fold_maes), mean_mae=float(np.mean(fold_maes)))

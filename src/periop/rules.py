@@ -80,7 +80,7 @@ def field(obj: Mapping, key: str, kind: type, default=_REQUIRED):
     if type(value) in types:
         if kind is not float:
             return value
-        if _finite(value):
+        if finite(value):
             return float(value)
         raise ValueError(f"bad value for {key!r}: expected a finite number, got {shown(value)}")
     if value is None and default is None:
@@ -102,16 +102,16 @@ def number_array(obj: Mapping, key: str, default=_REQUIRED) -> list:
         bad = next(v for v in entries if type(v) not in (int, float))
         raise ValueError(f"bad entry in {key!r}: expected a number, got {shown(bad)}")
     try:  # predict reads every tree array: the check stays in C
-        finite = all(map(math.isfinite, entries))
+        all_finite = all(map(math.isfinite, entries))
     except OverflowError:
-        finite = False
-    if not finite:
-        bad = next(v for v in entries if not _finite(v))
+        all_finite = False
+    if not all_finite:
+        bad = next(v for v in entries if not finite(v))
         raise ValueError(f"bad entry in {key!r}: expected a finite number, got {shown(bad)}")
     return values
 
 
-def _finite(number) -> bool:
+def finite(number) -> bool:
     """Whether a JSON number is finite as a float; an integer too large for
     a float is not."""
     try:

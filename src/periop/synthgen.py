@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import rules
+from . import artifacts, rules
 from .eventlog import ANCHOR_EVENTS, CASES_HEADER, EVENTS_HEADER
 from .textnorm import DEFAULT_SYNONYMS
 
@@ -409,7 +409,7 @@ def generate_log(cfg: SynthConfig, out: Path) -> None:
     del fam_median, proc_bias, proc_bias_z, ind_bias_z
 
     positioning = np.array([name for name, _ in fam_positioning], dtype=object)
-    with (out / "ground_truth.json").open("w", encoding="utf-8") as fh:
+    with artifacts._create(out / "ground_truth.json") as fh:
         # sort_keys order: "cases" first, then the other members
         fh.write('{"cases":[')
         for at in _chunks(np.arange(cfg.n_cases)):
@@ -460,7 +460,7 @@ def generate_log(cfg: SynthConfig, out: Path) -> None:
         _texts(proc_plan, _fmt_minutes),
     )
     del age_z, sex_col, proc_text_col, anes_text_col, ind_plan, proc_plan
-    with (out / "cases.csv").open("w", encoding="utf-8", newline="") as fh:
+    with artifacts._create(out / "cases.csv") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CASES_HEADER)
         for at in _chunks(present[np.argsort(rank[present])]):
@@ -494,7 +494,7 @@ def generate_log(cfg: SynthConfig, out: Path) -> None:
     stamps, cases, types = (np.concatenate(parts) for parts in (stamps, cases, types))
     order = np.lexsort((types, rank[cases], stamps))
     del rank
-    with (out / "events.csv").open("w", encoding="utf-8", newline="") as fh:
+    with artifacts._create(out / "events.csv") as fh:
         fh.write(",".join(EVENTS_HEADER) + "\n")
         for at in _chunks(order):
             utc = stamps[at]

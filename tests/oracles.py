@@ -442,6 +442,22 @@ def design_matrix_slow(ctx, family, attrs, clusters, encoded=True):
     return np.array(out, dtype=float)
 
 
+def fold_design_raw_codes(ctx, family, attrs, clusters, targets, fit_idx, val_idx):
+    """The fitting and validation matrices of one CV fold as grid search
+    built them on a design of its own: the design with the raw cluster code
+    in column 0, whose codes (as floats) are then target encoded, fitted on
+    the fold's fitting rows only, for every family that reads the cluster
+    that way."""
+    X = design_matrix_slow(ctx, family, attrs, clusters, encoded=False)
+    y = np.asarray(targets, dtype=float)
+    X_fit, X_val = X[fit_idx].copy(), X[val_idx].copy()
+    if family in ("ridge", "tree", "forest", "gbm"):
+        enc = encoding.target_encode_fit(list(X[fit_idx, 0]), list(y[fit_idx]), m=ctx.target_smoothing)
+        X_fit[:, 0] = encoding.target_encode_apply(enc, list(X[fit_idx, 0]))
+        X_val[:, 0] = encoding.target_encode_apply(enc, list(X[val_idx, 0]))
+    return X_fit, X_val
+
+
 def kmeans_best_two_partition(points):
     """Exhaustive best 2-partition of 1-D points by total squared error."""
     pts = [float(p) for p in points]

@@ -361,6 +361,7 @@ def case_line(**changes):
 
 
 NOT_FINITE = "bad value for {!r}: expected a finite number or null"
+ANCHORS = "bad value for 'duplicate_anchors': expected an array of distinct anchor names"
 # a cases.jsonl row of the builds before the header line: one object per case
 OBJECT_ROW = json.dumps(GOOD_CASE, sort_keys=True)
 WRONG_HEADER = CASES_JSONL_HEADER.replace("age", "years")
@@ -381,11 +382,15 @@ WRONG_HEADER = CASES_JSONL_HEADER.replace("age", "years")
         (case_line(planned_procedure_min=math.inf), f"{NOT_FINITE.format('planned_procedure_min')}, got Infinity"),
         (case_line().replace("76.4", "1e400"), f"{NOT_FINITE.format('procedure_min')}, got Infinity"),
         (case_line(age=10**400), f"{NOT_FINITE.format('age')}, got {str(10**400)[:37]}..."),
+        (case_line(case_id="W2", duplicate_anchors=[math.nan, {"x": [1]}]), f"{ANCHORS}, got [NaN, {{\"x\": [1]}}]"),
+        (case_line(case_id="W2", duplicate_anchors=["suture", "suture"]), f"{ANCHORS}, got [\"suture\", \"suture\"]"),
+        (case_line(case_id="W2", n_events=-3), "bad value for 'n_events': expected an integer >= 0, got -3"),
         (case_line(), "case 'W1' is listed a second time"),
     ],
     ids=[
         "truncated", "stale", "one-field-short", "age-text", "duration-text", "count-bool", "department-null",
-        "duration-nan", "duration-minus-infinity", "plan-infinity", "duration-1e400", "age-too-large", "repeated-id",
+        "duration-nan", "duration-minus-infinity", "plan-infinity", "duration-1e400", "age-too-large",
+        "anchors-not-names", "anchors-repeated", "count-negative", "repeated-id",
     ],
 )
 def test_bad_cases_jsonl_exits_one_naming_the_line(tmp_path, capsys, line, problem):

@@ -9,7 +9,6 @@ from periop.config import MODEL_KEYS
 from periop.models import (
     DEFAULT_GRIDS,
     Dataset,
-    EncodeColumn,
     GridSpec,
     NotFittedError,
     Tree,
@@ -34,6 +33,11 @@ def linear_dataset(n=40, seed=0, noise=0.0):
     X = rng.uniform(0, 10, size=(n, 2))
     y = 3.0 * X[:, 0] - 1.5 * X[:, 1] + 20.0 + noise * rng.normal(size=n)
     return dataset(X, y)
+
+
+def row_folds(ds):
+    """The fold design of a dataset whose rows need no per-fold fitting."""
+    return lambda fit, val: (ds.X[fit], ds.X[val])
 
 
 def test_dataset_validation():
@@ -565,7 +569,7 @@ def test_tree_predict_rejects_too_few_columns():
 
 def test_grid_search_single_candidate():
     ds = linear_dataset(n=30, seed=3, noise=0.5)
-    result = grid_search(GridSpec(family="ridge", grid={"lam": [0.5]}, cv_folds=3, seed=0), ds)
+    result = grid_search(GridSpec(family="ridge", grid={"lam": [0.5]}, cv_folds=3, seed=0), ds.y, row_folds(ds))
     assert result.best_params == {"lam": 0.5}
     assert len(result.cv_table) == 1
 
@@ -573,22 +577,23 @@ def test_grid_search_single_candidate():
 def test_grid_search_prefers_sane_lambda():
     ds = linear_dataset(n=60, seed=4, noise=0.5)
     spec = GridSpec(family="ridge", grid={"lam": [0.1, 1e9]}, cv_folds=5, seed=1)
-    result = grid_search(spec, ds)
+    result = grid_search(spec, ds.y, row_folds(ds))
     assert result.best_params == {"lam": 0.1}
 
 
 def test_grid_search_tie_keeps_first():
     ds = linear_dataset(n=30, seed=5, noise=0.5)
     spec = GridSpec(family="ridge", grid={"lam": [0.2, 0.2]}, cv_folds=3, seed=2)
-    result = grid_search(spec, ds)
+    result = grid_search(spec, ds.y, row_folds(ds))
     assert result.best_params == {"lam": 0.2}
     assert result.cv_table[0].mean_mae == result.cv_table[1].mean_mae
 
 
 def test_grid_search_invariant_to_candidate_order():
     ds = linear_dataset(n=60, seed=4, noise=0.5)
-    fwd = grid_search(GridSpec(family="ridge", grid={"lam": [0.1, 10.0, 1e6]}, cv_folds=4, seed=1), ds)
-    rev = grid_search(GridSpec(family="ridge", grid={"lam": [1e6, 10.0, 0.1]}, cv_folds=4, seed=1), ds)
+    fwd = GridSpec(family="ridge", grid={"lam": [0.1, 10.0, 1e6]}, cv_folds=4, seed=1)
+    rev = GridSpec(family="ridge", grid={"lam": [1e6, 10.0, 0.1]}, cv_folds=4, seed=1)
+    fwd, rev = (grid_search(spec, ds.y, row_folds(ds)) for spec in (fwd, rev))
     assert fwd.best_params == rev.best_params == {"lam": 0.1}
 
 
@@ -596,23 +601,12 @@ def test_grid_search_excludes_failing_candidates():
     X = np.ones((20, 2))  # singular at lam=0
     ds = dataset(X, np.arange(20))
     spec = GridSpec(family="ridge", grid={"lam": [0.0, 1.0]}, cv_folds=4, seed=0)
-    result = grid_search(spec, ds)
+    result = grid_search(spec, ds.y, row_folds(ds))
     assert result.best_params == {"lam": 1.0}
     failed = [row for row in result.cv_table if row.error is not None]
     assert len(failed) == 1 and failed[0].params == {"lam": 0.0}
     with pytest.raises(ValueError):
-        grid_search(GridSpec(family="ridge", grid={"lam": [0.0]}, cv_folds=4, seed=0), ds)
-
-
-def test_grid_search_refits_encoders_per_fold():
-    rng = np.random.default_rng(9)
-    codes = rng.integers(0, 4, size=60).astype(float)
-    y = codes * 25.0 + rng.normal(0, 1.0, size=60)
-    ds = dataset(np.column_stack([codes]), y)
-    spec = GridSpec(family="gbm", grid={"n_trees": [20]}, cv_folds=4, seed=3)
-    result = grid_search(spec, ds, encode_cols=(EncodeColumn(0, m=2.0),))
-    assert result.cv_table[0].error is None
-    assert result.cv_table[0].mean_mae < 10.0
+        grid_search(GridSpec(family="ridge", grid={"lam": [0.0]}, cv_folds=4, seed=0), ds.y, row_folds(ds))
 
 
 def test_grid_spec_validation():
