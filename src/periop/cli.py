@@ -64,13 +64,13 @@ def derive_seed(root: int, label: str) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _parse_input(path: Path, parse):
+def _parse_input(path: Path, parse, **options):
     """Leniently parse an events or cases input; ``.jsonl`` files are JSON lines."""
     if not path.exists():
         raise UsageError(f"input not found: {path}")
     try:
         with path.open("rb") as fh:
-            return parse(fh, fmt="jsonl" if path.suffix == ".jsonl" else "csv", strict=False)
+            return parse(fh, fmt="jsonl" if path.suffix == ".jsonl" else "csv", strict=False, **options)
     except ParseError as exc:  # lenient parsing raises only for a bad CSV header
         raise UsageError(f"{path}: {exc}") from None
 
@@ -158,15 +158,16 @@ def stage_synth(cfg: PipelineConfig) -> None:
 
 
 def stage_ingest(cfg: PipelineConfig) -> None:
-    events, event_errors = _parse_input(cfg.events_path(), parse_events)
-    attrs, attr_errors = _parse_input(cfg.cases_path(), parse_case_attributes)
-    cases = assemble_cases(events, attrs)
+    log, event_errors = _parse_input(cfg.events_path(), parse_events)
+    # a case keeps its first attribute row; a later one is a record error
+    attrs, attr_errors = _parse_input(cfg.cases_path(), parse_case_attributes, unique_ids=True)
+    cases = assemble_cases(log, attrs)
 
     out = Path(cfg.out)
     artifacts.write_cases(out / "cases.jsonl", cases)
     labelled = [("events", e) for e in event_errors] + [("cases", e) for e in attr_errors]
     report = {
-        "n_events": len(events),
+        "n_events": len(log),
         "n_cases": len(cases),
         "n_invalid_cases": sum(1 for c in cases if not c.is_valid),
         "event_parse_errors": len(event_errors),
@@ -176,7 +177,7 @@ def stage_ingest(cfg: PipelineConfig) -> None:
         ],
     }
     artifacts.write_json(out / "ingest_report.json", report)
-    print(f"ingest: {len(events)} events -> {len(cases)} cases")
+    print(f"ingest: {len(log)} events -> {len(cases)} cases")
 
 
 def stage_clean(cfg: PipelineConfig) -> None:

@@ -9,6 +9,12 @@ Phase durations (fractional minutes):
 * induction   = anesthesia_complete - anesthesia_start
 * preparation = incision - anesthesia_complete
 * procedure   = suture - incision
+
+Ingest streams the event file: each record is read, checked and folded into
+its case's slots in an :class:`EventLog` (the event count and one timestamp
+per anchor) before the next line is read. So ingest holds memory for the
+cases it keeps, not for the events it reads. :func:`assemble_cases` turns
+the slots into Cases.
 """
 
 from __future__ import annotations
@@ -17,10 +23,9 @@ import csv
 import io
 import json
 import math
-import re
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from typing import IO, Callable, Iterable, Iterator, NamedTuple, TypeVar, Union
+from typing import IO, Callable, Iterable, Iterator, NamedTuple, Union
 
 ANCHOR_EVENTS = ("anesthesia_start", "anesthesia_complete", "incision", "suture")
 
@@ -66,14 +71,6 @@ class RecordError:
 
     line: int
     message: str
-
-
-class Event(NamedTuple):
-    """One timestamped log record. Unknown event types pass through as-is."""
-
-    case_id: str
-    event_type: str
-    timestamp: datetime  # timezone-aware, normalized to UTC
 
 
 class CaseAttributes(NamedTuple):
@@ -147,35 +144,66 @@ def parse_timestamp(raw: str) -> datetime:
 
 Source = Union[bytes, IO[bytes], IO[str], str]
 
-# bytes that are not UTF-8 decode to lone surrogates under "surrogateescape"
-_UNDECODABLE = re.compile("[\udc80-\udcff]")
+_CHUNK = 1 << 16  # characters read at a time from a text source
 
 
-def _records(
-    source: Source, fmt: str, header: tuple[str, ...]
-) -> Iterator[tuple[int, dict[str, str] | str]]:
-    """Decode ``source`` into ``(line, fields)``, one per non-blank record.
+def _text_lines(source: IO[str] | str) -> Iterator[str]:
+    """The lines of a text source, each up to and with its "\\n"; a text
+    stream's own newline translation applies first, as in ``read()``."""
+    if isinstance(source, str):
+        chunks: Iterable[str] = (source[i : i + _CHUNK] for i in range(0, len(source), _CHUNK))
+    else:
+        chunks = iter(lambda: source.read(_CHUNK), "")
+    pending: list[str] = []  # the text read since the last newline
+    for chunk in chunks:
+        *lines, last = chunk.split("\n")
+        if lines:
+            lines[0] = "".join(pending) + lines[0]
+            pending = []
+            for line in lines:
+                yield line + "\n"
+        if last:
+            pending.append(last)
+    if pending:
+        yield "".join(pending)
 
-    ``fields`` maps every ``header`` name to its text ("" = missing), or is
-    the error message of a record that cannot be read. A CSV file whose first
-    row is not ``header`` raises :class:`ParseError`.
+
+def _records(source: Source, fmt: str, header: tuple[str, ...]) -> Iterator[tuple[int, list[str] | str]]:
+    """Read ``source`` one line at a time into ``(line, fields)``, one per
+    non-blank record.
+
+    ``fields`` lists the record's text per ``header`` name, in header order
+    ("" = missing), or is the error message of a record that cannot be read.
+    A CSV file whose first row is not ``header`` raises :class:`ParseError`.
+    Byte input is split at each ``b"\\n"`` and then decoded line by line, so
+    no decoded copy of the file is made; a record with a line that is not
+    UTF-8 is the error "invalid UTF-8". Text input is split at each "\\n".
     """
     if fmt not in ("csv", "jsonl"):
         raise ValueError(f"unsupported format: {fmt!r}")
-    data = source if isinstance(source, (bytes, str)) else source.read()
-    undecodable = False
-    if isinstance(data, bytes):
-        try:
-            data = data.decode("utf-8")
-        except UnicodeDecodeError:
-            data, undecodable = data.decode("utf-8", "surrogateescape"), True
-    lines = io.StringIO(data)
-    del data  # the StringIO holds its own copy for the whole parse
+    undecodable = False  # a line read since the last record is not UTF-8
+
+    def decoded(lines: Iterable[bytes]) -> Iterator[str]:
+        nonlocal undecodable
+        for line in lines:
+            try:
+                yield line.decode("utf-8")
+            except UnicodeDecodeError:
+                undecodable = True
+                yield line.decode("utf-8", "surrogateescape")
+
+    if isinstance(source, bytes):
+        lines = decoded(io.BytesIO(source))  # the BytesIO shares the bytes, no copy
+    elif isinstance(source, str) or isinstance(source.read(0), str):  # a text stream reads ""
+        lines = _text_lines(source)
+    else:  # a binary stream iterates over its lines, each up to and with b"\n"
+        lines = decoded(source)
     if fmt == "jsonl":
         for line_no, line in enumerate(lines, start=1):
+            bad, undecodable = undecodable, False
             if not line.strip():
                 continue
-            if undecodable and _UNDECODABLE.search(line):
+            if bad:
                 yield line_no, "invalid UTF-8"
                 continue
             try:
@@ -186,7 +214,7 @@ def _records(
             if not isinstance(obj, dict):
                 yield line_no, "expected a JSON object"
                 continue
-            yield line_no, {k: "" if obj.get(k) is None else str(obj[k]) for k in header}
+            yield line_no, ["" if obj.get(k) is None else str(obj[k]) for k in header]
         return
     reader = csv.reader(lines)
     try:
@@ -195,23 +223,23 @@ def _records(
         first = None
     if first is None or tuple(h.strip() for h in first) != header:
         raise ParseError(1, f"expected header {','.join(header)!r}")
+    n_fields = len(header)
     while True:
+        undecodable = False
         try:
             for row in reader:
+                bad, undecodable = undecodable, False
                 if not row:
                     continue
-                if undecodable and any(_UNDECODABLE.search(value) for value in row):
+                if bad:
                     yield reader.line_num, "invalid UTF-8"
-                elif len(row) != len(header):
-                    yield reader.line_num, f"expected {len(header)} columns, got {len(row)}"
+                elif len(row) != n_fields:
+                    yield reader.line_num, f"expected {n_fields} columns, got {len(row)}"
                 else:
-                    yield reader.line_num, dict(zip(header, row))
+                    yield reader.line_num, row
             return
         except csv.Error as exc:  # the reader resumes at the next line
             yield reader.line_num, f"malformed CSV: {exc}"
-
-
-T = TypeVar("T")
 
 
 def _parse(
@@ -219,53 +247,91 @@ def _parse(
     fmt: str,
     strict: bool,
     header: tuple[str, ...],
-    build: Callable[[dict[str, str], int], T],
-) -> tuple[list[T], list[RecordError]]:
-    """Build one item per record: strict mode raises the first bad record, lenient mode collects them."""
-    items: list[T] = []
+    take: Callable[[list[str], int], None],
+) -> list[RecordError]:
+    """Pass each record's fields and line to ``take``, which raises
+    :class:`ParseError` for a bad one: strict mode raises the first bad
+    record, lenient mode returns them all."""
     errors: list[RecordError] = []
     for line, record in _records(source, fmt, header):
         try:
             if isinstance(record, str):
                 raise ParseError(line, record)
-            items.append(build(record, line))
+            take(record, line)
         except ParseError as exc:
             if strict:
                 raise
             errors.append(RecordError(exc.line, exc.message))
-    return items, errors
+    return errors
 
 
-def _event_from_fields(row: dict[str, str], line: int) -> Event:
-    case_id = row["case_id"].strip()
+# assembly state of one case: its event count, then one slot per anchor
+_ANCHOR_SLOTS = {anchor: i for i, anchor in enumerate(ANCHOR_EVENTS, start=1)}
+_REPEATED = object()  # slot marker: the anchor occurs more than once
+
+
+class EventLog:
+    """The events of a log, kept per case as assembly needs them.
+
+    ``slots`` maps each case id to ``[n_events, *anchor timestamps]``, one
+    timestamp per ``ANCHOR_EVENTS`` entry: None until the anchor occurs, and
+    a marker once it occurs again. ``len()`` is the number of events taken.
+    """
+
+    def __init__(self) -> None:
+        self.slots: dict[str, list] = {}
+        self._n_events = 0
+
+    def __len__(self) -> int:
+        return self._n_events
+
+    def add(self, case_id: str, event_type: str, timestamp: datetime) -> None:
+        """Take one event. Only an anchor keeps its timestamp, so the order
+        of a case's events does not matter."""
+        slots = self.slots.get(case_id)
+        if slots is None:
+            slots = self.slots[case_id] = [0, None, None, None, None]
+        slots[0] += 1
+        i = _ANCHOR_SLOTS.get(event_type)
+        if i is not None:
+            slots[i] = timestamp if slots[i] is None else _REPEATED
+        self._n_events += 1
+
+
+def _event_fields(fields: list[str], line: int) -> tuple[str, str, datetime]:
+    """The case id, event type and timestamp of an event record."""
+    raw_id, raw_type, timestamp = fields
+    case_id = raw_id.strip()
     if not case_id:
         raise ParseError(line, "missing case_id")
-    event_type = row["event_type"].strip().lower()
+    event_type = raw_type.strip().lower()
     if not event_type:
         raise ParseError(line, "missing event_type")
-    timestamp = row["timestamp"]
     try:
         ts = parse_timestamp(timestamp)
     except ValueError:
         raise ParseError(line, f"malformed timestamp {timestamp!r}") from None
     except OverflowError:
         raise ParseError(line, f"timestamp out of range in UTC {timestamp!r}") from None
-    return Event(case_id=case_id, event_type=event_type, timestamp=ts)
+    return case_id, event_type, ts
 
 
 def parse_events(
     source: Source,
     fmt: str = "csv",
     strict: bool = True,
-) -> tuple[list[Event], list[RecordError]]:
-    """Parse an event stream into Events, preserving record order.
+) -> tuple[EventLog, list[RecordError]]:
+    """Parse an event stream into an :class:`EventLog`, one record at a time.
 
     CSV input requires the header ``case_id,event_type,timestamp``; JSONL
-    input takes one object per line with the same field names. In strict
-    mode the first bad record raises :class:`ParseError`; in lenient mode
-    bad records are skipped and returned as :class:`RecordError` entries.
+    input takes one object per line with the same field names. Unknown event
+    types pass through as other events. In strict mode the first bad record
+    raises :class:`ParseError`; in lenient mode bad records are skipped and
+    returned as :class:`RecordError` entries.
     """
-    return _parse(source, fmt, strict, EVENTS_HEADER, _event_from_fields)
+    log = EventLog()
+    errors = _parse(source, fmt, strict, EVENTS_HEADER, lambda fields, line: log.add(*_event_fields(fields, line)))
+    return log, errors
 
 
 def _parse_optional_float(raw: str, line: int, name: str) -> float | None:
@@ -281,11 +347,13 @@ def _parse_optional_float(raw: str, line: int, name: str) -> float | None:
     return value
 
 
-def _attrs_from_mapping(row: dict[str, str], line: int) -> CaseAttributes:
-    case_id = row["case_id"].strip()
+def _attrs_from_fields(fields: list[str], line: int) -> CaseAttributes:
+    (raw_id, department, age_raw, sex, procedure_text, anesthesia_text, positioning_text,
+     planned_induction, planned_procedure) = fields
+    case_id = raw_id.strip()
     if not case_id:
         raise ParseError(line, "missing case_id")
-    age_raw = row["age"].strip()
+    age_raw = age_raw.strip()
     age: int | None = None
     if age_raw:
         try:
@@ -294,23 +362,19 @@ def _attrs_from_mapping(row: dict[str, str], line: int) -> CaseAttributes:
             raise ParseError(line, f"age is not an integer: {age_raw!r}") from None
         if age < 0 or age > 130:
             raise ParseError(line, f"age out of range [0, 130]: {age}")
-    sex = row["sex"].strip().lower()
+    sex = sex.strip().lower()
     if sex not in ("f", "m"):
         sex = "other"
     return CaseAttributes(
         case_id=case_id,
-        department=row["department"].strip() or "unknown",
+        department=department.strip() or "unknown",
         age=age,
         sex=sex,
-        procedure_text=row["procedure_text"],
-        anesthesia_text=row["anesthesia_text"],
-        positioning_text=row["positioning_text"],
-        planned_induction_min=_parse_optional_float(
-            row["planned_induction_min"], line, "planned_induction_min"
-        ),
-        planned_procedure_min=_parse_optional_float(
-            row["planned_procedure_min"], line, "planned_procedure_min"
-        ),
+        procedure_text=procedure_text,
+        anesthesia_text=anesthesia_text,
+        positioning_text=positioning_text,
+        planned_induction_min=_parse_optional_float(planned_induction, line, "planned_induction_min"),
+        planned_procedure_min=_parse_optional_float(planned_procedure, line, "planned_procedure_min"),
     )
 
 
@@ -318,44 +382,43 @@ def parse_case_attributes(
     source: Source,
     fmt: str = "csv",
     strict: bool = True,
+    unique_ids: bool = False,
 ) -> tuple[list[CaseAttributes], list[RecordError]]:
-    """Parse the case attribute table (cases.csv / JSONL); empty string = missing."""
-    return _parse(source, fmt, strict, CASES_HEADER, _attrs_from_mapping)
+    """Parse the case attribute table (cases.csv / JSONL); empty string = missing.
 
+    With ``unique_ids`` a row whose case id an earlier row holds is a bad
+    record: the first row of each case id is kept.
+    """
+    rows: list[CaseAttributes] = []
+    seen: set[str] = set()
 
-# assembly state of one case: its event count, then one slot per anchor
-_ANCHOR_SLOTS = {anchor: i for i, anchor in enumerate(ANCHOR_EVENTS, start=1)}
-_REPEATED = object()  # slot marker: the anchor occurs more than once
+    def take(fields: list[str], line: int) -> None:
+        attrs = _attrs_from_fields(fields, line)
+        if unique_ids:
+            if attrs.case_id in seen:
+                raise ParseError(line, f"case {attrs.case_id!r} is listed a second time")
+            seen.add(attrs.case_id)
+        rows.append(attrs)
+
+    return rows, _parse(source, fmt, strict, CASES_HEADER, take)
 
 
 def _minutes(start: datetime | None, end: datetime | None) -> float | None:
     return None if start is None or end is None else (end - start).total_seconds() / 60.0
 
 
-def assemble_cases(events: Iterable[Event], attrs: Iterable[CaseAttributes]) -> list[Case]:
-    """Group events by case_id into Cases, sorted by case_id.
+def assemble_cases(log: EventLog, attrs: Iterable[CaseAttributes]) -> list[Case]:
+    """The Cases of ``log``'s case ids, sorted by case_id.
 
-    One pass keeps each case's event count and anchor timestamps. A case with
-    a repeated anchor is flagged invalid (``duplicate_anchors``) and gets no
-    durations; otherwise each anchor occurs at most once, so event order does
-    not matter. A duration needs both of its anchors; negative values pass
-    through for the cleaning stage to reject. Cases without an attribute row
-    get default attributes.
+    A case with a repeated anchor is flagged invalid (``duplicate_anchors``)
+    and gets no durations. A duration needs both of its anchors; negative
+    values pass through for the cleaning stage to reject. Cases without an
+    attribute row get default attributes.
     """
     attr_by_id = {a.case_id: a for a in attrs}
-    state: dict[str, list] = {}
-    for case_id, event_type, timestamp in events:
-        slots = state.get(case_id)
-        if slots is None:
-            slots = state[case_id] = [0, None, None, None, None]
-        slots[0] += 1
-        i = _ANCHOR_SLOTS.get(event_type)
-        if i is not None:
-            slots[i] = timestamp if slots[i] is None else _REPEATED
-
     cases: list[Case] = []
-    for case_id in sorted(state):
-        n_events, *slots = state[case_id]
+    for case_id in sorted(log.slots):
+        n_events, *slots = log.slots[case_id]
         duplicates = tuple(a for a, t in zip(ANCHOR_EVENTS, slots) if t is _REPEATED)
         stamps = dict(zip(ANCHOR_EVENTS, [None] * len(slots) if duplicates else slots))
         # PhaseDurations' fields follow PHASES

@@ -553,6 +553,8 @@ class ForestModel(Model):
 
     def _load(self, obj: dict) -> None:
         self.trees_ = [Tree.from_dict(tree) for tree in rules.field(obj, "trees", list)]
+        if len(self.trees_) != self.n_trees:  # the prediction averages over n_trees
+            raise ValueError(f"expected {self.n_trees} trees, as 'n_trees' says, got {len(self.trees_)}")
 
 
 class GbmModel(Model):

@@ -9,7 +9,9 @@ import csv
 import io
 import json
 import math
+import re
 from datetime import datetime, timedelta, timezone
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,6 +27,7 @@ from periop.eventlog import (
     PHASE_ANCHORS,
     PHASES,
     CaseAttributes,
+    ParseError,
 )
 from periop.features import FeatureContext
 from periop.models import Tree
@@ -40,6 +43,78 @@ from periop.synthgen import (
     _single_presence_rate,
     anesthesia_variants,
 )
+
+
+class Event(NamedTuple):
+    """One timestamped event record, as the record-list oracles take them."""
+
+    case_id: str
+    event_type: str
+    timestamp: datetime  # timezone-aware
+
+
+# bytes that are not UTF-8 decode to lone surrogates under "surrogateescape"
+_UNDECODABLE = re.compile("[\udc80-\udcff]")
+
+
+def records_slow(source, fmt, header):
+    """``(line, fields)`` per non-blank record of ``source``, read from one
+    decoded copy of the whole input.
+
+    ``fields`` maps every ``header`` name to its text ("" = missing), or is
+    the error message of a record that cannot be read. Byte input that is
+    not UTF-8 as a whole is decoded with "surrogateescape", and a record
+    holding an undecodable byte is the error "invalid UTF-8". A CSV file
+    whose first row is not ``header`` raises ParseError.
+    """
+    if fmt not in ("csv", "jsonl"):
+        raise ValueError(f"unsupported format: {fmt!r}")
+    data = source if isinstance(source, (bytes, str)) else source.read()
+    undecodable = False
+    if isinstance(data, bytes):
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError:
+            data, undecodable = data.decode("utf-8", "surrogateescape"), True
+    lines = io.StringIO(data)
+    if fmt == "jsonl":
+        for line_no, line in enumerate(lines, start=1):
+            if not line.strip():
+                continue
+            if undecodable and _UNDECODABLE.search(line):
+                yield line_no, "invalid UTF-8"
+                continue
+            try:
+                obj = json.loads(line)
+            except (ValueError, RecursionError):
+                yield line_no, "invalid JSON"
+                continue
+            if not isinstance(obj, dict):
+                yield line_no, "expected a JSON object"
+                continue
+            yield line_no, {k: "" if obj.get(k) is None else str(obj[k]) for k in header}
+        return
+    reader = csv.reader(lines)
+    try:
+        first = next(reader, None)
+    except csv.Error:
+        first = None
+    if first is None or tuple(h.strip() for h in first) != header:
+        raise ParseError(1, f"expected header {','.join(header)!r}")
+    while True:
+        try:
+            for row in reader:
+                if not row:
+                    continue
+                if undecodable and any(_UNDECODABLE.search(value) for value in row):
+                    yield reader.line_num, "invalid UTF-8"
+                elif len(row) != len(header):
+                    yield reader.line_num, f"expected {len(header)} columns, got {len(row)}"
+                else:
+                    yield reader.line_num, dict(zip(header, row))
+            return
+        except csv.Error as exc:  # the reader resumes at the next line
+            yield reader.line_num, f"malformed CSV: {exc}"
 
 
 def assemble_cases_slow(events, attrs):

@@ -346,6 +346,46 @@ def test_ingest_report_names_the_source_of_each_error(tmp_path):
     ]
 
 
+EVENTS_OF_W1_W2 = [
+    {"case_id": case_id, "event_type": event_type, "timestamp": stamp}
+    for case_id in ("W1", "W2")
+    for event_type, stamp in (("incision", "2024-03-01T08:40:00Z"), ("suture", "2024-03-01T10:10:00Z"))
+]
+# W1 twice: the first row is kept, the second reported at its line
+CASES_W1_TWICE = [
+    dict.fromkeys(CASES_HEADER, "") | row
+    for row in (
+        {"case_id": "W1", "department": "urology", "age": "63"},
+        {"case_id": "W2", "department": "surgery"},
+        {"case_id": "W1", "department": "cardiology", "age": "70"},
+    )
+]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_ingest_keeps_the_first_row_of_a_repeated_case_id(tmp_path, fmt):
+    inputs = tmp_path / "inputs"
+    inputs.mkdir()
+    for name, rows in (("events", EVENTS_OF_W1_W2), ("cases", CASES_W1_TWICE)):
+        with (inputs / f"{name}.{fmt}").open("w", newline="") as fh:
+            if fmt == "csv":
+                writer = csv.DictWriter(fh, fieldnames=list(rows[0]), lineterminator="\n")
+                writer.writeheader()
+                writer.writerows(rows)
+            else:
+                fh.writelines(json.dumps(row) + "\n" for row in rows)
+    out = tmp_path / "out"
+    argv = ["ingest", "--out", str(out), "--events", str(inputs / f"events.{fmt}"), "--cases", str(inputs / f"cases.{fmt}")]
+    assert run(argv) == 0
+    report = json.loads((out / "ingest_report.json").read_text())
+    assert report["attr_parse_errors"] == 1
+    line = 4 if fmt == "csv" else 3  # the CSV header is line 1
+    assert report["first_errors"] == [{"source": "cases", "line": line, "message": "case 'W1' is listed a second time"}]
+    table = artifacts.read_cases(out / "cases.jsonl")
+    assert table.ids == ["W1", "W2"]
+    assert table["department"] == ["urology", "surgery"] and table["age"] == [63, None]
+
+
 # one case's fields by name, in the order of the cases.jsonl header
 GOOD_CASE = {
     "case_id": "W1", "department": "urology", "age": 50, "sex": "m", "procedure_text": "TURP",
@@ -995,6 +1035,15 @@ def test_a_non_finite_number_in_a_model_file_exits_one(artifact_dir, capsys, tok
     key = next(name for name in reversed(path) if isinstance(name, str))
     text = json.dumps(obj).replace(json.dumps(_TOKEN), token)
     _assert_reading_exits_one(artifact_dir, capsys, file, text, problem.format(kind=kind, key=key))
+
+
+def test_a_forest_file_with_more_trees_than_n_trees_exits_one(artifact_dir, capsys):
+    file = artifact_dir[0] / "model_procedure_forest.json"
+    obj = json.loads(file.read_text())
+    trees = obj["model"]["trees"]
+    assert obj["model"]["n_trees"] == len(trees) == 3
+    trees.append(trees[0])
+    _assert_reading_exits_one(artifact_dir, capsys, file, obj, "expected 3 trees, as 'n_trees' says, got 4; re-run 'train'")
 
 
 def test_a_model_file_cut_short_exits_one(artifact_dir, capsys):

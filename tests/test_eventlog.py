@@ -5,14 +5,17 @@ import math
 import random
 import re
 import tempfile
+import tracemalloc
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import assemble_cases_slow, case_columns, case_table, cases_jsonl_slow
+from oracles import Event, assemble_cases_slow, case_columns, case_table, cases_jsonl_slow, records_slow
+from periop import eventlog
 from periop.artifacts import _case_to_row, read_cases, write_cases
 from periop.casetable import CaseTable
 from periop.eventlog import (
@@ -23,7 +26,7 @@ from periop.eventlog import (
     NUMBER_FIELDS,
     Case,
     CaseAttributes,
-    Event,
+    EventLog,
     ParseError,
     PhaseDurations,
     assemble_cases,
@@ -44,20 +47,25 @@ EVENTS_CSV = (
 )
 
 
-def ev(case_id, event_type, iso):
-    return Event(case_id, event_type, parse_timestamp(iso))
+def event_log(events):
+    """The EventLog that takes ``events``, (case_id, event_type, timestamp) triples, in order."""
+    log = EventLog()
+    for event in events:
+        log.add(*event)
+    return log
 
 
 def test_parse_events_csv_direct_mapping():
-    events, errors = parse_events(b"case_id,event_type,timestamp\nW1,incision,2024-03-01T08:40:00Z\n")
+    log, errors = parse_events(b"case_id,event_type,timestamp\nW1,incision,2024-03-01T08:40:00Z\n")
     assert errors == []
-    assert events == [ev("W1", "incision", "2024-03-01T08:40:00Z")]
+    assert len(log) == 1
+    assert log.slots == {"W1": [1, None, None, parse_timestamp("2024-03-01T08:40:00Z"), None]}
 
 
 def test_unknown_event_type_passes_through():
-    events, _ = parse_events(b"case_id,event_type,timestamp\nW1,bad-type,2024-03-01T08:40:00Z\n")
-    assert events[0].event_type == "bad-type"
-    assert events[0].event_type not in ANCHOR_EVENTS
+    log, _ = parse_events(b"case_id,event_type,timestamp\nW1,bad-type,2024-03-01T08:40:00Z\n")
+    assert len(log) == 1
+    assert log.slots == {"W1": [1, None, None, None, None]}
 
 
 def test_malformed_timestamp_strict_reports_line():
@@ -71,8 +79,8 @@ def test_missing_case_id_is_record_error():
     data = b"case_id,event_type,timestamp\n,incision,2024-03-01T08:40:00Z\n"
     with pytest.raises(ParseError):
         parse_events(data)
-    events, errors = parse_events(data, strict=False)
-    assert events == []
+    log, errors = parse_events(data, strict=False)
+    assert len(log) == 0 and log.slots == {}
     assert len(errors) == 1 and errors[0].line == 2
 
 
@@ -82,8 +90,8 @@ def test_lenient_mode_skips_and_collects():
         b"W1,incision,not-a-time\n"
         b"W2,suture,2024-03-01T10:10:00Z\n"
     )
-    events, errors = parse_events(data, strict=False)
-    assert [e.case_id for e in events] == ["W2"]
+    log, errors = parse_events(data, strict=False)
+    assert list(log.slots) == ["W2"]
     assert [e.line for e in errors] == [2]
 
 
@@ -94,9 +102,9 @@ def test_header_required():
 
 def test_parse_events_jsonl():
     data = b'{"case_id": "W1", "event_type": "Incision", "timestamp": "2024-03-01T08:40:00+01:00"}\n'
-    events, _ = parse_events(data, fmt="jsonl")
-    assert events[0].event_type == "incision"
-    assert events[0].timestamp == datetime(2024, 3, 1, 7, 40, tzinfo=timezone.utc)
+    log, _ = parse_events(data, fmt="jsonl")
+    # the type is read in lower case, so the stamp fills the incision slot
+    assert log.slots == {"W1": [1, None, None, datetime(2024, 3, 1, 7, 40, tzinfo=timezone.utc), None]}
 
 
 def test_timestamps_normalized_to_utc():
@@ -132,7 +140,7 @@ def test_duplicate_anchor_flags_case_invalid():
 
 
 def test_assemble_empty_is_empty():
-    assert assemble_cases([], []) == []
+    assert assemble_cases(EventLog(), []) == []
 
 
 def test_phase_durations_from_anchors():
@@ -168,13 +176,13 @@ def test_phase_sum_identity_and_permutation_invariance():
         prep = rng.randrange(5, 45)
         proc = rng.randrange(10, 300)
         events = [
-            Event("X", "anesthesia_start", t0),
-            Event("X", "anesthesia_complete", t0 + timedelta(minutes=ind)),
-            Event("X", "incision", t0 + timedelta(minutes=ind + prep)),
-            Event("X", "suture", t0 + timedelta(minutes=ind + prep + proc)),
+            ("X", "anesthesia_start", t0),
+            ("X", "anesthesia_complete", t0 + timedelta(minutes=ind)),
+            ("X", "incision", t0 + timedelta(minutes=ind + prep)),
+            ("X", "suture", t0 + timedelta(minutes=ind + prep + proc)),
         ]
         rng.shuffle(events)
-        (case,) = assemble_cases(events, [])
+        (case,) = assemble_cases(event_log(events), [])
         d = case.durations
         assert d.induction_min == pytest.approx(ind)
         assert d.preparation_min == pytest.approx(prep)
@@ -184,12 +192,11 @@ def test_phase_sum_identity_and_permutation_invariance():
 
 
 def test_assembly_preserves_event_multiset():
-    events, _ = parse_events(EVENTS_CSV.encode())
-    cases = assemble_cases(events, [])
-    assert {c.case_id: c.n_events for c in cases} == {
-        case_id: sum(1 for e in events if e.case_id == case_id) for case_id in {e.case_id for e in events}
-    }
-    assert sum(c.n_events for c in cases) == len(events)
+    log, _ = parse_events(EVENTS_CSV.encode())
+    cases = assemble_cases(log, [])
+    ids = [row[0] for row in csv.reader(io.StringIO(EVENTS_CSV))][1:]
+    assert {c.case_id: c.n_events for c in cases} == {case_id: ids.count(case_id) for case_id in ids}
+    assert sum(c.n_events for c in cases) == len(log) == len(ids)
 
 
 BASE_TIME = datetime(2024, 3, 1, 7, 0, tzinfo=timezone.utc)
@@ -240,7 +247,7 @@ def test_assemble_cases_equals_the_sorted_event_oracle(events, attrs):
     got = [
         (c.case_id, c.attributes, c.n_events, (c.durations.induction_min, c.durations.preparation_min,
          c.durations.procedure_min), c.duplicate_anchors)
-        for c in assemble_cases(events, attrs)
+        for c in assemble_cases(event_log(events), attrs)
     ]
     assert got == assemble_cases_slow(events, attrs)
 
@@ -257,7 +264,7 @@ def table_records(table):
 @settings(max_examples=200, deadline=None)
 @given(events=event_logs(), attrs=ATTRIBUTES)
 def test_assembled_cases_round_trip_through_cases_jsonl_rows(events, attrs):
-    cases = assemble_cases(events, attrs)
+    cases = assemble_cases(event_log(events), attrs)
     rows = [json.loads(json.dumps(_case_to_row(case))) for case in cases]
     table = CaseTable()
     table.extend({field: [row[j] for row in rows] for j, field in enumerate(CASE_FIELDS)})
@@ -476,7 +483,7 @@ def test_jsonl_values_are_read_as_their_text():
 def test_jsonl_null_case_id_is_missing(parse):
     record = dict(GOOD[parse], case_id=None)
     items, errors = parse(json.dumps(record).encode(), fmt="jsonl", strict=False)
-    assert items == []
+    assert len(items) == 0
     assert [(e.line, e.message) for e in errors] == [(1, "missing case_id")]
 
 
@@ -569,3 +576,113 @@ def test_csv_and_jsonl_renderings_parse_equal(rows):
     from_jsonl, jsonl_errors = parse_case_attributes(jsonl.encode(), fmt="jsonl", strict=False)
     assert from_csv == from_jsonl
     assert [e.message for e in csv_errors] == [e.message for e in jsonl_errors]
+
+
+# ---------------------------------------------------------------------------
+# The streamed records are the records of the whole decoded text
+# ---------------------------------------------------------------------------
+
+RAW_FIELD = st.one_of(
+    st.binary(max_size=6),
+    st.sampled_from(
+        [b"", b"W1", b"incision", b"2024-03-01T08:40:00Z", b"\xff", b"x\xe4", b"\xc3", b"\xa9", "\u00e9".encode(),
+         b"\n", b"\r", b"\r\n", b'"', b",", b"\x00", b"a\nb\xffc", b"\xed\xb2\x80"]
+    ),
+)
+
+
+@st.composite
+def raw_csv_row(draw):
+    """One CSV row of raw fields, each quoted or not, with its line end: a
+    quoted field can span lines and hold bytes that are not UTF-8."""
+    fields = []
+    # mostly the header's three fields, so most rows are read as records
+    for field in draw(st.lists(RAW_FIELD, min_size=3, max_size=3) | st.lists(RAW_FIELD, max_size=4)):
+        fields.append(b'"' + field.replace(b'"', b'""') + b'"' if draw(st.booleans()) else field)
+    return b",".join(fields) + draw(st.sampled_from([b"\n", b"\r\n", b"\r", b""]))
+
+
+RAW_LINE = st.one_of(
+    raw_csv_row(),
+    st.sampled_from([b"\n", b"\r\n", b"\r", b"  \n"]),  # blank lines
+    st.dictionaries(st.sampled_from(EVENTS_HEADER), RAW_FIELD.map(lambda b: b.decode("utf-8", "replace")))
+    .map(json.dumps)
+    .map(lambda text: text.encode() + b"\n"),
+    st.binary(max_size=12),
+)
+EVENTS_HEADER_LINE = b"case_id,event_type,timestamp\n"
+HEADERS = st.sampled_from([EVENTS_HEADER_LINE, b"case_id, event_type ,timestamp\r\n"]) | st.sampled_from(
+    [b"case_id,event_type\n", b'"case_id\n', b"\xffcase_id,event_type,timestamp\n", b""]  # bad CSV headers
+)
+
+
+def source_of(kind, data, newline, buffer_size):
+    """``data`` as a source of ``kind``; a text source reads it with surrogateescape."""
+    if kind == "bytes":
+        return data
+    if kind == "binary":
+        return io.BufferedReader(io.BytesIO(data), buffer_size=buffer_size)
+    if kind == "text":
+        return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="surrogateescape", newline=newline)
+    return data.decode("utf-8", "surrogateescape")
+
+
+def drained(records):
+    """Each record as ``(line, fields in header order or message)``, then the ParseError if one ends the read."""
+    out = []
+    try:
+        for line, fields in records:
+            out.append((line, list(fields.values()) if isinstance(fields, dict) else fields))
+    except ParseError as exc:
+        out.append(("ParseError", exc.line, exc.message))
+    return out
+
+
+def marked_example(body):
+    return example(fmt="csv", kind="bytes", header=EVENTS_HEADER_LINE, body=body, newline=None, buffer_size=4, chunk=4)
+
+
+@settings(max_examples=400, deadline=None)
+# a byte that is not UTF-8 on the second line of a quoted field marks its
+# record, and only that one; so does one on a line that ends in a CSV error
+@marked_example(b'W1,"a\nb\xff",2024\nW2,x,2024\n')
+@marked_example(b'W1,"a\xff\nb",2024\nW2,x,2024\n')
+@marked_example(b"W\xff\rX,x,2024\nW2,x,2024\n")
+@given(
+    fmt=st.sampled_from(FORMATS),
+    kind=st.sampled_from(["bytes", "binary", "text", "str"]),
+    header=HEADERS,
+    body=st.lists(RAW_LINE, max_size=8).map(b"".join),
+    newline=st.sampled_from([None, "", "\n", "\r", "\r\n"]),  # a text stream's newline mode
+    buffer_size=st.integers(1, 16),
+    chunk=st.integers(1, 16),  # characters read at a time from a text source
+)
+def test_streamed_records_equal_the_records_of_the_whole_decoded_text(
+    fmt, kind, header, body, newline, buffer_size, chunk
+):
+    data = header + body
+    expected = drained(records_slow(source_of(kind, data, newline, buffer_size), fmt, EVENTS_HEADER))
+    with mock.patch.object(eventlog, "_CHUNK", chunk):
+        got = drained(eventlog._records(source_of(kind, data, newline, buffer_size), fmt, EVENTS_HEADER))
+    assert got == expected
+
+
+def test_an_event_log_holds_memory_per_case_not_per_event():
+    """20,000 more events of the same 200 cases leave the parsed log's size
+    where it was: only a case's count and anchor stamps are kept."""
+    anchors = [f"W{i},{anchor},2024-03-01T08:{j:02d}:00Z" for i in range(200) for j, anchor in enumerate(ANCHOR_EVENTS)]
+    others = [f"W{i % 200},monitoring_on,2024-03-01T09:{i % 60:02d}:00+01:00" for i in range(20_000)]
+
+    def traced_size(rows):
+        data = ("case_id,event_type,timestamp\n" + "\n".join(rows) + "\n").encode()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            log, errors = parse_events(data)
+            size = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert errors == [] and len(log) == len(rows) and len(log.slots) == 200
+        return size
+
+    assert abs(traced_size(anchors + others) - traced_size(anchors)) < 100_000
