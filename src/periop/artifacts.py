@@ -9,8 +9,13 @@ returns checked data or raises UsageError, naming the file, the line or
 field where there is one, and the stage that writes it; so a missing,
 malformed or stale artifact exits 1. A
 reader also checks the file against the data it is read with: a clean file's
-ids against the case table, and the assignments and predictions against the
-split ids they are read for.
+ids against the case table, the assignments against the retained ids, and
+the predictions against the test ids they are read for.
+
+The assignments file is the one record of the train/test split: ``cluster``
+draws the split and writes the training ids, ascending, then the test ids,
+ascending, each with its cluster. ``read_split`` gives the later stages both
+sides back, so no stage after ``cluster`` draws the split again.
 
 This module imports no numpy, so ``ingest`` and ``clean`` run without it.
 """
@@ -37,6 +42,8 @@ if TYPE_CHECKING:
 # predictions stands for one column per model, one or more
 _ASSIGNMENTS_HEADER = ("case_id", "cluster")
 _PREDICTIONS_HEADER = ("case_id", "actual_min", "planned_min", ...)
+
+Side = tuple[list[str], list[int]]  # one side of the split: its case ids and their clusters
 
 
 # ---------------------------------------------------------------------------
@@ -255,10 +262,35 @@ def _covering(path: Path, rows: dict, ids: Sequence[str], stage: str) -> list:
     return [rows[i] for i in ids]
 
 
-def read_clusters(path: Path, ids: Sequence[str]) -> list[int]:
-    """The cluster of each of ``ids`` in the assignments file at ``path``."""
+def read_split(path: Path, retained: Collection[str], test_fraction: float) -> tuple[Side, Side]:
+    """The training and the test side of the split in the assignments file
+    at ``path``, each its case ids and their clusters in file order.
+
+    The file's ids must be ``retained``, the ids that cleaning retained, no
+    more and no fewer. Its last ``rules.held_out(n, test_fraction)`` rows
+    are the test side, and each side must ascend strictly, as ``cluster``
+    writes it; a ``test_fraction`` changed since ``cluster`` ran moves the
+    boundary and breaks that order.
+    """
     _, clusters = read_csv(path, _ASSIGNMENTS_HEADER, _cluster, "cluster")
-    return _covering(path, clusters, ids, "cluster")
+    _covering(path, clusters, retained, "cluster")
+    if len(clusters) != len(retained):  # no id is missing, so some are extra
+        extra = set(clusters).difference(retained)
+        raise UsageError(
+            f"{path}: holds rows for {len(extra)} cases that cleaning did not retain, "
+            f"such as {min(extra)!r}; re-run 'cluster' to rebuild it"
+        )
+    ids = list(clusters)
+    n_train = len(ids) - rules.held_out(len(ids), test_fraction)
+    for i in range(1, len(ids)):
+        if ids[i] <= ids[i - 1] and i != n_train:
+            side = "training" if i < n_train else "test"
+            raise UsageError(
+                f"{path}:{i + 2}: case {ids[i]!r} breaks the ascending order of the {side} ids, so "
+                "the file is not the split that 'cluster' draws at this 'test_fraction'; re-run 'cluster' to rebuild it"
+            )
+    labels = list(clusters.values())
+    return (ids[:n_train], labels[:n_train]), (ids[n_train:], labels[n_train:])
 
 
 def read_predictions(path: Path, ids: Sequence[str]) -> dict[str, list[float]]:

@@ -95,23 +95,27 @@ def _rules_for_phase(cfg: PipelineConfig, phase: str) -> textnorm.NormalizationR
     )
 
 
-def _split_ids(cfg: PipelineConfig, phase: str, cases: CaseTable) -> tuple[list[str], list[str]]:
-    """Train and test ids among the cases that cleaning retained, each one of
-    ``cases``; an empty side exits 1, so no stage fits or scores on zero rows."""
-    from . import models
-
+def _retained_ids(cfg: PipelineConfig, phase: str, cases: CaseTable) -> list[str]:
+    """The sorted ids of the cases that cleaning retained, each one of
+    ``cases``; a split of them with an empty side exits 1, so no stage fits
+    or scores on zero rows."""
     ordered = sorted(artifacts.read_retained_ids(Path(cfg.out) / f"clean_{phase}.json", cases.index))
     if not ordered:
         raise UsageError(f"phase {phase!r}: cleaning retained no cases; see cleaning_report.json")
-    train_idx, test_idx = models.split_indices(
-        len(ordered), cfg.test_fraction, derive_seed(cfg.seed, f"split:{phase}")
-    )
-    if not test_idx.size:  # floor(n * test_fraction) = 0; the training side keeps n >= 1
+    if not rules.held_out(len(ordered), cfg.test_fraction):  # the training side keeps n >= 1
         raise UsageError(
             f"config key 'test_fraction': {cfg.test_fraction} leaves phase {phase!r} "
             f"an empty test split of its {len(ordered)} retained cases"
         )
-    return [ordered[i] for i in train_idx], [ordered[i] for i in test_idx]
+    return ordered
+
+
+def _read_split(cfg: PipelineConfig, phase: str, cases: CaseTable) -> tuple[artifacts.Side, artifacts.Side]:
+    """The training and the test side of the split that ``cluster`` drew,
+    each its ids and their clusters, read back from its assignments file."""
+    return artifacts.read_split(
+        Path(cfg.out) / f"assignments_{phase}.csv", _retained_ids(cfg, phase, cases), cfg.test_fraction
+    )
 
 
 def _normalized_docs(
@@ -123,7 +127,7 @@ def _normalized_docs(
     from . import encoding, textnorm
 
     text_rules = _rules_for_phase(cfg, phase)
-    texts, inverse = encoding._distinct_keys(cases[PHASE_FIELDS[phase].text])
+    texts, inverse = encoding.distinct_keys(cases[PHASE_FIELDS[phase].text])
     return [textnorm.normalize_text(text, text_rules) for text in texts], inverse
 
 
@@ -133,7 +137,7 @@ def _tfidf_matrix(docs: Sequence[Sequence[str]], tfidf: textnorm.TfidfModel) -> 
     one document."""
     from . import encoding, textnorm
 
-    distinct, inverse = encoding._distinct_keys([tuple(d) for d in docs])
+    distinct, inverse = encoding.distinct_keys([tuple(d) for d in docs])
     return textnorm.stack_dense([textnorm.vectorize(d, tfidf) for d in distinct]), inverse
 
 
@@ -208,12 +212,17 @@ def stage_clean(cfg: PipelineConfig) -> None:
 
 
 def stage_cluster(cfg: PipelineConfig) -> None:
-    from . import clustering, textnorm
+    from . import clustering, models, textnorm
 
     out = Path(cfg.out)
     cases = artifacts.read_cases(out / "cases.jsonl")
     for phase in cfg.phases:
-        train_ids, test_ids = _split_ids(cfg, phase, cases)
+        # the one draw of the split; the assignments file records it for the later stages
+        ordered = _retained_ids(cfg, phase, cases)
+        train_idx, test_idx = models.split_indices(
+            len(ordered), cfg.test_fraction, derive_seed(cfg.seed, f"split:{phase}")
+        )
+        train_ids, test_ids = [ordered[i] for i in train_idx], [ordered[i] for i in test_idx]
         all_ids = train_ids + test_ids
         split_cases = cases.select(all_ids)
         docs, text_of = _normalized_docs(cfg, phase, split_cases)
@@ -227,7 +236,6 @@ def stage_cluster(cfg: PipelineConfig) -> None:
         X_docs, doc_of = _tfidf_matrix(docs, model_tfidf)
         doc_of = doc_of[text_of]  # each case's row of X_docs
         train_doc_of = doc_of[: len(train_ids)]
-        X_train = X_docs[train_doc_of]
 
         algo = cfg.cluster_algo.get(phase, "kmeans")
         ks = cfg.cluster_k.get(phase, (2,))
@@ -248,9 +256,9 @@ def stage_cluster(cfg: PipelineConfig) -> None:
         seed = derive_seed(cfg.seed, f"cluster:{phase}")
         scores: dict[int, float] = {}
         if len(ks) > 1:
-            model, scores = clustering.select_k(X_train, algo, ks, seed=seed)
-        else:
-            model = getattr(clustering, f"{algo}_fit")(X_train, ks[0], seed=seed + ks[0])  # kmeans_fit, gmm_fit
+            model, scores = clustering.select_k(X_docs, algo, ks, seed=seed, index=train_doc_of)
+        else:  # kmeans_fit, gmm_fit
+            model = getattr(clustering, f"{algo}_fit")(X_docs, ks[0], seed=seed + ks[0], index=train_doc_of)
         labels = clustering.cluster_assign(model, X_docs)[doc_of]
 
         artifacts.write_json(out / f"tfidf_{phase}.json", model_tfidf.to_dict())
@@ -270,7 +278,7 @@ def stage_cluster(cfg: PipelineConfig) -> None:
 
         train_durations = split_cases[PHASE_FIELDS[phase].duration][: len(train_ids)]
         catalog = clustering.cluster_catalog(
-            labels[: len(train_ids)], X_train, model_tfidf.terms(), train_durations
+            labels[: len(train_ids)], X_docs, model_tfidf.terms(), train_durations, index=train_doc_of
         )
         artifacts.write_csv(
             out / f"clusters_{phase}.csv",
@@ -297,10 +305,9 @@ def stage_train(cfg: PipelineConfig) -> None:
     out = Path(cfg.out)
     cases = artifacts.read_cases(out / "cases.jsonl")
     for phase in cfg.phases:
-        train_ids, _ = _split_ids(cfg, phase, cases)
+        (train_ids, clusters), _ = _read_split(cfg, phase, cases)
         train_cases = cases.select(train_ids)
         y = train_cases[PHASE_FIELDS[phase].duration]
-        clusters = artifacts.read_clusters(out / f"assignments_{phase}.csv", train_ids)
         contexts: dict[str, features.FeatureContext] = {}  # one per group_by
         for name in cfg.models:
             family, group_by, params = _model_plan(name, cfg)
@@ -384,12 +391,11 @@ def stage_evaluate(cfg: PipelineConfig) -> None:
     cases = artifacts.read_cases(out / "cases.jsonl")
     metrics_obj: dict = {}
     for phase in cfg.phases:
-        _, test_ids = _split_ids(cfg, phase, cases)
+        _, (test_ids, clusters) = _read_split(cfg, phase, cases)
         test_cases = cases.select(test_ids)
         fields = PHASE_FIELDS[phase]
         actual = test_cases[fields.duration]
         planned = [None] * len(test_ids) if fields.plan is None else test_cases[fields.plan]
-        clusters = artifacts.read_clusters(out / f"assignments_{phase}.csv", test_ids)
         predictions: dict[str, np.ndarray] = {}
         metrics_obj[phase] = {}
         for name in cfg.models:
@@ -418,12 +424,11 @@ def stage_report(cfg: PipelineConfig) -> None:
     deviation_obj: dict = {}
     factors_obj: dict = {}
     for phase in cfg.phases:
-        _, test_ids = _split_ids(cfg, phase, cases)
+        # upstream first: stale assignments make the predictions stale too
+        _, (test_ids, clusters) = _read_split(cfg, phase, cases)
         test_cases = cases.select(test_ids)
         fields = PHASE_FIELDS[phase]
         has_plan = fields.plan is not None
-        # upstream first: stale assignments make the predictions stale too
-        clusters = artifacts.read_clusters(out / f"assignments_{phase}.csv", test_ids)
         predictions = artifacts.read_predictions(out / f"predictions_{phase}.csv", test_ids)
         if has_plan:
             try:
@@ -503,12 +508,16 @@ def stage_predict(cfg: PipelineConfig, dest: str | None, apply_floors: bool) -> 
 
     # new free text is clustered with the persisted TF-IDF + cluster model;
     # each row keeps its own cluster, also where rows share a case_id
-    tfidf = artifacts.read_json(out / f"tfidf_{phase}.json", textnorm.TfidfModel.from_dict, "cluster")
-    cluster_model = artifacts.read_json(
-        out / f"cluster_model_{phase}.json",
-        lambda obj: clustering.model_from_dict(rules.field(obj, "model", dict)),
-        "cluster",
-    )
+    tfidf_path = out / f"tfidf_{phase}.json"
+    tfidf = artifacts.read_json(tfidf_path, textnorm.TfidfModel.from_dict, "cluster")
+
+    def cluster_model_of(obj: dict) -> clustering.KMeansModel | clustering.GmmModel:
+        model = clustering.model_from_dict(rules.field(obj, "model", dict))
+        if model.dim != tfidf.dim:
+            raise ValueError(f"the model has {model.dim} columns for the {tfidf.dim} terms of {tfidf_path.name}")
+        return model
+
+    cluster_model = artifacts.read_json(out / f"cluster_model_{phase}.json", cluster_model_of, "cluster")
     preds: Sequence[float] = []  # a --cases without a row read gets a header-only file
     if attrs:
         columns = dict(zip(CASES_HEADER, zip(*attrs)))

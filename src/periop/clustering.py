@@ -3,8 +3,12 @@
 Both fits, and the mean silhouette that selects the number of clusters, run
 on the distinct rows of X weighted by their number of copies; inertia and
 log-likelihood stay sums over all rows; ``select_k`` deduplicates X once for
-all its candidate fits. All fits are deterministic given a seed; ties break
-toward the lowest index or the smallest k so repeated runs agree bit for bit.
+all its candidate fits. The fits, ``select_k`` and ``cluster_catalog`` take
+an optional ``index`` of row numbers into X and then work on the points
+X[index] without building them, so ``cluster`` passes its distinct TF-IDF
+rows and each training case's row; no index stands for every row. All fits
+are deterministic given a seed; ties break toward the lowest index or the
+smallest k so repeated runs agree bit for bit.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from . import rules
-from .encoding import _distinct_rows
+from .encoding import distinct_keys, distinct_rows
 
 VARIANCE_FLOOR = 1e-6
 _KMEANS_MAX_ITER, _KMEANS_TOL = 300, 1e-6
@@ -38,6 +42,10 @@ class KMeansModel:
     def k(self) -> int:
         return self.centroids.shape[0]
 
+    @property
+    def dim(self) -> int:
+        return self.centroids.shape[1]
+
     def to_dict(self) -> dict:
         return {
             "algo": "kmeans",
@@ -52,7 +60,7 @@ class KMeansModel:
     def from_dict(cls, obj: dict) -> "KMeansModel":
         get = functools.partial(rules.field, obj)
         return cls(
-            centroids=np.asarray(rules.number_array(obj, "centroids"), dtype=float),
+            centroids=_matrix(obj, "centroids"),
             inertia=get("inertia", float),
             iterations_run=get("iterations_run", int),
             seed=get("seed", int),
@@ -74,6 +82,10 @@ class GmmModel:
     def k(self) -> int:
         return self.means.shape[0]
 
+    @property
+    def dim(self) -> int:
+        return self.means.shape[1]
+
     def to_dict(self) -> dict:
         return {
             "algo": "gmm",
@@ -88,16 +100,39 @@ class GmmModel:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "GmmModel":
+        """Raises ValueError unless ``weights``, ``means`` and ``variances``
+        hold k rows, the last two of one width, with every weight and
+        variance > 0."""
         get = functools.partial(rules.field, obj)
+        weights = np.asarray(rules.number_array(obj, "weights"), dtype=float)
+        means, variances = _matrix(obj, "means"), _matrix(obj, "variances")
+        if weights.shape != means.shape[:1] or variances.shape != means.shape:
+            raise ValueError(
+                f"'weights', 'means' and 'variances' are {weights.shape}, {means.shape} and "
+                f"{variances.shape}: expected k weights and two k-row matrices of one width"
+            )
+        for key, values in (("weights", weights), ("variances", variances)):
+            if not np.all(values > 0):
+                bad = values[values <= 0][0]
+                raise ValueError(f"bad entry in {key!r}: expected a number > 0, got {bad:g}")
         return cls(
-            weights=np.asarray(rules.number_array(obj, "weights"), dtype=float),
-            means=np.asarray(rules.number_array(obj, "means"), dtype=float),
-            variances=np.asarray(rules.number_array(obj, "variances"), dtype=float),
+            weights=weights,
+            means=means,
+            variances=variances,
             log_likelihood=tuple(map(float, rules.number_array(obj, "log_likelihood", ()))),
             iterations_run=get("iterations_run", int),
             seed=get("seed", int),
             reinitialized=get("reinitialized", bool, False),
         )
+
+
+def _matrix(obj: dict, key: str) -> np.ndarray:
+    """The field ``key`` of a model file: a non-empty array of rows of
+    finite numbers, all of one width."""
+    rows = rules.number_array(obj, key)
+    if not rows or {*map(type, rows)} != {list} or len({*map(len, rows)}) != 1:
+        raise ValueError(f"bad value for {key!r}: expected a non-empty array of rows of one width")
+    return np.asarray(rows, dtype=float)
 
 
 def model_from_dict(obj: dict) -> Union[KMeansModel, GmmModel]:
@@ -167,26 +202,52 @@ def _label_means(rows: np.ndarray, counts: np.ndarray, labels: np.ndarray, k: in
     return sizes, sums / np.maximum(sizes, 1.0)[:, None]
 
 
-def _fit_input(X: Union[np.ndarray, Sequence[Sequence[float]]], k: int) -> tuple[np.ndarray, np.ndarray]:
-    # the public fits' checks; the distinct rows of X and each row's index into them
+def _indexed(X: Union[np.ndarray, Sequence], index: Sequence[int] | None) -> tuple[np.ndarray, np.ndarray]:
+    # the checked matrix X and the row numbers of the points, every row for None
     X = _as_matrix(X)
-    n = X.shape[0]
+    if index is None:
+        return X, np.arange(X.shape[0])
+    index = np.asarray(index, dtype=np.intp)
+    if index.ndim != 1 or index.size == 0:
+        raise ValueError("index must be a non-empty 1-D array of row numbers")
+    return X, index
+
+
+def _points(X: Union[np.ndarray, Sequence], index: Sequence[int] | None) -> tuple[np.ndarray, np.ndarray]:
+    # distinct_rows(X[index]), built from the distinct rows of X: those of
+    # the points in the order the points first reach them, and each point's
+    # index into them
+    X, index = _indexed(X, index)
+    rows, row_of = distinct_rows(X)
+    order, inverse = distinct_keys(row_of[index].tolist())
+    return rows[order], inverse
+
+
+def _fit_input(
+    X: Union[np.ndarray, Sequence[Sequence[float]]], k: int, index: Sequence[int] | None
+) -> tuple[np.ndarray, np.ndarray]:
+    # the public fits' checks; the distinct rows of the points and each point's index into them
+    rows, inverse = _points(X, index)
+    n = inverse.shape[0]
     if k < 1:
         raise ValueError("k must be >= 1")
     if k > n:
         raise ValueError(f"k={k} exceeds number of points n={n}")
-    return _distinct_rows(X)
+    return rows, inverse
 
 
-def kmeans_fit(X: Union[np.ndarray, Sequence[Sequence[float]]], k: int, seed: int = 0) -> KMeansModel:
-    """Lloyd's algorithm with k-means++ initialization.
+def kmeans_fit(
+    X: Union[np.ndarray, Sequence[Sequence[float]]], k: int, seed: int = 0, index: Sequence[int] | None = None
+) -> KMeansModel:
+    """Lloyd's algorithm with k-means++ initialization, on the points
+    X[index], every row of X if ``index`` is None.
 
     Empty clusters are re-seeded to the point farthest from its centroid.
     Stops when the largest centroid shift drops below 1e-6, after at most 300
     iterations. The inertia trace (one entry per assignment step) is
     non-increasing.
     """
-    return _kmeans(*_fit_input(X, k), k, seed)
+    return _kmeans(*_fit_input(X, k, index), k, seed)
 
 
 def _kmeans(rows: np.ndarray, inverse: np.ndarray, k: int, seed: int) -> KMeansModel:
@@ -240,8 +301,11 @@ def _logsumexp_rows(logp: np.ndarray) -> np.ndarray:
     return (mx + np.log(np.exp(logp - mx).sum(axis=1, keepdims=True))).ravel()
 
 
-def gmm_fit(X: Union[np.ndarray, Sequence[Sequence[float]]], k: int, seed: int = 0) -> GmmModel:
-    """EM for a Gaussian mixture with diagonal covariances.
+def gmm_fit(
+    X: Union[np.ndarray, Sequence[Sequence[float]]], k: int, seed: int = 0, index: Sequence[int] | None = None
+) -> GmmModel:
+    """EM for a Gaussian mixture with diagonal covariances, on the points
+    X[index], every row of X if ``index`` is None.
 
     Initialized from a k-means++ pass (seed means, hard-assign, component
     stats); variances are floored at ``VARIANCE_FLOOR``. Stops once the
@@ -252,7 +316,7 @@ def gmm_fit(X: Union[np.ndarray, Sequence[Sequence[float]]], k: int, seed: int =
     may drop at that one step; a second collapse is an error. Callers should
     cap dimensionality (e.g. TF-IDF max_terms).
     """
-    return _gmm(*_fit_input(X, k), k, seed)
+    return _gmm(*_fit_input(X, k, index), k, seed)
 
 
 def _gmm(rows: np.ndarray, inverse: np.ndarray, k: int, seed: int) -> GmmModel:
@@ -397,7 +461,7 @@ def silhouette(X: Union[np.ndarray, Sequence], labels: Sequence[int]) -> float:
     uniq, codes = np.unique(labels, return_inverse=True)
     if uniq.size < 2:
         raise ValueError("silhouette requires at least 2 clusters")
-    distinct, inverse = _distinct_rows(X)
+    distinct, inverse = distinct_rows(X)
     counts = _label_counts(inverse, codes, distinct.shape[0], uniq.size)
     return _silhouette_of_counts(_distinct_distances(distinct), counts)
 
@@ -409,29 +473,33 @@ def largest_scored_k(n: int) -> int:
 
 
 def select_k(
-    X: Union[np.ndarray, Sequence], algo: str, k_range: Sequence[int], seed: int = 0
+    X: Union[np.ndarray, Sequence],
+    algo: str,
+    k_range: Sequence[int],
+    seed: int = 0,
+    index: Sequence[int] | None = None,
 ) -> tuple[Union[KMeansModel, GmmModel], dict[int, float]]:
-    """Fit each k in k_range and keep the best mean silhouette (ties: smallest k).
+    """Fit each k in k_range to the points X[index], every row of X if
+    ``index`` is None, and keep the best mean silhouette (ties: smallest k).
 
     Returns the winning fit and the score of every k. Per-k fits use the
     derived seed ``seed + k`` so candidates are independent, and each equals
-    the public fit of X with that k and seed. X is deduplicated once per
-    call: every fit runs on its distinct rows, and the silhouette, exact over
-    all rows, computes their distances once and scores groups of identical
-    rows weighted by their number. A k whose fit collapses to one effective
-    cluster scores -inf, and so, unfitted, does a k above
-    ``largest_scored_k(n)`` or above the number of distinct rows. Raises
-    ValueError when no k scores above -inf.
+    the public fit of the points with that k and seed. The points are
+    deduplicated once per call: every fit runs on their distinct rows, and
+    the silhouette, exact over all points, computes the distances of those
+    rows once and scores groups of identical points weighted by their
+    number. A k whose fit collapses to one effective cluster scores -inf,
+    and so, unfitted, does a k above ``largest_scored_k(n)`` or above the
+    number of distinct rows. Raises ValueError when no k scores above -inf.
     """
-    X = _as_matrix(X)
-    n = X.shape[0]
+    distinct, inverse = _points(X, index)
+    n = inverse.shape[0]
     ks = sorted(set(int(k) for k in k_range))
     if not ks or ks[0] < 2:
         raise ValueError("k_range must be non-empty, every k at least 2")
     rules.check_cluster_algorithm(algo)
 
     fit = ALGORITHMS[algo]
-    distinct, inverse = _distinct_rows(X)
     n_distinct = distinct.shape[0]
     most = min(n_distinct, largest_scored_k(n))  # above it some cluster is empty or a duplicate
     dist = _distinct_distances(distinct)
@@ -461,18 +529,21 @@ def cluster_catalog(
     terms: Sequence[str],
     durations: Sequence[float],
     top_n: int = 3,
+    index: Sequence[int] | None = None,
 ) -> list[dict]:
-    """Summarize clusters: size, strongest terms and mean duration.
+    """Summarize clusters of the points X[index], every row of X if
+    ``index`` is None: size, strongest terms and mean duration, where
+    ``labels`` and ``durations`` hold one entry per point.
 
     This backs the exported procedure-catalog CSV.
     """
-    X = _as_matrix(X)
+    X, index = _indexed(X, index)
     labels = np.asarray(labels, dtype=np.intp)
     durations = np.asarray(durations, dtype=float)
     rows = []
     for c in sorted(set(int(v) for v in labels)):
         mask = labels == c
-        mean_weights = X[mask].mean(axis=0)
+        mean_weights = X[index[mask]].mean(axis=0)
         order = np.argsort(-mean_weights, kind="stable")[:top_n]
         top = [terms[i] for i in order if mean_weights[i] > 0]
         rows.append(

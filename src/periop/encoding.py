@@ -5,10 +5,11 @@ using a pseudo-count m (default 40): (n_i * mean_i + m * prior) / (n_i + m).
 Unknown categories map to the all-zeros row (one-hot) or the prior (target
 encoding), so nothing from the test set leaks into the encodings.
 
-``_distinct_rows`` codes each row of a matrix by its distinct row; clustering
+``distinct_rows`` codes each row of a matrix by its distinct row; clustering
 and the tree engine both work on those distinct rows, weighted by count.
-``_distinct_keys`` does the same for a sequence of hashable keys, in
-first-seen order; the design-row builder and the CLI's text vectorizing use it.
+``distinct_keys`` does the same for a sequence of hashable keys, in
+first-seen order; the design-row builder, the CLI's text vectorizing and
+clustering's indexed fits use it.
 """
 
 from __future__ import annotations
@@ -136,7 +137,7 @@ def target_encode_apply(encoder: TargetEncoder, categories: Sequence[Hashable]) 
     return np.array([encoder.encode(c) for c in categories])
 
 
-def _distinct_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def distinct_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Distinct rows of X in first-seen order, and each row's index into them."""
     index: dict[bytes, int] = {}  # ~20x faster than np.unique(axis=0)
     inverse = np.fromiter(
@@ -147,7 +148,7 @@ def _distinct_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return distinct, inverse
 
 
-def _distinct_keys(keys: Sequence[Hashable]) -> tuple[list, np.ndarray]:
+def distinct_keys(keys: Sequence[Hashable]) -> tuple[list, np.ndarray]:
     """Distinct values of ``keys`` in first-seen order, and each key's index into them."""
     index: dict[Hashable, int] = {}
     inverse = np.fromiter((index.setdefault(k, len(index)) for k in keys), dtype=np.intp, count=len(keys))

@@ -15,7 +15,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .eventlog import PHASE_FIELDS
-from .stats import finite_or_none
+from .stats import finite_or_none, median
 
 DEFAULT_TOLERANCE = 0.20
 
@@ -71,7 +71,7 @@ def compute_metrics(
     err = p - a
     mae = float(np.mean(np.abs(err)))
     rmse = float(math.sqrt(np.mean(err * err)))
-    median_abs_dev = float(np.median(np.abs(err)))
+    median_abs_dev = median(np.abs(err))
     ss_res = float(np.sum(err * err))
     ss_tot = float(np.sum((a - a.mean()) ** 2))
     if ss_tot == 0.0:
@@ -150,7 +150,7 @@ def _plan_row(source: str, actual: np.ndarray, predicted: np.ndarray, tolerance:
     return PlanRow(
         source=source,
         mean_abs_pct_dev=float(pct.mean() * 100.0),
-        median_abs_pct_dev=float(np.median(pct) * 100.0),
+        median_abs_pct_dev=median(pct) * 100.0,
         share_beyond_tol=float(np.mean(pct > tolerance)),
         mae=float(np.mean(np.abs(predicted - actual))),
         n=int(actual.size),

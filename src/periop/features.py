@@ -17,6 +17,7 @@ import numpy as np
 
 from . import encoding, rules
 from .eventlog import PHASE_FIELDS
+from .stats import median
 
 
 @dataclass
@@ -87,7 +88,7 @@ def fit_context(
         target_smoothing=target_smoothing,
         name_codes=name_codes,
         target_encoder=encoder,
-        age_fill=float(np.median(ages)) if ages else 50.0,
+        age_fill=median(ages) if ages else 50.0,
         sex_schema=encoding.OneHotSchema.fit(train_cases["sex"]),
         department_schema=encoding.OneHotSchema.fit(train_cases["department"]),
     )
@@ -119,7 +120,7 @@ def design_rows(
         keys = clusters
     else:
         keys = list(zip(clusters, cases["age"], cases["sex"], cases["department"]))
-    distinct, inverse = encoding._distinct_keys(keys)
+    distinct, inverse = encoding.distinct_keys(keys)
     return _encode(ctx, family, distinct), inverse
 
 

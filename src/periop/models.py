@@ -22,7 +22,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from . import rules
-from .encoding import _distinct_rows
+from .encoding import distinct_rows
 
 
 class NotFittedError(RuntimeError):
@@ -64,7 +64,7 @@ def split_indices(n: int, test_fraction: float = 0.2, seed: int = 0) -> tuple[np
     if not 0.0 < test_fraction < 1.0:
         raise ValueError("test_fraction must be in (0, 1)")
     perm = np.random.default_rng(seed).permutation(n)
-    n_test = int(math.floor(n * test_fraction))
+    n_test = rules.held_out(n, test_fraction)
     return np.sort(perm[n_test:]), np.sort(perm[:n_test])
 
 
@@ -333,7 +333,7 @@ def _bin_columns(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     histograms every column. Binning at distinct values is exact: every
     split the sorted scan can make falls between two bins.
     """
-    distinct, inverse = _distinct_rows(X)
+    distinct, inverse = distinct_rows(X)
     m, d = distinct.shape
     columns = [np.unique(distinct[:, f], return_inverse=True) for f in range(d)]
     width = max((len(column_values) for column_values, _ in columns), default=1)

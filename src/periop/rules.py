@@ -50,6 +50,13 @@ def check_synth_n_cases(n_cases: int) -> None:
         raise ValueError("n_cases must be >= 100")
 
 
+def held_out(n: int, test_fraction: float) -> int:
+    """The number of ``n`` rows that the train/test split gives its test
+    side: floor(n * test_fraction). In the assignments file they are the
+    last rows."""
+    return math.floor(n * test_fraction)
+
+
 # JSON type -> (the Python types json.loads gives for it, its name); a
 # number is an int or a float, and neither admits a boolean
 _JSON_TYPES = {

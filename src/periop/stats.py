@@ -21,6 +21,15 @@ def finite_or_none(value: float) -> float | None:
     return value if math.isfinite(value) else None
 
 
+def median(values: Sequence[float]) -> float:
+    """``np.median(values)`` of finite values, bit for bit: the mean of the
+    middle one or two of the sorted values. np.median's NaN check imports
+    numpy.ma, about 1.9 MB, which no stage needs otherwise."""
+    ordered = np.sort(np.asarray(values, dtype=float), axis=None)
+    half = ordered.size // 2
+    return float(np.mean(ordered[half - 1 + ordered.size % 2 : half + 1]))
+
+
 @dataclass(frozen=True)
 class TestResult:
     statistic: float

@@ -213,11 +213,14 @@ def test_config_and_clustering_know_the_same_algorithms():
 
 # run in a fresh interpreter: argv[1:] is one periop command; prints what
 # ``import periop.cli`` loaded, the command's exit code and what it then held
-# loaded, where "loaded" is numpy, if imported, and the periop modules
-_LOADED_BY = """
+# loaded, where "loaded" is each of _WATCHED that is imported and the periop
+# modules. numpy.random imports secrets, hmac and OpenSSL's _hashlib, and
+# np.median's NaN check numpy.ma: only a stage that draws may load the first.
+_WATCHED = ("numpy", "numpy.ma", "numpy.random", "secrets")
+_LOADED_BY = f"""
 import json, sys
 def loaded():
-    return ["numpy"] * ("numpy" in sys.modules) + sorted(m for m in sys.modules if m.startswith("periop"))
+    return [m for m in {_WATCHED!r} if m in sys.modules] + sorted(m for m in sys.modules if m.startswith("periop"))
 import periop.cli
 at_import = loaded()
 print(json.dumps([at_import, periop.cli.run(sys.argv[1:]), loaded()]))
@@ -225,37 +228,52 @@ print(json.dumps([at_import, periop.cli.run(sys.argv[1:]), loaded()]))
 _CLI_MODULES = ["periop", "periop.artifacts", "periop.cli", "periop.config", "periop.eventlog", "periop.rules"]
 
 
+def _listed(modules):
+    """``modules`` in the order ``_LOADED_BY`` lists them."""
+    return [m for m in _WATCHED if m in modules] + sorted(m for m in modules if m.startswith("periop"))
+
+
 def test_ingest_and_clean_import_no_numpy(pipeline_dir, tmp_path):
     """Each command imports only the modules it runs: importing the CLI
     loads no numpy, so ``main`` can set BLAS's thread count before OpenBLAS
     starts; ingest and clean never load it, ingest loads no case table, and
-    predict loads the evaluate and stats modules only to apply the planning
-    floors."""
+    predict loads the evaluate module only to apply the planning floors.
+    Cluster alone draws: train, evaluate and report read the split from the
+    assignments file and load no numpy.random, and report loads no models.
+    numpy before 2.0 loads numpy.random and numpy.ma with numpy itself, so
+    what ``import numpy`` loads is expected of every numpy stage."""
     source, config = pipeline_dir
     for name in ("events.csv", "cases.csv"):
         shutil.copy(source / name, tmp_path / name)
     src = str(Path(periop.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    own = ["--out", str(tmp_path), "--seed", "13"]
+
+    def loaded_by(*code):
+        result = subprocess.run([sys.executable, "-c", *code], env=env, capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        return json.loads(result.stdout.splitlines()[-1])
+
+    with_numpy = loaded_by(f"import json, sys, numpy; print(json.dumps([m for m in {_WATCHED!r} if m in sys.modules]))")
+    own = ["--out", str(tmp_path), "--seed", "13", "--config", str(config)]
     predict = ["predict", "--out", str(source), *SMALL, "--config", str(config),
                "--phase", "procedure", "--model", "gbm", "--dest", str(tmp_path / "p.csv")]
-    numpy_stage = ["numpy", "periop.clustering", "periop.encoding", "periop.models", "periop.textnorm"]
+    clustering = [*with_numpy, "periop.clustering", "periop.encoding", "periop.models", "periop.textnorm"]
+    design = [*with_numpy, "periop.encoding", "periop.features", "periop.models", "periop.stats"]
     expected = [  # (command, the modules it adds to _CLI_MODULES), in pipeline order
         (["ingest", *own], []),
         (["clean", *own], ["periop.casetable", "periop.cleaning"]),
-        (["cluster", *own], [*numpy_stage, "periop.casetable"]),
-        (predict, [*numpy_stage, "periop.features"]),
-        ([*predict, "--apply-floors"], [*numpy_stage, "periop.evaluate", "periop.features", "periop.stats"]),
+        (["cluster", *own], [*clustering, "numpy.random", "secrets", "periop.casetable"]),
+        (["train", *own], [*design, "periop.casetable"]),
+        (["evaluate", *own], [*design, "periop.casetable", "periop.evaluate"]),
+        (["report", *own], [*with_numpy, "periop.casetable", "periop.evaluate", "periop.stats"]),
+        (predict, [*clustering, *design]),
+        ([*predict, "--apply-floors"], [*clustering, *design, "periop.evaluate"]),
     ]
     for argv, added in expected:
-        result = subprocess.run(
-            [sys.executable, "-c", _LOADED_BY, *argv], env=env, capture_output=True, text=True
-        )
-        assert result.returncode == 0, result.stderr
-        at_import, code, loaded = json.loads(result.stdout.splitlines()[-1])
+        at_import, code, loaded = loaded_by(_LOADED_BY, *argv)
         assert (at_import, code) == (_CLI_MODULES, 0), argv
-        assert loaded == sorted(_CLI_MODULES + added, key=lambda m: (m != "numpy", m)), argv
-    assert (tmp_path / "assignments_procedure.csv").exists()
+        assert loaded == _listed({*_CLI_MODULES, *added}), argv
+    assert (tmp_path / "factor_report.json").exists()
 
 
 def _blas_settings_seen_by_main(monkeypatch, **environ):
@@ -1110,12 +1128,19 @@ def _set_cell(col, value):
          "holds no row for 1 of the"),
         ("clean_procedure.json", lambda text: "[" * 100_000, _LATER, "clean", "maximum recursion depth"),
         ("tfidf_procedure.json", lambda text: "[" * 100_000, ("predict",), "cluster", "maximum recursion depth"),
+        ("cluster_model_induction.json", _edit_json(lambda obj: obj["model"]["weights"].__setitem__(0, -1)),
+         ("predict",), "cluster", "bad entry in 'weights': expected a number > 0, got -1"),
+        ("cluster_model_induction.json", _edit_json(lambda obj: obj["model"]["means"].pop()), ("predict",),
+         "cluster", "'weights', 'means' and 'variances' are (4,), (3, "),
+        ("cluster_model_procedure.json", _edit_json(lambda obj: [row.pop() for row in obj["model"]["centroids"]]),
+         ("predict",), "cluster", "columns for the "),
     ],
     ids=["clean-no-retained-ids", "clean-a-list", "clean-unknown-id", "clean-id-not-a-string",
          "assignments-cluster-x", "assignments-one-field-row", "assignments-empty", "assignments-not-utf8",
          "predictions-abc", "predictions-row-deleted", "predictions-short-row", "predictions-empty",
          "assignments-no-header", "assignments-row-deleted", "clean-nested-too-deeply",
-         "tfidf-nested-too-deeply"],
+         "tfidf-nested-too-deeply", "gmm-negative-weight", "gmm-means-one-row-short",
+         "kmeans-centroids-one-column-narrow"],
 )
 def test_an_edited_artifact_exits_one_naming_it_and_the_stage_to_rerun(
     pipeline_dir, tmp_path, capsys, artifact, edit, stages, rerun, problem
@@ -1129,7 +1154,8 @@ def test_an_edited_artifact_exits_one_naming_it_and_the_stage_to_rerun(
     path = out / artifact
     # surrogateescape: "\udcff" in the edited text writes the byte 0xff, which is not UTF-8
     path.write_bytes(edit(path.read_text()).encode("utf-8", "surrogateescape"))
-    extra = {"predict": ["--phase", "procedure", "--model", "gbm", "--dest", str(tmp_path / "p.csv")]}
+    phase = "induction" if "induction" in artifact else "procedure"
+    extra = {"predict": ["--phase", phase, "--model", "gbm", "--dest", str(tmp_path / "p.csv")]}
     capsys.readouterr()
     for stage in stages:
         assert run([stage, "--out", str(out), *SMALL, "--config", str(config), *extra.get(stage, [])]) == 1, stage
@@ -1152,6 +1178,51 @@ def test_clean_run_again_after_cluster_exits_one_in_the_later_stages(pipeline_di
         err = capsys.readouterr().err
         assert err.startswith(f"error: {out / 'assignments_procedure.csv'}: holds no row for "), (stage, err)
         assert err.endswith("; re-run 'cluster' to rebuild it\n"), (stage, err)
+
+
+@pytest.mark.parametrize(
+    "line, clean_again, where, problem",
+    [
+        ("max_duration_min = 200", True, ": holds rows for ", " cases that cleaning did not retain, such as "),
+        ("test_fraction = 0.3", False, ":", " breaks the ascending order of the test ids, so "),
+    ],
+    ids=["narrower-clean", "larger-test-fraction"],
+)
+def test_a_split_that_no_longer_fits_the_config_exits_one_in_the_later_stages(
+    pipeline_dir, tmp_path, capsys, line, clean_again, where, problem
+):
+    """The assignments file is the record of cluster's split. A lower
+    duration cap, with clean run again, retains a subset of the cases that
+    cluster split; a larger test_fraction makes the last 30 % of the rows,
+    not the ascending test ids that cluster wrote, the test side. Either way
+    the stages that read the split exit 1 and ask for cluster again."""
+    source, config = pipeline_dir
+    out = tmp_path / "out"
+    shutil.copytree(source, out)
+    changed = tmp_path / "changed.cfg"
+    changed.write_text(f"{config.read_text()}{line}\n")
+    common = ["--out", str(out), *SMALL, "--config", str(changed)]
+    if clean_again:
+        assert run(["clean", *common]) == 0
+    capsys.readouterr()
+    for stage in ("train", "evaluate", "report"):
+        assert run([stage, *common]) == 1, stage
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {out / 'assignments_procedure.csv'}{where}"), (stage, err)
+        assert problem in err and err.endswith("; re-run 'cluster' to rebuild it\n"), (stage, err)
+
+
+def test_evaluate_with_another_seed_scores_the_split_cluster_drew(pipeline_dir, tmp_path):
+    """The seed draws the split once, in cluster: evaluate and report under
+    another seed score the same test cases, which the models were not
+    trained on, and write the same files."""
+    source, config = pipeline_dir
+    out = tmp_path / "out"
+    shutil.copytree(source, out)
+    for stage in ("evaluate", "report"):
+        assert run([stage, "--out", str(out), "--seed", "8", "--n-cases", "1500", "--config", str(config)]) == 0
+    for name in ("metrics.json", "predictions_procedure.csv", "predictions_induction.csv", "factor_report.json"):
+        assert (out / name).read_bytes() == (source / name).read_bytes(), name
 
 
 @pytest.fixture(scope="module")

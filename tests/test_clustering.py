@@ -28,7 +28,7 @@ from periop.clustering import (
     silhouette,
 )
 from periop import clustering
-from periop.encoding import _distinct_rows
+from periop.encoding import distinct_rows
 
 
 def blobs(rng, centers, n_per, spread=0.3):
@@ -272,7 +272,7 @@ def test_select_k_validation():
 @pytest.mark.parametrize("algo", ["kmeans", "gmm"])
 def test_select_k_deduplicates_once(monkeypatch, algo):
     calls = []
-    monkeypatch.setattr(clustering, "_distinct_rows", lambda X: calls.append(X) or _distinct_rows(X))
+    monkeypatch.setattr(clustering, "distinct_rows", lambda X: calls.append(X) or distinct_rows(X))
     rng = np.random.default_rng(4)
     select_k(blobs(rng, [(0, 0), (8, 0), (4, 7)], 10), algo, range(2, 6), seed=1)
     assert len(calls) == 1
@@ -371,7 +371,7 @@ def test_fits_on_distinct_rows_match_row_level_fits(data, seed):
     # weighted by count, the oracles fit every row
     X = data.draw(repeated_rows(min_rows=8, max_rows=60))
     k = data.draw(st.integers(1, min(6, len(X))))
-    distinct, inverse = _distinct_rows(X)
+    distinct, inverse = distinct_rows(X)
     centres = _kmeanspp_init(distinct, inverse, k, np.random.default_rng(seed))
     assert np.array_equal(centres, kmeanspp_init_rows(X, k, np.random.default_rng(seed)))
 
@@ -483,3 +483,45 @@ def test_cluster_catalog():
     assert rows[0] == {"cluster_id": 0, "size": 2, "top_terms": "alpha", "mean_duration_min": 15.0}
     assert rows[1]["top_terms"] == "beta"
     assert rows[1]["mean_duration_min"] == pytest.approx(99.0)
+
+
+def _same_bytes(a, b):
+    """Two fits, or two select_k results, agree in every field, bit for bit."""
+    if isinstance(a, tuple):
+        return _same_bytes(a[0], b[0]) and repr(sorted(a[1].items())) == repr(sorted(b[1].items()))
+    return type(a) is type(b) and all(
+        np.asarray(getattr(a, f.name)).tobytes() == np.asarray(getattr(b, f.name)).tobytes()
+        for f in dataclasses.fields(a)
+    )
+
+
+def _outcome(call):
+    try:
+        return call()
+    except ValueError as exc:  # k above the points, a GMM collapsed twice, no k scored
+        return str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2**16))
+def test_fits_on_indexed_rows_equal_fits_on_the_gathered_rows(data, seed):
+    """cluster passes its distinct TF-IDF rows and each training case's row
+    index: every fit, select_k and cluster_catalog then give, byte for byte,
+    what they give for the gathered matrix X[index]."""
+    X = data.draw(repeated_rows(min_rows=1, max_rows=12))  # rows may repeat in X too
+    index = np.array(data.draw(st.lists(st.integers(0, len(X) - 1), min_size=1, max_size=40)))
+    gathered = X[index]
+    k = data.draw(st.integers(1, 5))
+    ks = data.draw(st.lists(st.integers(2, 6), min_size=1, max_size=3))
+    for fit in (kmeans_fit, gmm_fit):
+        got = _outcome(lambda: fit(X, k, seed=seed, index=index))
+        want = _outcome(lambda: fit(gathered, k, seed=seed))
+        assert got == want if isinstance(want, str) else _same_bytes(got, want), fit.__name__
+        got = _outcome(lambda: select_k(X, fit.__name__[:-4], ks, seed=seed, index=index))
+        want = _outcome(lambda: select_k(gathered, fit.__name__[:-4], ks, seed=seed))
+        assert got == want if isinstance(want, str) else _same_bytes(got, want), fit.__name__
+    labels = data.draw(st.lists(st.integers(0, 3), min_size=len(index), max_size=len(index)))
+    durations = data.draw(st.lists(st.floats(0, 500), min_size=len(index), max_size=len(index)))
+    terms = [f"t{j}" for j in range(X.shape[1])]
+    got = cluster_catalog(labels, X, terms, durations, index=index)
+    assert repr(got) == repr(cluster_catalog(labels, gathered, terms, durations))

@@ -1,10 +1,13 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import build_tree_rows, build_tree_slow, gbm_fit_rows, tree_predict_slow
-from periop import rules
+from periop import artifacts, rules
 from periop.config import MODEL_KEYS
 from periop.models import (
     DEFAULT_GRIDS,
@@ -62,6 +65,32 @@ def test_split_deterministic_and_seed_sensitive():
     assert np.array_equal(a1, a2) and np.array_equal(b1, b2)
     assert not np.array_equal(b1, b3)
     assert sorted(a1.tolist() + b1.tolist()) == list(range(100))
+
+
+_CASE_IDS = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"), min_size=1, max_size=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    ids=st.sets(_CASE_IDS, min_size=1, max_size=120),
+    test_fraction=st.floats(0.01, 0.99),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_split_read_back_from_an_assignments_file_equals_split_indices(ids, test_fraction, seed, data):
+    """cluster draws the split of the sorted retained ids and writes it as the
+    assignments file, training ids then test ids; the later stages read
+    both sides back from it instead of drawing again."""
+    ordered = sorted(ids)
+    train_idx, test_idx = split_indices(len(ordered), test_fraction, seed=seed)
+    clusters = data.draw(st.lists(st.integers(0, 40), min_size=len(ordered), max_size=len(ordered)))
+    split = [ordered[i] for i in train_idx], [ordered[i] for i in test_idx]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "assignments_procedure.csv"
+        artifacts.write_assignments(path, split[0] + split[1], clusters)
+        (train_ids, train_clusters), (test_ids, test_clusters) = artifacts.read_split(path, ids, test_fraction)
+    assert (train_ids, test_ids) == split
+    assert train_clusters + test_clusters == clusters
 
 
 def test_mean_model():

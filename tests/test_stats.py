@@ -6,7 +6,7 @@ import pytest
 import scipy.integrate
 import scipy.special
 import scipy.stats
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import anova_f_slow, midranks_slow
@@ -15,10 +15,38 @@ from periop.stats import (
     anova_f_test,
     factor_report,
     kruskal_wallis,
+    median,
     reg_inc_beta,
     reg_inc_gamma_P,
     welch_t_test,
 )
+
+
+# --- median -------------------------------------------------------------------
+
+# ties and signed zeros come from the small pool, any finite float from the rest
+_MEDIAN_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, 7.0]),
+    st.integers(-100, 100),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(values=st.lists(_MEDIAN_VALUES, min_size=1, max_size=9))
+@example(values=[-0.0])
+@example(values=[-0.0, -0.0])
+@example(values=[0.0, -0.0, -0.0])
+@example(values=[3.0, 3.0])
+@example(values=[1.7976931348623157e308, 1.7976931348623157e308])
+def test_median_equals_numpy_median_bit_for_bit(values):
+    """The helper the stages use instead of np.median, whose NaN check
+    imports numpy.ma: the same float for odd and even lengths, ties and
+    signed zeros, from a list or an array."""
+    with np.errstate(over="ignore"):  # two middle values near the float maximum
+        want = np.float64(np.median(values)).tobytes()
+        assert np.float64(median(values)).tobytes() == want
+        assert np.float64(median(np.asarray(values, dtype=float))).tobytes() == want
 
 
 # --- special functions ------------------------------------------------------
