@@ -4,13 +4,14 @@ Each artifact has one writer and one reader here. Every file a stage writes
 goes through ``_create``. Three readers serve every artifact that a stage
 reads back: ``read_json`` for the JSON artifacts, each through its own
 decoder, ``read_csv`` for the assignments and predictions, and
-``read_cases`` for ``cases.jsonl``, which gives a CaseTable. A reader
-returns checked data or raises UsageError, naming the file, the line or
-field where there is one, and the stage that writes it; so a missing,
-malformed or stale artifact exits 1. A
-reader also checks the file against the data it is read with: a clean file's
-ids against the case table, the assignments against the retained ids, and
-the predictions against the test ids they are read for.
+``read_cases`` for ``cases.jsonl``, which reads the file in one pass and
+gives a CaseTable: the reader checks each line's shape, and the table the
+values of each case. A reader returns checked data or raises UsageError,
+naming the file, the line or field where there is one, and the stage that
+writes it; so a missing, malformed or stale artifact exits 1. A reader also
+checks the file against the data it is read with: a clean file's ids
+against the case table, the assignments against the retained ids, and the
+predictions against the test ids they are read for.
 
 The assignments file is the one record of the train/test split: ``cluster``
 draws the split and writes the training ids, ascending, then the test ids,
@@ -24,7 +25,6 @@ from __future__ import annotations
 
 import contextlib
 import csv
-import functools
 import itertools
 import json
 import math
@@ -33,7 +33,7 @@ from typing import TYPE_CHECKING, Callable, Collection, Iterable, Iterator, Mapp
 
 from . import rules
 from .config import UsageError
-from .eventlog import ANCHOR_EVENTS, CASE_FIELDS, NUMBER_FIELDS, Case
+from .eventlog import CASE_FIELDS, Case
 
 if TYPE_CHECKING:
     from .casetable import CaseTable
@@ -308,33 +308,15 @@ def read_predictions(path: Path, ids: Sequence[str]) -> dict[str, list[float]]:
 # duplicate_anchors and n_events), so the writer reorders no value, and no row
 # repeats the names. The header marks the layout: a file whose line 1 is
 # anything else (an empty file, another header, or the one-object-per-case
-# rows of older builds) is rejected at line 1. Reading gives a CaseTable and
-# checks each value's JSON type; a row that is not an array of
-# len(CASE_FIELDS) values, holds a value of another JSON type, a number that
-# is not finite, duplicate_anchors other than distinct anchor names or a
-# negative n_events, or repeats a case id, is rejected at its line, naming
-# the field by its header position.
+# rows of older builds) is rejected at line 1. A later line that is not a
+# JSON array of len(CASE_FIELDS) values is rejected at its line, and so is
+# a case that the CaseTable refuses, which holds the rules for each value.
 _HEADER = list(CASE_FIELDS)  # line 1 as json decodes it
-_ROW_TYPES = {  # field -> the Python types json.loads gives for its JSON type, and that type's name
-    **dict.fromkeys(CASE_FIELDS, ({str}, "a string")),
-    **dict.fromkeys(NUMBER_FIELDS, ({int, float, type(None)}, "a number or null")),
-    "duplicate_anchors": ({list}, "an array"),
-    "n_events": ({int}, "an integer"),
-}
-
-
-def _anchor_names(names: list) -> bool:
-    """Whether ``names`` holds distinct names from ANCHOR_EVENTS."""
-    return all(a in ANCHOR_EVENTS for a in names) and len(set(names)) == len(names)
-
-
-_ROW_VALUES = {  # field -> a check of a value of its JSON type, and what the check expects
-    **dict.fromkeys(NUMBER_FIELDS, (lambda v: v is None or rules.finite(v), "a finite number or null")),
-    "duplicate_anchors": (_anchor_names, "an array of distinct anchor names"),
-    "n_events": ((0).__le__, "an integer >= 0"),
-}
-_CHUNK_LINES = 1024  # the rows decoded before they are added to the table
-_decode_row = json.JSONDecoder(parse_constant=_reject_constant).raw_decode
+_N_FIELDS = len(CASE_FIELDS)
+_CHUNK_LINES = 1024  # the lines read before their rows are added to the table
+_JSON_SPACE = " \t\n\r"  # what json.loads skips around a value
+# NaN and Infinity too, which the CaseTable names as numbers that are not finite
+_decode_value = json.JSONDecoder().raw_decode
 
 
 def _case_to_row(case: Case) -> tuple:
@@ -348,88 +330,56 @@ def write_cases(path: Path, cases: Iterable[Case]) -> None:
 
 
 def read_cases(path: Path) -> CaseTable:
-    """The cases of the cases.jsonl at ``path``; a file that is not one
-    exits 1, naming the line at fault."""
+    """The cases of the cases.jsonl at ``path``, read in one pass, a chunk of
+    lines at a time: blank lines are skipped, and the last line may lack its
+    newline. A file that is not one exits 1, naming its first line at fault
+    and what is wrong with that line."""
+    from .casetable import CaseError, CaseTable
+
     _require(path, "ingest")
-    try:
-        return _case_table(path, _decoded_chunks)
-    except UnicodeDecodeError:
-        raise UsageError(f"{path}: invalid UTF-8; re-run 'ingest'") from None
-    except (ValueError, TypeError, OverflowError, RecursionError):
-        pass
-    # read the file again one line at a time: that names the first line at
-    # fault, and reads a file refused only for a blank line, say, or a last
-    # line without its newline
-    return _case_table(path, functools.partial(_checked_chunks, path))
-
-
-def _case_table(path: Path, chunks: Callable[[TextIO], Iterator[dict]]) -> CaseTable:
-    from .casetable import CaseTable
-
     table = CaseTable()
-    with path.open(encoding="utf-8") as fh:
-        for columns in chunks(fh):
-            table.extend(columns)
-    return table
-
-
-def _decoded_chunks(fh: TextIO) -> Iterator[dict[str, tuple]]:
-    """The columns of the rows after the header line, up to _CHUNK_LINES
-    rows at a time. Any line but one row of the accepted JSON types and its
-    newline raises ValueError or RecursionError, naming no line."""
-    if _decode_json(fh.readline()) != _HEADER:  # an empty file fails to decode
-        raise ValueError("not the header line")
-    while lines := list(itertools.islice(fh, _CHUNK_LINES)):
-        rows = []
-        for line in lines:
-            row, end = _decode_row(line)
-            if line[end:] != "\n":
-                raise ValueError("not one JSON value and its newline")
-            rows.append(row)
-        if {*map(type, rows)} != {list} or {*map(len, rows)} != {len(CASE_FIELDS)}:
-            raise ValueError("not an array of the fields")
-        columns = _columns(rows)
-        for field, column in columns.items():
-            if not {*map(type, column)} <= _ROW_TYPES[field][0]:
-                raise ValueError(f"bad value for {field!r}")
-        # the CaseTable checks the numbers; the usual empty duplicate_anchors costs one truth test
-        anchors = columns["duplicate_anchors"]
-        if (any(anchors) and not all(map(_anchor_names, anchors))) or min(columns["n_events"]) < 0:
-            raise ValueError("bad value for 'duplicate_anchors' or 'n_events'")
-        yield columns
-
-
-def _checked_chunks(path: Path, fh: TextIO) -> Iterator[dict[str, tuple]]:
-    """The columns of ``_decoded_chunks``, read one line at a time and blank
-    lines skipped; the first line at fault raises UsageError, naming it and
-    what is wrong with it."""
-    line_no, rows, seen = 1, [], set()
+    line_no = 1
     try:
-        reason = _bad_header(fh.readline())
-        if reason:
-            raise ValueError(reason)
-        for line_no, line in enumerate(fh, start=2):
-            if line.strip():
-                rows.append(_checked_row(line, seen))
-            if len(rows) == _CHUNK_LINES:
-                yield _columns(rows)
-                rows = []
+        with path.open(encoding="utf-8") as fh:
+            reason = _bad_header(fh.readline())
+            if reason:
+                raise ValueError(reason)
+            while lines := list(itertools.islice(fh, _CHUNK_LINES)):
+                start, rows, fault = line_no + 1, [], None
+                for line_no, line in enumerate(lines, start):
+                    text = line.strip(_JSON_SPACE)
+                    try:
+                        row, end = _decode_value(text)
+                    except (ValueError, RecursionError):
+                        end = -1
+                    if end != len(text):
+                        if not line.strip():  # a blank line
+                            continue
+                        fault = "invalid JSON"
+                        break
+                    if type(row) is not list or len(row) != _N_FIELDS:
+                        got = len(row) if type(row) is list else rules.shown(row)
+                        fault = f"expected a JSON array of {_N_FIELDS} fields, got {got}"
+                        break
+                    rows.append(row)
+                try:  # a case on a line before the fault may be the first at fault
+                    if rows:
+                        table.extend(_columns(rows))
+                except CaseError as exc:  # the rows are the lines before the fault that are not blank
+                    line_no = start + [i for i, line in enumerate(lines) if line.strip()][exc.row]
+                    raise
+                if fault:
+                    raise ValueError(fault)
     except UnicodeDecodeError:
         raise UsageError(f"{path}: invalid UTF-8; re-run 'ingest'") from None
     except ValueError as exc:
         raise UsageError(f"{path}:{line_no}: {exc}; re-run 'ingest'") from None
-    if rows:
-        yield _columns(rows)
-
-
-def _columns(rows: list[list]) -> dict[str, tuple]:
-    """Each field's column of ``rows``, arrays of len(CASE_FIELDS) values."""
-    return dict(zip(CASE_FIELDS, zip(*rows)))
+    return table
 
 
 def _bad_header(line: str) -> str | None:
     """Why line 1 of a cases.jsonl is not its header line; None if it is."""
-    expected = f"expected a header line of the {len(CASE_FIELDS)} field names"
+    expected = f"expected a header line of the {_N_FIELDS} field names"
     if not line:
         return f"{expected}, got an empty file"
     try:
@@ -439,27 +389,6 @@ def _bad_header(line: str) -> str | None:
     return None if header == _HEADER else f"{expected}, got {rules.shown(header)}"
 
 
-def _checked_row(line: str, seen: set[str]) -> list:
-    """The row on a cases.jsonl line whose case id is not one of ``seen``,
-    which it joins; ValueError says what is wrong with the line."""
-    try:
-        row = json.loads(line)  # NaN and Infinity too, which are named below
-    except (ValueError, RecursionError):
-        raise ValueError("invalid JSON") from None
-    expected = f"expected a JSON array of {len(CASE_FIELDS)} fields"
-    if type(row) is not list:
-        raise ValueError(f"{expected}, got {rules.shown(row)}")
-    if len(row) != len(CASE_FIELDS):
-        raise ValueError(f"{expected}, got {len(row)}")
-    for key, value in zip(CASE_FIELDS, row):
-        types, name = _ROW_TYPES[key]
-        if type(value) not in types:
-            raise ValueError(f"bad value for {key!r}: expected {name}, got {json.dumps(value)}")
-        check, expected = _ROW_VALUES.get(key, (None, None))
-        if check and not check(value):
-            raise ValueError(f"bad value for {key!r}: expected {expected}, got {rules.shown(value)}")
-    if row[0] in seen:
-        raise ValueError(f"case {row[0]!r} is listed a second time")
-    seen.add(row[0])
-    return row
-
+def _columns(rows: list[list]) -> dict[str, tuple]:
+    """Each field's column of ``rows``, arrays of len(CASE_FIELDS) values."""
+    return dict(zip(CASE_FIELDS, zip(*rows)))

@@ -1,23 +1,70 @@
 """The case table: ``ingest`` writes one Case record per case to
 ``cases.jsonl``, and every later stage reads the file back as one CaseTable
-(``artifacts.read_cases``) and reads the columns it needs. A stage imports
-this module when it reads the cases, so ``ingest`` loads neither it nor
-``array``.
+(``artifacts.read_cases``) and reads the columns it needs. The table holds
+the rules for a case's values, which ``CaseTable.extend`` checks. A stage
+imports this module when it reads the cases, so ``ingest`` loads neither it
+nor ``array``.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from array import array
 from collections.abc import Mapping
 from typing import Iterable, Iterator, Sequence
 
-from .eventlog import CASE_FIELDS, NUMBER_FIELDS
+from . import rules
+from .eventlog import ANCHOR_EVENTS, CASE_FIELDS, NUMBER_FIELDS
 
 _CODED_FIELDS = ("department", "sex", "procedure_text", "anesthesia_text", "positioning_text")
 # a null number is held as NaN, which no number a CaseTable holds is;
 # _NULLS.get(v, v) is the value held for v
 _NULLS = {None: math.nan}
+
+
+def _finite(values) -> bool:
+    """Whether each number of ``values`` is finite as a float; None passes."""
+    try:
+        return all(map(math.isfinite, filter(None, values)))  # None and zeros pass by
+    except OverflowError:  # an integer too large for a float
+        return False
+
+
+def _anchor_names(names) -> bool:
+    """Whether ``names`` holds distinct names from ANCHOR_EVENTS."""
+    return all(a in ANCHOR_EVENTS for a in names) and len(set(names)) == len(names)
+
+
+def _anchor_lists(values) -> bool:
+    return not any(values) or all(map(_anchor_names, values))  # the usual empty lists cost one truth test
+
+
+# field -> the Python types json.loads gives for its JSON type, and that
+# type's name; then a check that a column of that type passes if and only if
+# each of its values does, and what the check expects of a value
+_RULES = {
+    **dict.fromkeys(CASE_FIELDS, ({str}, "a string", None, None)),
+    **dict.fromkeys(
+        NUMBER_FIELDS, ({int, float, type(None)}, "a number or null", _finite, "a finite number or null")
+    ),
+    "duplicate_anchors": ({list, tuple}, "an array", _anchor_lists, "an array of distinct anchor names"),
+    "n_events": ({int}, "an integer", lambda values: min(values, default=0) >= 0, "an integer >= 0"),
+}
+
+
+def _fits(field: str, values: Sequence) -> bool:
+    types, _, check, _ = _RULES[field]
+    return {*map(type, values)} <= types and (check is None or check(values))
+
+
+class CaseError(ValueError):
+    """A case that ``CaseTable.extend`` refuses; ``row`` is its position in
+    the columns it was given."""
+
+    def __init__(self, row: int, message: str):
+        super().__init__(message)
+        self.row = row
 
 
 class CaseTable(Mapping):
@@ -71,28 +118,28 @@ class CaseTable(Mapping):
         """Append the cases of ``columns``, a mapping of each field of
         ``CASE_FIELDS`` to its column (another CaseTable, say).
 
-        Columns of unequal length, a case id that the table or ``columns``
-        holds twice and a number that is not finite raise ValueError (an
-        integer too large for a float raises OverflowError), and append
-        nothing.
+        Each value must be of its field's JSON type, as json.loads gives it:
+        a string, a number or null, an array for ``duplicate_anchors`` and
+        an integer for ``n_events``. A number must be finite, the anchors
+        distinct names from ANCHOR_EVENTS, ``n_events`` >= 0, and the case
+        id new to the table and listed once. Otherwise CaseError names the
+        first case at fault, and nothing is appended; columns of unequal
+        length raise ValueError.
         """
         ids = columns["case_id"]
         if {len(columns[field]) for field in CASE_FIELDS} != {len(ids)}:
             raise ValueError("the columns differ in length")
+        if not all(_fits(field, columns[field]) for field in CASE_FIELDS):
+            raise self._refusal(columns)
         start = len(self.ids)
         index = dict(zip(ids, range(start, start + len(ids))))
         if len(index) < len(ids) or not self.index.keys().isdisjoint(index):
-            raise ValueError("a case id is listed a second time")
-        numbers = {}
-        for field in NUMBER_FIELDS:
-            values = columns[field]
-            if not all(map(math.isfinite, filter(None, values))):  # None and zeros pass by
-                raise ValueError(f"{field!r} holds a number that is not finite")
-            numbers[field] = array("d", map(_NULLS.get, values, values))
+            raise self._refusal(columns)
         self.index.update(index)
         self.ids.extend(ids)
-        for field, values in numbers.items():
-            self._numbers[field].extend(values)
+        for field in NUMBER_FIELDS:
+            values = columns[field]
+            self._numbers[field].extend(array("d", map(_NULLS.get, values, values)))
         for field, codes in self._codes.items():
             vocabulary, values = self._vocabularies[field], columns[field]
             for value in dict.fromkeys(values):  # each distinct value, first seen first
@@ -100,6 +147,23 @@ class CaseTable(Mapping):
             codes.extend(map(vocabulary.__getitem__, values))
         self._lists["duplicate_anchors"].extend(map(tuple, columns["duplicate_anchors"]))
         self._lists["n_events"].extend(columns["n_events"])
+
+    def _refusal(self, columns: Mapping[str, Sequence]) -> CaseError:
+        """The error of the first case of ``columns`` that ``extend``
+        refuses: its first field at fault, in CASE_FIELDS order, or else its
+        case id, which the table or an earlier case holds."""
+        seen = set(self.index)
+        for row, values in enumerate(zip(*(columns[field] for field in CASE_FIELDS))):
+            for field, value in zip(CASE_FIELDS, values):
+                types, name, check, expected = _RULES[field]
+                if type(value) not in types:
+                    return CaseError(row, f"bad value for {field!r}: expected {name}, got {json.dumps(value)}")
+                if check is not None and not check((value,)):
+                    return CaseError(row, f"bad value for {field!r}: expected {expected}, got {rules.shown(value)}")
+            if values[0] in seen:
+                return CaseError(row, f"case {values[0]!r} is listed a second time")
+            seen.add(values[0])
+        raise AssertionError("extend refused columns that break no rule")
 
     def select(self, ids: Iterable[str]) -> "CaseTable":
         """A table of the cases ``ids``, in that order, each at most once; it

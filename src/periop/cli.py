@@ -65,13 +65,13 @@ def derive_seed(root: int, label: str) -> int:
 
 
 def _parse_input(path: Path, parse, **options):
-    """Leniently parse an events or cases input; ``.jsonl`` files are JSON lines."""
+    """Parse an events or cases input; ``.jsonl`` files are JSON lines."""
     if not path.exists():
         raise UsageError(f"input not found: {path}")
     try:
         with path.open("rb") as fh:
-            return parse(fh, fmt="jsonl" if path.suffix == ".jsonl" else "csv", strict=False, **options)
-    except ParseError as exc:  # lenient parsing raises only for a bad CSV header
+            return parse(fh, fmt="jsonl" if path.suffix == ".jsonl" else "csv", **options)
+    except ParseError as exc:  # raised only for a bad CSV header
         raise UsageError(f"{path}: {exc}") from None
 
 
@@ -354,19 +354,32 @@ def stage_train(cfg: PipelineConfig) -> None:
             print(f"train[{phase}]: fitted {name} on {len(train_ids)} cases")
 
 
-def _read_bundle(path: Path) -> tuple[features.FeatureContext, models.Model, str]:
-    """A trained model bundle: its feature context, model and family."""
+def _read_bundle(cfg: PipelineConfig, phase: str, name: str) -> tuple[features.FeatureContext, models.Model, str]:
+    """The trained bundle of the roster's model ``name`` for ``phase``: its
+    feature context, model and family. Its phase and name must be those of
+    its file, and its family, features and model those of ``_model_plan``."""
     from . import features, models
 
-    return artifacts.read_json(
-        path,
-        lambda b: (
-            features.FeatureContext.from_dict(rules.field(b, "features", dict)),
-            models.model_from_dict(rules.field(b, "model", dict)),
-            rules.field(b, "family", str),
-        ),
-        "train",
-    )
+    family, group_by, _ = _model_plan(name, cfg)
+
+    def decode(bundle: dict) -> tuple[features.FeatureContext, models.Model, str]:
+        model, ctx = rules.field(bundle, "model", dict), rules.field(bundle, "features", dict)
+        for prefix, obj, key, expected in (
+            ("", bundle, "phase", phase),
+            ("", bundle, "name", name),
+            ("", bundle, "family", family),
+            ("model.", model, "family", family),
+            ("features.", ctx, "phase", phase),
+            ("features.", ctx, "group_by", group_by),
+        ):
+            value = rules.field(obj, key, str)
+            if value != expected:
+                raise ValueError(
+                    f"'{prefix}{key}' is {value!r}, but model {name!r} of phase {phase!r} needs {expected!r}"
+                )
+        return features.FeatureContext.from_dict(ctx), models.model_from_dict(model), family
+
+    return artifacts.read_json(Path(cfg.out) / f"model_{phase}_{name}.json", decode, "train")
 
 
 def _bundle_predict(
@@ -399,7 +412,7 @@ def stage_evaluate(cfg: PipelineConfig) -> None:
         predictions: dict[str, np.ndarray] = {}
         metrics_obj[phase] = {}
         for name in cfg.models:
-            bundle = _read_bundle(out / f"model_{phase}_{name}.json")
+            bundle = _read_bundle(cfg, phase, name)
             predictions[name] = _bundle_predict(bundle, test_cases, clusters)
             metrics_obj[phase][name] = evaluate.compute_metrics(
                 actual, predictions[name], tolerance=cfg.tolerance
@@ -497,7 +510,7 @@ def stage_predict(cfg: PipelineConfig, dest: str | None, apply_floors: bool) -> 
 
     phase, name = cfg.phases[0], cfg.models[0]
     out = Path(cfg.out)
-    bundle = _read_bundle(out / f"model_{phase}_{name}.json")
+    bundle = _read_bundle(cfg, phase, name)
 
     cases_path = cfg.cases_path()
     attrs, errors = _parse_input(cases_path, parse_case_attributes)

@@ -57,7 +57,9 @@ EVENTS_HEADER = ("case_id", "event_type", "timestamp")
 
 
 class ParseError(ValueError):
-    """A record could not be parsed; raised only in strict mode."""
+    """A CSV input's header line is not the one expected. A record that
+    cannot be parsed raises it inside this module too, which reports the
+    record as a :class:`RecordError` and reads on."""
 
     def __init__(self, line: int, message: str):
         super().__init__(f"line {line}: {message}")
@@ -67,7 +69,7 @@ class ParseError(ValueError):
 
 @dataclass(frozen=True)
 class RecordError:
-    """One skipped record in lenient mode."""
+    """One skipped record."""
 
     line: int
     message: str
@@ -128,7 +130,7 @@ CASE_FIELDS = (*CASES_HEADER, *PhaseDurations._fields, "duplicate_anchors", "n_e
 NUMBER_FIELDS = ("age", "planned_induction_min", "planned_procedure_min", *PhaseDurations._fields)
 
 
-def parse_timestamp(raw: str) -> datetime:
+def _parse_timestamp(raw: str) -> datetime:
     """Parse an ISO-8601 timestamp and normalize it to UTC.
 
     A trailing ``Z`` is accepted; naive timestamps are taken as UTC.
@@ -142,42 +144,19 @@ def parse_timestamp(raw: str) -> datetime:
     return ts.astimezone(timezone.utc)
 
 
-Source = Union[bytes, IO[bytes], IO[str], str]
-
-_CHUNK = 1 << 16  # characters read at a time from a text source
-
-
-def _text_lines(source: IO[str] | str) -> Iterator[str]:
-    """The lines of a text source, each up to and with its "\\n"; a text
-    stream's own newline translation applies first, as in ``read()``."""
-    if isinstance(source, str):
-        chunks: Iterable[str] = (source[i : i + _CHUNK] for i in range(0, len(source), _CHUNK))
-    else:
-        chunks = iter(lambda: source.read(_CHUNK), "")
-    pending: list[str] = []  # the text read since the last newline
-    for chunk in chunks:
-        *lines, last = chunk.split("\n")
-        if lines:
-            lines[0] = "".join(pending) + lines[0]
-            pending = []
-            for line in lines:
-                yield line + "\n"
-        if last:
-            pending.append(last)
-    if pending:
-        yield "".join(pending)
+Source = Union[bytes, IO[bytes]]
 
 
 def _records(source: Source, fmt: str, header: tuple[str, ...]) -> Iterator[tuple[int, list[str] | str]]:
-    """Read ``source`` one line at a time into ``(line, fields)``, one per
-    non-blank record.
+    """Read ``source``, bytes or a binary stream, one line at a time into
+    ``(line, fields)``, one per non-blank record.
 
     ``fields`` lists the record's text per ``header`` name, in header order
     ("" = missing), or is the error message of a record that cannot be read.
     A CSV file whose first row is not ``header`` raises :class:`ParseError`.
-    Byte input is split at each ``b"\\n"`` and then decoded line by line, so
+    The input is split at each ``b"\\n"`` and then decoded line by line, so
     no decoded copy of the file is made; a record with a line that is not
-    UTF-8 is the error "invalid UTF-8". Text input is split at each "\\n".
+    UTF-8 is the error "invalid UTF-8".
     """
     if fmt not in ("csv", "jsonl"):
         raise ValueError(f"unsupported format: {fmt!r}")
@@ -192,12 +171,9 @@ def _records(source: Source, fmt: str, header: tuple[str, ...]) -> Iterator[tupl
                 undecodable = True
                 yield line.decode("utf-8", "surrogateescape")
 
-    if isinstance(source, bytes):
-        lines = decoded(io.BytesIO(source))  # the BytesIO shares the bytes, no copy
-    elif isinstance(source, str) or isinstance(source.read(0), str):  # a text stream reads ""
-        lines = _text_lines(source)
-    else:  # a binary stream iterates over its lines, each up to and with b"\n"
-        lines = decoded(source)
+    # a binary stream iterates over its lines, each up to and with b"\n"; a
+    # BytesIO shares the bytes, no copy
+    lines = decoded(io.BytesIO(source) if isinstance(source, bytes) else source)
     if fmt == "jsonl":
         for line_no, line in enumerate(lines, start=1):
             bad, undecodable = undecodable, False
@@ -245,13 +221,12 @@ def _records(source: Source, fmt: str, header: tuple[str, ...]) -> Iterator[tupl
 def _parse(
     source: Source,
     fmt: str,
-    strict: bool,
     header: tuple[str, ...],
     take: Callable[[list[str], int], None],
 ) -> list[RecordError]:
     """Pass each record's fields and line to ``take``, which raises
-    :class:`ParseError` for a bad one: strict mode raises the first bad
-    record, lenient mode returns them all."""
+    :class:`ParseError` for a bad one; the bad records are skipped and
+    returned."""
     errors: list[RecordError] = []
     for line, record in _records(source, fmt, header):
         try:
@@ -259,8 +234,6 @@ def _parse(
                 raise ParseError(line, record)
             take(record, line)
         except ParseError as exc:
-            if strict:
-                raise
             errors.append(RecordError(exc.line, exc.message))
     return errors
 
@@ -308,7 +281,7 @@ def _event_fields(fields: list[str], line: int) -> tuple[str, str, datetime]:
     if not event_type:
         raise ParseError(line, "missing event_type")
     try:
-        ts = parse_timestamp(timestamp)
+        ts = _parse_timestamp(timestamp)
     except ValueError:
         raise ParseError(line, f"malformed timestamp {timestamp!r}") from None
     except OverflowError:
@@ -316,21 +289,17 @@ def _event_fields(fields: list[str], line: int) -> tuple[str, str, datetime]:
     return case_id, event_type, ts
 
 
-def parse_events(
-    source: Source,
-    fmt: str = "csv",
-    strict: bool = True,
-) -> tuple[EventLog, list[RecordError]]:
-    """Parse an event stream into an :class:`EventLog`, one record at a time.
+def parse_events(source: Source, fmt: str = "csv") -> tuple[EventLog, list[RecordError]]:
+    """Parse an event stream, bytes or a binary stream, into an
+    :class:`EventLog`, one record at a time.
 
-    CSV input requires the header ``case_id,event_type,timestamp``; JSONL
-    input takes one object per line with the same field names. Unknown event
-    types pass through as other events. In strict mode the first bad record
-    raises :class:`ParseError`; in lenient mode bad records are skipped and
-    returned as :class:`RecordError` entries.
+    CSV input requires the header ``case_id,event_type,timestamp``, or
+    raises :class:`ParseError`; JSONL input takes one object per line with
+    the same field names. Unknown event types pass through as other events.
+    Bad records are skipped and returned as :class:`RecordError` entries.
     """
     log = EventLog()
-    errors = _parse(source, fmt, strict, EVENTS_HEADER, lambda fields, line: log.add(*_event_fields(fields, line)))
+    errors = _parse(source, fmt, EVENTS_HEADER, lambda fields, line: log.add(*_event_fields(fields, line)))
     return log, errors
 
 
@@ -381,10 +350,12 @@ def _attrs_from_fields(fields: list[str], line: int) -> CaseAttributes:
 def parse_case_attributes(
     source: Source,
     fmt: str = "csv",
-    strict: bool = True,
     unique_ids: bool = False,
 ) -> tuple[list[CaseAttributes], list[RecordError]]:
-    """Parse the case attribute table (cases.csv / JSONL); empty string = missing.
+    """Parse the case attribute table (cases.csv / JSONL), bytes or a binary
+    stream; empty string = missing. Like :func:`parse_events`, a bad CSV
+    header raises :class:`ParseError`, and bad records are skipped and
+    returned.
 
     With ``unique_ids`` a row whose case id an earlier row holds is a bad
     record: the first row of each case id is kept.
@@ -400,7 +371,7 @@ def parse_case_attributes(
             seen.add(attrs.case_id)
         rows.append(attrs)
 
-    return rows, _parse(source, fmt, strict, CASES_HEADER, take)
+    return rows, _parse(source, fmt, CASES_HEADER, take)
 
 
 def _minutes(start: datetime | None, end: datetime | None) -> float | None:

@@ -710,7 +710,9 @@ def grid_search(
     folds = []
     for val_idx in np.array_split(perm, spec.cv_folds):
         val_idx = np.sort(val_idx)
-        fit_idx = np.setdiff1d(perm, val_idx)
+        fits = np.ones(y.shape[0], dtype=bool)  # np.setdiff1d would import numpy.ma
+        fits[val_idx] = False
+        fit_idx = np.flatnonzero(fits)
         X_fit, X_val = fold_design(fit_idx, val_idx)
         folds.append((Dataset(X=X_fit, y=y[fit_idx]), X_val, y[val_idx]))
 

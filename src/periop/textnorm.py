@@ -17,7 +17,7 @@ import re
 from collections import Counter
 from importlib import resources
 from dataclasses import dataclass, field
-from typing import IO, Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -52,16 +52,9 @@ class NormalizationRules:
                 raise ValueError(f"synonym keys must be lowercase: {key!r}")
 
 
-def load_synonyms(source: Union[str, bytes, IO[bytes], IO[str]]) -> dict[str, str]:
-    """Read a synonyms.csv mapping (header ``from,to``, one pair per row)."""
-    if isinstance(source, bytes):
-        text = source.decode("utf-8")
-    elif isinstance(source, str):
-        text = source
-    else:
-        data = source.read()
-        text = data.decode("utf-8") if isinstance(data, bytes) else data
-    reader = csv.reader(io.StringIO(text))
+def load_synonyms(data: bytes) -> dict[str, str]:
+    """Read the bytes of a synonyms.csv mapping (header ``from,to``, one pair per row)."""
+    reader = csv.reader(io.StringIO(data.decode("utf-8")))
     header = next(reader, None)
     if header is None or [h.strip() for h in header] != ["from", "to"]:
         raise ValueError("expected synonyms header 'from,to'")
@@ -141,22 +134,28 @@ class TfidfModel:
     def from_dict(cls, obj: dict) -> "TfidfModel":
         """Rebuild a model from ``to_dict`` output; raises KeyError for a
         missing field and ValueError for a field of the wrong JSON type, when
-        the vocabulary's indices are not 0..V-1 or the idf does not hold one
-        weight per term."""
+        the vocabulary's indices are not 0..V-1, the idf does not hold one
+        weight per term, ``n_docs`` is below 1 or a weight lies outside
+        [1, 1 + ln(1 + n_docs)], the range of ln((1 + n) / (1 + df)) + 1."""
         get = functools.partial(rules.field, obj)
         terms = get("vocabulary", dict)
         vocabulary = {term: rules.field(terms, term, int) for term in terms}
         idf = np.asarray(rules.number_array(obj, "idf"), dtype=float)
+        n_docs = get("n_docs", int)
         if sorted(vocabulary.values()) != list(range(len(vocabulary))):
             raise ValueError("vocabulary indices are not 0..V-1")
         if idf.shape != (len(vocabulary),):
             raise ValueError(f"idf holds {idf.size} weights for {len(vocabulary)} vocabulary terms")
-        return cls(
-            vocabulary=vocabulary,
-            idf=idf,
-            n_docs=get("n_docs", int),
-            max_terms=get("max_terms", int, None),
-        )
+        if n_docs < 1:
+            raise ValueError(f"bad value for 'n_docs': expected an integer >= 1, got {n_docs}")
+        top = 1.0 + math.log(1 + n_docs)  # an int: log takes one too large for a float
+        outside = (idf < 1.0) | (idf > top)
+        if outside.any():
+            raise ValueError(
+                f"bad entry in 'idf': expected a weight from 1 to 1 + ln(1 + n_docs) = {top!r}, "
+                f"got {float(idf[outside.argmax()])!r}"
+            )
+        return cls(vocabulary=vocabulary, idf=idf, n_docs=n_docs, max_terms=get("max_terms", int, None))
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,7 @@ from periop.eventlog import (
     CASE_FIELDS,
     CASES_HEADER,
     EVENTS_HEADER,
+    NUMBER_FIELDS,
     PHASE_ANCHORS,
     PHASES,
     CaseAttributes,
@@ -58,24 +59,22 @@ _UNDECODABLE = re.compile("[\udc80-\udcff]")
 
 
 def records_slow(source, fmt, header):
-    """``(line, fields)`` per non-blank record of ``source``, read from one
-    decoded copy of the whole input.
+    """``(line, fields)`` per non-blank record of ``source``, bytes or a
+    binary stream, read from one decoded copy of the whole input.
 
     ``fields`` maps every ``header`` name to its text ("" = missing), or is
-    the error message of a record that cannot be read. Byte input that is
-    not UTF-8 as a whole is decoded with "surrogateescape", and a record
-    holding an undecodable byte is the error "invalid UTF-8". A CSV file
-    whose first row is not ``header`` raises ParseError.
+    the error message of a record that cannot be read. Input that is not
+    UTF-8 as a whole is decoded with "surrogateescape", and a record holding
+    an undecodable byte is the error "invalid UTF-8". A CSV file whose first
+    row is not ``header`` raises ParseError.
     """
     if fmt not in ("csv", "jsonl"):
         raise ValueError(f"unsupported format: {fmt!r}")
-    data = source if isinstance(source, (bytes, str)) else source.read()
-    undecodable = False
-    if isinstance(data, bytes):
-        try:
-            data = data.decode("utf-8")
-        except UnicodeDecodeError:
-            data, undecodable = data.decode("utf-8", "surrogateescape"), True
+    data = source if isinstance(source, bytes) else source.read()
+    try:
+        data, undecodable = data.decode("utf-8"), False
+    except UnicodeDecodeError:
+        data, undecodable = data.decode("utf-8", "surrogateescape"), True
     lines = io.StringIO(data)
     if fmt == "jsonl":
         for line_no, line in enumerate(lines, start=1):
@@ -199,6 +198,90 @@ def case_table(cases):
     table = CaseTable()
     table.extend(case_columns(cases))
     return table
+
+
+# cases.jsonl read one line at a time: field -> the Python types json.loads
+# gives for its JSON type and that type's name; field -> a check of a value
+# of that type and what the check expects
+CASE_ROW_TYPES = {
+    **dict.fromkeys(CASE_FIELDS, ({str}, "a string")),
+    **dict.fromkeys(NUMBER_FIELDS, ({int, float, type(None)}, "a number or null")),
+    "duplicate_anchors": ({list}, "an array"),
+    "n_events": ({int}, "an integer"),
+}
+
+
+def _finite_or_null(value):
+    try:
+        return value is None or math.isfinite(value)
+    except OverflowError:  # an integer too large for a float
+        return False
+
+
+CASE_ROW_VALUES = {
+    **dict.fromkeys(NUMBER_FIELDS, (_finite_or_null, "a finite number or null")),
+    "duplicate_anchors": (
+        lambda names: all(a in ANCHOR_EVENTS for a in names) and len(set(names)) == len(names),
+        "an array of distinct anchor names",
+    ),
+    "n_events": (lambda n: n >= 0, "an integer >= 0"),
+}
+
+
+def read_cases_slow(path):
+    """The rows of the cases.jsonl at ``path``, read one line at a time with
+    blank lines skipped, and ``(line, message)`` for its first line at fault,
+    or None: the rows are those before that line."""
+    rows, seen = [], set()
+    with open(path, encoding="utf-8") as fh:
+        header = fh.readline()
+        expected = f"expected a header line of the {len(CASE_FIELDS)} field names"
+        if not header:
+            return rows, (1, f"{expected}, got an empty file")
+        try:
+            names = json.loads(header)
+        except (ValueError, RecursionError):
+            return rows, (1, f"{expected}, got invalid JSON")
+        if names != list(CASE_FIELDS):
+            return rows, (1, f"{expected}, got {_shown(names)}")
+        for line_no, line in enumerate(fh, start=2):
+            if not line.strip():
+                continue
+            problem = _case_row_problem(line, seen)
+            if problem:
+                return rows, (line_no, problem)
+            rows.append(json.loads(line))
+    return rows, None
+
+
+def _shown(value, width=40):
+    text = json.dumps(value)
+    return text if len(text) <= width else text[: width - 3] + "..."
+
+
+def _case_row_problem(line, seen):
+    """What is wrong with a cases.jsonl line whose case id must not be one
+    of ``seen``, which it joins; None if nothing is."""
+    try:
+        row = json.loads(line)  # NaN and Infinity too, which are named below
+    except (ValueError, RecursionError):
+        return "invalid JSON"
+    expected = f"expected a JSON array of {len(CASE_FIELDS)} fields"
+    if type(row) is not list:
+        return f"{expected}, got {_shown(row)}"
+    if len(row) != len(CASE_FIELDS):
+        return f"{expected}, got {len(row)}"
+    for key, value in zip(CASE_FIELDS, row):
+        types, name = CASE_ROW_TYPES[key]
+        if type(value) not in types:
+            return f"bad value for {key!r}: expected {name}, got {json.dumps(value)}"
+        check, expected = CASE_ROW_VALUES.get(key, (None, None))
+        if check and not check(value):
+            return f"bad value for {key!r}: expected {expected}, got {_shown(value)}"
+    if row[0] in seen:
+        return f"case {row[0]!r} is listed a second time"
+    seen.add(row[0])
+    return None
 
 
 # The Case-list versions of the code that reads case columns: one record per

@@ -309,7 +309,7 @@ def test_criterion_7_determinism(e2e, tmp_path_factory):
 def test_criterion_6_normalization_effect():
     cfg = SynthConfig(n_cases=400, seed=5, n_anesthesia_families=4)
     _, cases_csv, _ = synth_texts(cfg)
-    attrs, _ = parse_case_attributes(cases_csv.encode(), strict=False)
+    attrs, _ = parse_case_attributes(cases_csv.encode())
     texts = [a.anesthesia_text for a in attrs]
 
     selected = {}

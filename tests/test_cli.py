@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import functools
 import gc
 import io
 import json
@@ -21,7 +22,7 @@ from oracles import case_table, factor_groups_cases
 from periop import artifacts, cli, clustering, rules
 from periop.cli import derive_seed, run
 from periop.config import MODEL_KEYS, PipelineConfig, UsageError, build_config, parse_config_text
-from periop.eventlog import CASE_FIELDS, CASES_HEADER, Case, CaseAttributes, PhaseDurations
+from periop.eventlog import ANCHOR_EVENTS, CASE_FIELDS, CASES_HEADER, Case, CaseAttributes, PhaseDurations
 from periop.models import make_model
 
 SMALL = [
@@ -239,7 +240,8 @@ def test_ingest_and_clean_import_no_numpy(pipeline_dir, tmp_path):
     starts; ingest and clean never load it, ingest loads no case table, and
     predict loads the evaluate module only to apply the planning floors.
     Cluster alone draws: train, evaluate and report read the split from the
-    assignments file and load no numpy.random, and report loads no models.
+    assignments file and load no numpy.random, and report loads no models;
+    a grid search draws its folds, and loads no numpy.ma.
     numpy before 2.0 loads numpy.random and numpy.ma with numpy itself, so
     what ``import numpy`` loads is expected of every numpy stage."""
     source, config = pipeline_dir
@@ -268,6 +270,7 @@ def test_ingest_and_clean_import_no_numpy(pipeline_dir, tmp_path):
         (["report", *own], [*with_numpy, "periop.casetable", "periop.evaluate", "periop.stats"]),
         (predict, [*clustering, *design]),
         ([*predict, "--apply-floors"], [*clustering, *design, "periop.evaluate"]),
+        (["train", *own, "--grid-search"], [*design, "numpy.random", "secrets", "periop.casetable"]),
     ]
     for argv, added in expected:
         at_import, code, loaded = loaded_by(_LOADED_BY, *argv)
@@ -503,6 +506,8 @@ FACTOR_CASES = st.lists(
             planned_procedure_min=st.none(),
         ),
         durations=st.builds(PhaseDurations, *[st.none() | st.floats(-10, 600)] * 3),
+        n_events=st.integers(0, 50),
+        duplicate_anchors=st.lists(st.sampled_from(ANCHOR_EVENTS), unique=True).map(tuple),
     ),
     unique_by=lambda c: c.case_id,
     max_size=30,
@@ -823,7 +828,9 @@ def _json_fields(obj, path=()):
             yield from _json_fields(value, (*path, key))
 
 
-# fields that no command reads, so no value there changes what it does
+# fields that no command reads, so no value there changes what it does; a
+# bundle's name and phase are read only to be compared with its file name,
+# which test_a_bundle_unlike_its_file_or_roster_entry_exits_one covers
 _UNREAD = {"name", "phase", "params", "grid", "selected_k", "silhouette_scores", "bounds"}
 _NULLABLE = {("max_terms",)}  # the TF-IDF term cap; null is no cap
 _JSON_VALUES = {  # a strategy for the values of each JSON type
@@ -1134,13 +1141,17 @@ def _set_cell(col, value):
          "cluster", "'weights', 'means' and 'variances' are (4,), (3, "),
         ("cluster_model_procedure.json", _edit_json(lambda obj: [row.pop() for row in obj["model"]["centroids"]]),
          ("predict",), "cluster", "columns for the "),
+        ("tfidf_procedure.json", _edit_json(lambda obj: obj["idf"].__setitem__(0, 1e-320)), ("predict",), "cluster",
+         "bad entry in 'idf': expected a weight from 1 to 1 + ln(1 + n_docs) = "),
+        ("tfidf_procedure.json", _edit_json(lambda obj: obj.__setitem__("n_docs", 0)), ("predict",), "cluster",
+         "bad value for 'n_docs': expected an integer >= 1, got 0"),
     ],
     ids=["clean-no-retained-ids", "clean-a-list", "clean-unknown-id", "clean-id-not-a-string",
          "assignments-cluster-x", "assignments-one-field-row", "assignments-empty", "assignments-not-utf8",
          "predictions-abc", "predictions-row-deleted", "predictions-short-row", "predictions-empty",
          "assignments-no-header", "assignments-row-deleted", "clean-nested-too-deeply",
          "tfidf-nested-too-deeply", "gmm-negative-weight", "gmm-means-one-row-short",
-         "kmeans-centroids-one-column-narrow"],
+         "kmeans-centroids-one-column-narrow", "tfidf-idf-below-one", "tfidf-no-documents"],
 )
 def test_an_edited_artifact_exits_one_naming_it_and_the_stage_to_rerun(
     pipeline_dir, tmp_path, capsys, artifact, edit, stages, rerun, problem
@@ -1162,6 +1173,43 @@ def test_an_edited_artifact_exits_one_naming_it_and_the_stage_to_rerun(
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}") and problem in err, (stage, err)
         assert err.endswith(f"; re-run {rerun!r} to rebuild it\n"), (stage, err)
+
+
+@pytest.mark.parametrize(
+    "section, key, value, expected",
+    [
+        ((), "phase", "induction", "procedure"),
+        ((), "name", "mta", "group-mean"),
+        ((), "family", "mean", "group-mean"),
+        (("model",), "family", "mean", "group-mean"),
+        (("features",), "phase", "induction", "procedure"),
+        (("features",), "group_by", "exact-name", "cluster"),
+    ],
+    ids=["phase", "name", "family", "model-family", "features-phase", "features-group-by"],
+)
+def test_a_bundle_unlike_its_file_or_roster_entry_exits_one(
+    pipeline_dir, tmp_path, capsys, section, key, value, expected
+):
+    """A bundle's phase and name must be those of its file name, and its
+    family, model family, feature phase and grouping those the roster plans
+    for it: a group-mean bundle that groups by exact name would predict the
+    global mean for every case."""
+    source, config = pipeline_dir
+    out = tmp_path / "out"
+    shutil.copytree(source, out)
+    path = out / "model_procedure_group-mean.json"
+    bundle = json.loads(path.read_text())
+    functools.reduce(dict.__getitem__, section, bundle)[key] = value
+    path.write_text(json.dumps(bundle))
+    common = ["--out", str(out), *SMALL, "--config", str(config), "--phase", "procedure", "--model", "group-mean"]
+    for argv in (["evaluate", *common], ["predict", *common, "--dest", str(tmp_path / "p.csv")]):
+        capsys.readouterr()
+        assert run(argv) == 1, argv[0]
+        field = ".".join((*section, key))
+        assert capsys.readouterr().err == (
+            f"error: {path}: {field!r} is {value!r}, but model 'group-mean' of phase 'procedure' needs "
+            f"{expected!r}; re-run 'train' to rebuild it\n"
+        )
 
 
 def test_clean_run_again_after_cluster_exits_one_in_the_later_stages(pipeline_dir, tmp_path, capsys):

@@ -123,8 +123,9 @@ def test_compare_to_plan_improvement_antisymmetric():
     actual = rng.uniform(50, 150, size=10)
     p1 = actual * rng.uniform(0.7, 1.4, size=10)
     p2 = actual * rng.uniform(0.7, 1.4, size=10)
-    cases1 = [make_case(f"c{i}", actual[i], p1[i]) for i in range(10)]
-    cases2 = [make_case(f"c{i}", actual[i], p2[i]) for i in range(10)]
+    # the Python floats that a case table takes, as json.loads gives them
+    cases1 = [make_case(f"c{i}", float(actual[i]), float(p1[i])) for i in range(10)]
+    cases2 = [make_case(f"c{i}", float(actual[i]), float(p2[i])) for i in range(10)]
     fwd = compare_to_plan(case_table(cases1), "procedure", {"m": p2.tolist()})
     rev = compare_to_plan(case_table(cases2), "procedure", {"m": p1.tolist()})
     assert fwd.improvement_pp["m"] == pytest.approx(-rev.improvement_pp["m"])

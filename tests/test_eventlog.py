@@ -14,10 +14,19 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import Event, assemble_cases_slow, case_columns, case_table, cases_jsonl_slow, records_slow
+from oracles import (
+    Event,
+    assemble_cases_slow,
+    case_columns,
+    case_table,
+    cases_jsonl_slow,
+    read_cases_slow,
+    records_slow,
+)
 from periop import eventlog
 from periop.artifacts import _case_to_row, read_cases, write_cases
-from periop.casetable import CaseTable
+from periop.casetable import CaseError, CaseTable
+from periop.config import UsageError
 from periop.eventlog import (
     ANCHOR_EVENTS,
     CASE_FIELDS,
@@ -29,10 +38,11 @@ from periop.eventlog import (
     EventLog,
     ParseError,
     PhaseDurations,
+    RecordError,
+    _parse_timestamp,
     assemble_cases,
     parse_case_attributes,
     parse_events,
-    parse_timestamp,
 )
 from periop.synthgen import SynthConfig
 from synth_files import synth_texts
@@ -59,7 +69,7 @@ def test_parse_events_csv_direct_mapping():
     log, errors = parse_events(b"case_id,event_type,timestamp\nW1,incision,2024-03-01T08:40:00Z\n")
     assert errors == []
     assert len(log) == 1
-    assert log.slots == {"W1": [1, None, None, parse_timestamp("2024-03-01T08:40:00Z"), None]}
+    assert log.slots == {"W1": [1, None, None, _parse_timestamp("2024-03-01T08:40:00Z"), None]}
 
 
 def test_unknown_event_type_passes_through():
@@ -68,20 +78,17 @@ def test_unknown_event_type_passes_through():
     assert log.slots == {"W1": [1, None, None, None, None]}
 
 
-def test_malformed_timestamp_strict_reports_line():
-    with pytest.raises(ParseError) as excinfo:
-        parse_events(b"case_id,event_type,timestamp\nW1,incision,yesterday\n")
-    assert excinfo.value.line == 2
-    assert "timestamp" in excinfo.value.message
+def test_malformed_timestamp_is_a_record_error_at_its_line():
+    log, errors = parse_events(b"case_id,event_type,timestamp\nW1,incision,yesterday\n")
+    assert len(log) == 0
+    assert errors == [RecordError(2, "malformed timestamp 'yesterday'")]
 
 
 def test_missing_case_id_is_record_error():
     data = b"case_id,event_type,timestamp\n,incision,2024-03-01T08:40:00Z\n"
-    with pytest.raises(ParseError):
-        parse_events(data)
-    log, errors = parse_events(data, strict=False)
+    log, errors = parse_events(data)
     assert len(log) == 0 and log.slots == {}
-    assert len(errors) == 1 and errors[0].line == 2
+    assert errors == [RecordError(2, "missing case_id")]
 
 
 def test_lenient_mode_skips_and_collects():
@@ -90,7 +97,7 @@ def test_lenient_mode_skips_and_collects():
         b"W1,incision,not-a-time\n"
         b"W2,suture,2024-03-01T10:10:00Z\n"
     )
-    log, errors = parse_events(data, strict=False)
+    log, errors = parse_events(data)
     assert list(log.slots) == ["W2"]
     assert [e.line for e in errors] == [2]
 
@@ -108,8 +115,8 @@ def test_parse_events_jsonl():
 
 
 def test_timestamps_normalized_to_utc():
-    assert parse_timestamp("2024-03-01T08:40:00+01:00") == parse_timestamp("2024-03-01T07:40:00Z")
-    naive = parse_timestamp("2024-03-01T07:40:00")
+    assert _parse_timestamp("2024-03-01T08:40:00+01:00") == _parse_timestamp("2024-03-01T07:40:00Z")
+    naive = _parse_timestamp("2024-03-01T07:40:00")
     assert naive.tzinfo == timezone.utc
 
 
@@ -325,6 +332,107 @@ def test_cases_jsonl_bytes_equal_the_per_field_writer_and_read_back(cases):
             assert [(type(v), v) for v in column] == [(type(v), v) for v in original]
 
 
+def row_of(case, case_id):
+    """The cases.jsonl row of ``case`` under another case id, as json.loads gives it."""
+    return json.loads(json.dumps(_case_to_row(case._replace(attributes=case.attributes._replace(case_id=case_id)))))
+
+
+def with_value(field, value):
+    """A line edit: the row with ``field`` set to ``value``."""
+    return lambda row: json.dumps([value if f == field else v for f, v in zip(CASE_FIELDS, row)])
+
+
+# each takes a good row and gives the text of the line that replaces it: a
+# line that is not one row, a row the case table refuses, and a good row
+LINE_EDITS = {
+    "line": [
+        lambda row: json.dumps(row)[:30],  # invalid JSON
+        lambda row: json.dumps(row) + " []",  # invalid JSON too: a second value
+        lambda row: json.dumps(dict(zip(CASE_FIELDS, row))),  # one object per case, as older builds wrote
+        lambda row: json.dumps(row[:-1]),
+    ],
+    "value": [
+        with_value("age", "x"),
+        with_value("n_events", True),
+        with_value("department", None),
+        with_value("sex", 3),
+        with_value("procedure_min", math.nan),
+        with_value("induction_min", -math.inf),
+        with_value("planned_procedure_min", math.inf),
+        with_value("age", 10**400),
+        with_value("duplicate_anchors", [math.nan, {"x": [1]}]),
+        with_value("duplicate_anchors", ["suture", "suture"]),
+        with_value("duplicate_anchors", "incision"),
+        with_value("n_events", -3),
+        with_value("n_events", 2.0),
+    ],
+    "good": [lambda row: " " + json.dumps(row) + "\t"],  # inside JSON whitespace
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    data=st.data(),
+    templates=CASE_RECORDS.filter(bool),
+    n_rows=st.sampled_from([0, 1, 4, 1030, 2100]),  # chunks hold 1,024 lines
+    cut_last_newline=st.booleans(),
+)
+def test_read_cases_names_the_first_line_at_fault_as_the_line_by_line_reader_does(
+    data, templates, n_rows, cut_last_newline
+):
+    """Random edits of a good file: bad lines, repeated case ids, blank
+    lines, a bad header, no last newline. ``read_cases`` reads the rows of
+    the line-by-line reference, or names its first line at fault with the
+    same message."""
+    rows = [row_of(templates[i % len(templates)], f"W{i}") for i in range(n_rows)]
+    lines = [json.dumps(row) for row in rows]
+    index = st.integers(0, max(n_rows - 1, 0))
+    for _ in range(data.draw(st.integers(0, 5)) if n_rows else 0):
+        i, kind = data.draw(index), data.draw(st.sampled_from(["line", "value", "good", "repeat"]))
+        if kind == "repeat":  # another row's case id
+            lines[i] = json.dumps(row_of(templates[i % len(templates)], rows[data.draw(index)][0]))
+        else:
+            lines[i] = data.draw(st.sampled_from(LINE_EDITS[kind]))(rows[i])
+    for _ in range(data.draw(st.integers(0, 3))):
+        lines.insert(data.draw(st.integers(0, len(lines))), data.draw(st.sampled_from(["", "  ", "\t\f"])))
+    header = data.draw(st.sampled_from([json.dumps(list(CASE_FIELDS))] * 8 + ["", "[]", json.dumps(rows[:1])]))
+    text = "\n".join([header, *lines]) + ("" if cut_last_newline else "\n")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cases.jsonl"
+        path.write_text(text, encoding="utf-8")
+        expected, fault = read_cases_slow(path)
+        if fault:
+            with pytest.raises(UsageError) as refused:
+                read_cases(path)
+            assert str(refused.value) == f"{path}:{fault[0]}: {fault[1]}; re-run 'ingest'"
+            return
+        table = read_cases(path)
+    assert table.ids == [row[0] for row in expected]
+    for j, field in enumerate(CASE_FIELDS):
+        column = [row[j] for row in expected]
+        if field in NUMBER_FIELDS:
+            column = [None if v is None else float(v) for v in column]
+        elif field == "duplicate_anchors":
+            column = list(map(tuple, column))
+        assert table[field] == column, field
+
+
+@pytest.mark.parametrize(
+    "last_line",
+    [json.dumps(["W1"]), json.dumps(_case_to_row(Case(CaseAttributes("W1")))) + "\n\n" + "[1, 2"],
+    ids=["bad-row", "blank-line-then-truncated-row"],
+)
+def test_read_cases_opens_a_file_with_a_bad_line_once(tmp_path, last_line):
+    path = tmp_path / "cases.jsonl"
+    write_cases(path, [Case(CaseAttributes("W0"))])
+    with path.open("a", encoding="utf-8") as fh:
+        fh.write(last_line)
+    with mock.patch.object(Path, "open", autospec=True, side_effect=Path.open) as opened:
+        with pytest.raises(UsageError):
+            read_cases(path)
+    assert opened.call_count == 1
+
+
 @settings(max_examples=100, deadline=None)
 @given(data=st.data(), cases=CASE_RECORDS)
 def test_a_selected_table_holds_the_columns_of_its_ids(data, cases):
@@ -342,9 +450,9 @@ def test_a_selected_table_holds_the_columns_of_its_ids(data, cases):
 @pytest.mark.parametrize(
     "changes, problem",
     [
-        ({"case_id": "W0"}, "a case id is listed a second time"),
-        ({"procedure_min": math.nan}, "'procedure_min' holds a number that is not finite"),
-        ({"age": -math.inf}, "'age' holds a number that is not finite"),
+        ({"case_id": "W0"}, "case 'W0' is listed a second time"),
+        ({"procedure_min": math.nan}, "bad value for 'procedure_min': expected a finite number or null, got NaN"),
+        ({"age": -math.inf}, "bad value for 'age': expected a finite number or null, got -Infinity"),
     ],
     ids=["repeated-id", "nan", "minus-infinity"],
 )
@@ -354,8 +462,9 @@ def test_a_table_refuses_a_bad_case_and_appends_nothing(changes, problem):
     columns = case_columns(good[1:])
     for field, value in changes.items():
         columns[field][-1] = value
-    with pytest.raises(ValueError, match=re.escape(problem)):
+    with pytest.raises(CaseError, match=re.escape(problem)) as refused:
         table.extend(columns)
+    assert refused.value.row == 1
     assert table_records(table) == good[:1] and table.index == {"W0": 0}
 
 
@@ -393,10 +502,18 @@ def test_case_attribute_missing_fields_default():
     assert a.planned_procedure_min is None
 
 
-@pytest.mark.parametrize("bad", ["W1,x,270,f,,,,,", "W1,x,-3,f,,,,,", "W1,x,63,f,,,,-5,"])
-def test_case_attribute_validation(bad):
-    with pytest.raises(ParseError):
-        parse_case_attributes((CASES_CSV_HEADER + bad + "\n").encode())
+@pytest.mark.parametrize(
+    "bad, problem",
+    [
+        ("W1,x,270,f,,,,,", "age out of range [0, 130]: 270"),
+        ("W1,x,-3,f,,,,,", "age out of range [0, 130]: -3"),
+        ("W1,x,63,f,,,,-5,", "planned_induction_min must be finite and >= 0: '-5'"),
+    ],
+    ids=["W1,x,270,f,,,,,", "W1,x,-3,f,,,,,", "W1,x,63,f,,,,-5,"],
+)
+def test_case_attribute_validation(bad, problem):
+    attrs, errors = parse_case_attributes((CASES_CSV_HEADER + bad + "\n").encode())
+    assert attrs == [] and errors == [RecordError(2, problem)]
 
 
 # ---------------------------------------------------------------------------
@@ -463,12 +580,9 @@ BAD_RECORDS = [
 @pytest.mark.parametrize("parse, fmt, bad", BAD_RECORDS)
 def test_bad_record_is_one_record_error(parse, fmt, bad):
     data, line = around(parse, fmt, bad)
-    items, errors = parse(data, fmt=fmt, strict=False)
+    items, errors = parse(data, fmt=fmt)
     assert len(items) == 2
     assert [e.line for e in errors] == [line]
-    with pytest.raises(ParseError) as excinfo:
-        parse(data, fmt=fmt)
-    assert excinfo.value.line == line
 
 
 def test_jsonl_values_are_read_as_their_text():
@@ -482,7 +596,7 @@ def test_jsonl_values_are_read_as_their_text():
 @pytest.mark.parametrize("parse", PARSERS, ids=lambda f: f.__name__)
 def test_jsonl_null_case_id_is_missing(parse):
     record = dict(GOOD[parse], case_id=None)
-    items, errors = parse(json.dumps(record).encode(), fmt="jsonl", strict=False)
+    items, errors = parse(json.dumps(record).encode(), fmt="jsonl")
     assert len(items) == 0
     assert [(e.line, e.message) for e in errors] == [(1, "missing case_id")]
 
@@ -522,26 +636,16 @@ def header_line(parse) -> bytes:
 def test_lenient_parsing_raises_only_for_a_csv_header(parse, fmt, with_header, body):
     data = header_line(parse) + body if with_header else body
     try:
-        parse(data, fmt=fmt, strict=False)
+        parse(data, fmt=fmt)
     except ParseError as exc:
         assert fmt == "csv" and not with_header
         assert exc.line == 1 and exc.message.startswith("expected header")
 
 
 @settings(max_examples=200, deadline=None)
-@given(parse=st.sampled_from(PARSERS), fmt=st.sampled_from(FORMATS), with_header=st.booleans(), body=BODY)
-def test_strict_parsing_raises_only_parse_error(parse, fmt, with_header, body):
-    data = header_line(parse) + body if with_header else body
-    try:
-        parse(data, fmt=fmt, strict=True)
-    except ParseError:
-        pass
-
-
-@settings(max_examples=200, deadline=None)
 @given(parse=st.sampled_from(PARSERS), body=BODY)
 def test_jsonl_every_nonblank_line_is_a_record_or_an_error(parse, body):
-    items, errors = parse(body, fmt="jsonl", strict=False)
+    items, errors = parse(body, fmt="jsonl")
     lines = body.decode("utf-8", "surrogateescape").split("\n")
     assert len(items) + len(errors) == sum(1 for line in lines if line.strip())
 
@@ -572,8 +676,8 @@ def test_csv_and_jsonl_renderings_parse_equal(rows):
     for row in rows:
         writer.writerow(["" if row[k] is None else row[k] for k in CASES_HEADER])
     jsonl = "".join(json.dumps(row) + "\n" for row in rows)
-    from_csv, csv_errors = parse_case_attributes(buf.getvalue().encode(), strict=False)
-    from_jsonl, jsonl_errors = parse_case_attributes(jsonl.encode(), fmt="jsonl", strict=False)
+    from_csv, csv_errors = parse_case_attributes(buf.getvalue().encode())
+    from_jsonl, jsonl_errors = parse_case_attributes(jsonl.encode(), fmt="jsonl")
     assert from_csv == from_jsonl
     assert [e.message for e in csv_errors] == [e.message for e in jsonl_errors]
 
@@ -616,15 +720,11 @@ HEADERS = st.sampled_from([EVENTS_HEADER_LINE, b"case_id, event_type ,timestamp\
 )
 
 
-def source_of(kind, data, newline, buffer_size):
-    """``data`` as a source of ``kind``; a text source reads it with surrogateescape."""
+def source_of(kind, data, buffer_size):
+    """``data`` as a source of ``kind``: the bytes, or a binary stream of them."""
     if kind == "bytes":
         return data
-    if kind == "binary":
-        return io.BufferedReader(io.BytesIO(data), buffer_size=buffer_size)
-    if kind == "text":
-        return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="surrogateescape", newline=newline)
-    return data.decode("utf-8", "surrogateescape")
+    return io.BufferedReader(io.BytesIO(data), buffer_size=buffer_size)
 
 
 def drained(records):
@@ -639,7 +739,7 @@ def drained(records):
 
 
 def marked_example(body):
-    return example(fmt="csv", kind="bytes", header=EVENTS_HEADER_LINE, body=body, newline=None, buffer_size=4, chunk=4)
+    return example(fmt="csv", kind="bytes", header=EVENTS_HEADER_LINE, body=body, buffer_size=4)
 
 
 @settings(max_examples=400, deadline=None)
@@ -650,20 +750,15 @@ def marked_example(body):
 @marked_example(b"W\xff\rX,x,2024\nW2,x,2024\n")
 @given(
     fmt=st.sampled_from(FORMATS),
-    kind=st.sampled_from(["bytes", "binary", "text", "str"]),
+    kind=st.sampled_from(["bytes", "binary"]),
     header=HEADERS,
     body=st.lists(RAW_LINE, max_size=8).map(b"".join),
-    newline=st.sampled_from([None, "", "\n", "\r", "\r\n"]),  # a text stream's newline mode
     buffer_size=st.integers(1, 16),
-    chunk=st.integers(1, 16),  # characters read at a time from a text source
 )
-def test_streamed_records_equal_the_records_of_the_whole_decoded_text(
-    fmt, kind, header, body, newline, buffer_size, chunk
-):
+def test_streamed_records_equal_the_records_of_the_whole_decoded_text(fmt, kind, header, body, buffer_size):
     data = header + body
-    expected = drained(records_slow(source_of(kind, data, newline, buffer_size), fmt, EVENTS_HEADER))
-    with mock.patch.object(eventlog, "_CHUNK", chunk):
-        got = drained(eventlog._records(source_of(kind, data, newline, buffer_size), fmt, EVENTS_HEADER))
+    expected = drained(records_slow(source_of(kind, data, buffer_size), fmt, EVENTS_HEADER))
+    got = drained(eventlog._records(source_of(kind, data, buffer_size), fmt, EVENTS_HEADER))
     assert got == expected
 
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from periop.cleaning import plausibility_filter
-from periop.eventlog import ANCHOR_EVENTS, assemble_cases, parse_case_attributes, parse_events, parse_timestamp
+from periop.eventlog import ANCHOR_EVENTS, assemble_cases, parse_case_attributes, parse_events, _parse_timestamp
 from oracles import case_table, generate_log_slow
 from periop.cli import derive_seed
 from periop.synthgen import SynthConfig, _case_id_rank, _minutes_to_us, anesthesia_variants
@@ -23,8 +23,8 @@ CFG = SynthConfig(n_cases=3000, seed=21)
 def generated():
     events_csv, cases_csv, truth_json = synth_texts(CFG)
     truth = json.loads(truth_json)
-    log, event_errors = parse_events(events_csv.encode(), strict=False)
-    attrs, attr_errors = parse_case_attributes(cases_csv.encode(), strict=False)
+    log, event_errors = parse_events(events_csv.encode())
+    attrs, attr_errors = parse_case_attributes(cases_csv.encode())
     assert event_errors == [] and attr_errors == []
     cases = assemble_cases(log, attrs)
     return events_csv, cases_csv, truth, cases
@@ -80,7 +80,7 @@ def test_phase_sum_identity_on_full_cases(generated):
     anchor_stamps: dict = {}
     for case_id, event_type, timestamp in list(csv.reader(io.StringIO(events_csv)))[1:]:
         if event_type in ANCHOR_EVENTS:
-            anchor_stamps.setdefault(case_id, {})[event_type] = parse_timestamp(timestamp)
+            anchor_stamps.setdefault(case_id, {})[event_type] = _parse_timestamp(timestamp)
     checked = 0
     for case in cases:
         d = case.durations
