@@ -303,10 +303,9 @@ def read_predictions(path: Path, ids: Sequence[str]) -> dict[str, list[float]]:
 
 
 # cases.jsonl: line 1 is a JSON array of the field names in CASE_FIELDS, each
-# later line one case's values in that order. That is the order the records
-# hold them in (the CaseAttributes fields, the PhaseDurations fields, then
-# duplicate_anchors and n_events), so the writer reorders no value, and no row
-# repeats the names. The header marks the layout: a file whose line 1 is
+# later line one case's values in that order. CASE_FIELDS is the field order
+# of the Case record, so a Case is written as the JSON array it is, and no
+# row repeats the names. The header marks the layout: a file whose line 1 is
 # anything else (an empty file, another header, or the one-object-per-case
 # rows of older builds) is rejected at line 1. A later line that is not a
 # JSON array of len(CASE_FIELDS) values is rejected at its line, and so is
@@ -319,14 +318,10 @@ _JSON_SPACE = " \t\n\r"  # what json.loads skips around a value
 _decode_value = json.JSONDecoder().raw_decode
 
 
-def _case_to_row(case: Case) -> tuple:
-    return (*case.attributes, *case.durations, case.duplicate_anchors, case.n_events)
-
-
 def write_cases(path: Path, cases: Iterable[Case]) -> None:
     with _create(path) as fh:
         fh.write(json.dumps(_HEADER) + "\n")
-        fh.writelines(json.dumps(_case_to_row(case)) + "\n" for case in cases)
+        fh.writelines(json.dumps(case) + "\n" for case in cases)
 
 
 def read_cases(path: Path) -> CaseTable:

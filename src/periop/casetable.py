@@ -1,9 +1,9 @@
-"""The case table: ``ingest`` writes one Case record per case to
-``cases.jsonl``, and every later stage reads the file back as one CaseTable
-(``artifacts.read_cases``) and reads the columns it needs. The table holds
-the rules for a case's values, which ``CaseTable.extend`` checks. A stage
-imports this module when it reads the cases, so ``ingest`` loads neither it
-nor ``array``.
+"""The case table: ``ingest`` writes each case's Case record, one flat
+tuple in ``CASE_FIELDS`` order, as a line of ``cases.jsonl``, and every
+later stage reads the file back as one CaseTable (``artifacts.read_cases``)
+and reads the columns it needs. The table holds the rules for a case's
+values, which ``CaseTable.extend`` checks. A stage imports this module when
+it reads the cases, so ``ingest`` loads neither it nor ``array``.
 """
 
 from __future__ import annotations

@@ -86,7 +86,12 @@ def _rules_for_phase(cfg: PipelineConfig, phase: str) -> textnorm.NormalizationR
         path = Path(cfg.synonyms)
         if not path.exists():
             raise UsageError(f"synonyms file not found: {path}")
-        synonym_map = textnorm.load_synonyms(path.read_bytes())
+        try:
+            synonym_map = textnorm.load_synonyms(path.read_bytes())
+        except UnicodeDecodeError:
+            raise UsageError(f"synonyms file {path}: invalid UTF-8") from None
+        except ValueError as exc:
+            raise UsageError(f"synonyms file {path}: {exc}") from None
     return textnorm.NormalizationRules(
         synonym_map=synonym_map,
         stem_suffixes=textnorm.DEFAULT_STEM_SUFFIXES if cfg.stemming else (),
@@ -357,13 +362,15 @@ def stage_train(cfg: PipelineConfig) -> None:
 def _read_bundle(cfg: PipelineConfig, phase: str, name: str) -> tuple[features.FeatureContext, models.Model, str]:
     """The trained bundle of the roster's model ``name`` for ``phase``: its
     feature context, model and family. Its phase and name must be those of
-    its file, and its family, features and model those of ``_model_plan``."""
+    its file, and its family, features and model those of ``_model_plan``,
+    which also fixes a group mean's ``group_col``."""
     from . import features, models
 
-    family, group_by, _ = _model_plan(name, cfg)
+    family, group_by, params = _model_plan(name, cfg)
 
     def decode(bundle: dict) -> tuple[features.FeatureContext, models.Model, str]:
         model, ctx = rules.field(bundle, "model", dict), rules.field(bundle, "features", dict)
+        fixed = [("model.", model, "group_col", params["group_col"])] if family == "group-mean" else []
         for prefix, obj, key, expected in (
             ("", bundle, "phase", phase),
             ("", bundle, "name", name),
@@ -371,8 +378,9 @@ def _read_bundle(cfg: PipelineConfig, phase: str, name: str) -> tuple[features.F
             ("model.", model, "family", family),
             ("features.", ctx, "phase", phase),
             ("features.", ctx, "group_by", group_by),
+            *fixed,
         ):
-            value = rules.field(obj, key, str)
+            value = rules.field(obj, key, type(expected))
             if value != expected:
                 raise ValueError(
                     f"'{prefix}{key}' is {value!r}, but model {name!r} of phase {phase!r} needs {expected!r}"
@@ -547,7 +555,7 @@ def stage_predict(cfg: PipelineConfig, dest: str | None, apply_floors: bool) -> 
     artifacts.write_csv(
         dest_path,
         ["case_id", "phase", "model", "prediction_min"],
-        ([a.case_id, phase, name, repr(float(p))] for a, p in zip(attrs, preds)),
+        ([row[0], phase, name, repr(float(p))] for row, p in zip(attrs, preds)),
     )
     print(f"predict: wrote {len(attrs)} predictions to {dest_path}")
 

@@ -92,6 +92,9 @@ class PipelineConfig:
         for phase in self.phases:
             if phase not in PHASES:
                 raise UsageError(f"unknown phase: {phase!r}")
+        for phase in self.synonyms_phases:
+            if phase not in PHASES:
+                raise UsageError(f"config key 'synonyms_phases': unknown phase {phase!r}")
         if not 0 < self.test_fraction < 1:
             raise UsageError("test_fraction must be in (0, 1)")
         if not 0 < self.tolerance:

@@ -14,7 +14,8 @@ Ingest streams the event file: each record is read, checked and folded into
 its case's slots in an :class:`EventLog` (the event count and one timestamp
 per anchor) before the next line is read. So ingest holds memory for the
 cases it keeps, not for the events it reads. :func:`assemble_cases` turns
-the slots into Cases.
+the slots and the attribute rows into :class:`Case` records, one flat
+record per case in ``CASE_FIELDS`` order.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ class PhaseFields(NamedTuple):
 
     text: str  # free-text description that gets clustered
     plan: str | None  # manually scheduled duration, if the log carries one
-    duration: str  # the PhaseDurations field of the phase
+    duration: str  # the Case field of the phase's duration
 
 
 PHASE_FIELDS = {
@@ -75,7 +76,12 @@ class RecordError:
     message: str
 
 
-class CaseAttributes(NamedTuple):
+class Case(NamedTuple):
+    """An assembled workflow, its fields in the order a cases.jsonl line holds
+    them: the attribute row (a cases.csv row's columns), the phase durations
+    in fractional minutes (None when a defining timestamp is absent), the
+    anchors that occur more than once, and the event count."""
+
     case_id: str
     department: str = "unknown"
     age: int | None = None
@@ -85,49 +91,23 @@ class CaseAttributes(NamedTuple):
     positioning_text: str = ""
     planned_induction_min: float | None = None
     planned_procedure_min: float | None = None
-
-    def text(self, phase: str) -> str:
-        return getattr(self, PHASE_FIELDS[phase].text)
-
-
-CASES_HEADER = CaseAttributes._fields
-
-
-class PhaseDurations(NamedTuple):
-    """Fractional minutes per phase; None when a defining timestamp is absent."""
-
     induction_min: float | None = None
     preparation_min: float | None = None
     procedure_min: float | None = None
-
-    def get(self, phase: str) -> float | None:
-        if phase not in PHASES:
-            raise ValueError(f"unknown phase: {phase!r}")
-        return getattr(self, PHASE_FIELDS[phase].duration)
-
-
-class Case(NamedTuple):
-    """An assembled workflow: attributes, event count and phase durations."""
-
-    attributes: CaseAttributes
-    n_events: int = 0
-    durations: PhaseDurations = PhaseDurations()
     duplicate_anchors: tuple[str, ...] = ()
-
-    @property
-    def case_id(self) -> str:
-        return self.attributes.case_id
+    n_events: int = 0
 
     @property
     def is_valid(self) -> bool:
         return not self.duplicate_anchors
 
 
-# every field of a Case, in the order its records hold them: the
-# CaseAttributes fields, the PhaseDurations fields, then the two others
-CASE_FIELDS = (*CASES_HEADER, *PhaseDurations._fields, "duplicate_anchors", "n_events")
+CASE_FIELDS = Case._fields
+CASES_HEADER = CASE_FIELDS[:9]  # the attribute fields
 # the fields that hold a number or None
-NUMBER_FIELDS = ("age", "planned_induction_min", "planned_procedure_min", *PhaseDurations._fields)
+NUMBER_FIELDS = (
+    "age", "planned_induction_min", "planned_procedure_min", "induction_min", "preparation_min", "procedure_min"
+)
 
 
 def _parse_timestamp(raw: str) -> datetime:
@@ -316,7 +296,8 @@ def _parse_optional_float(raw: str, line: int, name: str) -> float | None:
     return value
 
 
-def _attrs_from_fields(fields: list[str], line: int) -> CaseAttributes:
+def _attrs_from_fields(fields: list[str], line: int) -> tuple:
+    """The attribute row of a cases record, in ``CASES_HEADER`` order."""
     (raw_id, department, age_raw, sex, procedure_text, anesthesia_text, positioning_text,
      planned_induction, planned_procedure) = fields
     case_id = raw_id.strip()
@@ -334,16 +315,16 @@ def _attrs_from_fields(fields: list[str], line: int) -> CaseAttributes:
     sex = sex.strip().lower()
     if sex not in ("f", "m"):
         sex = "other"
-    return CaseAttributes(
-        case_id=case_id,
-        department=department.strip() or "unknown",
-        age=age,
-        sex=sex,
-        procedure_text=procedure_text,
-        anesthesia_text=anesthesia_text,
-        positioning_text=positioning_text,
-        planned_induction_min=_parse_optional_float(planned_induction, line, "planned_induction_min"),
-        planned_procedure_min=_parse_optional_float(planned_procedure, line, "planned_procedure_min"),
+    return (
+        case_id,
+        department.strip() or "unknown",
+        age,
+        sex,
+        procedure_text,
+        anesthesia_text,
+        positioning_text,
+        _parse_optional_float(planned_induction, line, "planned_induction_min"),
+        _parse_optional_float(planned_procedure, line, "planned_procedure_min"),
     )
 
 
@@ -351,25 +332,25 @@ def parse_case_attributes(
     source: Source,
     fmt: str = "csv",
     unique_ids: bool = False,
-) -> tuple[list[CaseAttributes], list[RecordError]]:
+) -> tuple[list[tuple], list[RecordError]]:
     """Parse the case attribute table (cases.csv / JSONL), bytes or a binary
-    stream; empty string = missing. Like :func:`parse_events`, a bad CSV
-    header raises :class:`ParseError`, and bad records are skipped and
-    returned.
+    stream, into one tuple per row in ``CASES_HEADER`` order; empty string =
+    missing. Like :func:`parse_events`, a bad CSV header raises
+    :class:`ParseError`, and bad records are skipped and returned.
 
     With ``unique_ids`` a row whose case id an earlier row holds is a bad
     record: the first row of each case id is kept.
     """
-    rows: list[CaseAttributes] = []
+    rows: list[tuple] = []
     seen: set[str] = set()
 
     def take(fields: list[str], line: int) -> None:
-        attrs = _attrs_from_fields(fields, line)
+        row = _attrs_from_fields(fields, line)
         if unique_ids:
-            if attrs.case_id in seen:
-                raise ParseError(line, f"case {attrs.case_id!r} is listed a second time")
-            seen.add(attrs.case_id)
-        rows.append(attrs)
+            if row[0] in seen:
+                raise ParseError(line, f"case {row[0]!r} is listed a second time")
+            seen.add(row[0])
+        rows.append(row)
 
     return rows, _parse(source, fmt, CASES_HEADER, take)
 
@@ -378,22 +359,23 @@ def _minutes(start: datetime | None, end: datetime | None) -> float | None:
     return None if start is None or end is None else (end - start).total_seconds() / 60.0
 
 
-def assemble_cases(log: EventLog, attrs: Iterable[CaseAttributes]) -> list[Case]:
-    """The Cases of ``log``'s case ids, sorted by case_id.
+def assemble_cases(log: EventLog, attrs: Iterable[tuple]) -> list[Case]:
+    """The Cases of ``log``'s case ids, sorted by case_id; ``attrs`` holds
+    attribute rows in ``CASES_HEADER`` order.
 
     A case with a repeated anchor is flagged invalid (``duplicate_anchors``)
     and gets no durations. A duration needs both of its anchors; negative
     values pass through for the cleaning stage to reject. Cases without an
     attribute row get default attributes.
     """
-    attr_by_id = {a.case_id: a for a in attrs}
+    row_by_id = {row[0]: row for row in attrs}
     cases: list[Case] = []
     for case_id in sorted(log.slots):
         n_events, *slots = log.slots[case_id]
         duplicates = tuple(a for a, t in zip(ANCHOR_EVENTS, slots) if t is _REPEATED)
         stamps = dict(zip(ANCHOR_EVENTS, [None] * len(slots) if duplicates else slots))
-        # PhaseDurations' fields follow PHASES
-        durations = PhaseDurations(*(_minutes(stamps[s], stamps[e]) for s, e in map(PHASE_ANCHORS.get, PHASES)))
-        attributes = attr_by_id.get(case_id) or CaseAttributes(case_id=case_id)
-        cases.append(Case(attributes, n_events, durations, duplicates))
+        # the duration fields follow PHASES
+        durations = (_minutes(stamps[s], stamps[e]) for s, e in map(PHASE_ANCHORS.get, PHASES))
+        row = row_by_id.get(case_id) or Case(case_id)[: len(CASES_HEADER)]
+        cases.append(Case(*row, *durations, duplicates, n_events))
     return cases

@@ -53,18 +53,22 @@ class NormalizationRules:
 
 
 def load_synonyms(data: bytes) -> dict[str, str]:
-    """Read the bytes of a synonyms.csv mapping (header ``from,to``, one pair per row)."""
+    """Read the bytes of a synonyms.csv mapping (header ``from,to``, one pair
+    per row); bytes that are not one raise ValueError."""
     reader = csv.reader(io.StringIO(data.decode("utf-8")))
-    header = next(reader, None)
-    if header is None or [h.strip() for h in header] != ["from", "to"]:
-        raise ValueError("expected synonyms header 'from,to'")
     mapping: dict[str, str] = {}
-    for row in reader:
-        if not row:
-            continue
-        if len(row) != 2:
-            raise ValueError(f"expected 2 columns in synonyms row, got {len(row)}")
-        mapping[row[0].strip().lower()] = row[1].strip().lower()
+    try:
+        header = next(reader, None)
+        if header is None or [h.strip() for h in header] != ["from", "to"]:
+            raise ValueError("expected synonyms header 'from,to'")
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != 2:
+                raise ValueError(f"expected 2 columns in synonyms row, got {len(row)}")
+            mapping[row[0].strip().lower()] = row[1].strip().lower()
+    except csv.Error as exc:
+        raise ValueError(f"malformed CSV: {exc}") from None
     return mapping
 
 

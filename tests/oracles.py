@@ -27,7 +27,6 @@ from periop.eventlog import (
     NUMBER_FIELDS,
     PHASE_ANCHORS,
     PHASES,
-    CaseAttributes,
     ParseError,
 )
 from periop.features import FeatureContext
@@ -122,13 +121,14 @@ def assemble_cases_slow(events, attrs):
     Groups the events by case id, sorts each case's events by timestamp and
     type, flags every anchor that occurs more than once, and takes each phase
     duration from the first stamps of its two anchors unless an anchor
-    repeats. Returns one plain tuple per case, sorted by case id:
-    ``(case_id, attributes, n_events, (induction, preparation, procedure),
-    duplicate_anchors)``.
+    repeats. ``attrs`` holds attribute rows, each led by its case id; a case
+    without one gets the default attributes. Returns one plain tuple per
+    case, sorted by case id: ``(case_id, attributes, n_events, (induction,
+    preparation, procedure), duplicate_anchors)``.
     """
     attr_by_id = {}
     for a in attrs:
-        attr_by_id[a.case_id] = a
+        attr_by_id[a[0]] = tuple(a)
     grouped = {}
     for ev in events:
         grouped.setdefault(ev.case_id, []).append(ev)
@@ -152,7 +152,7 @@ def assemble_cases_slow(events, attrs):
                 else None
                 for start, end in (PHASE_ANCHORS[phase] for phase in PHASES)
             )
-        attributes = attr_by_id.get(case_id, CaseAttributes(case_id=case_id))
+        attributes = attr_by_id.get(case_id, (case_id, *DEFAULT_ATTRIBUTES))
         out.append((case_id, attributes, len(evs), durations, duplicates))
     return out
 
@@ -161,7 +161,20 @@ ATTRIBUTE_NAMES = (
     "case_id", "department", "age", "sex", "procedure_text", "anesthesia_text",
     "positioning_text", "planned_induction_min", "planned_procedure_min",
 )
-DURATION_NAMES = ("induction_min", "preparation_min", "procedure_min")
+# the attributes after the case id of a case without an attribute row
+DEFAULT_ATTRIBUTES = ("unknown", None, "other", "", "", "", None, None)
+DURATION_NAMES = ("induction_min", "preparation_min", "procedure_min")  # in PHASES order
+PHASE_TEXTS = {"induction": "anesthesia_text", "preparation": "positioning_text", "procedure": "procedure_text"}
+
+
+def duration(case, phase):
+    """The duration of ``phase`` that the record ``case`` holds."""
+    return getattr(case, DURATION_NAMES[PHASES.index(phase)])
+
+
+def phase_text(case, phase):
+    """The free text of ``phase`` that the record ``case`` holds."""
+    return getattr(case, PHASE_TEXTS[phase])
 
 
 def cases_jsonl_slow(cases):
@@ -174,23 +187,16 @@ def cases_jsonl_slow(cases):
     names = (*ATTRIBUTE_NAMES, *DURATION_NAMES, "duplicate_anchors", "n_events")
     lines = [json.dumps(list(names)) + "\n"]
     for case in cases:
-        row = [getattr(case.attributes, k) for k in ATTRIBUTE_NAMES]
-        row += [getattr(case.durations, k) for k in DURATION_NAMES]
+        row = [getattr(case, k) for k in (*ATTRIBUTE_NAMES, *DURATION_NAMES)]
         row += [list(case.duplicate_anchors), case.n_events]
         lines.append(json.dumps(row) + "\n")
     return "".join(lines)
 
 
-def case_row(case):
-    """One case's values in ``CASE_FIELDS`` order, as a cases.jsonl line holds them."""
-    return (*case.attributes, *case.durations, case.duplicate_anchors, case.n_events)
-
-
 def case_columns(cases):
     """Each field's column of ``cases``, a list of Case records, as a plain
     dict: the mapping that the column code reads, without a table's coding."""
-    rows = [case_row(c) for c in cases]
-    return {field: [row[j] for row in rows] for j, field in enumerate(CASE_FIELDS)}
+    return {field: [getattr(c, field) for c in cases] for field in CASE_FIELDS}
 
 
 def case_table(cases):
@@ -295,7 +301,7 @@ def plausibility_filter_cases(cases, phase, max_minutes=MAX_PLAUSIBLE_MINUTES):
     report = CleaningReport()
     for case in cases:
         report.input += 1
-        value = case.durations.get(phase)
+        value = duration(case, phase)
         if value is None:
             report.counts["missing"] += 1
         elif value <= 0:
@@ -314,13 +320,13 @@ def clean_phase_cases(cases, phase, multiplier=1.5, max_minutes=MAX_PLAUSIBLE_MI
     plausible, report = plausibility_filter_cases(cases, phase, max_minutes=max_minutes)
     groups = {}
     for case in plausible:
-        groups.setdefault(case.attributes.department if by_department else "", []).append(case)
+        groups.setdefault(case.department if by_department else "", []).append(case)
     kept_ids = set()
     for group in groups.values():
         if len(group) < 4:
             kept_ids.update(map(id, group))
             continue
-        result = iqr_filter([(c, c.durations.get(phase)) for c in group], multiplier)
+        result = iqr_filter([(c, duration(c, phase)) for c in group], multiplier)
         report.counts["iqr_low"] += len(result.removed_low)
         report.counts["iqr_high"] += len(result.removed_high)
         kept_ids.update(id(c) for c, _ in result.retained)
@@ -333,13 +339,13 @@ def clean_phase_cases(cases, phase, multiplier=1.5, max_minutes=MAX_PLAUSIBLE_MI
 
 def fit_context_cases(phase, train_cases, clusters, group_by, target_smoothing):
     """The FeatureContext fitted on the Case records ``train_cases``."""
-    targets = [c.durations.get(phase) for c in train_cases]
+    targets = [duration(c, phase) for c in train_cases]
     encoder = encoding.target_encode_fit([str(c) for c in clusters], targets, m=target_smoothing)
     name_codes = {}
     if group_by == "exact-name":
-        names = sorted({c.attributes.text(phase).strip() for c in train_cases})
+        names = sorted({phase_text(c, phase).strip() for c in train_cases})
         name_codes = {name: i for i, name in enumerate(names)}
-    ages = [c.attributes.age for c in train_cases if c.attributes.age is not None]
+    ages = [c.age for c in train_cases if c.age is not None]
     return FeatureContext(
         phase=phase,
         group_by=group_by,
@@ -347,8 +353,8 @@ def fit_context_cases(phase, train_cases, clusters, group_by, target_smoothing):
         name_codes=name_codes,
         target_encoder=encoder,
         age_fill=float(np.median(ages)) if ages else 50.0,
-        sex_schema=encoding.OneHotSchema.fit([c.attributes.sex for c in train_cases]),
-        department_schema=encoding.OneHotSchema.fit([c.attributes.department for c in train_cases]),
+        sex_schema=encoding.OneHotSchema.fit([c.sex for c in train_cases]),
+        department_schema=encoding.OneHotSchema.fit([c.department for c in train_cases]),
     )
 
 
@@ -356,12 +362,12 @@ def factor_groups_cases(test_cases, phase, clusters):
     """The report's factor groups of the Case records ``test_cases``."""
     factors = {"age_band": {}, "sex": {}, "department": {}, "cluster": {}}
     for case, cluster in zip(test_cases, clusters):
-        value = case.durations.get(phase)
-        age = case.attributes.age
+        value = duration(case, phase)
+        age = case.age
         band = "unknown" if age is None else ("<40" if age < 40 else "40-64" if age < 65 else "65+")
         factors["age_band"].setdefault(band, []).append(value)
-        factors["sex"].setdefault(case.attributes.sex, []).append(value)
-        factors["department"].setdefault(case.attributes.department, []).append(value)
+        factors["sex"].setdefault(case.sex, []).append(value)
+        factors["department"].setdefault(case.department, []).append(value)
         factors["cluster"].setdefault(str(cluster), []).append(value)
     return factors
 
@@ -587,7 +593,7 @@ def design_matrix_slow(ctx, family, attrs, clusters, encoded=True):
         if family == "mean":
             row = []
         elif family == "group-mean":
-            code = cluster if ctx.group_by == "cluster" else ctx.name_codes.get(a.text(ctx.phase).strip(), -1)
+            code = cluster if ctx.group_by == "cluster" else ctx.name_codes.get(phase_text(a, ctx.phase).strip(), -1)
             row = [float(code)]
         else:
             row = [

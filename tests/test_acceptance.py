@@ -19,7 +19,7 @@ from periop import cli
 from periop.cleaning import iqr_filter, plausibility_filter, quantile
 from periop.clustering import gmm_fit, kmeans_fit, select_k
 from periop.encoding import target_encode_fit
-from periop.eventlog import Case, CaseAttributes, PhaseDurations, parse_case_attributes
+from periop.eventlog import CASES_HEADER, Case, parse_case_attributes
 from periop.models import Dataset, make_model
 from periop.stats import anova_f_test, kruskal_wallis, reg_inc_beta, reg_inc_gamma_P, welch_t_test
 from periop.synthgen import SynthConfig
@@ -183,10 +183,7 @@ def test_criterion_3_statistics():
 
 
 def _case(case_id: str, minutes: float) -> Case:
-    return Case(
-        attributes=CaseAttributes(case_id=case_id),
-        durations=PhaseDurations(procedure_min=minutes),
-    )
+    return Case(case_id=case_id, procedure_min=minutes)
 
 
 def test_criterion_4_cleaning():
@@ -207,7 +204,7 @@ def test_criterion_4_cleaning():
     cases = [_case(f"ok{i}", float(v)) for i, v in enumerate(rng.uniform(30, 200, size=40))]
     planted_bad = {"neg1": -12.0, "neg2": -0.5, "zero": 0.0, "multi1": 3.2 * 1440, "multi2": 5.0 * 1440}
     cases += [_case(cid, v) for cid, v in planted_bad.items()]
-    cases.append(Case(attributes=CaseAttributes(case_id="missing")))
+    cases.append(Case(case_id="missing"))
     retained, rep = plausibility_filter(case_table(cases), "procedure")
     removed_ids = {c.case_id for c in cases} - set(retained)
     plaus_ok = removed_ids == set(planted_bad) | {"missing"}
@@ -310,7 +307,7 @@ def test_criterion_6_normalization_effect():
     cfg = SynthConfig(n_cases=400, seed=5, n_anesthesia_families=4)
     _, cases_csv, _ = synth_texts(cfg)
     attrs, _ = parse_case_attributes(cases_csv.encode())
-    texts = [a.anesthesia_text for a in attrs]
+    texts = [dict(zip(CASES_HEADER, row))["anesthesia_text"] for row in attrs]
 
     selected = {}
     for name, rules in (

@@ -11,14 +11,11 @@ from periop.cleaning import (
     plausibility_filter,
     quantile,
 )
-from periop.eventlog import Case, CaseAttributes, PhaseDurations
+from periop.eventlog import Case
 
 
 def make_case(case_id, procedure=None, induction=None, department="surgery"):
-    return Case(
-        attributes=CaseAttributes(case_id=case_id, department=department),
-        durations=PhaseDurations(procedure_min=procedure, induction_min=induction),
-    )
+    return Case(case_id=case_id, department=department, procedure_min=procedure, induction_min=induction)
 
 
 def test_quantile_hand_values():
@@ -134,7 +131,7 @@ def test_clean_phase_combined_report():
     lo, hi = report.bounds
     by_id = {c.case_id: c for c in cases}
     for case_id in retained:
-        assert lo <= by_id[case_id].durations.procedure_min <= hi
+        assert lo <= by_id[case_id].procedure_min <= hi
 
 
 def test_clean_phase_per_department_keeps_small_groups():

@@ -22,7 +22,7 @@ from oracles import case_table, factor_groups_cases
 from periop import artifacts, cli, clustering, rules
 from periop.cli import derive_seed, run
 from periop.config import MODEL_KEYS, PipelineConfig, UsageError, build_config, parse_config_text
-from periop.eventlog import ANCHOR_EVENTS, CASE_FIELDS, CASES_HEADER, Case, CaseAttributes, PhaseDurations
+from periop.eventlog import ANCHOR_EVENTS, CASE_FIELDS, CASES_HEADER, Case
 from periop.models import make_model
 
 SMALL = [
@@ -157,6 +157,7 @@ def test_config_validation():
         (["ridge_lambda = -1"], "ridge_lambda"),
         (["cv_folds = 1"], "cv_folds"),
         (["synth_n_cases = 99"], "synth_n_cases"),
+        (["synonyms_phases = procdure"], "synonyms_phases"),
     ],
     ids=[
         "unknown-algorithm",
@@ -174,6 +175,7 @@ def test_config_validation():
         "negative-ridge-lambda",
         "one-cv-fold",
         "too-few-synth-cases",
+        "unknown-synonyms-phase",
     ],
 )
 def test_config_mistakes_exit_one_at_load(tmp_path, capsys, lines, key):
@@ -496,18 +498,20 @@ def test_blank_lines_and_a_last_line_without_its_newline_read_as_the_same_table(
 FACTOR_CASES = st.lists(
     st.builds(
         Case,
-        attributes=st.builds(
-            CaseAttributes,
-            case_id=st.text(max_size=3),
-            department=st.sampled_from(["a", "b", "c"]),
-            age=st.none() | st.integers(0, 130),
-            sex=st.sampled_from(["f", "m", "other"]),
-            planned_induction_min=st.none(),
-            planned_procedure_min=st.none(),
-        ),
-        durations=st.builds(PhaseDurations, *[st.none() | st.floats(-10, 600)] * 3),
-        n_events=st.integers(0, 50),
+        case_id=st.text(max_size=3),
+        department=st.sampled_from(["a", "b", "c"]),
+        age=st.none() | st.integers(0, 130),
+        sex=st.sampled_from(["f", "m", "other"]),
+        procedure_text=st.text(),
+        anesthesia_text=st.text(),
+        positioning_text=st.text(),
+        planned_induction_min=st.none(),
+        planned_procedure_min=st.none(),
+        induction_min=st.none() | st.floats(-10, 600),
+        preparation_min=st.none() | st.floats(-10, 600),
+        procedure_min=st.none() | st.floats(-10, 600),
         duplicate_anchors=st.lists(st.sampled_from(ANCHOR_EVENTS), unique=True).map(tuple),
+        n_events=st.integers(0, 50),
     ),
     unique_by=lambda c: c.case_id,
     max_size=30,
@@ -1145,13 +1149,19 @@ def _set_cell(col, value):
          "bad entry in 'idf': expected a weight from 1 to 1 + ln(1 + n_docs) = "),
         ("tfidf_procedure.json", _edit_json(lambda obj: obj.__setitem__("n_docs", 0)), ("predict",), "cluster",
          "bad value for 'n_docs': expected an integer >= 1, got 0"),
+        ("model_procedure_group-mean.json", _edit_json(lambda obj: obj["model"].__setitem__("group_col", 5)),
+         ("evaluate",), "train", "'model.group_col' is 5, but model 'group-mean' of phase 'procedure' needs 0"),
+        ("model_procedure_group-mean.json", _edit_json(lambda obj: obj["model"].__setitem__("group_col", 2**63)),
+         ("evaluate",), "train",
+         "'model.group_col' is 9223372036854775808, but model 'group-mean' of phase 'procedure' needs 0"),
     ],
     ids=["clean-no-retained-ids", "clean-a-list", "clean-unknown-id", "clean-id-not-a-string",
          "assignments-cluster-x", "assignments-one-field-row", "assignments-empty", "assignments-not-utf8",
          "predictions-abc", "predictions-row-deleted", "predictions-short-row", "predictions-empty",
          "assignments-no-header", "assignments-row-deleted", "clean-nested-too-deeply",
          "tfidf-nested-too-deeply", "gmm-negative-weight", "gmm-means-one-row-short",
-         "kmeans-centroids-one-column-narrow", "tfidf-idf-below-one", "tfidf-no-documents"],
+         "kmeans-centroids-one-column-narrow", "tfidf-idf-below-one", "tfidf-no-documents",
+         "group-mean-group-col-5", "group-mean-group-col-2**63"],
 )
 def test_an_edited_artifact_exits_one_naming_it_and_the_stage_to_rerun(
     pipeline_dir, tmp_path, capsys, artifact, edit, stages, rerun, problem
@@ -1210,6 +1220,34 @@ def test_a_bundle_unlike_its_file_or_roster_entry_exits_one(
             f"error: {path}: {field!r} is {value!r}, but model 'group-mean' of phase 'procedure' needs "
             f"{expected!r}; re-run 'train' to rebuild it\n"
         )
+
+
+@pytest.mark.parametrize(
+    "content, problem",
+    [
+        (b"a,b\nx,y\n", "expected synonyms header 'from,to'"),
+        (b"from,to\nx,y,z\n", "expected 2 columns in synonyms row, got 3"),
+        (b"from,to\nx,\xff\n", "invalid UTF-8"),
+    ],
+    ids=["header-a-b", "row-of-three-columns", "byte-0xff"],
+)
+@pytest.mark.parametrize("stage", ["cluster", "predict"])
+def test_a_bad_synonyms_file_exits_one_naming_it(pipeline_dir, tmp_path, capsys, stage, content, problem):
+    """A synonyms file that is not a from,to mapping stops the stages that
+    normalize text with exit 1, naming the file."""
+    source, config = pipeline_dir
+    out = tmp_path / "out"
+    shutil.copytree(source, out)
+    synonyms = tmp_path / "synonyms.csv"
+    synonyms.write_bytes(content)
+    with_synonyms = tmp_path / "synonyms.cfg"
+    with_synonyms.write_text(config.read_text() + f"\nsynonyms = {synonyms}\n")
+    argv = [stage, "--out", str(out), *SMALL, "--config", str(with_synonyms)]
+    if stage == "predict":  # synonyms_phases is induction by default
+        argv += ["--phase", "induction", "--model", "gbm", "--dest", str(tmp_path / "p.csv")]
+    capsys.readouterr()
+    assert run(argv) == 1
+    assert capsys.readouterr().err == f"error: synonyms file {synonyms}: {problem}\n"
 
 
 def test_clean_run_again_after_cluster_exits_one_in_the_later_stages(pipeline_dir, tmp_path, capsys):

@@ -11,20 +11,16 @@ from periop.evaluate import (
     histogram,
     histogram_svg,
 )
-from periop.eventlog import Case, CaseAttributes, PhaseDurations
+from periop.eventlog import Case
 
 
 def make_case(case_id, actual, plan, phase="procedure"):
-    kwargs = {"planned_procedure_min": plan} if phase == "procedure" else {"planned_induction_min": plan}
-    durations = (
-        PhaseDurations(procedure_min=actual)
+    kwargs = (
+        {"planned_procedure_min": plan, "procedure_min": actual}
         if phase == "procedure"
-        else PhaseDurations(induction_min=actual)
+        else {"planned_induction_min": plan, "induction_min": actual}
     )
-    return Case(
-        attributes=CaseAttributes(case_id=case_id, **kwargs),
-        durations=durations,
-    )
+    return Case(case_id=case_id, **kwargs)
 
 
 def test_metrics_hand_example():

@@ -24,7 +24,7 @@ from oracles import (
     records_slow,
 )
 from periop import eventlog
-from periop.artifacts import _case_to_row, read_cases, write_cases
+from periop.artifacts import read_cases, write_cases
 from periop.casetable import CaseError, CaseTable
 from periop.config import UsageError
 from periop.eventlog import (
@@ -34,10 +34,8 @@ from periop.eventlog import (
     EVENTS_HEADER,
     NUMBER_FIELDS,
     Case,
-    CaseAttributes,
     EventLog,
     ParseError,
-    PhaseDurations,
     RecordError,
     _parse_timestamp,
     assemble_cases,
@@ -122,14 +120,31 @@ def test_timestamps_normalized_to_utc():
 
 def test_assemble_groups_and_sorts():
     events, _ = parse_events(EVENTS_CSV.encode())
-    cases = assemble_cases(events, [CaseAttributes(case_id="W1", department="urology")])
+    cases = assemble_cases(events, [Case(case_id="W1", department="urology")[: len(CASES_HEADER)]])
     assert [c.case_id for c in cases] == ["W1", "W2"]
     w1 = cases[0]
     assert [c.n_events for c in cases] == [4, 1]
-    assert w1.attributes.department == "urology"
+    assert w1.department == "urology"
     # attributes missing for W2 -> defaults
-    assert cases[1].attributes.department == "unknown"
-    assert cases[1].attributes.sex == "other"
+    assert cases[1].department == "unknown"
+    assert cases[1].sex == "other"
+
+
+def test_a_case_without_an_attribute_row_gets_the_default_attributes():
+    events, _ = parse_events(EVENTS_CSV.encode())
+    (w1, w2) = assemble_cases(events, [])
+    # the defaults a case without an attribute row always had
+    defaults = ("unknown", None, "other", "", "", "", None, None)
+    assert w1[: len(CASES_HEADER)] == ("W1", *defaults)
+    assert w2[: len(CASES_HEADER)] == ("W2", *defaults)
+
+
+def test_case_fields_are_the_case_record_fields_in_file_order():
+    assert Case._fields == CASE_FIELDS
+    assert CASE_FIELDS == (
+        *CASES_HEADER, "induction_min", "preparation_min", "procedure_min", "duplicate_anchors", "n_events"
+    )
+    assert CASE_FIELDS[: len(CASES_HEADER)] == CASES_HEADER
 
 
 def test_duplicate_anchor_flags_case_invalid():
@@ -143,7 +158,7 @@ def test_duplicate_anchor_flags_case_invalid():
     (case,) = assemble_cases(events, [])
     assert case.duplicate_anchors == ("incision",)
     assert not case.is_valid
-    assert case.durations.procedure_min is None
+    assert case.procedure_min is None
 
 
 def test_assemble_empty_is_empty():
@@ -154,13 +169,13 @@ def test_phase_durations_from_anchors():
     events, _ = parse_events(EVENTS_CSV.encode())
     cases = assemble_cases(events, [])
     w1 = cases[0]
-    assert w1.durations.induction_min == pytest.approx(25.0)
-    assert w1.durations.preparation_min == pytest.approx(15.0)
-    assert w1.durations.procedure_min == pytest.approx(90.0)
+    assert w1.induction_min == pytest.approx(25.0)
+    assert w1.preparation_min == pytest.approx(15.0)
+    assert w1.procedure_min == pytest.approx(90.0)
     # W2 has only an incision: nothing is derivable
     w2 = cases[1]
-    assert w2.durations.induction_min is None
-    assert w2.durations.procedure_min is None
+    assert w2.induction_min is None
+    assert w2.procedure_min is None
 
 
 def test_negative_durations_pass_through():
@@ -171,7 +186,7 @@ def test_negative_durations_pass_through():
     )
     events, _ = parse_events(rows.encode())
     (case,) = assemble_cases(events, [])
-    assert case.durations.procedure_min == pytest.approx(-60.0)
+    assert case.procedure_min == pytest.approx(-60.0)
 
 
 def test_phase_sum_identity_and_permutation_invariance():
@@ -189,8 +204,7 @@ def test_phase_sum_identity_and_permutation_invariance():
             ("X", "suture", t0 + timedelta(minutes=ind + prep + proc)),
         ]
         rng.shuffle(events)
-        (case,) = assemble_cases(event_log(events), [])
-        d = case.durations
+        (d,) = assemble_cases(event_log(events), [])
         assert d.induction_min == pytest.approx(ind)
         assert d.preparation_min == pytest.approx(prep)
         assert d.procedure_min == pytest.approx(proc)
@@ -228,20 +242,19 @@ def event_logs(draw):
     return draw(st.permutations(events))
 
 
-# Every field is given: builds() infers the ones left out of a NamedTuple, NaN
-# plans included, which parse_case_attributes never yields (NaN != NaN).
+# Attribute rows as parse_case_attributes gives them, one strategy per field
+# in CASES_HEADER order: no NaN plans, which it never yields (NaN != NaN).
 ATTRIBUTES = st.lists(
-    st.builds(
-        CaseAttributes,
-        case_id=st.sampled_from(["W1", "W2", "W10", "unused"]),
-        department=st.sampled_from(["urology", "surgery"]),
-        age=st.none() | st.integers(0, 130),
-        sex=st.sampled_from(["f", "m", "other"]),
-        procedure_text=st.text(max_size=6),
-        anesthesia_text=st.text(max_size=6),
-        positioning_text=st.text(max_size=6),
-        planned_induction_min=st.none() | st.floats(0, 600),
-        planned_procedure_min=st.none() | st.floats(0, 600),
+    st.tuples(
+        st.sampled_from(["W1", "W2", "W10", "unused"]),  # case_id
+        st.sampled_from(["urology", "surgery"]),  # department
+        st.none() | st.integers(0, 130),  # age
+        st.sampled_from(["f", "m", "other"]),  # sex
+        st.text(max_size=6),  # procedure_text
+        st.text(max_size=6),  # anesthesia_text
+        st.text(max_size=6),  # positioning_text
+        st.none() | st.floats(0, 600),  # planned_induction_min
+        st.none() | st.floats(0, 600),  # planned_procedure_min
     ),
     max_size=5,
 )
@@ -252,8 +265,8 @@ ATTRIBUTES = st.lists(
 def test_assemble_cases_equals_the_sorted_event_oracle(events, attrs):
     """One pass over the events gives the cases that sorting each case's events gave."""
     got = [
-        (c.case_id, c.attributes, c.n_events, (c.durations.induction_min, c.durations.preparation_min,
-         c.durations.procedure_min), c.duplicate_anchors)
+        (c.case_id, c[: len(CASES_HEADER)], c.n_events, (c.induction_min, c.preparation_min, c.procedure_min),
+         c.duplicate_anchors)
         for c in assemble_cases(event_log(events), attrs)
     ]
     assert got == assemble_cases_slow(events, attrs)
@@ -261,18 +274,14 @@ def test_assemble_cases_equals_the_sorted_event_oracle(events, attrs):
 
 def table_records(table):
     """The Case records of ``table``, rebuilt from its columns."""
-    n_attributes = len(CASES_HEADER)
-    return [
-        Case(CaseAttributes(*row[:n_attributes]), row[-1], PhaseDurations(*row[n_attributes:-2]), row[-2])
-        for row in zip(*(table[field] for field in CASE_FIELDS))
-    ]
+    return [Case(*row) for row in zip(*(table[field] for field in CASE_FIELDS))]
 
 
 @settings(max_examples=200, deadline=None)
 @given(events=event_logs(), attrs=ATTRIBUTES)
 def test_assembled_cases_round_trip_through_cases_jsonl_rows(events, attrs):
     cases = assemble_cases(event_log(events), attrs)
-    rows = [json.loads(json.dumps(_case_to_row(case))) for case in cases]
+    rows = [json.loads(json.dumps(case)) for case in cases]
     table = CaseTable()
     table.extend({field: [row[j] for row in rows] for j, field in enumerate(CASE_FIELDS)})
     assert table_records(table) == cases
@@ -284,21 +293,20 @@ MINUTES = st.none() | st.floats(-1e4, 1e4)  # negative and fractional durations 
 CASE_RECORDS = st.lists(
     st.builds(
         Case,
-        attributes=st.builds(
-            CaseAttributes,
-            case_id=TEXT,
-            department=TEXT,
-            age=st.none() | st.integers(0, 130),
-            sex=st.sampled_from(["f", "m", "other"]),
-            procedure_text=TEXT,
-            anesthesia_text=TEXT,
-            positioning_text=TEXT,
-            planned_induction_min=st.none() | st.floats(0, 1e4),
-            planned_procedure_min=st.none() | st.floats(0, 1e4),
-        ),
-        n_events=st.integers(0, 50),
-        durations=st.builds(PhaseDurations, MINUTES, MINUTES, MINUTES),
+        case_id=TEXT,
+        department=TEXT,
+        age=st.none() | st.integers(0, 130),
+        sex=st.sampled_from(["f", "m", "other"]),
+        procedure_text=TEXT,
+        anesthesia_text=TEXT,
+        positioning_text=TEXT,
+        planned_induction_min=st.none() | st.floats(0, 1e4),
+        planned_procedure_min=st.none() | st.floats(0, 1e4),
+        induction_min=MINUTES,
+        preparation_min=MINUTES,
+        procedure_min=MINUTES,
         duplicate_anchors=st.lists(st.sampled_from(ANCHOR_EVENTS), unique=True).map(tuple),
+        n_events=st.integers(0, 50),
     ),
     unique_by=lambda c: c.case_id,  # cases.jsonl lists each case once
     max_size=6,
@@ -308,7 +316,7 @@ CASE_RECORDS = st.lists(
 @settings(max_examples=200, deadline=None)
 @given(cases=CASE_RECORDS)
 @example(cases=[])  # a header-only file
-@example(cases=[Case(CaseAttributes("W1", age=0), durations=PhaseDurations(-0.0, 0.0, None))])
+@example(cases=[Case("W1", age=0, induction_min=-0.0, preparation_min=0.0, procedure_min=None)])
 def test_cases_jsonl_bytes_equal_the_per_field_writer_and_read_back(cases):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "cases.jsonl"
@@ -322,8 +330,8 @@ def test_cases_jsonl_bytes_equal_the_per_field_writer_and_read_back(cases):
     # every field back, column by column: a number as the float it equals,
     # -0.0 with its sign and null as None; == alone takes 50 for 50.0 and
     # -0.0 for 0.0
-    for j, field in enumerate(CASE_FIELDS):
-        column, original = loaded[field], [_case_to_row(c)[j] for c in cases]
+    for field in CASE_FIELDS:
+        column, original = loaded[field], [getattr(c, field) for c in cases]
         if field in NUMBER_FIELDS:
             assert [None if v is None else (type(v), repr(v)) for v in column] == [
                 None if v is None else (float, repr(float(v))) for v in original
@@ -334,7 +342,7 @@ def test_cases_jsonl_bytes_equal_the_per_field_writer_and_read_back(cases):
 
 def row_of(case, case_id):
     """The cases.jsonl row of ``case`` under another case id, as json.loads gives it."""
-    return json.loads(json.dumps(_case_to_row(case._replace(attributes=case.attributes._replace(case_id=case_id)))))
+    return json.loads(json.dumps(case._replace(case_id=case_id)))
 
 
 def with_value(field, value):
@@ -419,12 +427,12 @@ def test_read_cases_names_the_first_line_at_fault_as_the_line_by_line_reader_doe
 
 @pytest.mark.parametrize(
     "last_line",
-    [json.dumps(["W1"]), json.dumps(_case_to_row(Case(CaseAttributes("W1")))) + "\n\n" + "[1, 2"],
+    [json.dumps(["W1"]), json.dumps(Case("W1")) + "\n\n" + "[1, 2"],
     ids=["bad-row", "blank-line-then-truncated-row"],
 )
 def test_read_cases_opens_a_file_with_a_bad_line_once(tmp_path, last_line):
     path = tmp_path / "cases.jsonl"
-    write_cases(path, [Case(CaseAttributes("W0"))])
+    write_cases(path, [Case("W0")])
     with path.open("a", encoding="utf-8") as fh:
         fh.write(last_line)
     with mock.patch.object(Path, "open", autospec=True, side_effect=Path.open) as opened:
@@ -457,7 +465,9 @@ def test_a_selected_table_holds_the_columns_of_its_ids(data, cases):
     ids=["repeated-id", "nan", "minus-infinity"],
 )
 def test_a_table_refuses_a_bad_case_and_appends_nothing(changes, problem):
-    good = [Case(CaseAttributes(f"W{i}", age=40 + i), durations=PhaseDurations(1.0, 2.0, 3.0)) for i in range(3)]
+    good = [
+        Case(f"W{i}", age=40 + i, induction_min=1.0, preparation_min=2.0, procedure_min=3.0) for i in range(3)
+    ]
     table = case_table(good[:1])
     columns = case_columns(good[1:])
     for field, value in changes.items():
@@ -484,22 +494,22 @@ def test_parse_case_attributes_roundtrip():
     row = 'W1,urology,63,f,"Prostatektomie, lap.",ITN,rueckenlage,30,120\n'
     attrs, errors = parse_case_attributes((CASES_CSV_HEADER + row).encode())
     assert errors == []
-    a = attrs[0]
-    assert a.department == "urology"
-    assert a.age == 63
-    assert a.sex == "f"
-    assert a.procedure_text == "Prostatektomie, lap."
-    assert a.planned_induction_min == 30.0
-    assert a.planned_procedure_min == 120.0
+    a = dict(zip(CASES_HEADER, attrs[0]))
+    assert a["department"] == "urology"
+    assert a["age"] == 63
+    assert a["sex"] == "f"
+    assert a["procedure_text"] == "Prostatektomie, lap."
+    assert a["planned_induction_min"] == 30.0
+    assert a["planned_procedure_min"] == 120.0
 
 
 def test_case_attribute_missing_fields_default():
     attrs, _ = parse_case_attributes((CASES_CSV_HEADER + "W1,,,,,,,,\n").encode())
-    a = attrs[0]
-    assert a.department == "unknown"
-    assert a.age is None
-    assert a.sex == "other"
-    assert a.planned_procedure_min is None
+    a = dict(zip(CASES_HEADER, attrs[0]))
+    assert a["department"] == "unknown"
+    assert a["age"] is None
+    assert a["sex"] == "other"
+    assert a["planned_procedure_min"] is None
 
 
 @pytest.mark.parametrize(
@@ -587,10 +597,11 @@ def test_bad_record_is_one_record_error(parse, fmt, bad):
 
 def test_jsonl_values_are_read_as_their_text():
     record = dict(GOOD[parse_case_attributes], age=0, planned_induction_min=0, planned_procedure_min=None)
-    (attrs,), _ = parse_case_attributes(json.dumps(record).encode(), fmt="jsonl")
-    assert attrs.age == 0
-    assert attrs.planned_induction_min == 0.0
-    assert attrs.planned_procedure_min is None
+    (row,), _ = parse_case_attributes(json.dumps(record).encode(), fmt="jsonl")
+    attrs = dict(zip(CASES_HEADER, row))
+    assert attrs["age"] == 0
+    assert attrs["planned_induction_min"] == 0.0
+    assert attrs["planned_procedure_min"] is None
 
 
 @pytest.mark.parametrize("parse", PARSERS, ids=lambda f: f.__name__)

@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import case_columns, case_table, design_matrix_slow, fit_context_cases, fold_design_raw_codes
-from periop.eventlog import Case, CaseAttributes, PhaseDurations
+from periop.eventlog import Case
 from periop.features import design_rows, fit_context, fold_design
 from periop.models import GridSpec, grid_search
 
@@ -15,13 +15,23 @@ TEXTS = ["Hüft-TEP", " Hüft-TEP ", "Knie TEP", "", "Appendektomie"]
 
 
 def attributes(n_known):
+    """Case records without durations, each field from its own strategy."""
     return st.builds(
-        CaseAttributes,
+        Case,
         case_id=st.sampled_from(["A", "B"]),
         department=st.sampled_from(DEPARTMENTS[: n_known + 1]),
         age=st.none() | st.integers(0, 130),
         sex=st.sampled_from(SEXES[:n_known]),
         procedure_text=st.sampled_from(TEXTS[: n_known + 2]),
+        anesthesia_text=st.text(),
+        positioning_text=st.text(),
+        planned_induction_min=st.none(),
+        planned_procedure_min=st.none(),
+        induction_min=st.none(),
+        preparation_min=st.none(),
+        procedure_min=st.none(),
+        duplicate_anchors=st.just(()),
+        n_events=st.just(0),
     )
 
 
@@ -38,12 +48,12 @@ def test_design_rows_scatter_to_the_per_case_matrix(data, family, group_by):
     train = data.draw(st.lists(attributes(2), min_size=1, max_size=12))
     train_clusters = data.draw(st.lists(st.integers(0, 3), min_size=len(train), max_size=len(train)))
     targets = data.draw(st.lists(st.floats(1, 300), min_size=len(train), max_size=len(train)))
-    cases = [Case(attributes=a, durations=PhaseDurations(procedure_min=y)) for a, y in zip(train, targets)]
+    cases = [a._replace(procedure_min=y) for a, y in zip(train, targets)]
     ctx = fit_context("procedure", case_columns(cases), train_clusters, group_by, target_smoothing=5.0)
 
     attrs = data.draw(st.lists(attributes(3), min_size=1, max_size=40))
     clusters = data.draw(st.lists(st.integers(-1, 5), min_size=len(attrs), max_size=len(attrs)))
-    rows, inverse = design_rows(ctx, family, case_columns(map(Case, attrs)), clusters)
+    rows, inverse = design_rows(ctx, family, case_columns(attrs), clusters)
     expected = design_matrix_slow(ctx, family, attrs, clusters)
     assert rows.shape[0] <= len(attrs)
     assert rows[inverse].shape == expected.shape
@@ -64,12 +74,14 @@ def test_features_from_the_case_table_equal_the_case_record_version(data, phase,
     give, which scatter to the per-case matrix."""
     ids = data.draw(st.lists(st.text(max_size=3), unique=True, min_size=1, max_size=20))
     texts = st.sampled_from(TEXTS)
+    minutes = st.floats(1, 300)
     cases = [
-        Case(
-            attributes=data.draw(attributes(3))._replace(
-                case_id=i, anesthesia_text=data.draw(texts), planned_induction_min=None, planned_procedure_min=None
-            ),
-            durations=PhaseDurations(*data.draw(st.tuples(*[st.floats(1, 300)] * 3))),
+        data.draw(attributes(3))._replace(
+            case_id=i,
+            anesthesia_text=data.draw(texts),
+            induction_min=data.draw(minutes),
+            preparation_min=data.draw(minutes),
+            procedure_min=data.draw(minutes),
         )
         for i in ids
     ]
@@ -80,8 +92,7 @@ def test_features_from_the_case_table_equal_the_case_record_version(data, phase,
     rows, inverse = design_rows(ctx, family, table, clusters)
     expected_rows, expected_inverse = design_rows(ctx, family, case_columns(cases), clusters)
     assert (rows.tobytes(), inverse.tobytes()) == (expected_rows.tobytes(), expected_inverse.tobytes())
-    attrs = [c.attributes for c in cases]
-    assert rows[inverse].tobytes() == design_matrix_slow(ctx, family, attrs, clusters).tobytes()
+    assert rows[inverse].tobytes() == design_matrix_slow(ctx, family, cases, clusters).tobytes()
 
 
 def training_fold(data):
@@ -97,7 +108,7 @@ def training_fold(data):
 
 def training_columns(attrs, targets):
     """The case columns of ``attrs``, each with its procedure duration."""
-    return case_columns([Case(attributes=a, durations=PhaseDurations(procedure_min=y)) for a, y in zip(attrs, targets)])
+    return case_columns([a._replace(procedure_min=y) for a, y in zip(attrs, targets)])
 
 
 @settings(max_examples=200, deadline=None)
@@ -146,7 +157,7 @@ def test_grid_search_refits_encoders_per_fold():
     rng = np.random.default_rng(9)
     clusters = rng.integers(0, 4, size=60).tolist()
     targets = (np.array(clusters) * 25.0 + rng.normal(0, 1.0, size=60)).tolist()
-    cases = training_columns([CaseAttributes(case_id=str(i)) for i in range(60)], targets)
+    cases = training_columns([Case(case_id=str(i)) for i in range(60)], targets)
     ctx = fit_context("procedure", cases, clusters, "cluster", target_smoothing=2.0)
     spec = GridSpec(family="gbm", grid={"n_trees": [20]}, cv_folds=4, seed=3)
     result = grid_search(spec, targets, fold_design(ctx, "gbm", cases, clusters))

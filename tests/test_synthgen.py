@@ -69,7 +69,7 @@ def test_anchor_coverage_rates(generated):
 def test_all_plans_are_15_minute_multiples(generated):
     _, _, _, cases = generated
     for case in cases:
-        for plan in (case.attributes.planned_procedure_min, case.attributes.planned_induction_min):
+        for plan in (case.planned_procedure_min, case.planned_induction_min):
             if plan is not None:
                 assert plan % 15.0 == pytest.approx(0.0)
                 assert plan >= 15.0
@@ -82,11 +82,10 @@ def test_phase_sum_identity_on_full_cases(generated):
         if event_type in ANCHOR_EVENTS:
             anchor_stamps.setdefault(case_id, {})[event_type] = _parse_timestamp(timestamp)
     checked = 0
-    for case in cases:
-        d = case.durations
+    for d in cases:
         if None in (d.induction_min, d.preparation_min, d.procedure_min):
             continue
-        stamps = anchor_stamps[case.case_id]
+        stamps = anchor_stamps[d.case_id]
         total = (stamps["suture"] - stamps["anesthesia_start"]).total_seconds() / 60.0
         assert d.induction_min + d.preparation_min + d.procedure_min == pytest.approx(total, abs=1e-9)
         checked += 1
@@ -99,11 +98,11 @@ def test_emitted_durations_match_ground_truth(generated):
     compared = 0
     for case in cases:
         t = truth_by_id[case.case_id]
-        if case.durations.procedure_min is not None:
-            assert case.durations.procedure_min == pytest.approx(t["procedure_min"], abs=1e-9)
+        if case.procedure_min is not None:
+            assert case.procedure_min == pytest.approx(t["procedure_min"], abs=1e-9)
             compared += 1
-        if case.durations.induction_min is not None:
-            assert case.durations.induction_min == pytest.approx(t["induction_min"], abs=1e-9)
+        if case.induction_min is not None:
+            assert case.induction_min == pytest.approx(t["induction_min"], abs=1e-9)
     assert compared > 1000
 
 
@@ -143,9 +142,9 @@ def test_texts_carry_family_variants(generated):
     surface_sets = {c: set(anesthesia_variants(c)) for c in ("intubationsnarkose", "larynxmaske")}
     seen_nontrivial = 0
     for case in cases:
-        if not case.attributes.anesthesia_text:
+        if not case.anesthesia_text:
             continue
-        stripped = case.attributes.anesthesia_text.lower().rstrip(".!")
+        stripped = case.anesthesia_text.lower().rstrip(".!")
         for canon, surfaces in surface_sets.items():
             if stripped in surfaces and stripped != canon:
                 seen_nontrivial += 1

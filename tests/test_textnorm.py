@@ -98,6 +98,13 @@ def test_load_synonyms_csv():
         load_synonyms(b"a,b\nx,y\n")
 
 
+def test_load_synonyms_raises_value_error_for_csv_the_reader_refuses():
+    """A bare carriage return inside a field is a csv.Error in the reader,
+    which the stages would not map to exit 1."""
+    with pytest.raises(ValueError, match="malformed CSV: "):
+        load_synonyms(b"from,to\nx\ry,z\n")
+
+
 def test_fit_tfidf_hand_idf():
     model = fit_tfidf([["a", "b"], ["a", "c"]])
     idf = dict(zip(model.terms(), model.idf))
