@@ -73,6 +73,8 @@ def _parse_input(path: Path, parse, **options):
             return parse(fh, fmt="jsonl" if path.suffix == ".jsonl" else "csv", **options)
     except ParseError as exc:  # raised only for a bad CSV header
         raise UsageError(f"{path}: {exc}") from None
+    except OSError as exc:  # a directory, say
+        raise UsageError(f"input {path}: {exc.strerror}") from None
 
 
 def _rules_for_phase(cfg: PipelineConfig, phase: str) -> textnorm.NormalizationRules:
@@ -88,6 +90,8 @@ def _rules_for_phase(cfg: PipelineConfig, phase: str) -> textnorm.NormalizationR
             raise UsageError(f"synonyms file not found: {path}")
         try:
             synonym_map = textnorm.load_synonyms(path.read_bytes())
+        except OSError as exc:
+            raise UsageError(f"synonyms file {path}: {exc.strerror}") from None
         except UnicodeDecodeError:
             raise UsageError(f"synonyms file {path}: invalid UTF-8") from None
         except ValueError as exc:
@@ -167,12 +171,16 @@ def stage_synth(cfg: PipelineConfig) -> None:
 
 
 def stage_ingest(cfg: PipelineConfig) -> None:
+    out = Path(cfg.out)
+    written = {(out / name).resolve() for name in ("cases.jsonl", "ingest_report.json")}
+    for key, path in (("events", cfg.events_path()), ("cases", cfg.cases_path())):
+        if path.resolve() in written:  # read first, then overwritten
+            raise UsageError(f"{key} input {path} is a file that ingest writes; give an input outside its output")
     log, event_errors = _parse_input(cfg.events_path(), parse_events)
     # a case keeps its first attribute row; a later one is a record error
     attrs, attr_errors = _parse_input(cfg.cases_path(), parse_case_attributes, unique_ids=True)
     cases = assemble_cases(log, attrs)
 
-    out = Path(cfg.out)
     artifacts.write_cases(out / "cases.jsonl", cases)
     labelled = [("events", e) for e in event_errors] + [("cases", e) for e in attr_errors]
     report = {
@@ -330,20 +338,13 @@ def stage_train(cfg: PipelineConfig) -> None:
                     grid=models.DEFAULT_GRIDS[family],
                     cv_folds=cfg.cv_folds,
                     seed=derive_seed(cfg.seed, f"grid:{phase}:{name}"),
+                    base=params,
                 )
-                result = models.grid_search(spec, y, features.fold_design(ctx, family, train_cases, clusters))
-                params = {**params, **result.best_params}
-                grid_info = {
-                    "best_params": result.best_params,
-                    "cv_table": [
-                        {
-                            "params": row.params,
-                            "mean_mae": row.mean_mae if row.error is None else None,
-                            "error": row.error,
-                        }
-                        for row in result.cv_table
-                    ],
-                }
+                best_params, cv_table = models.grid_search(
+                    spec, y, features.fold_design(ctx, family, train_cases, clusters)
+                )
+                params = {**params, **best_params}
+                grid_info = {"best_params": best_params, "cv_table": cv_table}
             params = models.seeded_params(family, params, derive_seed(cfg.seed, f"model:{phase}:{name}"))
             model = models.make_model(family, params).fit(dataset)
             bundle = {
@@ -363,7 +364,8 @@ def _read_bundle(cfg: PipelineConfig, phase: str, name: str) -> tuple[features.F
     """The trained bundle of the roster's model ``name`` for ``phase``: its
     feature context, model and family. Its phase and name must be those of
     its file, and its family, features and model those of ``_model_plan``,
-    which also fixes a group mean's ``group_col``."""
+    which also fixes a group mean's ``group_col``; the model must read the
+    design that its features give."""
     from . import features, models
 
     family, group_by, params = _model_plan(name, cfg)
@@ -385,7 +387,11 @@ def _read_bundle(cfg: PipelineConfig, phase: str, name: str) -> tuple[features.F
                 raise ValueError(
                     f"'{prefix}{key}' is {value!r}, but model {name!r} of phase {phase!r} needs {expected!r}"
                 )
-        return features.FeatureContext.from_dict(ctx), models.model_from_dict(model), family
+        context, fitted = features.FeatureContext.from_dict(ctx), models.model_from_dict(model)
+        width = context.width(family)
+        if fitted.columns > width or (fitted.exact_columns and fitted.columns != width):
+            raise ValueError(f"the model reads {fitted.columns} design columns, but 'features' gives {width}")
+        return context, fitted, family
 
     return artifacts.read_json(Path(cfg.out) / f"model_{phase}_{name}.json", decode, "train")
 
@@ -422,16 +428,14 @@ def stage_evaluate(cfg: PipelineConfig) -> None:
         for name in cfg.models:
             bundle = _read_bundle(cfg, phase, name)
             predictions[name] = _bundle_predict(bundle, test_cases, clusters)
-            metrics_obj[phase][name] = evaluate.compute_metrics(
-                actual, predictions[name], tolerance=cfg.tolerance
-            ).to_dict()
+            metrics_obj[phase][name] = evaluate.compute_metrics(actual, predictions[name], tolerance=cfg.tolerance)
         keep = [i for i, p in enumerate(planned) if p is not None]
         if keep:
             metrics_obj[phase]["manual"] = evaluate.compute_metrics(
                 [actual[i] for i in keep],
                 [planned[i] for i in keep],
                 tolerance=cfg.tolerance,
-            ).to_dict()
+            )
         artifacts.write_predictions(out / f"predictions_{phase}.csv", test_ids, actual, planned, predictions)
         print(f"evaluate[{phase}]: scored {len(test_ids)} test cases")
     artifacts.write_json(out / "metrics.json", metrics_obj)
@@ -453,10 +457,9 @@ def stage_report(cfg: PipelineConfig) -> None:
         predictions = artifacts.read_predictions(out / f"predictions_{phase}.csv", test_ids)
         if has_plan:
             try:
-                report = evaluate.compare_to_plan(
+                deviation_obj[phase] = evaluate.compare_to_plan(
                     test_cases, phase, predictions, tolerance=cfg.tolerance
                 )
-                deviation_obj[phase] = report.to_dict()
             except ValueError as exc:
                 deviation_obj[phase] = {"error": str(exc)}
 

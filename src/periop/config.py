@@ -196,7 +196,12 @@ def build_config(config_path: str | None, overrides: Mapping[str, object]) -> Pi
         path = Path(config_path)
         if not path.exists():
             raise UsageError(f"config file not found: {config_path}")
-        raw.update(parse_config_text(path.read_text(encoding="utf-8")))
+        try:
+            raw.update(parse_config_text(path.read_text(encoding="utf-8")))
+        except OSError as exc:  # a directory, say
+            raise UsageError(f"config file {config_path}: {exc.strerror}") from None
+        except UnicodeDecodeError:
+            raise UsageError(f"config file {config_path}: invalid UTF-8") from None
     raw.update({k: v for k, v in overrides.items() if v is not None})
 
     cluster_algo = dict(PipelineConfig().cluster_algo)

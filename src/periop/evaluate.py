@@ -9,7 +9,6 @@ beyond that tolerance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -23,40 +22,13 @@ DEFAULT_TOLERANCE = 0.20
 DEFAULT_FLOORS = {"induction": 20.0}
 
 
-@dataclass(frozen=True)
-class MetricsReport:
-    mae: float
-    rmse: float
-    mape_pct: float
-    r2: float
-    median_abs_dev: float
-    mean_pct_dev: float
-    within_tol_rate: float
-    tolerance: float
-    n: int
-    n_zero_actual_excluded: int
-
-    def to_dict(self) -> dict:
-        return {
-            "mae": finite_or_none(self.mae),
-            "rmse": finite_or_none(self.rmse),
-            "mape_pct": finite_or_none(self.mape_pct),
-            "r2": finite_or_none(self.r2),
-            "median_abs_dev": finite_or_none(self.median_abs_dev),
-            "mean_pct_dev": finite_or_none(self.mean_pct_dev),
-            "within_tol_rate": self.within_tol_rate,
-            "tolerance": self.tolerance,
-            "n": self.n,
-            "n_zero_actual_excluded": self.n_zero_actual_excluded,
-        }
-
-
 def compute_metrics(
     actual: Sequence[float],
     predicted: Sequence[float],
     tolerance: float = DEFAULT_TOLERANCE,
-) -> MetricsReport:
-    """Standard error metrics over paired rows.
+) -> dict:
+    """Standard error metrics over paired rows, as ``metrics.json`` holds
+    them: a metric that is not finite is None, since JSON has no NaN.
 
     Ratio metrics (MAPE, signed mean %dev, within-tolerance rate) skip rows
     with actual == 0 and report how many were excluded; MAE/RMSE/r2 use all
@@ -69,9 +41,6 @@ def compute_metrics(
     if a.size < 1:
         raise ValueError("need at least one row")
     err = p - a
-    mae = float(np.mean(np.abs(err)))
-    rmse = float(math.sqrt(np.mean(err * err)))
-    median_abs_dev = median(np.abs(err))
     ss_res = float(np.sum(err * err))
     ss_tot = float(np.sum((a - a.mean()) ** 2))
     if ss_tot == 0.0:
@@ -79,7 +48,6 @@ def compute_metrics(
     else:
         r2 = 1.0 - ss_res / ss_tot
     nonzero = a != 0.0
-    n_excluded = int((~nonzero).sum())
     if nonzero.any():
         pct = err[nonzero] / a[nonzero]
         mape_pct = float(np.mean(np.abs(pct)) * 100.0)
@@ -89,72 +57,34 @@ def compute_metrics(
         mape_pct = 0.0
         mean_pct_dev = 0.0
         within = 0.0
-    return MetricsReport(
-        mae=mae,
-        rmse=rmse,
-        mape_pct=mape_pct,
-        r2=r2,
-        median_abs_dev=median_abs_dev,
-        mean_pct_dev=mean_pct_dev,
-        within_tol_rate=within,
-        tolerance=tolerance,
-        n=int(a.size),
-        n_zero_actual_excluded=n_excluded,
-    )
+    return {
+        "mae": finite_or_none(float(np.mean(np.abs(err)))),
+        "rmse": finite_or_none(float(math.sqrt(np.mean(err * err)))),
+        "mape_pct": finite_or_none(mape_pct),
+        "r2": finite_or_none(r2),
+        "median_abs_dev": finite_or_none(median(np.abs(err))),
+        "mean_pct_dev": finite_or_none(mean_pct_dev),
+        "within_tol_rate": within,
+        "tolerance": tolerance,
+        "n": int(a.size),
+        "n_zero_actual_excluded": int((~nonzero).sum()),
+    }
 
 
-@dataclass(frozen=True)
-class PlanRow:
-    source: str  # "manual" or a model name
-    mean_abs_pct_dev: float
-    median_abs_pct_dev: float
-    share_beyond_tol: float
-    mae: float
-    n: int
-
-    def to_dict(self) -> dict:
-        return {
-            "source": self.source,
-            "mean_abs_pct_dev": finite_or_none(self.mean_abs_pct_dev),
-            "median_abs_pct_dev": finite_or_none(self.median_abs_pct_dev),
-            "share_beyond_tol": self.share_beyond_tol,
-            "mae": finite_or_none(self.mae),
-            "n": self.n,
-        }
-
-
-@dataclass(frozen=True)
-class DeviationReport:
-    phase: str
-    tolerance: float
-    rows: tuple[PlanRow, ...]
-    improvement_pp: dict[str, float]  # manual mean |%dev| minus model's, per model
-
-    def row(self, source: str) -> PlanRow:
-        for row in self.rows:
-            if row.source == source:
-                return row
-        raise KeyError(source)
-
-    def to_dict(self) -> dict:
-        return {
-            "phase": self.phase,
-            "tolerance": self.tolerance,
-            "rows": [r.to_dict() for r in self.rows],
-            "improvement_pp": {k: finite_or_none(v) for k, v in sorted(self.improvement_pp.items())},
-        }
-
-
-def _plan_row(source: str, actual: np.ndarray, predicted: np.ndarray, tolerance: float) -> PlanRow:
+def _plan_row(source: str, actual: np.ndarray, predicted: np.ndarray, tolerance: float) -> tuple[dict, float]:
+    """The report row of ``source``, "manual" or a model name, and its mean
+    |%dev| before the row makes it None where it is not finite."""
     pct = np.abs((predicted - actual) / actual)
-    return PlanRow(
-        source=source,
-        mean_abs_pct_dev=float(pct.mean() * 100.0),
-        median_abs_pct_dev=median(pct) * 100.0,
-        share_beyond_tol=float(np.mean(pct > tolerance)),
-        mae=float(np.mean(np.abs(predicted - actual))),
-        n=int(actual.size),
-    )
+    mean_abs_pct_dev = float(pct.mean() * 100.0)
+    row = {
+        "source": source,
+        "mean_abs_pct_dev": finite_or_none(mean_abs_pct_dev),
+        "median_abs_pct_dev": finite_or_none(median(pct) * 100.0),
+        "share_beyond_tol": float(np.mean(pct > tolerance)),
+        "mae": finite_or_none(float(np.mean(np.abs(predicted - actual)))),
+        "n": int(actual.size),
+    }
+    return row, mean_abs_pct_dev
 
 
 def compare_to_plan(
@@ -162,8 +92,11 @@ def compare_to_plan(
     phase: str,
     model_predictions: Mapping[str, Sequence[float]],
     tolerance: float = DEFAULT_TOLERANCE,
-) -> DeviationReport:
-    """Manual plan vs model predictions on the same cases.
+) -> dict:
+    """Manual plan vs model predictions on the same cases, as
+    ``deviation_report.json`` holds it: ``rows``, the manual row first and
+    then one per model in name order, and ``improvement_pp``, the manual
+    mean |%dev| minus each model's. A value that is not finite is None.
 
     ``cases`` maps each case field to its column (a CaseTable, say), and
     ``model_predictions`` maps a model name to per-case predictions aligned
@@ -189,19 +122,15 @@ def compare_to_plan(
         raise ValueError("no cases carry planned durations for this phase")
 
     actual_arr = np.asarray(actual)
-    rows = [_plan_row("manual", actual_arr, np.asarray(planned), tolerance)]
-    improvement: dict[str, float] = {}
+    manual, manual_mean = _plan_row("manual", actual_arr, np.asarray(planned), tolerance)
+    rows = [manual]
+    improvement: dict[str, float | None] = {}
     for name in sorted(model_predictions):
         preds = np.asarray([float(model_predictions[name][i]) for i in keep])
-        row = _plan_row(name, actual_arr, preds, tolerance)
+        row, mean = _plan_row(name, actual_arr, preds, tolerance)
         rows.append(row)
-        improvement[name] = rows[0].mean_abs_pct_dev - row.mean_abs_pct_dev
-    return DeviationReport(
-        phase=phase,
-        tolerance=tolerance,
-        rows=tuple(rows),
-        improvement_pp=improvement,
-    )
+        improvement[name] = finite_or_none(manual_mean - mean)
+    return {"phase": phase, "tolerance": tolerance, "rows": rows, "improvement_pp": improvement}
 
 
 def histogram(values: Iterable[float], bin_width: float = 3.0) -> list[tuple[float, int]]:

@@ -45,6 +45,15 @@ class FeatureContext:
             "department_schema": self.department_schema.to_dict(),
         }
 
+    def width(self, family: str) -> int:
+        """The number of columns of the design rows that ``design_rows``
+        gives ``family``."""
+        if family == "mean":
+            return 0
+        if family == "group-mean":
+            return 1
+        return 2 + len(self.sex_schema.categories) + len(self.department_schema.categories)
+
     @classmethod
     def from_dict(cls, obj: dict) -> "FeatureContext":
         """Rebuild a context from ``to_dict`` output; raises KeyError for a

@@ -85,6 +85,7 @@ class Model:
     family = "base"
     params: dict[str, tuple[type, object]] = {}
     file_keys: dict[str, str] = {}
+    exact_columns = False  # True: the design must have exactly ``columns`` columns
 
     def __init__(self, **params) -> None:
         unknown = [name for name in params if name not in self.params]
@@ -107,6 +108,12 @@ class Model:
 
     def _load(self, obj: dict) -> None:
         raise NotImplementedError
+
+    @property
+    def columns(self) -> int:
+        """The design columns that the fitted state reads: a design needs at
+        least that many, or exactly that many where ``exact_columns``."""
+        return 0
 
     def _require_fitted(self) -> None:
         if not self._fitted:
@@ -180,6 +187,10 @@ class GroupMeanModel(Model):
         codes = X[:, self.group_col]
         return np.array([self.means_.get(float(c), self.global_mean_) for c in codes])
 
+    @property
+    def columns(self) -> int:
+        return self.group_col + 1
+
     def _state(self) -> dict:
         return {"global_mean": self.global_mean_, "means": sorted([k, v] for k, v in self.means_.items())}
 
@@ -194,6 +205,7 @@ class RidgeModel(Model):
     family = "ridge"
     params = {"lam": (float, 0.0)}
     file_keys = {"lam": "lambda"}
+    exact_columns = True
 
     def fit(self, dataset: Dataset) -> "RidgeModel":
         if dataset.d < 1:
@@ -219,6 +231,10 @@ class RidgeModel(Model):
         # not X @ coef: BLAS rounds a row's dot product by where the row sits
         # in the matrix, and a row's prediction must depend on that row alone
         return (X * self.coef_).sum(axis=1) + self.intercept_
+
+    @property
+    def columns(self) -> int:
+        return len(self.coef_)
 
     def _state(self) -> dict:
         return {"coef": [float(v) for v in self.coef_], "intercept": self.intercept_}
@@ -257,6 +273,7 @@ class Tree:
         self.left = left
         self.right = right
         self.value = value
+        self.columns = int(feature.max(initial=-1)) + 1  # the design columns it reads
         # Walk tables: a leaf tests column 0 against +inf and both of its
         # branches lead back to itself, so every row can take `_depth` steps.
         # _child[2 * node + 1] is the branch for x < threshold.
@@ -267,7 +284,6 @@ class Tree:
         self._child = np.empty(2 * node.shape[0], dtype=np.intp)
         self._child[0::2] = np.where(inner, right, node)
         self._child[1::2] = np.where(inner, left, node)
-        self._columns = int(feature.max(initial=-1)) + 1
         self._depth = 0
         level = node[:1]
         while (level := level[inner[level]]).size:
@@ -277,8 +293,8 @@ class Tree:
     def apply(self, X: np.ndarray) -> np.ndarray:
         """Index of the leaf that each row of ``X`` reaches."""
         n, d = X.shape
-        if d < self._columns:  # a flat index past the row would read the next row
-            raise ValueError(f"tree reads column {self._columns - 1} but X has {d} columns")
+        if d < self.columns:  # a flat index past the row would read the next row
+            raise ValueError(f"tree reads column {self.columns - 1} but X has {d} columns")
         flat = X.ravel()
         row_start = np.arange(n) * d
         node = np.zeros(n, dtype=np.intp)
@@ -507,6 +523,10 @@ class TreeModel(Model):
     def _predict(self, X: np.ndarray) -> np.ndarray:
         return self.tree_.value[self.tree_.apply(X)]
 
+    @property
+    def columns(self) -> int:
+        return self.tree_.columns
+
     def _state(self) -> dict:
         return {"tree": self.tree_.to_dict()}
 
@@ -547,6 +567,10 @@ class ForestModel(Model):
         for tree in self.trees_:  # fixed reduction order keeps results exact
             out += tree.value[tree.apply(X)]
         return out / self.n_trees
+
+    @property
+    def columns(self) -> int:
+        return max((tree.columns for tree in self.trees_), default=0)
 
     def _state(self) -> dict:
         return {"trees": [tree.to_dict() for tree in self.trees_]}
@@ -591,6 +615,10 @@ class GbmModel(Model):
         for tree in self.trees_:
             out += self.learning_rate * tree.value[tree.apply(X)]
         return out
+
+    @property
+    def columns(self) -> int:
+        return max((tree.columns for tree in self.trees_), default=0)
 
     def _state(self) -> dict:
         trees = [tree.to_dict() for tree in self.trees_]
@@ -654,10 +682,14 @@ def model_from_dict(obj: dict) -> Model:
 
 @dataclass(frozen=True)
 class GridSpec:
+    """A grid over ``family``'s parameters; each candidate is ``base``, the
+    configured values, with one combination of the grid's values on top."""
+
     family: str
     grid: Mapping[str, Sequence] = field(default_factory=dict)
     cv_folds: int = 5
     seed: int = 0
+    base: Mapping[str, object] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.family not in _CONSTRUCTORS:
@@ -668,6 +700,7 @@ class GridSpec:
                 raise ValueError(f"empty candidate list for parameter {name!r}")
 
     def candidates(self) -> list[dict]:
+        """The grid's combinations in grid order, without ``base``."""
         if not self.grid:
             return [{}]
         names = list(self.grid)
@@ -675,33 +708,23 @@ class GridSpec:
         return [dict(zip(names, values)) for values in combos]
 
 
-@dataclass(frozen=True)
-class CvRow:
-    params: dict
-    fold_maes: tuple[float, ...]
-    mean_mae: float
-    error: str | None = None
-
-
-@dataclass(frozen=True)
-class GridSearchResult:
-    best_params: dict
-    cv_table: tuple[CvRow, ...]
-
-
 def grid_search(
     spec: GridSpec,
     y: Sequence[float],
     fold_design: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]],
-) -> GridSearchResult:
-    """Exhaustive grid search scored by mean CV MAE.
+) -> tuple[dict, list[dict]]:
+    """Exhaustive grid search scored by mean CV MAE: ``(best_params,
+    cv_table)``, the grid values of the best candidate and, per candidate in
+    grid order, its grid values under ``params`` with its ``mean_mae`` or,
+    for a candidate that failed, its ``error``, the other one None.
 
     Folds come from a seeded shuffle of the rows of ``y``, the targets.
     ``fold_design(fit_idx, val_idx)`` gives a fold's fitting and validation
     matrices, built once before any candidate is scored; a design that fits
     its encoders on the fitting rows alone keeps validation targets out of
-    the fold. Failing candidates are excluded; ties go to the first
-    candidate in deterministic grid order.
+    the fold. Each candidate is fitted with ``spec.base`` under its grid
+    values. Failing candidates are excluded; ties go to the first candidate
+    in deterministic grid order.
     """
     y = np.asarray(y, dtype=float)
     if y.shape[0] < spec.cv_folds:
@@ -716,23 +739,23 @@ def grid_search(
         X_fit, X_val = fold_design(fit_idx, val_idx)
         folds.append((Dataset(X=X_fit, y=y[fit_idx]), X_val, y[val_idx]))
 
-    rows: list[CvRow] = []
-    best: CvRow | None = None
+    cv_table: list[dict] = []
+    best: dict | None = None
     for params in spec.candidates():
+        row = {"params": params, "mean_mae": None, "error": None}
+        cv_table.append(row)
         try:
-            model_params = seeded_params(spec.family, params, spec.seed)
+            model_params = seeded_params(spec.family, {**spec.base, **params}, spec.seed)
             fold_maes = [
                 mae(y_val, make_model(spec.family, model_params).fit(fit).predict(X_val))
                 for fit, X_val, y_val in folds
             ]
         except Exception as exc:  # candidate-level failure, not a crash
-            error = f"{type(exc).__name__}: {exc}"
-            rows.append(CvRow(params=dict(params), fold_maes=(), mean_mae=math.inf, error=error))
+            row["error"] = f"{type(exc).__name__}: {exc}"
             continue
-        row = CvRow(params=dict(params), fold_maes=tuple(fold_maes), mean_mae=float(np.mean(fold_maes)))
-        rows.append(row)
-        if best is None or row.mean_mae < best.mean_mae:
+        row["mean_mae"] = float(np.mean(fold_maes))
+        if best is None or row["mean_mae"] < best["mean_mae"]:
             best = row
     if best is None:
         raise ValueError("all grid candidates failed")
-    return GridSearchResult(best_params=dict(best.params), cv_table=tuple(rows))
+    return dict(best["params"]), cv_table

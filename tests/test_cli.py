@@ -356,6 +356,53 @@ def test_bad_input_header_exits_one(tmp_path, capsys, events):
     assert err.startswith(f"error: {tmp_path / 'events.csv'}: line 1: expected header")
 
 
+@pytest.mark.parametrize(
+    "entry", ["ingest-events", "ingest-cases", "predict-cases", "config", "config-not-utf-8", "synonyms"]
+)
+def test_an_input_path_that_cannot_be_read_exits_one_naming_it(pipeline_dir, tmp_path, capsys, entry):
+    """A directory, or a config file that is not UTF-8, given as an input
+    stops the command with exit 1, naming the path."""
+    source, config = pipeline_dir
+    out = tmp_path / "out"
+    shutil.copytree(source, out)
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    not_utf_8 = tmp_path / "latin-1.cfg"
+    not_utf_8.write_bytes(b"seed = 13 # \xe9\n")
+    common = ["--out", str(out), *SMALL, "--config", str(config)]
+    predict = ["predict", *common, "--phase", "procedure", "--model", "gbm", "--dest", str(tmp_path / "p.csv")]
+    argv, message = {
+        "ingest-events": (["ingest", *common, "--events", str(folder)], f"input {folder}: Is a directory"),
+        "ingest-cases": (["ingest", *common, "--cases", str(folder)], f"input {folder}: Is a directory"),
+        "predict-cases": ([*predict, "--cases", str(folder)], f"input {folder}: Is a directory"),
+        "config": (["clean", "--out", str(out), "--config", str(folder)], f"config file {folder}: Is a directory"),
+        "config-not-utf-8": (["clean", "--out", str(out), "--config", str(not_utf_8)],
+                             f"config file {not_utf_8}: invalid UTF-8"),
+        "synonyms": (["cluster", *common, "--synonyms", str(folder)], f"synonyms file {folder}: Is a directory"),
+    }[entry]
+    capsys.readouterr()
+    assert run(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("flag", ["--cases", "--events"])
+def test_ingest_refuses_an_input_that_it_writes(pipeline_dir, tmp_path, capsys, flag):
+    """Ingest would read its input and then overwrite it with cases.jsonl:
+    an input that resolves to a file ingest writes exits 1 before any read,
+    and the file keeps its bytes."""
+    source, _ = pipeline_dir
+    out = tmp_path / "out"
+    shutil.copytree(source, out)
+    before = (out / "cases.jsonl").read_bytes()
+    given = out / ".." / "out" / "cases.jsonl"  # the same file by another path
+    capsys.readouterr()
+    assert run(["ingest", "--out", str(out), *SMALL, flag, str(given)]) == 1
+    assert (out / "cases.jsonl").read_bytes() == before
+    assert capsys.readouterr().err == (
+        f"error: {flag[2:]} input {given} is a file that ingest writes; give an input outside its output\n"
+    )
+
+
 def test_ingest_report_names_the_source_of_each_error(tmp_path):
     (tmp_path / "events.csv").write_text(
         "case_id,event_type,timestamp\nW1,incision,yesterday\nW1,suture,2024-03-01T10:10:00Z\n"
@@ -1154,6 +1201,8 @@ def _set_cell(col, value):
         ("model_procedure_group-mean.json", _edit_json(lambda obj: obj["model"].__setitem__("group_col", 2**63)),
          ("evaluate",), "train",
          "'model.group_col' is 9223372036854775808, but model 'group-mean' of phase 'procedure' needs 0"),
+        ("model_procedure_gbm.json", _edit_json(lambda obj: obj["model"]["trees"][0]["feature"].__setitem__(0, 40)),
+         ("evaluate", "predict"), "train", "the model reads 41 design columns, but 'features' gives 14"),
     ],
     ids=["clean-no-retained-ids", "clean-a-list", "clean-unknown-id", "clean-id-not-a-string",
          "assignments-cluster-x", "assignments-one-field-row", "assignments-empty", "assignments-not-utf8",
@@ -1161,7 +1210,7 @@ def _set_cell(col, value):
          "assignments-no-header", "assignments-row-deleted", "clean-nested-too-deeply",
          "tfidf-nested-too-deeply", "gmm-negative-weight", "gmm-means-one-row-short",
          "kmeans-centroids-one-column-narrow", "tfidf-idf-below-one", "tfidf-no-documents",
-         "group-mean-group-col-5", "group-mean-group-col-2**63"],
+         "group-mean-group-col-5", "group-mean-group-col-2**63", "gbm-tree-feature-40"],
 )
 def test_an_edited_artifact_exits_one_naming_it_and_the_stage_to_rerun(
     pipeline_dir, tmp_path, capsys, artifact, edit, stages, rerun, problem
@@ -1219,6 +1268,39 @@ def test_a_bundle_unlike_its_file_or_roster_entry_exits_one(
         assert capsys.readouterr().err == (
             f"error: {path}: {field!r} is {value!r}, but model 'group-mean' of phase 'procedure' needs "
             f"{expected!r}; re-run 'train' to rebuild it\n"
+        )
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda bundle: bundle["model"]["coef"].append(0.5),
+        lambda bundle: bundle["model"]["coef"].pop(),
+        lambda bundle: bundle["features"]["sex_schema"]["categories"].append("x"),
+    ],
+    ids=["coef-one-longer", "coef-one-shorter", "one-more-sex"],
+)
+def test_a_ridge_that_reads_another_design_width_exits_one(pipeline_dir, tmp_path, capsys, edit):
+    """A ridge reads exactly as many design columns as it has coefficients,
+    and its bundle's features must give that many."""
+    source, config = pipeline_dir
+    out = tmp_path / "out"
+    shutil.copytree(source, out)
+    common = ["--out", str(out), *SMALL, "--config", str(config), "--phase", "procedure", "--model", "ridge"]
+    assert run(["train", *common]) == 0
+    path = out / "model_procedure_ridge.json"
+    bundle = json.loads(path.read_text())
+    edit(bundle)
+    path.write_text(json.dumps(bundle))
+    features = bundle["features"]
+    width = 2 + len(features["sex_schema"]["categories"]) + len(features["department_schema"]["categories"])
+    reads = len(bundle["model"]["coef"])
+    for argv in (["evaluate", *common], ["predict", *common, "--dest", str(tmp_path / "p.csv")]):
+        capsys.readouterr()
+        assert run(argv) == 1, argv[0]
+        assert capsys.readouterr().err == (
+            f"error: {path}: the model reads {reads} design columns, but 'features' gives {width}; "
+            "re-run 'train' to rebuild it\n"
         )
 
 

@@ -160,6 +160,6 @@ def test_grid_search_refits_encoders_per_fold():
     cases = training_columns([Case(case_id=str(i)) for i in range(60)], targets)
     ctx = fit_context("procedure", cases, clusters, "cluster", target_smoothing=2.0)
     spec = GridSpec(family="gbm", grid={"n_trees": [20]}, cv_folds=4, seed=3)
-    result = grid_search(spec, targets, fold_design(ctx, "gbm", cases, clusters))
-    assert result.cv_table[0].error is None
-    assert result.cv_table[0].mean_mae < 10.0
+    _, cv_table = grid_search(spec, targets, fold_design(ctx, "gbm", cases, clusters))
+    assert cv_table[0]["error"] is None
+    assert cv_table[0]["mean_mae"] < 10.0

@@ -598,44 +598,64 @@ def test_tree_predict_rejects_too_few_columns():
 
 def test_grid_search_single_candidate():
     ds = linear_dataset(n=30, seed=3, noise=0.5)
-    result = grid_search(GridSpec(family="ridge", grid={"lam": [0.5]}, cv_folds=3, seed=0), ds.y, row_folds(ds))
-    assert result.best_params == {"lam": 0.5}
-    assert len(result.cv_table) == 1
+    best_params, cv_table = grid_search(
+        GridSpec(family="ridge", grid={"lam": [0.5]}, cv_folds=3, seed=0), ds.y, row_folds(ds)
+    )
+    assert best_params == {"lam": 0.5}
+    assert len(cv_table) == 1
 
 
 def test_grid_search_prefers_sane_lambda():
     ds = linear_dataset(n=60, seed=4, noise=0.5)
     spec = GridSpec(family="ridge", grid={"lam": [0.1, 1e9]}, cv_folds=5, seed=1)
-    result = grid_search(spec, ds.y, row_folds(ds))
-    assert result.best_params == {"lam": 0.1}
+    best_params, _ = grid_search(spec, ds.y, row_folds(ds))
+    assert best_params == {"lam": 0.1}
 
 
 def test_grid_search_tie_keeps_first():
     ds = linear_dataset(n=30, seed=5, noise=0.5)
     spec = GridSpec(family="ridge", grid={"lam": [0.2, 0.2]}, cv_folds=3, seed=2)
-    result = grid_search(spec, ds.y, row_folds(ds))
-    assert result.best_params == {"lam": 0.2}
-    assert result.cv_table[0].mean_mae == result.cv_table[1].mean_mae
+    best_params, cv_table = grid_search(spec, ds.y, row_folds(ds))
+    assert best_params == {"lam": 0.2}
+    assert cv_table[0]["mean_mae"] == cv_table[1]["mean_mae"]
 
 
 def test_grid_search_invariant_to_candidate_order():
     ds = linear_dataset(n=60, seed=4, noise=0.5)
     fwd = GridSpec(family="ridge", grid={"lam": [0.1, 10.0, 1e6]}, cv_folds=4, seed=1)
     rev = GridSpec(family="ridge", grid={"lam": [1e6, 10.0, 0.1]}, cv_folds=4, seed=1)
-    fwd, rev = (grid_search(spec, ds.y, row_folds(ds)) for spec in (fwd, rev))
-    assert fwd.best_params == rev.best_params == {"lam": 0.1}
+    (fwd, _), (rev, _) = (grid_search(spec, ds.y, row_folds(ds)) for spec in (fwd, rev))
+    assert fwd == rev == {"lam": 0.1}
 
 
 def test_grid_search_excludes_failing_candidates():
     X = np.ones((20, 2))  # singular at lam=0
     ds = dataset(X, np.arange(20))
     spec = GridSpec(family="ridge", grid={"lam": [0.0, 1.0]}, cv_folds=4, seed=0)
-    result = grid_search(spec, ds.y, row_folds(ds))
-    assert result.best_params == {"lam": 1.0}
-    failed = [row for row in result.cv_table if row.error is not None]
-    assert len(failed) == 1 and failed[0].params == {"lam": 0.0}
+    best_params, cv_table = grid_search(spec, ds.y, row_folds(ds))
+    assert best_params == {"lam": 1.0}
+    failed = [row for row in cv_table if row["error"] is not None]
+    assert len(failed) == 1 and failed[0]["params"] == {"lam": 0.0}
     with pytest.raises(ValueError):
         grid_search(GridSpec(family="ridge", grid={"lam": [0.0]}, cv_folds=4, seed=0), ds.y, row_folds(ds))
+
+
+def test_grid_search_scores_candidates_on_the_configured_values():
+    """A parameter the grid leaves out is scored at the configured value in
+    ``base``, not at the family's default, and a grid value overrides it:
+    the CV table follows both."""
+    ds = linear_dataset(n=60, seed=6, noise=2.0)
+
+    def table(base, grid):
+        spec = GridSpec(family="gbm", grid=grid, cv_folds=3, seed=0, base={"n_trees": 10, **base})
+        return grid_search(spec, ds.y, row_folds(ds))[1]
+
+    at_5 = table({"min_leaf": 5}, {"learning_rate": [0.1]})
+    at_15 = table({"min_leaf": 15}, {"learning_rate": [0.1]})
+    in_grid = table({"min_leaf": 5}, {"learning_rate": [0.1], "min_leaf": [15]})
+    assert at_15[0]["params"] == {"learning_rate": 0.1}
+    assert at_5[0]["mean_mae"] != at_15[0]["mean_mae"]
+    assert at_15[0]["mean_mae"] == in_grid[0]["mean_mae"]
 
 
 def test_grid_spec_validation():
