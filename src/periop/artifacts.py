@@ -1,17 +1,17 @@
 """Artifact I/O: every file a stage writes, and every artifact a stage reads.
 
-Each artifact has one writer and one reader here. Every file a stage writes
-goes through ``_create``. Three readers serve every artifact that a stage
-reads back: ``read_json`` for the JSON artifacts, each through its own
-decoder, ``read_csv`` for the assignments and predictions, and
-``read_cases`` for ``cases.jsonl``, which reads the file in one pass and
+``WRITES`` declares the files each command writes into ``--out``; every
+file a stage writes goes through ``_create``. Three readers serve every
+artifact that a stage reads back: ``read_json`` for the JSON artifacts, each
+through its own decoder, ``read_csv`` for the assignments and predictions,
+and ``read_cases`` for ``cases.jsonl``, which reads the file in one pass and
 gives a CaseTable: the reader checks each line's shape, and the table the
 values of each case. A reader returns checked data or raises UsageError,
-naming the file, the line or field where there is one, and the stage that
-writes it; so a missing, malformed or stale artifact exits 1. A reader also
-checks the file against the data it is read with: a clean file's ids
-against the case table, the assignments against the retained ids, and the
-predictions against the test ids they are read for.
+naming the file, the line or field where there is one, and the command
+that ``WRITES`` names for it; so a missing, malformed or stale artifact
+exits 1. A reader also checks the file against the data it is read with: a
+clean file's ids against the case table, the assignments against the
+retained ids, and the predictions against the test ids they are read for.
 
 The assignments file is the one record of the train/test split: ``cluster``
 draws the split and writes the training ids, ascending, then the test ids,
@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import fnmatch
 import itertools
 import json
 import math
@@ -45,6 +46,34 @@ _PREDICTIONS_HEADER = ("case_id", "actual_min", "planned_min", ...)
 
 Side = tuple[list[str], list[int]]  # one side of the split: its case ids and their clusters
 
+WRITES = {  # each command, in pipeline order, and the names of the files it writes into --out
+    "synth": ("events.csv", "cases.csv", "ground_truth.json"),
+    "ingest": ("cases.jsonl", "ingest_report.json"),
+    "clean": ("clean_*.json", "cleaning_report.json"),
+    "cluster": ("tfidf_*", "cluster_model_*", "assignments_*", "clusters_*"),
+    "train": ("model_*_*.json",),
+    "evaluate": ("predictions_*.csv", "metrics.json"),
+    "report": ("deviation_report.json", "factor_report.json", "histogram_*_*.csv", "histogram_*_*.svg"),
+    "predict": ("predictions.csv",),
+}
+
+
+def writer_of(path: Path) -> str | None:
+    """The command that ``WRITES`` declares for the name of ``path``, or None."""
+    return next((c for c, names in WRITES.items() if any(fnmatch.fnmatchcase(path.name, n) for n in names)), None)
+
+
+def refuse_overwrite(command: str, out: Path, inputs: Mapping[str, Path], dest: Path | None = None) -> None:
+    """Exit 1 if ``command`` would write over one of its ``inputs``, by option name (``dest``
+    if given, else its files in ``out``), or ``dest`` over another command's file in ``out``."""
+    def writer(path: Path) -> str | None:  # the command that writes path, a file in out
+        return writer_of(path.resolve()) if path.resolve().parent == out.resolve() else None
+    if dest is not None and writer(dest) not in (None, command):
+        raise UsageError(f"--dest {dest} is a file that {writer(dest)} writes; give a path no other command writes")
+    for key, path in inputs.items():
+        if (path.resolve() == dest.resolve()) if dest is not None else (writer(path) == command):
+            raise UsageError(f"{key} input {path} is a file that {command} writes; give an input outside its output")
+
 
 # ---------------------------------------------------------------------------
 # Writing
@@ -54,9 +83,13 @@ Side = tuple[list[str], list[int]]  # one side of the split: its case ids and th
 @contextlib.contextmanager
 def _create(path: Path) -> Iterator[TextIO]:
     """``path`` opened for writing text: every file a stage writes is written
-    through here, in UTF-8 with "\\n" line ends."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8", newline="") as fh:
+    through here, in UTF-8 with "\\n" line ends; a path it cannot create exits 1."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fh = path.open("w", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise UsageError(f"output {exc.filename}: {exc.strerror}") from None
+    with fh:
         yield fh
 
 
@@ -121,9 +154,14 @@ def write_text(path: Path, text: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _require(path: Path, stage: str) -> None:
+def _require(path: Path) -> None:
     if not path.exists():
-        raise UsageError(f"missing artifact: {path} (run {stage!r} first)")
+        raise UsageError(f"missing artifact: {path} (run {writer_of(path)!r} first)")
+
+
+def _unreadable(path: Path, detail: str, line: int | None = None) -> UsageError:
+    where = path if line is None else f"{path}:{line}"
+    return UsageError(f"{where}: {detail}; re-run {writer_of(path)!r} to rebuild it")
 
 
 def _reject_constant(token: str):
@@ -136,20 +174,18 @@ def _reject_constant(token: str):
 _decode_json = json.JSONDecoder(parse_constant=_reject_constant).decode
 
 
-def read_json(path: Path, decode: Callable, stage: str):
+def read_json(path: Path, decode: Callable):
     """``decode`` the JSON artifact at ``path``; a file that is not JSON, a
-    missing field or a bad value exits 1, naming the file and ``stage``, the
-    stage that rebuilds it."""
-    _require(path, stage)
+    missing field or a bad value exits 1, naming the file and the command
+    that rebuilds it."""
+    _require(path)
     try:  # invalid UTF-8 or JSON, or a constant rejected above, is a ValueError
         return decode(_decode_json(path.read_text(encoding="utf-8")))
-    except KeyError as exc:
-        raise UsageError(f"{path}: missing field {exc}; re-run {stage!r} to rebuild it") from None
-    # e.g. trees in an older nested layout, an idf that does not fit the
-    # vocabulary, a field of the wrong JSON type or an array of wrong entries;
-    # json's decoder raises RecursionError for arrays nested too deeply
-    except (ValueError, TypeError, RecursionError) as exc:
-        raise UsageError(f"{path}: {exc}; re-run {stage!r} to rebuild it") from None
+    # a missing field; trees in an older nested layout, an idf that does not
+    # fit the vocabulary, a field of the wrong JSON type or an array of wrong
+    # entries; json's decoder raises RecursionError for arrays nested too deeply
+    except (KeyError, ValueError, TypeError, RecursionError) as exc:
+        raise _unreadable(path, f"missing field {exc}" if type(exc) is KeyError else str(exc)) from None
 
 
 def read_retained_ids(path: Path, case_ids: Collection[str]) -> list[str]:
@@ -171,10 +207,10 @@ def read_retained_ids(path: Path, case_ids: Collection[str]) -> list[str]:
             raise ValueError(f"'retained_ids' holds ids that cases.jsonl lacks, such as {min(unknown)!r}")
         return ids
 
-    return read_json(path, decode, "clean")
+    return read_json(path, decode)
 
 
-def read_csv(path: Path, header: tuple, decode_row: Callable, stage: str) -> tuple[list[str], dict]:
+def read_csv(path: Path, header: tuple, decode_row: Callable) -> tuple[list[str], dict]:
     """Line 1's names and the rows of the CSV artifact at ``path`` by case id,
     their first field, each decoded by ``decode_row(row, names)``.
 
@@ -182,9 +218,9 @@ def read_csv(path: Path, header: tuple, decode_row: Callable, stage: str) -> tup
     more further names there. A missing or empty file, invalid UTF-8, another
     line 1, a row of another number of fields, a case id read before and a
     cell that ``decode_row`` rejects with ValueError exit 1, naming the file,
-    the line and ``stage``, the stage that rebuilds it.
+    the line and the command that rebuilds it.
     """
-    _require(path, stage)
+    _require(path)
     with path.open(encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -201,9 +237,9 @@ def read_csv(path: Path, header: tuple, decode_row: Callable, stage: str) -> tup
                     raise ValueError(f"case {row[0]!r} is listed a second time")
                 rows[row[0]] = decode_row(row, names)
         except UnicodeDecodeError:  # a ValueError, read in blocks: no line to name
-            raise UsageError(f"{path}: invalid UTF-8; re-run {stage!r} to rebuild it") from None
+            raise _unreadable(path, "invalid UTF-8") from None
         except (ValueError, csv.Error) as exc:
-            raise UsageError(f"{path}:{max(reader.line_num, 1)}: {exc}; re-run {stage!r} to rebuild it") from None
+            raise _unreadable(path, str(exc), max(reader.line_num, 1)) from None
     return names, rows
 
 
@@ -250,15 +286,13 @@ def _predictions(row: list[str], names: Sequence[str]) -> list[float]:
     return [_number(row, names, col) for col in range(3, len(row))]
 
 
-def _covering(path: Path, rows: dict, ids: Sequence[str], stage: str) -> list:
+def _covering(path: Path, rows: dict, ids: Sequence[str]) -> list:
     """``rows``' entry for each of ``ids``, which must all be there: an
     artifact that lacks one was written for other cases."""
     missing = set(ids).difference(rows)
     if missing:
-        raise UsageError(
-            f"{path}: holds no row for {len(missing)} of the {len(ids)} cases it is read for, "
-            f"such as {min(missing)!r}; re-run {stage!r} to rebuild it"
-        )
+        detail = f"holds no row for {len(missing)} of the {len(ids)} cases it is read for, such as {min(missing)!r}"
+        raise _unreadable(path, detail)
     return [rows[i] for i in ids]
 
 
@@ -272,23 +306,20 @@ def read_split(path: Path, retained: Collection[str], test_fraction: float) -> t
     writes it; a ``test_fraction`` changed since ``cluster`` ran moves the
     boundary and breaks that order.
     """
-    _, clusters = read_csv(path, _ASSIGNMENTS_HEADER, _cluster, "cluster")
-    _covering(path, clusters, retained, "cluster")
+    _, clusters = read_csv(path, _ASSIGNMENTS_HEADER, _cluster)
+    _covering(path, clusters, retained)
     if len(clusters) != len(retained):  # no id is missing, so some are extra
         extra = set(clusters).difference(retained)
-        raise UsageError(
-            f"{path}: holds rows for {len(extra)} cases that cleaning did not retain, "
-            f"such as {min(extra)!r}; re-run 'cluster' to rebuild it"
-        )
+        detail = f"holds rows for {len(extra)} cases that cleaning did not retain, such as {min(extra)!r}"
+        raise _unreadable(path, detail)
     ids = list(clusters)
     n_train = len(ids) - rules.held_out(len(ids), test_fraction)
     for i in range(1, len(ids)):
         if ids[i] <= ids[i - 1] and i != n_train:
             side = "training" if i < n_train else "test"
-            raise UsageError(
-                f"{path}:{i + 2}: case {ids[i]!r} breaks the ascending order of the {side} ids, so "
-                "the file is not the split that 'cluster' draws at this 'test_fraction'; re-run 'cluster' to rebuild it"
-            )
+            detail = (f"case {ids[i]!r} breaks the ascending order of the {side} ids, so "
+                      "the file is not the split that 'cluster' draws at this 'test_fraction'")
+            raise _unreadable(path, detail, i + 2)
     labels = list(clusters.values())
     return (ids[:n_train], labels[:n_train]), (ids[n_train:], labels[n_train:])
 
@@ -296,8 +327,8 @@ def read_split(path: Path, retained: Collection[str], test_fraction: float) -> t
 def read_predictions(path: Path, ids: Sequence[str]) -> dict[str, list[float]]:
     """Each model's prediction for each of ``ids`` in the predictions file at
     ``path``, by model name."""
-    names, rows = read_csv(path, _PREDICTIONS_HEADER, _predictions, "evaluate")
-    per_case = _covering(path, rows, ids, "evaluate")
+    names, rows = read_csv(path, _PREDICTIONS_HEADER, _predictions)
+    per_case = _covering(path, rows, ids)
     first = len(_PREDICTIONS_HEADER) - 1
     return {name: [row[j] for row in per_case] for j, name in enumerate(names[first:])}
 
@@ -331,7 +362,7 @@ def read_cases(path: Path) -> CaseTable:
     and what is wrong with that line."""
     from .casetable import CaseError, CaseTable
 
-    _require(path, "ingest")
+    _require(path)
     table = CaseTable()
     line_no = 1
     try:
@@ -366,9 +397,9 @@ def read_cases(path: Path) -> CaseTable:
                 if fault:
                     raise ValueError(fault)
     except UnicodeDecodeError:
-        raise UsageError(f"{path}: invalid UTF-8; re-run 'ingest'") from None
+        raise _unreadable(path, "invalid UTF-8") from None
     except ValueError as exc:
-        raise UsageError(f"{path}:{line_no}: {exc}; re-run 'ingest'") from None
+        raise _unreadable(path, str(exc), line_no) from None
     return table
 
 

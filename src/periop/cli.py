@@ -1,4 +1,4 @@
-"""Pipeline CLI: synth, ingest, clean, cluster, train, evaluate, predict, report.
+"""Pipeline CLI: synth, ingest, clean, cluster, train, evaluate, report, predict.
 
 Every stage reads its inputs from files in the output directory and writes
 versioned JSON/CSV artifacts back, so each subcommand can be re-run in
@@ -18,8 +18,8 @@ collector for the length of the command; it would only re-scan that table.
 (see ``_BLAS_THREAD_VARS``); the artifacts are byte-identical on any thread
 count. ``run`` sets nothing: the process that calls it owns its BLAS.
 
-Artifact I/O is ``periop.artifacts``. A missing, malformed or stale artifact
-exits 1, naming the file and the stage that rebuilds it.
+Artifact I/O is ``periop.artifacts``, whose ``WRITES`` keys are the commands;
+a missing, malformed or stale artifact exits 1, naming it and its writer.
 
 Exit codes: 0 success, 1 validation/usage error, 2 runtime error.
 """
@@ -172,16 +172,14 @@ def stage_synth(cfg: PipelineConfig) -> None:
 
 def stage_ingest(cfg: PipelineConfig) -> None:
     out = Path(cfg.out)
-    written = {(out / name).resolve() for name in ("cases.jsonl", "ingest_report.json")}
-    for key, path in (("events", cfg.events_path()), ("cases", cfg.cases_path())):
-        if path.resolve() in written:  # read first, then overwritten
-            raise UsageError(f"{key} input {path} is a file that ingest writes; give an input outside its output")
+    own = out / "cases.jsonl"  # one of this command's files, which names it in the table
+    artifacts.refuse_overwrite(artifacts.writer_of(own), out, {"events": cfg.events_path(), "cases": cfg.cases_path()})
     log, event_errors = _parse_input(cfg.events_path(), parse_events)
     # a case keeps its first attribute row; a later one is a record error
     attrs, attr_errors = _parse_input(cfg.cases_path(), parse_case_attributes, unique_ids=True)
     cases = assemble_cases(log, attrs)
 
-    artifacts.write_cases(out / "cases.jsonl", cases)
+    artifacts.write_cases(own, cases)
     labelled = [("events", e) for e in event_errors] + [("cases", e) for e in attr_errors]
     report = {
         "n_events": len(log),
@@ -393,7 +391,7 @@ def _read_bundle(cfg: PipelineConfig, phase: str, name: str) -> tuple[features.F
             raise ValueError(f"the model reads {fitted.columns} design columns, but 'features' gives {width}")
         return context, fitted, family
 
-    return artifacts.read_json(Path(cfg.out) / f"model_{phase}_{name}.json", decode, "train")
+    return artifacts.read_json(Path(cfg.out) / f"model_{phase}_{name}.json", decode)
 
 
 def _bundle_predict(
@@ -521,6 +519,9 @@ def stage_predict(cfg: PipelineConfig, dest: str | None, apply_floors: bool) -> 
 
     phase, name = cfg.phases[0], cfg.models[0]
     out = Path(cfg.out)
+    own = out / "predictions.csv"  # as in stage_ingest
+    dest_path = Path(dest) if dest else own
+    artifacts.refuse_overwrite(artifacts.writer_of(own), out, {"cases": cfg.cases_path()}, dest_path)
     bundle = _read_bundle(cfg, phase, name)
 
     cases_path = cfg.cases_path()
@@ -533,7 +534,7 @@ def stage_predict(cfg: PipelineConfig, dest: str | None, apply_floors: bool) -> 
     # new free text is clustered with the persisted TF-IDF + cluster model;
     # each row keeps its own cluster, also where rows share a case_id
     tfidf_path = out / f"tfidf_{phase}.json"
-    tfidf = artifacts.read_json(tfidf_path, textnorm.TfidfModel.from_dict, "cluster")
+    tfidf = artifacts.read_json(tfidf_path, textnorm.TfidfModel.from_dict)
 
     def cluster_model_of(obj: dict) -> clustering.KMeansModel | clustering.GmmModel:
         model = clustering.model_from_dict(rules.field(obj, "model", dict))
@@ -541,7 +542,7 @@ def stage_predict(cfg: PipelineConfig, dest: str | None, apply_floors: bool) -> 
             raise ValueError(f"the model has {model.dim} columns for the {tfidf.dim} terms of {tfidf_path.name}")
         return model
 
-    cluster_model = artifacts.read_json(out / f"cluster_model_{phase}.json", cluster_model_of, "cluster")
+    cluster_model = artifacts.read_json(out / f"cluster_model_{phase}.json", cluster_model_of)
     preds: Sequence[float] = []  # a --cases without a row read gets a header-only file
     if attrs:
         columns = dict(zip(CASES_HEADER, zip(*attrs)))
@@ -554,7 +555,6 @@ def stage_predict(cfg: PipelineConfig, dest: str | None, apply_floors: bool) -> 
 
         floors = {"induction": cfg.planning_floor_induction}
         preds = [evaluate.apply_planning_floor(p, phase, floors) for p in preds]
-    dest_path = Path(dest) if dest else out / "predictions.csv"
     artifacts.write_csv(
         dest_path,
         ["case_id", "phase", "model", "prediction_min"],
@@ -594,12 +594,11 @@ def _build_parser() -> _Parser:
     common.add_argument("--grid-search", action="store_true", default=None,
                         dest="grid_search", help="tune hyperparameters by CV grid search")
     common.add_argument("--n-cases", type=int, dest="synth_n_cases", help="synthetic log size")
-    for name in ("synth", "ingest", "clean", "cluster", "train", "evaluate", "report"):
-        sub.add_parser(name, parents=[common])
-    predict = sub.add_parser("predict", parents=[common])
-    predict.add_argument("--dest", help="output CSV for predictions")
-    predict.add_argument("--apply-floors", action="store_true",
-                         help="raise predictions to the planning floors")
+    for name in artifacts.WRITES:
+        command = sub.add_parser(name, parents=[common])
+        if name not in STAGES:  # predict
+            command.add_argument("--dest", help="output CSV for predictions")
+            command.add_argument("--apply-floors", action="store_true", help="raise predictions to the planning floors")
     return parser
 
 
@@ -630,10 +629,10 @@ def run(argv: Sequence[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         cfg = _config_from_args(args)
-        if args.command == "predict":
-            stage_predict(cfg, args.dest, args.apply_floors)
-        else:
+        if args.command in STAGES:
             STAGES[args.command](cfg)
+        else:
+            stage_predict(cfg, args.dest, args.apply_floors)
         return 0
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -11,6 +11,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from fnmatch import fnmatchcase
 from pathlib import Path
 
 import pytest
@@ -403,6 +404,141 @@ def test_ingest_refuses_an_input_that_it_writes(pipeline_dir, tmp_path, capsys, 
     )
 
 
+def _predict_argv(out, config, *extra):
+    return ["predict", "--out", str(out), *SMALL, "--config", str(config), "--phase", "procedure", "--model", "gbm",
+            *extra]
+
+
+@pytest.mark.parametrize(
+    "name, writer",
+    [("cases.jsonl", "ingest"), ("model_procedure_gbm.json", "train"), ("predictions_procedure.csv", "evaluate"),
+     ("events.csv", "synth")],
+)
+def test_predict_refuses_a_dest_that_another_command_writes(pipeline_dir, tmp_path, capsys, name, writer):
+    """A --dest that resolves to another command's artifact in --out exits 1
+    before any read, naming the file and the command, and the file keeps its
+    bytes."""
+    source, config = pipeline_dir
+    out = tmp_path / "out"
+    shutil.copytree(source, out)
+    before = (out / name).read_bytes()
+    dest = out / ".." / "out" / name  # the same file by another path
+    capsys.readouterr()
+    assert run(_predict_argv(out, config, "--dest", str(dest))) == 1
+    assert (out / name).read_bytes() == before
+    assert capsys.readouterr().err == (
+        f"error: --dest {dest} is a file that {writer} writes; give a path no other command writes\n"
+    )
+
+
+def test_predict_writes_its_own_file_in_out_or_a_path_outside_it(pipeline_dir, tmp_path):
+    source, config = pipeline_dir
+    out = tmp_path / "out"
+    shutil.copytree(source, out)
+    for dest in (out / "predictions.csv", tmp_path / "elsewhere.csv"):
+        assert run(_predict_argv(out, config, "--dest", str(dest))) == 0
+    assert (out / "predictions.csv").read_bytes() == (tmp_path / "elsewhere.csv").read_bytes()
+
+
+def test_predict_refuses_a_dest_that_is_its_cases_input(pipeline_dir, tmp_path, capsys):
+    """predict --cases mine.csv --dest mine.csv would replace the cases with
+    the predictions: it exits 1 and mine.csv keeps its bytes."""
+    source, config = pipeline_dir
+    mine = tmp_path / "mine.csv"
+    shutil.copy(source / "cases.csv", mine)
+    before = mine.read_bytes()
+    capsys.readouterr()
+    assert run(_predict_argv(source, config, "--cases", str(mine), "--dest", str(mine))) == 1
+    assert mine.read_bytes() == before
+    assert capsys.readouterr().err == (
+        f"error: cases input {mine} is a file that predict writes; give an input outside its output\n"
+    )
+
+
+@pytest.mark.parametrize("command", ["predict", "synth", "ingest"])
+def test_an_output_path_that_cannot_be_created_exits_one_naming_it(pipeline_dir, tmp_path, capsys, command):
+    """A --dest that is a directory, or an --out that is a regular file."""
+    source, config = pipeline_dir
+    folder, regular = tmp_path / "folder", tmp_path / "regular"
+    folder.mkdir()
+    regular.write_text("not a directory\n")
+    argv, message = {
+        "predict": (_predict_argv(source, config, "--dest", str(folder)), f"output {folder}: Is a directory"),
+        "synth": (["synth", "--out", str(regular), *SMALL], f"output {regular}: File exists"),
+        "ingest": (["ingest", "--out", str(regular), *SMALL, "--events", str(source / "events.csv"),
+                    "--cases", str(source / "cases.csv")], f"output {regular}: File exists"),
+    }[command]
+    capsys.readouterr()
+    assert run(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert regular.read_text() == "not a directory\n"
+
+
+def test_the_subcommands_are_the_commands_of_the_writes_table():
+    assert [*cli.STAGES, "predict"] == list(artifacts.WRITES)
+
+
+# three small chains: the default config; one phase without a plan, so no
+# plan histogram and no deviation row; one phase with the whole roster tuned
+# by grid search
+_TABLE_CHAINS = {
+    "default": ("", ()),
+    "no-plan": ("phases = preparation\n", ()),
+    "roster-grid": (
+        "phases = procedure\nmodels = mean,group-mean,mta,ridge,tree,forest,gbm\nforest_n_trees = 5\n",
+        ("--grid-search",),
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def chain_writes(tmp_path_factory):
+    """chain_writes(chain): the --out of a 300-case chain and predict, and
+    each file that artifacts._create opened there by the command that opened
+    it. Each chain runs once."""
+
+    @functools.cache
+    def writes(chain):
+        lines, flags = _TABLE_CHAINS[chain]
+        out = tmp_path_factory.mktemp(chain)
+        config = tmp_path_factory.mktemp(f"{chain}-config") / "chain.cfg"
+        config.write_text("synth_n_cases = 300\n" + lines)
+        created: dict[str, list[Path]] = {command: [] for command in artifacts.WRITES}
+        running = []  # the command that runs now, last
+        create = artifacts._create
+
+        def recording(path):
+            created[running[-1]].append(path)
+            return create(path)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(artifacts, "_create", recording)
+            for command in artifacts.WRITES:
+                running.append(command)
+                assert run([command, "--out", str(out), "--seed", "7", "--config", str(config), *flags]) == 0, command
+        return out, created
+
+    return writes
+
+
+@pytest.mark.parametrize("chain", list(_TABLE_CHAINS))
+def test_every_file_a_command_creates_is_declared_for_it_alone(chain_writes, chain):
+    out, created = chain_writes(chain)
+    for command, paths in created.items():
+        for path in paths:
+            assert path.parent == out, (command, path)
+            assert artifacts.writer_of(path) == command, (command, path.name)
+            matching = [c for c, names in artifacts.WRITES.items() if any(fnmatchcase(path.name, n) for n in names)]
+            assert matching == [command], (command, path.name)
+
+
+def test_every_declared_name_is_written_by_some_chain(chain_writes):
+    names = {path.name for chain in _TABLE_CHAINS for paths in chain_writes(chain)[1].values() for path in paths}
+    for command, patterns in artifacts.WRITES.items():
+        for pattern in patterns:
+            assert any(fnmatchcase(name, pattern) for name in names), (command, pattern)
+
+
 def test_ingest_report_names_the_source_of_each_error(tmp_path):
     (tmp_path / "events.csv").write_text(
         "case_id,event_type,timestamp\nW1,incision,yesterday\nW1,suture,2024-03-01T10:10:00Z\n"
@@ -508,7 +644,7 @@ def test_bad_cases_jsonl_exits_one_naming_the_line(tmp_path, capsys, line, probl
     path.write_text(CASES_JSONL_HEADER + "\n" + case_line() + "\n" + line + "\n")
     for stage in ("clean", "cluster", "train", "evaluate", "report"):
         assert run([stage, "--out", str(tmp_path)]) == 1, stage
-        assert capsys.readouterr().err == f"error: {path}:3: {problem}; re-run 'ingest'\n"
+        assert capsys.readouterr().err == f"error: {path}:3: {problem}; re-run 'ingest' to rebuild it\n"
 
 
 @pytest.mark.parametrize(
@@ -527,7 +663,7 @@ def test_cases_jsonl_without_its_header_exits_one_at_line_one(tmp_path, capsys, 
     for stage in ("clean", "cluster", "train", "evaluate", "report"):
         assert run([stage, "--out", str(tmp_path)]) == 1, stage
         assert capsys.readouterr().err == (
-            f"error: {path}:1: expected a header line of the 14 field names, got {got}; re-run 'ingest'\n"
+            f"error: {path}:1: expected a header line of the 14 field names, got {got}; re-run 'ingest' to rebuild it\n"
         )
 
 

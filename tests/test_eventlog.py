@@ -412,7 +412,7 @@ def test_read_cases_names_the_first_line_at_fault_as_the_line_by_line_reader_doe
         if fault:
             with pytest.raises(UsageError) as refused:
                 read_cases(path)
-            assert str(refused.value) == f"{path}:{fault[0]}: {fault[1]}; re-run 'ingest'"
+            assert str(refused.value) == f"{path}:{fault[0]}: {fault[1]}; re-run 'ingest' to rebuild it"
             return
         table = read_cases(path)
     assert table.ids == [row[0] for row in expected]
