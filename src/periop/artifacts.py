@@ -80,12 +80,21 @@ def refuse_overwrite(command: str, out: Path, inputs: Mapping[str, Path], dest: 
 # ---------------------------------------------------------------------------
 
 
+def make_dir(path: Path) -> None:
+    """Make the output directory ``path`` and its parents; a path that cannot
+    be one, such as a regular file, exits 1 as in ``_create``."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"output {exc.filename}: {exc.strerror}") from None
+
+
 @contextlib.contextmanager
 def _create(path: Path) -> Iterator[TextIO]:
     """``path`` opened for writing text: every file a stage writes is written
     through here, in UTF-8 with "\\n" line ends; a path it cannot create exits 1."""
+    make_dir(path.parent)
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
         fh = path.open("w", encoding="utf-8", newline="")
     except OSError as exc:
         raise UsageError(f"output {exc.filename}: {exc.strerror}") from None

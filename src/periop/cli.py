@@ -174,6 +174,7 @@ def stage_ingest(cfg: PipelineConfig) -> None:
     out = Path(cfg.out)
     own = out / "cases.jsonl"  # one of this command's files, which names it in the table
     artifacts.refuse_overwrite(artifacts.writer_of(own), out, {"events": cfg.events_path(), "cases": cfg.cases_path()})
+    artifacts.make_dir(out)  # before the inputs are read: an --out that cannot be one stops ingest at once
     log, event_errors = _parse_input(cfg.events_path(), parse_events)
     # a case keeps its first attribute row; a later one is a record error
     attrs, attr_errors = _parse_input(cfg.cases_path(), parse_case_attributes, unique_ids=True)
@@ -363,7 +364,8 @@ def _read_bundle(cfg: PipelineConfig, phase: str, name: str) -> tuple[features.F
     feature context, model and family. Its phase and name must be those of
     its file, and its family, features and model those of ``_model_plan``,
     which also fixes a group mean's ``group_col``; the model must read the
-    design that its features give."""
+    design that its features give, and be as wide as the design it was
+    fitted on where it records that width (ridge, tree, forest, gbm)."""
     from . import features, models
 
     family, group_by, params = _model_plan(name, cfg)
@@ -387,8 +389,9 @@ def _read_bundle(cfg: PipelineConfig, phase: str, name: str) -> tuple[features.F
                 )
         context, fitted = features.FeatureContext.from_dict(ctx), models.model_from_dict(model)
         width = context.width(family)
-        if fitted.columns > width or (fitted.exact_columns and fitted.columns != width):
-            raise ValueError(f"the model reads {fitted.columns} design columns, but 'features' gives {width}")
+        if fitted.columns > width or fitted.width not in (None, width):
+            reads = max(fitted.columns, fitted.width or 0)
+            raise ValueError(f"the model reads {reads} design columns, but 'features' gives {width}")
         return context, fitted, family
 
     return artifacts.read_json(Path(cfg.out) / f"model_{phase}_{name}.json", decode)

@@ -85,7 +85,7 @@ class Model:
     family = "base"
     params: dict[str, tuple[type, object]] = {}
     file_keys: dict[str, str] = {}
-    exact_columns = False  # True: the design must have exactly ``columns`` columns
+    width: int | None = None  # the design width fitted on, which a design must match; None if unrecorded
 
     def __init__(self, **params) -> None:
         unknown = [name for name in params if name not in self.params]
@@ -112,7 +112,7 @@ class Model:
     @property
     def columns(self) -> int:
         """The design columns that the fitted state reads: a design needs at
-        least that many, or exactly that many where ``exact_columns``."""
+        least that many, and exactly ``width`` where the model records it."""
         return 0
 
     def _require_fitted(self) -> None:
@@ -205,7 +205,6 @@ class RidgeModel(Model):
     family = "ridge"
     params = {"lam": (float, 0.0)}
     file_keys = {"lam": "lambda"}
-    exact_columns = True
 
     def fit(self, dataset: Dataset) -> "RidgeModel":
         if dataset.d < 1:
@@ -235,6 +234,8 @@ class RidgeModel(Model):
     @property
     def columns(self) -> int:
         return len(self.coef_)
+
+    width = columns  # one coefficient per design column
 
     def _state(self) -> dict:
         return {"coef": [float(v) for v in self.coef_], "intercept": self.intercept_}
@@ -517,6 +518,7 @@ class TreeModel(Model):
         values, codes, inverse = _bin_columns(dataset.X)
         sums = _row_sums(inverse, dataset.y, codes.shape[0])
         self.tree_, _ = _build_tree(values, codes, sums, self.max_depth, self.min_leaf)
+        self.width = dataset.d
         self._fitted = True
         return self
 
@@ -528,10 +530,11 @@ class TreeModel(Model):
         return self.tree_.columns
 
     def _state(self) -> dict:
-        return {"tree": self.tree_.to_dict()}
+        return {"tree": self.tree_.to_dict(), "width": self.width}
 
     def _load(self, obj: dict) -> None:
         self.tree_ = Tree.from_dict(rules.field(obj, "tree", dict))
+        self.width = rules.field(obj, "width", int)
 
 
 class ForestModel(Model):
@@ -559,6 +562,7 @@ class ForestModel(Model):
                 values, codes_b, sums_b, self.max_depth, self.min_leaf, rng, self.feature_fraction
             )
             self.trees_.append(tree)
+        self.width = dataset.d
         self._fitted = True
         return self
 
@@ -573,10 +577,11 @@ class ForestModel(Model):
         return max((tree.columns for tree in self.trees_), default=0)
 
     def _state(self) -> dict:
-        return {"trees": [tree.to_dict() for tree in self.trees_]}
+        return {"trees": [tree.to_dict() for tree in self.trees_], "width": self.width}
 
     def _load(self, obj: dict) -> None:
         self.trees_ = [Tree.from_dict(tree) for tree in rules.field(obj, "trees", list)]
+        self.width = rules.field(obj, "width", int)
         if len(self.trees_) != self.n_trees:  # the prediction averages over n_trees
             raise ValueError(f"expected {self.n_trees} trees, as 'n_trees' says, got {len(self.trees_)}")
 
@@ -607,6 +612,7 @@ class GbmModel(Model):
             residual = dataset.y - current
             stage_mse.append(float(np.mean(residual**2)))
         self.stage_mse_ = tuple(stage_mse)
+        self.width = dataset.d
         self._fitted = True
         return self
 
@@ -622,12 +628,13 @@ class GbmModel(Model):
 
     def _state(self) -> dict:
         trees = [tree.to_dict() for tree in self.trees_]
-        return {"base": self.base_, "stage_mse": list(self.stage_mse_), "trees": trees}
+        return {"base": self.base_, "stage_mse": list(self.stage_mse_), "trees": trees, "width": self.width}
 
     def _load(self, obj: dict) -> None:
         self.base_ = rules.field(obj, "base", float)
         self.stage_mse_ = tuple(map(float, rules.number_array(obj, "stage_mse", ())))
         self.trees_ = [Tree.from_dict(tree) for tree in rules.field(obj, "trees", list)]
+        self.width = rules.field(obj, "width", int)
 
 
 _CONSTRUCTORS: dict[str, type[Model]] = {

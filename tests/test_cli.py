@@ -4,7 +4,6 @@ import functools
 import gc
 import io
 import json
-import math
 import os
 import re
 import shutil
@@ -18,6 +17,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import broken_inputs
 import periop
 from oracles import case_table, factor_groups_cases
 from periop import artifacts, cli, clustering, rules
@@ -37,27 +37,24 @@ def run_stage(stage, out, extra=()):
     assert code == 0, f"stage {stage} failed"
 
 
+def _in_process(argv):
+    """``run(argv)``'s exit code and what it wrote to stderr."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = run(argv)
+    return code, err.getvalue()
+
+
 @pytest.fixture(scope="module")
-def pipeline_dir(tmp_path_factory):
-    out = tmp_path_factory.mktemp("pipeline")
-    config = out / "pipeline.cfg"
-    config.write_text(
-        "\n".join(
-            [
-                "# small deterministic run",
-                "synth_procedure_families = 8",
-                "synth_anesthesia_families = 4",
-                "cluster_k.procedure = 8",
-                "cluster_k.induction = 4",
-                "models = mean,group-mean,mta,gbm",
-                "gbm_n_trees = 40",
-            ]
-        )
-        + "\n"
-    )
-    for stage in ("synth", "ingest", "clean", "cluster", "train", "evaluate", "report"):
-        run_stage(stage, out, ("--config", str(config)))
-    return out, config
+def broken(tmp_path_factory):
+    """The runner of the broken-inputs table, in-process; its chains are built once."""
+    return broken_inputs.Runner(_in_process, tmp_path_factory.mktemp("broken"))
+
+
+@pytest.fixture(scope="module")
+def pipeline_dir(broken):
+    """The --out and config file of the table's 1500-case pipeline chain."""
+    return broken.chain("pipeline")
 
 
 def test_derive_seed_stable():
@@ -339,96 +336,27 @@ def test_unknown_subcommand_exits_one():
     assert run(["clean", "--no-such-flag"]) == 1
 
 
-def test_missing_artifacts_exit_one(tmp_path):
-    assert run(["clean", "--out", str(tmp_path / "empty")]) == 1
-    assert run(["ingest", "--out", str(tmp_path / "empty")]) == 1
+def _table_test(rows):
+    """The one test of the broken-inputs table, for ``rows``, the rows that
+    share one name: parametrized by row id, or plain for one row without."""
+    if rows[0].id is None:
+        def test(broken):
+            broken.check(rows[0])
+    else:
+        @pytest.mark.parametrize("row", rows, ids=[row.id for row in rows])
+        def test(broken, row):
+            broken.check(row)
+    return test
 
 
-@pytest.mark.parametrize(
-    "events",
-    ["case,event_type,timestamp\nW1,incision,2024-03-01T08:40:00Z\n", ""],
-    ids=["wrong-header", "empty"],
-)
-def test_bad_input_header_exits_one(tmp_path, capsys, events):
-    (tmp_path / "events.csv").write_text(events)
-    (tmp_path / "cases.csv").write_text(",".join(CASES_HEADER) + "\nW1,urology,63,f,,,,,\n")
-    assert run(["ingest", "--out", str(tmp_path)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {tmp_path / 'events.csv'}: line 1: expected header")
-
-
-@pytest.mark.parametrize(
-    "entry", ["ingest-events", "ingest-cases", "predict-cases", "config", "config-not-utf-8", "synonyms"]
-)
-def test_an_input_path_that_cannot_be_read_exits_one_naming_it(pipeline_dir, tmp_path, capsys, entry):
-    """A directory, or a config file that is not UTF-8, given as an input
-    stops the command with exit 1, naming the path."""
-    source, config = pipeline_dir
-    out = tmp_path / "out"
-    shutil.copytree(source, out)
-    folder = tmp_path / "folder"
-    folder.mkdir()
-    not_utf_8 = tmp_path / "latin-1.cfg"
-    not_utf_8.write_bytes(b"seed = 13 # \xe9\n")
-    common = ["--out", str(out), *SMALL, "--config", str(config)]
-    predict = ["predict", *common, "--phase", "procedure", "--model", "gbm", "--dest", str(tmp_path / "p.csv")]
-    argv, message = {
-        "ingest-events": (["ingest", *common, "--events", str(folder)], f"input {folder}: Is a directory"),
-        "ingest-cases": (["ingest", *common, "--cases", str(folder)], f"input {folder}: Is a directory"),
-        "predict-cases": ([*predict, "--cases", str(folder)], f"input {folder}: Is a directory"),
-        "config": (["clean", "--out", str(out), "--config", str(folder)], f"config file {folder}: Is a directory"),
-        "config-not-utf-8": (["clean", "--out", str(out), "--config", str(not_utf_8)],
-                             f"config file {not_utf_8}: invalid UTF-8"),
-        "synonyms": (["cluster", *common, "--synonyms", str(folder)], f"synonyms file {folder}: Is a directory"),
-    }[entry]
-    capsys.readouterr()
-    assert run(argv) == 1
-    assert capsys.readouterr().err == f"error: {message}\n"
-
-
-@pytest.mark.parametrize("flag", ["--cases", "--events"])
-def test_ingest_refuses_an_input_that_it_writes(pipeline_dir, tmp_path, capsys, flag):
-    """Ingest would read its input and then overwrite it with cases.jsonl:
-    an input that resolves to a file ingest writes exits 1 before any read,
-    and the file keeps its bytes."""
-    source, _ = pipeline_dir
-    out = tmp_path / "out"
-    shutil.copytree(source, out)
-    before = (out / "cases.jsonl").read_bytes()
-    given = out / ".." / "out" / "cases.jsonl"  # the same file by another path
-    capsys.readouterr()
-    assert run(["ingest", "--out", str(out), *SMALL, flag, str(given)]) == 1
-    assert (out / "cases.jsonl").read_bytes() == before
-    assert capsys.readouterr().err == (
-        f"error: {flag[2:]} input {given} is a file that ingest writes; give an input outside its output\n"
-    )
+# each row is collected under its own name; see tests/broken_inputs.py
+for _name, _rows in broken_inputs.rows_by_test().items():
+    globals()[_name] = _table_test(_rows)
 
 
 def _predict_argv(out, config, *extra):
     return ["predict", "--out", str(out), *SMALL, "--config", str(config), "--phase", "procedure", "--model", "gbm",
             *extra]
-
-
-@pytest.mark.parametrize(
-    "name, writer",
-    [("cases.jsonl", "ingest"), ("model_procedure_gbm.json", "train"), ("predictions_procedure.csv", "evaluate"),
-     ("events.csv", "synth")],
-)
-def test_predict_refuses_a_dest_that_another_command_writes(pipeline_dir, tmp_path, capsys, name, writer):
-    """A --dest that resolves to another command's artifact in --out exits 1
-    before any read, naming the file and the command, and the file keeps its
-    bytes."""
-    source, config = pipeline_dir
-    out = tmp_path / "out"
-    shutil.copytree(source, out)
-    before = (out / name).read_bytes()
-    dest = out / ".." / "out" / name  # the same file by another path
-    capsys.readouterr()
-    assert run(_predict_argv(out, config, "--dest", str(dest))) == 1
-    assert (out / name).read_bytes() == before
-    assert capsys.readouterr().err == (
-        f"error: --dest {dest} is a file that {writer} writes; give a path no other command writes\n"
-    )
 
 
 def test_predict_writes_its_own_file_in_out_or_a_path_outside_it(pipeline_dir, tmp_path):
@@ -438,40 +366,6 @@ def test_predict_writes_its_own_file_in_out_or_a_path_outside_it(pipeline_dir, t
     for dest in (out / "predictions.csv", tmp_path / "elsewhere.csv"):
         assert run(_predict_argv(out, config, "--dest", str(dest))) == 0
     assert (out / "predictions.csv").read_bytes() == (tmp_path / "elsewhere.csv").read_bytes()
-
-
-def test_predict_refuses_a_dest_that_is_its_cases_input(pipeline_dir, tmp_path, capsys):
-    """predict --cases mine.csv --dest mine.csv would replace the cases with
-    the predictions: it exits 1 and mine.csv keeps its bytes."""
-    source, config = pipeline_dir
-    mine = tmp_path / "mine.csv"
-    shutil.copy(source / "cases.csv", mine)
-    before = mine.read_bytes()
-    capsys.readouterr()
-    assert run(_predict_argv(source, config, "--cases", str(mine), "--dest", str(mine))) == 1
-    assert mine.read_bytes() == before
-    assert capsys.readouterr().err == (
-        f"error: cases input {mine} is a file that predict writes; give an input outside its output\n"
-    )
-
-
-@pytest.mark.parametrize("command", ["predict", "synth", "ingest"])
-def test_an_output_path_that_cannot_be_created_exits_one_naming_it(pipeline_dir, tmp_path, capsys, command):
-    """A --dest that is a directory, or an --out that is a regular file."""
-    source, config = pipeline_dir
-    folder, regular = tmp_path / "folder", tmp_path / "regular"
-    folder.mkdir()
-    regular.write_text("not a directory\n")
-    argv, message = {
-        "predict": (_predict_argv(source, config, "--dest", str(folder)), f"output {folder}: Is a directory"),
-        "synth": (["synth", "--out", str(regular), *SMALL], f"output {regular}: File exists"),
-        "ingest": (["ingest", "--out", str(regular), *SMALL, "--events", str(source / "events.csv"),
-                    "--cases", str(source / "cases.csv")], f"output {regular}: File exists"),
-    }[command]
-    capsys.readouterr()
-    assert run(argv) == 1
-    assert capsys.readouterr().err == f"error: {message}\n"
-    assert regular.read_text() == "not a directory\n"
 
 
 def test_the_subcommands_are_the_commands_of_the_writes_table():
@@ -592,87 +486,13 @@ def test_ingest_keeps_the_first_row_of_a_repeated_case_id(tmp_path, fmt):
     assert table["department"] == ["urology", "surgery"] and table["age"] == [63, None]
 
 
-# one case's fields by name, in the order of the cases.jsonl header
-GOOD_CASE = {
-    "case_id": "W1", "department": "urology", "age": 50, "sex": "m", "procedure_text": "TURP",
-    "anesthesia_text": "ITN", "positioning_text": "", "planned_induction_min": 15.0,
-    "planned_procedure_min": 30.0, "induction_min": 20.5, "preparation_min": 10.0, "procedure_min": 76.4,
-    "duplicate_anchors": [], "n_events": 4,
-}
-CASES_JSONL_HEADER = json.dumps(list(GOOD_CASE))
-
-
-def case_line(**changes):
-    return json.dumps(list((GOOD_CASE | changes).values()))
-
-
-NOT_FINITE = "bad value for {!r}: expected a finite number or null"
-ANCHORS = "bad value for 'duplicate_anchors': expected an array of distinct anchor names"
-# a cases.jsonl row of the builds before the header line: one object per case
-OBJECT_ROW = json.dumps(GOOD_CASE, sort_keys=True)
-WRONG_HEADER = CASES_JSONL_HEADER.replace("age", "years")
-
-
-@pytest.mark.parametrize(
-    "line, problem",
-    [
-        (case_line()[:40], "invalid JSON"),
-        (OBJECT_ROW, f"expected a JSON array of 14 fields, got {OBJECT_ROW[:37]}..."),
-        (json.dumps(list(GOOD_CASE.values())[:-1]), "expected a JSON array of 14 fields, got 13"),
-        (case_line(age="x"), "bad value for 'age': expected a number or null, got \"x\""),
-        (case_line(procedure_min="12"), "bad value for 'procedure_min': expected a number or null, got \"12\""),
-        (case_line(n_events=True), "bad value for 'n_events': expected an integer, got true"),
-        (case_line(department=None), "bad value for 'department': expected a string, got null"),
-        (case_line(procedure_min=math.nan), f"{NOT_FINITE.format('procedure_min')}, got NaN"),
-        (case_line(induction_min=-math.inf), f"{NOT_FINITE.format('induction_min')}, got -Infinity"),
-        (case_line(planned_procedure_min=math.inf), f"{NOT_FINITE.format('planned_procedure_min')}, got Infinity"),
-        (case_line().replace("76.4", "1e400"), f"{NOT_FINITE.format('procedure_min')}, got Infinity"),
-        (case_line(age=10**400), f"{NOT_FINITE.format('age')}, got {str(10**400)[:37]}..."),
-        (case_line(case_id="W2", duplicate_anchors=[math.nan, {"x": [1]}]), f"{ANCHORS}, got [NaN, {{\"x\": [1]}}]"),
-        (case_line(case_id="W2", duplicate_anchors=["suture", "suture"]), f"{ANCHORS}, got [\"suture\", \"suture\"]"),
-        (case_line(case_id="W2", n_events=-3), "bad value for 'n_events': expected an integer >= 0, got -3"),
-        (case_line(), "case 'W1' is listed a second time"),
-    ],
-    ids=[
-        "truncated", "stale", "one-field-short", "age-text", "duration-text", "count-bool", "department-null",
-        "duration-nan", "duration-minus-infinity", "plan-infinity", "duration-1e400", "age-too-large",
-        "anchors-not-names", "anchors-repeated", "count-negative", "repeated-id",
-    ],
-)
-def test_bad_cases_jsonl_exits_one_naming_the_line(tmp_path, capsys, line, problem):
-    path = tmp_path / "cases.jsonl"
-    path.write_text(CASES_JSONL_HEADER + "\n" + case_line() + "\n" + line + "\n")
-    for stage in ("clean", "cluster", "train", "evaluate", "report"):
-        assert run([stage, "--out", str(tmp_path)]) == 1, stage
-        assert capsys.readouterr().err == f"error: {path}:3: {problem}; re-run 'ingest' to rebuild it\n"
-
-
-@pytest.mark.parametrize(
-    "text, got",
-    [
-        (OBJECT_ROW + "\n", f"{OBJECT_ROW[:37]}..."),
-        (WRONG_HEADER + "\n" + case_line() + "\n", f"{WRONG_HEADER[:37]}..."),
-        ("", "an empty file"),
-        ("\n" + case_line() + "\n", "invalid JSON"),
-    ],
-    ids=["object-row-of-an-older-build", "wrong-header", "empty-file", "blank-line-1"],
-)
-def test_cases_jsonl_without_its_header_exits_one_at_line_one(tmp_path, capsys, text, got):
-    path = tmp_path / "cases.jsonl"
-    path.write_text(text)
-    for stage in ("clean", "cluster", "train", "evaluate", "report"):
-        assert run([stage, "--out", str(tmp_path)]) == 1, stage
-        assert capsys.readouterr().err == (
-            f"error: {path}:1: expected a header line of the 14 field names, got {got}; re-run 'ingest' to rebuild it\n"
-        )
-
-
 def test_blank_lines_and_a_last_line_without_its_newline_read_as_the_same_table(tmp_path):
+    case_line, header = broken_inputs.case_line, broken_inputs.CASES_JSONL_HEADER
     rows = [case_line(case_id=f"W{i}", age=i) for i in range(3)]
     path = tmp_path / "cases.jsonl"
-    path.write_text(CASES_JSONL_HEADER + "\n" + "\n".join(rows) + "\n")
+    path.write_text(header + "\n" + "\n".join(rows) + "\n")
     table = artifacts.read_cases(path)
-    path.write_text(CASES_JSONL_HEADER + "\n\n" + rows[0] + "\n \n" + rows[1] + "\n" + rows[2])
+    path.write_text(header + "\n\n" + rows[0] + "\n \n" + rows[1] + "\n" + rows[2])
     spaced = artifacts.read_cases(path)
     assert spaced.ids == table.ids == ["W0", "W1", "W2"]
     assert all(spaced[field] == table[field] for field in CASE_FIELDS)
@@ -895,86 +715,6 @@ def test_rows_sharing_a_case_id_keep_their_own_cluster(pipeline_dir, tmp_path):
     assert predict([rows[0], twin]) == [alone[0], alone[other]]
 
 
-NESTED_TREE = {"feature": 0, "threshold": 0.5, "left": {"value": 30.0}, "right": {"value": 40.0}}
-
-
-@pytest.mark.parametrize(
-    "model",
-    [
-        {"family": "tree", "max_depth": 1, "min_leaf": 5, "tree": NESTED_TREE},
-        {"family": "forest", "n_trees": 1, "max_depth": 1, "min_leaf": 5, "feature_fraction": 1.0,
-         "bootstrap": True, "seed": 0, "trees": [NESTED_TREE]},
-        {"family": "gbm", "n_trees": 1, "learning_rate": 0.1, "max_depth": 1, "min_leaf": 5, "seed": 0,
-         "base": 35.0, "trees": [NESTED_TREE]},
-    ],
-)
-def test_model_file_with_nested_trees_exits_one(pipeline_dir, tmp_path, capsys, model):
-    """Model files of older versions stored trees as nested dicts; evaluate
-    and predict name the file and ask for a new train run."""
-    source, config = pipeline_dir
-    out = tmp_path / "out"
-    shutil.copytree(source, out)
-    family = model["family"]
-    bundle = json.loads((out / "model_procedure_gbm.json").read_text())
-    bundle.update(name=family, family=family, model=model)
-    path = out / f"model_procedure_{family}.json"
-    path.write_text(json.dumps(bundle))
-    common = ["--out", str(out), *SMALL, "--config", str(config), "--phase", "procedure", "--model", family]
-    capsys.readouterr()
-    for argv in (["evaluate", *common], ["predict", *common, "--dest", str(tmp_path / "p.csv")]):
-        assert run(argv) == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {path}: tree is not in the flat-array layout"), err
-        assert "re-run 'train'" in err
-
-
-@pytest.mark.parametrize(
-    "artifact, section, field, stages, rerun",
-    [
-        ("model_procedure_gbm.json", "model", "base", ("evaluate", "predict"), "train"),
-        ("model_procedure_gbm.json", "features", "age_fill", ("evaluate", "predict"), "train"),
-        ("model_procedure_gbm.json", None, "family", ("evaluate", "predict"), "train"),
-        ("cluster_model_procedure.json", "model", "centroids", ("predict",), "cluster"),
-        ("tfidf_procedure.json", None, "idf", ("predict",), "cluster"),
-    ],
-    ids=["gbm-base", "features-age-fill", "bundle-family", "kmeans-centroids", "tfidf-idf"],
-)
-def test_artifact_missing_a_field_exits_one(pipeline_dir, tmp_path, capsys, artifact, section, field, stages, rerun):
-    source, config = pipeline_dir
-    out = tmp_path / "out"
-    shutil.copytree(source, out)
-    path = out / artifact
-    obj = json.loads(path.read_text())
-    del (obj[section] if section else obj)[field]
-    path.write_text(json.dumps(obj))
-    common = ["--out", str(out), *SMALL, "--config", str(config), "--phase", "procedure", "--model", "gbm"]
-    argvs = {"evaluate": ["evaluate", *common], "predict": ["predict", *common, "--dest", str(tmp_path / "p.csv")]}
-    capsys.readouterr()
-    for stage in stages:
-        assert run(argvs[stage]) == 1, stage
-        err = capsys.readouterr().err
-        assert err == f"error: {path}: missing field {field!r}; re-run {rerun!r} to rebuild it\n", err
-
-
-def test_tfidf_idf_not_matching_the_vocabulary_exits_one(pipeline_dir, tmp_path, capsys):
-    source, config = pipeline_dir
-    out = tmp_path / "out"
-    shutil.copytree(source, out)
-    path = out / "tfidf_procedure.json"
-    obj = json.loads(path.read_text())
-    n_terms = len(obj["vocabulary"])
-    obj["idf"] = obj["idf"][:-3]
-    path.write_text(json.dumps(obj))
-    argv = ["predict", "--out", str(out), *SMALL, "--config", str(config), "--phase", "procedure",
-            "--model", "gbm", "--dest", str(tmp_path / "p.csv")]
-    capsys.readouterr()
-    assert run(argv) == 1
-    assert capsys.readouterr().err == (
-        f"error: {path}: idf holds {n_terms - 3} weights for {n_terms} vocabulary terms; "
-        "re-run 'cluster' to rebuild it\n"
-    )
-
-
 def test_predict_without_a_row_writes_a_header_only_file(pipeline_dir, tmp_path, capsys):
     """A --cases with no data row, or none that parses, gets a header-only
     prediction file and exit 0; skipped rows are reported as usual."""
@@ -995,16 +735,9 @@ def test_predict_without_a_row_writes_a_header_only_file(pipeline_dir, tmp_path,
 
 
 @pytest.fixture(scope="module")
-def artifact_dir(pipeline_dir, tmp_path_factory):
-    """A copy of the pipeline's artifacts, with ridge, tree and forest bundles
-    trained next to the roster's."""
-    source, config = pipeline_dir
-    out = tmp_path_factory.mktemp("artifacts")
-    shutil.copytree(source, out, dirs_exist_ok=True)
-    extra = out / "extra.cfg"
-    extra.write_text(config.read_text() + "models = ridge,tree,forest\nforest_n_trees = 3\n")
-    run_stage("train", out, ("--config", str(extra), "--phase", "procedure"))
-    return out, config
+def artifact_dir(broken):
+    """The --out and config file of the table's chain that trains every family."""
+    return broken.chain("roster")
 
 
 def _json_fields(obj, path=()):
@@ -1040,9 +773,6 @@ _ARTIFACTS = [
 ]
 
 
-_LATER = ("cluster", "train", "evaluate", "report")  # the stages after clean
-
-
 def _json_type(value):
     return float if type(value) is int else type(value)
 
@@ -1072,11 +802,12 @@ def test_artifact_field_of_another_json_type_exits_one(artifact_dir, capsys, dat
         _, phase, name = path.stem.split("_", 2)
         stages = ("predict", "evaluate")
     elif artifact.startswith("clean_"):  # every stage after clean splits the retained ids
-        phase, name, stages = path.stem.rsplit("_", 1)[1], "mean", _LATER
+        phase, name, stages = path.stem.rsplit("_", 1)[1], "mean", broken_inputs.LATER
     else:  # predict reads the cluster artifacts, with any bundle
         phase, name, stages = path.stem.rsplit("_", 1)[1], "mean", ("predict",)
     common = ["--out", str(out), *SMALL, "--config", str(config), "--phase", phase, "--model", name]
-    argvs = {"predict": ["predict", *common, "--dest", str(out / "p.csv")], **{s: [s, *common] for s in _LATER}}
+    argvs = {"predict": ["predict", *common, "--dest", str(out / "p.csv")],
+             **{s: [s, *common] for s in broken_inputs.LATER}}
     path.write_text(json.dumps(obj))
     try:
         for stage in stages:
@@ -1085,435 +816,6 @@ def test_artifact_field_of_another_json_type_exits_one(artifact_dir, capsys, dat
             assert capsys.readouterr().err.startswith(f"error: {path}: "), field
     finally:
         path.write_text(original)
-
-
-def _set_first_number(value, new, name):
-    """Put ``new`` in place of the first number in the arrays and objects
-    ``value``, the member ``name``; returns the name of the innermost member
-    on the way, the array that holds the number."""
-    while True:
-        key = next(iter(value)) if isinstance(value, dict) else 0
-        name = key if isinstance(value, dict) else name
-        if not isinstance(value[key], (dict, list)):
-            value[key] = new
-            return name
-        value = value[key]
-
-
-@pytest.mark.parametrize(
-    "artifact, path",
-    [
-        ("tfidf_procedure.json", ("idf",)),
-        ("cluster_model_procedure.json", ("model", "centroids")),
-        ("cluster_model_procedure.json", ("model", "inertia_trace")),
-        ("cluster_model_induction.json", ("model", "weights")),
-        ("cluster_model_induction.json", ("model", "means")),
-        ("cluster_model_induction.json", ("model", "variances")),
-        ("cluster_model_induction.json", ("model", "log_likelihood")),
-        ("model_procedure_ridge.json", ("model", "coef")),
-        *(("model_procedure_tree.json", ("model", "tree", name))
-          for name in ("feature", "threshold", "left", "right", "value")),
-        ("model_procedure_gbm.json", ("model", "stage_mse")),
-        ("model_procedure_group-mean.json", ("model", "means")),
-        ("model_procedure_gbm.json", ("features", "target_encoder", "stats")),
-    ],
-    ids=lambda v: "-".join(v) if isinstance(v, tuple) else v.removesuffix(".json"),
-)
-def test_true_in_a_number_array_exits_one(artifact_dir, capsys, artifact, path):
-    """json reads true as a number that numpy and float() take for 1; every
-    number array an artifact holds rejects it and names the file."""
-    file = artifact_dir[0] / artifact
-    obj = json.loads(file.read_text())
-    array = obj
-    for name in path:
-        array = array[name]
-    key = _set_first_number(array, True, path[-1])
-    _assert_reading_exits_one(artifact_dir, capsys, file, obj, f"bad entry in {key!r}: expected a number, got true;")
-
-
-def _assert_reading_exits_one(artifact_dir, capsys, file, obj, problem):
-    """Write ``obj``, or the JSON text ``obj``, over the artifact ``file``:
-    every command that reads it exits 1 with ``problem`` after the file name.
-    The file is restored."""
-    out, config = artifact_dir
-    original = file.read_text()
-    if file.name.startswith("model_"):
-        _, phase, name = file.stem.split("_", 2)
-        stages = ("predict", "evaluate")
-    else:
-        phase, name, stages = file.stem.rsplit("_", 1)[1], "mean", ("predict",)
-    common = ["--out", str(out), *SMALL, "--config", str(config), "--phase", phase, "--model", name]
-    argvs = {"predict": ["predict", *common, "--dest", str(out / "p.csv")], "evaluate": ["evaluate", *common]}
-    file.write_text(obj if isinstance(obj, str) else json.dumps(obj))
-    try:
-        for stage in stages:
-            capsys.readouterr()
-            assert run(argvs[stage]) == 1, stage
-            err = capsys.readouterr().err
-            assert err.startswith(f"error: {file}: {problem}"), err
-    finally:
-        file.write_text(original)
-
-
-def _put(obj, path, value):
-    """Set the entry at ``path`` of ``obj`` to ``value``, where None stands
-    for an object's first member; returns the innermost member's name, the
-    one an error names."""
-    entry, key = obj, None
-    for name in path[:-1]:
-        if isinstance(entry, dict):
-            key = next(iter(entry)) if name is None else name
-            name = key
-        entry = entry[name]
-    entry[path[-1]] = value
-    return key
-
-
-@pytest.mark.parametrize(
-    "artifact, path, value",
-    [
-        ("model_procedure_tree.json", ("model", "tree", "feature", 0), 0.7),
-        ("model_procedure_tree.json", ("model", "tree", "left", 0), 1.2),
-        ("model_procedure_tree.json", ("model", "tree", "right", 0), 2.9),
-        ("model_procedure_gbm.json", ("features", "target_encoder", "stats", None, 0), 2.5),
-        ("model_procedure_mta.json", ("features", "name_codes", 0, 1), 1.5),
-        ("model_procedure_mta.json", ("features", "name_codes", 0, 1), True),
-    ],
-    ids=["tree-feature", "tree-left", "tree-right", "encoder-count", "name-code", "name-code-bool"],
-)
-def test_a_fraction_or_boolean_in_an_integer_field_exits_one(artifact_dir, capsys, artifact, path, value):
-    """int() and numpy truncate 2.5 to 2 and read true as 1; every integer
-    that a model bundle holds rejects both and names its field."""
-    file = artifact_dir[0] / artifact
-    obj = json.loads(file.read_text())
-    key = _put(obj, path, value)
-    _assert_reading_exits_one(
-        artifact_dir, capsys, file, obj, f"bad entry in {key!r}: expected an integer, got {json.dumps(value)};"
-    )
-
-
-@pytest.mark.parametrize(
-    "artifact, path, value, problem",
-    [
-        ("model_procedure_gbm.json", ("features", "target_encoder", "stats", None, 0), 0,
-         "a count must be from 1 to 2**63 - 1, got 0"),
-        ("model_procedure_gbm.json", ("features", "target_encoder", "stats", None, 0), -40,
-         "a count must be from 1 to 2**63 - 1, got -40"),
-        ("model_procedure_tree.json", ("model", "tree", "feature", 0), 10**30,
-         "an integer out of the index range"),
-    ],
-    ids=["encoder-count-zero", "encoder-count-negative", "tree-feature-overflow"],
-)
-def test_an_integer_out_of_its_range_exits_one(artifact_dir, capsys, artifact, path, value, problem):
-    """A target-encoder count below 1 would divide by zero when a category is
-    encoded, and numpy cannot hold a tree index beyond 2**63: both model
-    files are rejected at load, naming the field."""
-    file = artifact_dir[0] / artifact
-    obj = json.loads(file.read_text())
-    key = _put(obj, path, value)
-    _assert_reading_exits_one(artifact_dir, capsys, file, obj, f"bad entry in {key!r}: {problem};")
-
-
-_TOKEN = "a number token to write raw"
-
-
-@pytest.mark.parametrize(
-    "token, problem",
-    [
-        ("1e400", "{kind} {key!r}: expected a finite number, got Infinity;"),
-        ("-1e400", "{kind} {key!r}: expected a finite number, got -Infinity;"),
-        ("1" + "0" * 400, "{kind} {key!r}: expected a finite number, got 1000"),
-        ("Infinity", "Infinity is not a JSON number;"),
-        ("-Infinity", "-Infinity is not a JSON number;"),
-        ("NaN", "NaN is not a JSON number;"),
-    ],
-    ids=["1e400", "-1e400", "10**400", "Infinity", "-Infinity", "NaN"],
-)
-@pytest.mark.parametrize(
-    "path, kind",
-    [
-        (("features", "target_encoder", "prior"), "bad value for"),
-        (("model", "trees", 0, "threshold", 0), "bad entry in"),
-    ],
-    ids=["encoder-prior", "tree-threshold"],
-)
-def test_a_non_finite_number_in_a_model_file_exits_one(artifact_dir, capsys, token, problem, path, kind):
-    """json reads 1e400 as inf and takes the NaN and Infinity tokens, which
-    JSON does not have; a model file holding any of them is rejected at load,
-    not read into finite but wrong predictions."""
-    file = artifact_dir[0] / "model_procedure_gbm.json"
-    obj = json.loads(file.read_text())
-    _put(obj, path, _TOKEN)
-    key = next(name for name in reversed(path) if isinstance(name, str))
-    text = json.dumps(obj).replace(json.dumps(_TOKEN), token)
-    _assert_reading_exits_one(artifact_dir, capsys, file, text, problem.format(kind=kind, key=key))
-
-
-def test_a_forest_file_with_more_trees_than_n_trees_exits_one(artifact_dir, capsys):
-    file = artifact_dir[0] / "model_procedure_forest.json"
-    obj = json.loads(file.read_text())
-    trees = obj["model"]["trees"]
-    assert obj["model"]["n_trees"] == len(trees) == 3
-    trees.append(trees[0])
-    _assert_reading_exits_one(artifact_dir, capsys, file, obj, "expected 3 trees, as 'n_trees' says, got 4; re-run 'train'")
-
-
-def test_a_model_file_cut_short_exits_one(artifact_dir, capsys):
-    file = artifact_dir[0] / "model_procedure_gbm.json"
-    _assert_reading_exits_one(
-        artifact_dir, capsys, file, '{"', "Unterminated string starting at: line 1 column 2 (char 1); re-run 'train'"
-    )
-
-
-def _edit_json(edit):
-    def apply(text):
-        obj = json.loads(text)
-        edit(obj)
-        return json.dumps(obj)
-    return apply
-
-
-def _edit_lines(edit):
-    """An edit of a CSV artifact's lines, each without its line end."""
-    def apply(text):
-        lines = text.splitlines()
-        edit(lines)
-        return "".join(line + "\n" for line in lines)
-    return apply
-
-
-def _set_cell(col, value):
-    def edit(lines):
-        fields = lines[1].split(",")
-        fields[col] = value
-        lines[1] = ",".join(fields)
-    return edit
-
-
-@pytest.mark.parametrize(
-    "artifact, edit, stages, rerun, problem",
-    [
-        ("clean_procedure.json", _edit_json(lambda obj: obj.pop("retained_ids")), _LATER, "clean",
-         "missing field 'retained_ids'"),
-        ("clean_procedure.json", lambda text: "[]", _LATER, "clean",
-         "expected a JSON object holding 'retained_ids', got []"),
-        ("clean_procedure.json", _edit_json(lambda obj: obj["retained_ids"].append("NOPE")), _LATER, "clean",
-         "'retained_ids' holds ids that cases.jsonl lacks, such as 'NOPE'"),
-        ("clean_procedure.json", _edit_json(lambda obj: obj["retained_ids"].append(7)), _LATER, "clean",
-         "bad entry in 'retained_ids': expected a string, got 7"),
-        ("assignments_procedure.csv", _edit_lines(_set_cell(1, "x")), _LATER[1:], "cluster",
-         "bad value in column 'cluster': expected an integer from 0 to 2**63 - 1, got \"x\""),
-        ("assignments_procedure.csv", _edit_lines(lambda lines: lines.__setitem__(1, lines[1].split(",")[0])),
-         _LATER[1:], "cluster", "expected 2 fields, got 1"),
-        ("assignments_procedure.csv", lambda text: "", _LATER[1:], "cluster",
-         'expected the header line "case_id,cluster", got an empty file'),
-        ("assignments_procedure.csv", lambda text: "\udcff" + text, _LATER[1:], "cluster", "invalid UTF-8"),
-        ("predictions_procedure.csv", _edit_lines(_set_cell(-1, "abc")), ("report",), "evaluate",
-         "bad value in column 'mta': expected a finite number, got \"abc\""),
-        ("predictions_procedure.csv", _edit_lines(lambda lines: lines.pop(1)), ("report",), "evaluate",
-         "holds no row for 1 of the"),
-        ("predictions_procedure.csv", _edit_lines(lambda lines: lines.__setitem__(1, lines[1].rsplit(",", 1)[0])),
-         ("report",), "evaluate", "expected 7 fields, got 6"),
-        ("predictions_procedure.csv", lambda text: "", ("report",), "evaluate",
-         'expected the header line "case_id,actual_min,planned_min,<model>...", got an empty file'),
-        ("assignments_procedure.csv", _edit_lines(lambda lines: lines.pop(0)), _LATER[1:], "cluster",
-         'expected the header line "case_id,cluster", got "'),
-        ("assignments_procedure.csv", _edit_lines(lambda lines: lines.pop(1)), ("train",), "cluster",
-         "holds no row for 1 of the"),
-        ("clean_procedure.json", lambda text: "[" * 100_000, _LATER, "clean", "maximum recursion depth"),
-        ("tfidf_procedure.json", lambda text: "[" * 100_000, ("predict",), "cluster", "maximum recursion depth"),
-        ("cluster_model_induction.json", _edit_json(lambda obj: obj["model"]["weights"].__setitem__(0, -1)),
-         ("predict",), "cluster", "bad entry in 'weights': expected a number > 0, got -1"),
-        ("cluster_model_induction.json", _edit_json(lambda obj: obj["model"]["means"].pop()), ("predict",),
-         "cluster", "'weights', 'means' and 'variances' are (4,), (3, "),
-        ("cluster_model_procedure.json", _edit_json(lambda obj: [row.pop() for row in obj["model"]["centroids"]]),
-         ("predict",), "cluster", "columns for the "),
-        ("tfidf_procedure.json", _edit_json(lambda obj: obj["idf"].__setitem__(0, 1e-320)), ("predict",), "cluster",
-         "bad entry in 'idf': expected a weight from 1 to 1 + ln(1 + n_docs) = "),
-        ("tfidf_procedure.json", _edit_json(lambda obj: obj.__setitem__("n_docs", 0)), ("predict",), "cluster",
-         "bad value for 'n_docs': expected an integer >= 1, got 0"),
-        ("model_procedure_group-mean.json", _edit_json(lambda obj: obj["model"].__setitem__("group_col", 5)),
-         ("evaluate",), "train", "'model.group_col' is 5, but model 'group-mean' of phase 'procedure' needs 0"),
-        ("model_procedure_group-mean.json", _edit_json(lambda obj: obj["model"].__setitem__("group_col", 2**63)),
-         ("evaluate",), "train",
-         "'model.group_col' is 9223372036854775808, but model 'group-mean' of phase 'procedure' needs 0"),
-        ("model_procedure_gbm.json", _edit_json(lambda obj: obj["model"]["trees"][0]["feature"].__setitem__(0, 40)),
-         ("evaluate", "predict"), "train", "the model reads 41 design columns, but 'features' gives 14"),
-    ],
-    ids=["clean-no-retained-ids", "clean-a-list", "clean-unknown-id", "clean-id-not-a-string",
-         "assignments-cluster-x", "assignments-one-field-row", "assignments-empty", "assignments-not-utf8",
-         "predictions-abc", "predictions-row-deleted", "predictions-short-row", "predictions-empty",
-         "assignments-no-header", "assignments-row-deleted", "clean-nested-too-deeply",
-         "tfidf-nested-too-deeply", "gmm-negative-weight", "gmm-means-one-row-short",
-         "kmeans-centroids-one-column-narrow", "tfidf-idf-below-one", "tfidf-no-documents",
-         "group-mean-group-col-5", "group-mean-group-col-2**63", "gbm-tree-feature-40"],
-)
-def test_an_edited_artifact_exits_one_naming_it_and_the_stage_to_rerun(
-    pipeline_dir, tmp_path, capsys, artifact, edit, stages, rerun, problem
-):
-    """An artifact that is malformed, or that no longer covers the cases it is
-    read for, stops every later stage that reads it with exit 1; the message
-    names the file and the stage that rebuilds it."""
-    source, config = pipeline_dir
-    out = tmp_path / "out"
-    shutil.copytree(source, out)
-    path = out / artifact
-    # surrogateescape: "\udcff" in the edited text writes the byte 0xff, which is not UTF-8
-    path.write_bytes(edit(path.read_text()).encode("utf-8", "surrogateescape"))
-    phase = "induction" if "induction" in artifact else "procedure"
-    extra = {"predict": ["--phase", phase, "--model", "gbm", "--dest", str(tmp_path / "p.csv")]}
-    capsys.readouterr()
-    for stage in stages:
-        assert run([stage, "--out", str(out), *SMALL, "--config", str(config), *extra.get(stage, [])]) == 1, stage
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {path}") and problem in err, (stage, err)
-        assert err.endswith(f"; re-run {rerun!r} to rebuild it\n"), (stage, err)
-
-
-@pytest.mark.parametrize(
-    "section, key, value, expected",
-    [
-        ((), "phase", "induction", "procedure"),
-        ((), "name", "mta", "group-mean"),
-        ((), "family", "mean", "group-mean"),
-        (("model",), "family", "mean", "group-mean"),
-        (("features",), "phase", "induction", "procedure"),
-        (("features",), "group_by", "exact-name", "cluster"),
-    ],
-    ids=["phase", "name", "family", "model-family", "features-phase", "features-group-by"],
-)
-def test_a_bundle_unlike_its_file_or_roster_entry_exits_one(
-    pipeline_dir, tmp_path, capsys, section, key, value, expected
-):
-    """A bundle's phase and name must be those of its file name, and its
-    family, model family, feature phase and grouping those the roster plans
-    for it: a group-mean bundle that groups by exact name would predict the
-    global mean for every case."""
-    source, config = pipeline_dir
-    out = tmp_path / "out"
-    shutil.copytree(source, out)
-    path = out / "model_procedure_group-mean.json"
-    bundle = json.loads(path.read_text())
-    functools.reduce(dict.__getitem__, section, bundle)[key] = value
-    path.write_text(json.dumps(bundle))
-    common = ["--out", str(out), *SMALL, "--config", str(config), "--phase", "procedure", "--model", "group-mean"]
-    for argv in (["evaluate", *common], ["predict", *common, "--dest", str(tmp_path / "p.csv")]):
-        capsys.readouterr()
-        assert run(argv) == 1, argv[0]
-        field = ".".join((*section, key))
-        assert capsys.readouterr().err == (
-            f"error: {path}: {field!r} is {value!r}, but model 'group-mean' of phase 'procedure' needs "
-            f"{expected!r}; re-run 'train' to rebuild it\n"
-        )
-
-
-@pytest.mark.parametrize(
-    "edit",
-    [
-        lambda bundle: bundle["model"]["coef"].append(0.5),
-        lambda bundle: bundle["model"]["coef"].pop(),
-        lambda bundle: bundle["features"]["sex_schema"]["categories"].append("x"),
-    ],
-    ids=["coef-one-longer", "coef-one-shorter", "one-more-sex"],
-)
-def test_a_ridge_that_reads_another_design_width_exits_one(pipeline_dir, tmp_path, capsys, edit):
-    """A ridge reads exactly as many design columns as it has coefficients,
-    and its bundle's features must give that many."""
-    source, config = pipeline_dir
-    out = tmp_path / "out"
-    shutil.copytree(source, out)
-    common = ["--out", str(out), *SMALL, "--config", str(config), "--phase", "procedure", "--model", "ridge"]
-    assert run(["train", *common]) == 0
-    path = out / "model_procedure_ridge.json"
-    bundle = json.loads(path.read_text())
-    edit(bundle)
-    path.write_text(json.dumps(bundle))
-    features = bundle["features"]
-    width = 2 + len(features["sex_schema"]["categories"]) + len(features["department_schema"]["categories"])
-    reads = len(bundle["model"]["coef"])
-    for argv in (["evaluate", *common], ["predict", *common, "--dest", str(tmp_path / "p.csv")]):
-        capsys.readouterr()
-        assert run(argv) == 1, argv[0]
-        assert capsys.readouterr().err == (
-            f"error: {path}: the model reads {reads} design columns, but 'features' gives {width}; "
-            "re-run 'train' to rebuild it\n"
-        )
-
-
-@pytest.mark.parametrize(
-    "content, problem",
-    [
-        (b"a,b\nx,y\n", "expected synonyms header 'from,to'"),
-        (b"from,to\nx,y,z\n", "expected 2 columns in synonyms row, got 3"),
-        (b"from,to\nx,\xff\n", "invalid UTF-8"),
-    ],
-    ids=["header-a-b", "row-of-three-columns", "byte-0xff"],
-)
-@pytest.mark.parametrize("stage", ["cluster", "predict"])
-def test_a_bad_synonyms_file_exits_one_naming_it(pipeline_dir, tmp_path, capsys, stage, content, problem):
-    """A synonyms file that is not a from,to mapping stops the stages that
-    normalize text with exit 1, naming the file."""
-    source, config = pipeline_dir
-    out = tmp_path / "out"
-    shutil.copytree(source, out)
-    synonyms = tmp_path / "synonyms.csv"
-    synonyms.write_bytes(content)
-    with_synonyms = tmp_path / "synonyms.cfg"
-    with_synonyms.write_text(config.read_text() + f"\nsynonyms = {synonyms}\n")
-    argv = [stage, "--out", str(out), *SMALL, "--config", str(with_synonyms)]
-    if stage == "predict":  # synonyms_phases is induction by default
-        argv += ["--phase", "induction", "--model", "gbm", "--dest", str(tmp_path / "p.csv")]
-    capsys.readouterr()
-    assert run(argv) == 1
-    assert capsys.readouterr().err == f"error: synonyms file {synonyms}: {problem}\n"
-
-
-def test_clean_run_again_after_cluster_exits_one_in_the_later_stages(pipeline_dir, tmp_path, capsys):
-    """Per-department IQR bounds retain other cases than the assignments were
-    written for: the stages that read them exit 1 and ask for cluster again."""
-    source, config = pipeline_dir
-    out = tmp_path / "out"
-    shutil.copytree(source, out)
-    common = ["--out", str(out), *SMALL, "--config", str(config)]
-    assert run(["clean", *common, "--iqr-per-department"]) == 0
-    capsys.readouterr()
-    for stage in ("train", "evaluate", "report"):
-        assert run([stage, *common]) == 1, stage
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {out / 'assignments_procedure.csv'}: holds no row for "), (stage, err)
-        assert err.endswith("; re-run 'cluster' to rebuild it\n"), (stage, err)
-
-
-@pytest.mark.parametrize(
-    "line, clean_again, where, problem",
-    [
-        ("max_duration_min = 200", True, ": holds rows for ", " cases that cleaning did not retain, such as "),
-        ("test_fraction = 0.3", False, ":", " breaks the ascending order of the test ids, so "),
-    ],
-    ids=["narrower-clean", "larger-test-fraction"],
-)
-def test_a_split_that_no_longer_fits_the_config_exits_one_in_the_later_stages(
-    pipeline_dir, tmp_path, capsys, line, clean_again, where, problem
-):
-    """The assignments file is the record of cluster's split. A lower
-    duration cap, with clean run again, retains a subset of the cases that
-    cluster split; a larger test_fraction makes the last 30 % of the rows,
-    not the ascending test ids that cluster wrote, the test side. Either way
-    the stages that read the split exit 1 and ask for cluster again."""
-    source, config = pipeline_dir
-    out = tmp_path / "out"
-    shutil.copytree(source, out)
-    changed = tmp_path / "changed.cfg"
-    changed.write_text(f"{config.read_text()}{line}\n")
-    common = ["--out", str(out), *SMALL, "--config", str(changed)]
-    if clean_again:
-        assert run(["clean", *common]) == 0
-    capsys.readouterr()
-    for stage in ("train", "evaluate", "report"):
-        assert run([stage, *common]) == 1, stage
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {out / 'assignments_procedure.csv'}{where}"), (stage, err)
-        assert problem in err and err.endswith("; re-run 'cluster' to rebuild it\n"), (stage, err)
 
 
 def test_evaluate_with_another_seed_scores_the_split_cluster_drew(pipeline_dir, tmp_path):
@@ -1529,27 +831,41 @@ def test_evaluate_with_another_seed_scores_the_split_cluster_drew(pipeline_dir, 
         assert (out / name).read_bytes() == (source / name).read_bytes(), name
 
 
+_ROSTER = ("mean", "group-mean", "mta", "ridge", "tree", "forest", "gbm")
+
+
 @pytest.fixture(scope="module")
 def small_run(tmp_path_factory):
-    """A finished 300-case run, every stage through report."""
+    """A finished 300-case run of every model family, every stage through report."""
     out = tmp_path_factory.mktemp("small_run")
     config = out / "small.cfg"
-    config.write_text("synth_n_cases = 300\nmodels = mean,group-mean,gbm\ngbm_n_trees = 5\n")
-    for stage in _CHAIN:
+    config.write_text(f"synth_n_cases = 300\nmodels = {','.join(_ROSTER)}\nforest_n_trees = 2\ngbm_n_trees = 5\n")
+    for stage in broken_inputs.STAGES:
         assert run([stage, "--out", str(out), "--seed", "3", "--config", str(config)]) == 0, stage
     return out, config
 
 
-_CSV_READERS = {  # a CSV artifact -> the stages that read it
-    "assignments": ("train", "evaluate", "report"),
-    "predictions": ("report",),
+_READ_BACK = {  # each artifact that later commands read back -> those commands
+    "cases.jsonl": ("clean", "cluster", "train", "evaluate", "report"),
+    "clean_{phase}.json": ("cluster", "train", "evaluate", "report"),
+    "tfidf_{phase}.json": ("predict",),
+    "cluster_model_{phase}.json": ("predict",),
+    "assignments_{phase}.csv": ("train", "evaluate", "report"),
+    "model_{phase}_{model}.json": ("evaluate", "predict"),
+    "predictions_{phase}.csv": ("report",),
 }
 _CSV_MUTATIONS = ("text-in-number", "drop-row", "duplicate-row", "drop-field", "delete-header", "truncate")
+_JSONL_MUTATIONS = ("edit-a-line", "drop-row", "duplicate-row", "delete-header", "truncate")
 _CELL_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=6)
+_ANY_JSON = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 3), st.sampled_from([2**63, 1e-320, 0.5, 1e308]), st.floats(),
+    st.text(max_size=5), st.lists(st.integers(-3, 3), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(-3, 3), max_size=2),
+)
 
 
 def _mutated_csv(data, text, mutation):
-    """``text``, a CSV artifact, with one ``mutation`` drawn from ``data``."""
+    """``text``, a CSV artifact or cases.jsonl, with one ``mutation`` drawn from ``data``."""
     if mutation == "truncate":
         return text[: data.draw(st.integers(0, len(text) - 1))]
     header, *rows = text.splitlines(keepends=True)
@@ -1563,6 +879,8 @@ def _mutated_csv(data, text, mutation):
         rows.insert(i, rows[i])
     elif mutation == "drop-field":
         del fields[data.draw(st.integers(0, len(fields) - 1))]
+    elif mutation == "edit-a-line":  # one JSON edit of a cases.jsonl row
+        rows[i] = json.dumps(_edited_json(data, json.loads(rows[i]))) + "\n"
     else:  # text-in-number: every field after the case id is a number
         fields[data.draw(st.integers(1, len(fields) - 1))] = data.draw(_CELL_TEXT)
     if mutation in ("drop-field", "text-in-number"):
@@ -1570,78 +888,53 @@ def _mutated_csv(data, text, mutation):
     return header + "".join(rows)
 
 
-@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def _edited_json(data, root):
+    """``root``, a decoded JSON value, with one edit drawn from ``data`` at a
+    node reached down from the root: a member deleted, a value replaced, or
+    an array entry dropped or duplicated."""
+    parent, key, node = None, None, root
+    while isinstance(node, (dict, list)) and node and data.draw(st.integers(0, 3)):  # 0 stops at this node
+        keys = st.sampled_from(list(node)) if isinstance(node, dict) else st.integers(0, len(node) - 1)
+        parent, key = node, data.draw(keys)
+        node = parent[key]
+    if parent is None:
+        return data.draw(_ANY_JSON)
+    edits = ["replace", "delete"] if isinstance(parent, dict) else ["replace", "drop", "duplicate"]
+    edit = data.draw(st.sampled_from(edits))
+    if edit == "replace":
+        parent[key] = data.draw(_ANY_JSON)
+    elif edit == "duplicate":
+        parent.insert(key, node)
+    else:
+        del parent[key]
+    return root
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
-def test_an_edited_csv_artifact_never_ends_in_a_runtime_error(small_run, data):
-    """One edit of an assignments or predictions file: every later stage that
-    reads it exits 0 or 1, never 2."""
+def test_an_edited_artifact_never_ends_in_a_runtime_error(small_run, data):
+    """One structured edit of any JSON or CSV artifact that a later command
+    reads back: every command that reads it exits 0 or 1, never 2."""
     source, config = small_run
-    kind = data.draw(st.sampled_from(sorted(_CSV_READERS)))
+    artifact = data.draw(st.sampled_from(sorted(_READ_BACK)))
     phase = data.draw(st.sampled_from(["procedure", "induction"]))
-    mutation = data.draw(st.sampled_from(_CSV_MUTATIONS))
+    name = data.draw(st.sampled_from(_ROSTER))
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "out"
         shutil.copytree(source, out)
-        path = out / f"{kind}_{phase}.csv"
-        path.write_text(_mutated_csv(data, path.read_text(), mutation))
-        for stage in _CSV_READERS[kind]:
-            err = io.StringIO()
-            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-                code = run([stage, "--out", str(out), "--seed", "3", "--config", str(config), "--phase", phase])
-            assert code in (0, 1), (stage, mutation, err.getvalue())
-
-
-def test_synth_below_100_cases_exits_one_at_load(tmp_path, capsys):
-    assert run(["synth", "--out", str(tmp_path), "--n-cases", "8"]) == 1
-    assert capsys.readouterr().err == "error: config key 'synth_n_cases': n_cases must be >= 100\n"
-    assert not (tmp_path / "events.csv").exists()
-
-
-@pytest.mark.parametrize(
-    "line, problem",
-    [
-        ("test_fraction = 0.001", "config key 'test_fraction': 0.001 leaves phase 'procedure' "
-                                  "an empty test split of its {retained} retained cases"),
-        ("max_duration_min = 1", "phase 'procedure': cleaning retained no cases; see cleaning_report.json"),
-        ("max_duration_min = 12", "config key 'test_fraction': 0.2 leaves phase 'procedure' "
-                                  "an empty test split of its {retained} retained cases"),
-    ],
-    ids=["no-test-case", "no-retained-case", "one-retained-case"],
-)
-def test_an_empty_split_exits_one_at_the_first_stage_that_splits(tmp_path, capsys, line, problem):
-    """At 300 cases, floor(n * 0.001) = 0 test cases, a 1-minute cap
-    retains none, and a 12-minute cap leaves one plausible procedure, too
-    few for IQR bounds, which clean keeps: cluster, train and evaluate exit
-    1 and say which."""
-    config = tmp_path / "tiny.cfg"
-    config.write_text(f"synth_n_cases = 300\n{line}\n")
-    common = ["--out", str(tmp_path), "--seed", "1", "--config", str(config)]
-    for stage in ("synth", "ingest", "clean"):
-        assert run([stage, *common]) == 0, stage
-    retained = len(json.loads((tmp_path / "clean_procedure.json").read_text())["retained_ids"])
-    capsys.readouterr()
-    for stage in ("cluster", "train", "evaluate"):
-        assert run([stage, *common]) == 1, stage
-        assert capsys.readouterr().err == f"error: {problem.format(retained=retained)}\n"
-    assert not (tmp_path / "tfidf_procedure.json").exists()
-
-
-def test_text_rules_that_leave_no_token_exit_one_in_cluster(tmp_path, capsys):
-    """At 300 cases, 50-letter tokens leave every text empty: cluster exits
-    1 naming the text-rule keys, and no later stage exits 2."""
-    config = tmp_path / "tiny.cfg"
-    config.write_text("synth_n_cases = 300\nmin_token_len = 50\n")
-    common = ["--out", str(tmp_path), "--seed", "1", "--config", str(config)]
-    for stage in ("synth", "ingest", "clean"):
-        assert run([stage, *common]) == 0, stage
-    capsys.readouterr()
-    assert run(["cluster", *common]) == 1
-    assert capsys.readouterr().err == (
-        "error: phase 'procedure': the text rules (config keys 'min_token_len', 'literal_strip', "
-        "'synonyms', 'stemming') leave no token in any training text\n"
-    )
-    for stage in ("train", "evaluate", "report"):
-        assert run([stage, *common]) == 1, stage
+        path = out / artifact.format(phase=phase, model=name)
+        text = path.read_text()
+        if path.suffix == ".json":
+            text = json.dumps(_edited_json(data, json.loads(text)))
+        else:
+            text = _mutated_csv(data, text, data.draw(st.sampled_from(
+                _JSONL_MUTATIONS if path.suffix == ".jsonl" else _CSV_MUTATIONS)))
+        path.write_text(text)
+        common = ["--out", str(out), "--seed", "3", "--config", str(config), "--phase", phase]
+        for command in _READ_BACK[artifact]:
+            extra = ["--model", name, "--dest", f"{tmp}/p.csv"] if command == "predict" else []
+            code, err = _in_process([command, *common, *extra])
+            assert code in (0, 1), (command, path.name, err)
 
 
 def test_cluster_k_above_the_distinct_training_texts_exits_one(pipeline_dir, tmp_path, capsys):
@@ -1682,26 +975,6 @@ def test_cluster_k_above_the_distinct_training_texts_exits_one(pipeline_dir, tmp
     scores = json.loads((out / "cluster_model_procedure.json").read_text())["silhouette_scores"]
     assert [s["k"] for s in scores] == list(range(n_texts - 1, 3001))
     assert all(s["score"] is None for s in scores[2:]) and None not in (scores[0]["score"], scores[1]["score"])
-
-
-def test_cluster_k_range_above_the_training_cases_less_one_exits_one(tmp_path, capsys):
-    """Silhouette selection scores no k above the training cases less one:
-    a range of such k is a usage error naming the phase and its training
-    cases, while one k, which needs no scoring, still clusters."""
-    config = tmp_path / "k.cfg"
-    lines = ["synth_n_cases = 100", "phases = procedure", "max_duration_min = 30", "test_fraction = 0.75"]
-    common = ["--out", str(tmp_path), "--seed", "15", "--config", str(config)]
-    config.write_text("\n".join([*lines, "cluster_k.procedure = 2..3"]) + "\n")
-    for stage in ("synth", "ingest", "clean"):
-        assert run([stage, *common]) == 0, stage
-    capsys.readouterr()
-    assert run(["cluster", *common]) == 1
-    assert capsys.readouterr().err == (
-        "error: config key 'cluster_k.procedure': phase 'procedure' has 2 training cases: "
-        "silhouette selection scores no k above 1, and the smallest k is 2\n"
-    )
-    config.write_text("\n".join([*lines, "cluster_k.procedure = 2"]) + "\n")
-    assert run(["cluster", *common]) == 0
 
 
 def test_cluster_model_is_strict_json(tmp_path):
@@ -1755,7 +1028,6 @@ def test_case_id_with_carriage_return_round_trips_through_csv_artifacts(tmp_path
         assert "W1\rX" in {row["case_id"] for row in csv.DictReader(fh)}
 
 
-_CHAIN = ("synth", "ingest", "clean", "cluster", "train", "evaluate", "report")
 
 
 def _k_choices(most):
@@ -1799,7 +1071,7 @@ def test_small_runs_exit_zero_or_one_never_two(n_cases, seed, phases, k_procedur
         config = Path(tmp) / "edge.cfg"
         config.write_text("\n".join(lines) + "\n")
         common = ["--out", tmp, "--seed", str(seed), "--config", str(config)]
-        argvs = [[stage, *common] for stage in _CHAIN]
+        argvs = [[stage, *common] for stage in broken_inputs.STAGES]
         argvs.append(["predict", *common, "--phase", phases[0], "--model", "mean", "--dest", f"{tmp}/p.csv"])
         for argv in argvs:
             err = io.StringIO()
