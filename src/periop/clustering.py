@@ -58,9 +58,13 @@ class KMeansModel:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "KMeansModel":
+        """Raises ValueError unless every centroid's sum of squares is
+        finite, so that its distances to a TF-IDF row are too."""
         get = functools.partial(rules.field, obj)
+        centroids = _matrix(obj, "centroids")
+        _check_row_norms("centroids", centroids)
         return cls(
-            centroids=_matrix(obj, "centroids"),
+            centroids=centroids,
             inertia=get("inertia", float),
             iterations_run=get("iterations_run", int),
             seed=get("seed", int),
@@ -101,8 +105,10 @@ class GmmModel:
     @classmethod
     def from_dict(cls, obj: dict) -> "GmmModel":
         """Raises ValueError unless ``weights``, ``means`` and ``variances``
-        hold k rows, the last two of one width, with every weight and
-        variance > 0."""
+        hold k rows, the last two of one width, with every weight > 0, every
+        variance at least ``VARIANCE_FLOOR``, which the fits never go below,
+        and a finite sum of squares over the variances for every mean, so
+        that a TF-IDF row's log-density under each component is finite."""
         get = functools.partial(rules.field, obj)
         weights = np.asarray(rules.number_array(obj, "weights"), dtype=float)
         means, variances = _matrix(obj, "means"), _matrix(obj, "variances")
@@ -111,10 +117,12 @@ class GmmModel:
                 f"'weights', 'means' and 'variances' are {weights.shape}, {means.shape} and "
                 f"{variances.shape}: expected k weights and two k-row matrices of one width"
             )
-        for key, values in (("weights", weights), ("variances", variances)):
-            if not np.all(values > 0):
-                bad = values[values <= 0][0]
-                raise ValueError(f"bad entry in {key!r}: expected a number > 0, got {bad:g}")
+        if not np.all(weights > 0):
+            raise ValueError(f"bad entry in 'weights': expected a number > 0, got {weights[weights <= 0][0]:g}")
+        if not np.all(variances >= VARIANCE_FLOOR):
+            bad = variances[variances < VARIANCE_FLOOR][0]
+            raise ValueError(f"bad entry in 'variances': expected a number >= {VARIANCE_FLOOR:g}, got {bad:g}")
+        _check_row_norms("means", means, variances)
         return cls(
             weights=weights,
             means=means,
@@ -133,6 +141,18 @@ def _matrix(obj: dict, key: str) -> np.ndarray:
     if not rows or {*map(type, rows)} != {list} or len({*map(len, rows)}) != 1:
         raise ValueError(f"bad value for {key!r}: expected a non-empty array of rows of one width")
     return np.asarray(rows, dtype=float)
+
+
+def _check_row_norms(key: str, rows: np.ndarray, variances: np.ndarray | None = None) -> None:
+    """Raises ValueError naming the first row of ``rows`` whose sum of
+    squares, each divided by its entry of ``variances`` if given, overflows
+    a float."""
+    with np.errstate(over="ignore"):
+        norms = (rows * rows if variances is None else rows * rows / variances).sum(axis=1)
+    bad = np.flatnonzero(~np.isfinite(norms))
+    if bad.size:
+        over = "" if variances is None else " over 'variances'"
+        raise ValueError(f"bad row {bad[0]} in {key!r}: its sum of squares{over} is not finite")
 
 
 def model_from_dict(obj: dict) -> Union[KMeansModel, GmmModel]:

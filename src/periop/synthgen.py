@@ -7,12 +7,16 @@ anchor missingness, manual plans quantized to 15-minute multiples with a
 calibrated multiplicative bias, systematic underestimation of short
 procedures, free-text synonym/abbreviation variation, and a small rate of
 implausible records (negative or multi-day durations). Output is fully
-deterministic for a given seed; all draws come from one sequential stream.
+deterministic for a given seed. Each raw column of the cases is drawn from
+its own stream, one child of ``SeedSequence(seed)`` per name in ``STREAMS``,
+so case i's draws depend neither on the number of cases nor on any other
+column: the log of n cases is the first n cases of any longer log at the
+same seed.
 
-``generate_log`` works in two passes: a loop over the cases makes the draws
-and keeps only the raw values in compact columns, then numpy derives the
-durations, plans, texts and timestamps from them, sorts the events with one
-``lexsort``, and the three files are written a chunk of rows at a time.
+``generate_log`` works in two passes: the first draws each raw column in
+bulk, then numpy derives the durations, plans, texts and timestamps from
+them, sorts the events with one ``lexsort``, and the three files are written
+a chunk of rows at a time.
 """
 
 from __future__ import annotations
@@ -20,8 +24,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-from array import array
-from bisect import bisect_right
 from dataclasses import dataclass
 from datetime import datetime
 from pathlib import Path
@@ -115,6 +117,19 @@ _JSON_BOOL = ("false", "true")
 _POSITIONING, _ATTRS = 1 << 4, 1 << 5
 _CHUNK = 1024  # rows formatted and written at a time
 
+# The generator's streams, spawned from SeedSequence(seed) in this order: the
+# family parameters, then one per raw column of the cases. A case of the
+# implausible or other events draws values of three kinds, and one bulk call
+# draws one kind, so each of those events has a stream per kind.
+STREAMS = (
+    "family_params", "family", "anesthesia", "age", "sex",
+    "induction", "preparation", "procedure", "procedure_plan_bias", "induction_plan_bias",
+    "induction_anchors", "procedure_anchors", "positioning",
+    "implausible", "implausible_negative", "implausible_multiday",
+    "day", "minute", "other_event", "other_label", "other_minutes",
+    "attrs", "variant", "surface", "procedure_noise", "anesthesia_noise",
+)
+
 
 def anesthesia_variants(canonical: str) -> list[str]:
     """Canonical term plus every shipped abbreviation that maps to it."""
@@ -171,20 +186,15 @@ class SynthConfig:
             raise ValueError("plan_quantum_min and preparation_sigma must be > 0")
 
 
-def _pair_presence(rng: np.random.Generator, coverage: float) -> tuple[bool, bool]:
-    """Presence of (first, second) anchor of a pair.
+def _pair_presences(rng: np.random.Generator, n: int, coverage: float) -> tuple[np.ndarray, np.ndarray]:
+    """Presence of the (first, second) anchor of each of ``n`` pairs, from two draws per pair.
 
     With probability ``coverage`` both anchors exist. Otherwise 60% of the
     time both are dropped and 40% of the time exactly one survives.
     """
-    if rng.random() < coverage:
-        return True, True
-    u = rng.random()
-    if u < 0.6:
-        return False, False
-    if u < 0.8:
-        return True, False
-    return False, True
+    both, u = rng.random((n, 2)).T
+    both = both < coverage
+    return both | ((0.6 <= u) & (u < 0.8)), both | (u >= 0.8)
 
 
 def _single_presence_rate(coverage: float) -> float:
@@ -200,13 +210,12 @@ def _fmt_minutes(value: float) -> str:
     return str(int(value)) if float(value).is_integer() else repr(float(value))
 
 
-def _noise_code(rng: np.random.Generator) -> int:
-    """Draw a text's noise: 3 * letter case (as is, capitalized, upper) + end mark (none, '.', '!')."""
-    u = rng.random()
-    v = rng.random()
-    letters = 1 if u < 0.25 else 2 if u < 0.35 else 0
-    mark = 1 if v < 0.15 else 2 if v < 0.22 else 0
-    return 3 * letters + mark
+def _noise_codes(rng: np.random.Generator, n: int) -> np.ndarray:
+    """The noise of ``n`` texts, from two draws per text: 3 * letter case
+    (as is, capitalized, upper) + end mark (none, '.', '!')."""
+    u, v = rng.random((n, 2)).T
+    letters = np.where(u < 0.25, 1, np.where(u < 0.35, 2, 0))
+    return 3 * letters + np.where(v < 0.15, 1, np.where(v < 0.22, 2, 0))
 
 
 def _noisy_text(text: str, code: int) -> str:
@@ -221,14 +230,6 @@ def _text_table(families: list[list[str]]) -> tuple[np.ndarray, np.ndarray]:
     texts = [_noisy_text(text, code) for surfaces in families for text in surfaces for code in range(9)]
     offsets = np.cumsum([0] + [9 * len(surfaces) for surfaces in families[:-1]])
     return np.array(texts, dtype=object), offsets
-
-
-def _cdf(p) -> list[float]:
-    # numpy's Generator.choice builds this CDF; bisect_right on it is its
-    # searchsorted(side="right"), so one rng.random() draw picks the same index
-    cdf = np.asarray(p, dtype=np.float64).cumsum()
-    cdf /= cdf[-1]
-    return cdf.tolist()
 
 
 def _minutes_to_us(minutes: np.ndarray) -> np.ndarray:
@@ -287,125 +288,115 @@ def _chunks(index: np.ndarray):
 def generate_log(cfg: SynthConfig, out: Path) -> None:
     """Write events.csv, cases.csv and ground_truth.json into the directory ``out``.
 
-    Two passes. The first makes every draw of the one RNG stream, case by
-    case in stream order, and keeps only the raw draws in compact columns.
-    The second derives the durations, plans, texts and timestamps from those
-    columns with numpy, sorts the events (by UTC timestamp, case id, event
+    Two passes. The first draws each raw column, for every case at once,
+    from the column's own stream (``STREAMS``). The second derives the
+    durations, plans, texts and timestamps from those columns with numpy, sorts the events (by UTC timestamp, case id, event
     type) and the case rows (by case id), and writes the three files in
     small chunks.
     """
-    rng = np.random.default_rng(cfg.seed)
+    rng = dict(zip(STREAMS, map(np.random.default_rng, np.random.SeedSequence(cfg.seed).spawn(len(STREAMS)))))
+    params = rng["family_params"]
     n_fam = cfg.n_procedure_families
     fam_terms = [
         PROCEDURE_TERMS[i] if i < len(PROCEDURE_TERMS) else f"eingriff{i:02d}"
         for i in range(n_fam)
     ]
     fam_medians = np.exp(
-        rng.uniform(
+        params.uniform(
             math.log(cfg.procedure_median_range[0]),
             math.log(cfg.procedure_median_range[1]),
             size=n_fam,
         )
     )
-    fam_sigmas = rng.uniform(*cfg.procedure_sigma_range, size=n_fam)
-    fam_cdf = _cdf(rng.dirichlet(np.full(n_fam, 2.0)))
+    fam_sigmas = params.uniform(*cfg.procedure_sigma_range, size=n_fam)
+    fam_weights = params.dirichlet(np.full(n_fam, 2.0))
     fam_positioning = [POSITIONINGS[i % len(POSITIONINGS)] for i in range(n_fam)]
     variant_templates = PROCEDURE_VARIANT_TEMPLATES[: cfg.synonyms_per_family]
 
     n_anes = cfg.n_anesthesia_families
     anes_surfaces = [anesthesia_variants(c) for c in ANESTHESIA_CANONICALS[:n_anes]]
     anes_medians = np.exp(
-        rng.uniform(
+        params.uniform(
             math.log(cfg.induction_median_range[0]),
             math.log(cfg.induction_median_range[1]),
             size=n_anes,
         )
     )
-    anes_sigmas = rng.uniform(*cfg.induction_sigma_range, size=n_anes)
-    anes_cdf = _cdf(rng.dirichlet(np.full(n_anes, 2.0)))
-    sex_cdf = _cdf([0.48, 0.48, 0.04])
+    anes_sigmas = params.uniform(*cfg.induction_sigma_range, size=n_anes)
+    anes_weights = params.dirichlet(np.full(n_anes, 2.0))
 
-    # python floats: the same doubles as the arrays, without numpy scalar overhead
-    fam_log_medians = [math.log(m) for m in fam_medians.tolist()]
-    fam_sigma_list = fam_sigmas.tolist()
-    anes_log_medians = [math.log(m) for m in anes_medians.tolist()]
-    anes_sigma_list = anes_sigmas.tolist()
-    prep_log_medians = [math.log(median) for _, median in fam_positioning]
-    anes_surface_counts = [len(surfaces) for surfaces in anes_surfaces]
+    # math.log, not np.log, so that each mean is the double a scalar draw would use
+    fam_log_medians = np.array([math.log(m) for m in fam_medians.tolist()])
+    anes_log_medians = np.array([math.log(m) for m in anes_medians.tolist()])
+    prep_log_medians = np.array([math.log(median) for _, median in fam_positioning])
 
     # positioning info is only usable when both surrounding timestamps exist
     p_complete = _single_presence_rate(cfg.coverage_induction)
     p_incision = _single_presence_rate(cfg.coverage_procedure)
     q_positioning = min(1.0, cfg.coverage_preparation / (p_complete * p_incision))
 
-    # Pass 1: every draw, in the stream's order; each case keeps its raw draws.
+    # Pass 1: each raw column in bulk from its own stream. A draw that only
+    # some cases use is made for every case and masked, so case i's values
+    # are the i-th draws of each stream, whatever n_cases and the rates are.
+    # Integers are drawn as int64, for only then do they equal scalar draws,
+    # and narrowed at once.
+    n = cfg.n_cases
+    fam = rng["family"].choice(n_fam, size=n, p=fam_weights).astype(np.int32)
+    anes = rng["anesthesia"].choice(n_anes, size=n, p=anes_weights).astype(np.uint8)
+    variant = rng["variant"].integers(len(variant_templates), size=n)
+    proc_text = (9 * variant + _noise_codes(rng["procedure_noise"], n)).astype(np.uint8)
+    surface = rng["surface"].integers(np.array([len(surfaces) for surfaces in anes_surfaces])[anes])
+    anes_text = (9 * surface + _noise_codes(rng["anesthesia_noise"], n)).astype(np.uint8)
+    del variant, surface
+
     # One byte of flags per case: a bit per anchor in ANCHOR_EVENTS order, then
-    # _POSITIONING and _ATTRS. The implausible and other events are sparse.
-    fam_col, anes_col, sex_col, flag_col = array("i"), array("B"), array("B"), array("B")
-    age_z, ind_z, prep_z, proc_z, proc_bias_z, ind_bias_z = (array("d") for _ in range(6))
-    day_col, minute_col = array("i"), array("d")
-    proc_text_col, anes_text_col = array("H"), array("H")
-    implausible_at, implausible_sec = array("i"), array("q")  # < 0: negative, else seconds added
-    other_at, other_label, other_min = array("i"), array("B"), array("d")
-    random, normal, integers, uniform = rng.random, rng.normal, rng.integers, rng.uniform
-    for i in range(cfg.n_cases):
-        fam = bisect_right(fam_cdf, random())
-        anes = bisect_right(anes_cdf, random())
-        fam_col.append(fam)
-        anes_col.append(anes)
-        age_z.append(normal(55.0, 18.0))
-        sex_col.append(bisect_right(sex_cdf, random()))
-        ind_z.append(normal(anes_log_medians[anes], anes_sigma_list[anes]))
-        prep_z.append(normal(prep_log_medians[fam], cfg.preparation_sigma))
-        proc_z.append(normal(fam_log_medians[fam], fam_sigma_list[fam]))
-        proc_bias_z.append(normal(cfg.proc_plan_bias_mu, cfg.proc_plan_bias_sigma))
-        ind_bias_z.append(normal(cfg.ind_plan_bias_mu, cfg.ind_plan_bias_sigma))
+    # _POSITIONING and _ATTRS.
+    has_start, has_complete = _pair_presences(rng["induction_anchors"], n, cfg.coverage_induction)
+    has_incision, has_suture = _pair_presences(rng["procedure_anchors"], n, cfg.coverage_procedure)
+    has_positioning = rng["positioning"].random(n) < q_positioning
+    has_attrs = rng["attrs"].random(n) >= cfg.attrs_missing_rate
+    flags = np.zeros(n, dtype=np.uint8)
+    for k, bit in enumerate((has_start, has_complete, has_incision, has_suture, has_positioning, has_attrs)):
+        flags |= bit.astype(np.uint8) << k
+    gate, negative = rng["implausible"].random((n, 2)).T
+    at = np.flatnonzero(has_incision & has_suture & (gate < cfg.implausible_rate))
+    del has_start, has_complete, has_incision, has_suture, has_positioning, has_attrs, gate
+    # < 0: the emitted negative duration, else seconds added to the true one
+    sec = np.where(
+        negative[at] < 0.5,
+        -rng["implausible_negative"].integers(300, 3600, size=n)[at],
+        np.rint(rng["implausible_multiday"].uniform(2.5, 5.0, size=n)[at] * 86400).astype(np.int64),
+    )
+    del negative
+    other_at = np.flatnonzero(rng["other_event"].random(n) < cfg.other_event_rate)
+    other_label = rng["other_label"].integers(len(OTHER_EVENT_LABELS), size=n)[other_at].astype(np.uint8)
+    other_min = rng["other_minutes"].uniform(5.0, 25.0, size=n)[other_at]
 
-        has_start, has_complete = _pair_presence(rng, cfg.coverage_induction)
-        has_incision, has_suture = _pair_presence(rng, cfg.coverage_procedure)
-        flags = has_start | has_complete << 1 | has_incision << 2 | has_suture << 3
-        flags |= (random() < q_positioning) << 4
-
-        draw = random()
-        if has_incision and has_suture and draw < cfg.implausible_rate:
-            implausible_at.append(i)
-            if random() < 0.5:
-                implausible_sec.append(-int(integers(300, 3600)))
-            else:
-                implausible_sec.append(int(round(uniform(2.5, 5.0) * 86400)))
-
-        day_col.append(int(integers(cfg.horizon_days)))
-        minute_col.append(uniform(6 * 60, 16 * 60))
-        if random() < cfg.other_event_rate:
-            other_at.append(i)
-            other_label.append(int(integers(len(OTHER_EVENT_LABELS))))
-            other_min.append(uniform(5.0, 25.0))
-
-        flags |= (random() >= cfg.attrs_missing_rate) << 5
-        flag_col.append(flags)
-        variant = int(integers(len(variant_templates)))
-        proc_text_col.append(9 * variant + _noise_code(rng))
-        surface = int(integers(anes_surface_counts[anes]))
-        anes_text_col.append(9 * surface + _noise_code(rng))
+    ind_z = rng["induction"].normal(anes_log_medians[anes], anes_sigmas[anes])
+    prep_z = rng["preparation"].normal(prep_log_medians[fam], cfg.preparation_sigma)
+    proc_z = rng["procedure"].normal(fam_log_medians[fam], fam_sigmas[fam])
+    proc_bias_z = rng["procedure_plan_bias"].normal(cfg.proc_plan_bias_mu, cfg.proc_plan_bias_sigma, size=n)
+    ind_bias_z = rng["induction_plan_bias"].normal(cfg.ind_plan_bias_mu, cfg.ind_plan_bias_sigma, size=n)
+    age_z = rng["age"].normal(55.0, 18.0, size=n)
+    sex = rng["sex"].choice(len(_SEXES), size=n, p=[0.48, 0.48, 0.04]).astype(np.uint8)
+    day = rng["day"].integers(cfg.horizon_days, size=n).astype(np.int32)
+    minute = rng["minute"].uniform(6 * 60, 16 * 60, size=n)
 
     # Pass 2: everything derived, as numpy columns
-    fam, anes, flags = np.array(fam_col), np.array(anes_col), np.array(flag_col)
-    del fam_col, anes_col, flag_col
     ind_sec, prep_sec, proc_sec = (
-        np.maximum(60, np.rint(60.0 * np.exp(np.array(z))).astype(np.int64)) for z in (ind_z, prep_z, proc_z)
+        np.maximum(60, np.rint(60.0 * np.exp(z)).astype(np.int64)) for z in (ind_z, prep_z, proc_z)
     )
-    at, sec = np.array(implausible_at), np.array(implausible_sec)
     emitted_sec = proc_sec.copy()
     emitted_sec[at] = np.where(sec < 0, sec, proc_sec[at] + sec)
     implausible = np.full(cfg.n_cases, "null", dtype=object)
     implausible[at] = np.where(sec < 0, '"negative"', '"multiday"')
-    del ind_z, prep_z, proc_z, proc_sec, implausible_at, implausible_sec
+    del ind_z, prep_z, proc_z, proc_sec, at, sec
 
     fam_median = fam_medians[fam]
-    proc_bias = np.exp(np.array(proc_bias_z))
+    proc_bias = np.exp(proc_bias_z)
     proc_bias = np.where(fam_median < 30.0, proc_bias * cfg.short_family_bias, proc_bias)
     proc_plan = _quantize_plans(fam_median * proc_bias, cfg.plan_quantum_min)
-    ind_plan = _quantize_plans(anes_medians[anes] * np.exp(np.array(ind_bias_z)), cfg.plan_quantum_min)
+    ind_plan = _quantize_plans(anes_medians[anes] * np.exp(ind_bias_z), cfg.plan_quantum_min)
     del fam_median, proc_bias, proc_bias_z, ind_bias_z
 
     positioning = np.array([name for name, _ in fam_positioning], dtype=object)
@@ -443,7 +434,7 @@ def generate_log(cfg: SynthConfig, out: Path) -> None:
         )
     del implausible
 
-    rank = _case_id_rank(np.arange(1, cfg.n_cases + 1))
+    rank = _case_id_rank(np.arange(1, cfg.n_cases + 1)).astype(np.int32)
     present = np.flatnonzero(flags & _ATTRS)
     proc_texts, proc_offsets = _text_table(
         [[template.format(t=term) for template in variant_templates] for term in fam_terms]
@@ -451,15 +442,15 @@ def generate_log(cfg: SynthConfig, out: Path) -> None:
     anes_texts, anes_offsets = _text_table(anes_surfaces)
     columns = (
         np.array([DEPARTMENTS[f % len(DEPARTMENTS)] for f in range(n_fam)], dtype=object)[fam],
-        _texts(np.clip(np.rint(np.array(age_z)), 18, 95).astype(np.int64), str),
-        np.array(_SEXES, dtype=object)[np.array(sex_col)],
-        proc_texts[proc_offsets[fam] + np.array(proc_text_col)],
-        anes_texts[anes_offsets[anes] + np.array(anes_text_col)],
+        _texts(np.clip(np.rint(age_z), 18, 95).astype(np.int64), str),
+        np.array(_SEXES, dtype=object)[sex],
+        proc_texts[proc_offsets[fam] + proc_text],
+        anes_texts[anes_offsets[anes] + anes_text],
         np.where(flags & _POSITIONING, positioning[fam], ""),
         _texts(ind_plan, _fmt_minutes),
         _texts(proc_plan, _fmt_minutes),
     )
-    del age_z, sex_col, proc_text_col, anes_text_col, ind_plan, proc_plan
+    del age_z, sex, proc_text, anes_text, ind_plan, proc_plan
     with artifacts._create(out / "cases.csv") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CASES_HEADER)
@@ -467,29 +458,27 @@ def generate_log(cfg: SynthConfig, out: Path) -> None:
             writer.writerows(zip(_case_ids(at), *(column[at].tolist() for column in columns)))
     del columns, present
 
-    # each event: its UTC timestamp in microseconds, case index and type's sort rank
+    # each event: its UTC timestamp in microseconds, case index and type's sort rank;
+    # the case index and the case ranks are int32, which halves the sort's largest keys
     base = np.datetime64(datetime.fromisoformat(cfg.start_date), "us").astype(np.int64)
-    day_start = base + _DAY_US * np.array(day_col, dtype=np.int64)
-    local = day_start + _minutes_to_us(np.array(minute_col))
+    day_start = base + _DAY_US * day.astype(np.int64)
+    local = day_start + _minutes_to_us(minute)
     # a case's local offset follows the month of its day
     t0 = local - local % _MINUTE_US - _utc_offset_us(day_start)
-    del day_col, minute_col, day_start, local
+    del day, minute, day_start, local
     t_complete = t0 + 1_000_000 * ind_sec
     t_incision = t_complete + 1_000_000 * prep_sec
     anchor_times = (t0, t_complete, t_incision, t_incision + 1_000_000 * emitted_sec)
     del ind_sec, prep_sec, emitted_sec
     stamps, cases, types = [], [], []
     for k, (event_type, times) in enumerate(zip(ANCHOR_EVENTS, anchor_times)):
-        at = np.flatnonzero(flags & 1 << k)
+        at = np.flatnonzero(flags & 1 << k).astype(np.int32)
         stamps.append(times[at])
         cases.append(at)
         types.append(np.full(at.size, EVENT_TYPES.index(event_type), dtype=np.uint8))
-    at = np.array(other_at, dtype=np.intp)
-    stamps.append(t0[at] - _minutes_to_us(np.array(other_min)))
-    cases.append(at)
-    types.append(np.array([EVENT_TYPES.index(label) for label in OTHER_EVENT_LABELS], dtype=np.uint8)[
-        np.array(other_label, dtype=np.intp)
-    ])
+    stamps.append(t0[other_at] - _minutes_to_us(other_min))
+    cases.append(other_at.astype(np.int32))
+    types.append(np.array([EVENT_TYPES.index(label) for label in OTHER_EVENT_LABELS], dtype=np.uint8)[other_label])
     del anchor_times, t0, t_complete, t_incision, other_at, other_label, other_min, flags
     stamps, cases, types = (np.concatenate(parts) for parts in (stamps, cases, types))
     order = np.lexsort((types, rank[cases], stamps))

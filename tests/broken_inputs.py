@@ -78,7 +78,7 @@ PIPELINE_CONFIG = (
     "models = mean,group-mean,mta,gbm\n"
     "gbm_n_trees = 40\n"
 )
-FEW_CONFIG = "phases = procedure\ncluster_k.procedure = 2..3\nmax_duration_min = 30\ntest_fraction = 0.75\n"
+FEW_CONFIG = "phases = procedure\ncluster_k.procedure = 2..3\nmax_duration_min = 33\ntest_fraction = 0.75\n"
 
 CHAINS = {
     "pipeline": Chain(PIPELINE_CONFIG, 13, 1500, "report"),
@@ -89,7 +89,7 @@ CHAINS = {
     # 300 cases cleaned to an empty side of the split, or to texts of no token
     "no-test-case": Chain("test_fraction = 0.001\n", 1, 300, "clean"),
     "no-retained-case": Chain("max_duration_min = 1\n", 1, 300, "clean"),
-    "one-retained-case": Chain("max_duration_min = 12\n", 1, 300, "clean"),
+    "one-retained-case": Chain("max_duration_min = 9.25\n", 1, 300, "clean"),
     "no-token": Chain("min_token_len = 50\n", 1, 300, "clean"),
     # 100 cases of which clean keeps 6, 2 of them for training
     "few": Chain(FEW_CONFIG, 15, 100, "clean"),
@@ -481,6 +481,16 @@ ROWS = [
           ("gmm-means-one-row-short", "cluster_model_induction.json",
            json_edit(lambda obj: obj["model"]["means"].pop()), ("predict",), "cluster",
            "'weights', 'means' and 'variances' are (4,), (3, "),
+          # finite entries whose squared distances to a TF-IDF row overflow
+          ("kmeans-centroid-1e308", "cluster_model_procedure.json", json_edit(put(("model", "centroids", 0, 0), 1e308)),
+           ("predict",), "cluster", "bad row 0 in 'centroids': its sum of squares is not finite"),
+          ("gmm-mean-1e308", "cluster_model_induction.json", json_edit(put(("model", "means", 0, 0), 1e308)),
+           ("predict",), "cluster", "bad row 0 in 'means': its sum of squares over 'variances' is not finite"),
+          ("gmm-mean-1e153-over-the-floor", "cluster_model_induction.json",
+           json_edit(lambda obj: (put(("model", "means", 1, 0), 1e153)(obj), put(("model", "variances", 1, 0), 1e-6)(obj))),
+           ("predict",), "cluster", "bad row 1 in 'means': its sum of squares over 'variances' is not finite"),
+          ("gmm-variance-1e-320", "cluster_model_induction.json", json_edit(put(("model", "variances", 0, 0), 1e-320)),
+           ("predict",), "cluster", "bad entry in 'variances': expected a number >= 1e-06, got 9.99989e-321"),
           ("kmeans-centroids-one-column-narrow", "cluster_model_procedure.json",
            json_edit(lambda obj: [row.pop() for row in obj["model"]["centroids"]]), ("predict",), "cluster",
            "columns for the "),
@@ -565,12 +575,12 @@ ROWS = [
         each(LATER[1:], 1, f"error: {SPLIT}:{ANY} breaks the ascending order of the test ids, so {ANY}"
                            f"{rerun('cluster')}")),
     # floor(n * 0.001) = 0 test cases, a 1-minute cap retains none, and a
-    # 12-minute cap leaves one plausible procedure, too few for IQR bounds
+    # 9.25-minute cap leaves one plausible procedure, too few for IQR bounds
     *(Row("test_an_empty_split_exits_one_at_the_first_stage_that_splits", id, id, (),
           each(("cluster", "train", "evaluate"), 1, f"error: {problem}\n"), same=("tfidf_procedure.json",))
       for id, problem in (
           ("no-test-case", "config key 'test_fraction': 0.001 leaves phase 'procedure' an empty test split of "
-                           "its 200 retained cases"),
+                           "its 204 retained cases"),
           ("no-retained-case", "phase 'procedure': cleaning retained no cases; see cleaning_report.json"),
           ("one-retained-case", "config key 'test_fraction': 0.2 leaves phase 'procedure' an empty test split of "
                                 "its 1 retained cases"),

@@ -39,7 +39,6 @@ from periop.synthgen import (
     PROCEDURE_TERMS,
     PROCEDURE_VARIANT_TEMPLATES,
     _fmt_minutes,
-    _pair_presence,
     _single_presence_rate,
     anesthesia_variants,
 )
@@ -863,11 +862,24 @@ def midranks_slow(values):
     return ranks, tie_sum
 
 
-# The vocabularies and the presence helpers come from periop.synthgen; only
-# the draw loop, the in-memory output assembly and the two scalar helpers
-# below, which the generator no longer has, are the reference here.
+# The vocabularies come from periop.synthgen; the per-case draw loop, the
+# in-memory output assembly and the scalar helpers below, which the generator
+# no longer has, are the reference here.
 def _quantize_plan(raw_minutes, quantum):
     return max(quantum, round(raw_minutes / quantum) * quantum)
+
+
+def _pair_presence(rng, coverage):
+    """Presence of the (first, second) anchor of a pair; two draws, whichever is used."""
+    both = rng.random() < coverage
+    u = rng.random()
+    if both:
+        return True, True
+    if u < 0.6:
+        return False, False
+    if u < 0.8:
+        return True, False
+    return False, True
 
 
 def _noisy_text(rng, text):
@@ -885,26 +897,40 @@ def _noisy_text(rng, text):
 
 
 def generate_log_slow(cfg):
-    """The generator's first version, which built each output in memory.
+    """The generator as a loop over the cases that builds each output in memory.
 
     Returns the bytes of (events.csv, cases.csv, ground_truth.json) as text,
-    as the command line wrote them.
+    as the command line wrote them. Case by case, it draws scalars from one
+    stream per raw column; a draw that only some cases use is made for
+    every case.
     """
-    rng = np.random.default_rng(cfg.seed)
+    names = (
+        "family_params", "family", "anesthesia", "age", "sex",
+        "induction", "preparation", "procedure", "procedure_plan_bias", "induction_plan_bias",
+        "induction_anchors", "procedure_anchors", "positioning",
+        "implausible", "implausible_negative", "implausible_multiday",
+        "day", "minute", "other_event", "other_label", "other_minutes",
+        "attrs", "variant", "surface", "procedure_noise", "anesthesia_noise",
+    )
+    rng = {
+        name: np.random.default_rng(child)
+        for name, child in zip(names, np.random.SeedSequence(cfg.seed).spawn(len(names)))
+    }
+    params = rng["family_params"]
     n_fam = cfg.n_procedure_families
     fam_terms = [
         PROCEDURE_TERMS[i] if i < len(PROCEDURE_TERMS) else f"eingriff{i:02d}"
         for i in range(n_fam)
     ]
     fam_medians = np.exp(
-        rng.uniform(
+        params.uniform(
             math.log(cfg.procedure_median_range[0]),
             math.log(cfg.procedure_median_range[1]),
             size=n_fam,
         )
     )
-    fam_sigmas = rng.uniform(*cfg.procedure_sigma_range, size=n_fam)
-    fam_weights = rng.dirichlet(np.full(n_fam, 2.0))
+    fam_sigmas = params.uniform(*cfg.procedure_sigma_range, size=n_fam)
+    fam_weights = params.dirichlet(np.full(n_fam, 2.0))
     fam_dept = [DEPARTMENTS[i % len(DEPARTMENTS)] for i in range(n_fam)]
     fam_positioning = [POSITIONINGS[i % len(POSITIONINGS)] for i in range(n_fam)]
     variant_templates = PROCEDURE_VARIANT_TEMPLATES[: cfg.synonyms_per_family]
@@ -913,14 +939,14 @@ def generate_log_slow(cfg):
     anes_canon = ANESTHESIA_CANONICALS[:n_anes]
     anes_surfaces = [anesthesia_variants(c) for c in anes_canon]
     anes_medians = np.exp(
-        rng.uniform(
+        params.uniform(
             math.log(cfg.induction_median_range[0]),
             math.log(cfg.induction_median_range[1]),
             size=n_anes,
         )
     )
-    anes_sigmas = rng.uniform(*cfg.induction_sigma_range, size=n_anes)
-    anes_weights = rng.dirichlet(np.full(n_anes, 2.0))
+    anes_sigmas = params.uniform(*cfg.induction_sigma_range, size=n_anes)
+    anes_weights = params.dirichlet(np.full(n_anes, 2.0))
 
     # positioning info is only usable when both surrounding timestamps exist
     p_complete = _single_presence_rate(cfg.coverage_induction)
@@ -934,41 +960,47 @@ def generate_log_slow(cfg):
 
     for i in range(cfg.n_cases):
         case_id = f"W{i + 1:06d}"
-        fam = int(rng.choice(n_fam, p=fam_weights))
-        anes = int(rng.choice(n_anes, p=anes_weights))
+        fam = int(rng["family"].choice(n_fam, p=fam_weights))
+        anes = int(rng["anesthesia"].choice(n_anes, p=anes_weights))
         positioning, prep_median = fam_positioning[fam]
         department = fam_dept[fam]
-        age = int(np.clip(round(rng.normal(55.0, 18.0)), 18, 95))
-        sex = str(rng.choice(["f", "m", "other"], p=[0.48, 0.48, 0.04]))
+        age = int(np.clip(round(rng["age"].normal(55.0, 18.0)), 18, 95))
+        sex = str(rng["sex"].choice(["f", "m", "other"], p=[0.48, 0.48, 0.04]))
 
-        ind_sec = max(60, round(60.0 * float(np.exp(rng.normal(math.log(anes_medians[anes]), anes_sigmas[anes])))))
-        prep_sec = max(60, round(60.0 * float(np.exp(rng.normal(math.log(prep_median), cfg.preparation_sigma)))))
-        proc_sec = max(60, round(60.0 * float(np.exp(rng.normal(math.log(fam_medians[fam]), fam_sigmas[fam])))))
+        ind_z = rng["induction"].normal(math.log(anes_medians[anes]), anes_sigmas[anes])
+        prep_z = rng["preparation"].normal(math.log(prep_median), cfg.preparation_sigma)
+        proc_z = rng["procedure"].normal(math.log(fam_medians[fam]), fam_sigmas[fam])
+        ind_sec = max(60, round(60.0 * float(np.exp(ind_z))))
+        prep_sec = max(60, round(60.0 * float(np.exp(prep_z))))
+        proc_sec = max(60, round(60.0 * float(np.exp(proc_z))))
 
-        proc_bias = float(np.exp(rng.normal(cfg.proc_plan_bias_mu, cfg.proc_plan_bias_sigma)))
+        proc_bias = float(np.exp(rng["procedure_plan_bias"].normal(cfg.proc_plan_bias_mu, cfg.proc_plan_bias_sigma)))
         if fam_medians[fam] < 30.0:
             proc_bias *= cfg.short_family_bias
         proc_plan = _quantize_plan(fam_medians[fam] * proc_bias, cfg.plan_quantum_min)
-        ind_bias = float(np.exp(rng.normal(cfg.ind_plan_bias_mu, cfg.ind_plan_bias_sigma)))
+        ind_bias = float(np.exp(rng["induction_plan_bias"].normal(cfg.ind_plan_bias_mu, cfg.ind_plan_bias_sigma)))
         ind_plan = _quantize_plan(anes_medians[anes] * ind_bias, cfg.plan_quantum_min)
 
-        has_start, has_complete = _pair_presence(rng, cfg.coverage_induction)
-        has_incision, has_suture = _pair_presence(rng, cfg.coverage_procedure)
-        has_positioning = rng.random() < q_positioning
+        has_start, has_complete = _pair_presence(rng["induction_anchors"], cfg.coverage_induction)
+        has_incision, has_suture = _pair_presence(rng["procedure_anchors"], cfg.coverage_procedure)
+        has_positioning = rng["positioning"].random() < q_positioning
 
         implausible = None
         emitted_proc_sec = proc_sec
-        draw = rng.random()
+        draw = rng["implausible"].random()
+        negative = rng["implausible"].random() < 0.5
+        negative_sec = int(rng["implausible_negative"].integers(300, 3600))
+        multiday_days = rng["implausible_multiday"].uniform(2.5, 5.0)
         if has_incision and has_suture and draw < cfg.implausible_rate:
-            if rng.random() < 0.5:
-                emitted_proc_sec = -int(rng.integers(300, 3600))
+            if negative:
+                emitted_proc_sec = -negative_sec
                 implausible = "negative"
             else:
-                emitted_proc_sec = proc_sec + int(round(rng.uniform(2.5, 5.0) * 86400))
+                emitted_proc_sec = proc_sec + int(round(multiday_days * 86400))
                 implausible = "multiday"
 
-        day = int(rng.integers(cfg.horizon_days))
-        minute_of_day = float(rng.uniform(6 * 60, 16 * 60))
+        day = int(rng["day"].integers(cfg.horizon_days))
+        minute_of_day = float(rng["minute"].uniform(6 * 60, 16 * 60))
         offset_hours = 2 if 4 <= ((base_day + timedelta(days=day)).month) <= 10 else 1
         tz = timezone(timedelta(hours=offset_hours))
         t0 = (base_day + timedelta(days=day, minutes=minute_of_day)).replace(second=0, microsecond=0, tzinfo=tz)
@@ -984,16 +1016,18 @@ def generate_log_slow(cfg):
             events.append((t_incision.astimezone(timezone.utc), case_id, "incision"))
         if has_suture:
             events.append((t_suture.astimezone(timezone.utc), case_id, "suture"))
-        if rng.random() < cfg.other_event_rate:
-            label = str(rng.choice(OTHER_EVENT_LABELS))
-            t_other = t0 - timedelta(minutes=float(rng.uniform(5.0, 25.0)))
+        has_other = rng["other_event"].random() < cfg.other_event_rate
+        label = str(rng["other_label"].choice(OTHER_EVENT_LABELS))
+        other_minutes = float(rng["other_minutes"].uniform(5.0, 25.0))
+        if has_other:
+            t_other = t0 - timedelta(minutes=other_minutes)
             events.append((t_other.astimezone(timezone.utc), case_id, label))
 
-        attrs_present = rng.random() >= cfg.attrs_missing_rate
-        template = variant_templates[int(rng.integers(len(variant_templates)))]
-        procedure_text = _noisy_text(rng, template.format(t=fam_terms[fam]))
+        attrs_present = rng["attrs"].random() >= cfg.attrs_missing_rate
+        template = variant_templates[int(rng["variant"].integers(len(variant_templates)))]
+        procedure_text = _noisy_text(rng["procedure_noise"], template.format(t=fam_terms[fam]))
         surfaces = anes_surfaces[anes]
-        anesthesia_text = _noisy_text(rng, surfaces[int(rng.integers(len(surfaces)))])
+        anesthesia_text = _noisy_text(rng["anesthesia_noise"], surfaces[int(rng["surface"].integers(len(surfaces)))])
         if attrs_present:
             case_rows.append(
                 {

@@ -197,6 +197,58 @@ def test_files_equal_the_in_memory_generator_at_20k_cases():
     assert synth_texts(cfg) == generate_log_slow(cfg)
 
 
+def _rows_by_case(text):
+    """The CSV rows of ``text`` after its header, as (case id, row) pairs; the id is the first field."""
+    return [(row[0], row) for row in list(csv.reader(io.StringIO(text)))[1:]]
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_short=st.integers(100, 1500), more=st.integers(1, 1500))
+def test_a_shorter_log_is_the_prefix_of_a_longer_one(seed, n_short, more):
+    """Case i's draws do not depend on the number of cases."""
+    short = synth_texts(SynthConfig(n_cases=n_short, seed=seed))
+    long = synth_texts(SynthConfig(n_cases=n_short + more, seed=seed))
+    ids = {f"W{i:06d}" for i in range(1, n_short + 1)}
+    for text_short, text_long in zip(short[:2], long[:2]):  # events.csv, cases.csv
+        assert _rows_by_case(text_short) == [pair for pair in _rows_by_case(text_long) if pair[0] in ids]
+    truth_short, truth_long = json.loads(short[2]), json.loads(long[2])
+    assert truth_short["cases"] == truth_long["cases"][:n_short]
+    for key in ("procedure_family_means", "induction_family_means"):
+        assert truth_short[key] == truth_long[key]
+
+
+# the ground-truth fields that each rate may change: the implausible rate
+# changes a case's emitted procedure duration only when it marks it
+RATE_FIELDS = {
+    "other_event_rate": (),
+    "implausible_rate": ("implausible", "procedure_min"),
+    "attrs_missing_rate": ("attrs_present",),
+}
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_cases=st.integers(100, 1500),
+    rate=st.sampled_from(sorted(RATE_FIELDS)),
+    values=st.tuples(RATES, RATES),
+)
+def test_a_rate_changes_no_other_column(seed, n_cases, rate, values):
+    """Each column has its own stream, so a rate moves only the columns drawn from it."""
+    first, second = (synth_texts(SynthConfig(n_cases=n_cases, seed=seed, **{rate: value})) for value in values)
+    truth_first, truth_second = json.loads(first[2]), json.loads(second[2])
+    for a, b in zip(truth_first["cases"], truth_second["cases"], strict=True):
+        own = RATE_FIELDS[rate]
+        if a["implausible"] is None and b["implausible"] is None:
+            own = tuple(name for name in own if name != "procedure_min")
+        assert {k: v for k, v in a.items() if k not in own} == {k: v for k, v in b.items() if k not in own}
+    assert {k: v for k, v in truth_first.items() if k != "cases"} == {k: v for k, v in truth_second.items() if k != "cases"}
+    # cases.csv: the rows of the cases that both logs list are equal
+    rows_first, rows_second = dict(_rows_by_case(first[1])), dict(_rows_by_case(second[1]))
+    for case_id in rows_first.keys() & rows_second.keys():
+        assert rows_first[case_id] == rows_second[case_id]
+
+
 def _timedelta_us(minutes):
     return timedelta(minutes=minutes) // timedelta(microseconds=1)
 
