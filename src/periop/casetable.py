@@ -105,6 +105,17 @@ class CaseTable(Mapping):
             return list(map(list(self._vocabularies[field]).__getitem__, codes))
         return list(self._lists[field])
 
+    def take(self, field: str, rows: Iterable[int]) -> list:
+        """The values of ``field`` at ``rows``, as its column gives them,
+        without reading the rest of the column."""
+        numbers = self._numbers.get(field)
+        if numbers is not None:
+            return [None if v != v else v for v in map(numbers.__getitem__, rows)]
+        codes = self._codes.get(field)
+        if codes is not None:
+            return list(map(list(self._vocabularies[field]).__getitem__, map(codes.__getitem__, rows)))
+        return list(map(self._lists[field].__getitem__, rows))
+
     def __contains__(self, field) -> bool:
         return field in CASE_FIELDS
 

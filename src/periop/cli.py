@@ -108,7 +108,9 @@ def _retained_ids(cfg: PipelineConfig, phase: str, cases: CaseTable) -> list[str
     """The sorted ids of the cases that cleaning retained, each one of
     ``cases``; a split of them with an empty side exits 1, so no stage fits
     or scores on zero rows."""
-    ordered = sorted(artifacts.read_retained_ids(Path(cfg.out) / f"clean_{phase}.json", cases.index))
+    retained = artifacts.read_retained_ids(Path(cfg.out) / f"clean_{phase}.json", cases.index)
+    # the table's own id strings, so the clean file's copies are freed
+    ordered = sorted(map(cases.ids.__getitem__, map(cases.index.__getitem__, retained)))
     if not ordered:
         raise UsageError(f"phase {phase!r}: cleaning retained no cases; see cleaning_report.json")
     if not rules.held_out(len(ordered), cfg.test_fraction):  # the training side keeps n >= 1
@@ -127,16 +129,13 @@ def _read_split(cfg: PipelineConfig, phase: str, cases: CaseTable) -> tuple[arti
     )
 
 
-def _normalized_docs(
-    cfg: PipelineConfig, phase: str, cases: Mapping[str, Sequence]
-) -> tuple[list[list[str]], np.ndarray]:
-    """Token lists of the distinct phase texts of ``cases``, a mapping of
-    each case field to its column, in first-seen order, and each case's
-    index into them."""
+def _normalized_docs(cfg: PipelineConfig, phase: str, texts: Sequence[str]) -> tuple[list[list[str]], np.ndarray]:
+    """Token lists of the distinct ``texts``, one phase text per case, in
+    first-seen order, and each case's index into them."""
     from . import encoding, textnorm
 
     text_rules = _rules_for_phase(cfg, phase)
-    texts, inverse = encoding.distinct_keys(cases[PHASE_FIELDS[phase].text])
+    texts, inverse = encoding.distinct_keys(texts)
     return [textnorm.normalize_text(text, text_rules) for text in texts], inverse
 
 
@@ -224,83 +223,87 @@ def stage_clean(cfg: PipelineConfig) -> None:
 
 
 def stage_cluster(cfg: PipelineConfig) -> None:
+    cases = artifacts.read_cases(Path(cfg.out) / "cases.jsonl")
+    for phase in cfg.phases:
+        _cluster_phase(cfg, phase, cases)  # which frees its lists and arrays before the next phase
+
+
+def _cluster_phase(cfg: PipelineConfig, phase: str, cases: CaseTable) -> None:
+    """Split, vectorize and cluster one phase's retained cases, and write the
+    phase's files; the phases share nothing but the case table."""
     from . import clustering, models, textnorm
 
     out = Path(cfg.out)
-    cases = artifacts.read_cases(out / "cases.jsonl")
-    for phase in cfg.phases:
-        # the one draw of the split; the assignments file records it for the later stages
-        ordered = _retained_ids(cfg, phase, cases)
-        train_idx, test_idx = models.split_indices(
-            len(ordered), cfg.test_fraction, derive_seed(cfg.seed, f"split:{phase}")
-        )
-        train_ids, test_ids = [ordered[i] for i in train_idx], [ordered[i] for i in test_idx]
-        all_ids = train_ids + test_ids
-        split_cases = cases.select(all_ids)
-        docs, text_of = _normalized_docs(cfg, phase, split_cases)
-        try:
-            model_tfidf = textnorm.fit_tfidf([docs[i] for i in text_of[: len(train_ids)]], max_terms=cfg.max_terms)
-        except ValueError:  # every training text normalized to no token
-            raise UsageError(
-                f"phase {phase!r}: the text rules (config keys 'min_token_len', 'literal_strip', "
-                "'synonyms', 'stemming') leave no token in any training text"
-            ) from None
-        X_docs, doc_of = _tfidf_matrix(docs, model_tfidf)
-        doc_of = doc_of[text_of]  # each case's row of X_docs
-        train_doc_of = doc_of[: len(train_ids)]
+    # the one draw of the split; the assignments file records it for the later stages
+    ordered = _retained_ids(cfg, phase, cases)
+    train_idx, test_idx = models.split_indices(len(ordered), cfg.test_fraction, derive_seed(cfg.seed, f"split:{phase}"))
+    train_ids, test_ids = [ordered[i] for i in train_idx], [ordered[i] for i in test_idx]
+    all_ids = train_ids + test_ids
+    rows = list(map(cases.index.__getitem__, all_ids))  # the split's rows of the table, training rows first
+    docs, text_of = _normalized_docs(cfg, phase, cases.take(PHASE_FIELDS[phase].text, rows))
+    try:
+        model_tfidf = textnorm.fit_tfidf([docs[i] for i in text_of[: len(train_ids)]], max_terms=cfg.max_terms)
+    except ValueError:  # every training text normalized to no token
+        raise UsageError(
+            f"phase {phase!r}: the text rules (config keys 'min_token_len', 'literal_strip', "
+            "'synonyms', 'stemming') leave no token in any training text"
+        ) from None
+    X_docs, doc_of = _tfidf_matrix(docs, model_tfidf)
+    doc_of = doc_of[text_of]  # each case's row of X_docs
+    train_doc_of = doc_of[: len(train_ids)]
 
-        algo = cfg.cluster_algo.get(phase, "kmeans")
-        ks = cfg.cluster_k.get(phase, (2,))
-        # distinct training texts: the training cases come first, so their
-        # documents are a prefix of X_docs; two documents can share a vector
-        # (both all out-of-vocabulary, say), so rows are counted, not documents
-        n_texts = len({row.tobytes() for row in X_docs[: train_doc_of.max() + 1]})
-        if min(ks) > n_texts:
-            problem = f"phase {phase!r} has {n_texts} distinct training texts, fewer than k = {min(ks)}"
-            raise UsageError(f"config key 'cluster_k.{phase}': {problem}")
-        most = clustering.largest_scored_k(len(train_ids))
-        if len(ks) > 1 and min(ks) > most:  # select_k scores no k
-            problem = (
-                f"phase {phase!r} has {len(train_ids)} training cases: silhouette selection "
-                f"scores no k above {most}, and the smallest k is {min(ks)}"
-            )
-            raise UsageError(f"config key 'cluster_k.{phase}': {problem}")
-        seed = derive_seed(cfg.seed, f"cluster:{phase}")
-        scores: dict[int, float] = {}
-        if len(ks) > 1:
-            model, scores = clustering.select_k(X_docs, algo, ks, seed=seed, index=train_doc_of)
-        else:  # kmeans_fit, gmm_fit
-            model = getattr(clustering, f"{algo}_fit")(X_docs, ks[0], seed=seed + ks[0], index=train_doc_of)
-        labels = clustering.cluster_assign(model, X_docs)[doc_of]
+    algo = cfg.cluster_algo.get(phase, "kmeans")
+    ks = cfg.cluster_k.get(phase, (2,))
+    # distinct training texts: the training cases come first, so their
+    # documents are a prefix of X_docs; two documents can share a vector
+    # (both all out-of-vocabulary, say), so rows are counted, not documents
+    n_texts = len({row.tobytes() for row in X_docs[: train_doc_of.max() + 1]})
+    if min(ks) > n_texts:
+        problem = f"phase {phase!r} has {n_texts} distinct training texts, fewer than k = {min(ks)}"
+        raise UsageError(f"config key 'cluster_k.{phase}': {problem}")
+    most = clustering.largest_scored_k(len(train_ids))
+    if len(ks) > 1 and min(ks) > most:  # select_k scores no k
+        problem = (
+            f"phase {phase!r} has {len(train_ids)} training cases: silhouette selection "
+            f"scores no k above {most}, and the smallest k is {min(ks)}"
+        )
+        raise UsageError(f"config key 'cluster_k.{phase}': {problem}")
+    seed = derive_seed(cfg.seed, f"cluster:{phase}")
+    scores: dict[int, float] = {}
+    if len(ks) > 1:
+        model, scores = clustering.select_k(X_docs, algo, ks, seed=seed, index=train_doc_of)
+    else:  # kmeans_fit, gmm_fit
+        model = getattr(clustering, f"{algo}_fit")(X_docs, ks[0], seed=seed + ks[0], index=train_doc_of)
+    labels = clustering.cluster_assign(model, X_docs)[doc_of]
 
-        artifacts.write_json(out / f"tfidf_{phase}.json", model_tfidf.to_dict())
-        artifacts.write_json(
-            out / f"cluster_model_{phase}.json",
-            {
-                "model": model.to_dict(),
-                "selected_k": model.k,
-                # ascending k; a k that could not be scored (-inf) is null
-                "silhouette_scores": [
-                    {"k": k, "score": scores[k] if math.isfinite(scores[k]) else None}
-                    for k in sorted(scores)
-                ],
-            },
-        )
-        artifacts.write_assignments(out / f"assignments_{phase}.csv", all_ids, labels.tolist())
+    artifacts.write_json(out / f"tfidf_{phase}.json", model_tfidf.to_dict())
+    artifacts.write_json(
+        out / f"cluster_model_{phase}.json",
+        {
+            "model": model.to_dict(),
+            "selected_k": model.k,
+            # ascending k; a k that could not be scored (-inf) is null
+            "silhouette_scores": [
+                {"k": k, "score": scores[k] if math.isfinite(scores[k]) else None}
+                for k in sorted(scores)
+            ],
+        },
+    )
+    artifacts.write_assignments(out / f"assignments_{phase}.csv", all_ids, labels.tolist())
 
-        train_durations = split_cases[PHASE_FIELDS[phase].duration][: len(train_ids)]
-        catalog = clustering.cluster_catalog(
-            labels[: len(train_ids)], X_docs, model_tfidf.terms(), train_durations, index=train_doc_of
-        )
-        artifacts.write_csv(
-            out / f"clusters_{phase}.csv",
-            ["cluster_id", "size", "top_terms", "mean_duration_min"],
-            (
-                [row["cluster_id"], row["size"], row["top_terms"], repr(row["mean_duration_min"])]
-                for row in catalog
-            ),
-        )
-        print(f"cluster[{phase}]: {algo} k={model.k} over {len(train_ids)} train docs")
+    train_durations = cases.take(PHASE_FIELDS[phase].duration, rows[: len(train_ids)])
+    catalog = clustering.cluster_catalog(
+        labels[: len(train_ids)], X_docs, model_tfidf.terms(), train_durations, index=train_doc_of
+    )
+    artifacts.write_csv(
+        out / f"clusters_{phase}.csv",
+        ["cluster_id", "size", "top_terms", "mean_duration_min"],
+        (
+            [row["cluster_id"], row["size"], row["top_terms"], repr(row["mean_duration_min"])]
+            for row in catalog
+        ),
+    )
+    print(f"cluster[{phase}]: {algo} k={model.k} over {len(train_ids)} train docs")
 
 
 def _model_plan(name: str, cfg: PipelineConfig) -> tuple[str, str, dict]:
@@ -549,7 +552,7 @@ def stage_predict(cfg: PipelineConfig, dest: str | None, apply_floors: bool) -> 
     preds: Sequence[float] = []  # a --cases without a row read gets a header-only file
     if attrs:
         columns = dict(zip(CASES_HEADER, zip(*attrs)))
-        docs, text_of = _normalized_docs(cfg, phase, columns)
+        docs, text_of = _normalized_docs(cfg, phase, columns[PHASE_FIELDS[phase].text])
         X_docs, doc_of = _tfidf_matrix(docs, tfidf)
         clusters = clustering.cluster_assign(cluster_model, X_docs)[doc_of[text_of]].tolist()
         preds = _bundle_predict(bundle, columns, clusters)

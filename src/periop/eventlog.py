@@ -288,6 +288,8 @@ def _parse_optional_float(raw: str, line: int, name: str) -> float | None:
     if not raw:
         return None
     try:
+        if "_" in raw or not raw.isascii():  # float() reads 1_0, and the digits of other scripts
+            raise ValueError(raw)
         value = float(raw)
     except ValueError:
         raise ParseError(line, f"{name} is not a number: {raw!r}") from None
@@ -296,8 +298,13 @@ def _parse_optional_float(raw: str, line: int, name: str) -> float | None:
     return value
 
 
-def _attrs_from_fields(fields: list[str], line: int) -> tuple:
-    """The attribute row of a cases record, in ``CASES_HEADER`` order."""
+def _attrs_from_fields(fields: list[str], line: int, share: Callable[[str, str], str]) -> tuple:
+    """The attribute row of a cases record, in ``CASES_HEADER`` order.
+
+    ``share(value, value)`` gives the one object that the rows of a parse
+    hold for a department or text value (``setdefault`` of the parse's
+    dict). The numbers are not shared: ``-0.0 == 0.0``.
+    """
     (raw_id, department, age_raw, sex, procedure_text, anesthesia_text, positioning_text,
      planned_induction, planned_procedure) = fields
     case_id = raw_id.strip()
@@ -307,6 +314,8 @@ def _attrs_from_fields(fields: list[str], line: int) -> tuple:
     age: int | None = None
     if age_raw:
         try:
+            if "_" in age_raw or not age_raw.isascii():  # int() reads 6_5, and the digits of other scripts
+                raise ValueError(age_raw)
             age = int(age_raw)
         except ValueError:
             raise ParseError(line, f"age is not an integer: {age_raw!r}") from None
@@ -315,14 +324,15 @@ def _attrs_from_fields(fields: list[str], line: int) -> tuple:
     sex = sex.strip().lower()
     if sex not in ("f", "m"):
         sex = "other"
+    department = department.strip() or "unknown"
     return (
         case_id,
-        department.strip() or "unknown",
+        share(department, department),
         age,
         sex,
-        procedure_text,
-        anesthesia_text,
-        positioning_text,
+        share(procedure_text, procedure_text),
+        share(anesthesia_text, anesthesia_text),
+        share(positioning_text, positioning_text),
         _parse_optional_float(planned_induction, line, "planned_induction_min"),
         _parse_optional_float(planned_procedure, line, "planned_procedure_min"),
     )
@@ -339,13 +349,16 @@ def parse_case_attributes(
     :class:`ParseError`, and bad records are skipped and returned.
 
     With ``unique_ids`` a row whose case id an earlier row holds is a bad
-    record: the first row of each case id is kept.
+    record: the first row of each case id is kept. The rows hold one object
+    per distinct department and text value: a table of a few hundred
+    distinct texts holds a few hundred strings, not one per row.
     """
     rows: list[tuple] = []
     seen: set[str] = set()
+    share = {}.setdefault  # the one object of each department and text value
 
     def take(fields: list[str], line: int) -> None:
-        row = _attrs_from_fields(fields, line)
+        row = _attrs_from_fields(fields, line, share)
         if unique_ids:
             if row[0] in seen:
                 raise ParseError(line, f"case {row[0]!r} is listed a second time")

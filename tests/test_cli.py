@@ -831,6 +831,23 @@ def test_evaluate_with_another_seed_scores_the_split_cluster_drew(pipeline_dir, 
         assert (out / name).read_bytes() == (source / name).read_bytes(), name
 
 
+def test_cluster_writes_each_phase_as_a_run_of_that_phase_alone_does(pipeline_dir, tmp_path):
+    """The phases of one cluster run share no state: clustering both phases
+    writes the bytes that one phase at a time writes over the same clean
+    output."""
+    source, config = pipeline_dir
+    out = tmp_path / "out"
+    shutil.copytree(source, out)
+    written = sorted(p.name for pattern in artifacts.WRITES["cluster"] for p in source.glob(pattern))
+    assert len(written) == 8  # four files for each of the two phases
+    for name in written:
+        (out / name).unlink()
+    for phase in ("procedure", "induction"):
+        assert run(["cluster", "--out", str(out), *SMALL, "--config", str(config), "--phase", phase]) == 0
+    for name in written:
+        assert (out / name).read_bytes() == (source / name).read_bytes(), name
+
+
 _ROSTER = ("mean", "group-mean", "mta", "ridge", "tree", "forest", "gbm")
 
 

@@ -23,7 +23,7 @@ from oracles import (
     read_cases_slow,
     records_slow,
 )
-from periop import eventlog
+from periop import cli, eventlog
 from periop.artifacts import read_cases, write_cases
 from periop.casetable import CaseError, CaseTable
 from periop.config import UsageError
@@ -455,6 +455,16 @@ def test_a_selected_table_holds_the_columns_of_its_ids(data, cases):
         assert repr(selected[field]) == repr([column[table.index[i]] for i in ids])
 
 
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), cases=CASE_RECORDS)
+def test_take_gives_the_values_of_a_column_at_its_rows(data, cases):
+    table = case_table(cases)
+    rows = data.draw(st.lists(st.integers(0, len(table.ids) - 1)) if table.ids else st.just([]))
+    for field in CASE_FIELDS:
+        column = table[field]
+        assert repr(table.take(field, rows)) == repr([column[r] for r in rows])
+
+
 @pytest.mark.parametrize(
     "changes, problem",
     [
@@ -512,18 +522,27 @@ def test_case_attribute_missing_fields_default():
     assert a["planned_procedure_min"] is None
 
 
-@pytest.mark.parametrize(
-    "bad, problem",
-    [
-        ("W1,x,270,f,,,,,", "age out of range [0, 130]: 270"),
-        ("W1,x,-3,f,,,,,", "age out of range [0, 130]: -3"),
-        ("W1,x,63,f,,,,-5,", "planned_induction_min must be finite and >= 0: '-5'"),
-    ],
-    ids=["W1,x,270,f,,,,,", "W1,x,-3,f,,,,,", "W1,x,63,f,,,,-5,"],
-)
+VALIDATION_ROWS = [
+    ("W1,x,270,f,,,,,", "age out of range [0, 130]: 270"),
+    ("W1,x,-3,f,,,,,", "age out of range [0, 130]: -3"),
+    ("W1,x,63,f,,,,-5,", "planned_induction_min must be finite and >= 0: '-5'"),
+    # int() and float() also read Python's digit separators and the digits of
+    # other scripts; a cell takes ASCII notation only
+    ("W1,x,6_5,f,,,,,", "age is not an integer: '6_5'"),
+    ("W1,x,\uff16\uff15,f,,,,,", "age is not an integer: '\uff16\uff15'"),
+    ("W1,x,63,f,,,,1_0,", "planned_induction_min is not a number: '1_0'"),
+    ("W1,x,63,f,,,,,\u0661\u0662", "planned_procedure_min is not a number: '\u0661\u0662'"),
+]
+
+
+@pytest.mark.parametrize("bad, problem", VALIDATION_ROWS, ids=[bad for bad, _ in VALIDATION_ROWS])
 def test_case_attribute_validation(bad, problem):
+    """A bad value is the same record error in a CSV row and in a JSONL one."""
     attrs, errors = parse_case_attributes((CASES_CSV_HEADER + bad + "\n").encode())
     assert attrs == [] and errors == [RecordError(2, problem)]
+    record = json.dumps(dict(zip(CASES_HEADER, bad.split(","))))
+    attrs, errors = parse_case_attributes(record.encode(), fmt="jsonl")
+    assert attrs == [] and errors == [RecordError(1, problem)]
 
 
 # ---------------------------------------------------------------------------
@@ -677,20 +696,69 @@ ATTRIBUTE_ROW = st.fixed_dictionaries(
 )
 
 
-@settings(max_examples=200, deadline=None)
-@given(rows=st.lists(ATTRIBUTE_ROW, max_size=6))
-def test_csv_and_jsonl_renderings_parse_equal(rows):
+def rendered(rows, fmt) -> bytes:
+    """A cases file in ``fmt`` of ``rows``, dicts of the CASES_HEADER fields."""
+    if fmt == "jsonl":
+        return "".join(json.dumps(row) + "\n" for row in rows).encode()
     buf = io.StringIO()
     # quote every field: with a "\n" line terminator csv leaves a bare "\r" unquoted
     writer = csv.writer(buf, lineterminator="\n", quoting=csv.QUOTE_ALL)
     writer.writerow(CASES_HEADER)
     for row in rows:
         writer.writerow(["" if row[k] is None else row[k] for k in CASES_HEADER])
-    jsonl = "".join(json.dumps(row) + "\n" for row in rows)
-    from_csv, csv_errors = parse_case_attributes(buf.getvalue().encode())
-    from_jsonl, jsonl_errors = parse_case_attributes(jsonl.encode(), fmt="jsonl")
+    return buf.getvalue().encode()
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(ATTRIBUTE_ROW, max_size=6))
+def test_csv_and_jsonl_renderings_parse_equal(rows):
+    from_csv, csv_errors = parse_case_attributes(rendered(rows, "csv"))
+    from_jsonl, jsonl_errors = parse_case_attributes(rendered(rows, "jsonl"), fmt="jsonl")
     assert from_csv == from_jsonl
     assert [e.message for e in csv_errors] == [e.message for e in jsonl_errors]
+
+
+SHARED_FIELDS = ("department", "procedure_text", "anesthesia_text", "positioning_text")
+# few values, so that rows repeat them; a value of one character is one
+# object in CPython anyway, so most are longer
+FEW_TEXTS = st.sampled_from(["", "ITN", " ITN", "lap. op", "Rückenlage", "x" * 40]) | st.text(min_size=2, max_size=3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.lists(
+        st.tuples(ATTRIBUTE_ROW, st.fixed_dictionaries(dict.fromkeys(SHARED_FIELDS, FEW_TEXTS))).map(
+            lambda pair: {**pair[0], **pair[1]}
+        ),
+        max_size=8,
+    ),
+    fmt=st.sampled_from(FORMATS),
+)
+def test_equal_texts_within_one_parse_are_one_object(rows, fmt):
+    """The rows of one parse hold one object per distinct department and
+    text value, and equal the rows of each record parsed on its own, which
+    share nothing, as every row did before the values were shared."""
+    parsed, _ = parse_case_attributes(rendered(rows, fmt), fmt=fmt)
+    alone = [row for record in rows for row in parse_case_attributes(rendered([record], fmt), fmt=fmt)[0]]
+    assert parsed == alone
+    held: dict[str, str] = {}
+    for row in parsed:
+        for field in SHARED_FIELDS:
+            value = row[CASES_HEADER.index(field)]
+            assert held.setdefault(value, value) is value, (field, value)
+
+
+def test_a_negative_zero_plan_keeps_its_sign_beside_a_zero_plan(tmp_path):
+    """Numbers are not shared: -0.0 == 0.0, and each plan keeps its own sign
+    in cases.jsonl."""
+    (tmp_path / "events.csv").write_text(
+        "case_id,event_type,timestamp\nW1,incision,2024-03-01T08:00:00Z\nW2,incision,2024-03-01T09:00:00Z\n"
+    )
+    (tmp_path / "cases.csv").write_text(CASES_CSV_HEADER + "W1,x,63,f,a,b,c,-0,0\nW2,x,63,f,a,b,c,0,-0\n")
+    assert cli.run(["ingest", "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "cases.jsonl").read_text().splitlines()
+    plans = [line.split(", ")[7:9] for line in lines[1:]]
+    assert plans == [["-0.0", "0.0"], ["0.0", "-0.0"]]
 
 
 # ---------------------------------------------------------------------------
