@@ -1,17 +1,22 @@
 """Artifact I/O: every file a stage writes, and every artifact a stage reads.
 
-``WRITES`` declares the files each command writes into ``--out``; every
-file a stage writes goes through ``_create``. Three readers serve every
-artifact that a stage reads back: ``read_json`` for the JSON artifacts, each
-through its own decoder, ``read_csv`` for the assignments and predictions,
-and ``read_cases`` for ``cases.jsonl``, which reads the file in one pass and
-gives a CaseTable: the reader checks each line's shape, and the table the
-values of each case. A reader returns checked data or raises UsageError,
-naming the file, the line or field where there is one, and the command
-that ``WRITES`` names for it; so a missing, malformed or stale artifact
-exits 1. A reader also checks the file against the data it is read with: a
-clean file's ids against the case table, the assignments against the
-retained ids, and the predictions against the test ids they are read for.
+``WRITES`` declares the files each command writes into ``--out``, and
+``write`` writes every one: a JSON object, a CSV table or text, each in the
+layout that ``write`` alone decides. The values whose layout a reader checks
+are built here, beside their readers: ``cases_jsonl``, ``assignments`` and
+``predictions``.
+
+Three readers serve every artifact that a stage reads back: ``read_json``
+for the JSON artifacts, each through its own decoder, ``read_csv`` for the
+assignments and predictions, and ``read_cases`` for ``cases.jsonl``, which
+reads the file in one pass and gives a CaseTable: the reader checks each
+line's shape, and the table the values of each case. A reader returns
+checked data or raises UsageError, naming the file, the line or field where
+there is one, and the command that ``WRITES`` names for it; so a missing,
+malformed or stale artifact exits 1. A reader also checks the file against
+the data it is read with: a clean file's ids against the case table, the
+assignments against the retained ids, and the predictions against the test
+ids they are read for.
 
 The assignments file is the one record of the train/test split: ``cluster``
 draws the split and writes the training ids, ascending, then the test ids,
@@ -23,13 +28,13 @@ This module imports no numpy, so ``ingest`` and ``clean`` run without it.
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import fnmatch
 import itertools
 import json
 import math
 from pathlib import Path
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, Callable, Collection, Iterable, Iterator, Mapping, Sequence, TextIO
 
 from . import rules
@@ -45,6 +50,7 @@ _ASSIGNMENTS_HEADER = ("case_id", "cluster")
 _PREDICTIONS_HEADER = ("case_id", "actual_min", "planned_min", ...)
 
 Side = tuple[list[str], list[int]]  # one side of the split: its case ids and their clusters
+Files = Iterable[tuple[Path, object]]  # the files a stage writes, each its path and its value, for ``write``
 
 WRITES = {  # each command, in pipeline order, and the names of the files it writes into --out
     "synth": ("events.csv", "cases.csv", "ground_truth.json"),
@@ -89,73 +95,70 @@ def make_dir(path: Path) -> None:
         raise UsageError(f"output {exc.filename}: {exc.strerror}") from None
 
 
-@contextlib.contextmanager
-def _create(path: Path) -> Iterator[TextIO]:
-    """``path`` opened for writing text: every file a stage writes is written
-    through here, in UTF-8 with "\\n" line ends; a path it cannot create exits 1."""
+# the writerow of a csv.writer whose file's write gives back the text it is given: a row's line
+_csv_line = csv.writer(SimpleNamespace(write=str), lineterminator="\n").writerow
+_quoted_csv_line = csv.writer(SimpleNamespace(write=str), lineterminator="\n", quoting=csv.QUOTE_ALL).writerow
+
+
+def _create(path: Path) -> TextIO:
+    """``path`` opened for writing text, in UTF-8 with "\\n" line ends; the
+    one place a file is opened for writing. A path it cannot create exits 1."""
     make_dir(path.parent)
     try:
-        fh = path.open("w", encoding="utf-8", newline="")
+        return path.open("w", encoding="utf-8", newline="")
     except OSError as exc:
         raise UsageError(f"output {exc.filename}: {exc.strerror}") from None
-    with fh:
-        yield fh
 
 
-def write_json(path: Path, obj, compact: bool = False) -> None:
-    # compact goes through json's C encoder; indent=2 is for the reports people read
-    layout = {"separators": (",", ":")} if compact else {"indent": 2}
-    with _create(path) as fh:
-        # allow_nan=False: NaN and Infinity are not JSON; producers write null instead
-        fh.write(json.dumps(obj, sort_keys=True, allow_nan=False, **layout) + "\n")
+def write(files: Files) -> None:
+    """Write each ``(path, value)`` of ``files`` as it arrives, before the
+    next is asked for. A value is a JSON object (a dict), a CSV table
+    ``(header, rows)`` or text as an iterable of str chunks.
 
-
-def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """Write a CSV artifact with "\\n" line ends.
-
-    csv quotes only the line terminator's characters, so a field holding a
-    bare "\\r" (a case id such as ``'W1\\rX'``) would be written unquoted and
-    split on reading; a row holding one is written with every field quoted.
+    JSON keys are sorted, with ``indent=2`` for the reports people read;
+    train's model bundles go through json's C encoder compact. csv quotes
+    only the line terminator's characters, so a field holding a bare "\\r"
+    (a case id such as ``'W1\\rX'``) would be written unquoted and split on
+    reading; a row holding one is written with every field quoted.
     """
-    with _create(path) as fh:
-        minimal = csv.writer(fh, lineterminator="\n")
-        quoted = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL)
-        minimal.writerow(header)
-        for row in rows:
-            if any(isinstance(v, str) and "\r" in v for v in row):
-                quoted.writerow(row)
+    for path, value in files:
+        with _create(path) as fh:
+            if isinstance(value, dict):
+                compact = any(fnmatch.fnmatchcase(path.name, name) for name in WRITES["train"])  # a model bundle
+                layout = {"separators": (",", ":")} if compact else {"indent": 2}
+                # allow_nan=False: NaN and Infinity are not JSON; producers write null instead
+                fh.write(json.dumps(value, sort_keys=True, allow_nan=False, **layout) + "\n")
+            elif isinstance(value, tuple):
+                header, rows = value
+                fh.write(_csv_line(header))
+                for row in rows:
+                    line = _csv_line(row)
+                    fh.write(line if "\r" not in line else _quoted_csv_line(row))
             else:
-                minimal.writerow(row)
+                fh.writelines(value)
+        del value  # freed before the stage computes its next file
 
 
-def write_assignments(path: Path, ids: Sequence[str], clusters: Sequence[int]) -> None:
-    write_csv(path, _ASSIGNMENTS_HEADER, zip(ids, clusters))
+def assignments(ids: Sequence[str], clusters: Sequence[int]) -> tuple:
+    """The assignments file of the split ``ids``, each with its cluster."""
+    return _ASSIGNMENTS_HEADER, zip(ids, clusters)
 
 
-def write_predictions(
-    path: Path,
+def predictions(
     ids: Sequence[str],
     actual: Sequence[float],
     planned: Sequence[float | None],
-    predictions: Mapping[str, Sequence[float]],
-) -> None:
-    """The test cases ``ids``, their actual and planned durations and each
-    model's predictions, one column per model in name order."""
-    names = sorted(predictions)
-    write_csv(
-        path,
-        [*_PREDICTIONS_HEADER[:-1], *names],
-        (
-            [case_id, repr(float(actual[i])), "" if planned[i] is None else repr(float(planned[i]))]
-            + [repr(float(predictions[n][i])) for n in names]
-            for i, case_id in enumerate(ids)
-        ),
+    predicted: Mapping[str, Sequence[float]],
+) -> tuple:
+    """The predictions file of the test cases ``ids``: their actual and
+    planned durations and each model's predictions, one column per model in
+    name order."""
+    names = sorted(predicted)
+    return [*_PREDICTIONS_HEADER[:-1], *names], (
+        [case_id, repr(float(actual[i])), "" if planned[i] is None else repr(float(planned[i]))]
+        + [repr(float(predicted[n][i])) for n in names]
+        for i, case_id in enumerate(ids)
     )
-
-
-def write_text(path: Path, text: str) -> None:
-    with _create(path) as fh:
-        fh.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -358,10 +361,11 @@ _JSON_SPACE = " \t\n\r"  # what json.loads skips around a value
 _decode_value = json.JSONDecoder().raw_decode
 
 
-def write_cases(path: Path, cases: Iterable[Case]) -> None:
-    with _create(path) as fh:
-        fh.write(json.dumps(_HEADER) + "\n")
-        fh.writelines(json.dumps(case) + "\n" for case in cases)
+def cases_jsonl(cases: Iterable[Case]) -> Iterator[str]:
+    """The lines of the cases.jsonl of ``cases``, one at a time."""
+    yield json.dumps(_HEADER) + "\n"
+    for case in cases:
+        yield json.dumps(case) + "\n"
 
 
 def read_cases(path: Path) -> CaseTable:

@@ -115,18 +115,6 @@ def _plausible(
     return retained, report
 
 
-def plausibility_filter(
-    cases: Mapping[str, Sequence],
-    phase: str,
-    max_minutes: float = MAX_PLAUSIBLE_MINUTES,
-) -> tuple[list[str], CleaningReport]:
-    """The ids of the ``cases`` (a CaseTable, say) whose phase duration is
-    present, > 0 and at most max_minutes, in row order."""
-    retained, report = _plausible(cases[PHASE_FIELDS[phase].duration], max_minutes)
-    ids = cases["case_id"]
-    return [ids[i] for i in retained], report
-
-
 def clean_phase(
     cases: Mapping[str, Sequence],
     phase: str,

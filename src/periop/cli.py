@@ -1,10 +1,15 @@
 """Pipeline CLI: synth, ingest, clean, cluster, train, evaluate, report, predict.
 
-Every stage reads its inputs from files in the output directory and writes
-versioned JSON/CSV artifacts back, so each subcommand can be re-run in
-isolation. All randomness flows from one root seed; stages derive their own
-streams by hashing a stage label into the seed, which keeps any two runs
-with the same config byte-identical.
+Every stage reads its inputs from files in the output directory and yields
+each file it writes as a ``(path, value)`` pair; ``run`` hands them to
+``artifacts.write``, which writes each before the stage computes the next, so
+each subcommand can be re-run in isolation. A stage that covers both phases
+computes each in its own function, which frees the phase's data before the
+next phase is read, and yields the files of the whole run last.
+
+All randomness flows from one root seed; stages derive their own streams by
+hashing a stage label into the seed, which keeps any two runs with the same
+config byte-identical.
 
 Each command imports only the modules it runs: ``ingest`` and ``clean`` load
 no numpy, and the numpy-based stages import theirs when they start. A command
@@ -33,7 +38,7 @@ import os
 import sys
 import zlib
 from pathlib import Path
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Generator, Mapping, Sequence
 
 from . import artifacts, rules
 from .config import MODEL_CHOICES, FIELD_TYPES, PipelineConfig, UsageError, build_config
@@ -154,7 +159,7 @@ def _tfidf_matrix(docs: Sequence[Sequence[str]], tfidf: textnorm.TfidfModel) -> 
 # ---------------------------------------------------------------------------
 
 
-def stage_synth(cfg: PipelineConfig) -> None:
+def stage_synth(cfg: PipelineConfig) -> artifacts.Files:
     from . import synthgen
 
     synth_cfg = synthgen.SynthConfig(
@@ -167,9 +172,10 @@ def stage_synth(cfg: PipelineConfig) -> None:
     out = Path(cfg.out)
     synthgen.generate_log(synth_cfg, out)
     print(f"synth: wrote {synth_cfg.n_cases} cases to {out}")
+    return ()  # generate_log wrote the log through artifacts.write
 
 
-def stage_ingest(cfg: PipelineConfig) -> None:
+def stage_ingest(cfg: PipelineConfig) -> artifacts.Files:
     out = Path(cfg.out)
     own = out / "cases.jsonl"  # one of this command's files, which names it in the table
     artifacts.refuse_overwrite(artifacts.writer_of(own), out, {"events": cfg.events_path(), "cases": cfg.cases_path()})
@@ -179,9 +185,9 @@ def stage_ingest(cfg: PipelineConfig) -> None:
     attrs, attr_errors = _parse_input(cfg.cases_path(), parse_case_attributes, unique_ids=True)
     cases = assemble_cases(log, attrs)
 
-    artifacts.write_cases(own, cases)
+    yield own, artifacts.cases_jsonl(cases)
     labelled = [("events", e) for e in event_errors] + [("cases", e) for e in attr_errors]
-    report = {
+    yield out / "ingest_report.json", {
         "n_events": len(log),
         "n_cases": len(cases),
         "n_invalid_cases": sum(1 for c in cases if not c.is_valid),
@@ -191,11 +197,10 @@ def stage_ingest(cfg: PipelineConfig) -> None:
             {"source": source, "line": e.line, "message": e.message} for source, e in labelled[:20]
         ],
     }
-    artifacts.write_json(out / "ingest_report.json", report)
     print(f"ingest: {len(log)} events -> {len(cases)} cases")
 
 
-def stage_clean(cfg: PipelineConfig) -> None:
+def stage_clean(cfg: PipelineConfig) -> artifacts.Files:
     from . import cleaning
 
     out = Path(cfg.out)
@@ -210,26 +215,23 @@ def stage_clean(cfg: PipelineConfig) -> None:
             by_department=cfg.iqr_per_department,
         )
         full_report[phase] = report.to_dict()
-        artifacts.write_json(
-            out / f"clean_{phase}.json",
-            {
-                "phase": phase,
-                "retained_ids": retained,
-                "bounds": list(report.bounds) if report.bounds else None,
-            },
-        )
+        yield out / f"clean_{phase}.json", {
+            "phase": phase,
+            "retained_ids": retained,
+            "bounds": list(report.bounds) if report.bounds else None,
+        }
         print(f"clean[{phase}]: kept {report.retained}/{report.input}")
-    artifacts.write_json(out / "cleaning_report.json", full_report)
+    yield out / "cleaning_report.json", full_report
 
 
-def stage_cluster(cfg: PipelineConfig) -> None:
+def stage_cluster(cfg: PipelineConfig) -> artifacts.Files:
     cases = artifacts.read_cases(Path(cfg.out) / "cases.jsonl")
     for phase in cfg.phases:
-        _cluster_phase(cfg, phase, cases)  # which frees its lists and arrays before the next phase
+        yield from _cluster_phase(cfg, phase, cases)  # which frees its lists and arrays before the next phase
 
 
-def _cluster_phase(cfg: PipelineConfig, phase: str, cases: CaseTable) -> None:
-    """Split, vectorize and cluster one phase's retained cases, and write the
+def _cluster_phase(cfg: PipelineConfig, phase: str, cases: CaseTable) -> artifacts.Files:
+    """Split, vectorize and cluster one phase's retained cases, and yield the
     phase's files; the phases share nothing but the case table."""
     from . import clustering, models, textnorm
 
@@ -276,32 +278,25 @@ def _cluster_phase(cfg: PipelineConfig, phase: str, cases: CaseTable) -> None:
         model = getattr(clustering, f"{algo}_fit")(X_docs, ks[0], seed=seed + ks[0], index=train_doc_of)
     labels = clustering.cluster_assign(model, X_docs)[doc_of]
 
-    artifacts.write_json(out / f"tfidf_{phase}.json", model_tfidf.to_dict())
-    artifacts.write_json(
-        out / f"cluster_model_{phase}.json",
-        {
-            "model": model.to_dict(),
-            "selected_k": model.k,
-            # ascending k; a k that could not be scored (-inf) is null
-            "silhouette_scores": [
-                {"k": k, "score": scores[k] if math.isfinite(scores[k]) else None}
-                for k in sorted(scores)
-            ],
-        },
-    )
-    artifacts.write_assignments(out / f"assignments_{phase}.csv", all_ids, labels.tolist())
+    yield out / f"tfidf_{phase}.json", model_tfidf.to_dict()
+    yield out / f"cluster_model_{phase}.json", {
+        "model": model.to_dict(),
+        "selected_k": model.k,
+        # ascending k; a k that could not be scored (-inf) is null
+        "silhouette_scores": [
+            {"k": k, "score": scores[k] if math.isfinite(scores[k]) else None}
+            for k in sorted(scores)
+        ],
+    }
+    yield out / f"assignments_{phase}.csv", artifacts.assignments(all_ids, labels.tolist())
 
     train_durations = cases.take(PHASE_FIELDS[phase].duration, rows[: len(train_ids)])
     catalog = clustering.cluster_catalog(
         labels[: len(train_ids)], X_docs, model_tfidf.terms(), train_durations, index=train_doc_of
     )
-    artifacts.write_csv(
-        out / f"clusters_{phase}.csv",
+    yield out / f"clusters_{phase}.csv", (
         ["cluster_id", "size", "top_terms", "mean_duration_min"],
-        (
-            [row["cluster_id"], row["size"], row["top_terms"], repr(row["mean_duration_min"])]
-            for row in catalog
-        ),
+        ([row["cluster_id"], row["size"], row["top_terms"], repr(row["mean_duration_min"])] for row in catalog),
     )
     print(f"cluster[{phase}]: {algo} k={model.k} over {len(train_ids)} train docs")
 
@@ -314,52 +309,53 @@ def _model_plan(name: str, cfg: PipelineConfig) -> tuple[str, str, dict]:
     return name, cfg.group_by, params
 
 
-def stage_train(cfg: PipelineConfig) -> None:
+def stage_train(cfg: PipelineConfig) -> artifacts.Files:
+    cases = artifacts.read_cases(Path(cfg.out) / "cases.jsonl")
+    for phase in cfg.phases:
+        yield from _train_phase(cfg, phase, cases)
+
+
+def _train_phase(cfg: PipelineConfig, phase: str, cases: CaseTable) -> artifacts.Files:
+    """Fit each roster model on one phase's training side, and yield its bundle."""
     from . import features, models
 
-    out = Path(cfg.out)
-    cases = artifacts.read_cases(out / "cases.jsonl")
-    for phase in cfg.phases:
-        (train_ids, clusters), _ = _read_split(cfg, phase, cases)
-        train_cases = cases.select(train_ids)
-        y = train_cases[PHASE_FIELDS[phase].duration]
-        contexts: dict[str, features.FeatureContext] = {}  # one per group_by
-        for name in cfg.models:
-            family, group_by, params = _model_plan(name, cfg)
-            if group_by not in contexts:
-                contexts[group_by] = features.fit_context(
-                    phase, train_cases, clusters, group_by, cfg.target_smoothing
-                )
-            ctx = contexts[group_by]
-            rows, inverse = features.design_rows(ctx, family, train_cases, clusters)
-            dataset = models.Dataset(X=rows[inverse], y=y)
-            grid_info = None
-            if cfg.grid_search and models.DEFAULT_GRIDS.get(family):
-                spec = models.GridSpec(
-                    family=family,
-                    grid=models.DEFAULT_GRIDS[family],
-                    cv_folds=cfg.cv_folds,
-                    seed=derive_seed(cfg.seed, f"grid:{phase}:{name}"),
-                    base=params,
-                )
-                best_params, cv_table = models.grid_search(
-                    spec, y, features.fold_design(ctx, family, train_cases, clusters)
-                )
-                params = {**params, **best_params}
-                grid_info = {"best_params": best_params, "cv_table": cv_table}
-            params = models.seeded_params(family, params, derive_seed(cfg.seed, f"model:{phase}:{name}"))
-            model = models.make_model(family, params).fit(dataset)
-            bundle = {
-                "name": name,
-                "phase": phase,
-                "family": family,
-                "params": {k: params[k] for k in sorted(params)},
-                "model": model.to_dict(),
-                "features": ctx.to_dict(),
-                "grid": grid_info,
-            }
-            artifacts.write_json(out / f"model_{phase}_{name}.json", bundle, compact=True)
-            print(f"train[{phase}]: fitted {name} on {len(train_ids)} cases")
+    (train_ids, clusters), _ = _read_split(cfg, phase, cases)
+    train_cases = cases.select(train_ids)
+    y = train_cases[PHASE_FIELDS[phase].duration]
+    contexts: dict[str, features.FeatureContext] = {}  # one per group_by
+    for name in cfg.models:
+        family, group_by, params = _model_plan(name, cfg)
+        if group_by not in contexts:
+            contexts[group_by] = features.fit_context(phase, train_cases, clusters, group_by, cfg.target_smoothing)
+        ctx = contexts[group_by]
+        rows, inverse = features.design_rows(ctx, family, train_cases, clusters)
+        dataset = models.Dataset(X=rows[inverse], y=y)
+        grid_info = None
+        if cfg.grid_search and models.DEFAULT_GRIDS.get(family):
+            spec = models.GridSpec(
+                family=family,
+                grid=models.DEFAULT_GRIDS[family],
+                cv_folds=cfg.cv_folds,
+                seed=derive_seed(cfg.seed, f"grid:{phase}:{name}"),
+                base=params,
+            )
+            best_params, cv_table = models.grid_search(
+                spec, y, features.fold_design(ctx, family, train_cases, clusters)
+            )
+            params = {**params, **best_params}
+            grid_info = {"best_params": best_params, "cv_table": cv_table}
+        params = models.seeded_params(family, params, derive_seed(cfg.seed, f"model:{phase}:{name}"))
+        model = models.make_model(family, params).fit(dataset)
+        yield Path(cfg.out) / f"model_{phase}_{name}.json", {
+            "name": name,
+            "phase": phase,
+            "family": family,
+            "params": {k: params[k] for k in sorted(params)},
+            "model": model.to_dict(),
+            "features": ctx.to_dict(),
+            "grid": grid_info,
+        }
+        print(f"train[{phase}]: fitted {name} on {len(train_ids)} cases")
 
 
 def _read_bundle(cfg: PipelineConfig, phase: str, name: str) -> tuple[features.FeatureContext, models.Model, str]:
@@ -415,70 +411,84 @@ def _bundle_predict(
     return model.predict(rows)[inverse]
 
 
-def stage_evaluate(cfg: PipelineConfig) -> None:
+def stage_evaluate(cfg: PipelineConfig) -> artifacts.Files:
+    cases = artifacts.read_cases(Path(cfg.out) / "cases.jsonl")
+    metrics: dict = {}
+    for phase in cfg.phases:
+        metrics[phase] = yield from _evaluate_phase(cfg, phase, cases)
+    yield Path(cfg.out) / "metrics.json", metrics
+
+
+def _evaluate_phase(cfg: PipelineConfig, phase: str, cases: CaseTable) -> Generator[tuple[Path, object], None, dict]:
+    """Score each roster model and the manual plan on one phase's test side:
+    yield the predictions and return the phase's metrics."""
     from . import evaluate
 
-    out = Path(cfg.out)
-    cases = artifacts.read_cases(out / "cases.jsonl")
-    metrics_obj: dict = {}
+    _, (test_ids, clusters) = _read_split(cfg, phase, cases)
+    test_cases = cases.select(test_ids)
+    fields = PHASE_FIELDS[phase]
+    actual = test_cases[fields.duration]
+    planned = [None] * len(test_ids) if fields.plan is None else test_cases[fields.plan]
+    predictions: dict[str, np.ndarray] = {}
+    metrics = {}
+    for name in cfg.models:
+        bundle = _read_bundle(cfg, phase, name)
+        predictions[name] = _bundle_predict(bundle, test_cases, clusters)
+        metrics[name] = evaluate.compute_metrics(actual, predictions[name], tolerance=cfg.tolerance)
+    keep = [i for i, p in enumerate(planned) if p is not None]
+    if keep:
+        metrics["manual"] = evaluate.compute_metrics(
+            [actual[i] for i in keep],
+            [planned[i] for i in keep],
+            tolerance=cfg.tolerance,
+        )
+    yield Path(cfg.out) / f"predictions_{phase}.csv", artifacts.predictions(test_ids, actual, planned, predictions)
+    print(f"evaluate[{phase}]: scored {len(test_ids)} test cases")
+    return metrics
+
+
+def stage_report(cfg: PipelineConfig) -> artifacts.Files:
+    cases = artifacts.read_cases(Path(cfg.out) / "cases.jsonl")
+    deviation, factors = {}, {}
     for phase in cfg.phases:
-        _, (test_ids, clusters) = _read_split(cfg, phase, cases)
-        test_cases = cases.select(test_ids)
-        fields = PHASE_FIELDS[phase]
-        actual = test_cases[fields.duration]
-        planned = [None] * len(test_ids) if fields.plan is None else test_cases[fields.plan]
-        predictions: dict[str, np.ndarray] = {}
-        metrics_obj[phase] = {}
-        for name in cfg.models:
-            bundle = _read_bundle(cfg, phase, name)
-            predictions[name] = _bundle_predict(bundle, test_cases, clusters)
-            metrics_obj[phase][name] = evaluate.compute_metrics(actual, predictions[name], tolerance=cfg.tolerance)
-        keep = [i for i, p in enumerate(planned) if p is not None]
-        if keep:
-            metrics_obj[phase]["manual"] = evaluate.compute_metrics(
-                [actual[i] for i in keep],
-                [planned[i] for i in keep],
-                tolerance=cfg.tolerance,
-            )
-        artifacts.write_predictions(out / f"predictions_{phase}.csv", test_ids, actual, planned, predictions)
-        print(f"evaluate[{phase}]: scored {len(test_ids)} test cases")
-    artifacts.write_json(out / "metrics.json", metrics_obj)
+        factors[phase] = yield from _report_phase(cfg, phase, cases, deviation)
+    yield Path(cfg.out) / "deviation_report.json", deviation
+    yield Path(cfg.out) / "factor_report.json", factors
 
 
-def stage_report(cfg: PipelineConfig) -> None:
+def _report_phase(
+    cfg: PipelineConfig, phase: str, cases: CaseTable, deviation: dict
+) -> Generator[tuple[Path, object], None, dict]:
+    """Compare one phase's test side with its plan into ``deviation`` (for a
+    phase that has a plan), yield its histograms and return its factor report."""
     from . import evaluate, stats
 
     out = Path(cfg.out)
-    cases = artifacts.read_cases(out / "cases.jsonl")
-    deviation_obj: dict = {}
-    factors_obj: dict = {}
-    for phase in cfg.phases:
-        # upstream first: stale assignments make the predictions stale too
-        _, (test_ids, clusters) = _read_split(cfg, phase, cases)
-        test_cases = cases.select(test_ids)
-        fields = PHASE_FIELDS[phase]
-        has_plan = fields.plan is not None
-        predictions = artifacts.read_predictions(out / f"predictions_{phase}.csv", test_ids)
-        if has_plan:
-            try:
-                deviation_obj[phase] = evaluate.compare_to_plan(
-                    test_cases, phase, predictions, tolerance=cfg.tolerance
-                )
-            except ValueError as exc:
-                deviation_obj[phase] = {"error": str(exc)}
+    # upstream first: stale assignments make the predictions stale too
+    _, (test_ids, clusters) = _read_split(cfg, phase, cases)
+    test_cases = cases.select(test_ids)
+    fields = PHASE_FIELDS[phase]
+    has_plan = fields.plan is not None
+    predictions = artifacts.read_predictions(out / f"predictions_{phase}.csv", test_ids)
+    if has_plan:
+        try:
+            deviation[phase] = evaluate.compare_to_plan(test_cases, phase, predictions, tolerance=cfg.tolerance)
+        except ValueError as exc:
+            deviation[phase] = {"error": str(exc)}
 
-        # histograms of actual durations and of the manual plan (3-min bins)
-        actual_bins = evaluate.histogram(test_cases[fields.duration], 3.0)
-        _write_histogram(out / f"histogram_{phase}_actual", actual_bins, f"{phase}: actual duration")
-        if has_plan:
-            plan_bins = evaluate.histogram([p for p in test_cases[fields.plan] if p is not None], 3.0)
-            _write_histogram(out / f"histogram_{phase}_plan", plan_bins, f"{phase}: manual plan")
+    # histograms of actual durations and of the manual plan (3-min bins)
+    shown = [("actual", test_cases[fields.duration], "actual duration")]
+    if has_plan:
+        shown.append(("plan", [p for p in test_cases[fields.plan] if p is not None], "manual plan"))
+    for kind, values, title in shown:
+        bins = evaluate.histogram(values, 3.0)
+        base = out / f"histogram_{phase}_{kind}"
+        yield base.with_suffix(".csv"), (["bin_start_min", "count"], ([repr(float(s)), n] for s, n in bins))
+        yield base.with_suffix(".svg"), [evaluate.histogram_svg(bins, 3.0, title=f"{phase}: {title}"), "\n"]
 
-        factors_obj[phase] = stats.factor_report(_factor_groups(test_cases, phase, clusters))
-        print(f"report[{phase}]: wrote deviation/histogram/factor artifacts")
-
-    artifacts.write_json(out / "deviation_report.json", deviation_obj)
-    artifacts.write_json(out / "factor_report.json", factors_obj)
+    factors = stats.factor_report(_factor_groups(test_cases, phase, clusters))
+    print(f"report[{phase}]: wrote deviation/histogram/factor artifacts")
+    return factors
 
 
 def _age_band(age: float | None) -> str:
@@ -506,21 +516,10 @@ def _factor_groups(
     return groups
 
 
-def _write_histogram(base: Path, bins: list[tuple[float, int]], title: str) -> None:
-    from . import evaluate
-
-    artifacts.write_csv(
-        base.with_suffix(".csv"),
-        ["bin_start_min", "count"],
-        ([repr(float(start)), count] for start, count in bins),
-    )
-    artifacts.write_text(base.with_suffix(".svg"), evaluate.histogram_svg(bins, 3.0, title=title) + "\n")
-
-
 _SKIPPED_SHOWN = 5  # predict lists this many of the --cases rows it skipped
 
 
-def stage_predict(cfg: PipelineConfig, dest: str | None, apply_floors: bool) -> None:
+def stage_predict(cfg: PipelineConfig, dest: str | None, apply_floors: bool) -> artifacts.Files:
     from . import clustering, textnorm
 
     phase, name = cfg.phases[0], cfg.models[0]
@@ -561,8 +560,7 @@ def stage_predict(cfg: PipelineConfig, dest: str | None, apply_floors: bool) -> 
 
         floors = {"induction": cfg.planning_floor_induction}
         preds = [evaluate.apply_planning_floor(p, phase, floors) for p in preds]
-    artifacts.write_csv(
-        dest_path,
+    yield dest_path, (
         ["case_id", "phase", "model", "prediction_min"],
         ([row[0], phase, name, repr(float(p))] for row, p in zip(attrs, preds)),
     )
@@ -636,9 +634,10 @@ def run(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
         cfg = _config_from_args(args)
         if args.command in STAGES:
-            STAGES[args.command](cfg)
+            files = STAGES[args.command](cfg)
         else:
-            stage_predict(cfg, args.dest, args.apply_floors)
+            files = stage_predict(cfg, args.dest, args.apply_floors)
+        artifacts.write(files)
         return 0
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

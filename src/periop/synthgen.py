@@ -15,13 +15,12 @@ same seed.
 
 ``generate_log`` works in two passes: the first draws each raw column in
 bulk, then numpy derives the durations, plans, texts and timestamps from
-them, sorts the events with one ``lexsort``, and the three files are written
-a chunk of rows at a time.
+them, sorts the events with one ``lexsort``, and ``artifacts.write`` writes
+the three files a chunk of rows at a time, each formatted as it is written.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass
@@ -286,13 +285,19 @@ def _chunks(index: np.ndarray):
 
 
 def generate_log(cfg: SynthConfig, out: Path) -> None:
-    """Write events.csv, cases.csv and ground_truth.json into the directory ``out``.
+    """Write events.csv, cases.csv and ground_truth.json into the directory ``out``."""
+    artifacts.write(_log_files(cfg, out))
+
+
+def _log_files(cfg: SynthConfig, out: Path) -> artifacts.Files:
+    """ground_truth.json, cases.csv and events.csv under ``out``, as text or
+    rows formatted a chunk at a time as ``artifacts.write`` writes them.
 
     Two passes. The first draws each raw column, for every case at once,
     from the column's own stream (``STREAMS``). The second derives the
-    durations, plans, texts and timestamps from those columns with numpy, sorts the events (by UTC timestamp, case id, event
-    type) and the case rows (by case id), and writes the three files in
-    small chunks.
+    durations, plans, texts and timestamps from those columns with numpy,
+    sorts the events (by UTC timestamp, case id, event type) and the case
+    rows (by case id), and yields the three files in small chunks.
     """
     rng = dict(zip(STREAMS, map(np.random.default_rng, np.random.SeedSequence(cfg.seed).spawn(len(STREAMS)))))
     params = rng["family_params"]
@@ -400,12 +405,13 @@ def generate_log(cfg: SynthConfig, out: Path) -> None:
     del fam_median, proc_bias, proc_bias_z, ind_bias_z
 
     positioning = np.array([name for name, _ in fam_positioning], dtype=object)
-    with artifacts._create(out / "ground_truth.json") as fh:
+
+    def ground_truth():
         # sort_keys order: "cases" first, then the other members
-        fh.write('{"cases":[')
+        yield '{"cases":['
         for at in _chunks(np.arange(cfg.n_cases)):
             bits = [((flags[at] & 1 << k) != 0).tolist() for k in range(6)]
-            fh.write(("," if at[0] else "") + ",".join(
+            yield ("," if at[0] else "") + ",".join(
                 f'{{"anesthesia_family":{a},"attrs_present":{_JSON_BOOL[attrs]},"case_id":"{case_id}",'
                 f'"has_anchors":{{"anesthesia_complete":{_JSON_BOOL[complete]},'
                 f'"anesthesia_start":{_JSON_BOOL[start]},"incision":{_JSON_BOOL[incision]},'
@@ -420,7 +426,7 @@ def generate_log(cfg: SynthConfig, out: Path) -> None:
                     (emitted_sec[at] / 60.0).tolist(), ind_plan[at].tolist(), proc_plan[at].tolist(),
                     positioning[fam[at]].tolist(),
                 )
-            ))
+            )
         encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
         procedure_means = {
             str(f): float(fam_medians[f] * math.exp(fam_sigmas[f] ** 2 / 2.0)) for f in range(n_fam)
@@ -428,10 +434,11 @@ def generate_log(cfg: SynthConfig, out: Path) -> None:
         induction_means = {
             str(a): float(anes_medians[a] * math.exp(anes_sigmas[a] ** 2 / 2.0)) for a in range(n_anes)
         }
-        fh.write(
+        yield (
             f'],"induction_family_means":{encode(induction_means)},"n_cases":{cfg.n_cases},'
             f'"procedure_family_means":{encode(procedure_means)},"seed":{cfg.seed}}}\n'
         )
+    yield out / "ground_truth.json", ground_truth()
     del implausible
 
     rank = _case_id_rank(np.arange(1, cfg.n_cases + 1)).astype(np.int32)
@@ -451,11 +458,11 @@ def generate_log(cfg: SynthConfig, out: Path) -> None:
         _texts(proc_plan, _fmt_minutes),
     )
     del age_z, sex, proc_text, anes_text, ind_plan, proc_plan
-    with artifacts._create(out / "cases.csv") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CASES_HEADER)
-        for at in _chunks(present[np.argsort(rank[present])]):
-            writer.writerows(zip(_case_ids(at), *(column[at].tolist() for column in columns)))
+    yield out / "cases.csv", (CASES_HEADER, (
+        row
+        for at in _chunks(present[np.argsort(rank[present])])
+        for row in zip(_case_ids(at), *(column[at].tolist() for column in columns))
+    ))
     del columns, present
 
     # each event: its UTC timestamp in microseconds, case index and type's sort rank;
@@ -483,8 +490,9 @@ def generate_log(cfg: SynthConfig, out: Path) -> None:
     stamps, cases, types = (np.concatenate(parts) for parts in (stamps, cases, types))
     order = np.lexsort((types, rank[cases], stamps))
     del rank
-    with artifacts._create(out / "events.csv") as fh:
-        fh.write(",".join(EVENTS_HEADER) + "\n")
+
+    def events():
+        yield ",".join(EVENTS_HEADER) + "\n"
         for at in _chunks(order):
             utc = stamps[at]
             offset = _utc_offset_us(utc)
@@ -496,9 +504,10 @@ def generate_log(cfg: SynthConfig, out: Path) -> None:
                 np.datetime_as_string(when, unit="s"),
                 np.datetime_as_string(when, unit="us"),
             )
-            fh.writelines(
+            yield "".join(
                 f"{case_id},{EVENT_TYPES[t]},{stamp}{_OFFSET_SUFFIX[o == _HOUR_US]}\n"
                 for case_id, t, stamp, o in zip(
                     _case_ids(cases[at]), types[at].tolist(), text.tolist(), offset.tolist()
                 )
             )
+    yield out / "events.csv", events()

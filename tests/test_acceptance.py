@@ -16,7 +16,7 @@ import scipy.integrate
 
 from oracles import case_table, quantile_slow, silhouette_slow, target_encode_slow, tfidf_dense
 from periop import cli
-from periop.cleaning import iqr_filter, plausibility_filter, quantile
+from periop.cleaning import clean_phase, iqr_filter, quantile
 from periop.clustering import gmm_fit, kmeans_fit, select_k
 from periop.encoding import target_encode_fit
 from periop.eventlog import CASES_HEADER, Case, parse_case_attributes
@@ -205,7 +205,8 @@ def test_criterion_4_cleaning():
     planted_bad = {"neg1": -12.0, "neg2": -0.5, "zero": 0.0, "multi1": 3.2 * 1440, "multi2": 5.0 * 1440}
     cases += [_case(cid, v) for cid, v in planted_bad.items()]
     cases.append(Case(case_id="missing"))
-    retained, rep = plausibility_filter(case_table(cases), "procedure")
+    # uniform durations leave no IQR outlier, so clean_phase removes what plausibility removes
+    retained, rep = clean_phase(case_table(cases), "procedure")
     removed_ids = {c.case_id for c in cases} - set(retained)
     plaus_ok = removed_ids == set(planted_bad) | {"missing"}
     plaus_ok &= rep.counts["negative_or_zero"] == 3 and rep.counts["excessive"] == 2

@@ -14,7 +14,7 @@ from fnmatch import fnmatchcase
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, Phase, example, given, settings
 from hypothesis import strategies as st
 
 import broken_inputs
@@ -314,10 +314,11 @@ def test_run_leaves_the_cyclic_gc_as_it_found_it(tmp_path, monkeypatch, enabled)
     """The collector is paused for the command and restored after exit 0, 1 and 2."""
     seen = []
 
-    def stage(cfg):
+    def stage(cfg):  # a stage that writes no file
         seen.append(gc.isenabled())
         if cfg.seed == 2:
             raise RuntimeError("a runtime failure")
+        return ()
 
     monkeypatch.setitem(cli.STAGES, "clean", stage)
     was_enabled = gc.isenabled()
@@ -431,6 +432,65 @@ def test_every_declared_name_is_written_by_some_chain(chain_writes):
     for command, patterns in artifacts.WRITES.items():
         for pattern in patterns:
             assert any(fnmatchcase(name, pattern) for name in names), (command, pattern)
+
+
+# Relations of the whole chain on a 300-case log: ingest sorts the cases by
+# id, so no file from ingest on depends on the order of the input rows or on
+# the rendering they were read from
+_FROM_INGEST = ("ingest", "clean", "cluster", "train", "evaluate", "report")
+
+
+def _chain_files(events: Path, cases: Path, out: Path, stages=_FROM_INGEST) -> dict[str, bytes]:
+    """The files that ``stages`` write into ``out`` from the inputs ``events`` and ``cases``."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        for stage in stages:
+            argv = [stage, "--out", str(out), "--seed", "7", "--events", str(events), "--cases", str(cases)]
+            assert run(argv) == 0, stage
+    return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+
+@pytest.fixture(scope="module")
+def relation_log(tmp_path_factory):
+    """The events.csv and cases.csv of a 300-case log, and the files its chain writes."""
+    log = tmp_path_factory.mktemp("relation-log")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run(["synth", "--out", str(log), "--seed", "7", "--n-cases", "300"]) == 0
+    events, cases = log / "events.csv", log / "cases.csv"
+    return events, cases, _chain_files(events, cases, tmp_path_factory.mktemp("relation-out"))
+
+
+# no shrinking: one shuffle is as telling as another, and shrinking a failing
+# one reruns the chain for minutes
+@settings(
+    max_examples=8,
+    deadline=None,
+    phases=(Phase.explicit, Phase.reuse, Phase.generate),
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(order=st.randoms(use_true_random=False))
+def test_shuffled_input_rows_leave_every_file_of_the_chain_as_it_was(relation_log, order):
+    events, cases, expected = relation_log
+    with tempfile.TemporaryDirectory() as tmp:
+        shuffled = {}
+        for path in (events, cases):
+            header, *rows = path.read_text(encoding="utf-8").splitlines(keepends=True)
+            order.shuffle(rows)
+            shuffled[path.name] = Path(tmp) / path.name
+            shuffled[path.name].write_text(header + "".join(rows), encoding="utf-8")
+        got = _chain_files(shuffled["events.csv"], shuffled["cases.csv"], Path(tmp) / "out")
+    assert got.keys() == expected.keys()
+    for name in expected:
+        assert got[name] == expected[name], name
+
+
+def test_the_jsonl_rendering_of_the_inputs_gives_the_cases_and_report_of_the_csv(relation_log, tmp_path):
+    events, cases, expected = relation_log
+    for path in (events, cases):
+        with path.open(encoding="utf-8", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        (tmp_path / f"{path.stem}.jsonl").write_text("".join(json.dumps(row) + "\n" for row in rows))
+    got = _chain_files(tmp_path / "events.jsonl", tmp_path / "cases.jsonl", tmp_path / "out", stages=["ingest"])
+    assert got == {name: expected[name] for name in artifacts.WRITES["ingest"]}
 
 
 def test_ingest_report_names_the_source_of_each_error(tmp_path):
@@ -831,19 +891,36 @@ def test_evaluate_with_another_seed_scores_the_split_cluster_drew(pipeline_dir, 
         assert (out / name).read_bytes() == (source / name).read_bytes(), name
 
 
-def test_cluster_writes_each_phase_as_a_run_of_that_phase_alone_does(pipeline_dir, tmp_path):
-    """The phases of one cluster run share no state: clustering both phases
-    writes the bytes that one phase at a time writes over the same clean
-    output."""
-    source, config = pipeline_dir
+# the files of one phase that each command writes, for each roster model;
+# the files that cover both phases are left out
+_PER_PHASE = {
+    "cluster": ("tfidf_{phase}.json", "cluster_model_{phase}.json", "assignments_{phase}.csv", "clusters_{phase}.csv"),
+    "train": ("model_{phase}_{model}.json",),
+    "evaluate": ("predictions_{phase}.csv",),
+    "report": ("histogram_{phase}_{kind}.csv", "histogram_{phase}_{kind}.svg"),
+}
+
+
+@pytest.mark.parametrize("command", list(_PER_PHASE))
+def test_a_command_writes_each_phase_as_a_run_of_that_phase_alone_does(broken, tmp_path, command):
+    """The phases of one run share no state: computing both phases writes
+    each phase's files with the bytes that one phase at a time writes over
+    the same upstream output. Train runs on the chain that trains every
+    family, so that a seeded one (the forest) is among its models."""
+    source, config = broken.chain("roster" if command == "train" else "pipeline")
     out = tmp_path / "out"
     shutil.copytree(source, out)
-    written = sorted(p.name for pattern in artifacts.WRITES["cluster"] for p in source.glob(pattern))
-    assert len(written) == 8  # four files for each of the two phases
+    written = sorted({
+        pattern.format(phase=phase, model=model, kind=kind)
+        for pattern in _PER_PHASE[command] for phase in ("procedure", "induction")
+        for model in build_config(str(config), {}).models for kind in ("actual", "plan")
+    })
+    assert len(written) == {"train": 14, "evaluate": 2}.get(command, 8)  # four, seven or one for each phase
     for name in written:
+        assert artifacts.writer_of(Path(name)) == command, name
         (out / name).unlink()
     for phase in ("procedure", "induction"):
-        assert run(["cluster", "--out", str(out), *SMALL, "--config", str(config), "--phase", phase]) == 0
+        assert run([command, "--out", str(out), *SMALL, "--config", str(config), "--phase", phase]) == 0
     for name in written:
         assert (out / name).read_bytes() == (source / name).read_bytes(), name
 

@@ -23,8 +23,8 @@ from oracles import (
     read_cases_slow,
     records_slow,
 )
-from periop import cli, eventlog
-from periop.artifacts import read_cases, write_cases
+from periop import artifacts, cli, eventlog
+from periop.artifacts import read_cases
 from periop.casetable import CaseError, CaseTable
 from periop.config import UsageError
 from periop.eventlog import (
@@ -320,7 +320,7 @@ CASE_RECORDS = st.lists(
 def test_cases_jsonl_bytes_equal_the_per_field_writer_and_read_back(cases):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "cases.jsonl"
-        write_cases(path, cases)
+        artifacts.write([(path, artifacts.cases_jsonl(cases))])
         assert path.read_bytes() == cases_jsonl_slow(cases).encode("utf-8")
         loaded = read_cases(path)
     assert type(loaded) is CaseTable
@@ -432,7 +432,7 @@ def test_read_cases_names_the_first_line_at_fault_as_the_line_by_line_reader_doe
 )
 def test_read_cases_opens_a_file_with_a_bad_line_once(tmp_path, last_line):
     path = tmp_path / "cases.jsonl"
-    write_cases(path, [Case("W0")])
+    artifacts.write([(path, artifacts.cases_jsonl([Case("W0")]))])
     with path.open("a", encoding="utf-8") as fh:
         fh.write(last_line)
     with mock.patch.object(Path, "open", autospec=True, side_effect=Path.open) as opened:

@@ -87,7 +87,7 @@ def test_split_read_back_from_an_assignments_file_equals_split_indices(ids, test
     split = [ordered[i] for i in train_idx], [ordered[i] for i in test_idx]
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "assignments_procedure.csv"
-        artifacts.write_assignments(path, split[0] + split[1], clusters)
+        artifacts.write([(path, artifacts.assignments(split[0] + split[1], clusters))])
         (train_ids, train_clusters), (test_ids, test_clusters) = artifacts.read_split(path, ids, test_fraction)
     assert (train_ids, test_ids) == split
     assert train_clusters + test_clusters == clusters

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from periop.cleaning import plausibility_filter
+from periop.cleaning import clean_phase
 from periop.eventlog import ANCHOR_EVENTS, assemble_cases, parse_case_attributes, parse_events, _parse_timestamp
 from oracles import case_table, generate_log_slow
 from periop.cli import derive_seed
@@ -117,10 +117,12 @@ def test_implausible_records_are_planted_and_filtered(generated):
         value = truth_by_id[case_id]["procedure_min"]
         assert value < 0 if kind == "negative" else value > 48 * 60
 
-    retained, report = plausibility_filter(case_table(cases), "procedure")
+    retained, report = clean_phase(case_table(cases), "procedure")
     retained_ids = set(retained)
     assert not (set(flagged) & retained_ids)
     assert report.counts["negative_or_zero"] >= sum(1 for k in flagged.values() if k == "negative")
+    # the plausibility check, which runs before the IQR cut, removes the multi-day records
+    assert report.counts["excessive"] >= sum(1 for k in flagged.values() if k == "multiday")
 
 
 def test_family_means_converge(generated):
